@@ -135,11 +135,13 @@ impl BufferPool {
         self.owners.len()
     }
 
-    /// Allocate `tracks` to `owner`.
-    pub fn alloc(&mut self, owner: OwnerId, tracks: usize) -> Result<(), BufferError> {
-        if tracks == 0 {
-            return Ok(());
-        }
+    /// Charge `tracks` to the pool without naming an owner: capacity,
+    /// occupancy and the high-water mark move exactly as in
+    /// [`alloc`](Self::alloc), but who holds the tracks is the caller's
+    /// to remember (the scheduler's stream table keeps each stream's
+    /// charge in the stream's own slot, so its per-cycle passes touch no
+    /// map). Pair with [`release`](Self::release).
+    pub fn charge(&mut self, tracks: usize) -> Result<(), BufferError> {
         if let Some(cap) = self.capacity {
             let available = cap - self.in_use;
             if tracks > available {
@@ -151,6 +153,27 @@ impl BufferPool {
         }
         self.in_use += tracks;
         self.high_water = self.high_water.max(self.in_use);
+        Ok(())
+    }
+
+    /// Return `tracks` previously [`charge`](Self::charge)d.
+    ///
+    /// # Panics
+    /// Panics if more is released than is in use — the caller's own
+    /// tally has diverged from the pool.
+    pub fn release(&mut self, tracks: usize) {
+        self.in_use = self
+            .in_use
+            .checked_sub(tracks)
+            .expect("released more buffer tracks than are charged");
+    }
+
+    /// Allocate `tracks` to `owner`.
+    pub fn alloc(&mut self, owner: OwnerId, tracks: usize) -> Result<(), BufferError> {
+        if tracks == 0 {
+            return Ok(());
+        }
+        self.charge(tracks)?;
         *self.owners.entry(owner).or_insert(0) += tracks;
         Ok(())
     }
@@ -256,6 +279,27 @@ mod tests {
         assert_eq!(p.in_use(), 0);
         assert_eq!(p.owner_count(), 0);
         assert_eq!(p.free_all(OwnerId(1)), 0);
+    }
+
+    #[test]
+    fn anonymous_charges_share_the_gauges_with_owned_ones() {
+        let mut p = BufferPool::bounded(10);
+        p.alloc(OwnerId(1), 4).unwrap();
+        p.charge(5).unwrap();
+        assert_eq!(p.in_use(), 9);
+        assert_eq!(p.high_water(), 9);
+        assert_eq!(p.owner_count(), 1);
+        assert_eq!(
+            p.charge(2),
+            Err(BufferError::Exhausted {
+                requested: 2,
+                available: 1
+            })
+        );
+        p.release(5);
+        assert_eq!(p.in_use(), 4);
+        assert_eq!(p.high_water(), 9);
+        assert_eq!(p.held_by(OwnerId(1)), 4);
     }
 
     #[test]

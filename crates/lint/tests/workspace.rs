@@ -55,3 +55,57 @@ fn single_rule_runs_see_the_same_clean_tree() {
         );
     }
 }
+
+/// The stream table put the schedulers' per-stream bookkeeping behind
+/// one type. The hot-path walk must keep reaching it — and every
+/// scheduler's planner — from both per-cycle roots, or the
+/// zero-allocation guarantee silently stops covering the code that
+/// matters most.
+#[test]
+fn hot_roots_reach_every_planner_and_the_stream_table() {
+    use mms_lint::graph::{resolve_spec, CallGraph};
+    let ws = mms_lint::load_workspace(&root()).expect("workspace scan succeeds");
+    let g = CallGraph::build(&ws);
+    let planners = [
+        "StreamingRaidScheduler",
+        "StaggeredScheduler",
+        "NonClusteredScheduler",
+        "ImprovedScheduler",
+        "GroupedScheduler",
+        "BaselineScheduler",
+    ]
+    .map(|ty| format!("{ty}::plan_cycle_into"));
+    let table = [
+        "begin_cycle",
+        "end_cycle",
+        "slot",
+        "slot_mut",
+        "alloc",
+        "free",
+        "retire",
+        "compact",
+        "find",
+        "find_from",
+        "admit",
+        "release",
+    ]
+    .map(|name| format!("StreamTable::{name}"));
+    // The event horizon belongs to the session loop; the fleet steps
+    // its nodes cycle by cycle.
+    let horizon = ["fast_forward", "stable_window"].map(|name| format!("StreamTable::{name}"));
+    for root_spec in ["Simulator::run_sessions", "Fleet::step"] {
+        let roots = resolve_spec(&ws, root_spec);
+        assert!(!roots.is_empty(), "{root_spec} not found");
+        let pred = g.reach(&roots[..1], &|_| false);
+        let horizon = horizon.iter().filter(|_| root_spec != "Fleet::step");
+        for spec in planners.iter().chain(&table).chain(horizon) {
+            let targets = resolve_spec(&ws, spec);
+            assert!(
+                targets
+                    .iter()
+                    .any(|&t| !ws.fns[t].is_test && pred[t].is_some()),
+                "{root_spec} no longer reaches {spec}"
+            );
+        }
+    }
+}

@@ -17,25 +17,15 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
+use crate::table::{Released, StreamTable};
 use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
-use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusteredLayout, Layout, ObjectId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Per-stream state. All fields are scalars, so the snapshot taken by
-/// `plan_cycle_into` is a plain copy — no heap traffic on the hot path.
-#[derive(Debug, Clone, Copy)]
-struct BlStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
-    class: (u32, u32),
-    delivered: u64,
-    lost: u64,
-}
+/// Admission class of a stream: read-phase residue and cluster
+/// trajectory. The only per-stream state beyond the shared header.
+type Class = (u32, u32);
 
 /// The unprotected striped server (no parity reads, no reconstruction,
 /// no degraded mode — failures simply punch holes in delivery).
@@ -48,16 +38,8 @@ struct BlStream {
 pub struct BaselineScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
-    streams: BTreeMap<StreamId, BlStream>,
+    streams: StreamTable<Class>,
     failed_disks: BTreeSet<DiskId>,
-    buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
 }
 
 impl BaselineScheduler {
@@ -69,16 +51,12 @@ impl BaselineScheduler {
     pub fn new(config: CycleConfig, catalog: Catalog<ClusteredLayout>) -> Self {
         assert_eq!(config.k, 1, "baseline uses k = 1");
         assert_eq!(config.k_prime, 1, "baseline uses k' = 1");
+        let bpg = u64::from(catalog.layout().blocks_per_group());
         BaselineScheduler {
             config,
             catalog,
-            streams: BTreeMap::new(),
+            streams: StreamTable::new(bpg),
             failed_disks: BTreeSet::new(),
-            buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
-            ids_scratch: Vec::new(),
         }
     }
 
@@ -92,7 +70,7 @@ impl BaselineScheduler {
         u64::from(self.catalog.layout().blocks_per_group())
     }
 
-    fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
+    fn class_of(&self, h: u32, at_cycle: u64) -> Class {
         let period = self.bpg();
         let nc = u64::from(self.catalog.layout().geometry().clusters());
         let r = (at_cycle % period) as u32;
@@ -113,17 +91,13 @@ impl SchemeScheduler for BaselineScheduler {
     }
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let class = self.class_of(placed.start_cluster, at_cycle);
         let bpg = self.bpg();
         let load = self
             .streams
-            .values()
-            .filter(|s| s.class == class && s.start_cycle + s.groups * bpg > at_cycle)
+            .iter()
+            .filter(|s| s.state == class && s.start_cycle + s.groups * bpg > at_cycle)
             .count();
         if load >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
@@ -131,23 +105,7 @@ impl SchemeScheduler for BaselineScheduler {
                 limit: self.stream_capacity(),
             });
         }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            BlStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
-                class,
-                delivered: 0,
-                lost: 0,
-            },
-        );
-        Ok(id)
+        Ok(self.streams.admit(placed, at_cycle, class))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -161,91 +119,54 @@ impl SchemeScheduler for BaselineScheduler {
     }
 
     fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.bpg()).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
+        self.streams.stream_info(id)
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        let bpg = self.bpg();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        self.epoch += 1;
-        // One block is read per cycle, `bpg` cycles per group, so the
-        // started-group count is the ceiling of the elapsed span.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let started = elapsed.div_ceil(bpg);
-        if started == 0 {
-            // Nothing read yet: retire immediately. Admission counts
-            // live streams directly, so no class bookkeeping to undo.
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to the started group; its remaining blocks drain and
-        // the normal finish path retires the stream.
-        st.groups = st.groups.min(started);
-        true
+        // Admission counts live streams directly, so an immediate
+        // retirement has no class bookkeeping to undo.
+        !matches!(self.streams.release(id), Released::Unknown)
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
+        self.streams.begin_cycle(cycle);
         plan.reset(cycle);
         let layout = *self.catalog.layout();
         let bpg = self.bpg();
+        let slots = self.streams.slots();
 
-        // Snapshot stream ids into the reusable scratch so the loops can
-        // mutate `self.streams` without holding a borrow on it.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
         // Reads: one block per stream per cycle; a block on a failed
         // disk is simply not read — the hiccup surfaces at delivery
         // time next cycle when the same placement check fails again.
-        for id in ids.iter().copied() {
-            let s = self.streams[&id];
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
             if cycle < s.start_cycle {
                 continue;
             }
             let rel = cycle - s.start_cycle;
             let (g, i) = (rel / bpg, (rel % bpg) as u32);
-            if g >= s.groups {
-                continue;
-            }
-            let blocks = (s.tracks - g * bpg).min(bpg) as u32;
-            if i >= blocks {
+            if g >= s.groups || i >= s.blocks_in_group(g, bpg) {
                 continue;
             }
             let p = layout.data_placement(s.start_cluster, g, i);
-            let addr = BlockAddr::data(s.object, g, i);
             if !self.failed_disks.contains(&p.disk) {
                 plan.push_read(
                     p.disk,
                     PlannedRead {
-                        stream: id,
-                        addr,
+                        stream: s.id(),
+                        addr: BlockAddr::data(s.object, g, i),
                         purpose: ReadPurpose::Delivery,
                     },
                 );
-                self.buffers
-                    .alloc(OwnerId(id.0), 1)
+                self.streams
+                    .alloc(ix, 1)
                     .expect("unbounded pool never refuses an allocation");
             }
         }
 
         // Deliveries: the block read last cycle.
-        for id in ids.iter().copied() {
-            let Some(s) = self.streams.get(&id).copied() else {
-                continue;
-            };
+        for ix in 0..slots {
+            let s = self.streams.slot_mut(ix);
             if cycle < s.start_cycle + 1 {
                 continue;
             }
@@ -254,14 +175,12 @@ impl SchemeScheduler for BaselineScheduler {
             if g >= s.groups {
                 continue;
             }
-            let blocks = (s.tracks - g * bpg).min(bpg) as u32;
+            let id = s.id();
+            let blocks = s.blocks_in_group(g, bpg);
+            let finished = g + 1 == s.groups && i + 1 >= blocks;
             if i < blocks {
                 let addr = BlockAddr::data(s.object, g, i);
                 let p = layout.data_placement(s.start_cluster, g, i);
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("stream id snapshot only holds live streams");
                 if self.failed_disks.contains(&p.disk) {
                     // The read last cycle failed: hiccup, repeating every
                     // time the stream rotates back onto the dead disk.
@@ -271,30 +190,29 @@ impl SchemeScheduler for BaselineScheduler {
                         reason: LossReason::FailedDisk,
                         delivery_cycle: cycle,
                     });
-                    st.lost += 1;
+                    s.lost += 1;
                 } else {
                     plan.deliveries.push(Delivery {
                         stream: id,
                         addr,
                         reconstructed: false,
                     });
-                    st.delivered += 1;
-                    self.buffers
-                        .free(OwnerId(id.0), 1)
+                    s.delivered += 1;
+                    self.streams
+                        .free(ix, 1)
                         .expect("every delivered block was allocated last cycle");
                 }
             }
-            if g + 1 == s.groups && i + 1 >= blocks {
+            if finished {
                 plan.finished.push(id);
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
+                self.streams.retire(ix);
             }
         }
-        self.ids_scratch = ids;
+        self.streams.end_cycle();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {
-        self.epoch += 1;
+        self.streams.bump_epoch();
         self.failed_disks.insert(disk);
         FailureReport {
             // No parity: any data on the disk is unreadable until repair;
@@ -305,16 +223,16 @@ impl SchemeScheduler for BaselineScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, _cycle: u64) {
-        self.epoch += 1;
+        self.streams.bump_epoch();
         self.failed_disks.remove(&disk);
     }
 
     fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.streams.buffer_in_use()
     }
 
     fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.streams.buffer_high_water()
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
@@ -325,32 +243,22 @@ impl SchemeScheduler for BaselineScheduler {
         if !self.failed_disks.is_empty() {
             return PlanStability { period, stable: 0 };
         }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // End before the final (possibly partial) group starts
-            // reading at start + (groups − 1)·bpg.
-            let final_read = s.start_cycle + (s.groups - 1) * self.bpg();
-            stable = stable.min(final_read.saturating_sub(cycle));
+        PlanStability {
+            period,
+            stable: self.streams.stable_window(cycle),
         }
-        PlanStability { period, stable }
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed_disks.is_empty(), "fast_forward while failed");
         let nc = u64::from(self.catalog.layout().geometry().clusters());
         debug_assert_eq!(cycles % (self.bpg() * nc), 0, "not a whole rotation");
-        self.next_cycle += cycles;
         // One track delivered per stream per steady cycle.
-        for s in self.streams.values_mut() {
-            s.delivered += cycles;
-        }
+        self.streams.fast_forward(cycles, 1);
     }
 
     fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.streams.epoch()
     }
 }
 

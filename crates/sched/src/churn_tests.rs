@@ -1,0 +1,102 @@
+//! Churn regression: scratch pools stay bounded by peak active streams.
+//!
+//! A retiring stream's pending vectors are either dropped with its slot
+//! or recycled into a pool — never both. Recycling them *and* the pair
+//! staged for the same stream grows the pools by two vectors per
+//! lifecycle, which showed as resident memory under the short-clip
+//! workload; 100,000 lifecycles make any such leak unmissable.
+
+use crate::{
+    CycleConfig, CyclePlan, ImprovedScheduler, NonClusteredScheduler, SchemeScheduler,
+    StaggeredScheduler, StreamingRaidScheduler, TransitionPolicy,
+};
+use mms_disk::{Bandwidth, DiskId, DiskParams};
+use mms_layout::{
+    BandwidthClass, Catalog, ClusteredLayout, Geometry, ImprovedLayout, Layout, MediaObject,
+    ObjectId,
+};
+
+const LIFECYCLES: usize = 100_000;
+
+fn catalog<L: Layout>(layout: L) -> Catalog<L> {
+    let mut catalog = Catalog::new(layout, 100_000);
+    // Two short clips, one with a partial final group.
+    for (id, tracks) in [(0, 8), (1, 6)] {
+        let clip = MediaObject::new(
+            ObjectId(id),
+            format!("c{id}"),
+            tracks,
+            BandwidthClass::Mpeg1,
+        );
+        catalog.add(clip).expect("two short clips fit the catalog");
+    }
+    catalog
+}
+
+fn config(k: usize, k_prime: usize) -> CycleConfig {
+    CycleConfig::new(
+        DiskParams::paper_table1(),
+        Bandwidth::from_megabits(1.5),
+        k,
+        k_prime,
+    )
+}
+
+/// Admit as fast as the scheduler allows, failing and repairing a disk
+/// now and then, until `LIFECYCLES` streams have finished; then check
+/// every `(len, capacity)` the scheduler reports against the peak
+/// number of concurrently active streams.
+fn churn<S: SchemeScheduler>(mut s: S, footprint: impl Fn(&S) -> Vec<(usize, usize)>) {
+    let mut plan = CyclePlan::empty(0);
+    let (mut finished, mut peak, mut cycle) = (0usize, 0usize, 0u64);
+    while finished < LIFECYCLES {
+        for n in 0..4 {
+            let _ = s.admit(ObjectId((cycle + n) % 2), cycle);
+        }
+        match cycle % 97 {
+            40 => drop(s.on_disk_failure(DiskId(1), cycle, false)),
+            60 => s.on_disk_repair(DiskId(1), cycle),
+            _ => {}
+        }
+        peak = peak.max(s.active_streams());
+        s.plan_cycle_into(cycle, &mut plan);
+        finished += plan.finished.len();
+        cycle += 1;
+        assert!(cycle < 1_000_000, "churn never completed");
+    }
+    let bound = 4 * peak + 16;
+    for (i, (len, capacity)) in footprint(&s).into_iter().enumerate() {
+        assert!(
+            len <= bound && capacity <= bound,
+            "scratch pool {i}: len {len}, capacity {capacity}, peak active streams {peak}"
+        );
+    }
+}
+
+#[test]
+fn streaming_raid_pools_stay_bounded() {
+    let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
+    let s = StreamingRaidScheduler::new(config(4, 4), catalog(layout));
+    churn(s, StreamingRaidScheduler::scratch_footprint);
+}
+
+#[test]
+fn staggered_pools_stay_bounded() {
+    let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
+    let s = StaggeredScheduler::new(config(4, 1), catalog(layout));
+    churn(s, StaggeredScheduler::scratch_footprint);
+}
+
+#[test]
+fn nonclustered_pools_stay_bounded() {
+    let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
+    let s = NonClusteredScheduler::new(config(1, 1), catalog(layout), TransitionPolicy::Delayed, 1);
+    churn(s, NonClusteredScheduler::scratch_footprint);
+}
+
+#[test]
+fn improved_pools_stay_bounded() {
+    let layout = ImprovedLayout::new(Geometry::improved(8, 5).unwrap());
+    let s = ImprovedScheduler::new(config(4, 4), catalog(layout), 1);
+    churn(s, ImprovedScheduler::scratch_footprint);
+}

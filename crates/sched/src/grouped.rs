@@ -18,23 +18,16 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
+use crate::table::{Released, StreamTable};
 use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
-use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-stream state.
-#[derive(Debug, Clone)]
-struct GrStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
+/// Per-stream state beyond the shared header.
+#[derive(Debug)]
+struct GrState {
     class: (u32, u32),
-    delivered: u64,
-    lost: u64,
     reconstructed: Option<u32>,
     hiccups: Vec<u32>,
     parity_held: bool,
@@ -47,16 +40,8 @@ struct GrStream {
 pub struct GroupedScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
-    streams: BTreeMap<StreamId, GrStream>,
+    streams: StreamTable<GrState>,
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
-    buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
     /// Recycled hiccup vectors: each read cycle swaps a stream's old
     /// hiccup list for a pooled one instead of allocating.
     hiccup_pool: Vec<Vec<u32>>,
@@ -79,13 +64,8 @@ impl GroupedScheduler {
         GroupedScheduler {
             config,
             catalog,
-            streams: BTreeMap::new(),
+            streams: StreamTable::new(config.read_period() as u64),
             failed: BTreeMap::new(),
-            buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
-            ids_scratch: Vec::new(),
             hiccup_pool: Vec::new(),
         }
     }
@@ -98,11 +78,6 @@ impl GroupedScheduler {
 
     fn period(&self) -> u64 {
         self.config.read_period() as u64
-    }
-
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        (tracks - g * bpg).min(bpg) as u32
     }
 
     fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
@@ -129,17 +104,13 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let class = self.class_of(placed.start_cluster, at_cycle);
         let period = self.period();
         let load = self
             .streams
-            .values()
-            .filter(|s| s.class == class && s.start_cycle + s.groups * period > at_cycle)
+            .iter()
+            .filter(|s| s.state.class == class && s.start_cycle + s.groups * period > at_cycle)
             .count();
         if load >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
@@ -147,26 +118,16 @@ impl SchemeScheduler for GroupedScheduler {
                 limit: self.stream_capacity(),
             });
         }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            GrStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
+        Ok(self.streams.admit(
+            placed,
+            at_cycle,
+            GrState {
                 class,
-                delivered: 0,
-                lost: 0,
                 reconstructed: None,
                 hiccups: Vec::new(),
                 parity_held: false,
             },
-        );
-        Ok(id)
+        ))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -180,72 +141,37 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.period())
-                .min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
+        self.streams.stream_info(id)
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        let period = self.period();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        self.epoch += 1;
-        // Group g is read at `start + g·period`, so the resident count
-        // is the ceiling of the elapsed span over the period.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let read = elapsed.div_ceil(period);
-        if read == 0 {
-            // Nothing read yet: retire immediately. Admission counts
-            // live streams directly, so no class bookkeeping to undo.
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to what was read; the in-flight group drains and the
-        // normal finish path in pass 2 retires the stream.
-        st.groups = st.groups.min(read);
-        true
+        // Admission counts live streams directly, so an immediate
+        // retirement has no class bookkeeping to undo.
+        !matches!(self.streams.release(id), Released::Unknown)
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
+        self.streams.begin_cycle(cycle);
         plan.reset(cycle);
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let bpg = u64::from(layout.blocks_per_group());
         let period = self.period();
         let k_prime = self.config.k_prime as u64;
-
-        // Snapshot stream ids into the reusable scratch so the passes
-        // can mutate `self.streams` without holding a borrow on it.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
+        let slots = self.streams.slots();
 
         // Pass 1 — whole-group reads at each stream's read cycles.
-        for id in ids.iter().copied() {
-            // Copy the scalar fields instead of cloning the entry: the
-            // hiccups vector makes a full clone allocate under failures.
-            let (object, start_cluster, groups, tracks, start_cycle) = {
-                let s = &self.streams[&id];
-                (s.object, s.start_cluster, s.groups, s.tracks, s.start_cycle)
-            };
-            if cycle < start_cycle || !(cycle - start_cycle).is_multiple_of(period) {
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
+            if cycle < s.start_cycle || !(cycle - s.start_cycle).is_multiple_of(period) {
                 continue;
             }
-            let g = (cycle - start_cycle) / period;
-            if g >= groups {
+            let g = (cycle - s.start_cycle) / period;
+            if g >= s.groups {
                 continue;
             }
-            let blocks = self.blocks_in_group(tracks, g);
+            let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
+            let blocks = s.blocks_in_group(g, bpg);
             let cluster = layout.data_cluster(start_cluster, g);
             let failed = self.failed.get(&cluster);
             let parity_pos = geometry.disks_per_cluster() - 1;
@@ -287,13 +213,10 @@ impl SchemeScheduler for GroupedScheduler {
                 );
                 reads += 1;
             }
-            self.buffers
-                .alloc(OwnerId(id.0), reads)
+            self.streams
+                .alloc(ix, reads)
                 .expect("unbounded pool never refuses an allocation");
-            let st = self
-                .streams
-                .get_mut(&id)
-                .expect("stream id snapshot only holds live streams");
+            let st = &mut self.streams.slot_mut(ix).state;
             st.parity_held = parity_ok && reconstructed.is_none();
             st.reconstructed = reconstructed;
             let retired = std::mem::replace(&mut st.hiccups, hiccups);
@@ -302,34 +225,24 @@ impl SchemeScheduler for GroupedScheduler {
 
         // Pass 2 — deliver k' tracks per cycle, offset one cycle after
         // the read cycle, and free per delivery.
-        for id in ids.iter().copied() {
-            // Scalar copies again: the mutable re-borrow in the loop body
-            // must not overlap a borrow of the stream entry.
-            let Some((object, groups, tracks, start_cycle)) = self
-                .streams
-                .get(&id)
-                .map(|s| (s.object, s.groups, s.tracks, s.start_cycle))
-            else {
-                continue;
-            };
-            if cycle < start_cycle + 1 {
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
+            if cycle < s.start_cycle + 1 {
                 continue;
             }
-            let rel = cycle - start_cycle - 1;
+            let rel = cycle - s.start_cycle - 1;
             let g = rel / period;
-            if g >= groups {
+            if g >= s.groups {
                 continue;
             }
-            let blocks = self.blocks_in_group(tracks, g);
+            let (id, object, last_group) = (s.id(), s.object, g + 1 == s.groups);
+            let blocks = s.blocks_in_group(g, bpg);
             let first = (rel % period) * k_prime;
             for i in first..(first + k_prime).min(u64::from(blocks)) {
                 let i = i as u32;
                 let addr = mms_layout::BlockAddr::data(object, g, i);
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("pass 2 checks the stream is still live above");
-                if st.hiccups.contains(&i) {
+                let st = self.streams.slot_mut(ix);
+                if st.state.hiccups.contains(&i) {
                     plan.hiccups.push(LostBlock {
                         stream: id,
                         addr,
@@ -341,54 +254,44 @@ impl SchemeScheduler for GroupedScheduler {
                     plan.deliveries.push(Delivery {
                         stream: id,
                         addr,
-                        reconstructed: st.reconstructed == Some(i),
+                        reconstructed: st.state.reconstructed == Some(i),
                     });
                     st.delivered += 1;
-                    self.buffers
-                        .free(OwnerId(id.0), 1)
+                    self.streams
+                        .free(ix, 1)
                         .expect("every delivered block was allocated at its read cycle");
                 }
-                if g + 1 == st.groups && u64::from(i) + 1 >= u64::from(blocks) {
+                if last_group && i + 1 >= blocks {
                     plan.finished.push(id);
-                    self.streams.remove(&id);
-                    self.buffers.free_all(OwnerId(id.0));
+                    self.streams.retire(ix);
                     break;
                 }
             }
         }
 
         // End of cycle: release parity for groups fully read this cycle
-        // (once resident, the group no longer needs it). Refill the
-        // snapshot: pass 2 may have retired streams.
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
-        for id in ids.iter().copied() {
-            let s = self
-                .streams
-                .get(&id)
-                .expect("stream id snapshot only holds live streams");
-            if cycle >= s.start_cycle
+        // (once resident, the group no longer needs it).
+        for ix in 0..slots {
+            let s = self.streams.slot_mut(ix);
+            if s.is_live()
+                && cycle >= s.start_cycle
                 && (cycle - s.start_cycle).is_multiple_of(period)
-                && s.parity_held
+                && s.state.parity_held
             {
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("stream id snapshot only holds live streams");
-                st.parity_held = false;
-                self.buffers
-                    .free(OwnerId(id.0), 1)
+                s.state.parity_held = false;
+                self.streams
+                    .free(ix, 1)
                     .expect("parity_held implies a parity buffer is allocated");
             }
         }
-        self.ids_scratch = ids;
+        self.streams.end_cycle();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
         FailureReport {
@@ -402,7 +305,7 @@ impl SchemeScheduler for GroupedScheduler {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -412,11 +315,11 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.streams.buffer_in_use()
     }
 
     fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.streams.buffer_high_water()
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
@@ -427,35 +330,25 @@ impl SchemeScheduler for GroupedScheduler {
         if !self.failed.is_empty() {
             return PlanStability { period, stable: 0 };
         }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // End the window before the final (possibly partial) group
-            // is read at start + (groups − 1)·read_period.
-            let final_read = s.start_cycle + (s.groups - 1) * self.period();
-            stable = stable.min(final_read.saturating_sub(cycle));
+        PlanStability {
+            period,
+            stable: self.streams.stable_window(cycle),
         }
-        PlanStability { period, stable }
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
         let nc = u64::from(self.catalog.layout().geometry().clusters());
         debug_assert_eq!(cycles % (self.period() * nc), 0, "not a whole rotation");
-        self.next_cycle += cycles;
         // k' tracks delivered per stream per steady cycle; parity is
         // released at the end of each read cycle, so the pending fields
         // are quiescent.
-        let k_prime = self.config.k_prime as u64;
-        for s in self.streams.values_mut() {
-            s.delivered += cycles * k_prime;
-        }
+        self.streams
+            .fast_forward(cycles, self.config.k_prime as u64);
     }
 
     fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.streams.epoch()
     }
 }
 

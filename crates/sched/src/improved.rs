@@ -12,23 +12,26 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
+use crate::table::{Released, StreamTable};
 use crate::traits::{
     data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
     SchemeKind, SchemeScheduler,
 };
-use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusterId, ImprovedLayout, Layout, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-group-read bookkeeping gathered in pass 1 of `plan_cycle`:
 /// reconstructed block indices, hiccup indices with reasons, and the
-/// buffer tracks charged. Entries live in a reusable Vec sorted by
-/// stream id; a dropped stream clears `live` (its vectors return to the
-/// pools immediately) instead of removing the entry, so the staging
-/// structure itself never reallocates at steady state.
+/// buffer tracks charged. Entries live in a reusable Vec in slot (hence
+/// stream-id) order; a dropped stream clears `live` (its vectors return
+/// to the pools immediately) instead of removing the entry, so the
+/// staging structure itself never reallocates at steady state and the
+/// entry indices queued by the shift cascade stay valid.
 #[derive(Debug)]
 struct IncomingEntry {
+    /// The stream's slot in the table (valid for the whole cycle).
+    slot: usize,
     stream: StreamId,
     reconstructed: Vec<u32>,
     hiccups: Vec<(u32, LossReason)>,
@@ -36,27 +39,20 @@ struct IncomingEntry {
     live: bool,
 }
 
-/// Look up a live staging entry by stream id (entries are pushed in
-/// ascending id order, so a binary search suffices).
-fn incoming_entry(incoming: &mut [IncomingEntry], sid: StreamId) -> Option<&mut IncomingEntry> {
+/// Index of the live staging entry of stream `sid` (entries are pushed
+/// in ascending id order, so a binary search suffices) — for the one
+/// path that starts from a read already in the plan.
+fn incoming_index(incoming: &[IncomingEntry], sid: StreamId) -> Option<usize> {
     incoming
         .binary_search_by_key(&sid, |e| e.stream)
         .ok()
-        .map(move |ix| &mut incoming[ix])
-        .filter(|e| e.live)
+        .filter(|&ix| incoming[ix].live)
 }
 
-/// Per-stream state.
-#[derive(Debug, Clone)]
-struct IbStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
+/// Per-stream state beyond the shared header.
+#[derive(Debug)]
+struct IbState {
     class: u32,
-    delivered: u64,
-    lost: u64,
     /// Block indices of the group read last cycle to be delivered
     /// reconstructed this cycle.
     pending_reconstructed: Vec<u32>,
@@ -73,7 +69,7 @@ struct IbStream {
 pub struct ImprovedScheduler {
     config: CycleConfig,
     catalog: Catalog<ImprovedLayout>,
-    streams: BTreeMap<StreamId, IbStream>,
+    streams: StreamTable<IbState>,
     class_load: Vec<usize>,
     /// Failed disks (positions) per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
@@ -85,28 +81,19 @@ pub struct ImprovedScheduler {
     /// mid-cycle failure is masked; prefetches are skipped on any disk
     /// with no idle slots, so load always wins.
     parity_prefetch: bool,
-    buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
     /// Clusters visited by the most recent shift-to-the-right cascade.
     last_shift_path: Vec<ClusterId>,
     /// Set while a failure happened mid-cycle and the next planned cycle
     /// must hiccup the failed disk's uncompleted reads.
     midcycle_pending: Option<DiskId>,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
-    /// Reusable prefetch-pass id snapshot.
-    prefetch_scratch: Vec<StreamId>,
-    /// Reusable parity work queue for the shift-to-the-right cascade.
-    parity_scratch: Vec<(StreamId, ObjectId, u32, u64)>,
+    /// Reusable parity work queue for the shift-to-the-right cascade:
+    /// staging-entry index, object, block index, group.
+    parity_scratch: Vec<(usize, ObjectId, u32, u64)>,
     /// Recycled `pending_reconstructed` vectors (swapped per read cycle).
     rec_pool: Vec<Vec<u32>>,
     /// Recycled `pending_hiccups` vectors (swapped per read cycle).
     hic_pool: Vec<Vec<(u32, LossReason)>>,
-    /// Reusable pass-1 staging table (sorted by stream id).
+    /// Reusable pass-1 staging table (in slot order).
     incoming_scratch: Vec<IncomingEntry>,
 }
 
@@ -140,19 +127,13 @@ impl ImprovedScheduler {
         ImprovedScheduler {
             config,
             catalog,
-            streams: BTreeMap::new(),
+            streams: StreamTable::new(1),
             class_load: vec![0; classes],
             failed: BTreeMap::new(),
             reserved_slots,
             parity_prefetch: false,
-            buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
             last_shift_path: Vec::new(),
             midcycle_pending: None,
-            ids_scratch: Vec::new(),
-            prefetch_scratch: Vec::new(),
             parity_scratch: Vec::new(),
             rec_pool: Vec::new(),
             hic_pool: Vec::new(),
@@ -194,11 +175,6 @@ impl ImprovedScheduler {
         self.config.slots_per_disk() - self.reserved_slots
     }
 
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        (tracks - g * bpg).min(bpg) as u32
-    }
-
     /// Register a newly staged object in the catalog (the tertiary →
     /// disk load path of Figure 1).
     pub fn register_object(
@@ -211,14 +187,21 @@ impl ImprovedScheduler {
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), crate::traits::RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(crate::traits::RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| crate::traits::RetireError::NotFound { object })
+        self.streams.retire_object(&mut self.catalog, object)
+    }
+
+    /// `(len, capacity)` of each scratch pool, for the churn leak test.
+    #[cfg(test)]
+    pub(crate) fn scratch_footprint(&self) -> Vec<(usize, usize)> {
+        vec![
+            (self.rec_pool.len(), self.rec_pool.capacity()),
+            (self.hic_pool.len(), self.hic_pool.capacity()),
+            (
+                self.incoming_scratch.len(),
+                self.incoming_scratch.capacity(),
+            ),
+            (self.parity_scratch.len(), self.parity_scratch.capacity()),
+        ]
     }
 }
 
@@ -232,11 +215,7 @@ impl SchemeScheduler for ImprovedScheduler {
     }
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let nc = self.clusters();
         let class = ((u64::from(placed.start_cluster) + nc - (at_cycle % nc)) % nc) as usize;
         if self.class_load[class] >= self.usable_slots() {
@@ -245,27 +224,17 @@ impl SchemeScheduler for ImprovedScheduler {
                 limit: self.stream_capacity(),
             });
         }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
         self.class_load[class] += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            IbStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
+        Ok(self.streams.admit(
+            placed,
+            at_cycle,
+            IbState {
                 class: class as u32,
-                delivered: 0,
-                lost: 0,
                 pending_reconstructed: Vec::new(),
                 pending_hiccups: Vec::new(),
                 pending_buffered: 0,
             },
-        );
-        Ok(id)
+        ))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -277,52 +246,31 @@ impl SchemeScheduler for ImprovedScheduler {
     }
 
     fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: self.next_cycle.saturating_sub(s.start_cycle).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
+        self.streams.stream_info(id)
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        self.epoch += 1;
-        // One group is read per cycle, so `elapsed` groups are resident.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        if elapsed == 0 {
-            // Nothing read yet: retire immediately, returning the slot.
-            let class = st.class as usize;
-            self.class_load[class] -= 1;
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
+        match self.streams.release(id) {
+            Released::Unknown => false,
+            // The normal finish path in pass 3 delivers the final
+            // resident group and retires the stream.
+            Released::Draining => true,
+            Released::Retired(st) => {
+                self.class_load[st.class as usize] -= 1;
+                true
+            }
         }
-        // Truncate to what was read; the normal finish path in pass 3
-        // delivers the final resident group and retires the stream.
-        st.groups = st.groups.min(elapsed);
-        true
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
+        self.streams.begin_cycle(cycle);
         plan.reset(cycle);
         self.last_shift_path.clear();
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let bpg = u64::from(layout.blocks_per_group());
         let midcycle_disk = self.midcycle_pending.take();
-
-        // Snapshot stream ids into the reusable scratch so the passes
-        // can mutate `self.streams` without holding a borrow on it.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
+        let slots = self.streams.slots();
 
         // Pass 1 — base reads and allocations: each stream reads its
         // whole group of C−1 data tracks from its current cluster;
@@ -334,25 +282,21 @@ impl SchemeScheduler for ImprovedScheduler {
         parity_needed.clear();
         let mut incoming = std::mem::take(&mut self.incoming_scratch);
         incoming.clear();
-        for id in ids.iter().copied() {
-            // Copy the scalar fields out of the stream entry instead of
-            // cloning it: the pending_* vectors make a full clone allocate.
-            let (object, start_cluster, groups, tracks, start_cycle) = {
-                let s = &self.streams[&id];
-                (s.object, s.start_cluster, s.groups, s.tracks, s.start_cycle)
-            };
-            if cycle < start_cycle {
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
+            if cycle < s.start_cycle {
                 continue;
             }
-            let read_group = cycle - start_cycle;
-            if read_group >= groups {
+            let read_group = cycle - s.start_cycle;
+            if read_group >= s.groups {
                 continue;
             }
+            let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
+            let blocks = s.blocks_in_group(read_group, bpg);
             let mut reconstructed = self.rec_pool.pop().unwrap_or_default();
             reconstructed.clear();
             let mut hiccups = self.hic_pool.pop().unwrap_or_default();
             hiccups.clear();
-            let blocks = self.blocks_in_group(tracks, read_group);
             let cluster = layout.data_cluster(start_cluster, read_group);
             let failed = self.failed.get(&cluster);
             let mut reads = 0usize;
@@ -369,7 +313,7 @@ impl SchemeScheduler for ImprovedScheduler {
                             hiccups.push((i, LossReason::MidCycle));
                         } else {
                             reconstructed.push(i);
-                            parity_needed.push((id, object, i, read_group));
+                            parity_needed.push((incoming.len(), object, i, read_group));
                         }
                     } else {
                         // Two failures in one cluster: data loss.
@@ -387,11 +331,12 @@ impl SchemeScheduler for ImprovedScheduler {
                     reads += 1;
                 }
             }
-            self.buffers
-                .alloc(OwnerId(id.0), reads)
+            self.streams
+                .alloc(ix, reads)
                 .expect("unbounded pool never refuses an allocation");
-            // `ids` ascends, so the staging table stays sorted by id.
+            // Slots ascend by id, so the staging table stays sorted by id.
             incoming.push(IncomingEntry {
+                slot: ix,
                 stream: id,
                 reconstructed,
                 hiccups,
@@ -407,23 +352,19 @@ impl SchemeScheduler for ImprovedScheduler {
         let mut queue = parity_needed;
         let mut hops = 0usize;
         let max_hops = self.clusters() as usize * cap * 4 + 16;
-        while let Some((sid, object, idx, group)) = queue.pop() {
+        while let Some((eix, object, idx, group)) = queue.pop() {
             hops += 1;
+            if !incoming[eix].live {
+                continue; // already dropped
+            }
             if hops > max_hops {
                 // No capacity anywhere: degradation of service — drop the
                 // stream whose parity could not be placed.
-                self.drop_stream(sid, cycle, plan);
-                if let Some(e) = incoming_entry(&mut incoming, sid) {
-                    e.live = false;
-                    self.rec_pool.push(std::mem::take(&mut e.reconstructed));
-                    self.hic_pool.push(std::mem::take(&mut e.hiccups));
-                }
+                self.drop_stream(&mut incoming[eix], cycle, plan);
                 continue;
             }
-            let Some(start_cluster) = self.streams.get(&sid).map(|s| s.start_cluster) else {
-                continue; // already dropped/finished
-            };
-            let pp = layout.parity_placement(start_cluster, group);
+            let (slot, sid) = (incoming[eix].slot, incoming[eix].stream);
+            let pp = layout.parity_placement(self.streams.slot(slot).start_cluster, group);
             let disk = pp.disk;
             if !self.last_shift_path.contains(&pp.cluster) {
                 self.last_shift_path.push(pp.cluster);
@@ -436,85 +377,58 @@ impl SchemeScheduler for ImprovedScheduler {
                 .map(|f| f.contains(&parity_pos))
                 .unwrap_or(false)
             {
-                if let Some(e) = incoming_entry(&mut incoming, sid) {
-                    e.reconstructed.retain(|&x| x != idx);
-                    if !e.hiccups.iter().any(|(i, _)| *i == idx) {
-                        e.hiccups.push((idx, LossReason::FailedDisk));
-                    }
+                let e = &mut incoming[eix];
+                e.reconstructed.retain(|&x| x != idx);
+                if !e.hiccups.iter().any(|(i, _)| *i == idx) {
+                    e.hiccups.push((idx, LossReason::FailedDisk));
                 }
                 continue;
             }
-            let load = plan.reads_on(disk).len();
-            if load < cap {
-                plan.push_read(
-                    disk,
-                    PlannedRead {
-                        stream: sid,
-                        addr: BlockAddr::parity(object, group),
-                        purpose: ReadPurpose::Parity,
-                    },
-                );
-                self.buffers
-                    .alloc(OwnerId(sid.0), 1)
-                    .expect("unbounded pool never refuses an allocation");
-                if let Some(e) = incoming_entry(&mut incoming, sid) {
-                    e.charged += 1;
-                }
-                continue;
-            }
-            // Disk full: displace one local Delivery read (at most one
-            // per parity group is ever displaced) and retry the parity
-            // read in the freed slot.
-            let victim_ix = plan
-                .reads_on(disk)
-                .iter()
-                .position(|r| r.purpose == ReadPurpose::Delivery);
-            match victim_ix {
-                None => {
+            let parity_read = PlannedRead {
+                stream: sid,
+                addr: BlockAddr::parity(object, group),
+                purpose: ReadPurpose::Parity,
+            };
+            if plan.reads_on(disk).len() >= cap {
+                // Disk full: displace one local Delivery read (at most
+                // one per parity group is ever displaced) and retry the
+                // parity read in the freed slot.
+                let victim_ix = plan
+                    .reads_on(disk)
+                    .iter()
+                    .position(|r| r.purpose == ReadPurpose::Delivery);
+                let Some(victim_ix) = victim_ix else {
                     // Nothing displaceable (all reads are parity):
                     // degradation of service.
-                    self.drop_stream(sid, cycle, plan);
-                    if let Some(e) = incoming_entry(&mut incoming, sid) {
-                        e.live = false;
-                        self.rec_pool.push(std::mem::take(&mut e.reconstructed));
-                        self.hic_pool.push(std::mem::take(&mut e.hiccups));
-                    }
-                }
-                Some(ix) => {
-                    let victim = plan
-                        .reads
-                        .get_mut(&disk)
-                        .expect("a disk with a displaceable read has a read list")
-                        .remove(ix);
-                    // The displaced block will be reconstructed via its
-                    // own parity group one cluster to the right.
-                    if let mms_layout::BlockKind::Data(vi) = victim.addr.kind {
-                        if let Some(e) = incoming_entry(&mut incoming, victim.stream) {
-                            e.reconstructed.push(vi);
-                            // Undo the victim's data-read buffer charge;
-                            // its parity read (when placed) re-charges.
-                            e.charged = e.charged.saturating_sub(1);
-                        }
-                        queue.push((victim.stream, victim.addr.object, vi, victim.addr.group));
-                        let _ = self.buffers.free(OwnerId(victim.stream.0), 1);
-                    }
-                    // Place the parity read in the freed slot.
-                    plan.push_read(
-                        disk,
-                        PlannedRead {
-                            stream: sid,
-                            addr: BlockAddr::parity(object, group),
-                            purpose: ReadPurpose::Parity,
-                        },
-                    );
-                    self.buffers
-                        .alloc(OwnerId(sid.0), 1)
-                        .expect("unbounded pool never refuses an allocation");
-                    if let Some(e) = incoming_entry(&mut incoming, sid) {
-                        e.charged += 1;
+                    self.drop_stream(&mut incoming[eix], cycle, plan);
+                    continue;
+                };
+                let victim = plan
+                    .reads
+                    .get_mut(&disk)
+                    .expect("a disk with a displaceable read has a read list")
+                    .remove(victim_ix);
+                // The displaced block will be reconstructed via its
+                // own parity group one cluster to the right.
+                if let mms_layout::BlockKind::Data(vi) = victim.addr.kind {
+                    if let Some(vix) = incoming_index(&incoming, victim.stream) {
+                        let e = &mut incoming[vix];
+                        e.reconstructed.push(vi);
+                        // Undo the victim's data-read buffer charge;
+                        // its parity read (when placed) re-charges.
+                        e.charged = e.charged.saturating_sub(1);
+                        let _ = self.streams.free(e.slot, 1);
+                        queue.push((vix, victim.addr.object, vi, victim.addr.group));
                     }
                 }
             }
+            // Idle capacity (or the slot just freed): place the parity
+            // read and charge its buffer.
+            plan.push_read(disk, parity_read);
+            self.streams
+                .alloc(slot, 1)
+                .expect("unbounded pool never refuses an allocation");
+            incoming[eix].charged += 1;
         }
         self.parity_scratch = queue;
 
@@ -524,18 +438,13 @@ impl SchemeScheduler for ImprovedScheduler {
         // this cycle's mid-cycle loss (the read was part of the committed
         // schedule), and load always wins: full disks skip the prefetch.
         if self.parity_prefetch {
-            let mut ids2 = std::mem::take(&mut self.prefetch_scratch);
-            ids2.clear();
-            ids2.extend(incoming.iter().filter(|e| e.live).map(|e| e.stream));
-            for id in ids2.iter().copied() {
-                let (object, start_cluster, start_cycle) = {
-                    let s = &self.streams[&id];
-                    (s.object, s.start_cluster, s.start_cycle)
-                };
-                let read_group = cycle - start_cycle;
+            for entry in incoming.iter_mut().filter(|e| e.live) {
+                let s = self.streams.slot(entry.slot);
+                let (id, object) = (s.id(), s.object);
+                let read_group = cycle - s.start_cycle;
                 // Skip groups whose parity is already being read
                 // (failure-reconstruction path placed it in pass 2).
-                let pp = layout.parity_placement(start_cluster, read_group);
+                let pp = layout.parity_placement(s.start_cluster, read_group);
                 let already = plan
                     .reads_on(pp.disk)
                     .iter()
@@ -560,11 +469,9 @@ impl SchemeScheduler for ImprovedScheduler {
                         purpose: ReadPurpose::Parity,
                     },
                 );
-                self.buffers
-                    .alloc(OwnerId(id.0), 1)
+                self.streams
+                    .alloc(entry.slot, 1)
                     .expect("unbounded pool never refuses an allocation");
-                let entry = incoming_entry(&mut incoming, id)
-                    .expect("prefetch snapshot only holds streams read this cycle");
                 entry.charged += 1;
                 // Rescue a mid-cycle loss: with parity and the group's
                 // surviving members resident by end of cycle, the block
@@ -578,35 +485,24 @@ impl SchemeScheduler for ImprovedScheduler {
                     entry.reconstructed.push(block);
                 }
             }
-            self.prefetch_scratch = ids2;
         }
 
         // Pass 3 — deliveries of last cycle's groups and frees.
-        for id in ids.iter().copied() {
-            // Scalar copies again: the mutable re-borrow below must not
-            // overlap a borrow of the stream entry.
-            let Some((object, groups, tracks, start_cycle)) = self
-                .streams
-                .get(&id)
-                .map(|s| (s.object, s.groups, s.tracks, s.start_cycle))
-            else {
-                continue;
-            };
-            if cycle < start_cycle + 1 {
+        for ix in 0..slots {
+            let st = self.streams.slot_mut(ix);
+            if !st.is_live() || cycle < st.start_cycle + 1 {
+                continue; // dropped in pass 2, or not started
+            }
+            let g = cycle - st.start_cycle - 1;
+            if g >= st.groups {
                 continue;
             }
-            let g = cycle - start_cycle - 1;
-            if g >= groups {
-                continue;
-            }
-            let blocks = self.blocks_in_group(tracks, g);
-            let st = self
-                .streams
-                .get_mut(&id)
-                .expect("pass 3 checks the stream is still live above");
+            let (id, object) = (st.id(), st.object);
+            let blocks = st.blocks_in_group(g, bpg);
             for i in 0..blocks {
                 let addr = BlockAddr::data(object, g, i);
-                if let Some(&(_, reason)) = st.pending_hiccups.iter().find(|(ix, _)| *ix == i) {
+                if let Some(&(_, reason)) = st.state.pending_hiccups.iter().find(|(ix, _)| *ix == i)
+                {
                     plan.hiccups.push(LostBlock {
                         stream: id,
                         addr,
@@ -618,37 +514,40 @@ impl SchemeScheduler for ImprovedScheduler {
                     plan.deliveries.push(Delivery {
                         stream: id,
                         addr,
-                        reconstructed: st.pending_reconstructed.contains(&i),
+                        reconstructed: st.state.pending_reconstructed.contains(&i),
                     });
                     st.delivered += 1;
                 }
             }
             // Release exactly what the group charged when it was read.
-            let charged = st.pending_buffered;
-            st.pending_buffered = 0;
-            self.buffers
-                .free(OwnerId(id.0), charged)
+            let charged = std::mem::take(&mut st.state.pending_buffered);
+            let finished = g + 1 == st.groups;
+            let class = st.state.class as usize;
+            self.streams
+                .free(ix, charged)
                 .expect("pending_buffered tracks exactly what the read cycle charged");
-            if g + 1 == st.groups {
+            if finished {
                 plan.finished.push(id);
-                let class = st.class as usize;
                 self.class_load[class] -= 1;
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
+                self.streams.retire(ix);
             }
         }
 
         // Commit the just-read groups' state, recycling the vectors the
-        // new state displaces (or carries, for retired streams). Dropped
-        // entries already recycled theirs when `live` was cleared.
+        // new state displaces. Dropped entries already recycled theirs
+        // when `live` was cleared; a stream retired in pass 3 takes its
+        // own pending vectors with it when the table compacts, so only
+        // its staged pair goes back to the pools.
         for e in incoming.drain(..) {
             if !e.live {
                 continue;
             }
-            if let Some(st) = self.streams.get_mut(&e.stream) {
-                let old_rec = std::mem::replace(&mut st.pending_reconstructed, e.reconstructed);
-                let old_hic = std::mem::replace(&mut st.pending_hiccups, e.hiccups);
-                st.pending_buffered = e.charged;
+            let st = self.streams.slot_mut(e.slot);
+            if st.is_live() {
+                let old_rec =
+                    std::mem::replace(&mut st.state.pending_reconstructed, e.reconstructed);
+                let old_hic = std::mem::replace(&mut st.state.pending_hiccups, e.hiccups);
+                st.state.pending_buffered = e.charged;
                 self.rec_pool.push(old_rec);
                 self.hic_pool.push(old_hic);
             } else {
@@ -657,14 +556,14 @@ impl SchemeScheduler for ImprovedScheduler {
             }
         }
         self.incoming_scratch = incoming;
-        self.ids_scratch = ids;
+        self.streams.end_cycle();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, mid_cycle: bool) -> FailureReport {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
         // A failure in each of two *adjacent* clusters also loses data in
@@ -721,7 +620,7 @@ impl SchemeScheduler for ImprovedScheduler {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -732,11 +631,11 @@ impl SchemeScheduler for ImprovedScheduler {
     }
 
     fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.streams.buffer_in_use()
     }
 
     fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.streams.buffer_high_water()
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
@@ -747,51 +646,46 @@ impl SchemeScheduler for ImprovedScheduler {
         if !self.failed.is_empty() || self.midcycle_pending.is_some() {
             return PlanStability { period, stable: 0 };
         }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // The final (possibly partial) group is read at
-            // start + groups − 1; end the window before it.
-            stable = stable.min((s.start_cycle + s.groups - 1).saturating_sub(cycle));
+        PlanStability {
+            period,
+            stable: self.streams.stable_window(cycle),
         }
-        PlanStability { period, stable }
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
         debug_assert_eq!(cycles % self.clusters(), 0, "not a whole rotation");
-        self.next_cycle += cycles;
         // One full group delivered per stream per steady cycle; the
         // pending_* lists stay empty and pending_buffered is periodic.
         let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        for s in self.streams.values_mut() {
-            s.delivered += cycles * bpg;
-        }
+        self.streams.fast_forward(cycles, bpg);
     }
 
     fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.streams.epoch()
     }
 }
 
 impl ImprovedScheduler {
-    /// Terminate a stream (degradation of service).
-    fn drop_stream(&mut self, id: StreamId, cycle: u64, plan: &mut CyclePlan) {
-        if let Some(st) = self.streams.remove(&id) {
-            self.class_load[st.class as usize] -= 1;
-            self.buffers.free_all(OwnerId(id.0));
-            plan.hiccups.push(LostBlock {
-                stream: id,
-                addr: BlockAddr::data(st.object, 0, 0),
-                reason: LossReason::ServiceDegradation,
-                delivery_cycle: cycle,
-            });
-            // Remove the stream's reads from this plan.
-            for reads in plan.reads.values_mut() {
-                reads.retain(|r| r.stream != id);
-            }
+    /// Terminate the stream staged in `entry` (degradation of service):
+    /// retire it, return its staged vectors to the pools, and take its
+    /// reads back out of this cycle's plan.
+    fn drop_stream(&mut self, entry: &mut IncomingEntry, cycle: u64, plan: &mut CyclePlan) {
+        entry.live = false;
+        self.rec_pool.push(std::mem::take(&mut entry.reconstructed));
+        self.hic_pool.push(std::mem::take(&mut entry.hiccups));
+        let st = self.streams.slot(entry.slot);
+        let (id, object) = (st.id(), st.object);
+        self.class_load[st.state.class as usize] -= 1;
+        self.streams.retire(entry.slot);
+        plan.hiccups.push(LostBlock {
+            stream: id,
+            addr: BlockAddr::data(object, 0, 0),
+            reason: LossReason::ServiceDegradation,
+            delivery_cycle: cycle,
+        });
+        for reads in plan.reads.values_mut() {
+            reads.retain(|r| r.stream != id);
         }
     }
 }

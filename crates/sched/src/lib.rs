@@ -37,6 +37,8 @@
 #![warn(missing_docs)]
 
 mod baseline;
+#[cfg(test)]
+mod churn_tests;
 mod cycle;
 mod grouped;
 mod improved;
@@ -45,6 +47,7 @@ mod plan;
 mod staggered;
 mod streaming_raid;
 mod streams;
+pub mod table;
 mod traits;
 
 pub use baseline::BaselineScheduler;
@@ -52,7 +55,7 @@ pub use cycle::CycleConfig;
 pub use grouped::GroupedScheduler;
 pub use improved::ImprovedScheduler;
 pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};
-pub use plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
+pub use plan::{CyclePlan, Delivery, DiskReads, LossReason, LostBlock, PlannedRead, ReadPurpose};
 pub use staggered::StaggeredScheduler;
 pub use streaming_raid::StreamingRaidScheduler;
 pub use streams::{StreamId, StreamInfo};

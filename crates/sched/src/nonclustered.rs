@@ -10,8 +10,9 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
+use crate::table::{Released, Slot, StreamTable};
 use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
-use mms_buffer::{BufferPool, BufferServerPool, OwnerId};
+use mms_buffer::BufferServerPool;
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,19 +45,14 @@ impl TransitionPolicy {
     }
 }
 
-/// Per-stream state. All fields are scalars, so the snapshot taken by
-/// `plan_cycle_into` is a plain copy — no heap traffic on the hot path.
-#[derive(Debug, Clone, Copy)]
-struct NcStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
-    class: (u32, u32),
-    delivered: u64,
-    lost: u64,
-}
+/// Admission class of a stream: read-phase residue and cluster
+/// trajectory. The only per-stream state beyond the shared header, so a
+/// slot is all scalars and the copy `plan_cycle_into` takes of it is a
+/// plain copy — no heap traffic on the hot path.
+type Class = (u32, u32);
+
+/// A stream's slot, as the planning helpers see it.
+type NcStream = Slot<Class>;
 
 /// Degraded-cluster state. Failure positions beyond the first are kept
 /// as a bitmask (positions are within one cluster, bounded well below
@@ -90,7 +86,7 @@ pub struct NonClusteredScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
     policy: TransitionPolicy,
-    streams: BTreeMap<StreamId, NcStream>,
+    streams: StreamTable<Class>,
     degraded: BTreeMap<ClusterId, Degraded>,
     /// Blocks that will never be delivered, keyed by delivery cycle.
     pending_losses: BTreeMap<u64, Vec<LostBlock>>,
@@ -112,14 +108,7 @@ pub struct NonClusteredScheduler {
     /// attached server so §3's sizing (BF_SG/(D′/C) per server) is
     /// *enforced*, not just provisioned.
     server_frees: BTreeMap<u64, Vec<(u32, StreamId, usize)>>,
-    buffers: BufferPool,
     servers: BufferServerPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admissions, releases, failures and repairs.
-    epoch: u64,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
     /// Reusable list of blocks displaced past slot capacity this cycle.
     displaced_scratch: Vec<LostBlock>,
     /// Reusable list of parity reads displaced past slot capacity.
@@ -157,11 +146,12 @@ impl NonClusteredScheduler {
         // C(C+1)/2 tracks per C−1 streams, bounded by slots per class.
         let c = catalog.layout().geometry().group_size() as usize;
         let per_server = (c * (c + 1) / 2) * config.slots_per_disk();
+        let bpg = u64::from(catalog.layout().blocks_per_group());
         NonClusteredScheduler {
             config,
             catalog,
             policy,
-            streams: BTreeMap::new(),
+            streams: StreamTable::new(bpg),
             degraded: BTreeMap::new(),
             pending_losses: BTreeMap::new(),
             suppressed: BTreeSet::new(),
@@ -169,12 +159,7 @@ impl NonClusteredScheduler {
             reconstructions: BTreeSet::new(),
             deferred_frees: BTreeMap::new(),
             server_frees: BTreeMap::new(),
-            buffers: BufferPool::unbounded(),
             servers: BufferServerPool::new(buffer_servers, per_server),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
-            ids_scratch: Vec::new(),
             displaced_scratch: Vec::new(),
             displaced_parity_scratch: Vec::new(),
             keep_scratch: Vec::new(),
@@ -203,11 +188,6 @@ impl NonClusteredScheduler {
 
     fn bpg(&self) -> u64 {
         u64::from(self.catalog.layout().blocks_per_group())
-    }
-
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = self.bpg();
-        (tracks - g * bpg).min(bpg) as u32
     }
 
     /// Admission class (see module docs of `streaming_raid` for the
@@ -303,16 +283,17 @@ impl NonClusteredScheduler {
     fn plan_group_at_once(
         &mut self,
         plan: &mut CyclePlan,
-        id: StreamId,
+        ix: usize,
         s: &NcStream,
         g: u64,
         cycle: u64,
         degraded: &Degraded,
         parity_alive: bool,
     ) {
+        let id = s.id();
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
-        let blocks = self.blocks_in_group(s.tracks, g);
+        let blocks = s.blocks_in_group(g, self.bpg());
         let failed_positions = degraded.all_failed_mask();
         // A single data-disk failure with live parity is reconstructable;
         // anything more loses the affected blocks.
@@ -368,8 +349,8 @@ impl NonClusteredScheduler {
             // The parity buffer morphs into the reconstructed block whose
             // free is registered above, so no separate free entry.
         }
-        self.buffers
-            .alloc(OwnerId(id.0), reads)
+        self.streams
+            .alloc(ix, reads)
             .expect("unbounded pool never refuses an allocation");
         // Charge the degraded cluster's buffer server: the group is held
         // there until delivered ("a cluster in degraded mode sends the
@@ -407,18 +388,11 @@ impl NonClusteredScheduler {
     }
 
     /// Apply the Figure-6 simple transition for one in-flight stream.
-    fn simple_transition_for(
-        &mut self,
-        id: StreamId,
-        s: &NcStream,
-        g: u64,
-        p: u32,
-        since: u64,
-        failed_pos: u32,
-    ) {
+    fn simple_transition_for(&mut self, s: &NcStream, g: u64, p: u32, since: u64, failed_pos: u32) {
+        let id = s.id();
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
-        let blocks = self.blocks_in_group(s.tracks, g);
+        let blocks = s.blocks_in_group(g, self.bpg());
         let t_g = self.group_start(s, g);
         for q in p..blocks {
             let delivery_cycle = t_g + u64::from(q) + 1;
@@ -451,15 +425,9 @@ impl NonClusteredScheduler {
     }
 
     /// Apply the Figure-7 delayed transition for one in-flight stream.
-    fn delayed_transition_for(
-        &mut self,
-        id: StreamId,
-        s: &NcStream,
-        g: u64,
-        p: u32,
-        failed_pos: u32,
-    ) {
-        let blocks = self.blocks_in_group(s.tracks, g);
+    fn delayed_transition_for(&mut self, s: &NcStream, g: u64, p: u32, failed_pos: u32) {
+        let id = s.id();
+        let blocks = s.blocks_in_group(g, self.bpg());
         let t_g = self.group_start(s, g);
         // Only the block on the failed disk is lost (if not yet read);
         // everything else keeps its original schedule.
@@ -480,14 +448,14 @@ impl NonClusteredScheduler {
     /// at the reconstruction deadline `t_g + f`.
     fn plan_delayed_group_events(
         &mut self,
-        id: StreamId,
         s: &NcStream,
         g: u64,
         failed_pos: u32,
         parity_alive: bool,
     ) {
+        let id = s.id();
         let layout = *self.catalog.layout();
-        let blocks = self.blocks_in_group(s.tracks, g);
+        let blocks = s.blocks_in_group(g, self.bpg());
         let t_g = self.group_start(s, g);
         if failed_pos >= blocks {
             return; // failed disk not used by this (partial) group
@@ -567,14 +535,25 @@ impl NonClusteredScheduler {
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), crate::traits::RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(crate::traits::RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| crate::traits::RetireError::NotFound { object })
+        self.streams.retire_object(&mut self.catalog, object)
+    }
+
+    /// `(len, capacity)` of each scratch pool, for the churn leak test.
+    #[cfg(test)]
+    pub(crate) fn scratch_footprint(&self) -> Vec<(usize, usize)> {
+        vec![
+            (
+                self.displaced_scratch.len(),
+                self.displaced_scratch.capacity(),
+            ),
+            (
+                self.displaced_parity_scratch.len(),
+                self.displaced_parity_scratch.capacity(),
+            ),
+            (self.keep_scratch.len(), self.keep_scratch.capacity()),
+            (self.spill_scratch.len(), self.spill_scratch.capacity()),
+            (self.rekey_scratch.len(), self.rekey_scratch.capacity()),
+        ]
     }
 }
 
@@ -588,11 +567,7 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let class = self.class_of(placed.start_cluster, at_cycle);
         // Count only class members that still have reads at or after the
         // admission cycle: a stream whose final read has already been
@@ -600,8 +575,8 @@ impl SchemeScheduler for NonClusteredScheduler {
         let bpg = self.bpg();
         let load = self
             .streams
-            .values()
-            .filter(|s| s.class == class && s.start_cycle + s.groups * bpg > at_cycle)
+            .iter()
+            .filter(|s| s.state == class && s.start_cycle + s.groups * bpg > at_cycle)
             .count();
         if load >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
@@ -609,23 +584,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 limit: self.stream_capacity(),
             });
         }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            NcStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
-                class,
-                delivered: 0,
-                lost: 0,
-            },
-        );
-        Ok(id)
+        Ok(self.streams.admit(placed, at_cycle, class))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -639,60 +598,35 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.bpg()).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
+        self.streams.stream_info(id)
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        let bpg = self.bpg();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        self.epoch += 1;
-        // One block is read per cycle in normal mode, `bpg` cycles per
-        // group, so the started-group count is the elapsed ceiling.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let started = elapsed.div_ceil(bpg);
-        if started == 0 {
-            // Nothing read yet: retire immediately. Transition state
-            // keyed by this stream is tolerated by the delivery and
-            // deferred-free paths, which ignore unknown streams.
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to the started group; its remaining blocks drain
-        // (including any degraded-mode reconstruction already planned)
-        // and the normal finish path retires the stream.
-        st.groups = st.groups.min(started);
-        true
+        // A stream that has read nothing retires at once; transition
+        // state keyed by it is tolerated by the delivery and
+        // deferred-free paths, which ignore unknown streams. Otherwise
+        // the started group's remaining blocks drain (including any
+        // degraded-mode reconstruction already planned) and the normal
+        // finish path retires the stream.
+        !matches!(self.streams.release(id), Released::Unknown)
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
+        self.streams.begin_cycle(cycle);
         plan.reset(cycle);
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let slots = self.streams.slots();
 
         // 1. Normal-schedule reads + group-at-a-time + delayed-window
         //    planning for groups starting this cycle.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
-        for id in ids.iter().copied() {
-            let s = self.streams[&id];
+        for ix in 0..slots {
+            let s = *self.streams.slot(ix);
+            let id = s.id();
             let Some((g, i)) = self.position_at(&s, cycle) else {
                 continue;
             };
-            let blocks = self.blocks_in_group(s.tracks, g);
+            let blocks = s.blocks_in_group(g, self.bpg());
             let cluster = layout.data_cluster(s.start_cluster, g);
             let t_g = self.group_start(&s, g);
 
@@ -705,7 +639,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                         .expect("group_at_a_time is only true for degraded clusters");
                     let parity_pos = geometry.disks_per_cluster() - 1;
                     let parity_alive = d.failed_pos != parity_pos && !d.also_contains(parity_pos);
-                    self.plan_group_at_once(plan, id, &s, g, cycle, &d, parity_alive);
+                    self.plan_group_at_once(plan, ix, &s, g, cycle, &d, parity_alive);
                     continue;
                 }
                 if self.delayed_window(cluster, t_g) {
@@ -715,7 +649,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                         .copied()
                         .expect("delayed_window is only true for degraded clusters");
                     let parity_alive = d.failed_pos != geometry.disks_per_cluster() - 1;
-                    self.plan_delayed_group_events(id, &s, g, d.failed_pos, parity_alive);
+                    self.plan_delayed_group_events(&s, g, d.failed_pos, parity_alive);
                     // Normal per-cycle reads still apply below for the
                     // non-suppressed positions.
                 }
@@ -753,8 +687,8 @@ impl SchemeScheduler for NonClusteredScheduler {
                             purpose: ReadPurpose::Delivery,
                         },
                     );
-                    self.buffers
-                        .alloc(OwnerId(id.0), 1)
+                    self.streams
+                        .alloc(ix, 1)
                         .expect("unbounded pool never refuses an allocation");
                     self.deferred_frees
                         .entry(cycle + 1)
@@ -767,17 +701,17 @@ impl SchemeScheduler for NonClusteredScheduler {
         // 3. Inject transition extra reads for this cycle.
         if let Some(extras) = self.extra_reads.remove(&cycle) {
             for (disk, read) in extras {
-                if disk == DiskId(u32::MAX) {
-                    // XOR-accumulator charge marker.
-                    self.buffers
-                        .alloc(OwnerId(read.stream.0), 1)
+                // One buffer per extra read, or for the XOR accumulator
+                // the zero-disk marker stands for.
+                if let Some(ix) = self.streams.find(read.stream) {
+                    self.streams
+                        .alloc(ix, 1)
                         .expect("unbounded pool never refuses an allocation");
+                }
+                if disk == DiskId(u32::MAX) {
                     continue;
                 }
                 plan.push_read(disk, read);
-                self.buffers
-                    .alloc(OwnerId(read.stream.0), 1)
-                    .expect("unbounded pool never refuses an allocation");
                 // Freed at the block's delivery cycle — registered by the
                 // transition planner (deferred_frees). Parity reads are
                 // absorbed into the reconstruction: free next cycle.
@@ -835,8 +769,12 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
                 match r.addr.kind {
                     mms_layout::BlockKind::Data(ix) => {
+                        let owner = self
+                            .streams
+                            .find(r.stream)
+                            .expect("a planned read belongs to a live stream");
                         let delivery_cycle = {
-                            let st = &self.streams[&r.stream];
+                            let st = self.streams.slot(owner);
                             let bpg = u64::from(layout.blocks_per_group());
                             st.start_cycle + r.addr.group * bpg + u64::from(ix) + 1
                         };
@@ -848,7 +786,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                         });
                         // Undo the displaced read's buffer charge and
                         // cancel its pending free.
-                        let _ = self.buffers.free(OwnerId(r.stream.0), 1);
+                        let _ = self.streams.free(owner, 1);
                         if let Some(entries) = self.deferred_frees.get_mut(&delivery_cycle) {
                             if let Some(jx) = entries
                                 .iter()
@@ -865,7 +803,9 @@ impl SchemeScheduler for NonClusteredScheduler {
                         // Losing the parity read loses the block it was
                         // fetched to rebuild.
                         displaced_parity.push((r.stream, r.addr.group));
-                        let _ = self.buffers.free(OwnerId(r.stream.0), 1);
+                        if let Some(owner) = self.streams.find(r.stream) {
+                            let _ = self.streams.free(owner, 1);
+                        }
                     }
                 }
             }
@@ -884,7 +824,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 .copied();
             if let Some((_, _, ix)) = target {
                 self.reconstructions.remove(&(sid, group, ix));
-                if let Some(st) = self.streams.get(&sid) {
+                if let Some(st) = self.streams.find(sid).map(|ix| self.streams.slot(ix)) {
                     let bpg = u64::from(layout.blocks_per_group());
                     let delivery_cycle = st.start_cycle + group * bpg + u64::from(ix) + 1;
                     displaced.push(LostBlock {
@@ -906,8 +846,8 @@ impl SchemeScheduler for NonClusteredScheduler {
         //    `t_g + q + 1` unless recorded lost.
         let losses_now = self.pending_losses.remove(&cycle).unwrap_or_default();
         for loss in losses_now.iter().copied() {
-            if let Some(st) = self.streams.get_mut(&loss.stream) {
-                st.lost += 1;
+            if let Some(ix) = self.streams.find(loss.stream) {
+                self.streams.slot_mut(ix).lost += 1;
             }
             plan.hiccups.push(loss);
         }
@@ -920,38 +860,33 @@ impl SchemeScheduler for NonClusteredScheduler {
                 mms_layout::BlockKind::Parity => false,
             })
         };
-        for id in ids.iter().copied() {
-            let Some(s) = self.streams.get(&id).copied() else {
-                continue;
-            };
+        let bpg = self.bpg();
+        for ix in 0..slots {
+            let s = self.streams.slot_mut(ix);
             if cycle == 0 || cycle < s.start_cycle + 1 {
                 continue;
             }
             let rel = cycle - s.start_cycle - 1;
-            let g = rel / self.bpg();
-            let q = (rel % self.bpg()) as u32;
+            let g = rel / bpg;
+            let q = (rel % bpg) as u32;
             if g >= s.groups {
                 continue;
             }
-            let blocks = self.blocks_in_group(s.tracks, g);
+            let id = s.id();
+            let blocks = s.blocks_in_group(g, bpg);
             if q < blocks && !is_lost(id, g, q) {
                 plan.deliveries.push(Delivery {
                     stream: id,
                     addr: BlockAddr::data(s.object, g, q),
                     reconstructed: self.reconstructions.remove(&(id, g, q)),
                 });
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("delivery loop checks the stream is still live above");
-                st.delivered += 1;
+                s.delivered += 1;
             }
             // Stream finishes after its final group's last real block's
             // delivery slot (partial groups leave trailing idle slots).
             if g + 1 == s.groups && q + 1 >= blocks {
                 plan.finished.push(id);
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
+                self.streams.retire(ix);
             }
         }
 
@@ -959,9 +894,16 @@ impl SchemeScheduler for NonClusteredScheduler {
         // was this cycle (they stay resident while being transmitted, so
         // the pool's high-water mark measures true peak occupancy).
         if let Some(frees) = self.deferred_frees.remove(&cycle) {
+            // Healthy-mode frees were recorded in table order one cycle
+            // ago, so each is found at the slot after the previous hit.
+            let mut hint = 0;
             for (id, _addr) in frees {
-                // The stream may already have finished (free_all ran).
-                let _ = self.buffers.free(OwnerId(id.0), 1);
+                // The stream may already have finished (retire released
+                // all it held): then there is nothing to free.
+                if let Some(ix) = self.streams.find_from(hint, id) {
+                    let _ = self.streams.free(ix, 1);
+                    hint = ix + 1;
+                }
             }
         }
         if let Some(frees) = self.server_frees.remove(&cycle) {
@@ -973,11 +915,11 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
             }
         }
-        self.ids_scratch = ids;
+        self.streams.end_cycle();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
-        self.epoch += 1;
+        self.streams.bump_epoch();
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
@@ -1030,25 +972,17 @@ impl SchemeScheduler for NonClusteredScheduler {
         // drop the streams currently using this cluster.
         let parity_pos = geometry.disks_per_cluster() - 1;
         if pos != parity_pos && self.servers.attach(cluster.0).is_err() {
-            let victims: Vec<StreamId> = self
-                .streams
-                .iter()
-                .filter(|(_, s)| {
-                    self.position_at(s, cycle)
-                        .map(|(g, _)| {
-                            self.catalog.layout().data_cluster(s.start_cluster, g) == cluster
-                        })
-                        .unwrap_or(false)
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in victims {
-                self.streams
-                    .remove(&id)
-                    .expect("victim ids were taken from the live stream map");
-                self.buffers.free_all(OwnerId(id.0));
-                report.dropped_streams.push(id);
+            for ix in 0..self.streams.slots() {
+                let s = self.streams.slot(ix);
+                let on_cluster = self.position_at(s, cycle).is_some_and(|(g, _)| {
+                    self.catalog.layout().data_cluster(s.start_cluster, g) == cluster
+                });
+                if on_cluster {
+                    report.dropped_streams.push(s.id());
+                    self.streams.retire(ix);
+                }
             }
+            self.streams.compact();
             return report;
         }
 
@@ -1059,9 +993,8 @@ impl SchemeScheduler for NonClusteredScheduler {
 
         // Transition for in-flight groups on this cluster.
         let losses_before: usize = self.pending_losses.values().map(Vec::len).sum();
-        let ids: Vec<StreamId> = self.streams.keys().copied().collect();
-        for id in ids {
-            let s = self.streams[&id];
+        for ix in 0..self.streams.slots() {
+            let s = *self.streams.slot(ix);
             let Some((g, p)) = self.position_at(&s, cycle) else {
                 continue;
             };
@@ -1075,10 +1008,10 @@ impl SchemeScheduler for NonClusteredScheduler {
             }
             match self.policy {
                 TransitionPolicy::Simple => {
-                    self.simple_transition_for(id, &s, g, p, cycle, pos);
+                    self.simple_transition_for(&s, g, p, cycle, pos);
                 }
                 TransitionPolicy::Delayed => {
-                    self.delayed_transition_for(id, &s, g, p, pos);
+                    self.delayed_transition_for(&s, g, p, pos);
                 }
             }
         }
@@ -1091,7 +1024,7 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
-        self.epoch += 1;
+        self.streams.bump_epoch();
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         if let Some(d) = self.degraded.get_mut(&cluster) {
@@ -1116,11 +1049,11 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.streams.buffer_in_use()
     }
 
     fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.streams.buffer_high_water()
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
@@ -1139,18 +1072,13 @@ impl SchemeScheduler for NonClusteredScheduler {
         {
             return PlanStability { period, stable: 0 };
         }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                // Warm-up: the first cycle reads without delivering.
-                return PlanStability { period, stable: 0 };
-            }
-            // End strictly before the final group's first read: partial
-            // final groups break the one-delivery-per-cycle cadence.
-            let final_group_start = s.start_cycle + (s.groups - 1) * self.bpg();
-            stable = stable.min(final_group_start.saturating_sub(cycle));
+        // Warm-up reads without delivering, and partial final groups
+        // break the one-delivery-per-cycle cadence: the table's window
+        // excludes both.
+        PlanStability {
+            period,
+            stable: self.streams.stable_window(cycle),
         }
-        PlanStability { period, stable }
     }
 
     fn fast_forward(&mut self, cycles: u64) {
@@ -1160,10 +1088,7 @@ impl SchemeScheduler for NonClusteredScheduler {
             0,
             "fast_forward span must be a whole plan rotation"
         );
-        self.next_cycle += cycles;
-        for s in self.streams.values_mut() {
-            s.delivered += cycles;
-        }
+        self.streams.fast_forward(cycles, 1);
         // Pending buffer frees keep their relative schedule: shift every
         // key by the skipped span. Entries are moved, not cloned; the
         // staged addresses are only ever matched by same-cycle
@@ -1180,6 +1105,6 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.streams.epoch()
     }
 }

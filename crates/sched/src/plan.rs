@@ -3,7 +3,6 @@
 use crate::streams::StreamId;
 use mms_disk::DiskId;
 use mms_layout::BlockAddr;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a block is being read.
@@ -94,13 +93,100 @@ pub struct LostBlock {
     pub delivery_cycle: u64,
 }
 
+/// A cycle's reads, one list per disk, indexable by [`DiskId`] in O(1).
+///
+/// Lists are allocated densely up to the highest disk ever read and
+/// kept (cleared, not dropped) from cycle to cycle, so a list may be
+/// empty. The shared views — [`iter`](Self::iter), [`keys`](Self::keys),
+/// [`values`](Self::values), `for (&disk, reads) in &plan.reads` — visit
+/// only the disks that have reads this cycle, in ascending disk order;
+/// the mutable ones visit every allocated list.
+#[derive(Debug, Clone, Default)]
+pub struct DiskReads {
+    /// `lists[i].0 == DiskId(i)`: the id is stored so views can lend it.
+    lists: Vec<(DiskId, Vec<PlannedRead>)>,
+}
+
+impl DiskReads {
+    /// The list of `disk`, if one was ever allocated (it may be empty).
+    #[must_use]
+    pub fn get(&self, disk: &DiskId) -> Option<&Vec<PlannedRead>> {
+        self.lists.get(disk.0 as usize).map(|(_, reads)| reads)
+    }
+
+    /// The list of `disk`, mutably, if one was ever allocated.
+    pub fn get_mut(&mut self, disk: &DiskId) -> Option<&mut Vec<PlannedRead>> {
+        self.lists.get_mut(disk.0 as usize).map(|(_, reads)| reads)
+    }
+
+    /// The list of `disk`, allocating lists up to it on first use.
+    fn list_mut(&mut self, disk: DiskId) -> &mut Vec<PlannedRead> {
+        let ix = disk.0 as usize;
+        if self.lists.len() <= ix {
+            let grow = self.lists.len() as u32..=disk.0;
+            self.lists
+                .extend(grow.map(|d| (DiskId(d), Default::default())));
+        }
+        &mut self.lists[ix].1
+    }
+
+    /// Disks with reads this cycle and their lists, ascending.
+    #[must_use]
+    pub fn iter(&self) -> DiskReadsIter<'_> {
+        DiskReadsIter(self.lists.iter())
+    }
+
+    /// Disks with reads this cycle, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &DiskId> {
+        self.iter().map(|(disk, _)| disk)
+    }
+
+    /// The non-empty read lists, in ascending disk order.
+    pub fn values(&self) -> impl Iterator<Item = &Vec<PlannedRead>> {
+        self.iter().map(|(_, reads)| reads)
+    }
+
+    /// Every allocated list, mutably, in ascending disk order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&DiskId, &mut Vec<PlannedRead>)> {
+        self.lists.iter_mut().map(|(disk, reads)| (&*disk, reads))
+    }
+
+    /// Every allocated list, mutably, in ascending disk order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Vec<PlannedRead>> {
+        self.lists.iter_mut().map(|(_, reads)| reads)
+    }
+}
+
+/// Iterator over the disks that have reads (see [`DiskReads::iter`]).
+#[derive(Debug, Clone)]
+pub struct DiskReadsIter<'a>(std::slice::Iter<'a, (DiskId, Vec<PlannedRead>)>);
+
+impl<'a> Iterator for DiskReadsIter<'a> {
+    type Item = (&'a DiskId, &'a Vec<PlannedRead>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0
+            .find(|(_, reads)| !reads.is_empty())
+            .map(|(disk, reads)| (disk, reads))
+    }
+}
+
+impl<'a> IntoIterator for &'a DiskReads {
+    type Item = (&'a DiskId, &'a Vec<PlannedRead>);
+    type IntoIter = DiskReadsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Everything the scheduler decided for one cycle.
 #[derive(Debug, Clone, Default)]
 pub struct CyclePlan {
     /// The cycle this plan covers.
     pub cycle: u64,
     /// Reads per disk. Every disk's list fits its slot capacity.
-    pub reads: BTreeMap<DiskId, Vec<PlannedRead>>,
+    pub reads: DiskReads,
     /// Blocks transmitted this cycle.
     pub deliveries: Vec<Delivery>,
     /// Hiccups occurring this cycle (previously lost blocks whose
@@ -123,9 +209,7 @@ impl CyclePlan {
     /// Reset the plan to cover `cycle` with no activity, keeping all
     /// allocated storage: the delivery/hiccup/finished vectors are
     /// cleared in place, and every per-disk read list is cleared but kept
-    /// in the map so its capacity is reused next cycle. Stale map entries
-    /// are indistinguishable from absent ones through the read API
-    /// ([`reads_on`](CyclePlan::reads_on) returns `&[]` either way).
+    /// so its capacity is reused next cycle.
     pub fn reset(&mut self, cycle: u64) {
         self.cycle = cycle;
         for reads in self.reads.values_mut() {
@@ -145,12 +229,12 @@ impl CyclePlan {
     /// Reads on one disk.
     #[must_use]
     pub fn reads_on(&self, disk: DiskId) -> &[PlannedRead] {
-        self.reads.get(&disk).map(Vec::as_slice).unwrap_or(&[])
+        self.reads.get(&disk).map_or(&[], Vec::as_slice)
     }
 
     /// Add a read to a disk's list.
     pub fn push_read(&mut self, disk: DiskId, read: PlannedRead) {
-        self.reads.entry(disk).or_default().push(read);
+        self.reads.list_mut(disk).push(read);
     }
 }
 
@@ -208,6 +292,40 @@ mod tests {
         assert!(p.deliveries.is_empty());
         assert!(p.hiccups.is_empty());
         assert!(p.finished.is_empty());
+    }
+
+    #[test]
+    fn read_views_skip_idle_disks_and_keep_disk_order() {
+        let read = |s| PlannedRead {
+            stream: StreamId(s),
+            addr: BlockAddr::data(ObjectId(0), 0, 0),
+            purpose: ReadPurpose::Delivery,
+        };
+        let mut p = CyclePlan::empty(0);
+        p.push_read(DiskId(4), read(1));
+        p.push_read(DiskId(1), read(2));
+        p.push_read(DiskId(4), read(3));
+        // Disks 0, 2, 3 have (empty) lists but are not visited.
+        let seen: Vec<(u32, usize)> = (&p.reads)
+            .into_iter()
+            .map(|(d, r)| (d.0, r.len()))
+            .collect();
+        assert_eq!(seen, [(1, 1), (4, 2)]);
+        assert_eq!(p.reads.keys().map(|d| d.0).collect::<Vec<_>>(), [1, 4]);
+        assert_eq!(p.reads.values().map(Vec::len).sum::<usize>(), 3);
+        assert!(p.reads.get(&DiskId(2)).is_some_and(Vec::is_empty));
+        assert!(p.reads.get(&DiskId(5)).is_none());
+        // The mutable views reach every list, so a filter can empty one.
+        assert_eq!(p.reads.iter_mut().count(), 5);
+        for reads in p.reads.values_mut() {
+            reads.retain(|r| r.stream != StreamId(2));
+        }
+        assert_eq!(p.reads.keys().map(|d| d.0).collect::<Vec<_>>(), [4]);
+        p.reads.get_mut(&DiskId(4)).unwrap().remove(0);
+        assert_eq!(p.reads_on(DiskId(4)), [read(3)]);
+        p.reset(1);
+        assert_eq!(p.reads.iter().count(), 0);
+        assert_eq!(p.total_reads(), 0);
     }
 
     #[test]

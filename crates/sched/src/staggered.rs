@@ -3,26 +3,19 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
+use crate::table::{Released, StreamTable};
 use crate::traits::{
     data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
     SchemeKind, SchemeScheduler,
 };
-use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-stream state.
-#[derive(Debug, Clone)]
-struct SgStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
+/// Per-stream state beyond the shared header.
+#[derive(Debug)]
+struct SgState {
     class: (u32, u32),
-    delivered: u64,
-    lost: u64,
     /// Index of the block of the current in-memory group that was
     /// reconstructed at read time, if any.
     reconstructed: Option<u32>,
@@ -50,18 +43,10 @@ struct SgStream {
 pub struct StaggeredScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
-    streams: BTreeMap<StreamId, SgStream>,
+    streams: StreamTable<SgState>,
     /// Active streams per (read-phase, cluster-trajectory) class.
     class_load: BTreeMap<(u32, u32), usize>,
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
-    buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
     /// Recycled hiccup vectors: each read cycle swaps a stream's old
     /// hiccup list for a pooled one instead of allocating.
     hiccup_pool: Vec<Vec<u32>>,
@@ -80,14 +65,9 @@ impl StaggeredScheduler {
         StaggeredScheduler {
             config,
             catalog,
-            streams: BTreeMap::new(),
+            streams: StreamTable::new(config.read_period() as u64),
             class_load: BTreeMap::new(),
             failed: BTreeMap::new(),
-            buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
-            ids_scratch: Vec::new(),
             hiccup_pool: Vec::new(),
         }
     }
@@ -102,11 +82,6 @@ impl StaggeredScheduler {
         self.config.read_period() as u64
     }
 
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        (tracks - g * bpg).min(bpg) as u32
-    }
-
     /// Admission class of a stream starting at `at_cycle` for start
     /// cluster `h`: streams with equal read-phase residue and cluster
     /// trajectory contend for the same slots forever.
@@ -117,6 +92,14 @@ impl StaggeredScheduler {
         let q = at_cycle / period;
         let psi = ((u64::from(h) + nc - (q % nc)) % nc) as u32;
         (r, psi)
+    }
+
+    /// Return the admission slot of a stream of `class`.
+    fn unload_class(&mut self, class: (u32, u32)) {
+        *self
+            .class_load
+            .get_mut(&class)
+            .expect("admission registered this stream's class") -= 1;
     }
 
     /// Register a newly staged object in the catalog (the tertiary →
@@ -131,14 +114,13 @@ impl StaggeredScheduler {
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), crate::traits::RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(crate::traits::RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| crate::traits::RetireError::NotFound { object })
+        self.streams.retire_object(&mut self.catalog, object)
+    }
+
+    /// `(len, capacity)` of each scratch pool, for the churn leak test.
+    #[cfg(test)]
+    pub(crate) fn scratch_footprint(&self) -> Vec<(usize, usize)> {
+        vec![(self.hiccup_pool.len(), self.hiccup_pool.capacity())]
     }
 }
 
@@ -152,11 +134,7 @@ impl SchemeScheduler for StaggeredScheduler {
     }
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let class = self.class_of(placed.start_cluster, at_cycle);
         let load = self.class_load.get(&class).copied().unwrap_or(0);
         if load >= self.config.slots_per_disk() {
@@ -165,27 +143,17 @@ impl SchemeScheduler for StaggeredScheduler {
                 limit: self.stream_capacity(),
             });
         }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
         *self.class_load.entry(class).or_insert(0) += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            SgStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
+        Ok(self.streams.admit(
+            placed,
+            at_cycle,
+            SgState {
                 class,
-                delivered: 0,
-                lost: 0,
                 reconstructed: None,
                 hiccups: Vec::new(),
                 parity_held: false,
             },
-        );
-        Ok(id)
+        ))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -200,83 +168,51 @@ impl SchemeScheduler for StaggeredScheduler {
     }
 
     fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.period())
-                .min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
+        self.streams.stream_info(id)
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        let period = self.period();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        self.epoch += 1;
-        // Group g is read at `start + g·period`, so the resident count
-        // is the ceiling of the elapsed span over the period.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let read = elapsed.div_ceil(period);
-        if read == 0 {
-            // Nothing read yet: retire immediately, returning the slot.
-            let class = st.class;
-            *self
-                .class_load
-                .get_mut(&class)
-                .expect("admission registered this stream's class") -= 1;
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
+        match self.streams.release(id) {
+            Released::Unknown => false,
+            // The in-flight group drains and the normal finish path in
+            // pass 2 retires the stream.
+            Released::Draining => true,
+            Released::Retired(st) => {
+                self.unload_class(st.class);
+                true
+            }
         }
-        // Truncate to what was read; the in-flight group drains and the
-        // normal finish path in pass 2 retires the stream.
-        st.groups = st.groups.min(read);
-        true
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
+        self.streams.begin_cycle(cycle);
         plan.reset(cycle);
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let bpg = u64::from(layout.blocks_per_group());
         let period = self.period();
-
-        // Snapshot stream ids into the reusable scratch so the passes
-        // can mutate `self.streams` without holding a borrow on it.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
+        let slots = self.streams.slots();
 
         // Pass 1 — reads and allocations. All of a cycle's reads are in
         // flight while the previous data is still being transmitted, so
         // allocations logically precede every free of the same cycle; the
         // pool's high-water mark then measures the paper's start-of-cycle
         // occupancy (Figure 4).
-        for id in ids.iter().copied() {
-            // Copy the scalar fields instead of cloning the entry: the
-            // hiccups vector makes a full clone allocate under failures.
-            let (object, start_cluster, groups, tracks, start_cycle) = {
-                let s = &self.streams[&id];
-                (s.object, s.start_cluster, s.groups, s.tracks, s.start_cycle)
-            };
-            if cycle < start_cycle {
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
+            if cycle < s.start_cycle {
                 continue;
             }
-            let rel = cycle - start_cycle;
+            let rel = cycle - s.start_cycle;
             if !rel.is_multiple_of(period) {
                 continue;
             }
             let g = rel / period;
-            if g >= groups {
+            if g >= s.groups {
                 continue;
             }
-            let blocks = self.blocks_in_group(tracks, g);
+            let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
+            let blocks = s.blocks_in_group(g, bpg);
             let cluster = layout.data_cluster(start_cluster, g);
             let failed = self.failed.get(&cluster);
             let parity_pos = geometry.disks_per_cluster() - 1;
@@ -320,13 +256,10 @@ impl SchemeScheduler for StaggeredScheduler {
             }
             // Reconstruction replaces the parity buffer with the missing
             // data block, so the group holds `reads` tracks either way.
-            self.buffers
-                .alloc(OwnerId(id.0), reads)
+            self.streams
+                .alloc(ix, reads)
                 .expect("unbounded pool never refuses an allocation");
-            let st = self
-                .streams
-                .get_mut(&id)
-                .expect("stream id snapshot only holds live streams");
+            let st = &mut self.streams.slot_mut(ix).state;
             st.parity_held = parity_ok && reconstructed.is_none();
             st.reconstructed = reconstructed;
             let retired = std::mem::replace(&mut st.hiccups, hiccups);
@@ -334,96 +267,74 @@ impl SchemeScheduler for StaggeredScheduler {
         }
 
         // Pass 2 — deliveries, hiccups, and frees.
-        for id in ids.iter().copied() {
-            // Scalar copies again: the mutable re-borrow in the body must
-            // not overlap a borrow of the stream entry.
-            let Some((object, groups, tracks, start_cycle)) = self
-                .streams
-                .get(&id)
-                .map(|s| (s.object, s.groups, s.tracks, s.start_cycle))
-            else {
-                continue;
-            };
-            if cycle < start_cycle + 1 {
+        for ix in 0..slots {
+            let s = self.streams.slot_mut(ix);
+            if cycle < s.start_cycle + 1 {
                 continue;
             }
-            let rel = cycle - start_cycle;
+            let rel = cycle - s.start_cycle;
             let g = (rel - 1) / period;
             let i = ((rel - 1) % period) as u32;
-            if g >= groups {
+            if g >= s.groups {
                 continue;
             }
-            let blocks = self.blocks_in_group(tracks, g);
-            if i < blocks {
-                let addr = mms_layout::BlockAddr::data(object, g, i);
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("pass 2 checks the stream is still live above");
-                if st.hiccups.contains(&i) {
-                    plan.hiccups.push(LostBlock {
-                        stream: id,
-                        addr,
-                        reason: LossReason::FailedDisk,
-                        delivery_cycle: cycle,
-                    });
-                    st.lost += 1;
-                } else {
-                    plan.deliveries.push(Delivery {
-                        stream: id,
-                        addr,
-                        reconstructed: st.reconstructed == Some(i),
-                    });
-                    st.delivered += 1;
-                    self.buffers
-                        .free(OwnerId(id.0), 1)
-                        .expect("every delivered block was allocated at its read cycle");
-                }
-                if g + 1 == st.groups && i + 1 == blocks {
-                    plan.finished.push(id);
-                    let class = st.class;
-                    *self
-                        .class_load
-                        .get_mut(&class)
-                        .expect("admission registered this stream's class") -= 1;
-                    self.streams.remove(&id);
-                    self.buffers.free_all(OwnerId(id.0));
-                    continue;
-                }
+            let blocks = s.blocks_in_group(g, bpg);
+            if i >= blocks {
+                continue;
+            }
+            let id = s.id();
+            let addr = mms_layout::BlockAddr::data(s.object, g, i);
+            let finished = g + 1 == s.groups && i + 1 == blocks;
+            let class = s.state.class;
+            if s.state.hiccups.contains(&i) {
+                plan.hiccups.push(LostBlock {
+                    stream: id,
+                    addr,
+                    reason: LossReason::FailedDisk,
+                    delivery_cycle: cycle,
+                });
+                s.lost += 1;
+            } else {
+                plan.deliveries.push(Delivery {
+                    stream: id,
+                    addr,
+                    reconstructed: s.state.reconstructed == Some(i),
+                });
+                s.delivered += 1;
+                self.streams
+                    .free(ix, 1)
+                    .expect("every delivered block was allocated at its read cycle");
+            }
+            if finished {
+                plan.finished.push(id);
+                self.unload_class(class);
+                self.streams.retire(ix);
             }
         }
 
         // End of cycle: groups read this cycle are fully resident, so
         // their parity tracks are no longer needed for failure masking.
-        // Refill the snapshot: pass 2 may have retired streams.
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
-        for id in ids.iter().copied() {
-            let s = self
-                .streams
-                .get(&id)
-                .expect("stream id snapshot only holds live streams");
-            if cycle >= s.start_cycle && (cycle - s.start_cycle).is_multiple_of(period) {
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("stream id snapshot only holds live streams");
-                if st.parity_held {
-                    st.parity_held = false;
-                    self.buffers
-                        .free(OwnerId(id.0), 1)
-                        .expect("parity_held implies a parity buffer is allocated");
-                }
+        for ix in 0..slots {
+            let s = self.streams.slot_mut(ix);
+            if s.is_live()
+                && cycle >= s.start_cycle
+                && (cycle - s.start_cycle).is_multiple_of(period)
+                && s.state.parity_held
+            {
+                s.state.parity_held = false;
+                self.streams
+                    .free(ix, 1)
+                    .expect("parity_held implies a parity buffer is allocated");
             }
         }
-        self.ids_scratch = ids;
+        self.streams.end_cycle();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
         let catastrophic = entry.len() >= 2;
@@ -451,7 +362,7 @@ impl SchemeScheduler for StaggeredScheduler {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -462,11 +373,11 @@ impl SchemeScheduler for StaggeredScheduler {
     }
 
     fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.streams.buffer_in_use()
     }
 
     fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.streams.buffer_high_water()
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
@@ -478,34 +389,24 @@ impl SchemeScheduler for StaggeredScheduler {
         if !self.failed.is_empty() {
             return PlanStability { period, stable: 0 };
         }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // The final (possibly partial) group is read at
-            // start + (groups − 1)·read_period; end the window before it.
-            let final_read = s.start_cycle + (s.groups - 1) * self.period();
-            stable = stable.min(final_read.saturating_sub(cycle));
+        PlanStability {
+            period,
+            stable: self.streams.stable_window(cycle),
         }
-        PlanStability { period, stable }
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
         let nc = u64::from(self.catalog.layout().geometry().clusters());
         debug_assert_eq!(cycles % (self.period() * nc), 0, "not a whole rotation");
-        self.next_cycle += cycles;
         // One track delivered per stream per steady cycle; parity is
         // freed at the end of each read cycle, so `parity_held`,
         // `reconstructed`, and `hiccups` are all quiescent.
-        for s in self.streams.values_mut() {
-            s.delivered += cycles;
-        }
+        self.streams.fast_forward(cycles, 1);
     }
 
     fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.streams.epoch()
     }
 }
 

@@ -3,28 +3,22 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
+use crate::table::{Released, StreamTable};
 use crate::traits::{
     data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
     SchemeKind, SchemeScheduler,
 };
-use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-stream state.
-#[derive(Debug, Clone)]
-struct SrStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    start_cycle: u64,
+/// Per-stream state beyond the shared header.
+#[derive(Debug)]
+struct SrState {
     /// Cluster-phase class: streams with equal `(h − start_cycle) mod N_C`
     /// occupy the same cluster every cycle and therefore contend for the
     /// same slots forever.
     class: u32,
-    delivered: u64,
-    lost: u64,
     /// Blocks (by index) of the group read last cycle that must be
     /// reconstructed (were on a failed disk) or are hiccups (two failures).
     pending_reconstructed: Vec<u32>,
@@ -49,22 +43,15 @@ struct SrStream {
 pub struct StreamingRaidScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
-    streams: BTreeMap<StreamId, SrStream>,
+    streams: StreamTable<SrState>,
     /// Active stream count per cluster-phase class.
     class_load: Vec<usize>,
     /// Failed disk positions per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
-    buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
     catastrophic: bool,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
-    /// Reusable staging area for the groups read this cycle.
-    incoming_scratch: Vec<(StreamId, Vec<u32>, Vec<u32>, usize)>,
+    /// Reusable staging area for the groups read this cycle: slot index,
+    /// reconstruction list, hiccup list, buffer tracks charged.
+    incoming_scratch: Vec<(usize, Vec<u32>, Vec<u32>, usize)>,
     /// Recycled index vectors for reconstruction/hiccup lists.
     vec_pool: Vec<Vec<u32>>,
 }
@@ -84,15 +71,10 @@ impl StreamingRaidScheduler {
         StreamingRaidScheduler {
             config,
             catalog,
-            streams: BTreeMap::new(),
+            streams: StreamTable::new(1),
             class_load: vec![0; classes],
             failed: BTreeMap::new(),
-            buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
             catastrophic: false,
-            epoch: 0,
-            ids_scratch: Vec::new(),
             incoming_scratch: Vec::new(),
             vec_pool: Vec::new(),
         }
@@ -108,20 +90,6 @@ impl StreamingRaidScheduler {
         u64::from(self.catalog.layout().geometry().clusters())
     }
 
-    /// Number of data blocks in group `g` of a stream (the final group may
-    /// be partial).
-    fn blocks_in_group(&self, object: mms_layout::ObjectId, g: u64) -> u32 {
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        let tracks = self
-            .catalog
-            .get(object)
-            .expect("admitted object")
-            .object
-            .tracks;
-        let remaining = tracks - g * bpg;
-        remaining.min(bpg) as u32
-    }
-
     /// Register a newly staged object in the catalog (the tertiary →
     /// disk load path of Figure 1).
     pub fn register_object(
@@ -134,14 +102,19 @@ impl StreamingRaidScheduler {
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), crate::traits::RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(crate::traits::RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| crate::traits::RetireError::NotFound { object })
+        self.streams.retire_object(&mut self.catalog, object)
+    }
+
+    /// `(len, capacity)` of each scratch pool, for the churn leak test.
+    #[cfg(test)]
+    pub(crate) fn scratch_footprint(&self) -> Vec<(usize, usize)> {
+        vec![
+            (self.vec_pool.len(), self.vec_pool.capacity()),
+            (
+                self.incoming_scratch.len(),
+                self.incoming_scratch.capacity(),
+            ),
+        ]
     }
 }
 
@@ -155,11 +128,7 @@ impl SchemeScheduler for StreamingRaidScheduler {
     }
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let nc = self.clusters();
         // Phase class: the cluster this stream occupies at cycle 0 of its
         // life, projected onto absolute cycles.
@@ -171,26 +140,17 @@ impl SchemeScheduler for StreamingRaidScheduler {
                 limit: self.stream_capacity(),
             });
         }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
         self.class_load[class] += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            SrStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                start_cycle: at_cycle,
+        Ok(self.streams.admit(
+            placed,
+            at_cycle,
+            SrState {
                 class: class as u32,
-                delivered: 0,
-                lost: 0,
                 pending_reconstructed: Vec::new(),
                 pending_hiccups: Vec::new(),
                 pending_buffered: 0,
             },
-        );
-        Ok(id)
+        ))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -202,50 +162,29 @@ impl SchemeScheduler for StreamingRaidScheduler {
     }
 
     fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: self.next_cycle.saturating_sub(s.start_cycle).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
+        self.streams.stream_info(id)
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        self.epoch += 1;
-        // One group is read per cycle, so `elapsed` groups are resident.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        if elapsed == 0 {
-            // Nothing read yet: retire immediately, returning the slot.
-            let class = st.class as usize;
-            self.class_load[class] -= 1;
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
+        match self.streams.release(id) {
+            Released::Unknown => false,
+            // The normal finish path in pass 2 delivers the final
+            // resident group and retires the stream.
+            Released::Draining => true,
+            Released::Retired(st) => {
+                self.class_load[st.class as usize] -= 1;
+                true
+            }
         }
-        // Truncate to what was read; the normal finish path in pass 2
-        // delivers the final resident group and retires the stream.
-        st.groups = st.groups.min(elapsed);
-        true
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
+        self.streams.begin_cycle(cycle);
         plan.reset(cycle);
-        let layout = self.catalog.layout();
+        let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
-
-        // Snapshot stream ids into the reusable scratch so the passes
-        // can mutate `self.streams` without holding a borrow on it.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
+        let bpg = u64::from(layout.blocks_per_group());
+        let slots = self.streams.slots();
 
         // Pass 1 — reads and allocations for every stream. All of a
         // cycle's reads are in flight while the previous groups are
@@ -254,25 +193,21 @@ impl SchemeScheduler for StreamingRaidScheduler {
         // measures the paper's 2C-per-stream peak.
         let mut incoming = std::mem::take(&mut self.incoming_scratch);
         incoming.clear();
-        for id in ids.iter().copied() {
-            // Copy the scalar fields out of the stream entry instead of
-            // cloning it: the pending_* vectors make a full clone allocate.
-            let (object, start_cluster, groups, start_cycle) = {
-                let s = &self.streams[&id];
-                (s.object, s.start_cluster, s.groups, s.start_cycle)
-            };
-            if cycle < start_cycle {
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
+            if cycle < s.start_cycle {
                 continue;
             }
-            let read_group = cycle - start_cycle;
-            if read_group >= groups {
+            let read_group = cycle - s.start_cycle;
+            if read_group >= s.groups {
                 continue;
             }
+            let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
+            let blocks = s.blocks_in_group(read_group, bpg);
             let mut reconstructed = self.vec_pool.pop().unwrap_or_default();
             reconstructed.clear();
             let mut hiccups = self.vec_pool.pop().unwrap_or_default();
             hiccups.clear();
-            let blocks = self.blocks_in_group(object, read_group);
             let cluster = layout.data_cluster(start_cluster, read_group);
             let failed = self.failed.get(&cluster);
             let parity_pos = geometry.disks_per_cluster() - 1;
@@ -317,31 +252,27 @@ impl SchemeScheduler for StreamingRaidScheduler {
             // materializes in the parity buffer), held until its
             // delivery completes next cycle; the paper charges the full
             // 2C per stream, which this reproduces at steady state.
-            self.buffers
-                .alloc(OwnerId(id.0), reads)
+            self.streams
+                .alloc(ix, reads)
                 .expect("unbounded pool never refuses an allocation");
-            incoming.push((id, reconstructed, hiccups, reads));
+            incoming.push((ix, reconstructed, hiccups, reads));
         }
 
         // Pass 2 — deliveries of the groups read last cycle, and frees.
-        for id in ids.iter().copied() {
-            // Shared borrow only — every push below targets `plan` or a
-            // disjoint field, and the mutable re-borrow happens after.
-            let Some(s) = self.streams.get(&id) else {
-                continue;
-            };
+        for ix in 0..slots {
+            let s = self.streams.slot(ix);
             if cycle < s.start_cycle + 1 {
                 continue;
             }
-            let read_group = cycle - s.start_cycle;
-            let g = read_group - 1;
+            let g = cycle - s.start_cycle - 1;
             if g >= s.groups {
                 continue;
             }
-            let blocks = self.blocks_in_group(s.object, g);
+            let id = s.id();
+            let blocks = s.blocks_in_group(g, bpg);
             for i in 0..blocks {
                 let addr = mms_layout::BlockAddr::data(s.object, g, i);
-                if s.pending_hiccups.contains(&i) {
+                if s.state.pending_hiccups.contains(&i) {
                     plan.hiccups.push(LostBlock {
                         stream: id,
                         addr,
@@ -352,38 +283,39 @@ impl SchemeScheduler for StreamingRaidScheduler {
                     plan.deliveries.push(Delivery {
                         stream: id,
                         addr,
-                        reconstructed: s.pending_reconstructed.contains(&i),
+                        reconstructed: s.state.pending_reconstructed.contains(&i),
                     });
                 }
             }
-            let st = self.streams.get_mut(&id).expect("live stream");
-            st.delivered += u64::from(blocks) - st.pending_hiccups.len() as u64;
-            st.lost += st.pending_hiccups.len() as u64;
+            let st = self.streams.slot_mut(ix);
+            let lost = st.state.pending_hiccups.len() as u64;
+            st.delivered += u64::from(blocks) - lost;
+            st.lost += lost;
             // Release exactly what was charged when this group was read.
-            let charged = st.pending_buffered;
-            st.pending_buffered = 0;
-            self.buffers
-                .free(OwnerId(id.0), charged)
+            let charged = std::mem::take(&mut st.state.pending_buffered);
+            let finished = g + 1 == st.groups;
+            let class = st.state.class as usize;
+            self.streams
+                .free(ix, charged)
                 .expect("allocated last cycle");
-            if g + 1 == st.groups {
+            if finished {
                 // Final group delivered: stream finishes.
                 plan.finished.push(id);
-                let class = st.class as usize;
                 self.class_load[class] -= 1;
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
-                continue;
+                self.streams.retire(ix);
             }
         }
 
         // Commit the just-read groups' reconstruction/hiccup state,
-        // recycling the vectors the new state displaces (or carries,
-        // for streams retired in pass 2).
-        for (id, reconstructed, hiccups, buffered) in incoming.drain(..) {
-            if let Some(st) = self.streams.get_mut(&id) {
-                let old_rec = std::mem::replace(&mut st.pending_reconstructed, reconstructed);
-                let old_hic = std::mem::replace(&mut st.pending_hiccups, hiccups);
-                st.pending_buffered = buffered;
+        // recycling the vectors the new state displaces. A stream retired
+        // in pass 2 takes its own pending vectors with it when the table
+        // compacts, so only its staged pair goes back to the pool.
+        for (ix, reconstructed, hiccups, buffered) in incoming.drain(..) {
+            let st = self.streams.slot_mut(ix);
+            if st.is_live() {
+                let old_rec = std::mem::replace(&mut st.state.pending_reconstructed, reconstructed);
+                let old_hic = std::mem::replace(&mut st.state.pending_hiccups, hiccups);
+                st.state.pending_buffered = buffered;
                 self.vec_pool.push(old_rec);
                 self.vec_pool.push(old_hic);
             } else {
@@ -392,7 +324,7 @@ impl SchemeScheduler for StreamingRaidScheduler {
             }
         }
         self.incoming_scratch = incoming;
-        self.ids_scratch = ids;
+        self.streams.end_cycle();
 
         // Sanity: no disk over capacity. Admission control guarantees it.
         let cap = self.config.slots_per_disk();
@@ -406,7 +338,7 @@ impl SchemeScheduler for StreamingRaidScheduler {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
         let catastrophic = entry.len() >= 2;
@@ -435,7 +367,7 @@ impl SchemeScheduler for StreamingRaidScheduler {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.streams.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -446,11 +378,11 @@ impl SchemeScheduler for StreamingRaidScheduler {
     }
 
     fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.streams.buffer_in_use()
     }
 
     fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.streams.buffer_high_water()
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
@@ -461,32 +393,23 @@ impl SchemeScheduler for StreamingRaidScheduler {
         if !self.failed.is_empty() {
             return PlanStability { period, stable: 0 };
         }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // The final group is read at start + groups − 1 (and may be
-            // partial); the window must end before it.
-            stable = stable.min((s.start_cycle + s.groups - 1).saturating_sub(cycle));
+        PlanStability {
+            period,
+            stable: self.streams.stable_window(cycle),
         }
-        PlanStability { period, stable }
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
         debug_assert_eq!(cycles % self.clusters(), 0, "not a whole rotation");
-        self.next_cycle += cycles;
         // Every steady cycle delivers one full group per stream; the
         // pending_* lists and buffer charge are periodic and unchanged.
         let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        for s in self.streams.values_mut() {
-            s.delivered += cycles * bpg;
-        }
+        self.streams.fast_forward(cycles, bpg);
     }
 
     fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.streams.epoch()
     }
 }
 

@@ -1,0 +1,536 @@
+//! The stream table every scheduler plans over.
+//!
+//! A cycle-based server plans a cycle in one linear pass over its active
+//! streams (Section 2: each stream reads `k` tracks and delivers `k'`
+//! per cycle), so the table is a slab in ascending [`StreamId`] order —
+//! the order every plan has always been emitted in. Ids are issued
+//! monotonically, so admission is a push; the hot passes walk slots by
+//! index and never look a stream up by id; a stream that finishes (or
+//! is dropped) mid-cycle is marked dead where it stands and the table
+//! is compacted once, at [`end_cycle`](StreamTable::end_cycle), so a
+//! slot index taken during a cycle stays valid for the whole
+//! `plan_cycle_into` call.
+//!
+//! The table also owns what all six schedulers used to duplicate around
+//! their own maps: the stream header ([`Slot`]), the buffer charge of
+//! each stream (`held`, kept in step with the pool's aggregate gauge),
+//! the id counter, the cycle cursor and the plan epoch.
+
+use crate::streams::{StreamId, StreamInfo};
+use crate::traits::{AdmissionError, RetireError};
+use mms_buffer::{BufferError, BufferPool, OwnerId};
+use mms_layout::{Catalog, Layout, ObjectId};
+
+/// Where an object sits on the disks and how long it is — what
+/// admission copies out of the catalog so planning never goes back to
+/// it. (An object cannot be retired while a stream holds it, so the
+/// copy cannot go stale.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// The object.
+    pub object: ObjectId,
+    /// Cluster holding its first parity group.
+    pub start_cluster: u32,
+    /// Parity groups in total.
+    pub groups: u64,
+    /// Data tracks in total (the final group may be partial).
+    pub tracks: u64,
+}
+
+/// One stream: the header common to every scheme plus the scheme's own
+/// per-stream state `S`.
+#[derive(Debug, Clone, Copy)]
+pub struct Slot<S> {
+    id: StreamId,
+    /// The object being delivered.
+    pub object: ObjectId,
+    /// Cluster holding the object's first parity group.
+    pub start_cluster: u32,
+    /// Parity groups still to be read in total; `release` truncates it.
+    pub groups: u64,
+    /// Data tracks of the object.
+    pub tracks: u64,
+    /// First cycle of the stream's life.
+    pub start_cycle: u64,
+    /// Data tracks delivered so far.
+    pub delivered: u64,
+    /// Data tracks lost so far.
+    pub lost: u64,
+    /// Buffer tracks currently charged to this stream.
+    held: usize,
+    live: bool,
+    /// Scheme-specific state.
+    pub state: S,
+}
+
+impl<S> Slot<S> {
+    /// The stream's id.
+    #[must_use]
+    pub fn id(&self) -> StreamId {
+        self.id
+    }
+
+    /// False once the stream has been retired this cycle; dead slots
+    /// linger until [`StreamTable::end_cycle`] so indices stay valid.
+    #[must_use]
+    pub fn is_live(&self) -> bool {
+        self.live
+    }
+
+    /// Buffer tracks currently charged to this stream.
+    #[must_use]
+    pub fn held(&self) -> usize {
+        self.held
+    }
+
+    /// Data blocks in group `g` (`bpg` a group, the last may be short).
+    #[must_use]
+    pub fn blocks_in_group(&self, g: u64, bpg: u64) -> u32 {
+        (self.tracks - g * bpg).min(bpg) as u32
+    }
+}
+
+/// Outcome of [`StreamTable::release`].
+#[derive(Debug)]
+pub enum Released<S> {
+    /// No such stream (already finished, or never admitted).
+    Unknown,
+    /// Truncated to the groups already read; the in-flight data drains
+    /// and the scheduler's normal finish path retires the stream.
+    Draining,
+    /// Nothing had been read: the stream is gone, and its scheme state
+    /// is handed back so the scheduler can return its admission slot.
+    Retired(S),
+}
+
+/// Active streams in ascending id order, with their buffer charge.
+#[derive(Debug)]
+pub struct StreamTable<S> {
+    slots: Vec<Slot<S>>,
+    /// Live slots (`slots.len()` minus the dead ones awaiting compaction).
+    live: usize,
+    /// Cycles between one stream's consecutive group reads.
+    read_period: u64,
+    buffers: BufferPool,
+    next_stream: u64,
+    next_cycle: u64,
+    epoch: u64,
+}
+
+impl<S> StreamTable<S> {
+    /// An empty table for a scheme whose streams read one parity group
+    /// every `read_period` cycles (1 for whole-group-per-cycle schemes,
+    /// `k/k′` for staggered ones, `C−1` for block-per-cycle ones).
+    #[must_use]
+    pub fn new(read_period: u64) -> Self {
+        assert!(read_period >= 1, "a stream reads at least every cycle");
+        StreamTable {
+            slots: Vec::new(),
+            live: 0,
+            read_period,
+            buffers: BufferPool::unbounded(),
+            next_stream: 0,
+            next_cycle: 0,
+            epoch: 0,
+        }
+    }
+
+    /// Active streams.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// True when no stream is active.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The next cycle to be planned.
+    #[must_use]
+    pub fn next_cycle(&self) -> u64 {
+        self.next_cycle
+    }
+
+    /// The plan epoch (see [`crate::SchemeScheduler::plan_epoch`]).
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Record a state change that invalidates reported stability
+    /// windows. Admission and release bump the epoch themselves;
+    /// schedulers call this for failures and repairs.
+    pub fn bump_epoch(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Buffer tracks charged across all streams.
+    #[must_use]
+    pub fn buffer_in_use(&self) -> usize {
+        self.buffers.in_use()
+    }
+
+    /// Peak buffer tracks ever charged.
+    #[must_use]
+    pub fn buffer_high_water(&self) -> usize {
+        self.buffers.high_water()
+    }
+
+    /// Admission prologue: look `object` up in the catalog.
+    ///
+    /// # Panics
+    /// Panics if `at_cycle` is already planned.
+    pub fn placement<L: Layout>(
+        &self,
+        catalog: &Catalog<L>,
+        object: ObjectId,
+        at_cycle: u64,
+    ) -> Result<Placement, AdmissionError> {
+        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
+        let placed = catalog
+            .get(object)
+            .map_err(|_| AdmissionError::UnknownObject { object })?;
+        Ok(Placement {
+            object,
+            start_cluster: placed.start_cluster,
+            groups: placed.groups,
+            tracks: placed.object.tracks,
+        })
+    }
+
+    /// Admit a stream starting at `at_cycle`; returns its fresh id.
+    pub fn admit(&mut self, placement: Placement, at_cycle: u64, state: S) -> StreamId {
+        let id = StreamId(self.next_stream);
+        self.next_stream += 1;
+        self.epoch += 1;
+        self.live += 1;
+        self.slots.push(Slot {
+            id,
+            object: placement.object,
+            start_cluster: placement.start_cluster,
+            groups: placement.groups,
+            tracks: placement.tracks,
+            start_cycle: at_cycle,
+            delivered: 0,
+            lost: 0,
+            held: 0,
+            live: true,
+            state,
+        });
+        id
+    }
+
+    /// Slot index of live stream `id` — a binary search, for the paths
+    /// that start from an id (`stream_info`, `release`, a drop, a
+    /// deferred free), not for the per-stream passes.
+    #[must_use]
+    pub fn find(&self, id: StreamId) -> Option<usize> {
+        self.slots
+            .binary_search_by_key(&id, |s| s.id)
+            .ok()
+            .filter(|&ix| self.slots[ix].live)
+    }
+
+    /// [`find`](Self::find), trying slot `hint` first: a list of ids
+    /// recorded in table order resolves in O(1) each by passing the
+    /// previous hit plus one.
+    #[must_use]
+    pub fn find_from(&self, hint: usize, id: StreamId) -> Option<usize> {
+        match self.slots.get(hint) {
+            Some(s) if s.id == id => Some(hint).filter(|_| s.live),
+            _ => self.find(id),
+        }
+    }
+
+    /// Number of slots, dead ones included: the index range of a pass.
+    #[must_use]
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot at `ix` (live or dead).
+    #[must_use]
+    pub fn slot(&self, ix: usize) -> &Slot<S> {
+        &self.slots[ix]
+    }
+
+    /// The slot at `ix`, mutably.
+    pub fn slot_mut(&mut self, ix: usize) -> &mut Slot<S> {
+        &mut self.slots[ix]
+    }
+
+    /// The live streams, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &Slot<S>> {
+        self.slots.iter().filter(|s| s.live)
+    }
+
+    /// Charge `tracks` buffer tracks to the stream in slot `ix`.
+    pub fn alloc(&mut self, ix: usize, tracks: usize) -> Result<(), BufferError> {
+        self.buffers.charge(tracks)?;
+        self.slots[ix].held += tracks;
+        Ok(())
+    }
+
+    /// Release `tracks` of what slot `ix` holds; refuses (and changes
+    /// nothing) if it holds less — which includes every dead slot.
+    pub fn free(&mut self, ix: usize, tracks: usize) -> Result<(), BufferError> {
+        let slot = &mut self.slots[ix];
+        if tracks > slot.held {
+            return Err(BufferError::Underflow {
+                owner: OwnerId(slot.id.0),
+                held: slot.held,
+                freeing: tracks,
+            });
+        }
+        slot.held -= tracks;
+        self.buffers.release(tracks);
+        Ok(())
+    }
+
+    /// Retire the stream in slot `ix`: release everything it holds and
+    /// mark the slot dead. The slot stays in place until
+    /// [`end_cycle`](Self::end_cycle) (or [`compact`](Self::compact)).
+    pub fn retire(&mut self, ix: usize) {
+        let slot = &mut self.slots[ix];
+        if !slot.live {
+            return;
+        }
+        slot.live = false;
+        self.buffers.release(slot.held);
+        slot.held = 0;
+        self.live -= 1;
+    }
+
+    /// Drop the slots retired since the last compaction. Outside a cycle
+    /// (a release before the first read, streams dropped by a failure)
+    /// callers compact at once; inside one, `end_cycle` does.
+    pub fn compact(&mut self) {
+        if self.live != self.slots.len() {
+            self.slots.retain(|s| s.live);
+        }
+    }
+
+    /// Open cycle `cycle` for planning.
+    ///
+    /// # Panics
+    /// Panics unless `cycle` is the next unplanned cycle.
+    pub fn begin_cycle(&mut self, cycle: u64) {
+        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
+        self.next_cycle += 1;
+    }
+
+    /// Close the cycle: compact away the streams retired during it.
+    pub fn end_cycle(&mut self) {
+        self.compact();
+    }
+
+    /// Public snapshot of stream `id`.
+    #[must_use]
+    pub fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
+        let s = &self.slots[self.find(id)?];
+        Some(StreamInfo {
+            id,
+            object: s.object,
+            admitted_at: s.start_cycle,
+            groups: s.groups,
+            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.read_period)
+                .min(s.groups),
+            delivered_tracks: s.delivered,
+            lost_tracks: s.lost,
+        })
+    }
+
+    /// Gracefully release stream `id` (see
+    /// [`crate::SchemeScheduler::release`]): group `g` is read at
+    /// `start + g·read_period`, so the groups already resident are the
+    /// ceiling of the elapsed span over the period; the stream is
+    /// truncated to them, or retired outright if there are none.
+    pub fn release(&mut self, id: StreamId) -> Released<S> {
+        let Some(ix) = self.find(id) else {
+            return Released::Unknown;
+        };
+        self.epoch += 1;
+        let slot = &mut self.slots[ix];
+        let read = self
+            .next_cycle
+            .saturating_sub(slot.start_cycle)
+            .div_ceil(self.read_period);
+        if read > 0 {
+            slot.groups = slot.groups.min(read);
+            return Released::Draining;
+        }
+        self.retire(ix);
+        Released::Retired(self.slots.remove(ix).state)
+    }
+
+    /// Streams currently delivering `object`.
+    #[must_use]
+    pub fn streams_on(&self, object: ObjectId) -> usize {
+        self.iter().filter(|s| s.object == object).count()
+    }
+
+    /// Retire `object` from `catalog` (the purge path), refusing while
+    /// any stream is still delivering it.
+    pub fn retire_object<L: Layout>(
+        &self,
+        catalog: &mut Catalog<L>,
+        object: ObjectId,
+    ) -> Result<(), RetireError> {
+        let streams = self.streams_on(object);
+        if streams > 0 {
+            return Err(RetireError::InUse { object, streams });
+        }
+        catalog
+            .remove(object)
+            .map(|_| ())
+            .map_err(|_| RetireError::NotFound { object })
+    }
+
+    /// How many cycles from `cycle` every stream stays in steady state:
+    /// 0 while any stream is still in its warm-up cycle, otherwise the
+    /// distance to the earliest final-group read (the final group may
+    /// be partial, so the window ends strictly before it).
+    #[must_use]
+    pub fn stable_window(&self, cycle: u64) -> u64 {
+        let mut stable = u64::MAX;
+        for s in self.iter() {
+            if cycle <= s.start_cycle {
+                return 0;
+            }
+            let final_read = s.start_cycle + (s.groups - 1) * self.read_period;
+            stable = stable.min(final_read.saturating_sub(cycle));
+        }
+        stable
+    }
+
+    /// Skip `cycles` steady cycles in which every stream delivers
+    /// `tracks_per_cycle` tracks.
+    pub fn fast_forward(&mut self, cycles: u64, tracks_per_cycle: u64) {
+        self.next_cycle += cycles;
+        for s in self.slots.iter_mut().filter(|s| s.live) {
+            s.delivered += cycles * tracks_per_cycle;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn placement(object: u64, groups: u64) -> Placement {
+        Placement {
+            object: ObjectId(object),
+            start_cluster: 0,
+            groups,
+            tracks: groups * 4,
+        }
+    }
+
+    #[test]
+    fn admit_issues_ascending_ids_and_find_locates_them() {
+        let mut t: StreamTable<u8> = StreamTable::new(1);
+        let a = t.admit(placement(0, 3), 0, 7);
+        let b = t.admit(placement(1, 3), 0, 8);
+        assert_eq!((a, b), (StreamId(0), StreamId(1)));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.find(b), Some(1));
+        assert_eq!(t.slot(1).state, 8);
+        assert_eq!(t.find(StreamId(2)), None);
+        assert_eq!(t.epoch(), 2);
+    }
+
+    #[test]
+    fn retired_slots_keep_their_index_until_the_cycle_ends() {
+        let mut t: StreamTable<()> = StreamTable::new(1);
+        let ids: Vec<_> = (0..4).map(|i| t.admit(placement(i, 2), 0, ())).collect();
+        t.begin_cycle(0);
+        t.alloc(1, 5).unwrap();
+        t.alloc(2, 3).unwrap();
+        t.retire(1);
+        // Dead, but still in place: slot 2 is still slot 2.
+        assert_eq!(t.slots(), 4);
+        assert_eq!(t.len(), 3);
+        assert!(!t.slot(1).is_live());
+        assert_eq!(t.find(ids[1]), None);
+        assert_eq!(t.find(ids[2]), Some(2));
+        assert_eq!(t.buffer_in_use(), 3);
+        t.end_cycle();
+        assert_eq!(t.slots(), 3);
+        assert_eq!(t.find(ids[2]), Some(1));
+        assert_eq!(t.find(ids[3]), Some(2));
+        assert_eq!(
+            t.iter().map(Slot::id).collect::<Vec<_>>(),
+            [ids[0], ids[2], ids[3]]
+        );
+        assert_eq!(t.buffer_high_water(), 8);
+    }
+
+    #[test]
+    fn free_refuses_more_than_the_slot_holds() {
+        let mut t: StreamTable<()> = StreamTable::new(1);
+        let id = t.admit(placement(0, 2), 0, ());
+        t.alloc(0, 2).unwrap();
+        assert_eq!(
+            t.free(0, 3),
+            Err(BufferError::Underflow {
+                owner: OwnerId(id.0),
+                held: 2,
+                freeing: 3
+            })
+        );
+        assert_eq!(t.buffer_in_use(), 2);
+        t.free(0, 2).unwrap();
+        t.retire(0);
+        // A retired stream holds nothing: the tolerant frees are no-ops.
+        assert!(t.free(0, 1).is_err());
+        t.free(0, 0).unwrap();
+        assert_eq!(t.buffer_in_use(), 0);
+    }
+
+    #[test]
+    fn release_retires_unread_streams_and_truncates_the_rest() {
+        let mut t: StreamTable<u32> = StreamTable::new(4);
+        let early = t.admit(placement(0, 10), 0, 11);
+        let unread = t.admit(placement(1, 10), 1, 22);
+        t.begin_cycle(0);
+        t.end_cycle();
+        // One cycle in: `early` has read group 0, `unread` nothing.
+        assert!(matches!(t.release(unread), Released::Retired(22)));
+        assert!(matches!(t.release(unread), Released::Unknown));
+        assert!(matches!(t.release(early), Released::Draining));
+        assert_eq!(t.stream_info(early).unwrap().groups, 1);
+        assert_eq!(t.len(), 1);
+        for c in 1..6 {
+            t.begin_cycle(c);
+            t.end_cycle();
+        }
+        // Six cycles at period 4: two groups read, capped by `groups`.
+        assert_eq!(t.stream_info(early).unwrap().next_group, 1);
+    }
+
+    #[test]
+    fn stable_window_ends_before_the_first_final_read() {
+        let mut t: StreamTable<()> = StreamTable::new(2);
+        assert_eq!(t.stable_window(0), u64::MAX);
+        t.admit(placement(0, 5), 0, ());
+        assert_eq!(t.stable_window(0), 0, "warm-up");
+        // Final group (4) is read at 0 + 4·2 = 8.
+        assert_eq!(t.stable_window(3), 5);
+        t.admit(placement(1, 2), 3, ());
+        assert_eq!(t.stable_window(3), 0, "second stream warming up");
+        assert_eq!(t.stable_window(4), 1);
+    }
+
+    #[test]
+    fn find_from_uses_the_hint_and_survives_a_wrong_one() {
+        let mut t: StreamTable<()> = StreamTable::new(1);
+        let ids: Vec<_> = (0..5).map(|i| t.admit(placement(i, 2), 0, ())).collect();
+        t.retire(2);
+        assert_eq!(t.find_from(1, ids[1]), Some(1));
+        assert_eq!(t.find_from(0, ids[3]), Some(3));
+        assert_eq!(t.find_from(2, ids[2]), None, "dead slot");
+        assert_eq!(t.find_from(99, ids[4]), Some(4));
+    }
+}

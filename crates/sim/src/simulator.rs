@@ -162,10 +162,6 @@ pub struct Simulator<S: SchemeScheduler> {
     /// Reused cycle-plan storage: reset and refilled every step, so the
     /// steady-state loop rebuilds no per-cycle containers.
     plan: CyclePlan,
-    /// Reused per-disk load table for the rebuild idle-slot computation,
-    /// sorted by disk id (a Vec reuses its capacity across cycles where a
-    /// `BTreeMap` would free and reallocate its nodes every clear+extend).
-    loads: Vec<(mms_disk::DiskId, usize)>,
     /// Reused scratch for the rebuild reads issued this cycle.
     rebuild_reads: Vec<(mms_disk::DiskId, usize)>,
     /// How the run drivers advance time.
@@ -207,7 +203,6 @@ impl<S: SchemeScheduler> Simulator<S> {
             trace: Vec::new(),
             trace_limit: 0,
             plan: CyclePlan::empty(0),
-            loads: Vec::new(),
             rebuild_reads: Vec::new(),
             step_mode: StepMode::default(),
             probe_journal: Vec::new(),
@@ -470,22 +465,16 @@ impl<S: SchemeScheduler> Simulator<S> {
             let p = self.disks.disk(mms_disk::DiskId(0))?.params();
             p.slots_per_cycle(t_cyc)
         };
-        self.loads.clear();
-        // `plan.reads` is a BTreeMap, so this extend yields entries in
-        // ascending disk order — the binary search below relies on it.
-        self.loads
-            .extend(self.plan.reads.iter().map(|(&d, v)| (d, v.len())));
         self.rebuild_reads.clear();
         let disks_view = &self.disks;
-        let loads_view = &self.loads;
+        let plan = &self.plan;
         let rebuild_reads = &mut self.rebuild_reads;
         let finished_rebuilds = self.rebuilds.advance(
             |d| {
                 if disks_view.is_operational(d) {
-                    let load = loads_view
-                        .binary_search_by_key(&d, |&(disk, _)| disk)
-                        .map_or(0, |ix| loads_view[ix].1);
-                    slots.saturating_sub(load)
+                    // `plan.reads` is indexed by disk, so a disk's load
+                    // is a direct lookup.
+                    slots.saturating_sub(plan.reads_on(d).len())
                 } else {
                     0
                 }
