@@ -77,7 +77,6 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
     .map(|ty| format!("{ty}::plan_cycle_into"));
     let table = [
         "begin_cycle",
-        "end_cycle",
         "slot",
         "slot_mut",
         "alloc",

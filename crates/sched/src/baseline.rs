@@ -208,7 +208,7 @@ impl SchemeScheduler for BaselineScheduler {
                 self.streams.retire(ix);
             }
         }
-        self.streams.end_cycle();
+        self.streams.compact();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {

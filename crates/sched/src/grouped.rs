@@ -284,7 +284,7 @@ impl SchemeScheduler for GroupedScheduler {
                     .expect("parity_held implies a parity buffer is allocated");
             }
         }
-        self.streams.end_cycle();
+        self.streams.compact();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {

@@ -556,7 +556,7 @@ impl SchemeScheduler for ImprovedScheduler {
             }
         }
         self.incoming_scratch = incoming;
-        self.streams.end_cycle();
+        self.streams.compact();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, mid_cycle: bool) -> FailureReport {

@@ -55,7 +55,9 @@ pub use cycle::CycleConfig;
 pub use grouped::GroupedScheduler;
 pub use improved::ImprovedScheduler;
 pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};
-pub use plan::{CyclePlan, Delivery, DiskReads, LossReason, LostBlock, PlannedRead, ReadPurpose};
+pub use plan::{
+    CyclePlan, Delivery, DiskReads, DiskReadsIter, LossReason, LostBlock, PlannedRead, ReadPurpose,
+};
 pub use staggered::StaggeredScheduler;
 pub use streaming_raid::StreamingRaidScheduler;
 pub use streams::{StreamId, StreamInfo};

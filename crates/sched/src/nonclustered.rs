@@ -702,7 +702,9 @@ impl SchemeScheduler for NonClusteredScheduler {
         if let Some(extras) = self.extra_reads.remove(&cycle) {
             for (disk, read) in extras {
                 // One buffer per extra read, or for the XOR accumulator
-                // the zero-disk marker stands for.
+                // the zero-disk marker stands for. A stream dropped
+                // since the transition was planned has no slot to charge
+                // (and its pending free will find none to release).
                 if let Some(ix) = self.streams.find(read.stream) {
                     self.streams
                         .alloc(ix, 1)
@@ -915,7 +917,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
             }
         }
-        self.streams.end_cycle();
+        self.streams.compact();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {

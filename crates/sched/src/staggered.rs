@@ -327,7 +327,7 @@ impl SchemeScheduler for StaggeredScheduler {
                     .expect("parity_held implies a parity buffer is allocated");
             }
         }
-        self.streams.end_cycle();
+        self.streams.compact();
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {

@@ -324,7 +324,7 @@ impl SchemeScheduler for StreamingRaidScheduler {
             }
         }
         self.incoming_scratch = incoming;
-        self.streams.end_cycle();
+        self.streams.compact();
 
         // Sanity: no disk over capacity. Admission control guarantees it.
         let cap = self.config.slots_per_disk();

@@ -7,9 +7,9 @@
 //! monotonically, so admission is a push; the hot passes walk slots by
 //! index and never look a stream up by id; a stream that finishes (or
 //! is dropped) mid-cycle is marked dead where it stands and the table
-//! is compacted once, at [`end_cycle`](StreamTable::end_cycle), so a
-//! slot index taken during a cycle stays valid for the whole
-//! `plan_cycle_into` call.
+//! is compacted once, by the [`compact`](StreamTable::compact) that ends
+//! `plan_cycle_into`, so a slot index taken during a cycle stays valid
+//! for the whole call.
 //!
 //! The table also owns what all six schedulers used to duplicate around
 //! their own maps: the stream header ([`Slot`]), the buffer charge of
@@ -71,7 +71,7 @@ impl<S> Slot<S> {
     }
 
     /// False once the stream has been retired this cycle; dead slots
-    /// linger until [`StreamTable::end_cycle`] so indices stay valid.
+    /// linger until [`StreamTable::compact`] so indices stay valid.
     #[must_use]
     pub fn is_live(&self) -> bool {
         self.live
@@ -291,7 +291,7 @@ impl<S> StreamTable<S> {
 
     /// Retire the stream in slot `ix`: release everything it holds and
     /// mark the slot dead. The slot stays in place until
-    /// [`end_cycle`](Self::end_cycle) (or [`compact`](Self::compact)).
+    /// [`compact`](Self::compact).
     pub fn retire(&mut self, ix: usize) {
         let slot = &mut self.slots[ix];
         if !slot.live {
@@ -303,9 +303,9 @@ impl<S> StreamTable<S> {
         self.live -= 1;
     }
 
-    /// Drop the slots retired since the last compaction. Outside a cycle
-    /// (a release before the first read, streams dropped by a failure)
-    /// callers compact at once; inside one, `end_cycle` does.
+    /// Drop the slots retired since the last compaction: once, as the
+    /// last step of `plan_cycle_into`, and at once wherever streams are
+    /// retired outside a cycle (streams dropped by a failure).
     pub fn compact(&mut self) {
         if self.live != self.slots.len() {
             self.slots.retain(|s| s.live);
@@ -319,11 +319,6 @@ impl<S> StreamTable<S> {
     pub fn begin_cycle(&mut self, cycle: u64) {
         assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
         self.next_cycle += 1;
-    }
-
-    /// Close the cycle: compact away the streams retired during it.
-    pub fn end_cycle(&mut self) {
-        self.compact();
     }
 
     /// Public snapshot of stream `id`.
@@ -365,12 +360,6 @@ impl<S> StreamTable<S> {
         Released::Retired(self.slots.remove(ix).state)
     }
 
-    /// Streams currently delivering `object`.
-    #[must_use]
-    pub fn streams_on(&self, object: ObjectId) -> usize {
-        self.iter().filter(|s| s.object == object).count()
-    }
-
     /// Retire `object` from `catalog` (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object<L: Layout>(
@@ -378,7 +367,7 @@ impl<S> StreamTable<S> {
         catalog: &mut Catalog<L>,
         object: ObjectId,
     ) -> Result<(), RetireError> {
-        let streams = self.streams_on(object);
+        let streams = self.iter().filter(|s| s.object == object).count();
         if streams > 0 {
             return Err(RetireError::InUse { object, streams });
         }
@@ -456,7 +445,7 @@ mod tests {
         assert_eq!(t.find(ids[1]), None);
         assert_eq!(t.find(ids[2]), Some(2));
         assert_eq!(t.buffer_in_use(), 3);
-        t.end_cycle();
+        t.compact();
         assert_eq!(t.slots(), 3);
         assert_eq!(t.find(ids[2]), Some(1));
         assert_eq!(t.find(ids[3]), Some(2));
@@ -495,7 +484,7 @@ mod tests {
         let early = t.admit(placement(0, 10), 0, 11);
         let unread = t.admit(placement(1, 10), 1, 22);
         t.begin_cycle(0);
-        t.end_cycle();
+        t.compact();
         // One cycle in: `early` has read group 0, `unread` nothing.
         assert!(matches!(t.release(unread), Released::Retired(22)));
         assert!(matches!(t.release(unread), Released::Unknown));
@@ -504,7 +493,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         for c in 1..6 {
             t.begin_cycle(c);
-            t.end_cycle();
+            t.compact();
         }
         // Six cycles at period 4: two groups read, capped by `groups`.
         assert_eq!(t.stream_info(early).unwrap().next_group, 1);

@@ -225,7 +225,7 @@ proptest! {
                         }
                         prop_assert_eq!(table.len(), model.len());
                     }
-                    table.end_cycle();
+                    table.compact();
                     prop_assert_eq!(table.next_cycle(), cycle + 1);
                     prop_assert_eq!(table.epoch(), epoch, "planning is not a plan-epoch event");
                 }

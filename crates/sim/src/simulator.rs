@@ -410,10 +410,8 @@ impl<S: SchemeScheduler> Simulator<S> {
         };
         {
             let _s = span!(Level::Debug, "read", cycle = cycle);
+            // Only the disks with reads this cycle, in ascending order.
             for (&disk, reads) in &self.plan.reads {
-                if reads.is_empty() {
-                    continue;
-                }
                 let t = self.disks.disk_mut(disk)?.read_tracks(reads.len(), t_cyc)?;
                 self.metrics.disk_busy += t;
                 report.tracks_read += reads.len();
