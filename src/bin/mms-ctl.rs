@@ -110,25 +110,108 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+/// One subcommand: the dispatcher, the usage text and the
+/// unknown-subcommand error are all read off [`COMMANDS`].
+struct Command {
+    name: &'static str,
+    /// Positionals and flags, as shown on the command's usage line.
+    synopsis: &'static str,
+    run: fn(&[String]) -> CmdResult,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "table",
+        synopsis: "[C]",
+        run: cmd_table,
+    },
+    Command {
+        name: "simulate",
+        synopsis:
+            "[--scheme sr|sg|nc|ib] [--disks N] [--group C] [--viewers N] [--tracks N] \
+                   [--fail DISK@CYCLE]… [--repair DISK@CYCLE]… [--rebuild DISK@CYCLE]… [--cycles N]",
+        run: cmd_simulate,
+    },
+    Command {
+        name: "mttf",
+        synopsis: "<D> <C> [--mc TRIALS]",
+        run: cmd_mttf,
+    },
+    Command {
+        name: "design",
+        synopsis: "<streams> [--threads N|auto|seq]",
+        run: cmd_design,
+    },
+    Command {
+        name: "scenario",
+        synopsis: "<name|all|list> [--quick]",
+        run: cmd_scenario,
+    },
+    Command {
+        name: "workload",
+        synopsis: "[--scheme sr|sg|nc|ib] [--disks N] [--group C] [--movies N] [--tracks N] \
+                   [--cycles N] [--theta F] [--rate F] [--burst Q:B:PIN:POUT] \
+                   [--policy reject|degrade|queue] [--threshold F] [--quality F] [--max-wait N] \
+                   [--vbr A,B,…] [--abandon F] [--fail DISK@CYCLE]… [--seed N]",
+        run: cmd_workload,
+    },
+    Command {
+        name: "fleet",
+        synopsis: "[corpus [--quick]|list|<case>] [--nodes N] [--scheme sr|sg|nc|ib] [--disks N] \
+                   [--group C] [--movies N] [--tracks N] [--cycles N] [--rate F] [--theta F] \
+                   [--fail-node N@CYCLE]… [--repair-node N@CYCLE]… [--seed N] [--mttf TRIALS] \
+                   [--node-mttf-h H] [--node-mttr-h H]",
+        run: cmd_fleet,
+    },
+    Command {
+        name: "trace",
+        synopsis: "<flight.jsonl> [--session ID]",
+        run: cmd_trace,
+    },
+];
+
+/// Flags every run-style subcommand accepts (see [`RunConfig`]).
+const RUN_FLAGS: &str = "[--threads N|auto|seq] [--fast-forward] [--telemetry PATH.jsonl] \
+                         [--log-level error|warn|info|debug|trace] [--dash] [--flight-recorder PATH] \
+                         [--flight-capacity N] [--prom-out PATH] [--perfetto-out PATH] [--slo]";
+
+/// The usage text: one line per subcommand with its flags.
+fn usage() -> String {
+    let mut text = String::from("usage: mms-ctl <command> [options]\n\ncommands:\n");
+    for c in COMMANDS {
+        text.push_str(&format!("  {:<9} {}\n", c.name, c.synopsis));
+    }
+    text.push_str("  help      print this text (also --help, -h)\n");
+    text.push_str(&format!(
+        "\nsimulate, mttf, scenario, workload and fleet also take:\n  {RUN_FLAGS}\n"
+    ));
+    text
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("table") => cmd_table(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("mttf") => cmd_mttf(&args[1..]),
-        Some("design") => cmd_design(&args[1..]),
-        Some("scenario") => cmd_scenario(&args[1..]),
-        Some("workload") => cmd_workload(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: mms-ctl <table|simulate|mttf|design|scenario|workload|fleet|trace> …  (see --help in source)"
-            );
-            return ExitCode::FAILURE;
+    let name = args.first().map(String::as_str);
+    if matches!(name, Some("--help" | "-h" | "help")) {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| Some(c.name) == name) else {
+        match name {
+            Some(other) => {
+                let known: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+                eprintln!(
+                    "error: unknown subcommand `{other}` (expected one of: {})\n",
+                    known.join(", ")
+                );
+            }
+            None => eprintln!("error: missing subcommand\n"),
         }
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
     };
-    match result {
+    match (command.run)(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -136,8 +219,6 @@ fn main() -> ExitCode {
         }
     }
 }
-
-type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 fn cmd_table(args: &[String]) -> CmdResult {
     let c: usize = args.first().map_or(Ok(5), |s| s.parse())?;

@@ -86,3 +86,64 @@ fn bad_arguments_fail_gracefully() {
     assert!(!ok);
     assert!(stderr.contains("DISK@CYCLE"), "{stderr}");
 }
+
+/// Every subcommand the dispatcher knows, as the usage text names them.
+const SUBCOMMANDS: [&str; 8] = [
+    "table", "simulate", "mttf", "design", "scenario", "workload", "fleet", "trace",
+];
+
+#[test]
+fn help_prints_the_usage_on_stdout_and_succeeds() {
+    let (reference, _, _) = ctl(&["--help"]);
+    for flag in ["--help", "-h", "help"] {
+        let (stdout, stderr, ok) = ctl(&[flag]);
+        assert!(ok, "{flag} must exit 0");
+        assert!(stderr.is_empty(), "{flag}: {stderr}");
+        assert_eq!(stdout, reference, "{flag} prints the same text");
+    }
+    assert!(reference.starts_with("usage: mms-ctl"), "{reference}");
+    // One line per subcommand, led by its name, carrying its flags.
+    for name in SUBCOMMANDS {
+        let lines: Vec<&str> = reference
+            .lines()
+            .filter(|l| l.trim_start().starts_with(&format!("{name} ")))
+            .collect();
+        assert_eq!(lines.len(), 1, "`{name}` in:\n{reference}");
+    }
+    for flag in [
+        "--rebuild DISK@CYCLE",
+        "--policy reject|degrade|queue",
+        "--fail-node N@CYCLE",
+    ] {
+        assert!(
+            reference.contains(flag),
+            "{flag} missing from:\n{reference}"
+        );
+    }
+    assert!(reference.contains("--fast-forward"), "{reference}");
+    assert!(!reference.contains("in source"), "{reference}");
+}
+
+#[test]
+fn a_bad_or_missing_subcommand_prints_the_usage_on_stderr_and_fails() {
+    let (help, _, _) = ctl(&["--help"]);
+    let (stdout, stderr, ok) = ctl(&["nonsense"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("unknown subcommand `nonsense`"), "{stderr}");
+    // The error names every subcommand, from the table the usage uses.
+    let first = stderr.lines().next().unwrap_or_default();
+    for name in SUBCOMMANDS {
+        assert!(first.contains(name), "`{name}` missing from: {first}");
+    }
+    assert!(
+        stderr.ends_with(&help),
+        "usage follows the error:\n{stderr}"
+    );
+
+    let (stdout, stderr, ok) = ctl(&[]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("missing subcommand"), "{stderr}");
+    assert!(stderr.ends_with(&help), "{stderr}");
+}
