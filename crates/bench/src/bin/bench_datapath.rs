@@ -3,13 +3,17 @@
 //! steady-state cycle loop — and write the results to
 //! `BENCH_datapath.json`.
 //!
-//! Three measurements:
+//! Four measurements:
 //! * **XOR kernel** — MB/s of the `u64`-lane [`xor_slices`] against a
 //!   byte-at-a-time scalar reference loop.
-//! * **Verified deliveries** — degraded-mode deliveries per second and
-//!   heap allocations per delivery, for the legacy materializing path
+//! * **Synthetic kernel** — MB/s of the four kernels that draw from the
+//!   ground-truth generator: fill, XOR-in, fold-only, and the fused
+//!   fill-and-fold.
+//! * **Verified deliveries** — deliveries per second and heap
+//!   allocations per delivery, for the legacy materializing path
 //!   (`block` + `reconstruct_and_check`) vs the pooled streaming path
-//!   (`verify_delivery`).
+//!   (`verify_delivery`), the latter split into plain and reconstructed
+//!   deliveries.
 //! * **Simulator cycles** — heap allocations per steady-state cycle of a
 //!   degraded Streaming-RAID run under `DataMode::Verified`.
 //!
@@ -19,17 +23,22 @@
 //!
 //! Usage: `bench_datapath [output.json] [--quick]`
 //!
-//! `--quick` shrinks every workload to a smoke-test size (used by CI to
-//! prove the bin runs); the committed JSON comes from a full run.
+//! `--quick` shrinks every workload to a smoke-test size; the committed
+//! JSON comes from a full run. Either way the exit status is non-zero if
+//! a streaming delivery or a simulator cycle allocated: zero is the
+//! contract, and CI runs this bin to enforce it.
 
 use mms_server::disk::DiskId;
 use mms_server::layout::{BandwidthClass, BlockAddr, MediaObject, ObjectId};
-use mms_server::parity::xor_slices;
+use mms_server::parity::{
+    fill_synthetic, fill_synthetic_folded, synthetic_fingerprint, xor_slices, xor_synthetic,
+};
 use mms_server::sim::{BlockOracle, DataMode, FailureEvent};
 use mms_server::{Scheme, ServerBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -86,26 +95,9 @@ struct XorResult {
 
 fn bench_xor(quick: bool) -> XorResult {
     let passes = if quick { 64 } else { 4096 };
-    let mut dst = vec![0xA5u8; TRACK_BYTES];
     let src: Vec<u8> = (0..TRACK_BYTES).map(|i| (i * 131) as u8).collect();
-    let mb = (passes * TRACK_BYTES) as f64 / 1e6;
-
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    for _ in 0..passes {
-        xor_scalar_reference(&mut dst, &src);
-    }
-    let scalar_mb_per_s = mb / start.elapsed().as_secs_f64();
-    black_box(&dst);
-
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    for _ in 0..passes {
-        xor_slices(&mut dst, &src);
-    }
-    let wordwise_mb_per_s = mb / start.elapsed().as_secs_f64();
-    black_box(&dst);
-
+    let scalar_mb_per_s = track_mb_per_s(passes, |_, dst| xor_scalar_reference(dst, &src));
+    let wordwise_mb_per_s = track_mb_per_s(passes, |_, dst| xor_slices(dst, &src));
     XorResult {
         passes,
         scalar_mb_per_s,
@@ -114,18 +106,56 @@ fn bench_xor(quick: bool) -> XorResult {
     }
 }
 
+/// MB/s of `call(pass, track)` over `passes` 50 KB tracks.
+fn track_mb_per_s(passes: usize, mut call: impl FnMut(u64, &mut [u8])) -> f64 {
+    let mut track = vec![0u8; TRACK_BYTES];
+    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
+    let start = Instant::now();
+    for pass in 0..passes as u64 {
+        call(pass, black_box(&mut track));
+    }
+    let secs = start.elapsed().as_secs_f64();
+    black_box(&track);
+    (passes * TRACK_BYTES) as f64 / 1e6 / secs
+}
+
+struct SyntheticResult {
+    passes: usize,
+    fill_mb_per_s: f64,
+    xor_in_mb_per_s: f64,
+    fold_only_mb_per_s: f64,
+    fused_mb_per_s: f64,
+}
+
+/// The ground-truth generator's four kernels, one 50 KB track per pass.
+fn bench_synthetic(quick: bool) -> SyntheticResult {
+    let passes = if quick { 64 } else { 4096 };
+    SyntheticResult {
+        passes,
+        fill_mb_per_s: track_mb_per_s(passes, |t, out| fill_synthetic(7, t, out)),
+        xor_in_mb_per_s: track_mb_per_s(passes, |t, out| xor_synthetic(7, t, out)),
+        fold_only_mb_per_s: track_mb_per_s(passes, |t, out| {
+            black_box(synthetic_fingerprint(7, t, out.len()));
+        }),
+        fused_mb_per_s: track_mb_per_s(passes, |t, out| {
+            black_box(fill_synthetic_folded(7, t, out));
+        }),
+    }
+}
+
 struct DeliveryResult {
     deliveries: usize,
     legacy_per_s: f64,
     legacy_allocs_per: f64,
-    streaming_per_s: f64,
+    plain_per_s: f64,
+    reconstructed_per_s: f64,
     streaming_allocs_per: f64,
 }
 
-/// Degraded-mode verified deliveries: every delivery reconstructs data
-/// block `i % (C−1)` of a rotating group, then confirms it against the
-/// stored original — the legacy path by materializing the whole group,
-/// the streaming path through pooled scratch.
+/// Verified deliveries of data block `i % (C−1)` of a rotating group.
+/// The legacy path reconstructs it by materializing the whole group;
+/// the streaming path verifies it through pooled scratch, once as a
+/// plain delivery and once as a reconstructed one.
 fn bench_deliveries(quick: bool) -> DeliveryResult {
     let deliveries = if quick { 32 } else { 2000 };
     let object = ObjectId(7);
@@ -147,27 +177,27 @@ fn bench_deliveries(quick: bool) -> DeliveryResult {
     let legacy_allocs = allocations() - allocs_before;
     let legacy_secs = start.elapsed().as_secs_f64();
 
-    // Warm the pool and fingerprint cache, then measure the steady state.
-    for i in 0..4u64 {
-        oracle.verify_delivery(BlockAddr::data(object, i % groups, 0), true);
-    }
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
+    // No warm-up: the oracle sized its pool at construction.
     let allocs_before = allocations();
-    for i in 0..deliveries {
-        let group = (i as u64 * 17) % groups;
-        let ix = (i as u32) % bpg;
-        oracle.verify_delivery(BlockAddr::data(object, group, ix), true);
-    }
+    let [plain_per_s, reconstructed_per_s] = [false, true].map(|reconstructed| {
+        #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
+        let start = Instant::now();
+        for i in 0..deliveries {
+            let group = (i as u64 * 17) % groups;
+            let ix = (i as u32) % bpg;
+            oracle.verify_delivery(BlockAddr::data(object, group, ix), reconstructed);
+        }
+        deliveries as f64 / start.elapsed().as_secs_f64()
+    });
     let streaming_allocs = allocations() - allocs_before;
-    let streaming_secs = start.elapsed().as_secs_f64();
 
     DeliveryResult {
         deliveries,
         legacy_per_s: deliveries as f64 / legacy_secs,
         legacy_allocs_per: legacy_allocs as f64 / deliveries as f64,
-        streaming_per_s: deliveries as f64 / streaming_secs,
-        streaming_allocs_per: streaming_allocs as f64 / deliveries as f64,
+        plain_per_s,
+        reconstructed_per_s,
+        streaming_allocs_per: streaming_allocs as f64 / (2 * deliveries) as f64,
     }
 }
 
@@ -211,7 +241,7 @@ fn bench_sim_cycles(quick: bool) -> SimResult {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_datapath.json");
     let mut quick = false;
     for arg in std::env::args().skip(1) {
@@ -228,10 +258,20 @@ fn main() {
         xor.scalar_mb_per_s, xor.wordwise_mb_per_s, xor.speedup
     );
 
+    let synth = bench_synthetic(quick);
+    println!(
+        "synthetic kernel  fill {:>8.1} MB/s  xor-in {:>8.1} MB/s  fold-only {:>8.1} MB/s  fused {:>8.1} MB/s",
+        synth.fill_mb_per_s, synth.xor_in_mb_per_s, synth.fold_only_mb_per_s, synth.fused_mb_per_s
+    );
+
     let del = bench_deliveries(quick);
     println!(
-        "verified delivery legacy {:>8.1}/s ({:.1} allocs)  streaming {:>8.1}/s ({:.1} allocs)",
-        del.legacy_per_s, del.legacy_allocs_per, del.streaming_per_s, del.streaming_allocs_per
+        "verified delivery legacy {:>8.1}/s ({:.1} allocs)  streaming plain {:>8.1}/s  reconstructed {:>8.1}/s ({:.1} allocs)",
+        del.legacy_per_s,
+        del.legacy_allocs_per,
+        del.plain_per_s,
+        del.reconstructed_per_s,
+        del.streaming_allocs_per
     );
 
     let sim = bench_sim_cycles(quick);
@@ -253,12 +293,20 @@ fn main() {
          \x20   \"wordwise_mb_per_s\": {word:.1},\n\
          \x20   \"speedup\": {speedup:.2}\n\
          \x20 }},\n\
+         \x20 \"synthetic_kernel\": {{\n\
+         \x20   \"passes\": {spasses},\n\
+         \x20   \"fill_mb_per_s\": {fill:.1},\n\
+         \x20   \"xor_in_mb_per_s\": {xor_in:.1},\n\
+         \x20   \"fold_only_mb_per_s\": {fold_only:.1},\n\
+         \x20   \"fused_fill_fold_mb_per_s\": {fused:.1}\n\
+         \x20 }},\n\
          \x20 \"verified_delivery\": {{\n\
          \x20   \"blocks_per_group\": {bpg},\n\
          \x20   \"deliveries\": {deliveries},\n\
          \x20   \"legacy_deliveries_per_s\": {lps:.1},\n\
          \x20   \"legacy_allocs_per_delivery\": {lal:.2},\n\
-         \x20   \"streaming_deliveries_per_s\": {sps:.1},\n\
+         \x20   \"streaming_plain_per_s\": {pps:.1},\n\
+         \x20   \"streaming_reconstructed_per_s\": {rps:.1},\n\
          \x20   \"streaming_allocs_per_delivery\": {sal:.2},\n\
          \x20   \"allocs_eliminated_per_delivery\": {red:.2}\n\
          \x20 }},\n\
@@ -274,11 +322,17 @@ fn main() {
         scalar = xor.scalar_mb_per_s,
         word = xor.wordwise_mb_per_s,
         speedup = xor.speedup,
+        spasses = synth.passes,
+        fill = synth.fill_mb_per_s,
+        xor_in = synth.xor_in_mb_per_s,
+        fold_only = synth.fold_only_mb_per_s,
+        fused = synth.fused_mb_per_s,
         bpg = GROUP_C - 1,
         deliveries = del.deliveries,
         lps = del.legacy_per_s,
         lal = del.legacy_allocs_per,
-        sps = del.streaming_per_s,
+        pps = del.plain_per_s,
+        rps = del.reconstructed_per_s,
         sal = del.streaming_allocs_per,
         red = allocs_eliminated,
         cycles = sim.cycles,
@@ -286,4 +340,13 @@ fn main() {
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("\nwrote {out_path}");
+
+    if del.streaming_allocs_per != 0.0 || sim.allocs_per_cycle != 0.0 {
+        eprintln!(
+            "error: the data path allocated ({} per streaming delivery, {} per simulator cycle); both must be 0",
+            del.streaming_allocs_per, sim.allocs_per_cycle
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -63,8 +63,8 @@ mod pool;
 
 pub use accum::{ParityAccumulator, XorAccumulator};
 pub use block::{
-    fill_synthetic, fingerprint_bytes, slice_is_zero, synthetic_fingerprint, xor_slices,
-    xor_synthetic, Block,
+    fill_synthetic, fill_synthetic_folded, fingerprint_bytes, slice_is_zero, synthetic_fingerprint,
+    xor_slices, xor_synthetic, Block,
 };
 pub use codec::ParityError;
 pub use group::ParityGroupId;

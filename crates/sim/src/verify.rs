@@ -1,15 +1,52 @@
 //! Ground-truth block contents for end-to-end data verification.
 
 use mms_layout::{BlockAddr, BlockKind, ObjectId};
-use mms_parity::{
-    codec, fill_synthetic, synthetic_fingerprint, xor_synthetic, Block, PoolStats, TrackPool,
-};
+use mms_parity::{codec, fingerprint_bytes, xor_slices, Block, PoolStats, TrackPool};
 use std::collections::BTreeMap;
+
+// Every byte the oracle generates comes from these four kernels; the
+// unit tests swap in wrappers that count passes.
+#[cfg(test)]
+use counted::{fill_synthetic, fill_synthetic_folded, synthetic_fingerprint, xor_synthetic};
+#[cfg(not(test))]
+use mms_parity::{fill_synthetic, fill_synthetic_folded, synthetic_fingerprint, xor_synthetic};
 
 /// Capacity of the memoized parity-fingerprint cache. Streams revisit a
 /// small working set of `(object, group)` pairs per cycle, so a modest
 /// bound keeps the cache hot without growing with object count.
 const FP_CACHE_CAP: usize = 128;
+
+/// Scratch buffers one delivery holds at once: a reconstruction keeps
+/// the survivors' XOR, the original and the parity track side by side.
+const SCRATCH_TRACKS: usize = 3;
+
+/// The one way a delivery fails verification.
+const MISMATCH: &str = "delivered bytes must match stored";
+
+/// The check every data delivery ends with: the XOR-fold is a cheap
+/// filter that catches almost any mismatch, and equal folds still get a
+/// full byte compare (the fold is a filter, not a proof).
+///
+/// # Panics
+/// Panics with [`MISMATCH`] unless `delivered` is byte-identical to
+/// `stored`, whose fold is `stored_fold`.
+fn assert_delivered(delivered: &[u8], stored: &[u8], stored_fold: u64) {
+    assert!(
+        fingerprint_bytes(delivered) == stored_fold && delivered == stored,
+        "{MISMATCH}"
+    );
+}
+
+/// Rebuild a missing block the degraded-mode way — XOR the parity track
+/// into the survivors' running XOR, in place — and check the result
+/// against the stored original.
+///
+/// # Panics
+/// As [`assert_delivered`].
+fn rebuild_and_check(survivors: &mut [u8], parity: &[u8], original: &[u8], original_fold: u64) {
+    xor_slices(survivors, parity);
+    assert_delivered(survivors, original, original_fold);
+}
 
 /// A tiny LRU map from `(object, group)` to the group's parity
 /// fingerprint. Lookup is a linear scan (the capacity is small and the
@@ -48,20 +85,26 @@ impl FingerprintLru {
 /// Substitutes for MPEG data: the schemes treat content as opaque bytes,
 /// so deterministic synthetic tracks exercise the identical code paths.
 ///
-/// Two API generations coexist:
+/// Two families of methods:
 ///
-/// * the original allocating methods ([`data_block`](Self::data_block),
+/// * the allocating reference methods ([`data_block`](Self::data_block),
 ///   [`parity_block`](Self::parity_block),
 ///   [`reconstruct_and_check`](Self::reconstruct_and_check)) build fresh
-///   [`Block`]s per call — convenient for tests, and the "before" side of
-///   the `bench_datapath` comparison;
+///   [`Block`]s per call — what the tests compare against, and the
+///   "legacy" side of the `bench_datapath` comparison;
 /// * the streaming methods
 ///   ([`write_data_block_into`](Self::write_data_block_into),
 ///   [`parity_into`](Self::parity_into),
-///   [`verify_delivery`](Self::verify_delivery)) XOR group members into
-///   reused scratch buffers from an internal [`TrackPool`] and memoize
-///   per-`(object, group)` parity fingerprints, so steady-state verified
-///   delivery runs with zero heap allocations.
+///   [`verify_delivery`](Self::verify_delivery)) work in scratch buffers
+///   from an internal [`TrackPool`], sized at construction for the most
+///   one delivery holds, and memoize per-`(object, group)` parity
+///   fingerprints, so verified delivery never allocates.
+///
+/// `verify_delivery` follows one rule: **a delivery generates each
+/// parity-group member's bytes once**. A plain block is one generator
+/// pass; a reconstructed block of a `C−1`-member group is `C−1` passes
+/// (the `C−2` survivors and the original), with the parity track and
+/// the rebuilt block formed from those buffers by XOR.
 #[derive(Debug)]
 pub struct BlockOracle {
     /// Track length of every object, to bound partial final groups.
@@ -93,7 +136,7 @@ impl BlockOracle {
             tracks,
             blocks_per_group,
             track_bytes,
-            pool: TrackPool::new(track_bytes),
+            pool: TrackPool::with_capacity(track_bytes, SCRATCH_TRACKS),
             fp_cache: FingerprintLru::default(),
         }
     }
@@ -214,75 +257,74 @@ impl BlockOracle {
         rebuilt
     }
 
-    /// Verify one delivery against ground truth without allocating
-    /// (after pool warm-up). The work mirrors what a real server's data
-    /// path would do for that delivery:
+    /// Verify one delivery against ground truth without allocating. The
+    /// work mirrors what a real server's data path would do for that
+    /// delivery, generating each group member's bytes once:
     ///
-    /// * **Reconstructed data block** — rebuild it the degraded-mode way
-    ///   (XOR the surviving members, then the parity block, into pooled
-    ///   scratch) and compare against the stored original: the
-    ///   fingerprint check short-circuits any mismatch, and a full byte
-    ///   compare confirms equality.
-    /// * **Plain data block** — regenerate the stored bytes once into
-    ///   pooled scratch (modeling the delivery buffer) and fingerprint-
-    ///   check them.
-    /// * **Parity block** — recompute the parity fingerprint and check it
-    ///   against the memoized `(object, group)` value.
+    /// * **Reconstructed data block** — XOR-generate the surviving
+    ///   members into pooled scratch and generate the stored original
+    ///   (keeping its fold); the stored parity track is survivors ⊕
+    ///   original, so form it by XOR instead of regenerating the group.
+    ///   Then rebuild the degraded-mode way, survivors ⊕ parity, and
+    ///   compare with the original: the fold check short-circuits any
+    ///   mismatch, and a full byte compare confirms equality.
+    /// * **Plain data block** — generate the stored bytes once into
+    ///   pooled scratch (modeling the delivery buffer), folding the words
+    ///   as they are written, and check the fold read back from the
+    ///   buffer against it.
+    /// * **Parity block** — recompute the parity track and check its
+    ///   fold against the memoized `(object, group)` value.
     ///
     /// # Panics
-    /// Panics with "delivered bytes must match stored" if verification
-    /// fails — a parity-coding bug, not a simulated failure condition.
+    /// Panics with "delivered block must exist" if `addr` names no stored
+    /// block (unknown object, group past the end, index past a partial
+    /// final group) — a scheduler bug. Panics with "delivered bytes must
+    /// match stored" if verification fails — a parity-coding bug. Neither
+    /// is a simulated failure condition.
     pub fn verify_delivery(&mut self, addr: BlockAddr, reconstructed: bool) {
-        match addr.kind {
+        let BlockAddr {
+            object,
+            group,
+            kind,
+        } = addr;
+        let blocks = self.blocks_in_group(object, group);
+        let exists = match kind {
+            BlockKind::Data(ix) => ix < blocks,
+            BlockKind::Parity => blocks > 0,
+        };
+        assert!(exists, "delivered block must exist: {addr:?}");
+        match kind {
             BlockKind::Data(ix) if reconstructed => {
-                let object = addr.object;
-                let group = addr.group;
-                let blocks = self.blocks_in_group(object, group);
-                assert!(ix < blocks, "missing index out of group");
-                // Rebuild into pooled scratch: survivors first …
-                let mut rebuilt = self.pool.check_out_zeroed_block();
+                let mut survivors = self.pool.check_out_zeroed_block();
                 for i in (0..blocks).filter(|&i| i != ix) {
-                    xor_synthetic(object.0, self.track_of(group, i), rebuilt.as_bytes_mut());
+                    xor_synthetic(object.0, self.track_of(group, i), survivors.as_bytes_mut());
                 }
-                // … then the parity block, itself streamed into pooled
-                // scratch (the same buffer a real server would have read
-                // the parity track into).
-                let mut parity = self.pool.check_out_zeroed_block();
-                self.parity_into(object, group, &mut parity);
-                rebuilt.xor_assign(&parity);
-                // Compare with the stored original: fingerprints catch
-                // any mismatch cheaply; equality still gets a full byte
-                // compare (the fold is a filter, not a proof).
-                let expected_fp =
-                    synthetic_fingerprint(object.0, self.track_of(group, ix), self.track_bytes);
-                let mut ok = rebuilt.fingerprint() == expected_fp;
-                if ok {
-                    self.write_data_block_into(object, group, ix, parity.as_bytes_mut());
-                    ok = rebuilt == parity;
-                }
-                self.pool.check_in_block(parity);
-                self.pool.check_in_block(rebuilt);
-                assert!(ok, "delivered bytes must match stored");
+                let mut original = self.pool.check_out();
+                let original_fold =
+                    fill_synthetic_folded(object.0, self.track_of(group, ix), &mut original);
+                // The parity track as stored (the buffer a real server
+                // would have read it into): survivors ⊕ original.
+                let mut parity = self.pool.check_out();
+                parity.copy_from_slice(survivors.as_bytes());
+                xor_slices(&mut parity, &original);
+                rebuild_and_check(survivors.as_bytes_mut(), &parity, &original, original_fold);
+                self.pool.check_in(parity);
+                self.pool.check_in(original);
+                self.pool.check_in_block(survivors);
             }
             BlockKind::Data(ix) => {
-                let mut scratch = self.pool.check_out_zeroed_block();
-                self.write_data_block_into(addr.object, addr.group, ix, scratch.as_bytes_mut());
-                let ok = scratch.fingerprint()
-                    == synthetic_fingerprint(
-                        addr.object.0,
-                        self.track_of(addr.group, ix),
-                        self.track_bytes,
-                    );
-                self.pool.check_in_block(scratch);
-                assert!(ok, "delivered bytes must match stored");
+                let mut scratch = self.pool.check_out();
+                let stored_fold =
+                    fill_synthetic_folded(object.0, self.track_of(group, ix), &mut scratch);
+                assert!(fingerprint_bytes(&scratch) == stored_fold, "{MISMATCH}");
+                self.pool.check_in(scratch);
             }
             BlockKind::Parity => {
-                let expected = self.parity_fingerprint(addr.object, addr.group);
+                let expected = self.parity_fingerprint(object, group);
                 let mut scratch = self.pool.check_out_zeroed_block();
-                self.parity_into(addr.object, addr.group, &mut scratch);
-                let ok = scratch.fingerprint() == expected;
+                self.parity_into(object, group, &mut scratch);
+                assert!(scratch.fingerprint() == expected, "{MISMATCH}");
                 self.pool.check_in_block(scratch);
-                assert!(ok, "delivered bytes must match stored");
             }
         }
     }
@@ -310,6 +352,46 @@ impl BlockOracle {
     pub fn remove_object(&mut self, object: ObjectId) {
         self.fp_cache.invalidate_object(object);
         self.tracks.remove(&object);
+    }
+}
+
+/// The generator kernels behind a per-thread pass counter, so a test
+/// can assert how many times a delivery ran the generator.
+#[cfg(test)]
+mod counted {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PASSES: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Generator passes on this thread since the last call.
+    pub fn take_passes() -> u32 {
+        PASSES.with(Cell::take)
+    }
+
+    fn count() {
+        PASSES.with(|p| p.set(p.get() + 1));
+    }
+
+    pub fn fill_synthetic(object: u64, track: u64, out: &mut [u8]) {
+        count();
+        mms_parity::fill_synthetic(object, track, out);
+    }
+
+    pub fn fill_synthetic_folded(object: u64, track: u64, out: &mut [u8]) -> u64 {
+        count();
+        mms_parity::fill_synthetic_folded(object, track, out)
+    }
+
+    pub fn xor_synthetic(object: u64, track: u64, out: &mut [u8]) {
+        count();
+        mms_parity::xor_synthetic(object, track, out);
+    }
+
+    pub fn synthetic_fingerprint(object: u64, track: u64, len: usize) -> u64 {
+        count();
+        mms_parity::synthetic_fingerprint(object, track, len)
     }
 }
 
@@ -426,11 +508,103 @@ mod tests {
             o.verify_delivery(BlockAddr::parity(ObjectId(1), g), false);
         }
         let stats = o.pool_stats();
-        // The pool holds at most two scratch buffers at once; everything
-        // beyond the first two checkouts is a hit.
-        assert_eq!(stats.misses, 2, "{stats:?}");
+        // The pool was sized at construction for the three buffers a
+        // reconstruction holds at once, so even the first delivery hits.
+        assert_eq!(stats.misses, 0, "{stats:?}");
         assert!(stats.hits > 0);
         assert_eq!(stats.outstanding, 0);
+    }
+
+    #[test]
+    fn a_delivery_generates_each_group_member_once() {
+        let mut o = oracle();
+        counted::take_passes();
+        o.verify_delivery(BlockAddr::data(ObjectId(1), 0, 2), false);
+        assert_eq!(counted::take_passes(), 1, "plain block");
+        for (group, members) in [(0, 4), (2, 2)] {
+            o.verify_delivery(BlockAddr::data(ObjectId(1), group, 1), true);
+            assert_eq!(counted::take_passes(), members, "group {group}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered block must exist")]
+    fn plain_delivery_past_a_partial_final_group_is_rejected() {
+        oracle().verify_delivery(BlockAddr::data(ObjectId(1), 2, 2), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered block must exist")]
+    fn reconstructed_delivery_of_an_unknown_object_is_rejected() {
+        oracle().verify_delivery(BlockAddr::data(ObjectId(9), 0, 0), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered block must exist")]
+    fn parity_delivery_of_a_group_past_the_end_is_rejected() {
+        oracle().verify_delivery(BlockAddr::parity(ObjectId(1), 3), false);
+    }
+
+    /// The buffers of one reconstruction of a `len`-byte block, as
+    /// `verify_delivery` holds them just before the rebuild: the
+    /// survivors' XOR, the stored parity track, the original and its fold.
+    fn reconstruction(len: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>, u64) {
+        let mut survivors = vec![0u8; len];
+        for track in 1..4 {
+            mms_parity::xor_synthetic(1, track, &mut survivors);
+        }
+        let mut original = vec![0u8; len];
+        let fold = mms_parity::fill_synthetic_folded(1, 0, &mut original);
+        let mut parity = survivors.clone();
+        xor_slices(&mut parity, &original);
+        (survivors, parity, original, fold)
+    }
+
+    #[test]
+    fn an_intact_reconstruction_passes_the_check() {
+        for len in [64, 61] {
+            let (mut survivors, parity, original, fold) = reconstruction(len);
+            rebuild_and_check(&mut survivors, &parity, &original, fold);
+            assert_eq!(survivors, original);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered bytes must match stored")]
+    fn a_flipped_byte_in_a_survivor_fails_the_check() {
+        let (mut survivors, parity, original, fold) = reconstruction(64);
+        survivors[17] ^= 0x01;
+        rebuild_and_check(&mut survivors, &parity, &original, fold);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered bytes must match stored")]
+    fn a_flipped_byte_in_the_rebuilt_block_fails_the_check() {
+        let (_, _, original, fold) = reconstruction(64);
+        let mut rebuilt = original.clone();
+        rebuilt[40] ^= 0x80;
+        assert_delivered(&rebuilt, &original, fold);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered bytes must match stored")]
+    fn a_flipped_tail_byte_fails_the_check() {
+        // 61 bytes: seven full lanes and a five-byte tail.
+        let (mut survivors, parity, original, fold) = reconstruction(61);
+        survivors[60] ^= 0x01;
+        rebuild_and_check(&mut survivors, &parity, &original, fold);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered bytes must match stored")]
+    fn a_mismatch_the_fold_cannot_see_still_fails_the_byte_compare() {
+        let (_, _, original, fold) = reconstruction(64);
+        let mut rebuilt = original.clone();
+        // The same mask in two lanes cancels in the XOR-fold.
+        rebuilt[3] ^= 0x5A;
+        rebuilt[8 + 3] ^= 0x5A;
+        assert_eq!(fingerprint_bytes(&rebuilt), fold, "fold must not see it");
+        assert_delivered(&rebuilt, &original, fold);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   --rebuild DISK@CYCLE   (repeatable; parity rebuild)
 //!   --cycles N             (default: run until streams finish)
 //! mms-ctl mttf <D> <C> [options]             reliability summary
-//!   --mc TRIALS            Monte-Carlo validation of Eqs. 4-5 (default off)
+//!   --mc TRIALS            Monte-Carlo validation of Eqs. 4-5 (default off; at least 2)
 //!   --threads N|auto|seq   worker pool for the trials (default auto)
 //! mms-ctl design <streams> [options]         cheapest feasible design
 //!   --threads N|auto|seq   worker pool for the sweep (default auto)
@@ -55,7 +55,7 @@
 //!   --fail-node N@CYCLE    (repeatable; whole-node failure)
 //!   --repair-node N@CYCLE  (repeatable; node returns, catalog re-syncs)
 //!   --seed N               (default 1995)
-//!   --mttf TRIALS          Monte-Carlo fleet MTTF/MTTDS (default off)
+//!   --mttf TRIALS          Monte-Carlo fleet MTTF/MTTDS (default off; at least 2)
 //!   --node-mttf-h H        node MTTF hours for --mttf (default 100000)
 //!   --node-mttr-h H        node MTTR hours for --mttf (default 24)
 //!   corpus [--quick]       run the fleet fault corpus (nonzero exit on violation)
@@ -277,6 +277,16 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
     Ok(default)
 }
 
+/// A Monte-Carlo trial count: absent or 0 turns validation off; one
+/// trial has no spread to report, so it is an error rather than a
+/// silent skip.
+fn trials_flag(args: &[String], flag: &str) -> Result<usize, String> {
+    match flag_value(args, flag, 0)? {
+        1 => Err(format!("{flag} needs at least 2 trials, got 1")),
+        trials => Ok(trials),
+    }
+}
+
 /// Parse `--scheme` plus the per-scheme default disk count.
 fn parse_scheme(args: &[String]) -> Result<(Scheme, usize), String> {
     let scheme = match flag_value(args, "--scheme", "sr".to_string())?.as_str() {
@@ -396,7 +406,7 @@ fn cmd_mttf(args: &[String]) -> CmdResult {
     let pos: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let d: usize = pos.first().map_or(Ok(1000), |s| s.parse())?;
     let c: usize = pos.get(1).map_or(Ok(10), |s| s.parse())?;
-    let mc_trials: usize = flag_value(args, "--mc", 0)?;
+    let mc_trials = trials_flag(args, "--mc")?;
     let cfg = RunConfig::from_args(args)?;
     let par = cfg.threads;
     let recorder = cfg.recorder();
@@ -423,7 +433,7 @@ fn cmd_mttf(args: &[String]) -> CmdResult {
             formulas::mttds_shared(d, k, rel).as_years()
         );
     }
-    if mc_trials >= 2 {
+    if mc_trials > 0 {
         println!(
             "\nMonte-Carlo validation: {mc_trials} trials on {} thread(s), seed 1995",
             par.thread_count()
@@ -710,7 +720,7 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
     let rate: f64 = flag_value(args, "--rate", 2.0)?;
     let theta: f64 = flag_value(args, "--theta", 0.271)?;
     let seed: u64 = flag_value(args, "--seed", 1995)?;
-    let mttf_trials: usize = flag_value(args, "--mttf", 0)?;
+    let mttf_trials = trials_flag(args, "--mttf")?;
     let node_fails = parse_events(args, "--fail-node")?;
     let node_repairs = parse_events(args, "--repair-node")?;
     let recorder = cfg.recorder();
@@ -775,7 +785,7 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
         fleet.control().epoch()
     );
 
-    if mttf_trials >= 2 {
+    if mttf_trials > 0 {
         let rel = ReliabilityParams {
             mttf: ft_media_server::disk::Time::from_hours(flag_value(
                 args,

@@ -85,6 +85,12 @@ fn bad_arguments_fail_gracefully() {
     let (_, stderr, ok) = ctl(&["simulate", "--fail", "nope"]);
     assert!(!ok);
     assert!(stderr.contains("DISK@CYCLE"), "{stderr}");
+    // One Monte-Carlo trial used to skip validation without a word.
+    for args in [["mttf", "--mc", "1"], ["fleet", "--mttf", "1"]] {
+        let (_, stderr, ok) = ctl(&args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains("at least 2 trials"), "{stderr}");
+    }
 }
 
 /// Every subcommand the dispatcher knows, as the usage text names them.
