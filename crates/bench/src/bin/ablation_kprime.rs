@@ -69,7 +69,7 @@ fn main() {
         println!();
     }
     println!(
-        "Buffer peaks climb from C+1 toward 2C−1 per stream while capacity\n\
+        "Buffer peaks climb from C+1 to 2C per stream while capacity\n\
          climbs with the seek amortization — steep for MPEG-2 (the paper's\n\
          ~15% spread), shallow for MPEG-1 (~5%). The endpoints are exactly\n\
          the Staggered-group and Streaming RAID columns of Table 2."

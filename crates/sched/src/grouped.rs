@@ -1,16 +1,26 @@
-//! The `k′` continuum between Streaming RAID and Staggered-group.
+//! Whole-group scheduling: Streaming RAID, Staggered-group and the `k′`
+//! continuum between them (Section 2).
 //!
-//! Section 2 generalizes the cycle: "if `k` disk storage units are read in
-//! a cycle for a stream, where `k` is an integer multiple of `k′`, then
-//! the data read in one 'read cycle' is delivered in the next `k/k′`
-//! cycles" (Figure 2), and notes that the buffer-vs-bandwidth trade-offs
-//! of intermediate groupings are studied in the GSS work it cites [3].
-//! The paper then evaluates only the endpoints: `k′ = C−1` (Streaming
-//! RAID) and `k′ = 1` (Staggered-group).
+//! Section 2 defines both schemes as points of one cycle model: "if `k`
+//! disk storage units are read in a cycle for a stream, where `k` is an
+//! integer multiple of `k′`, then the data read in one 'read cycle' is
+//! delivered in the next `k/k′` cycles" (Figure 2). Both read an entire
+//! parity group — `C−1` data tracks plus the parity track — per read
+//! cycle, so a single disk failure is masked on the fly "from the other
+//! data blocks and the parity block from the same parity group":
 //!
-//! [`GroupedScheduler`] fills in the middle: one scheduler parameterized
-//! by `k′ | C−1`, reading a full parity group per read cycle (so failure
-//! masking is exactly SR/SG's) and transmitting `k′` tracks per cycle.
+//! * **Streaming RAID** (`k′ = C−1`, after Tobagi et al.): a group is read
+//!   every cycle and transmitted in the next one, at the price of `2C`
+//!   buffer tracks per stream.
+//! * **Staggered-group** (`k′ = 1`): "we will read data for an object in
+//!   one cycle but allow that data to be delivered to the network over
+//!   the following n cycles". A group is read every `C−1` cycles and one
+//!   track is transmitted per cycle; streams are admitted on staggered
+//!   read phases, so their memory use is out of phase and the aggregate
+//!   buffer demand is about half of Streaming RAID's (Figure 4).
+//!
+//! The paper evaluates only those endpoints and cites the GSS work \[3\]
+//! for the groupings in between; [`GroupedScheduler`] takes any `k′ | C−1`.
 //! Larger `k′` buys slot efficiency (fewer, longer cycles amortize the
 //! seek) at the price of buffer space; the `ablation_kprime` bench sweeps
 //! it.
@@ -19,54 +29,85 @@ use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
 use crate::table::{Released, StreamTable};
-use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
+use crate::traits::{
+    data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
+    RetireError, SchemeKind, SchemeScheduler,
+};
 use mms_disk::DiskId;
-use mms_layout::{Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
+use mms_layout::{
+    BlockAddr, Catalog, CatalogError, ClusterId, ClusteredLayout, Layout, MediaObject, ObjectId,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-stream state beyond the shared header.
-#[derive(Debug)]
-struct GrState {
-    class: (u32, u32),
+/// Fault state of one parity group in memory, fixed when it is read.
+#[derive(Debug, Default)]
+struct ResidentGroup {
+    /// The block rebuilt from parity at read time (single failure with
+    /// the parity disk alive); it materializes in the parity buffer.
     reconstructed: Option<u32>,
+    /// Blocks lost at read time: on a failed disk with a second disk of
+    /// the cluster (possibly the parity disk) also down.
     hiccups: Vec<u32>,
+    /// Whether the group's parity track is still charged to the stream.
     parity_held: bool,
 }
 
-/// A grouped-sweeping-style scheduler: whole-group reads every `k/k′`
-/// cycles, `k′` tracks transmitted per cycle. `k′ = C−1` reproduces
-/// Streaming RAID's timing; `k′ = 1` reproduces Staggered-group's.
+/// Per-stream state beyond the shared header.
+///
+/// A stream can have two groups in memory: group `g+1` is read in pass 1
+/// of the very cycle in which pass 2 delivers the last `k′` blocks of
+/// group `g`. The read lands in `incoming` and is promoted to `resident`
+/// when the cycle ends, so the pair never depends on the parity of a
+/// group number and `fast_forward` cannot misalign it.
+#[derive(Debug)]
+struct GrState {
+    /// Index into `class_load`.
+    class: u32,
+    /// The group being transmitted.
+    resident: ResidentGroup,
+    /// The group read this cycle.
+    incoming: ResidentGroup,
+}
+
+/// The whole-group scheduler: every `k/k′` cycles a stream reads one
+/// entire parity group, and it transmits `k′` tracks per cycle starting
+/// the cycle after. `k′ = C−1` is Streaming RAID, `k′ = 1` is
+/// Staggered-group.
 #[derive(Debug)]
 pub struct GroupedScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
     streams: StreamTable<GrState>,
+    /// Active streams per admission class, indexed `r · N_C + ψ` for read
+    /// phase `r` and cluster trajectory `ψ` (see [`Self::class_of`]).
+    class_load: Vec<usize>,
+    /// Failed disk positions per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
-    /// Recycled hiccup vectors: each read cycle swaps a stream's old
-    /// hiccup list for a pooled one instead of allocating.
-    hiccup_pool: Vec<Vec<u32>>,
 }
 
 impl GroupedScheduler {
-    /// Build a scheduler with the given `k′` (must divide `C−1`).
+    /// Build a scheduler over a populated catalog; `config.k_prime`
+    /// picks the scheme.
     ///
     /// # Panics
     /// Panics unless `config.k = C−1` and `config.k_prime` divides it.
     #[must_use]
     pub fn new(config: CycleConfig, catalog: Catalog<ClusteredLayout>) -> Self {
-        let c = catalog.layout().geometry().group_size() as usize;
+        let geometry = catalog.layout().geometry();
+        let c = geometry.group_size() as usize;
         assert_eq!(config.k, c - 1, "grouped scheduling reads whole groups");
         assert_eq!(
             (c - 1) % config.k_prime,
             0,
             "k' must divide C−1 so read cycles align with group boundaries"
         );
+        let classes = config.read_period() * geometry.clusters() as usize;
         GroupedScheduler {
             config,
             catalog,
             streams: StreamTable::new(config.read_period() as u64),
+            class_load: vec![0; classes],
             failed: BTreeMap::new(),
-            hiccup_pool: Vec::new(),
         }
     }
 
@@ -76,22 +117,44 @@ impl GroupedScheduler {
         &self.catalog
     }
 
+    /// Register a newly staged object in the catalog (the tertiary →
+    /// disk load path of Figure 1).
+    pub fn register_object(&mut self, object: MediaObject) -> Result<(), CatalogError> {
+        self.catalog.add(object).map(|_| ())
+    }
+
+    /// Retire an object from the catalog (the purge path), refusing while
+    /// any stream is still delivering it.
+    pub fn retire_object(&mut self, object: ObjectId) -> Result<(), RetireError> {
+        self.streams.retire_object(&mut self.catalog, object)
+    }
+
     fn period(&self) -> u64 {
         self.config.read_period() as u64
     }
 
-    fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
-        let period = self.period();
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let r = (at_cycle % period) as u32;
+    fn clusters(&self) -> u64 {
+        u64::from(self.catalog.layout().geometry().clusters())
+    }
+
+    /// Admission class of a stream starting at `at_cycle` on cluster `h`:
+    /// streams with equal read phase `r = at_cycle mod k/k′` and equal
+    /// cluster trajectory `ψ = (h − ⌊at_cycle / (k/k′)⌋) mod N_C` read the
+    /// same cluster in the same cycles and so contend for the same slots
+    /// forever.
+    fn class_of(&self, h: u32, at_cycle: u64) -> usize {
+        let (period, nc) = (self.period(), self.clusters());
+        let r = at_cycle % period;
         let q = at_cycle / period;
-        (r, ((u64::from(h) + nc - (q % nc)) % nc) as u32)
+        let psi = (u64::from(h) + nc - (q % nc)) % nc;
+        (r * nc + psi) as usize
     }
 }
 
 impl SchemeScheduler for GroupedScheduler {
     fn scheme(&self) -> SchemeKind {
-        // The endpoints are the named schemes; report by timing.
+        // The endpoints are the named schemes; in between, report by
+        // timing (reads staggered over several cycles).
         if self.config.k_prime == self.config.k {
             SchemeKind::StreamingRaid
         } else {
@@ -106,34 +169,28 @@ impl SchemeScheduler for GroupedScheduler {
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
         let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
         let class = self.class_of(placed.start_cluster, at_cycle);
-        let period = self.period();
-        let load = self
-            .streams
-            .iter()
-            .filter(|s| s.state.class == class && s.start_cycle + s.groups * period > at_cycle)
-            .count();
-        if load >= self.config.slots_per_disk() {
+        if self.class_load[class] >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
                 active: self.streams.len(),
                 limit: self.stream_capacity(),
             });
         }
+        self.class_load[class] += 1;
         Ok(self.streams.admit(
             placed,
             at_cycle,
             GrState {
-                class,
-                reconstructed: None,
-                hiccups: Vec::new(),
-                parity_held: false,
+                class: class as u32,
+                resident: ResidentGroup::default(),
+                incoming: ResidentGroup::default(),
             },
         ))
     }
 
     fn stream_capacity(&self) -> usize {
-        self.config.slots_per_disk()
-            * self.config.read_period()
-            * self.catalog.layout().geometry().clusters() as usize
+        // slots × k/k′ read phases × N_C clusters — the shape of Eqs. 8
+        // and 9.
+        self.config.slots_per_disk() * self.class_load.len()
     }
 
     fn active_streams(&self) -> usize {
@@ -145,9 +202,16 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        // Admission counts live streams directly, so an immediate
-        // retirement has no class bookkeeping to undo.
-        !matches!(self.streams.release(id), Released::Unknown)
+        match self.streams.release(id) {
+            Released::Unknown => false,
+            // The in-flight group drains and the normal finish path in
+            // pass 2 retires the stream.
+            Released::Draining => true,
+            Released::Retired(st) => {
+                self.class_load[st.class as usize] -= 1;
+                true
+            }
+        }
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
@@ -156,45 +220,60 @@ impl SchemeScheduler for GroupedScheduler {
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
         let bpg = u64::from(layout.blocks_per_group());
+        let parity_pos = geometry.disks_per_cluster() - 1;
         let period = self.period();
         let k_prime = self.config.k_prime as u64;
+        // When a group is read every cycle its parity stays charged until
+        // the group has been transmitted — the paper's `2C` per Streaming
+        // RAID stream. Otherwise the group is fully resident once its read
+        // cycle ends and the parity track is released there — the paper's
+        // `C+1` Staggered-group peak (Figure 4).
+        let parity_until_transmitted = period == 1;
         let slots = self.streams.slots();
 
-        // Pass 1 — whole-group reads at each stream's read cycles.
+        // Pass 1 — whole-group reads and their allocations. All of a
+        // cycle's reads are in flight while the previous data is still
+        // being transmitted, so allocations logically precede every free
+        // of the same cycle; the pool's high-water mark then measures the
+        // paper's start-of-cycle occupancy.
         for ix in 0..slots {
             let s = self.streams.slot(ix);
-            if cycle < s.start_cycle || !(cycle - s.start_cycle).is_multiple_of(period) {
+            if cycle < s.start_cycle {
                 continue;
             }
-            let g = (cycle - s.start_cycle) / period;
+            let rel = cycle - s.start_cycle;
+            if !rel.is_multiple_of(period) {
+                continue;
+            }
+            let g = rel / period;
             if g >= s.groups {
                 continue;
             }
             let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
             let blocks = s.blocks_in_group(g, bpg);
-            let cluster = layout.data_cluster(start_cluster, g);
-            let failed = self.failed.get(&cluster);
-            let parity_pos = geometry.disks_per_cluster() - 1;
+            let failed = self.failed.get(&layout.data_cluster(start_cluster, g));
             let parity_ok = failed.is_none_or(|f| !f.contains(&parity_pos));
-            let mut reconstructed = None;
-            let mut hiccups = self.hiccup_pool.pop().unwrap_or_default();
-            hiccups.clear();
+            // Single failure + live parity: on-the-fly reconstruction;
+            // otherwise a block on a failed disk is a hiccup.
+            let can_rebuild = parity_ok && failed.is_some_and(|f| f.len() == 1);
+            let incoming = &mut self.streams.slot_mut(ix).state.incoming;
+            incoming.reconstructed = None;
+            incoming.hiccups.clear();
             let mut reads = 0usize;
             for i in 0..blocks {
                 let p = layout.data_placement(start_cluster, g, i);
-                let pos = geometry.position_in_cluster(p.disk);
-                if failed.is_some_and(|f| f.contains(&pos)) {
-                    if failed.map_or(0, std::collections::BTreeSet::len) == 1 && parity_ok {
-                        reconstructed = Some(i);
+                if failed.is_some_and(|f| f.contains(&geometry.position_in_cluster(p.disk))) {
+                    if can_rebuild {
+                        incoming.reconstructed = Some(i);
                     } else {
-                        hiccups.push(i);
+                        incoming.hiccups.push(i);
                     }
                 } else {
                     plan.push_read(
                         p.disk,
                         PlannedRead {
                             stream: id,
-                            addr: mms_layout::BlockAddr::data(object, g, i),
+                            addr: BlockAddr::data(object, g, i),
                             purpose: ReadPurpose::Delivery,
                         },
                     );
@@ -207,101 +286,142 @@ impl SchemeScheduler for GroupedScheduler {
                     pp.disk,
                     PlannedRead {
                         stream: id,
-                        addr: mms_layout::BlockAddr::parity(object, g),
+                        addr: BlockAddr::parity(object, g),
                         purpose: ReadPurpose::Parity,
                     },
                 );
                 reads += 1;
             }
+            // Reconstruction replaces the parity buffer with the missing
+            // data block, so the group holds `reads` tracks either way.
+            incoming.parity_held = parity_ok && incoming.reconstructed.is_none();
             self.streams
                 .alloc(ix, reads)
                 .expect("unbounded pool never refuses an allocation");
-            let st = &mut self.streams.slot_mut(ix).state;
-            st.parity_held = parity_ok && reconstructed.is_none();
-            st.reconstructed = reconstructed;
-            let retired = std::mem::replace(&mut st.hiccups, hiccups);
-            self.hiccup_pool.push(retired);
         }
 
-        // Pass 2 — deliver k' tracks per cycle, offset one cycle after
-        // the read cycle, and free per delivery.
-        for ix in 0..slots {
-            let s = self.streams.slot(ix);
-            if cycle < s.start_cycle + 1 {
-                continue;
-            }
-            let rel = cycle - s.start_cycle - 1;
-            let g = rel / period;
-            if g >= s.groups {
-                continue;
-            }
-            let (id, object, last_group) = (s.id(), s.object, g + 1 == s.groups);
-            let blocks = s.blocks_in_group(g, bpg);
-            let first = (rel % period) * k_prime;
-            for i in first..(first + k_prime).min(u64::from(blocks)) {
-                let i = i as u32;
-                let addr = mms_layout::BlockAddr::data(object, g, i);
-                let st = self.streams.slot_mut(ix);
-                if st.state.hiccups.contains(&i) {
-                    plan.hiccups.push(LostBlock {
-                        stream: id,
-                        addr,
-                        reason: LossReason::FailedDisk,
-                        delivery_cycle: cycle,
-                    });
-                    st.lost += 1;
-                } else {
-                    plan.deliveries.push(Delivery {
-                        stream: id,
-                        addr,
-                        reconstructed: st.state.reconstructed == Some(i),
-                    });
-                    st.delivered += 1;
-                    self.streams
-                        .free(ix, 1)
-                        .expect("every delivered block was allocated at its read cycle");
-                }
-                if last_group && i + 1 >= blocks {
-                    plan.finished.push(id);
-                    self.streams.retire(ix);
-                    break;
-                }
-            }
-        }
-
-        // End of cycle: release parity for groups fully read this cycle
-        // (once resident, the group no longer needs it).
+        // Pass 2 — deliver `k′` tracks of the resident group, free what
+        // was transmitted, and promote the group read in pass 1.
         for ix in 0..slots {
             let s = self.streams.slot_mut(ix);
-            if s.is_live()
-                && cycle >= s.start_cycle
-                && (cycle - s.start_cycle).is_multiple_of(period)
-                && s.state.parity_held
-            {
-                s.state.parity_held = false;
+            if cycle < s.start_cycle {
+                continue;
+            }
+            let rel = cycle - s.start_cycle;
+            let (q, phase) = (rel / period, rel % period);
+            let read_now = phase == 0 && q < s.groups;
+            // The group on the wire was read `phase` cycles ago — a whole
+            // period ago when this is a read cycle itself — and nothing is
+            // on the wire in the stream's first cycle.
+            let on_wire = match phase {
+                _ if rel == 0 => None,
+                0 => Some((q - 1, period - 1)),
+                _ => Some((q, phase - 1)),
+            };
+            if let Some((g, chunk)) = on_wire.filter(|&(g, _)| g < s.groups) {
+                let (id, object) = (s.id(), s.object);
+                let blocks = u64::from(s.blocks_in_group(g, bpg));
+                let first = chunk * k_prime;
+                let end = (first + k_prime).min(blocks);
+                // DEFECT (a), kept so this refactor changes no plan: with
+                // staggered reads the last `k′` blocks of a group go out
+                // in the cycle the next group is read, and they are judged
+                // by the *new* group's fault state.
+                let fault = if read_now && period > 1 {
+                    &s.state.incoming
+                } else {
+                    &s.state.resident
+                };
+                let mut delivered = 0usize;
+                for i in first..end {
+                    let i = i as u32;
+                    let addr = BlockAddr::data(object, g, i);
+                    if fault.hiccups.contains(&i) {
+                        plan.hiccups.push(LostBlock {
+                            stream: id,
+                            addr,
+                            reason: LossReason::FailedDisk,
+                            delivery_cycle: cycle,
+                        });
+                    } else {
+                        plan.deliveries.push(Delivery {
+                            stream: id,
+                            addr,
+                            reconstructed: fault.reconstructed == Some(i),
+                        });
+                        delivered += 1;
+                    }
+                }
+                s.delivered += delivered as u64;
+                s.lost += end.saturating_sub(first) - delivered as u64;
+                let transmitted = end == blocks;
+                let finished = transmitted && g + 1 == s.groups;
+                let class = s.state.class as usize;
+                let parity = transmitted && std::mem::take(&mut s.state.resident.parity_held);
                 self.streams
-                    .free(ix, 1)
-                    .expect("parity_held implies a parity buffer is allocated");
+                    .free(ix, delivered)
+                    .expect("every delivered block was allocated at its read cycle");
+                if parity {
+                    self.streams
+                        .free(ix, 1)
+                        .expect("parity_held implies a parity buffer is allocated");
+                }
+                if finished {
+                    plan.finished.push(id);
+                    self.class_load[class] -= 1;
+                    self.streams.retire(ix);
+                    continue;
+                }
+            }
+            if read_now {
+                let st = &mut self.streams.slot_mut(ix).state;
+                std::mem::swap(&mut st.resident, &mut st.incoming);
+                if !parity_until_transmitted && std::mem::take(&mut st.resident.parity_held) {
+                    self.streams
+                        .free(ix, 1)
+                        .expect("parity_held implies a parity buffer is allocated");
+                }
             }
         }
         self.streams.compact();
+
+        // Sanity: no disk over capacity. Admission control guarantees it.
+        let cap = self.config.slots_per_disk();
+        debug_assert!(
+            plan.reads.values().all(|v| v.len() <= cap),
+            "slot overflow in whole-group plan"
+        );
     }
 
-    fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {
+    fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
         self.streams.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
+        let catastrophic = entry.len() >= 2;
+        let data_loss_tracks = if catastrophic {
+            let failed = entry.iter().map(|&p| geometry.disk_at(cluster, p));
+            data_tracks_on_disks(&self.catalog, failed)
+        } else {
+            0
+        };
+        let (from, to) = if catastrophic {
+            ("degraded", "catastrophic")
+        } else {
+            ("normal", "degraded")
+        };
+        emit_mode_transition(self.scheme(), cluster, cycle, from, to);
         FailureReport {
             degraded_clusters: vec![cluster],
-            catastrophic: entry.len() >= 2,
+            catastrophic,
+            data_loss_tracks,
             ..FailureReport::default()
         }
     }
 
-    fn on_disk_repair(&mut self, disk: DiskId, _cycle: u64) {
+    fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
@@ -310,6 +430,7 @@ impl SchemeScheduler for GroupedScheduler {
             set.remove(&pos);
             if set.is_empty() {
                 self.failed.remove(&cluster);
+                emit_mode_transition(self.scheme(), cluster, cycle, "degraded", "normal");
             }
         }
     }
@@ -323,10 +444,11 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
-        // Whole-group reads recur every `read_period` cycles over a
-        // rotation of N_C clusters.
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let period = self.period() * nc;
+        // Reads recur every `read_period` cycles and the cluster
+        // trajectory rotates over N_C clusters, so the full disk pattern
+        // repeats every read_period · N_C cycles; a stream is steady from
+        // one cycle past its start until its final-group read.
+        let period = self.period() * self.clusters();
         if !self.failed.is_empty() {
             return PlanStability { period, stable: 0 };
         }
@@ -338,11 +460,14 @@ impl SchemeScheduler for GroupedScheduler {
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        debug_assert_eq!(cycles % (self.period() * nc), 0, "not a whole rotation");
-        // k' tracks delivered per stream per steady cycle; parity is
-        // released at the end of each read cycle, so the pending fields
-        // are quiescent.
+        debug_assert_eq!(
+            cycles % (self.period() * self.clusters()),
+            0,
+            "not a whole rotation"
+        );
+        // k' tracks delivered per stream per steady cycle. Every stream is
+        // at the same read phase afterwards, and a healthy resident group
+        // looks like any other, so the per-group state stands as it is.
         self.streams
             .fast_forward(cycles, self.config.k_prime as u64);
     }
@@ -419,13 +544,10 @@ mod tests {
         for w in peaks.windows(2) {
             assert!(w[1] >= w[0], "{peaks:?}");
         }
-        // SG endpoint: C + 1 = 10. SR endpoint: 2C − 1 = 17 — one less
-        // than the StreamingRaidScheduler's 2C because this scheduler
-        // releases parity as soon as the group is resident (the paper's
-        // 2C count holds it through delivery; both are valid bookkeeping,
-        // the paper's being the conservative one).
+        // The paper's endpoints: C + 1 = 10 per Staggered-group stream,
+        // 2C = 18 per Streaming RAID stream.
         assert_eq!(peaks[0], 10, "{peaks:?}");
-        assert_eq!(peaks[3], 17, "{peaks:?}");
+        assert_eq!(peaks[3], 18, "{peaks:?}");
     }
 
     #[test]
