@@ -131,14 +131,14 @@ mod tests {
         // The discrete scheduler floors slots per class; Eq. 8 floors the
         // aggregate product. The gap is at most one stream per cluster.
         use mms_layout::{Catalog, ClusteredLayout, Geometry};
-        use mms_sched::{CycleConfig, SchemeScheduler, StreamingRaidScheduler};
+        use mms_sched::{CycleConfig, GroupedScheduler, SchemeScheduler};
         let sys = SystemParams::paper_table1();
         let p = SchemeParams::paper_tables(5);
         let analytic = max_streams(&sys, SchemeKind::StreamingRaid, &p);
         let layout = ClusteredLayout::new(Geometry::clustered(100, 5).unwrap());
         let catalog = Catalog::new(layout, sys.disk.tracks_per_disk());
         let cfg = CycleConfig::new(sys.disk, sys.b0, 4, 4);
-        let sched = StreamingRaidScheduler::new(cfg, catalog);
+        let sched = GroupedScheduler::new(cfg, catalog);
         let discrete = sched.stream_capacity();
         let clusters = 20;
         assert!(discrete <= analytic);

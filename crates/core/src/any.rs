@@ -1,25 +1,26 @@
 //! Scheme-erased scheduler.
 
 use mms_disk::DiskId;
-use mms_layout::ObjectId;
+use mms_layout::{Catalog, Layout, ObjectId};
 use mms_sched::{
-    AdmissionError, CycleConfig, CyclePlan, FailureReport, ImprovedScheduler,
-    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, StaggeredScheduler,
-    StreamId, StreamInfo, StreamingRaidScheduler,
+    AdmissionError, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
+    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, StreamId, StreamInfo,
 };
 
 /// A scheduler for any of the four schemes, so [`crate::MultimediaServer`]
 /// is a single concrete type.
+///
+/// Three variants serve four schemes: Streaming RAID and Staggered-group
+/// are the whole-group scheduler at `k′ = C−1` and `k′ = 1`
+/// ([`SchemeScheduler::scheme`] tells them apart).
 ///
 /// An enum (rather than `Box<dyn SchemeScheduler>`) keeps the concrete
 /// schedulers inspectable — e.g. the Non-clustered buffer-server pool —
 /// without downcasting.
 #[derive(Debug)]
 pub enum AnyScheduler {
-    /// Streaming RAID.
-    StreamingRaid(StreamingRaidScheduler),
-    /// Staggered-group.
-    Staggered(StaggeredScheduler),
+    /// Streaming RAID or Staggered-group, by the `k′` of its config.
+    Grouped(GroupedScheduler),
     /// Non-clustered with buffer pool.
     NonClustered(NonClusteredScheduler),
     /// Improved-bandwidth.
@@ -29,12 +30,30 @@ pub enum AnyScheduler {
 macro_rules! delegate {
     ($self:ident, $s:ident => $body:expr) => {
         match $self {
-            AnyScheduler::StreamingRaid($s) => $body,
-            AnyScheduler::Staggered($s) => $body,
+            AnyScheduler::Grouped($s) => $body,
             AnyScheduler::NonClustered($s) => $body,
             AnyScheduler::Improved($s) => $body,
         }
     };
+}
+
+/// The disks whose surviving group members and parity XOR back to the
+/// contents of `disk`, and how many tracks there are to rebuild: the
+/// other disks of its cluster, plus the next cluster's disks when that is
+/// where the layout keeps this cluster's parity.
+fn parity_rebuild<L: Layout>(
+    catalog: &Catalog<L>,
+    disk: DiskId,
+    parity_on_next_cluster: bool,
+) -> (Vec<DiskId>, u64) {
+    let geo = catalog.layout().geometry();
+    let cluster = geo.cluster_of(disk);
+    let mut sources = geo.cluster_disks(cluster);
+    sources.retain(|&d| d != disk);
+    if parity_on_next_cluster {
+        sources.extend(geo.cluster_disks(geo.next_cluster(cluster)));
+    }
+    (sources, catalog.blocks_on_disk(disk).len() as u64)
 }
 
 impl AnyScheduler {
@@ -63,53 +82,8 @@ impl AnyScheduler {
     /// parity blocks.
     #[must_use]
     pub fn rebuild_spec(&self, disk: DiskId) -> (Vec<DiskId>, u64) {
-        use mms_layout::Layout;
-        fn cluster_sources(
-            geo: &mms_layout::Geometry,
-            disk: DiskId,
-            include_next: bool,
-        ) -> Vec<DiskId> {
-            let cluster = geo.cluster_of(disk);
-            let mut v: Vec<DiskId> = geo
-                .cluster_disks(cluster)
-                .into_iter()
-                .filter(|&d| d != disk)
-                .collect();
-            if include_next {
-                v.extend(geo.cluster_disks(geo.next_cluster(cluster)));
-            }
-            v
-        }
-        match self {
-            AnyScheduler::StreamingRaid(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, false),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-            AnyScheduler::Staggered(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, false),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-            AnyScheduler::NonClustered(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, false),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-            AnyScheduler::Improved(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, true),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-        }
+        let parity_on_next_cluster = matches!(self, AnyScheduler::Improved(_));
+        delegate!(self, s => parity_rebuild(s.catalog(), disk, parity_on_next_cluster))
     }
 }
 

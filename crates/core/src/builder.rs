@@ -9,8 +9,7 @@ use mms_layout::{
     ImprovedLayout, MediaObject, ObjectId,
 };
 use mms_sched::{
-    CycleConfig, ImprovedScheduler, NonClusteredScheduler, StaggeredScheduler,
-    StreamingRaidScheduler, TransitionPolicy,
+    CycleConfig, GroupedScheduler, ImprovedScheduler, NonClusteredScheduler, TransitionPolicy,
 };
 use mms_sim::{DataMode, ObjectDirectory, Simulator, StepMode};
 use std::fmt;
@@ -235,6 +234,13 @@ impl ServerBuilder {
         );
         let object_ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
 
+        // Tracks read per read cycle and transmitted per cycle. Streaming
+        // RAID and Staggered-group are one scheduler at two values of k′.
+        let (k, k_prime) = match self.scheme {
+            Scheme::StreamingRaid | Scheme::ImprovedBandwidth => (self.c - 1, self.c - 1),
+            Scheme::StaggeredGroup => (self.c - 1, 1),
+            Scheme::NonClustered => (1, 1),
+        };
         let scheduler = match self.scheme {
             Scheme::StreamingRaid | Scheme::StaggeredGroup | Scheme::NonClustered => {
                 let geo = Geometry::clustered(self.disks, self.c)?;
@@ -243,25 +249,16 @@ impl ServerBuilder {
                 for o in objects {
                     catalog.add(o)?;
                 }
-                match self.scheme {
-                    Scheme::StreamingRaid => {
-                        let cfg = CycleConfig::new(self.disk_params, b0, self.c - 1, self.c - 1);
-                        AnyScheduler::StreamingRaid(StreamingRaidScheduler::new(cfg, catalog))
-                    }
-                    Scheme::StaggeredGroup => {
-                        let cfg = CycleConfig::new(self.disk_params, b0, self.c - 1, 1);
-                        AnyScheduler::Staggered(StaggeredScheduler::new(cfg, catalog))
-                    }
-                    Scheme::NonClustered => {
-                        let cfg = CycleConfig::new(self.disk_params, b0, 1, 1);
-                        AnyScheduler::NonClustered(NonClusteredScheduler::new(
-                            cfg,
-                            catalog,
-                            self.nc_policy,
-                            self.nc_buffer_servers,
-                        ))
-                    }
-                    Scheme::ImprovedBandwidth => unreachable!(),
+                let cfg = CycleConfig::new(self.disk_params, b0, k, k_prime);
+                if self.scheme == Scheme::NonClustered {
+                    AnyScheduler::NonClustered(NonClusteredScheduler::new(
+                        cfg,
+                        catalog,
+                        self.nc_policy,
+                        self.nc_buffer_servers,
+                    ))
+                } else {
+                    AnyScheduler::Grouped(GroupedScheduler::new(cfg, catalog))
                 }
             }
             Scheme::ImprovedBandwidth => {
@@ -271,7 +268,7 @@ impl ServerBuilder {
                 for o in objects {
                     catalog.add(o)?;
                 }
-                let cfg = CycleConfig::new(self.disk_params, b0, self.c - 1, self.c - 1);
+                let cfg = CycleConfig::new(self.disk_params, b0, k, k_prime);
                 let mut sched = ImprovedScheduler::new(cfg, catalog, self.ib_reserved_slots);
                 sched.set_parity_prefetch(self.ib_parity_prefetch);
                 AnyScheduler::Improved(sched)

@@ -67,8 +67,6 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
     let ws = mms_lint::load_workspace(&root()).expect("workspace scan succeeds");
     let g = CallGraph::build(&ws);
     let planners = [
-        "StreamingRaidScheduler",
-        "StaggeredScheduler",
         "NonClusteredScheduler",
         "ImprovedScheduler",
         "GroupedScheduler",

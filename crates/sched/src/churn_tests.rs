@@ -7,8 +7,8 @@
 //! workload; 100,000 lifecycles make any such leak unmissable.
 
 use crate::{
-    CycleConfig, CyclePlan, ImprovedScheduler, NonClusteredScheduler, SchemeScheduler,
-    StaggeredScheduler, StreamingRaidScheduler, TransitionPolicy,
+    CycleConfig, CyclePlan, GroupedScheduler, ImprovedScheduler, NonClusteredScheduler,
+    SchemeScheduler, TransitionPolicy,
 };
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{
@@ -45,8 +45,8 @@ fn config(k: usize, k_prime: usize) -> CycleConfig {
 /// Admit as fast as the scheduler allows, failing and repairing a disk
 /// now and then, until `LIFECYCLES` streams have finished; then check
 /// every `(len, capacity)` the scheduler reports against the peak
-/// number of concurrently active streams.
-fn churn<S: SchemeScheduler>(mut s: S, footprint: impl Fn(&S) -> Vec<(usize, usize)>) {
+/// number of concurrently active streams. Returns the next cycle.
+fn churn<S: SchemeScheduler>(s: &mut S, footprint: impl Fn(&S) -> Vec<(usize, usize)>) -> u64 {
     let mut plan = CyclePlan::empty(0);
     let (mut finished, mut peak, mut cycle) = (0usize, 0usize, 0u64);
     while finished < LIFECYCLES {
@@ -65,38 +65,54 @@ fn churn<S: SchemeScheduler>(mut s: S, footprint: impl Fn(&S) -> Vec<(usize, usi
         assert!(cycle < 1_000_000, "churn never completed");
     }
     let bound = 4 * peak + 16;
-    for (i, (len, capacity)) in footprint(&s).into_iter().enumerate() {
+    for (i, (len, capacity)) in footprint(s).into_iter().enumerate() {
         assert!(
             len <= bound && capacity <= bound,
             "scratch pool {i}: len {len}, capacity {capacity}, peak active streams {peak}"
         );
     }
+    cycle
 }
 
+/// The whole-group scheduler keeps a group's fault state in the stream's
+/// slot and has no pool to bound; what 100,000 lifecycles must leave
+/// behind here is every buffer and every admission slot.
 #[test]
-fn streaming_raid_pools_stay_bounded() {
-    let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
-    let s = StreamingRaidScheduler::new(config(4, 4), catalog(layout));
-    churn(s, StreamingRaidScheduler::scratch_footprint);
-}
-
-#[test]
-fn staggered_pools_stay_bounded() {
-    let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
-    let s = StaggeredScheduler::new(config(4, 1), catalog(layout));
-    churn(s, StaggeredScheduler::scratch_footprint);
+fn grouped_churn_returns_every_buffer_and_admission_slot() {
+    for k_prime in [4, 2, 1] {
+        let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
+        let mut s = GroupedScheduler::new(config(4, k_prime), catalog(layout));
+        let mut cycle = churn(&mut s, |_| Vec::new());
+        while s.active_streams() > 0 {
+            s.plan_cycle(cycle);
+            cycle += 1;
+        }
+        assert_eq!(s.buffer_in_use(), 0, "k'={k_prime}");
+        // The two clips start on the two clusters, so `read_period`
+        // consecutive cycles reach every class.
+        for at in cycle..cycle + s.config().read_period() as u64 {
+            for object in 0..2 {
+                for _ in 0..s.config().slots_per_disk() {
+                    s.admit(ObjectId(object), at)
+                        .expect("every finished stream returned its admission slot");
+                }
+            }
+        }
+        assert_eq!(s.active_streams(), s.stream_capacity(), "k'={k_prime}");
+    }
 }
 
 #[test]
 fn nonclustered_pools_stay_bounded() {
     let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
-    let s = NonClusteredScheduler::new(config(1, 1), catalog(layout), TransitionPolicy::Delayed, 1);
-    churn(s, NonClusteredScheduler::scratch_footprint);
+    let mut s =
+        NonClusteredScheduler::new(config(1, 1), catalog(layout), TransitionPolicy::Delayed, 1);
+    churn(&mut s, NonClusteredScheduler::scratch_footprint);
 }
 
 #[test]
 fn improved_pools_stay_bounded() {
     let layout = ImprovedLayout::new(Geometry::improved(8, 5).unwrap());
-    let s = ImprovedScheduler::new(config(4, 4), catalog(layout), 1);
-    churn(s, ImprovedScheduler::scratch_footprint);
+    let mut s = ImprovedScheduler::new(config(4, 4), catalog(layout), 1);
+    churn(&mut s, ImprovedScheduler::scratch_footprint);
 }

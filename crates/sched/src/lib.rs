@@ -5,19 +5,20 @@
 //!
 //! | Scheduler | Paper section | `k` | `k'` | Normal-mode parity reads |
 //! |---|---|---|---|---|
-//! | [`StreamingRaidScheduler`] | §2 (Tobagi et al.'s Streaming RAID) | `C−1` | `C−1` | yes, every cycle |
-//! | [`StaggeredScheduler`] | §2 (Staggered-group) | `C−1` | `1` | yes, at each read cycle |
+//! | [`GroupedScheduler`] | §2: Streaming RAID (Tobagi et al.) at `k' = C−1`, Staggered-group at `k' = 1` | `C−1` | `C−1` or `1` | yes, at each read cycle (every `k/k'` cycles) |
 //! | [`NonClusteredScheduler`] | §3 | `1` | `1` | no (degraded mode only) |
 //! | [`ImprovedScheduler`] | §4 | `C−1` | `C−1` | no (parity on next cluster) |
 //!
-//! [`GroupedScheduler`] generalizes the SR/SG pair to any `k′ | C−1`
-//! (the GSS-style continuum of the paper's reference \[3\]), and
+//! [`GroupedScheduler`] is one scheduler for the two whole-group schemes:
+//! the paper defines them as two settings of `k'` in one cycle model
+//! (Figure 2), and any `k′ | C−1` in between is accepted too (the
+//! GSS-style continuum of the paper's reference \[3\]).
 //! [`BaselineScheduler`] is the unprotected striped
 //! server of Section 1 — no parity at all — the quantitative foil
 //! ("without some form of fault tolerance, such a system is not likely to
 //! be acceptable").
 //!
-//! All four share the cycle model of Section 2: during each time period
+//! All of them share the cycle model of Section 2: during each time period
 //! data for each active stream is read into memory while the data read in
 //! the previous cycle is transmitted; reads within a cycle are unordered so
 //! one maximum seek bounds the cycle's disk time (`T(r) = τ_seek +
@@ -44,8 +45,6 @@ mod grouped;
 mod improved;
 mod nonclustered;
 mod plan;
-mod staggered;
-mod streaming_raid;
 mod streams;
 pub mod table;
 mod traits;
@@ -58,8 +57,6 @@ pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};
 pub use plan::{
     CyclePlan, Delivery, DiskReads, DiskReadsIter, LossReason, LostBlock, PlannedRead, ReadPurpose,
 };
-pub use staggered::StaggeredScheduler;
-pub use streaming_raid::StreamingRaidScheduler;
 pub use streams::{StreamId, StreamInfo};
 pub use traits::{
     emit_mode_transition, AdmissionError, FailureReport, PlanStability, RetireError, SchemeKind,

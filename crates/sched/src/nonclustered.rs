@@ -190,8 +190,7 @@ impl NonClusteredScheduler {
         u64::from(self.catalog.layout().blocks_per_group())
     }
 
-    /// Admission class (see module docs of `streaming_raid` for the
-    /// derivation): streams with equal read-phase residue and cluster
+    /// Admission class (derived at `GroupedScheduler::class_of`): streams with equal read-phase residue and cluster
     /// trajectory contend for the same slots at every cycle.
     fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
         let period = self.bpg();

@@ -5,7 +5,7 @@
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId};
 use mms_sched::{
-    CycleConfig, NonClusteredScheduler, SchemeScheduler, StaggeredScheduler, TransitionPolicy,
+    CycleConfig, GroupedScheduler, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
 };
 
 fn catalog(disks: usize, c: usize, objects: u64, tracks: u64) -> Catalog<ClusteredLayout> {
@@ -86,7 +86,7 @@ fn staggered_failure_between_read_cycles_is_invisible() {
         4,
         1,
     );
-    let mut s = StaggeredScheduler::new(cfg, catalog(10, 5, 1, 8));
+    let mut s = GroupedScheduler::new(cfg, catalog(10, 5, 1, 8));
     s.admit(ObjectId(0), 0).unwrap();
     let p0 = s.plan_cycle(0); // read group 0 (cycles 0..4 deliver it)
     assert_eq!(p0.total_reads(), 5);
@@ -113,7 +113,7 @@ fn staggered_admission_spreads_over_phases_and_clusters() {
         1,
     );
     // Objects 0 and 1 start on clusters 0 and 1 (round-robin).
-    let mut s = StaggeredScheduler::new(cfg, catalog(10, 5, 2, 400));
+    let mut s = GroupedScheduler::new(cfg, catalog(10, 5, 2, 400));
     let slots = s.config().slots_per_disk();
     // Fill phase 0 of object 0's trajectory…
     for _ in 0..slots {
@@ -248,7 +248,6 @@ mod ib_edges {
 
 mod sr_edges {
     use super::*;
-    use mms_sched::StreamingRaidScheduler;
 
     #[test]
     fn sr_admission_capacity_is_exact() {
@@ -269,7 +268,7 @@ mod sr_edges {
             4,
             4,
         );
-        let mut s = StreamingRaidScheduler::new(cfg, cat);
+        let mut s = GroupedScheduler::new(cfg, cat);
         let cap = s.stream_capacity();
         let mut admitted = 0;
         let mut denied_streak = 0;

@@ -17,8 +17,7 @@ use mms_layout::{
 };
 use mms_sched::{
     BaselineScheduler, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
-    LossReason, NonClusteredScheduler, ReadPurpose, SchemeScheduler, StaggeredScheduler, StreamId,
-    StreamingRaidScheduler, TransitionPolicy,
+    LossReason, NonClusteredScheduler, ReadPurpose, SchemeScheduler, StreamId, TransitionPolicy,
 };
 
 const SCRIPTS: usize = 32;
@@ -222,17 +221,14 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
     };
     match kind {
         Kind::StreamingRaid => (
-            Box::new(StreamingRaidScheduler::new(
+            Box::new(GroupedScheduler::new(
                 cfg(C - 1, C - 1),
                 clustered_catalog(10),
             )),
             10,
         ),
         Kind::Staggered => (
-            Box::new(StaggeredScheduler::new(
-                cfg(C - 1, 1),
-                clustered_catalog(10),
-            )),
+            Box::new(GroupedScheduler::new(cfg(C - 1, 1), clustered_catalog(10))),
             10,
         ),
         Kind::NonClustered => {

@@ -841,11 +841,11 @@ mod tests {
     use super::*;
     use mms_disk::{Bandwidth, DiskId};
     use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject};
-    use mms_sched::{CycleConfig, StreamingRaidScheduler};
+    use mms_sched::{CycleConfig, GroupedScheduler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn build(disks: usize, c: usize, tracks: u64) -> Simulator<StreamingRaidScheduler> {
+    fn build(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler> {
         let geo = Geometry::clustered(disks, c).unwrap();
         let layout = ClusteredLayout::new(geo);
         let mut catalog = Catalog::new(layout, 1_000_000);
@@ -864,7 +864,7 @@ mod tests {
             c - 1,
             c - 1,
         );
-        let sched = StreamingRaidScheduler::new(cfg, catalog);
+        let sched = GroupedScheduler::new(cfg, catalog);
         Simulator::new(
             sched,
             DiskParams::paper_table1(),
