@@ -819,6 +819,42 @@ mod tests {
     }
 
     #[test]
+    fn fast_forward_equals_stepping_on_an_odd_cluster_count() {
+        // 15 disks are N_C = 3 clusters, so a Streaming RAID rotation is
+        // an odd number of groups: a skip must leave the resident and the
+        // incoming group of every stream where stepping leaves them.
+        for (k_prime, _) in C5_SWEEP {
+            let mut stepped = c5(15, k_prime, &[400, 400]);
+            let mut skipped = c5(15, k_prime, &[400, 400]);
+            for s in [&mut stepped, &mut skipped] {
+                for at in 0..3 {
+                    s.admit(ObjectId(at % 2), at).unwrap();
+                }
+                for t in 0..7 {
+                    s.plan_cycle(t);
+                }
+            }
+            let window = skipped.plan_stability(7);
+            assert_eq!(window.period, 3 * (4 / k_prime) as u64);
+            assert!(window.stable >= window.period, "k'={k_prime}: {window:?}");
+            skipped.fast_forward(window.period);
+            for t in 7..7 + window.period {
+                stepped.plan_cycle(t);
+            }
+            for t in 7 + window.period..60 {
+                let (a, b) = (stepped.plan_cycle(t), skipped.plan_cycle(t));
+                assert!(a.reads.iter().eq(b.reads.iter()), "k'={k_prime} cycle {t}");
+                assert_eq!(a.deliveries, b.deliveries, "k'={k_prime} cycle {t}");
+                assert_eq!(
+                    (stepped.buffer_in_use(), stepped.buffer_high_water()),
+                    (skipped.buffer_in_use(), skipped.buffer_high_water()),
+                    "k'={k_prime} cycle {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn admission_rejects_a_full_class() {
         for (k_prime, _) in C5_SWEEP {
             let mut s = c5(10, k_prime, &[400]);

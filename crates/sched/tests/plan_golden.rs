@@ -259,10 +259,18 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
             s.set_parity_prefetch((flavour / 4) % 2 == 1);
             (Box::new(s), 12)
         }
-        Kind::Grouped => (
-            Box::new(GroupedScheduler::new(cfg(C - 1, 2), clustered_catalog(10))),
-            10,
-        ),
+        Kind::Grouped => {
+            // Odd flavours rotate over three clusters; the Streaming RAID
+            // and Staggered-group fixtures both have two.
+            let disks = if tight { 15 } else { 10 };
+            (
+                Box::new(GroupedScheduler::new(
+                    cfg(C - 1, 2),
+                    clustered_catalog(disks),
+                )),
+                disks as u32,
+            )
+        }
         Kind::Baseline => (
             Box::new(BaselineScheduler::new(cfg(1, 1), clustered_catalog(10))),
             10,
@@ -514,14 +522,14 @@ const GOLDEN: [[u64; SCRIPTS]; 6] = [
         0xb74e71c43711a3e2, 0xd2d300e418ef7e33, 0x6021b4c0c5f976e6, 0x6210848127a77084,
     ],
     [
-        0x49074b07ee9d689d, 0xb3405f94410c958c, 0x2ade7995683d6238, 0xc779843ffe43e034,
-        0xd65e64105a4f9240, 0xe1c0e05a1c9b8ee8, 0xaeabc8c9a92725e2, 0xb7bb71ef6e5afe2b,
-        0xf85d177266a0497c, 0xe5f841af09e8f2ec, 0xda17f2e44880c36a, 0xd054766ed66c3f47,
-        0xacd7796336ef2f05, 0x3e57d6550367d996, 0xe64f24e9a267caa1, 0xfa875a1e90048a84,
-        0xae2f3ef79e51b359, 0xc1d11a73d735308e, 0x0552326a69b2df89, 0xd2b159fbffe462ba,
-        0xb8aabf99163c5498, 0xf9c1d1258536edb6, 0xca38e1287901e884, 0xdf802451a2898248,
-        0x44395300127e44db, 0x4cec4580850eb2e4, 0x9e41122568f8ffa1, 0x1a233ae26b634348,
-        0x77b476676eaa1a19, 0x2a92844db0158be3, 0xfdc35ba140084394, 0x0927c11f72285468,
+        0x49074b07ee9d689d, 0x50b833c78882f578, 0x2ade7995683d6238, 0x4b5f941b68a840b0,
+        0xd65e64105a4f9240, 0x5f0a2d991b743cb3, 0xaeabc8c9a92725e2, 0xba2feb2211cb367f,
+        0xf85d177266a0497c, 0xac9b869802131246, 0xda17f2e44880c36a, 0xb618fd649819995d,
+        0xacd7796336ef2f05, 0xe8bb42362094444f, 0xe64f24e9a267caa1, 0x6791d971e38e7c19,
+        0xae2f3ef79e51b359, 0xdf9a08bf4f94e4e6, 0x0552326a69b2df89, 0xf3e28ad74f67435d,
+        0xb8aabf99163c5498, 0x48b707a50883a1a5, 0xca38e1287901e884, 0x48c7a5905113fa28,
+        0x44395300127e44db, 0xa34fe2823158e877, 0x9e41122568f8ffa1, 0x3fc1eb433484574f,
+        0x77b476676eaa1a19, 0xafd99ff6642edaa0, 0xfdc35ba140084394, 0x8ceee162de817f44,
     ],
     [
         0x85cbbb34f4ff4069, 0x034a01c2c62d414b, 0xe4e265576105f296, 0xe7d3f17a2123bb3b,
