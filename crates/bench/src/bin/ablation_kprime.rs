@@ -6,7 +6,10 @@
 //! increases. However, the amount of buffer space required per cycle also
 //! increases linearly with k." The paper evaluates only the endpoints;
 //! this sweep measures the whole trade-off curve with the
-//! GroupedScheduler, for both the paper's bandwidth classes.
+//! GroupedScheduler, for both the paper's bandwidth classes, and checks
+//! its own endpoint rows: the buffer peaks are the paper's `C+1` and
+//! `2C`, and the capacities are those of the Staggered-group and
+//! Streaming RAID servers `ServerBuilder` builds.
 
 use mms_server::analysis::streams::streams_per_disk_bound;
 use mms_server::disk::{Bandwidth, DiskParams};
@@ -15,21 +18,18 @@ use mms_server::layout::{
 };
 use mms_server::sched::{CycleConfig, GroupedScheduler, SchemeScheduler};
 use mms_server::sim::run_batch;
-use mms_server::Parallelism;
+use mms_server::{Parallelism, Scheme, ServerBuilder};
 
 const C: usize = 9; // k' ∈ {1, 2, 4, 8}
+
+fn movie(b0: Bandwidth) -> MediaObject {
+    MediaObject::new(ObjectId(0), "m", 400, BandwidthClass::Custom(b0))
+}
 
 fn measured_peak(k_prime: usize, b0: Bandwidth) -> (usize, usize) {
     let geo = Geometry::clustered(C, C).unwrap();
     let mut catalog = Catalog::new(ClusteredLayout::new(geo), 100_000);
-    catalog
-        .add(MediaObject::new(
-            ObjectId(0),
-            "m",
-            400,
-            BandwidthClass::Custom(b0),
-        ))
-        .unwrap();
+    catalog.add(movie(b0)).unwrap();
     let cfg = CycleConfig::new(DiskParams::paper_table1(), b0, C - 1, k_prime);
     let mut s = GroupedScheduler::new(cfg, catalog);
     s.admit(ObjectId(0), 0).unwrap();
@@ -37,6 +37,18 @@ fn measured_peak(k_prime: usize, b0: Bandwidth) -> (usize, usize) {
         s.plan_cycle(t);
     }
     (s.buffer_high_water(), s.stream_capacity())
+}
+
+/// Stream capacity of the single-cluster server the builder makes for
+/// `scheme`.
+fn server_capacity(scheme: Scheme, b0: Bandwidth) -> usize {
+    ServerBuilder::new(scheme)
+        .disks(C)
+        .parity_group(C)
+        .object(movie(b0))
+        .build()
+        .expect("one cluster of C disks holds the movie")
+        .stream_capacity()
 }
 
 fn main() {
@@ -62,6 +74,20 @@ fn main() {
         );
         for k_prime in k_primes {
             let (peak, capacity) = it.next().unwrap();
+            // The endpoints are the paper's two schemes.
+            let named = match k_prime {
+                1 => Some((Scheme::StaggeredGroup, C + 1)),
+                k if k == C - 1 => Some((Scheme::StreamingRaid, 2 * C)),
+                _ => None,
+            };
+            if let Some((scheme, paper_peak)) = named {
+                assert_eq!(peak, paper_peak, "{scheme} buffer peak at k' = {k_prime}");
+                assert_eq!(
+                    capacity,
+                    server_capacity(scheme, b0),
+                    "{scheme} capacity at k' = {k_prime}"
+                );
+            }
             // The §2 bound for k = k' at this k'.
             let nd = streams_per_disk_bound(&DiskParams::paper_table1(), b0, k_prime, k_prime);
             println!("{k_prime:>4} {peak:>14} {capacity:>16} {nd:>18.2}");
