@@ -11,7 +11,7 @@
 //! `plan_cycle_into`, so a slot index taken during a cycle stays valid
 //! for the whole call.
 //!
-//! The table also owns what all six schedulers used to duplicate around
+//! The table also owns what the schedulers used to duplicate around
 //! their own maps: the stream header ([`Slot`]), the buffer charge of
 //! each stream (`held`, kept in step with the pool's aggregate gauge),
 //! the id counter, the cycle cursor and the plan epoch.
