@@ -37,10 +37,7 @@ macro_rules! delegate {
     };
 }
 
-/// The disks whose surviving group members and parity XOR back to the
-/// contents of `disk`, and how many tracks there are to rebuild: the
-/// other disks of its cluster, plus the next cluster's disks when that is
-/// where the layout keeps this cluster's parity.
+/// [`AnyScheduler::rebuild_spec`] over any layout's catalog.
 fn parity_rebuild<L: Layout>(
     catalog: &Catalog<L>,
     disk: DiskId,

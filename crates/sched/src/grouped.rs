@@ -332,7 +332,7 @@ impl SchemeScheduler for GroupedScheduler {
                 } else {
                     &s.state.resident
                 };
-                let mut delivered = 0usize;
+                let (mut delivered, mut lost) = (0usize, 0u64);
                 for i in first..end {
                     let i = i as u32;
                     let addr = BlockAddr::data(object, g, i);
@@ -343,6 +343,7 @@ impl SchemeScheduler for GroupedScheduler {
                             reason: LossReason::FailedDisk,
                             delivery_cycle: cycle,
                         });
+                        lost += 1;
                     } else {
                         plan.deliveries.push(Delivery {
                             stream: id,
@@ -353,7 +354,7 @@ impl SchemeScheduler for GroupedScheduler {
                     }
                 }
                 s.delivered += delivered as u64;
-                s.lost += end.saturating_sub(first) - delivered as u64;
+                s.lost += lost;
                 let transmitted = end == blocks;
                 let finished = transmitted && g + 1 == s.groups;
                 let class = s.state.class as usize;
