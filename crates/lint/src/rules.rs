@@ -399,7 +399,7 @@ const HOT_FORBIDDEN: &[(&[&str], &str)] = &[
 ];
 
 /// Allocation fact sites within a body token range: every occurrence
-/// of a [`HOT_FORBIDDEN`] pattern outside test code, as
+/// of a `HOT_FORBIDDEN` pattern outside test code, as
 /// `(line, label)`. Shared by the per-file `hot-path-alloc` rule and
 /// the interprocedural `transitive-alloc` rule.
 #[must_use]
@@ -443,7 +443,7 @@ pub fn nondet_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static s
 
 /// Panic fact sites within a body token range: `.unwrap()`, and
 /// `.expect(…)`/`panic!(…)` whose message is not a string literal of at
-/// least [`MIN_PANIC_MSG`] chars — as `(line, short description)`.
+/// least `MIN_PANIC_MSG` chars — as `(line, short description)`.
 /// Shared with the `panic-reachability` rule.
 #[must_use]
 pub fn panic_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static str)> {
