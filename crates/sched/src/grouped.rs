@@ -323,15 +323,7 @@ impl SchemeScheduler for GroupedScheduler {
                 let blocks = u64::from(s.blocks_in_group(g, bpg));
                 let first = chunk * k_prime;
                 let end = (first + k_prime).min(blocks);
-                // DEFECT (a), kept so this refactor changes no plan: with
-                // staggered reads the last `k′` blocks of a group go out
-                // in the cycle the next group is read, and they are judged
-                // by the *new* group's fault state.
-                let fault = if read_now && period > 1 {
-                    &s.state.incoming
-                } else {
-                    &s.state.resident
-                };
+                let fault = &s.state.resident;
                 let (mut delivered, mut lost) = (0usize, 0u64);
                 for i in first..end {
                     let i = i as u32;
@@ -763,6 +755,29 @@ mod tests {
             s.plan_cycle(0);
             // Blocks on both failed disks hiccup; the other two deliver.
             assert_eq!(transmit(&mut s, 1..=period), (2, 0, 2), "k'={k_prime}");
+        }
+    }
+
+    #[test]
+    fn last_blocks_of_a_group_keep_their_own_fault_state() {
+        // With staggered reads the last k' blocks of group 0 go out in the
+        // cycle group 1 is read (on the healthy cluster 1); they must be
+        // judged by what happened to group 0. k' = 4 never had the two in
+        // one cycle's state and is the control.
+        for (k_prime, period) in C5_SWEEP {
+            for disk in [2, 3] {
+                let mut s = c5(10, k_prime, &[8]);
+                s.admit(ObjectId(0), 0).unwrap();
+                s.on_disk_failure(DiskId(disk), 0, false);
+                let seen = transmit(&mut s, 0..=2 * period);
+                assert_eq!(seen, (8, 1, 0), "k'={k_prime} disk {disk}");
+            }
+            let mut s = c5(10, k_prime, &[8]);
+            s.admit(ObjectId(0), 0).unwrap();
+            s.on_disk_failure(DiskId(2), 0, false);
+            s.on_disk_failure(DiskId(3), 0, false);
+            assert_eq!(transmit(&mut s, 0..=2 * period), (6, 0, 2), "k'={k_prime}");
+            assert_eq!((s.active_streams(), s.buffer_in_use()), (0, 0));
         }
     }
 

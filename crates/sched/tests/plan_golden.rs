@@ -1,14 +1,17 @@
 //! Golden plan traces: seeded admit / release / fail / fail-mid-cycle /
-//! repair / fast-forward scripts drive each of the six schedulers, and
+//! repair / fast-forward scripts drive each of six scheduler
+//! configurations (the whole-group scheduler at `k′ = C−1`, `1` and `2`
+//! is three of them), and
 //! every observable of every cycle — the whole `CyclePlan`, the buffer
 //! gauges, `stream_info` of every stream ever admitted, the stability
 //! window and the plan epoch — is folded into one FNV-1a digest per
 //! script. The digests below were captured before the schedulers moved
 //! onto the shared stream table; a refactor of the stream, buffer or
 //! read-list bookkeeping must leave every one of them unchanged. (The
-//! `Grouped` row is younger: it was captured once `GroupedScheduler`
-//! admitted by class table and reported `data_loss_tracks` the way
-//! Streaming RAID and Staggered-group do.)
+//! `Staggered` and `Grouped` rows are younger: they were captured once
+//! the whole-group scheduler judged the last `k′` blocks of a group by
+//! that group's own fault state, with scripts that fail any two disks
+//! of a cluster.)
 
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{
@@ -278,26 +281,6 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
     }
 }
 
-/// Whether `disk` may fail while `down` is already failed.
-///
-/// Staggered-group and the grouped scheduler overwrite a stream's
-/// hiccup list when its next group is read, which is the same cycle the
-/// previous group's last `k′` blocks are delivered; a double failure
-/// that loses one of those blocks then frees a buffer that was never
-/// charged and trips the schedulers' own `expect`. That defect predates
-/// these traces (ROADMAP lists it), so the scripts keep same-cluster
-/// double failures for those two schemes on positions delivered before
-/// the next read cycle (0, 1) or on the parity disk.
-fn second_failure_ok(kind: Kind, down: &[DiskId], disk: DiskId) -> bool {
-    if !matches!(kind, Kind::Staggered | Kind::Grouped) {
-        return true;
-    }
-    let c = C as u32;
-    let early = |d: DiskId| matches!(d.0 % c, 0 | 1) || d.0 % c == c - 1;
-    down.iter()
-        .all(|d| d.0 / c != disk.0 / c || (early(*d) && early(disk)))
-}
-
 /// What a script reached, so the test can tell pinned paths from
 /// paths the generator never found.
 #[derive(Debug, Default, Clone, Copy)]
@@ -428,7 +411,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
             // second concurrent failure is allowed, a third is not.
             15..=17 => {
                 let disk = DiskId(rng.below(u64::from(disks)) as u32);
-                if down.len() < 2 && !down.contains(&disk) && second_failure_ok(kind, &down, disk) {
+                if down.len() < 2 && !down.contains(&disk) {
                     down.push(disk);
                     h.word(u64::from(disk.0));
                     let report = s.on_disk_failure(disk, cycle, op == 17);
@@ -492,14 +475,14 @@ const GOLDEN: [[u64; SCRIPTS]; 6] = [
         0x189940401601eab9, 0x1317622f0096e0e1, 0x8a4b2c1eec42f526, 0x47e47d165896dd88,
     ],
     [
-        0xb26e83722e7f557b, 0xed6949e30096570a, 0xc44e76a93bc6678a, 0x01cb2a6c5c8957f8,
-        0x443d3d889adb6f5a, 0xb400dc41be79cbd4, 0x54cef440ffa39042, 0xa6ff64ec9f774178,
-        0x943aceb32c76b1f0, 0xf0bb197ace314440, 0xb17874febcedd602, 0xce8eb9a881eb299f,
-        0xbb0c88407413011a, 0x93751df521a066bf, 0x80719db2c598a766, 0x9c64cbdcbf6a58a9,
-        0xb2bd7efb1df524fe, 0xb19aad4d8ba7db95, 0xa294f475b5fa9dfe, 0x5d363d1b422f4dca,
-        0x6ab70c2cf0099f34, 0x3fb45b16b28f149e, 0xcf7d069b65231261, 0x3bed7072ac1eeb77,
-        0xc339b3c12204b990, 0x1ea190bbc229c76b, 0xd217360f8bbfd1ff, 0x730793719b3f5cf5,
-        0x3ba7a12fdf8457c6, 0xba9f4e31618c8106, 0xc083d6d607dcdc73, 0x7779dd673af8fdd4,
+        0x4f93f073f01d1648, 0xa9d1faeb676d5089, 0xc44e76a93bc6678a, 0xa9bd903a78e0316b,
+        0x443d3d889adb6f5a, 0xd6f2e2ec3f50ae76, 0x3d30677bf0da085c, 0xb1734fef574b0c4c,
+        0x0f77f7d9b9762b60, 0x9969b07ea0c6b0e5, 0x1cf66f9c92491be3, 0x1b7d96cc5c54b27e,
+        0xbb0c88407413011a, 0x93751df521a066bf, 0xa370140421d627c8, 0xbcae1c5f130d2c48,
+        0xb2bd7efb1df524fe, 0xb8c6af8704993979, 0xa294f475b5fa9dfe, 0xf2f9be31f907528b,
+        0xc4989d70357aecc7, 0xe5f3faf8c0f07cff, 0x0ebb7344acba4040, 0x904c0edd9935df92,
+        0x35b43c26c83739b0, 0x1ea190bbc229c76b, 0xe75ccee2d8cda47f, 0xd1096cd5421de67d,
+        0x43912b89adb9c769, 0xba9f4e31618c8106, 0xc083d6d607dcdc73, 0x3ac5dffc367c2ab8,
     ],
     [
         0x5a7fcd3eda117c26, 0xa5bcbe9f44cb707b, 0x15e391457516c9ca, 0xb4bb900819d1e438,
@@ -522,14 +505,14 @@ const GOLDEN: [[u64; SCRIPTS]; 6] = [
         0xb74e71c43711a3e2, 0xd2d300e418ef7e33, 0x6021b4c0c5f976e6, 0x6210848127a77084,
     ],
     [
-        0x49074b07ee9d689d, 0x50b833c78882f578, 0x2ade7995683d6238, 0x4b5f941b68a840b0,
-        0xd65e64105a4f9240, 0x5f0a2d991b743cb3, 0xaeabc8c9a92725e2, 0xba2feb2211cb367f,
-        0xf85d177266a0497c, 0xac9b869802131246, 0xda17f2e44880c36a, 0xb618fd649819995d,
-        0xacd7796336ef2f05, 0xe8bb42362094444f, 0xe64f24e9a267caa1, 0x6791d971e38e7c19,
-        0xae2f3ef79e51b359, 0xdf9a08bf4f94e4e6, 0x0552326a69b2df89, 0xf3e28ad74f67435d,
-        0xb8aabf99163c5498, 0x48b707a50883a1a5, 0xca38e1287901e884, 0x48c7a5905113fa28,
-        0x44395300127e44db, 0xa34fe2823158e877, 0x9e41122568f8ffa1, 0x3fc1eb433484574f,
-        0x77b476676eaa1a19, 0xafd99ff6642edaa0, 0xfdc35ba140084394, 0x8ceee162de817f44,
+        0xee342ac82dc731ad, 0x3cae898a01f10f18, 0x08f7a3987ece056f, 0x4b5f941b68a840b0,
+        0xf65e6e2bf9866740, 0xd0786f6e5d0d67f2, 0xcff6dbea1e3455a3, 0xba2feb2211cb367f,
+        0x5d90f8682a6007f3, 0xfa42db40a875e011, 0x30bc6cd2f38452b4, 0xb618fd649819995d,
+        0x661ddad568c449a2, 0xd9547810e85a9c4e, 0xdc643ac2a3211220, 0x3abe4eb37e25fbad,
+        0xe34c5f41908422cc, 0xb1b273b21718c806, 0x01b14638c6994ad6, 0x942fd22bd6883ddc,
+        0x2fcd0c7f647feb99, 0xb042c9a6556adc32, 0xca38e1287901e884, 0xfc6972ee4fbd65cc,
+        0x7fb164a3fcbf296f, 0x17e616af6cda8aa4, 0xe895224b312924b0, 0xc3680937b497ff61,
+        0x7466c9e8aa4f535c, 0x4ee1868cdd80c320, 0xfdc35ba140084394, 0x8ceee162de817f44,
     ],
     [
         0x85cbbb34f4ff4069, 0x034a01c2c62d414b, 0xe4e265576105f296, 0xe7d3f17a2123bb3b,
