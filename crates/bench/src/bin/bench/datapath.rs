@@ -1,7 +1,6 @@
 //! Measure the zero-allocation data path — the word-wise XOR kernel, the
 //! pooled streaming verification in [`BlockOracle`], and the simulator's
-//! steady-state cycle loop — and write the results to
-//! `BENCH_datapath.json`.
+//! steady-state cycle loop.
 //!
 //! Four measurements:
 //! * **XOR kernel** — MB/s of the `u64`-lane [`xor_slices`] against a
@@ -18,16 +17,20 @@
 //!   degraded Streaming-RAID run under `DataMode::Verified`.
 //!
 //! Allocations are counted by a `#[global_allocator]` shim around the
-//! system allocator, so the numbers are the real heap traffic of the
-//! measured section — not an estimate.
+//! system allocator (it serves the whole `bench` binary; the other four
+//! benches never read the counter), so the numbers are the real heap
+//! traffic of the measured section — not an estimate.
 //!
-//! Usage: `bench_datapath [output.json] [--quick]`
+//! Usage: `bench datapath [output.json] [--quick]`
 //!
 //! `--quick` shrinks every workload to a smoke-test size; the committed
-//! JSON comes from a full run. Either way the exit status is non-zero if
-//! a streaming delivery or a simulator cycle allocated: zero is the
-//! contract, and CI runs this bin to enforce it.
+//! JSON comes from a full run. Either way the exit status is 1 if a
+//! streaming delivery or a simulator cycle allocated: zero is the
+//! contract, and CI runs this bench to enforce it.
 
+use crate::{timed, Harness};
+use mms_bench::args::Args;
+use mms_bench::json::{obj, Json};
 use mms_server::disk::DiskId;
 use mms_server::layout::{BandwidthClass, BlockAddr, MediaObject, ObjectId};
 use mms_server::parity::{
@@ -40,7 +43,6 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// System allocator with an allocation counter: every `alloc`/`realloc`
 /// bumps [`ALLOC_COUNT`], so a section's heap traffic is the difference
@@ -109,12 +111,11 @@ fn bench_xor(quick: bool) -> XorResult {
 /// MB/s of `call(pass, track)` over `passes` 50 KB tracks.
 fn track_mb_per_s(passes: usize, mut call: impl FnMut(u64, &mut [u8])) -> f64 {
     let mut track = vec![0u8; TRACK_BYTES];
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    for pass in 0..passes as u64 {
-        call(pass, black_box(&mut track));
-    }
-    let secs = start.elapsed().as_secs_f64();
+    let ((), secs) = timed(|| {
+        for pass in 0..passes as u64 {
+            call(pass, black_box(&mut track));
+        }
+    });
     black_box(&track);
     (passes * TRACK_BYTES) as f64 / 1e6 / secs
 }
@@ -164,30 +165,29 @@ fn bench_deliveries(quick: bool) -> DeliveryResult {
     let groups = tracks / u64::from(bpg);
     let mut oracle = BlockOracle::new(BTreeMap::from([(object, tracks)]), bpg, TRACK_BYTES);
 
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    let allocs_before = allocations();
-    for i in 0..deliveries {
-        let group = (i as u64 * 17) % groups;
-        let ix = (i as u32) % bpg;
-        let expected = oracle.block(BlockAddr::data(object, group, ix));
-        let produced = oracle.reconstruct_and_check(object, group, ix);
-        assert_eq!(produced, expected, "legacy path must round-trip");
-    }
-    let legacy_allocs = allocations() - allocs_before;
-    let legacy_secs = start.elapsed().as_secs_f64();
+    let (legacy_allocs, legacy_secs) = timed(|| {
+        let allocs_before = allocations();
+        for i in 0..deliveries {
+            let group = (i as u64 * 17) % groups;
+            let ix = (i as u32) % bpg;
+            let expected = oracle.block(BlockAddr::data(object, group, ix));
+            let produced = oracle.reconstruct_and_check(object, group, ix);
+            assert_eq!(produced, expected, "legacy path must round-trip");
+        }
+        allocations() - allocs_before
+    });
 
     // No warm-up: the oracle sized its pool at construction.
     let allocs_before = allocations();
     let [plain_per_s, reconstructed_per_s] = [false, true].map(|reconstructed| {
-        #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-        let start = Instant::now();
-        for i in 0..deliveries {
-            let group = (i as u64 * 17) % groups;
-            let ix = (i as u32) % bpg;
-            oracle.verify_delivery(BlockAddr::data(object, group, ix), reconstructed);
-        }
-        deliveries as f64 / start.elapsed().as_secs_f64()
+        let ((), secs) = timed(|| {
+            for i in 0..deliveries {
+                let group = (i as u64 * 17) % groups;
+                let ix = (i as u32) % bpg;
+                oracle.verify_delivery(BlockAddr::data(object, group, ix), reconstructed);
+            }
+        });
+        deliveries as f64 / secs
     });
     let streaming_allocs = allocations() - allocs_before;
 
@@ -241,16 +241,9 @@ fn bench_sim_cycles(quick: bool) -> SimResult {
     }
 }
 
-fn main() -> ExitCode {
-    let mut out_path = String::from("BENCH_datapath.json");
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            out_path = arg;
-        }
-    }
+pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
+    args.finish()?;
+    let quick = harness.quick;
 
     let xor = bench_xor(quick);
     println!(
@@ -283,70 +276,78 @@ fn main() -> ExitCode {
     // A ratio degenerates (division by zero) precisely when the pooled
     // path wins outright; the difference stays meaningful at 0.
     let allocs_eliminated = del.legacy_allocs_per - del.streaming_allocs_per;
-    let json = format!(
-        "{{\n\
-         \x20 \"quick\": {quick},\n\
-         \x20 \"track_bytes\": {TRACK_BYTES},\n\
-         \x20 \"xor_kernel\": {{\n\
-         \x20   \"passes\": {passes},\n\
-         \x20   \"scalar_mb_per_s\": {scalar:.1},\n\
-         \x20   \"wordwise_mb_per_s\": {word:.1},\n\
-         \x20   \"speedup\": {speedup:.2}\n\
-         \x20 }},\n\
-         \x20 \"synthetic_kernel\": {{\n\
-         \x20   \"passes\": {spasses},\n\
-         \x20   \"fill_mb_per_s\": {fill:.1},\n\
-         \x20   \"xor_in_mb_per_s\": {xor_in:.1},\n\
-         \x20   \"fold_only_mb_per_s\": {fold_only:.1},\n\
-         \x20   \"fused_fill_fold_mb_per_s\": {fused:.1}\n\
-         \x20 }},\n\
-         \x20 \"verified_delivery\": {{\n\
-         \x20   \"blocks_per_group\": {bpg},\n\
-         \x20   \"deliveries\": {deliveries},\n\
-         \x20   \"legacy_deliveries_per_s\": {lps:.1},\n\
-         \x20   \"legacy_allocs_per_delivery\": {lal:.2},\n\
-         \x20   \"streaming_plain_per_s\": {pps:.1},\n\
-         \x20   \"streaming_reconstructed_per_s\": {rps:.1},\n\
-         \x20   \"streaming_allocs_per_delivery\": {sal:.2},\n\
-         \x20   \"allocs_eliminated_per_delivery\": {red:.2}\n\
-         \x20 }},\n\
-         \x20 \"simulator\": {{\n\
-         \x20   \"scheme\": \"sr\",\n\
-         \x20   \"degraded\": true,\n\
-         \x20   \"cycles\": {cycles},\n\
-         \x20   \"allocs_per_cycle\": {apc:.2}\n\
-         \x20 }}\n\
-         }}\n",
-        quick = quick,
-        passes = xor.passes,
-        scalar = xor.scalar_mb_per_s,
-        word = xor.wordwise_mb_per_s,
-        speedup = xor.speedup,
-        spasses = synth.passes,
-        fill = synth.fill_mb_per_s,
-        xor_in = synth.xor_in_mb_per_s,
-        fold_only = synth.fold_only_mb_per_s,
-        fused = synth.fused_mb_per_s,
-        bpg = GROUP_C - 1,
-        deliveries = del.deliveries,
-        lps = del.legacy_per_s,
-        lal = del.legacy_allocs_per,
-        pps = del.plain_per_s,
-        rps = del.reconstructed_per_s,
-        sal = del.streaming_allocs_per,
-        red = allocs_eliminated,
-        cycles = sim.cycles,
-        apc = sim.allocs_per_cycle,
+    harness.write(
+        None,
+        vec![
+            ("track_bytes", TRACK_BYTES.into()),
+            (
+                "xor_kernel",
+                obj([
+                    ("passes", Json::from(xor.passes)),
+                    ("scalar_mb_per_s", Json::Fixed(xor.scalar_mb_per_s, 1)),
+                    ("wordwise_mb_per_s", Json::Fixed(xor.wordwise_mb_per_s, 1)),
+                    ("speedup", Json::Fixed(xor.speedup, 2)),
+                ]),
+            ),
+            (
+                "synthetic_kernel",
+                obj([
+                    ("passes", Json::from(synth.passes)),
+                    ("fill_mb_per_s", Json::Fixed(synth.fill_mb_per_s, 1)),
+                    ("xor_in_mb_per_s", Json::Fixed(synth.xor_in_mb_per_s, 1)),
+                    (
+                        "fold_only_mb_per_s",
+                        Json::Fixed(synth.fold_only_mb_per_s, 1),
+                    ),
+                    (
+                        "fused_fill_fold_mb_per_s",
+                        Json::Fixed(synth.fused_mb_per_s, 1),
+                    ),
+                ]),
+            ),
+            (
+                "verified_delivery",
+                obj([
+                    ("blocks_per_group", Json::from(GROUP_C - 1)),
+                    ("deliveries", del.deliveries.into()),
+                    ("legacy_deliveries_per_s", Json::Fixed(del.legacy_per_s, 1)),
+                    (
+                        "legacy_allocs_per_delivery",
+                        Json::Fixed(del.legacy_allocs_per, 2),
+                    ),
+                    ("streaming_plain_per_s", Json::Fixed(del.plain_per_s, 1)),
+                    (
+                        "streaming_reconstructed_per_s",
+                        Json::Fixed(del.reconstructed_per_s, 1),
+                    ),
+                    (
+                        "streaming_allocs_per_delivery",
+                        Json::Fixed(del.streaming_allocs_per, 2),
+                    ),
+                    (
+                        "allocs_eliminated_per_delivery",
+                        Json::Fixed(allocs_eliminated, 2),
+                    ),
+                ]),
+            ),
+            (
+                "simulator",
+                obj([
+                    ("scheme", Json::from("sr")),
+                    ("degraded", true.into()),
+                    ("cycles", sim.cycles.into()),
+                    ("allocs_per_cycle", Json::Fixed(sim.allocs_per_cycle, 2)),
+                ]),
+            ),
+        ],
     );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("\nwrote {out_path}");
 
     if del.streaming_allocs_per != 0.0 || sim.allocs_per_cycle != 0.0 {
         eprintln!(
             "error: the data path allocated ({} per streaming delivery, {} per simulator cycle); both must be 0",
             del.streaming_allocs_per, sim.allocs_per_cycle
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

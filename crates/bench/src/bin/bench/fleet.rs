@@ -1,4 +1,4 @@
-//! Fleet-tier throughput and reliability, written to `BENCH_fleet.json`.
+//! Fleet-tier throughput and reliability.
 //!
 //! One 8-node fleet (chained-declustered catalog, replicated control
 //! plane) runs a "million-session day": every node drives its shard of
@@ -16,15 +16,18 @@
 //! adjacency condition) and MTTDS (the control plane masks
 //! `ceil(N/2) - 1` concurrent node failures; one more stalls decrees).
 //!
-//! Usage: `bench_fleet [output.json] [--quick]`
+//! Usage: `bench fleet [output.json] [--quick]`
 //!
 //! `--quick` shrinks the horizon and trial count for CI smoke runs.
 
+use crate::{timed, Harness};
+use mms_bench::args::Args;
+use mms_bench::json::{obj, row, Json};
 use mms_fleet::{fleet_mttds, fleet_mttf, FleetBuilder, ShardReport, ShardedLoad};
 use mms_server::disk::{ReliabilityParams, Time};
 use mms_server::sim::{SplitMix64, StepMode};
 use mms_server::Parallelism;
-use std::time::Instant;
+use std::process::ExitCode;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const SEED: u64 = 1995;
@@ -80,14 +83,9 @@ fn run_pass(threads: usize, cycles: u64, trials: usize) -> PassResult {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
+pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
+    args.finish()?;
+    let quick = harness.quick;
     // ~30 sessions/cycle at this geometry: 50k cycles offers ~1.5M.
     let cycles: u64 = if quick { 1_500 } else { 50_000 };
     let trials: usize = if quick { 50 } else { 2_000 };
@@ -98,10 +96,7 @@ fn main() {
 
     let mut runs: Vec<(usize, f64, PassResult)> = Vec::new();
     for threads in THREAD_COUNTS {
-        #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-        let start = Instant::now();
-        let pass = run_pass(threads, cycles, trials);
-        let secs = start.elapsed().as_secs_f64();
+        let (pass, secs) = timed(|| run_pass(threads, cycles, trials));
         println!(
             "{threads} thread(s): {secs:.2}s, {} session(s) offered",
             pass.report.offered
@@ -118,50 +113,55 @@ fn main() {
     println!("fleet MTTDS       : {mttds_h:.1} h (control-plane quorum loss)");
     println!("bit-identical across {THREAD_COUNTS:?} threads: {bit_identical}");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"nodes\": {NODES},\n"));
-    json.push_str(&format!(
-        "  \"catalog\": \"{MOVIES} movies x {TRACKS} tracks, chained declustering\",\n"
-    ));
-    json.push_str(&format!("  \"cycles\": {cycles},\n"));
-    json.push_str(&format!("  \"load\": {LOAD},\n"));
-    json.push_str(&format!("  \"thread_counts\": {THREAD_COUNTS:?},\n"));
-    json.push_str(&format!("  \"bit_identical\": {bit_identical},\n"));
-    json.push_str("  \"seconds_per_pass\": {");
-    json.push_str(
-        &runs
-            .iter()
-            .map(|(t, s, _)| format!("\"{t}\": {s:.2}"))
-            .collect::<Vec<_>>()
-            .join(", "),
+    let seconds_per_pass = runs
+        .iter()
+        .map(|&(t, s, _)| (t.to_string(), Json::Fixed(s, 2)));
+    harness.write(
+        Some(SEED),
+        vec![
+            ("nodes", NODES.into()),
+            (
+                "catalog",
+                format!("{MOVIES} movies x {TRACKS} tracks, chained declustering").into(),
+            ),
+            ("cycles", cycles.into()),
+            ("load", LOAD.into()),
+            (
+                "thread_counts",
+                Json::Arr(THREAD_COUNTS.map(Json::from).to_vec()),
+            ),
+            ("bit_identical", bit_identical.into()),
+            ("seconds_per_pass", row(seconds_per_pass)),
+            (
+                "sessions",
+                obj([
+                    ("offered", Json::from(r.offered)),
+                    ("admitted", r.admitted.into()),
+                    ("rejected", r.rejected.into()),
+                    ("balked", r.balked.into()),
+                    ("released_early", r.released_early.into()),
+                    ("delivered_tracks", r.delivered.into()),
+                    ("hiccups", r.hiccups.into()),
+                ]),
+            ),
+            (
+                "reliability",
+                obj([
+                    ("node_mttf_hours", Json::from(NODE_MTTF_H)),
+                    ("node_mttr_hours", NODE_MTTR_H.into()),
+                    ("trials", trials.into()),
+                    ("fleet_mttf_hours", Json::Fixed(mttf_h, 1)),
+                    ("fleet_mttds_hours", Json::Fixed(mttds_h, 1)),
+                ]),
+            ),
+            (
+                "note",
+                "one fleet-wide pass; MTTF = adjacent node pair fatal (chained \
+                 declustering), MTTDS = ceil(N/2) concurrent node failures stall the control plane"
+                    .into(),
+            ),
+        ],
     );
-    json.push_str("},\n");
-    json.push_str("  \"sessions\": {\n");
-    json.push_str(&format!("    \"offered\": {},\n", r.offered));
-    json.push_str(&format!("    \"admitted\": {},\n", r.admitted));
-    json.push_str(&format!("    \"rejected\": {},\n", r.rejected));
-    json.push_str(&format!("    \"balked\": {},\n", r.balked));
-    json.push_str(&format!("    \"released_early\": {},\n", r.released_early));
-    json.push_str(&format!("    \"delivered_tracks\": {},\n", r.delivered));
-    json.push_str(&format!("    \"hiccups\": {}\n", r.hiccups));
-    json.push_str("  },\n");
-    json.push_str("  \"reliability\": {\n");
-    json.push_str(&format!("    \"node_mttf_hours\": {NODE_MTTF_H},\n"));
-    json.push_str(&format!("    \"node_mttr_hours\": {NODE_MTTR_H},\n"));
-    json.push_str(&format!("    \"trials\": {trials},\n"));
-    json.push_str(&format!(
-        "    \"fleet_mttf_hours\": {mttf_h:.1},\n    \"fleet_mttds_hours\": {mttds_h:.1}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str(
-        "  \"note\": \"one fleet-wide pass; MTTF = adjacent node pair fatal (chained \
-         declustering), MTTDS = ceil(N/2) concurrent node failures stall the control plane\"\n",
-    );
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
     if !quick {
         assert!(
             r.offered >= 1_000_000,
@@ -173,4 +173,5 @@ fn main() {
         bit_identical,
         "determinism contract violated: results differ across thread counts"
     );
+    Ok(ExitCode::SUCCESS)
 }

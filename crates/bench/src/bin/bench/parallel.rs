@@ -1,18 +1,21 @@
 //! Measure the deterministic worker pool (`mms-exec`) on the three
 //! workloads it backs — Monte-Carlo reliability trials, the design-space
-//! sweep, and a batch simulation grid — at 1, 2, 4, and 8 threads, and
-//! write the results to `BENCH_parallel.json`.
+//! sweep, and a batch simulation grid — at 1, 2, 4, and 8 threads.
 //!
 //! Two things are recorded per workload:
 //! * **wall-clock seconds** at each thread count (median of three runs);
 //! * **bit_identical** — whether every thread count reproduced the
 //!   1-thread result exactly. This is the pool's contract and must be
 //!   `true` everywhere; the timings are honest measurements on whatever
-//!   host runs the bin (`host_cores` records how many cores that was —
-//!   speedups are only expected when it exceeds 1).
+//!   host runs the bench (the envelope's `host_cores` records how many
+//!   cores that was — speedups are only expected when it exceeds 1).
 //!
-//! Usage: `bench_parallel [output.json] [mc_trials]`
+//! Usage: `bench parallel [output.json] [mc_trials]`. The run is a few
+//! seconds at its one size, so `--quick` changes nothing here.
 
+use crate::{host_cores, timed, Harness};
+use mms_bench::args::Args;
+use mms_bench::json::{obj, row, Json};
 use mms_bench::nc_transition_losses;
 use mms_server::analysis::{design_space_par, CostModel, SchemeParams, SystemParams};
 use mms_server::disk::ReliabilityParams;
@@ -22,7 +25,7 @@ use mms_server::sim::run_batch;
 use mms_server::Parallelism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::process::ExitCode;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -32,10 +35,9 @@ fn measure<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
     let mut digest = 0;
     let mut times: Vec<f64> = (0..3)
         .map(|_| {
-            #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-            let start = Instant::now();
-            digest = f();
-            start.elapsed().as_secs_f64()
+            let (d, secs) = timed(&mut f);
+            digest = d;
+            secs
         })
         .collect();
     times.sort_by(f64::total_cmp);
@@ -78,13 +80,15 @@ fn bench_workload<F: FnMut(Parallelism) -> u64>(
     }
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let out_path = args.next().unwrap_or_else(|| "BENCH_parallel.json".into());
-    let mc_trials: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(48);
+const SEED: u64 = 1995;
 
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("host cores: {host_cores}; measuring at {THREAD_COUNTS:?} threads\n");
+pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
+    let mc_trials: usize = args.positional("Monte-Carlo trial count", 48)?;
+    args.finish()?;
+    println!(
+        "host cores: {}; measuring at {THREAD_COUNTS:?} threads\n",
+        host_cores()
+    );
 
     let mut workloads = Vec::new();
 
@@ -97,9 +101,9 @@ fn main() {
     };
     workloads.push(bench_workload(
         "montecarlo_mttf",
-        format!("D=1000 C=10 same-cluster rule, {mc_trials} trials, seed 1995"),
+        format!("D=1000 C=10 same-cluster rule, {mc_trials} trials, seed {SEED}"),
         |par| {
-            let stats = mc.run_par(&mut StdRng::seed_from_u64(1995), mc_trials, par);
+            let stats = mc.run_par(&mut StdRng::seed_from_u64(SEED), mc_trials, par);
             stats.mean.as_secs().to_bits() ^ stats.std_error.as_secs().to_bits()
         },
     ));
@@ -151,55 +155,48 @@ fn main() {
     ));
 
     let all_identical = workloads.iter().all(|w| w.bit_identical);
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"thread_counts\": {THREAD_COUNTS:?},\n"));
-    json.push_str(&format!("  \"all_bit_identical\": {all_identical},\n"));
-    json.push_str(&format!(
-        "  \"note\": \"wall-clock medians of 3 runs; speedup = seconds at 1 thread / best; \
-         parallel speedup requires host_cores > 1{}\",\n",
-        if host_cores == 1 {
-            " — this run used a 1-core host, so the timings document determinism and pool \
-             overhead, not speedup"
-        } else {
-            ""
-        }
-    ));
-    json.push_str("  \"workloads\": {\n");
-    for (i, w) in workloads.iter().enumerate() {
+    let workloads = workloads.iter().map(|w| {
         let t1 = w.seconds[0].1;
         let best = w
             .seconds
             .iter()
             .map(|&(_, s)| s)
             .fold(f64::INFINITY, f64::min);
-        json.push_str(&format!("    \"{}\": {{\n", w.name));
-        json.push_str(&format!("      \"detail\": \"{}\",\n", w.detail));
-        json.push_str("      \"seconds\": {");
-        json.push_str(
-            &w.seconds
-                .iter()
-                .map(|(t, s)| format!("\"{t}\": {s:.4}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        json.push_str("},\n");
-        json.push_str(&format!(
-            "      \"speedup_best\": {:.2},\n",
-            if best > 0.0 { t1 / best } else { 1.0 }
-        ));
-        json.push_str(&format!("      \"bit_identical\": {}\n", w.bit_identical));
-        json.push_str(if i + 1 == workloads.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("\nwrote {out_path}");
+        let speedup = if best > 0.0 { t1 / best } else { 1.0 };
+        let seconds = w
+            .seconds
+            .iter()
+            .map(|&(t, s)| (t.to_string(), Json::Fixed(s, 4)));
+        (
+            w.name,
+            obj([
+                ("detail", Json::from(w.detail.as_str())),
+                ("seconds", row(seconds)),
+                ("speedup_best", Json::Fixed(speedup, 2)),
+                ("bit_identical", w.bit_identical.into()),
+            ]),
+        )
+    });
+    harness.write(
+        Some(SEED),
+        vec![
+            (
+                "thread_counts",
+                Json::Arr(THREAD_COUNTS.map(Json::from).to_vec()),
+            ),
+            ("all_bit_identical", all_identical.into()),
+            (
+                "note",
+                "wall-clock medians of 3 runs; speedup = seconds at 1 thread / best; \
+                 parallel speedup requires host_cores > 1"
+                    .into(),
+            ),
+            ("workloads", obj(workloads)),
+        ],
+    );
     assert!(
         all_identical,
         "determinism contract violated: results differ across thread counts"
     );
+    Ok(ExitCode::SUCCESS)
 }

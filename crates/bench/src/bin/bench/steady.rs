@@ -1,5 +1,5 @@
 //! Steady-state simulation throughput, cycle-by-cycle vs. event-horizon
-//! fast-forward, written to `BENCH_steady.json`.
+//! fast-forward.
 //!
 //! Two measurements per scheme (SR/SG/NC/IB) x load point:
 //!
@@ -14,24 +14,27 @@
 //!   of nominal-length movies, measuring sessions finished per second
 //!   of wall clock as streams churn through the server.
 //!
-//! Both modes of every cell run from the same seed, and the bin
+//! Both modes of every cell run from the same seed, and the bench
 //! asserts the observable outcomes (tracks read, deliveries, hiccups,
 //! finishes, rejections) are identical before it reports a speedup —
 //! a throughput number for a run that computed something different
 //! would be meaningless.
 //!
-//! Usage: `bench_steady [output.json] [--quick]`
+//! Usage: `bench steady [output.json] [--quick]`
 //!
 //! `--quick` shrinks the horizon for CI smoke runs and skips the 5x
 //! assertion (sub-second cells are timing noise); the equality
 //! assertions always run.
 
+use crate::{timed, Harness};
+use mms_bench::args::Args;
+use mms_bench::json::{obj, row, Json};
 use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
 use mms_server::sim::{DataMode, StepMode, WorkloadGen};
 use mms_server::{MultimediaServer, Scheme, ServerBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::process::ExitCode;
 
 const SCHEMES: [(Scheme, &str); 4] = [
     (Scheme::StreamingRaid, "SR"),
@@ -114,10 +117,7 @@ fn run_steady(scheme: Scheme, load: f64, cycles: u64, mode: StepMode) -> (Outcom
             break;
         }
     }
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    server.run(cycles).expect("steady run");
-    let secs = start.elapsed().as_secs_f64();
+    let ((), secs) = timed(|| server.run(cycles).expect("steady run"));
     (outcome(&server, 0), secs)
 }
 
@@ -127,12 +127,11 @@ fn run_sessions(scheme: Scheme, rate: f64, cycles: u64, mode: StepMode) -> (Outc
     server.set_step_mode(mode);
     let workload = WorkloadGen::new(server.objects().to_vec(), THETA, rate);
     let mut rng = StdRng::seed_from_u64(SEED);
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    let rejected = server
-        .run_with_workload(cycles, &workload, &mut rng)
-        .expect("churn run");
-    let secs = start.elapsed().as_secs_f64();
+    let (rejected, secs) = timed(|| {
+        server
+            .run_with_workload(cycles, &workload, &mut rng)
+            .expect("churn run")
+    });
     (outcome(&server, rejected), secs)
 }
 
@@ -147,14 +146,9 @@ struct Cell {
     finished: u64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_steady.json".into());
+pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
+    args.finish()?;
+    let quick = harness.quick;
     let cycles: u64 = if quick { 1_500 } else { 20_000 };
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -202,51 +196,61 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     println!("minimum steady-state speedup across all cells: {min_speedup:.1}x");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"cycles_per_cell\": {cycles},\n"));
-    json.push_str(
-        "  \"note\": \"wall-clock on a single-core container; both step modes of every cell \
-         are asserted observably identical before any speedup is reported\",\n",
-    );
-    json.push_str(&format!("  \"min_steady_speedup\": {min_speedup:.2},\n"));
-    json.push_str("  \"schemes\": {\n");
-    for (si, (_, label)) in SCHEMES.iter().enumerate() {
-        json.push_str(&format!("    \"{label}\": [\n"));
-        let points: Vec<&Cell> = cells.iter().filter(|c| c.label == *label).collect();
-        for (pi, c) in points.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"load\": {:.2}, \"steady_cycles_per_sec\": {{\"cycle_by_cycle\": \
-                 {:.1}, \"event_horizon\": {:.1}, \"speedup\": {:.2}}}, \
-                 \"churn_rate_per_cycle\": {:.2}, \"quiescent_fraction\": {:.3}, \
-                 \"churn_cycles_per_sec\": {{\"cycle_by_cycle\": {:.1}, \"event_horizon\": \
-                 {:.1}, \"speedup\": {:.2}}}, \"sessions_per_sec\": {{\"cycle_by_cycle\": \
-                 {:.1}, \"event_horizon\": {:.1}}}, \"sessions_finished\": {}}}{}\n",
-                c.load,
-                cycles as f64 / c.steady_slow,
-                cycles as f64 / c.steady_fast,
-                c.steady_slow / c.steady_fast,
-                c.rate,
-                (-c.rate).exp(),
-                cycles as f64 / c.sessions_slow,
-                cycles as f64 / c.sessions_fast,
-                c.sessions_slow / c.sessions_fast,
-                c.finished as f64 / c.sessions_slow,
-                c.finished as f64 / c.sessions_fast,
-                c.finished,
-                if pi + 1 == points.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(if si + 1 == SCHEMES.len() {
-            "    ]\n"
-        } else {
-            "    ],\n"
+    // `{cycle_by_cycle, event_horizon, speedup}` rates from the two
+    // step modes' wall seconds for `work` units.
+    let rates = |work: f64, slow: f64, fast: f64| {
+        row([
+            ("cycle_by_cycle", Json::Fixed(work / slow, 1)),
+            ("event_horizon", Json::Fixed(work / fast, 1)),
+            ("speedup", Json::Fixed(slow / fast, 2)),
+        ])
+    };
+    let schemes = SCHEMES.map(|(_, label)| {
+        let points = cells.iter().filter(|c| c.label == label).map(|c| {
+            row([
+                ("load", Json::Fixed(c.load, 2)),
+                (
+                    "steady_cycles_per_sec",
+                    rates(cycles as f64, c.steady_slow, c.steady_fast),
+                ),
+                ("churn_rate_per_cycle", Json::Fixed(c.rate, 2)),
+                ("quiescent_fraction", Json::Fixed((-c.rate).exp(), 3)),
+                (
+                    "churn_cycles_per_sec",
+                    rates(cycles as f64, c.sessions_slow, c.sessions_fast),
+                ),
+                (
+                    "sessions_per_sec",
+                    row([
+                        (
+                            "cycle_by_cycle",
+                            Json::Fixed(c.finished as f64 / c.sessions_slow, 1),
+                        ),
+                        (
+                            "event_horizon",
+                            Json::Fixed(c.finished as f64 / c.sessions_fast, 1),
+                        ),
+                    ]),
+                ),
+                ("sessions_finished", c.finished.into()),
+            ])
         });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
+        (label, Json::Arr(points.collect()))
+    });
+    harness.write(
+        Some(SEED),
+        vec![
+            ("cycles_per_cell", cycles.into()),
+            (
+                "note",
+                "both step modes of every cell are asserted observably identical before \
+                 any speedup is reported"
+                    .into(),
+            ),
+            ("min_steady_speedup", Json::Fixed(min_speedup, 2)),
+            ("schemes", obj(schemes)),
+        ],
+    );
     if !quick {
         assert!(
             min_speedup >= 5.0,
@@ -254,4 +258,5 @@ fn main() {
              for every scheme (got {min_speedup:.2}x)"
         );
     }
+    Ok(ExitCode::SUCCESS)
 }

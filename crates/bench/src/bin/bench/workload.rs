@@ -1,5 +1,5 @@
 //! Stall-rate vs. utilization curves for the four schemes under the
-//! heavy-traffic session engine, written to `BENCH_workload.json`.
+//! heavy-traffic session engine.
 //!
 //! The grid is scheme (SR/SG/NC/IB) x offered load (fraction of the
 //! scheme's admission capacity) x mode (normal, or degraded by a single
@@ -16,12 +16,15 @@
 //! `StepMode::EventHorizon`: arrival-free stretches fast-forward, and
 //! the equivalence suite pins that this changes no observable number.
 //!
-//! Usage: `bench_workload [output.json] [--quick]`
+//! Usage: `bench workload [output.json] [--quick]`
 //!
 //! `--quick` shrinks the per-cell horizon for CI smoke runs; the default
 //! horizon offers over a million sessions across the grid (a
 //! "million-session day").
 
+use crate::{timed, Harness};
+use mms_bench::args::Args;
+use mms_bench::json::{obj, row, Json};
 use mms_server::disk::DiskId;
 use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
 use mms_server::sim::{
@@ -31,7 +34,7 @@ use mms_server::sim::{
 use mms_server::{Parallelism, Scheme, ServerBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::process::ExitCode;
 
 const SCHEMES: [(Scheme, &str); 4] = [
     (Scheme::StreamingRaid, "SR"),
@@ -153,16 +156,10 @@ fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_workload.json".into());
+pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
+    args.finish()?;
     // 20k cycles/cell offers ~1.2M sessions over the 48-cell grid.
-    let cycles: u64 = if quick { 300 } else { 20_000 };
+    let cycles: u64 = if harness.quick { 300 } else { 20_000 };
 
     let grid: Vec<Cell> = SCHEMES
         .into_iter()
@@ -186,15 +183,14 @@ fn main() {
 
     let mut runs: Vec<(usize, f64, Vec<CellResult>)> = Vec::new();
     for threads in THREAD_COUNTS {
-        #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-        let start = Instant::now();
-        let results = run_batch_seeded(
-            Parallelism::threads(threads),
-            &mut StdRng::seed_from_u64(SEED),
-            &grid,
-            |cell, rng| run_cell(cell, rng, cycles),
-        );
-        let secs = start.elapsed().as_secs_f64();
+        let (results, secs) = timed(|| {
+            run_batch_seeded(
+                Parallelism::threads(threads),
+                &mut StdRng::seed_from_u64(SEED),
+                &grid,
+                |cell, rng| run_cell(cell, rng, cycles),
+            )
+        });
         println!("{threads} thread(s): {secs:.2}s");
         runs.push((threads, secs, results));
     }
@@ -204,72 +200,69 @@ fn main() {
     println!("sessions offered (per grid pass): {offered_total}");
     println!("bit-identical across {THREAD_COUNTS:?} threads: {bit_identical}");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"cycles_per_cell\": {cycles},\n"));
-    json.push_str(&format!(
-        "  \"catalog\": \"{MOVIES} movies x {TRACKS} tracks, Zipf theta {THETA}\",\n"
-    ));
-    json.push_str(&format!(
-        "  \"engine\": \"Poisson arrivals at load-matched rate, VBR ladder {VBR_LADDER:?}, \
-         abandonment {ABANDON}, Reject admission\",\n"
-    ));
-    json.push_str(&format!("  \"sessions_offered_total\": {offered_total},\n"));
-    json.push_str(&format!("  \"thread_counts\": {THREAD_COUNTS:?},\n"));
-    json.push_str(&format!("  \"bit_identical\": {bit_identical},\n"));
-    json.push_str("  \"seconds_per_pass\": {");
-    json.push_str(
-        &runs
-            .iter()
-            .map(|(t, s, _)| format!("\"{t}\": {s:.2}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("},\n");
-    json.push_str(
-        "  \"note\": \"stall_rate = hiccups / (delivered + hiccups); utilization is the \
-         busy fraction of total disk-time; degraded = one disk failed at cycles/10\",\n",
-    );
-    json.push_str("  \"schemes\": {\n");
-    for (si, (_, label)) in SCHEMES.iter().enumerate() {
-        json.push_str(&format!("    \"{label}\": {{\n"));
-        for (mi, (mode, degraded)) in [("normal", false), ("degraded", true)].iter().enumerate() {
-            json.push_str(&format!("      \"{mode}\": [\n"));
-            let points: Vec<&CellResult> = results
+    let seconds_per_pass = runs
+        .iter()
+        .map(|(t, s, _)| (t.to_string(), Json::Fixed(*s, 2)));
+    let schemes = SCHEMES.map(|(_, label)| {
+        let mode = |degraded: bool| {
+            let points = results
                 .iter()
-                .filter(|r| r.label == *label && r.degraded == *degraded)
-                .collect();
-            for (pi, r) in points.iter().enumerate() {
-                json.push_str(&format!(
-                    "        {{\"load\": {:.2}, \"rate_per_cycle\": {:.4}, \"offered\": {}, \
-                     \"admitted\": {}, \"blocking_rate\": {:.4}, \"utilization\": {:.4}, \
-                     \"stall_rate\": {:.6}, \"delivered\": {}, \"hiccups\": {}}}{}\n",
-                    r.load,
-                    r.rate,
-                    r.offered,
-                    r.admitted,
-                    r.blocking_rate,
-                    r.utilization,
-                    r.stall_rate,
-                    r.delivered,
-                    r.hiccups,
-                    if pi + 1 == points.len() { "" } else { "," }
-                ));
-            }
-            json.push_str(if mi == 0 { "      ],\n" } else { "      ]\n" });
-        }
-        json.push_str(if si + 1 == SCHEMES.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
+                .filter(|r| r.label == label && r.degraded == degraded)
+                .map(|r| {
+                    row([
+                        ("load", Json::Fixed(r.load, 2)),
+                        ("rate_per_cycle", Json::Fixed(r.rate, 4)),
+                        ("offered", r.offered.into()),
+                        ("admitted", r.admitted.into()),
+                        ("blocking_rate", Json::Fixed(r.blocking_rate, 4)),
+                        ("utilization", Json::Fixed(r.utilization, 4)),
+                        ("stall_rate", Json::Fixed(r.stall_rate, 6)),
+                        ("delivered", r.delivered.into()),
+                        ("hiccups", r.hiccups.into()),
+                    ])
+                });
+            Json::Arr(points.collect())
+        };
+        (
+            label,
+            obj([("normal", mode(false)), ("degraded", mode(true))]),
+        )
+    });
+    harness.write(
+        Some(SEED),
+        vec![
+            ("cycles_per_cell", cycles.into()),
+            (
+                "catalog",
+                format!("{MOVIES} movies x {TRACKS} tracks, Zipf theta {THETA}").into(),
+            ),
+            (
+                "engine",
+                format!(
+                    "Poisson arrivals at load-matched rate, VBR ladder {VBR_LADDER:?}, \
+                     abandonment {ABANDON}, Reject admission"
+                )
+                .into(),
+            ),
+            ("sessions_offered_total", offered_total.into()),
+            (
+                "thread_counts",
+                Json::Arr(THREAD_COUNTS.map(Json::from).to_vec()),
+            ),
+            ("bit_identical", bit_identical.into()),
+            ("seconds_per_pass", row(seconds_per_pass)),
+            (
+                "note",
+                "stall_rate = hiccups / (delivered + hiccups); utilization is the \
+                 busy fraction of total disk-time; degraded = one disk failed at cycles/10"
+                    .into(),
+            ),
+            ("schemes", obj(schemes)),
+        ],
+    );
     assert!(
         bit_identical,
         "determinism contract violated: results differ across thread counts"
     );
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,10 +1,15 @@
-//! # mms-bench — benchmark and reproduction harness
+//! # mms-bench — reproduction and measurement harness
 //!
-//! One binary per table/figure of the paper (run with
-//! `cargo run -p mms-bench --bin <name>`), plus Criterion benches for the
-//! performance-critical substrate paths (`cargo bench -p mms-bench`).
+//! Two binaries and nothing else:
 //!
-//! | Binary | Reproduces |
+//! * `cargo run --release -p mms-bench --bin repro -- <id>|all|list`
+//!   regenerates one table or figure of the paper (the `(id, what, fn)`
+//!   table in `src/bin/repro/main.rs` is the place to add one);
+//! * `cargo run --release -p mms-bench --bin bench -- <name> [out.json] [--quick]`
+//!   takes one of the five `BENCH_<name>.json` measurements (the table
+//!   in `src/bin/bench/main.rs` is the place to add one).
+//!
+//! | `repro` id | Reproduces |
 //! |---|---|
 //! | `section2_table` | §2 in-text streams/disk table |
 //! | `table2` / `table3` | Tables 2 and 3 (all six metrics, four schemes) |
@@ -22,74 +27,33 @@
 //! | `ablation_ib_reserve` | IB reserved capacity vs dropped streams at full load |
 //! | `ablation_kprime` | the k′ continuum between SR and SG |
 //! | `design_space` | §5 design exercise + §1 mixed-class farm split |
+//!
+//! | `bench` name | Measures |
+//! |---|---|
+//! | `parallel` | the `mms-exec` worker pool at 1/2/4/8 threads, bit-identity asserted |
+//! | `datapath` | XOR and generator kernels, verified deliveries, allocations per cycle (must be 0) |
+//! | `workload` | stall rate vs utilization, 4 schemes × 6 loads × normal/degraded |
+//! | `steady` | cycle-by-cycle vs event-horizon stepping (≥ 5× gate on full runs) |
+//! | `fleet` | an 8-node million-session day plus fleet MTTF / MTTDS |
+//!
+//! This library holds what both binaries share: the argument parser,
+//! the JSON writer, and the one scenario both of them run.
 
 #![forbid(unsafe_code)]
+
+pub mod args;
+pub mod json;
 
 use mms_server::disk::{Bandwidth, DiskId, DiskParams};
 use mms_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
 use mms_server::sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
-use std::collections::BTreeMap;
-
-/// Stream names used by the Figure 5/6/7 scenario.
-pub const FIGURE_NAMES: [(u64, &str); 8] = [
-    (0, "U"),
-    (1, "W"),
-    (2, "Y"),
-    (3, "A"),
-    (4, "C"),
-    (5, "E"),
-    (6, "G"),
-    (7, "I"),
-];
-
-/// Admission cycles for the figure streams (mapping the figures' cycle 1
-/// to scheduler cycle 4).
-pub const FIGURE_STARTS: [(u64, u64); 8] = [
-    (0, 1),
-    (1, 2),
-    (2, 3),
-    (3, 4),
-    (4, 5),
-    (5, 6),
-    (6, 7),
-    (7, 8),
-];
-
-/// The cycle at which disk 2 fails in the figure scenario (the figures'
-/// "just before the start of cycle 1").
-pub const FIGURE_FAIL_CYCLE: u64 = 4;
-
-/// Build the Figures 5–7 Non-clustered scenario: one cluster of five
-/// disks, one slot per disk per cycle, four-track objects.
-#[must_use]
-pub fn figure_scheduler(policy: TransitionPolicy) -> NonClusteredScheduler {
-    let geo = Geometry::clustered(5, 5).expect("5x5 is a valid clustered geometry");
-    let mut catalog = Catalog::new(ClusteredLayout::new(geo), 10_000);
-    for (id, name) in FIGURE_NAMES {
-        catalog
-            .add(MediaObject::new(
-                ObjectId(id),
-                name,
-                4,
-                BandwidthClass::Custom(Bandwidth::from_megabytes(1.0)),
-            ))
-            .expect("figure objects fit the catalog and have unique ids");
-    }
-    let cfg = CycleConfig::new(
-        DiskParams::paper_table1(),
-        Bandwidth::from_megabytes(1.0),
-        1,
-        1,
-    );
-    NonClusteredScheduler::new(cfg, catalog, policy, 1)
-}
 
 /// Tracks lost during the Non-clustered degraded-mode transition: one
 /// fully-loaded cluster of size `c` with one stream per phase, disk `f`
-/// failing while each phase is mid-group. Used by the
-/// `ablation_transition` grid and the `bench_parallel` harness.
+/// failing while each phase is mid-group. Used by
+/// `repro ablation_transition` and `bench parallel`.
 #[must_use]
 pub fn nc_transition_losses(c: usize, f: u32, policy: TransitionPolicy) -> usize {
     let geo = Geometry::clustered(c, c).expect("square clustered geometry is valid for c >= 2");
@@ -130,51 +94,4 @@ pub fn nc_transition_losses(c: usize, f: u32, policy: TransitionPolicy) -> usize
         lost += sched.plan_cycle(t).hiccups.len();
     }
     lost
-}
-
-/// The figure name map for trace rendering.
-#[must_use]
-pub fn figure_name_map() -> BTreeMap<u64, &'static str> {
-    FIGURE_NAMES.into_iter().collect()
-}
-
-/// Print a Table 2/3-style metrics table for parity-group size `c` to
-/// stdout, returning the rows.
-pub fn print_scheme_table(c: usize) -> Vec<mms_server::analysis::TableRow> {
-    use mms_server::analysis::{table_rows, SchemeParams, SystemParams};
-    let sys = SystemParams::paper_table1();
-    let rows = table_rows(&sys, &SchemeParams::paper_tables(c));
-    println!(
-        "{:<20} {:>9} {:>9} {:>12} {:>14} {:>8} {:>9}",
-        "scheme", "stor ovhd", "bw ovhd", "MTTF (yr)", "MTTDS (yr)", "streams", "buffers"
-    );
-    for row in &rows {
-        println!(
-            "{:<20} {:>8.1}% {:>8.1}% {:>12.1} {:>14.1} {:>8} {:>9}",
-            row.scheme.to_string(),
-            row.storage_overhead * 100.0,
-            row.bandwidth_overhead * 100.0,
-            row.mttf_years,
-            row.mttds_years,
-            row.streams,
-            row.buffers_tracks
-        );
-    }
-    rows
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mms_server::sched::SchemeScheduler;
-
-    #[test]
-    fn figure_scenario_builds() {
-        let mut s = figure_scheduler(TransitionPolicy::Simple);
-        for (obj, at) in FIGURE_STARTS.iter().take(3) {
-            s.admit(ObjectId(*obj), *at).unwrap();
-        }
-        assert_eq!(s.active_streams(), 3);
-        assert_eq!(s.config().slots_per_disk(), 1);
-    }
 }

@@ -1,10 +1,12 @@
-//! Pins what every table/figure generator prints: FNV-1a 64 of its
-//! stdout, captured from this commit's per-figure binaries.
+//! `repro` prints, byte for byte, what the 17 per-figure binaries it
+//! replaced printed; both binaries answer a command line they cannot
+//! account for with their usage and exit status 2.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
-/// `(id, arguments, FNV-1a 64 of stdout)`. Every generator runs at its
+/// `(id, arguments, FNV-1a 64 of stdout)`, captured from the per-figure
+/// binaries of the commit before `repro`. Every generator runs at its
 /// default arguments except `reliability_mc`, whose default `auto`
 /// thread count prints the host's core count: it is pinned to the two
 /// cores of the host the table was captured on (the numbers themselves
@@ -35,18 +37,32 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn generate(id: &str, args: &[&str]) -> Output {
-    let bin = Path::new(env!("CARGO_BIN_EXE_table2")).with_file_name(id);
-    Command::new(bin)
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
-        .expect("generator binary runs")
+        .expect("repro runs")
+}
+
+fn bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(args)
+        .output()
+        .expect("bench runs")
+}
+
+/// Exit status 2, the usage on stderr, nothing on stdout.
+fn assert_usage_error(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(stderr.contains("usage:"), "{what}: {stderr}");
+    assert!(out.stdout.is_empty(), "{what} ran something");
 }
 
 #[test]
 fn every_generator_prints_its_pinned_bytes() {
     for (id, args, digest) in GOLDEN {
-        let out = generate(id, args);
+        let out = repro(&[&[id], args].concat());
         assert!(out.status.success(), "{id} exited with {}", out.status);
         assert_eq!(
             fnv1a(&out.stdout),
@@ -54,5 +70,70 @@ fn every_generator_prints_its_pinned_bytes() {
             "{id} printed something else:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
+    }
+}
+
+#[test]
+fn list_names_exactly_the_pinned_ids() {
+    let out = repro(&["list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let listed: Vec<&str> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    assert_eq!(listed, GOLDEN.map(|(id, _, _)| id));
+}
+
+/// Runs the `assert`s inside `fig4_memory`, `fig6_transition`,
+/// `fig7_transition` and `ablation_kprime`.
+#[test]
+fn all_runs_every_generator_and_succeeds() {
+    let out = repro(&["all"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for (id, _, _) in GOLDEN {
+        assert!(stdout.contains(&format!("===== {id} =====")), "{id}");
+    }
+}
+
+#[test]
+fn repro_rejects_what_it_cannot_account_for() {
+    for args in [
+        &[][..],
+        &["table9"],
+        &["table2", "extra"],
+        &["table2", "--quick"],
+        &["all", "40"],
+        &["list", "verbose"],
+        &["reliability_mc", "fourty"],
+        &["reliability_mc", "40", "many"],
+        &["reliability_mc", "40", "2", "extra"],
+        &["design_space", "lots"],
+        &["design_space", "1200", "2000", "650", "2", "extra"],
+    ] {
+        assert_usage_error(&repro(args), &format!("repro {args:?}"));
+    }
+}
+
+#[test]
+fn bench_rejects_what_it_cannot_account_for_and_writes_nothing() {
+    let out_path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("must_not_exist.json");
+    let out_path = out_path.to_str().unwrap();
+    for args in [
+        &[][..],
+        &["nope"],
+        &["steady", "--quik", out_path],
+        &["steady", out_path, "--quick", "extra"],
+        &["fleet", "-q", out_path],
+        &["parallel", out_path, "fourty"],
+        &["parallel", out_path, "16", "extra"],
+    ] {
+        assert_usage_error(&bench(args), &format!("bench {args:?}"));
+        assert!(!Path::new(out_path).exists(), "bench {args:?} wrote a file");
     }
 }
