@@ -21,18 +21,12 @@
 //!   and delivering the data on time." Exhausting the servers on a further
 //!   failure is precisely the NC scheme's *degradation of service* event
 //!   (Eq. 6).
-//! * [`ReconstructionLedger`] — the parity duty itself: per-group running
-//!   XOR over the survivors as their reads land (one track of state per
-//!   group), materializing the missing member when the last block
-//!   arrives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ledger;
 mod pool;
 mod server;
 
-pub use ledger::{LedgerError, ReconstructionLedger};
 pub use pool::{BufferError, BufferPool, OwnerId};
 pub use server::{BufferServer, BufferServerPool, ServerError, ServerId};

@@ -110,18 +110,6 @@ pub const HOT_FNS: &[HotFn] = &[
         why: "word-wise zero scan (leaf kernel, called via is_zero wrappers)",
     },
     HotFn {
-        file: "crates/parity/src/accum.rs",
-        impl_type: Some("ParityAccumulator"),
-        name: "absorb",
-        why: "reusable parity accumulation",
-    },
-    HotFn {
-        file: "crates/parity/src/accum.rs",
-        impl_type: Some("ParityAccumulator"),
-        name: "absorb_bytes",
-        why: "reusable parity accumulation (bytes)",
-    },
-    HotFn {
         file: "crates/sim/src/simulator.rs",
         impl_type: Some("Simulator"),
         name: "run_sessions",

@@ -66,6 +66,14 @@ fn determinism_scopes_to_deterministic_library_code() {
     );
 }
 
+/// Index of `Simulator::run_sessions` in the hot-function registry.
+fn run_sessions_entry() -> usize {
+    mms_lint::rules::HOT_FNS
+        .iter()
+        .position(|h| h.name == "run_sessions")
+        .expect("Simulator::run_sessions is a registered hot root")
+}
+
 #[test]
 fn hot_path_alloc_flags_every_forbidden_constructor() {
     let out = check(
@@ -84,7 +92,7 @@ fn hot_path_alloc_flags_every_forbidden_constructor() {
         ]
     );
     assert!(
-        out.hot_matched[3],
+        out.hot_matched[run_sessions_entry()],
         "Simulator::run_sessions must match its registry entry"
     );
 }
@@ -102,7 +110,7 @@ fn hot_path_alloc_ignores_unregistered_functions() {
         "clean fixture produced {:?}",
         out.findings
     );
-    assert!(out.hot_matched[3]);
+    assert!(out.hot_matched[run_sessions_entry()]);
 }
 
 #[test]

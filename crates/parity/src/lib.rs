@@ -13,19 +13,13 @@
 //!   deterministic synthetic-content generator (substituting for MPEG data,
 //!   whose bytes are opaque to the schemes).
 //! * [`codec`] — group-level encode / single-erasure reconstruct / verify.
-//! * [`XorAccumulator`] — a *running* XOR used by the Non-clustered
-//!   scheme's delayed transition ("we should buffer A0 ⊕ A1 (after delivery
-//!   of A0 and A1) until the reconstruction of A2 is complete", Section 3).
-//! * [`ParityAccumulator`] — a *reusable* streaming XOR for hot
-//!   verification paths: reset per group, fed byte slices, allocation-free
-//!   after warm-up.
 //! * [`TrackPool`] — a free list of track-sized buffers checked out and
 //!   back in per cycle, so degraded-mode scratch space is recycled instead
 //!   of reallocated.
 //!
 //! Observation 2 of the paper hinges on the XOR being fast enough to
-//! reconstruct in real time; the `mms-bench` crate measures this codec's
-//! throughput to substantiate that. The XOR kernel operates on `u64`
+//! reconstruct in real time; `bench datapath` (the `mms-bench` crate)
+//! measures the XOR kernel's throughput to substantiate that. The XOR kernel operates on `u64`
 //! lanes (with a safe byte fallback for unaligned tails), so track-sized
 //! blocks move at memory bandwidth without any `unsafe`.
 //!
@@ -55,17 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accum;
 mod block;
 pub mod codec;
-mod group;
 mod pool;
 
-pub use accum::{ParityAccumulator, XorAccumulator};
 pub use block::{
     fill_synthetic, fill_synthetic_folded, fingerprint_bytes, slice_is_zero, synthetic_fingerprint,
     xor_slices, xor_synthetic, Block,
 };
 pub use codec::ParityError;
-pub use group::ParityGroupId;
 pub use pool::{PoolStats, TrackPool};

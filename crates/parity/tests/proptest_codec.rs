@@ -1,7 +1,7 @@
 //! Property-based tests for the XOR parity codec: for *any* group size,
 //! block length, contents, and erasure position, reconstruction is exact.
 
-use mms_parity::{codec, Block, XorAccumulator};
+use mms_parity::{codec, Block};
 use proptest::prelude::*;
 
 fn arb_group() -> impl Strategy<Value = (Vec<Vec<u8>>, usize)> {
@@ -48,31 +48,6 @@ proptest! {
             codec::verify(&group, &corrupted),
             Err(mms_parity::ParityError::Inconsistent)
         );
-    }
-
-    /// The delayed-transition accumulator reconstructs identically to the
-    /// direct path, for any split point between "already delivered" and
-    /// "still to be read" members.
-    #[test]
-    fn accumulator_equals_direct((raw, missing) in arb_group(), split_seed in any::<u64>()) {
-        let group: Vec<Block> = raw.into_iter().map(Block::from_bytes).collect();
-        let parity = codec::parity_of(group.iter());
-        let len = group[0].len();
-
-        // Split survivors (everything except `missing`) into delivered
-        // prefix and later suffix at an arbitrary point.
-        let survivors: Vec<usize> = (0..group.len()).filter(|&i| i != missing).collect();
-        let split = if survivors.is_empty() { 0 } else { (split_seed as usize) % (survivors.len() + 1) };
-
-        let mut acc = XorAccumulator::new(len);
-        for &i in &survivors[..split] {
-            acc.absorb(&group[i]);
-        }
-        let rebuilt = acc.finish_reconstruct(
-            survivors[split..].iter().map(|&i| &group[i]),
-            &parity,
-        );
-        prop_assert_eq!(rebuilt, group[missing].clone());
     }
 }
 
