@@ -88,26 +88,6 @@ fn xor_scalar_reference(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-struct XorResult {
-    passes: usize,
-    scalar_mb_per_s: f64,
-    wordwise_mb_per_s: f64,
-    speedup: f64,
-}
-
-fn bench_xor(quick: bool) -> XorResult {
-    let passes = if quick { 64 } else { 4096 };
-    let src: Vec<u8> = (0..TRACK_BYTES).map(|i| (i * 131) as u8).collect();
-    let scalar_mb_per_s = track_mb_per_s(passes, |_, dst| xor_scalar_reference(dst, &src));
-    let wordwise_mb_per_s = track_mb_per_s(passes, |_, dst| xor_slices(dst, &src));
-    XorResult {
-        passes,
-        scalar_mb_per_s,
-        wordwise_mb_per_s,
-        speedup: wordwise_mb_per_s / scalar_mb_per_s,
-    }
-}
-
 /// MB/s of `call(pass, track)` over `passes` 50 KB tracks.
 fn track_mb_per_s(passes: usize, mut call: impl FnMut(u64, &mut [u8])) -> f64 {
     let mut track = vec![0u8; TRACK_BYTES];
@@ -120,45 +100,54 @@ fn track_mb_per_s(passes: usize, mut call: impl FnMut(u64, &mut [u8])) -> f64 {
     (passes * TRACK_BYTES) as f64 / 1e6 / secs
 }
 
-struct SyntheticResult {
-    passes: usize,
-    fill_mb_per_s: f64,
-    xor_in_mb_per_s: f64,
-    fold_only_mb_per_s: f64,
-    fused_mb_per_s: f64,
+/// The `u64`-lane XOR against the scalar reference.
+fn xor_kernel(quick: bool) -> Json {
+    let passes = if quick { 64 } else { 4096 };
+    let src: Vec<u8> = (0..TRACK_BYTES).map(|i| (i * 131) as u8).collect();
+    let scalar = track_mb_per_s(passes, |_, dst| xor_scalar_reference(dst, &src));
+    let wordwise = track_mb_per_s(passes, |_, dst| xor_slices(dst, &src));
+    let speedup = wordwise / scalar;
+    println!(
+        "xor kernel        scalar {scalar:>8.1} MB/s  wordwise {wordwise:>8.1} MB/s  speedup {speedup:.1}x"
+    );
+    obj([
+        ("passes", Json::from(passes)),
+        ("scalar_mb_per_s", Json::Fixed(scalar, 1)),
+        ("wordwise_mb_per_s", Json::Fixed(wordwise, 1)),
+        ("speedup", Json::Fixed(speedup, 2)),
+    ])
 }
 
 /// The ground-truth generator's four kernels, one 50 KB track per pass.
-fn bench_synthetic(quick: bool) -> SyntheticResult {
+fn synthetic_kernel(quick: bool) -> Json {
     let passes = if quick { 64 } else { 4096 };
-    SyntheticResult {
-        passes,
-        fill_mb_per_s: track_mb_per_s(passes, |t, out| fill_synthetic(7, t, out)),
-        xor_in_mb_per_s: track_mb_per_s(passes, |t, out| xor_synthetic(7, t, out)),
-        fold_only_mb_per_s: track_mb_per_s(passes, |t, out| {
-            black_box(synthetic_fingerprint(7, t, out.len()));
-        }),
-        fused_mb_per_s: track_mb_per_s(passes, |t, out| {
-            black_box(fill_synthetic_folded(7, t, out));
-        }),
-    }
-}
-
-struct DeliveryResult {
-    deliveries: usize,
-    legacy_per_s: f64,
-    legacy_allocs_per: f64,
-    plain_per_s: f64,
-    reconstructed_per_s: f64,
-    streaming_allocs_per: f64,
+    let fill = track_mb_per_s(passes, |t, out| fill_synthetic(7, t, out));
+    let xor_in = track_mb_per_s(passes, |t, out| xor_synthetic(7, t, out));
+    let fold_only = track_mb_per_s(passes, |t, out| {
+        black_box(synthetic_fingerprint(7, t, out.len()));
+    });
+    let fused = track_mb_per_s(passes, |t, out| {
+        black_box(fill_synthetic_folded(7, t, out));
+    });
+    println!(
+        "synthetic kernel  fill {fill:>8.1} MB/s  xor-in {xor_in:>8.1} MB/s  fold-only {fold_only:>8.1} MB/s  fused {fused:>8.1} MB/s"
+    );
+    obj([
+        ("passes", Json::from(passes)),
+        ("fill_mb_per_s", Json::Fixed(fill, 1)),
+        ("xor_in_mb_per_s", Json::Fixed(xor_in, 1)),
+        ("fold_only_mb_per_s", Json::Fixed(fold_only, 1)),
+        ("fused_fill_fold_mb_per_s", Json::Fixed(fused, 1)),
+    ])
 }
 
 /// Verified deliveries of data block `i % (C−1)` of a rotating group.
 /// The legacy path reconstructs it by materializing the whole group;
 /// the streaming path verifies it through pooled scratch, once as a
-/// plain delivery and once as a reconstructed one.
-fn bench_deliveries(quick: bool) -> DeliveryResult {
-    let deliveries = if quick { 32 } else { 2000 };
+/// plain delivery and once as a reconstructed one. Also returns the
+/// streaming path's allocations per delivery, which must be 0.
+fn verified_delivery(quick: bool) -> (Json, f64) {
+    let deliveries: usize = if quick { 32 } else { 2000 };
     let object = ObjectId(7);
     let tracks: u64 = 4096;
     let bpg = (GROUP_C - 1) as u32;
@@ -191,27 +180,44 @@ fn bench_deliveries(quick: bool) -> DeliveryResult {
     });
     let streaming_allocs = allocations() - allocs_before;
 
-    DeliveryResult {
-        deliveries,
-        legacy_per_s: deliveries as f64 / legacy_secs,
-        legacy_allocs_per: legacy_allocs as f64 / deliveries as f64,
-        plain_per_s,
-        reconstructed_per_s,
-        streaming_allocs_per: streaming_allocs as f64 / (2 * deliveries) as f64,
-    }
-}
-
-struct SimResult {
-    cycles: u64,
-    allocs_per_cycle: f64,
+    let legacy_per_s = deliveries as f64 / legacy_secs;
+    let legacy_allocs_per = legacy_allocs as f64 / deliveries as f64;
+    let streaming_allocs_per = streaming_allocs as f64 / (2 * deliveries) as f64;
+    println!(
+        "verified delivery legacy {legacy_per_s:>8.1}/s ({legacy_allocs_per:.1} allocs)  streaming plain {plain_per_s:>8.1}/s  reconstructed {reconstructed_per_s:>8.1}/s ({streaming_allocs_per:.1} allocs)"
+    );
+    // A ratio degenerates (division by zero) precisely when the pooled
+    // path wins outright; the difference stays meaningful at 0.
+    let eliminated = legacy_allocs_per - streaming_allocs_per;
+    let section = obj([
+        ("blocks_per_group", Json::from(GROUP_C - 1)),
+        ("deliveries", deliveries.into()),
+        ("legacy_deliveries_per_s", Json::Fixed(legacy_per_s, 1)),
+        (
+            "legacy_allocs_per_delivery",
+            Json::Fixed(legacy_allocs_per, 2),
+        ),
+        ("streaming_plain_per_s", Json::Fixed(plain_per_s, 1)),
+        (
+            "streaming_reconstructed_per_s",
+            Json::Fixed(reconstructed_per_s, 1),
+        ),
+        (
+            "streaming_allocs_per_delivery",
+            Json::Fixed(streaming_allocs_per, 2),
+        ),
+        ("allocs_eliminated_per_delivery", Json::Fixed(eliminated, 2)),
+    ]);
+    (section, streaming_allocs_per)
 }
 
 /// Steady-state allocations per cycle of a degraded Streaming-RAID run
 /// with verified synthetic content: four viewers stream one movie while
 /// one disk is down, so every cycle plans, reads, reconstructs, and
-/// verifies through the hoisted plan/load/pool storage.
-fn bench_sim_cycles(quick: bool) -> SimResult {
-    let (warmup, cycles) = if quick { (8, 16) } else { (64, 256) };
+/// verifies through the hoisted plan/load/pool storage. Also returns
+/// the allocations per cycle, which must be 0.
+fn simulator(quick: bool) -> (Json, f64) {
+    let (warmup, cycles) = if quick { (8, 16u64) } else { (64, 256) };
     let object = ObjectId(0);
     let mut server = ServerBuilder::new(Scheme::StreamingRaid)
         .disks(10)
@@ -234,118 +240,39 @@ fn bench_sim_cycles(quick: bool) -> SimResult {
     for _ in 0..cycles {
         server.step().expect("cycle");
     }
-    let allocs = allocations() - allocs_before;
-    SimResult {
-        cycles,
-        allocs_per_cycle: allocs as f64 / cycles as f64,
-    }
+    let allocs_per_cycle = (allocations() - allocs_before) as f64 / cycles as f64;
+    println!(
+        "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} degraded SR cycles"
+    );
+    let section = obj([
+        ("scheme", Json::from("sr")),
+        ("degraded", true.into()),
+        ("cycles", cycles.into()),
+        ("allocs_per_cycle", Json::Fixed(allocs_per_cycle, 2)),
+    ]);
+    (section, allocs_per_cycle)
 }
 
 pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
     args.finish()?;
     let quick = harness.quick;
-
-    let xor = bench_xor(quick);
-    println!(
-        "xor kernel        scalar {:>8.1} MB/s  wordwise {:>8.1} MB/s  speedup {:.1}x",
-        xor.scalar_mb_per_s, xor.wordwise_mb_per_s, xor.speedup
-    );
-
-    let synth = bench_synthetic(quick);
-    println!(
-        "synthetic kernel  fill {:>8.1} MB/s  xor-in {:>8.1} MB/s  fold-only {:>8.1} MB/s  fused {:>8.1} MB/s",
-        synth.fill_mb_per_s, synth.xor_in_mb_per_s, synth.fold_only_mb_per_s, synth.fused_mb_per_s
-    );
-
-    let del = bench_deliveries(quick);
-    println!(
-        "verified delivery legacy {:>8.1}/s ({:.1} allocs)  streaming plain {:>8.1}/s  reconstructed {:>8.1}/s ({:.1} allocs)",
-        del.legacy_per_s,
-        del.legacy_allocs_per,
-        del.plain_per_s,
-        del.reconstructed_per_s,
-        del.streaming_allocs_per
-    );
-
-    let sim = bench_sim_cycles(quick);
-    println!(
-        "simulator         {:.1} allocs/cycle over {} degraded SR cycles",
-        sim.allocs_per_cycle, sim.cycles
-    );
-
-    // A ratio degenerates (division by zero) precisely when the pooled
-    // path wins outright; the difference stays meaningful at 0.
-    let allocs_eliminated = del.legacy_allocs_per - del.streaming_allocs_per;
+    let xor = xor_kernel(quick);
+    let synthetic = synthetic_kernel(quick);
+    let (delivery, allocs_per_delivery) = verified_delivery(quick);
+    let (sim, allocs_per_cycle) = simulator(quick);
     harness.write(
         None,
         vec![
             ("track_bytes", TRACK_BYTES.into()),
-            (
-                "xor_kernel",
-                obj([
-                    ("passes", Json::from(xor.passes)),
-                    ("scalar_mb_per_s", Json::Fixed(xor.scalar_mb_per_s, 1)),
-                    ("wordwise_mb_per_s", Json::Fixed(xor.wordwise_mb_per_s, 1)),
-                    ("speedup", Json::Fixed(xor.speedup, 2)),
-                ]),
-            ),
-            (
-                "synthetic_kernel",
-                obj([
-                    ("passes", Json::from(synth.passes)),
-                    ("fill_mb_per_s", Json::Fixed(synth.fill_mb_per_s, 1)),
-                    ("xor_in_mb_per_s", Json::Fixed(synth.xor_in_mb_per_s, 1)),
-                    (
-                        "fold_only_mb_per_s",
-                        Json::Fixed(synth.fold_only_mb_per_s, 1),
-                    ),
-                    (
-                        "fused_fill_fold_mb_per_s",
-                        Json::Fixed(synth.fused_mb_per_s, 1),
-                    ),
-                ]),
-            ),
-            (
-                "verified_delivery",
-                obj([
-                    ("blocks_per_group", Json::from(GROUP_C - 1)),
-                    ("deliveries", del.deliveries.into()),
-                    ("legacy_deliveries_per_s", Json::Fixed(del.legacy_per_s, 1)),
-                    (
-                        "legacy_allocs_per_delivery",
-                        Json::Fixed(del.legacy_allocs_per, 2),
-                    ),
-                    ("streaming_plain_per_s", Json::Fixed(del.plain_per_s, 1)),
-                    (
-                        "streaming_reconstructed_per_s",
-                        Json::Fixed(del.reconstructed_per_s, 1),
-                    ),
-                    (
-                        "streaming_allocs_per_delivery",
-                        Json::Fixed(del.streaming_allocs_per, 2),
-                    ),
-                    (
-                        "allocs_eliminated_per_delivery",
-                        Json::Fixed(allocs_eliminated, 2),
-                    ),
-                ]),
-            ),
-            (
-                "simulator",
-                obj([
-                    ("scheme", Json::from("sr")),
-                    ("degraded", true.into()),
-                    ("cycles", sim.cycles.into()),
-                    ("allocs_per_cycle", Json::Fixed(sim.allocs_per_cycle, 2)),
-                ]),
-            ),
+            ("xor_kernel", xor),
+            ("synthetic_kernel", synthetic),
+            ("verified_delivery", delivery),
+            ("simulator", sim),
         ],
     );
-
-    if del.streaming_allocs_per != 0.0 || sim.allocs_per_cycle != 0.0 {
+    if allocs_per_delivery != 0.0 || allocs_per_cycle != 0.0 {
         eprintln!(
-            "error: the data path allocated ({} per streaming delivery, {} per simulator cycle); both must be 0",
-            del.streaming_allocs_per, sim.allocs_per_cycle
+            "error: the data path allocated ({allocs_per_delivery} per streaming delivery, {allocs_per_cycle} per simulator cycle); both must be 0"
         );
         return Ok(ExitCode::FAILURE);
     }

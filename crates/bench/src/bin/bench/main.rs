@@ -11,6 +11,7 @@ mod workload;
 
 use mms_bench::args::Args;
 use mms_bench::json::{obj, Json};
+use mms_server::Scheme;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
@@ -19,32 +20,21 @@ use std::time::Instant;
 type Bench = fn(&Harness, &mut Args) -> Result<ExitCode, String>;
 
 /// `(name, what it measures, bench)`.
+#[rustfmt::skip]
 const BENCHES: [(&str, &str, Bench); 5] = [
-    (
-        "parallel",
-        "the mms-exec worker pool at 1/2/4/8 threads; also takes [mc_trials]",
-        parallel::run,
-    ),
-    (
-        "datapath",
-        "XOR and generator kernels, verified deliveries, allocations per cycle",
-        datapath::run,
-    ),
-    (
-        "workload",
-        "stall rate vs utilization: 4 schemes x 6 loads x normal/degraded",
-        workload::run,
-    ),
-    (
-        "steady",
-        "cycle-by-cycle vs event-horizon stepping",
-        steady::run,
-    ),
-    (
-        "fleet",
-        "an 8-node million-session day, fleet MTTF and MTTDS",
-        fleet::run,
-    ),
+    ("parallel", "the mms-exec worker pool at 1/2/4/8 threads; also takes [mc_trials]",   parallel::run),
+    ("datapath", "XOR and generator kernels, verified deliveries, allocations per cycle", datapath::run),
+    ("workload", "stall rate vs utilization: 4 schemes x 6 loads x normal/degraded",      workload::run),
+    ("steady",   "cycle-by-cycle vs event-horizon stepping",                              steady::run),
+    ("fleet",    "an 8-node million-session day, fleet MTTF and MTTDS",                   fleet::run),
+];
+
+/// The four schemes, and the labels the result files key them by.
+pub const SCHEMES: [(Scheme, &str); 4] = [
+    (Scheme::StreamingRaid, "SR"),
+    (Scheme::StaggeredGroup, "SG"),
+    (Scheme::NonClustered, "NC"),
+    (Scheme::ImprovedBandwidth, "IB"),
 ];
 
 /// What `main` hands a bench: the run size, and where its result goes.
@@ -60,23 +50,18 @@ impl Harness {
     /// Write the result file: the envelope saying where and how the
     /// numbers were taken, then the bench's own `data` keys.
     pub fn write(&self, seed: Option<u64>, data: Vec<(&'static str, Json)>) {
+        let commit = first_line_of("git", &["rev-parse", "HEAD"]);
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
         let envelope = [
             ("bench", Json::from(self.name)),
-            (
-                "commit",
-                first_line_of("git", &["rev-parse", "HEAD"]).into(),
-            ),
+            ("commit", commit.into()),
             ("host_cores", host_cores().into()),
             ("rustc", first_line_of("rustc", &["--version"]).into()),
-            (
-                "profile",
-                if cfg!(debug_assertions) {
-                    "debug"
-                } else {
-                    "release"
-                }
-                .into(),
-            ),
+            ("profile", profile.into()),
             ("seed", seed.map_or(Json::Null, Json::from)),
             ("quick", self.quick.into()),
         ];

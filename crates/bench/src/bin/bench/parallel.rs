@@ -44,40 +44,38 @@ fn measure<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
     (times[1], digest)
 }
 
-struct Workload {
-    name: &'static str,
-    detail: String,
-    seconds: Vec<(usize, f64)>,
-    bit_identical: bool,
-}
-
+/// One `workloads` entry — `job` timed at every thread count — and
+/// whether all of them computed the same digest.
 fn bench_workload<F: FnMut(Parallelism) -> u64>(
     name: &'static str,
     detail: String,
     mut job: F,
-) -> Workload {
-    let mut seconds = Vec::new();
-    let mut digests = Vec::new();
-    for threads in THREAD_COUNTS {
-        let (secs, digest) = measure(|| job(Parallelism::threads(threads)));
-        seconds.push((threads, secs));
-        digests.push(digest);
-    }
+) -> (&'static str, Json, bool) {
+    let (seconds, digests): (Vec<f64>, Vec<u64>) = THREAD_COUNTS
+        .iter()
+        .map(|&threads| measure(|| job(Parallelism::threads(threads))))
+        .unzip();
     let bit_identical = digests.iter().all(|&d| d == digests[0]);
+    let per_count = || THREAD_COUNTS.iter().zip(&seconds);
     println!(
         "{name:<24} {}  bit-identical: {bit_identical}",
-        seconds
-            .iter()
+        per_count()
             .map(|(t, s)| format!("{t}T {s:.3}s"))
             .collect::<Vec<_>>()
             .join("  ")
     );
-    Workload {
-        name,
-        detail,
-        seconds,
-        bit_identical,
-    }
+    let best = seconds.iter().copied().fold(f64::INFINITY, f64::min);
+    let speedup = if best > 0.0 { seconds[0] / best } else { 1.0 };
+    let entry = obj([
+        ("detail", Json::from(detail)),
+        (
+            "seconds",
+            row(per_count().map(|(t, &s)| (t.to_string(), Json::Fixed(s, 4)))),
+        ),
+        ("speedup_best", Json::Fixed(speedup, 2)),
+        ("bit_identical", bit_identical.into()),
+    ]);
+    (name, entry, bit_identical)
 }
 
 const SEED: u64 = 1995;
@@ -154,29 +152,8 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
         },
     ));
 
-    let all_identical = workloads.iter().all(|w| w.bit_identical);
-    let workloads = workloads.iter().map(|w| {
-        let t1 = w.seconds[0].1;
-        let best = w
-            .seconds
-            .iter()
-            .map(|&(_, s)| s)
-            .fold(f64::INFINITY, f64::min);
-        let speedup = if best > 0.0 { t1 / best } else { 1.0 };
-        let seconds = w
-            .seconds
-            .iter()
-            .map(|&(t, s)| (t.to_string(), Json::Fixed(s, 4)));
-        (
-            w.name,
-            obj([
-                ("detail", Json::from(w.detail.as_str())),
-                ("seconds", row(seconds)),
-                ("speedup_best", Json::Fixed(speedup, 2)),
-                ("bit_identical", w.bit_identical.into()),
-            ]),
-        )
-    });
+    let all_identical = workloads.iter().all(|&(_, _, identical)| identical);
+    let workloads = workloads.into_iter().map(|(name, entry, _)| (name, entry));
     harness.write(
         Some(SEED),
         vec![

@@ -26,22 +26,17 @@
 //! assertion (sub-second cells are timing noise); the equality
 //! assertions always run.
 
-use crate::{timed, Harness};
+use crate::{timed, Harness, SCHEMES};
 use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
-use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
-use mms_server::sim::{DataMode, StepMode, WorkloadGen};
-use mms_server::{MultimediaServer, Scheme, ServerBuilder};
+use mms_bench::scheme_server;
+use mms_server::layout::ObjectId;
+use mms_server::sim::{StepMode, WorkloadGen};
+use mms_server::{MultimediaServer, Scheme};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-const SCHEMES: [(Scheme, &str); 4] = [
-    (Scheme::StreamingRaid, "SR"),
-    (Scheme::StaggeredGroup, "SG"),
-    (Scheme::NonClustered, "NC"),
-    (Scheme::ImprovedBandwidth, "IB"),
-];
 /// Steady-state population as a fraction of each scheme's capacity,
 /// paired with the arrival rate used for the churn measurement.
 const LOADS: [(f64, f64); 3] = [(0.3, 0.02), (0.6, 0.05), (0.9, 0.10)];
@@ -52,27 +47,6 @@ const MOVIES: usize = 8;
 /// free capacity); the steady cells use objects long enough that no
 /// stream finishes inside the horizon.
 const TRACKS: u64 = 200;
-
-fn build(scheme: Scheme, movies: usize, tracks: u64) -> MultimediaServer {
-    let disks = if scheme == Scheme::ImprovedBandwidth {
-        8
-    } else {
-        10
-    };
-    let mut builder = ServerBuilder::new(scheme)
-        .disks(disks)
-        .parity_group(5)
-        .data_mode(DataMode::MetadataOnly);
-    for m in 0..movies {
-        builder = builder.object(MediaObject::new(
-            ObjectId(m as u64),
-            format!("movie-{m}"),
-            tracks,
-            BandwidthClass::Mpeg1,
-        ));
-    }
-    builder.build().expect("bench cell builds")
-}
 
 /// What a run computed, independent of how fast it computed it.
 #[derive(PartialEq, Debug)]
@@ -103,9 +77,9 @@ fn run_steady(scheme: Scheme, load: f64, cycles: u64, mode: StepMode) -> (Outcom
     // One movie, sized from the scheme's own cycle geometry so that no
     // stream finishes inside the horizon: a stream consumes `k` data
     // tracks every `read_period` cycles.
-    let cfg = *build(scheme, 1, 1).cycle_config();
+    let cfg = *scheme_server(scheme, 1, 1).cycle_config();
     let tracks = cfg.k as u64 * (cycles / cfg.read_period() as u64 + 2);
-    let mut server = build(scheme, 1, tracks);
+    let mut server = scheme_server(scheme, 1, tracks);
     server.set_step_mode(mode);
     let target = ((server.stream_capacity() as f64 * load) as usize).max(1);
     let objects: Vec<ObjectId> = server.objects().to_vec();
@@ -123,7 +97,7 @@ fn run_steady(scheme: Scheme, load: f64, cycles: u64, mode: StepMode) -> (Outcom
 
 /// Churn run: Poisson arrivals over a Zipf catalog of finite movies.
 fn run_sessions(scheme: Scheme, rate: f64, cycles: u64, mode: StepMode) -> (Outcome, f64) {
-    let mut server = build(scheme, MOVIES, TRACKS);
+    let mut server = scheme_server(scheme, MOVIES, TRACKS);
     server.set_step_mode(mode);
     let workload = WorkloadGen::new(server.objects().to_vec(), THETA, rate);
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -135,66 +109,10 @@ fn run_sessions(scheme: Scheme, rate: f64, cycles: u64, mode: StepMode) -> (Outc
     (outcome(&server, rejected), secs)
 }
 
-struct Cell {
-    label: &'static str,
-    load: f64,
-    rate: f64,
-    steady_slow: f64,
-    steady_fast: f64,
-    sessions_slow: f64,
-    sessions_fast: f64,
-    finished: u64,
-}
-
 pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
     args.finish()?;
     let quick = harness.quick;
     let cycles: u64 = if quick { 1_500 } else { 20_000 };
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for (scheme, label) in SCHEMES {
-        for (load, rate) in LOADS {
-            let (slow_out, steady_slow) = run_steady(scheme, load, cycles, StepMode::CycleByCycle);
-            let (fast_out, steady_fast) = run_steady(scheme, load, cycles, StepMode::EventHorizon);
-            assert_eq!(
-                slow_out, fast_out,
-                "{label} load {load}: steady outcomes diverged between step modes"
-            );
-            let (slow_out, sessions_slow) =
-                run_sessions(scheme, rate, cycles, StepMode::CycleByCycle);
-            let (fast_out, sessions_fast) =
-                run_sessions(scheme, rate, cycles, StepMode::EventHorizon);
-            assert_eq!(
-                slow_out, fast_out,
-                "{label} rate {rate}: churn outcomes diverged between step modes"
-            );
-            println!(
-                "{label} load {load:.1}: steady {:.0} -> {:.0} cyc/s ({:.1}x), \
-                 churn {:.0} -> {:.0} cyc/s",
-                cycles as f64 / steady_slow,
-                cycles as f64 / steady_fast,
-                steady_slow / steady_fast,
-                cycles as f64 / sessions_slow,
-                cycles as f64 / sessions_fast,
-            );
-            cells.push(Cell {
-                label,
-                load,
-                rate,
-                steady_slow,
-                steady_fast,
-                sessions_slow,
-                sessions_fast,
-                finished: fast_out.finished,
-            });
-        }
-    }
-
-    let min_speedup = cells
-        .iter()
-        .map(|c| c.steady_slow / c.steady_fast)
-        .fold(f64::INFINITY, f64::min);
-    println!("minimum steady-state speedup across all cells: {min_speedup:.1}x");
 
     // `{cycle_by_cycle, event_horizon, speedup}` rates from the two
     // step modes' wall seconds for `work` units.
@@ -205,38 +123,62 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
             ("speedup", Json::Fixed(slow / fast, 2)),
         ])
     };
-    let schemes = SCHEMES.map(|(_, label)| {
-        let points = cells.iter().filter(|c| c.label == label).map(|c| {
+    let mut min_speedup = f64::INFINITY;
+    let schemes = SCHEMES.map(|(scheme, label)| {
+        let points = LOADS.map(|(load, rate)| {
+            let (slow_out, steady_slow) = run_steady(scheme, load, cycles, StepMode::CycleByCycle);
+            let (fast_out, steady_fast) = run_steady(scheme, load, cycles, StepMode::EventHorizon);
+            assert_eq!(
+                slow_out, fast_out,
+                "{label} load {load}: steady outcomes diverged between step modes"
+            );
+            let (slow_out, churn_slow) = run_sessions(scheme, rate, cycles, StepMode::CycleByCycle);
+            let (fast_out, churn_fast) = run_sessions(scheme, rate, cycles, StepMode::EventHorizon);
+            assert_eq!(
+                slow_out, fast_out,
+                "{label} rate {rate}: churn outcomes diverged between step modes"
+            );
+            println!(
+                "{label} load {load:.1}: steady {:.0} -> {:.0} cyc/s ({:.1}x), \
+                 churn {:.0} -> {:.0} cyc/s",
+                cycles as f64 / steady_slow,
+                cycles as f64 / steady_fast,
+                steady_slow / steady_fast,
+                cycles as f64 / churn_slow,
+                cycles as f64 / churn_fast,
+            );
+            min_speedup = min_speedup.min(steady_slow / steady_fast);
+            let finished = fast_out.finished;
+            let sessions_per_sec = row([
+                (
+                    "cycle_by_cycle",
+                    Json::Fixed(finished as f64 / churn_slow, 1),
+                ),
+                (
+                    "event_horizon",
+                    Json::Fixed(finished as f64 / churn_fast, 1),
+                ),
+            ]);
             row([
-                ("load", Json::Fixed(c.load, 2)),
+                ("load", Json::Fixed(load, 2)),
                 (
                     "steady_cycles_per_sec",
-                    rates(cycles as f64, c.steady_slow, c.steady_fast),
+                    rates(cycles as f64, steady_slow, steady_fast),
                 ),
-                ("churn_rate_per_cycle", Json::Fixed(c.rate, 2)),
-                ("quiescent_fraction", Json::Fixed((-c.rate).exp(), 3)),
+                ("churn_rate_per_cycle", Json::Fixed(rate, 2)),
+                ("quiescent_fraction", Json::Fixed((-rate).exp(), 3)),
                 (
                     "churn_cycles_per_sec",
-                    rates(cycles as f64, c.sessions_slow, c.sessions_fast),
+                    rates(cycles as f64, churn_slow, churn_fast),
                 ),
-                (
-                    "sessions_per_sec",
-                    row([
-                        (
-                            "cycle_by_cycle",
-                            Json::Fixed(c.finished as f64 / c.sessions_slow, 1),
-                        ),
-                        (
-                            "event_horizon",
-                            Json::Fixed(c.finished as f64 / c.sessions_fast, 1),
-                        ),
-                    ]),
-                ),
-                ("sessions_finished", c.finished.into()),
+                ("sessions_per_sec", sessions_per_sec),
+                ("sessions_finished", finished.into()),
             ])
         });
-        (label, Json::Arr(points.collect()))
+        (label, Json::Arr(points.to_vec()))
     });
+    println!("minimum steady-state speedup across all cells: {min_speedup:.1}x");
+
     harness.write(
         Some(SEED),
         vec![

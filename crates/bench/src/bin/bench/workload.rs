@@ -22,26 +22,20 @@
 //! horizon offers over a million sessions across the grid (a
 //! "million-session day").
 
-use crate::{timed, Harness};
+use crate::{timed, Harness, SCHEMES};
 use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
+use mms_bench::scheme_server;
 use mms_server::disk::DiskId;
-use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
+use mms_server::layout::ObjectId;
 use mms_server::sim::{
-    run_batch_seeded, AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, SessionEngine,
-    StepMode,
+    run_batch_seeded, AdmissionPolicy, ArrivalProcess, FailureEvent, SessionEngine, StepMode,
 };
-use mms_server::{Parallelism, Scheme, ServerBuilder};
+use mms_server::{Parallelism, Scheme};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-const SCHEMES: [(Scheme, &str); 4] = [
-    (Scheme::StreamingRaid, "SR"),
-    (Scheme::StaggeredGroup, "SG"),
-    (Scheme::NonClustered, "NC"),
-    (Scheme::ImprovedBandwidth, "IB"),
-];
 /// Offered load as a fraction of each scheme's stream capacity; past 1.0
 /// the admission policy is what separates the schemes' viewer experience.
 const LOADS: [f64; 6] = [0.5, 0.7, 0.85, 1.0, 1.2, 1.5];
@@ -78,24 +72,7 @@ struct CellResult {
 }
 
 fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
-    let disks = if cell.scheme == Scheme::ImprovedBandwidth {
-        8
-    } else {
-        10
-    };
-    let mut builder = ServerBuilder::new(cell.scheme)
-        .disks(disks)
-        .parity_group(5)
-        .data_mode(DataMode::MetadataOnly);
-    for m in 0..MOVIES {
-        builder = builder.object(MediaObject::new(
-            ObjectId(m as u64),
-            format!("movie-{m}"),
-            TRACKS,
-            BandwidthClass::Mpeg1,
-        ));
-    }
-    let mut server = builder.build().expect("grid cell builds");
+    let mut server = scheme_server(cell.scheme, MOVIES, TRACKS);
     // The event-horizon fast path is observably identical to per-cycle
     // stepping (pinned by the equivalence suite), so the bench runs
     // with it on: arrival-free stretches between sessions fast-forward.
@@ -152,7 +129,10 @@ fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
         } else {
             hiccups as f64 / scheduled as f64
         },
-        utilization: m.utilization(server.cycle_config().t_cyc(), disks),
+        utilization: m.utilization(
+            server.cycle_config().t_cyc(),
+            server.simulator().disks().len(),
+        ),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Measurements beyond the paper's own figures: the unprotected baseline
 //! of §1 and three sweeps over knobs the paper fixes.
 
-use mms_bench::nc_transition_losses as losses;
+use mms_bench::{nc_transition_losses as losses, scheme_server};
 use mms_server::analysis::streams::streams_per_disk_bound;
 use mms_server::disk::{Bandwidth, DiskId, DiskParams};
 use mms_server::layout::{
@@ -60,23 +60,7 @@ fn baseline_run() -> (u64, u64) {
 }
 
 fn scheme_run(scheme: Scheme) -> (u64, u64) {
-    let disks = if scheme == Scheme::ImprovedBandwidth {
-        8
-    } else {
-        10
-    };
-    let mut server = ServerBuilder::new(scheme)
-        .disks(disks)
-        .parity_group(5)
-        .object(MediaObject::new(
-            ObjectId(0),
-            "m",
-            TRACKS,
-            BandwidthClass::Mpeg1,
-        ))
-        .data_mode(DataMode::MetadataOnly)
-        .build()
-        .unwrap();
+    let mut server = scheme_server(scheme, 1, TRACKS);
     // Normalize to the baseline's wall clock: its cycle is B/b0; SR and
     // IB cycles are (C−1)x longer, so they run proportionally fewer
     // cycles and the failure window lands at the same simulated time.

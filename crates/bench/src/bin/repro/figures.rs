@@ -1,14 +1,15 @@
 //! Figures 2–8: schedules, layouts, the memory profile and the two
 //! Non-clustered transitions.
 
+use mms_bench::scheme_server;
 use mms_server::disk::{Bandwidth, DiskId, DiskParams};
 use mms_server::layout::{
     BandwidthClass, BlockKind, Catalog, ClusteredLayout, Geometry, ImprovedLayout, MediaObject,
     ObjectId,
 };
 use mms_server::sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
-use mms_server::sim::{trace, DataMode};
-use mms_server::{MultimediaServer, Scheme, ServerBuilder};
+use mms_server::sim::trace;
+use mms_server::{Scheme, ServerBuilder};
 use std::collections::BTreeMap;
 
 /// Figure 2: multiple transmission cycles per read cycle. With k = 4 and
@@ -86,21 +87,6 @@ pub fn fig3_layout() {
     println!("5-8 with X4p on disk 9 — the round-robin of the paper's Figure 3.");
 }
 
-fn fig4_server(scheme: Scheme) -> MultimediaServer {
-    ServerBuilder::new(scheme)
-        .disks(10)
-        .parity_group(5)
-        .object(MediaObject::new(
-            ObjectId(0),
-            "m",
-            400,
-            BandwidthClass::Mpeg1,
-        ))
-        .data_mode(DataMode::MetadataOnly)
-        .build()
-        .unwrap()
-}
-
 /// Figure 4: the Staggered-group scheme's memory profile.
 ///
 /// (b) one stream's per-cycle occupancy is a sawtooth: C+1 tracks at its
@@ -110,7 +96,7 @@ fn fig4_server(scheme: Scheme) -> MultimediaServer {
 ///     four streams) under Streaming RAID.
 pub fn fig4_memory() {
     // (b) One stream's sawtooth (end-of-cycle occupancy).
-    let mut single = fig4_server(Scheme::StaggeredGroup);
+    let mut single = scheme_server(Scheme::StaggeredGroup, 1, 400);
     let m = single.objects()[0];
     single.admit(m).unwrap();
     for _ in 0..20 {
@@ -127,7 +113,7 @@ pub fn fig4_memory() {
     );
 
     // (a) Four streams, staggered vs Streaming RAID.
-    let mut sg = fig4_server(Scheme::StaggeredGroup);
+    let mut sg = scheme_server(Scheme::StaggeredGroup, 1, 400);
     let m = sg.objects()[0];
     for _ in 0..4 {
         sg.admit(m).unwrap();
@@ -136,7 +122,7 @@ pub fn fig4_memory() {
     for _ in 0..24 {
         sg.step().unwrap();
     }
-    let mut sr = fig4_server(Scheme::StreamingRaid);
+    let mut sr = scheme_server(Scheme::StreamingRaid, 1, 400);
     let m = sr.objects()[0];
     for _ in 0..4 {
         sr.admit(m).unwrap();

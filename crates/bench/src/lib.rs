@@ -9,35 +9,13 @@
 //!   takes one of the five `BENCH_<name>.json` measurements (the table
 //!   in `src/bin/bench/main.rs` is the place to add one).
 //!
-//! | `repro` id | Reproduces |
-//! |---|---|
-//! | `section2_table` | §2 in-text streams/disk table |
-//! | `table2` / `table3` | Tables 2 and 3 (all six metrics, four schemes) |
-//! | `fig2_schedule` | Figure 2 (k/k′ read vs transmission cycles) |
-//! | `fig3_layout` | Figure 3 (Streaming RAID layout) |
-//! | `fig4_memory` | Figure 4 (staggered-group memory profile) |
-//! | `fig5_schedule` | Figure 5 (NC normal-mode schedule) |
-//! | `fig6_transition` | Figure 6 (NC simple transition) |
-//! | `fig7_transition` | Figure 7 (NC delayed transition) |
-//! | `fig8_layout` | Figure 8 (improved-bandwidth layout) |
-//! | `fig9_cost` | Figure 9(a)+(b) cost and stream sweeps |
-//! | `reliability_mc` | §2/§3/§4 MTTF quotes, formula vs Monte Carlo |
-//! | `baseline_vs_schemes` | §1's no-fault-tolerance motivation, measured |
-//! | `ablation_transition` | NC transition losses across C × failed disk × policy |
-//! | `ablation_ib_reserve` | IB reserved capacity vs dropped streams at full load |
-//! | `ablation_kprime` | the k′ continuum between SR and SG |
-//! | `design_space` | §5 design exercise + §1 mixed-class farm split |
-//!
-//! | `bench` name | Measures |
-//! |---|---|
-//! | `parallel` | the `mms-exec` worker pool at 1/2/4/8 threads, bit-identity asserted |
-//! | `datapath` | XOR and generator kernels, verified deliveries, allocations per cycle (must be 0) |
-//! | `workload` | stall rate vs utilization, 4 schemes × 6 loads × normal/degraded |
-//! | `steady` | cycle-by-cycle vs event-horizon stepping (≥ 5× gate on full runs) |
-//! | `fleet` | an 8-node million-session day plus fleet MTTF / MTTDS |
+//! `repro list` prints the catalogue of generators, `bench` without
+//! arguments the catalogue of measurements; each is one table in its
+//! `main.rs`, and that table is the only list there is.
 //!
 //! This library holds what both binaries share: the argument parser,
-//! the JSON writer, and the one scenario both of them run.
+//! the JSON writer, the server most grids are measured on and the one
+//! scenario both binaries run.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +27,34 @@ use mms_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
 use mms_server::sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
+use mms_server::sim::DataMode;
+use mms_server::{MultimediaServer, Scheme, ServerBuilder};
+
+/// A metadata-only server of `scheme` at the geometry the grids of this
+/// crate share — parity groups of five over ten disks (eight for
+/// Improved-bandwidth, whose clusters are `C−1` wide) — holding `movies`
+/// MPEG-1 objects of `tracks` tracks each.
+#[must_use]
+pub fn scheme_server(scheme: Scheme, movies: usize, tracks: u64) -> MultimediaServer {
+    let disks = if scheme == Scheme::ImprovedBandwidth {
+        8
+    } else {
+        10
+    };
+    let mut builder = ServerBuilder::new(scheme)
+        .disks(disks)
+        .parity_group(5)
+        .data_mode(DataMode::MetadataOnly);
+    for m in 0..movies {
+        builder = builder.object(MediaObject::new(
+            ObjectId(m as u64),
+            format!("movie-{m}"),
+            tracks,
+            BandwidthClass::Mpeg1,
+        ));
+    }
+    builder.build().expect("the shared grid geometry builds")
+}
 
 /// Tracks lost during the Non-clustered degraded-mode transition: one
 /// fully-loaded cluster of size `c` with one stream per phase, disk `f`
