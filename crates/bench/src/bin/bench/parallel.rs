@@ -46,7 +46,7 @@ fn measure<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
 
 /// One `workloads` entry — `job` timed at every thread count — and
 /// whether all of them computed the same digest.
-fn bench_workload<F: FnMut(Parallelism) -> u64>(
+fn time_workload<F: FnMut(Parallelism) -> u64>(
     name: &'static str,
     detail: String,
     mut job: F,
@@ -97,7 +97,7 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
         rel: ReliabilityParams::paper(),
         rule: CatastropheRule::SameCluster { c: 10 },
     };
-    workloads.push(bench_workload(
+    workloads.push(time_workload(
         "montecarlo_mttf",
         format!("D=1000 C=10 same-cluster rule, {mc_trials} trials, seed {SEED}"),
         |par| {
@@ -111,7 +111,7 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
     let sys = SystemParams::paper_table1();
     let model = CostModel::paper_fig9();
     const SWEEP_REPS: usize = 1000;
-    workloads.push(bench_workload(
+    workloads.push(time_workload(
         "design_space_sweep",
         format!("C in 2..=10 x 4 schemes, {SWEEP_REPS} repetitions"),
         |par| {
@@ -140,7 +140,7 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
             })
         })
         .collect();
-    workloads.push(bench_workload(
+    workloads.push(time_workload(
         "sim_batch_ablation",
         format!("NC transition grid, {} scheduler runs", grid.len()),
         |par| {

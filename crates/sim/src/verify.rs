@@ -91,7 +91,7 @@ impl FingerprintLru {
 ///   [`parity_block`](Self::parity_block),
 ///   [`reconstruct_and_check`](Self::reconstruct_and_check)) build fresh
 ///   [`Block`]s per call — what the tests compare against, and the
-///   "legacy" side of the `bench_datapath` comparison;
+///   "legacy" side of the `bench datapath` comparison;
 /// * the streaming methods
 ///   ([`write_data_block_into`](Self::write_data_block_into),
 ///   [`parity_into`](Self::parity_into),
