@@ -11,7 +11,7 @@ mod workload;
 
 use mms_bench::args::Args;
 use mms_bench::json::{obj, Json};
-use mms_server::Scheme;
+use mms_server::{Parallelism, Scheme};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
@@ -59,7 +59,7 @@ impl Harness {
         let envelope = [
             ("bench", Json::from(self.name)),
             ("commit", commit.into()),
-            ("host_cores", host_cores().into()),
+            ("host_cores", Parallelism::Auto.thread_count().into()),
             ("rustc", first_line_of("rustc", &["--version"]).into()),
             ("profile", profile.into()),
             ("seed", seed.map_or(Json::Null, Json::from)),
@@ -77,10 +77,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed().as_secs_f64())
-}
-
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// First line of a command's standard output, or "unknown".

@@ -13,7 +13,7 @@
 //! Usage: `bench parallel [output.json] [mc_trials]`. The run is a few
 //! seconds at its one size, so `--quick` changes nothing here.
 
-use crate::{host_cores, timed, Harness};
+use crate::{timed, Harness};
 use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
 use mms_bench::nc_transition_losses;
@@ -85,7 +85,7 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
     args.finish()?;
     println!(
         "host cores: {}; measuring at {THREAD_COUNTS:?} threads\n",
-        host_cores()
+        Parallelism::Auto.thread_count()
     );
 
     let mut workloads = Vec::new();

@@ -184,9 +184,9 @@ fn figure_scheduler(policy: TransitionPolicy) -> NonClusteredScheduler {
 
 /// Stream `i` of the figure scenario is admitted at cycle `i + 1`.
 fn admit_figure_streams(sched: &mut NonClusteredScheduler, t: u64) {
-    if let Some(&(obj, _)) = FIGURE_NAMES.iter().find(|&&(obj, _)| obj + 1 == t) {
+    if (1..=FIGURE_NAMES.len() as u64).contains(&t) {
         sched
-            .admit(ObjectId(obj), t)
+            .admit(ObjectId(t - 1), t)
             .expect("the figure's eight streams fit one cluster");
     }
 }
