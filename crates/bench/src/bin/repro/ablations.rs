@@ -8,7 +8,7 @@ use mms_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
 use mms_server::sched::{
-    BaselineScheduler, CycleConfig, GroupedScheduler, SchemeScheduler, TransitionPolicy,
+    BaselineScheduler, CycleConfig, CyclePlan, GroupedScheduler, SchemeScheduler, TransitionPolicy,
 };
 use mms_server::sim::{run_batch, DataMode, FailureEvent, ObjectDirectory, Simulator};
 use mms_server::{Parallelism, Scheme, ServerBuilder};
@@ -267,8 +267,9 @@ fn measured_peak(k_prime: usize, b0: Bandwidth) -> (usize, usize) {
     let cfg = CycleConfig::new(DiskParams::paper_table1(), b0, SWEEP_C - 1, k_prime);
     let mut s = GroupedScheduler::new(cfg, catalog);
     s.admit(ObjectId(0), 0).unwrap();
+    let mut plan = CyclePlan::empty(0);
     for t in 0..60 {
-        s.plan_cycle(t);
+        s.plan_cycle_into(t, &mut plan);
     }
     (s.buffer_high_water(), s.stream_capacity())
 }

@@ -7,7 +7,9 @@ use mms_server::layout::{
     BandwidthClass, BlockKind, Catalog, ClusteredLayout, Geometry, ImprovedLayout, MediaObject,
     ObjectId,
 };
-use mms_server::sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
+use mms_server::sched::{
+    CycleConfig, CyclePlan, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
+};
 use mms_server::sim::trace;
 use mms_server::{Scheme, ServerBuilder};
 use std::collections::BTreeMap;
@@ -197,9 +199,11 @@ fn admit_figure_streams(sched: &mut NonClusteredScheduler, t: u64) {
 pub fn fig5_schedule() {
     let mut sched = figure_scheduler(TransitionPolicy::Simple);
     let mut plans = Vec::new();
+    let mut plan = CyclePlan::empty(0);
     for t in 0..9u64 {
         admit_figure_streams(&mut sched, t);
-        plans.push(sched.plan_cycle(t));
+        sched.plan_cycle_into(t, &mut plan);
+        plans.push(plan.clone());
     }
     println!("Figure 5 — Non-clustered scheme under normal operation\n");
     println!(
@@ -217,18 +221,19 @@ fn transition(policy: TransitionPolicy, title: &str, paper_loses: &str, paper_co
     let names = BTreeMap::from(FIGURE_NAMES);
     let mut plans = Vec::new();
     let mut lost = Vec::new();
+    let mut plan = CyclePlan::empty(0);
     for t in 0..12u64 {
         admit_figure_streams(&mut sched, t);
         if t == FIGURE_FAIL_CYCLE {
             sched.on_disk_failure(DiskId(2), t, false);
         }
-        let plan = sched.plan_cycle(t);
+        sched.plan_cycle_into(t, &mut plan);
         for h in &plan.hiccups {
             if let BlockKind::Data(ix) = h.addr.kind {
                 lost.push(format!("{}{} ({})", names[&h.addr.object.0], ix, h.reason));
             }
         }
-        plans.push(plan);
+        plans.push(plan.clone());
     }
     println!("{title} (disk 2 fails before cycle 4)\n");
     println!("{}", trace::render_schedule(&plans, 5, &names));

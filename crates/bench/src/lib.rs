@@ -26,7 +26,9 @@ use mms_server::disk::{Bandwidth, DiskId, DiskParams};
 use mms_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
-use mms_server::sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
+use mms_server::sched::{
+    CycleConfig, CyclePlan, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
+};
 use mms_server::sim::DataMode;
 use mms_server::{MultimediaServer, Scheme, ServerBuilder};
 
@@ -85,6 +87,7 @@ pub fn nc_transition_losses(c: usize, f: u32, policy: TransitionPolicy) -> usize
     let fail_at = bpg as u64;
     let mut next_obj = 0u64;
     let mut lost = 0usize;
+    let mut plan = CyclePlan::empty(0);
     for t in 0..(4 * bpg as u64) {
         // One new stream starts every cycle from cycle 1 on, keeping
         // every phase busy by the time the failure strikes.
@@ -97,7 +100,8 @@ pub fn nc_transition_losses(c: usize, f: u32, policy: TransitionPolicy) -> usize
         if t == fail_at {
             sched.on_disk_failure(DiskId(f), t, false);
         }
-        lost += sched.plan_cycle(t).hiccups.len();
+        sched.plan_cycle_into(t, &mut plan);
+        lost += plan.hiccups.len();
     }
     lost
 }

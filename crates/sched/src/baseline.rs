@@ -150,7 +150,7 @@ impl SchemeScheduler for BaselineScheduler {
             }
             let p = layout.data_placement(s.start_cluster, g, i);
             if !self.failed_disks.contains(&p.disk) {
-                plan.push_read(
+                plan.reads.push(
                     p.disk,
                     PlannedRead {
                         stream: s.id(),
@@ -265,6 +265,7 @@ impl SchemeScheduler for BaselineScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::plan_cycle;
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, Geometry, MediaObject};
 
@@ -294,7 +295,7 @@ mod tests {
         let id = s.admit(ObjectId(0), 0).unwrap();
         let mut delivered = 0;
         for t in 0..18 {
-            let p = s.plan_cycle(t);
+            let p = plan_cycle(&mut s, t);
             assert!(p.hiccups.is_empty());
             delivered += p.deliveries.len();
             // One read per active stream per cycle, 2 buffers peak.
@@ -314,7 +315,7 @@ mod tests {
         s.on_disk_failure(DiskId(1), 0, false);
         let mut hiccup_cycles = Vec::new();
         for t in 0..42 {
-            let p = s.plan_cycle(t);
+            let p = plan_cycle(&mut s, t);
             if !p.hiccups.is_empty() {
                 hiccup_cycles.push(t);
             }
@@ -331,12 +332,12 @@ mod tests {
         s.admit(ObjectId(0), 0).unwrap();
         s.on_disk_failure(DiskId(1), 0, false);
         for t in 0..12 {
-            s.plan_cycle(t);
+            plan_cycle(&mut s, t);
         }
         s.on_disk_repair(DiskId(1), 12);
         let mut hiccups = 0;
         for t in 12..42 {
-            hiccups += s.plan_cycle(t).hiccups.len();
+            hiccups += plan_cycle(&mut s, t).hiccups.len();
         }
         assert_eq!(hiccups, 0);
     }

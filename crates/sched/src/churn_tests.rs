@@ -6,6 +6,7 @@
 //! lifecycle, which showed as resident memory under the short-clip
 //! workload; 100,000 lifecycles make any such leak unmissable.
 
+use crate::test_support::plan_cycle;
 use crate::{
     CycleConfig, CyclePlan, GroupedScheduler, ImprovedScheduler, NonClusteredScheduler,
     SchemeScheduler, TransitionPolicy,
@@ -84,7 +85,7 @@ fn grouped_churn_returns_every_buffer_and_admission_slot() {
         let mut s = GroupedScheduler::new(config(4, k_prime), catalog(layout));
         let mut cycle = churn(&mut s, |_| Vec::new());
         while s.active_streams() > 0 {
-            s.plan_cycle(cycle);
+            plan_cycle(&mut s, cycle);
             cycle += 1;
         }
         assert_eq!(s.buffer_in_use(), 0, "k'={k_prime}");

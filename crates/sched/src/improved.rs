@@ -10,7 +10,9 @@
 //! that cluster and push parity reads one cluster further.
 
 use crate::cycle::CycleConfig;
-use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
+use crate::plan::{
+    CyclePlan, DeliveryRun, GroupRead, LossReason, LostBlock, MemberSet, PlannedRead, ReadPurpose,
+};
 use crate::streams::{StreamId, StreamInfo};
 use crate::table::{Released, StreamTable};
 use crate::traits::{
@@ -21,44 +23,40 @@ use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusterId, ImprovedLayout, Layout, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-group-read bookkeeping gathered in pass 1 of `plan_cycle`:
-/// reconstructed block indices, hiccup indices with reasons, and the
-/// buffer tracks charged. Entries live in a reusable Vec in slot (hence
-/// stream-id) order; a dropped stream clears `live` (its vectors return
-/// to the pools immediately) instead of removing the entry, so the
-/// staging structure itself never reallocates at steady state and the
-/// entry indices queued by the shift cascade stay valid.
-#[derive(Debug)]
+/// Fault state of one group, gathered while it is read and carried with
+/// the stream until the group is delivered a cycle later.
+#[derive(Debug, Default, Clone, Copy)]
+struct GroupFault {
+    /// Blocks to deliver reconstructed from parity.
+    reconstructed: MemberSet,
+    /// Blocks lost to a dead disk nothing could rebuild them from.
+    failed: MemberSet,
+    /// Blocks lost because their disk died mid-cycle.
+    mid_cycle: MemberSet,
+}
+
+/// Per-group-read bookkeeping gathered in pass 1 of `plan_cycle_into`. Entry
+/// `n` belongs to the stream whose [`GroupRead`] is record `n` of the
+/// plan; a dropped stream clears `live` instead of removing the entry, so
+/// the indices queued by the shift cascade stay valid.
+#[derive(Debug, Clone, Copy)]
 struct IncomingEntry {
     /// The stream's slot in the table (valid for the whole cycle).
     slot: usize,
-    stream: StreamId,
-    reconstructed: Vec<u32>,
-    hiccups: Vec<(u32, LossReason)>,
+    fault: GroupFault,
+    /// Buffer tracks charged for the group.
     charged: usize,
+    /// Whether the group's parity track is being read this cycle.
+    parity_read: bool,
     live: bool,
-}
-
-/// Index of the live staging entry of stream `sid` (entries are pushed
-/// in ascending id order, so a binary search suffices) — for the one
-/// path that starts from a read already in the plan.
-fn incoming_index(incoming: &[IncomingEntry], sid: StreamId) -> Option<usize> {
-    incoming
-        .binary_search_by_key(&sid, |e| e.stream)
-        .ok()
-        .filter(|&ix| incoming[ix].live)
 }
 
 /// Per-stream state beyond the shared header.
 #[derive(Debug)]
 struct IbState {
     class: u32,
-    /// Block indices of the group read last cycle to be delivered
-    /// reconstructed this cycle.
-    pending_reconstructed: Vec<u32>,
-    /// Block indices of the group read last cycle that hiccup this
-    /// cycle, with the reason.
-    pending_hiccups: Vec<(u32, LossReason)>,
+    /// Fault state of the group read last cycle, delivered this cycle.
+    pending: GroupFault,
     /// Buffer tracks charged for the group read last cycle.
     pending_buffered: usize,
 }
@@ -87,14 +85,13 @@ pub struct ImprovedScheduler {
     /// must hiccup the failed disk's uncompleted reads.
     midcycle_pending: Option<DiskId>,
     /// Reusable parity work queue for the shift-to-the-right cascade:
-    /// staging-entry index, object, block index, group.
-    parity_scratch: Vec<(usize, ObjectId, u32, u64)>,
-    /// Recycled `pending_reconstructed` vectors (swapped per read cycle).
-    rec_pool: Vec<Vec<u32>>,
-    /// Recycled `pending_hiccups` vectors (swapped per read cycle).
-    hic_pool: Vec<Vec<(u32, LossReason)>>,
+    /// staging-entry index and the block to rebuild.
+    parity_scratch: Vec<(usize, u32)>,
     /// Reusable pass-1 staging table (in slot order).
     incoming_scratch: Vec<IncomingEntry>,
+    /// Reusable per-disk cursor of the cascade: no group record before
+    /// it still reads a data block from the disk.
+    victim_scratch: Vec<usize>,
 }
 
 impl ImprovedScheduler {
@@ -113,6 +110,7 @@ impl ImprovedScheduler {
         reserved_slots: usize,
     ) -> Self {
         let c = catalog.layout().geometry().group_size() as usize;
+        MemberSet::assert_holds(catalog.layout().geometry().data_blocks_per_group());
         assert_eq!(config.k, c - 1, "Improved-bandwidth requires k = C−1");
         assert_eq!(
             config.k_prime,
@@ -135,9 +133,8 @@ impl ImprovedScheduler {
             last_shift_path: Vec::new(),
             midcycle_pending: None,
             parity_scratch: Vec::new(),
-            rec_pool: Vec::new(),
-            hic_pool: Vec::new(),
             incoming_scratch: Vec::new(),
+            victim_scratch: Vec::new(),
         }
     }
 
@@ -194,8 +191,6 @@ impl ImprovedScheduler {
     #[cfg(test)]
     pub(crate) fn scratch_footprint(&self) -> Vec<(usize, usize)> {
         vec![
-            (self.rec_pool.len(), self.rec_pool.capacity()),
-            (self.hic_pool.len(), self.hic_pool.capacity()),
             (
                 self.incoming_scratch.len(),
                 self.incoming_scratch.capacity(),
@@ -230,8 +225,7 @@ impl SchemeScheduler for ImprovedScheduler {
             at_cycle,
             IbState {
                 class: class as u32,
-                pending_reconstructed: Vec::new(),
-                pending_hiccups: Vec::new(),
+                pending: GroupFault::default(),
                 pending_buffered: 0,
             },
         ))
@@ -293,54 +287,43 @@ impl SchemeScheduler for ImprovedScheduler {
             }
             let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
             let blocks = s.blocks_in_group(read_group, bpg);
-            let mut reconstructed = self.rec_pool.pop().unwrap_or_default();
-            reconstructed.clear();
-            let mut hiccups = self.hic_pool.pop().unwrap_or_default();
-            hiccups.clear();
-            let cluster = layout.data_cluster(start_cluster, read_group);
-            let failed = self.failed.get(&cluster);
-            let mut reads = 0usize;
-            for i in 0..blocks {
-                let p = layout.data_placement(start_cluster, read_group, i);
-                let pos = geometry.position_in_cluster(p.disk);
-                if failed.is_some_and(|f| f.contains(&pos)) {
-                    if failed.map_or(0, std::collections::BTreeSet::len) == 1 {
-                        if midcycle_disk == Some(p.disk) {
-                            // Mid-cycle failure: this cycle's read on
-                            // the failed disk cannot be masked — unless
-                            // the committed schedule already carried a
-                            // parity prefetch (pass 2.5 may rescue it).
-                            hiccups.push((i, LossReason::MidCycle));
-                        } else {
-                            reconstructed.push(i);
-                            parity_needed.push((incoming.len(), object, i, read_group));
-                        }
-                    } else {
-                        // Two failures in one cluster: data loss.
-                        hiccups.push((i, LossReason::FailedDisk));
-                    }
+            let first = layout.data_placement(start_cluster, read_group, 0);
+            let failed = self.failed.get(&first.cluster);
+            let mut members = MemberSet::range(0, blocks);
+            let mut fault = GroupFault::default();
+            // Member `i` of a group is at position `i` of its cluster.
+            for &pos in failed.into_iter().flatten().filter(|&&pos| pos < blocks) {
+                members.remove(pos);
+                if failed.map_or(0, BTreeSet::len) != 1 {
+                    // Two failures in one cluster: data loss.
+                    fault.failed.insert(pos);
+                } else if midcycle_disk == Some(geometry.disk_at(first.cluster, pos)) {
+                    // Mid-cycle failure: this cycle's read on the failed
+                    // disk cannot be masked — unless the committed
+                    // schedule already carried a parity prefetch (pass
+                    // 2.5 may rescue it).
+                    fault.mid_cycle.insert(pos);
                 } else {
-                    plan.push_read(
-                        p.disk,
-                        PlannedRead {
-                            stream: id,
-                            addr: BlockAddr::data(object, read_group, i),
-                            purpose: ReadPurpose::Delivery,
-                        },
-                    );
-                    reads += 1;
+                    fault.reconstructed.insert(pos);
+                    parity_needed.push((incoming.len(), pos));
                 }
             }
+            plan.reads.push_group(GroupRead {
+                stream: id,
+                object,
+                group: read_group,
+                first_disk: first.disk,
+                members,
+                parity: None,
+            });
             self.streams
-                .alloc(ix, reads)
+                .alloc(ix, members.len())
                 .expect("unbounded pool never refuses an allocation");
-            // Slots ascend by id, so the staging table stays sorted by id.
             incoming.push(IncomingEntry {
                 slot: ix,
-                stream: id,
-                reconstructed,
-                hiccups,
-                charged: reads,
+                fault,
+                charged: members.len(),
+                parity_read: false,
                 live: true,
             });
         }
@@ -350,9 +333,14 @@ impl SchemeScheduler for ImprovedScheduler {
         // partial failures that need *their* parity one cluster further.
         let cap = self.config.slots_per_disk();
         let mut queue = parity_needed;
+        let mut victim_from = std::mem::take(&mut self.victim_scratch);
+        if !queue.is_empty() {
+            victim_from.clear();
+            victim_from.resize(geometry.disks() as usize, 0);
+        }
         let mut hops = 0usize;
         let max_hops = self.clusters() as usize * cap * 4 + 16;
-        while let Some((eix, object, idx, group)) = queue.pop() {
+        while let Some((eix, idx)) = queue.pop() {
             hops += 1;
             if !incoming[eix].live {
                 continue; // already dropped
@@ -363,8 +351,9 @@ impl SchemeScheduler for ImprovedScheduler {
                 self.drop_stream(&mut incoming[eix], cycle, plan);
                 continue;
             }
-            let (slot, sid) = (incoming[eix].slot, incoming[eix].stream);
-            let pp = layout.parity_placement(self.streams.slot(slot).start_cluster, group);
+            let slot = incoming[eix].slot;
+            let group = plan.reads.groups()[eix];
+            let pp = layout.parity_placement(self.streams.slot(slot).start_cluster, group.group);
             let disk = pp.disk;
             if !self.last_shift_path.contains(&pp.cluster) {
                 self.last_shift_path.push(pp.cluster);
@@ -374,63 +363,50 @@ impl SchemeScheduler for ImprovedScheduler {
             if self
                 .failed
                 .get(&pp.cluster)
-                .map(|f| f.contains(&parity_pos))
-                .unwrap_or(false)
+                .is_some_and(|f| f.contains(&parity_pos))
             {
-                let e = &mut incoming[eix];
-                e.reconstructed.retain(|&x| x != idx);
-                if !e.hiccups.iter().any(|(i, _)| *i == idx) {
-                    e.hiccups.push((idx, LossReason::FailedDisk));
+                let fault = &mut incoming[eix].fault;
+                fault.reconstructed.remove(idx);
+                if !fault.mid_cycle.contains(idx) {
+                    fault.failed.insert(idx);
                 }
                 continue;
             }
-            let parity_read = PlannedRead {
-                stream: sid,
-                addr: BlockAddr::parity(object, group),
-                purpose: ReadPurpose::Parity,
-            };
-            if plan.reads_on(disk).len() >= cap {
-                // Disk full: displace one local Delivery read (at most
+            if plan.load_on(disk) >= cap {
+                // Disk full: displace the first local data read (at most
                 // one per parity group is ever displaced) and retry the
                 // parity read in the freed slot.
-                let victim_ix = plan
-                    .reads_on(disk)
-                    .iter()
-                    .position(|r| r.purpose == ReadPurpose::Delivery);
-                let Some(victim_ix) = victim_ix else {
+                let from = &mut victim_from[disk.0 as usize];
+                let Some(vix) = plan.reads.group_reading(disk, *from) else {
                     // Nothing displaceable (all reads are parity):
                     // degradation of service.
                     self.drop_stream(&mut incoming[eix], cycle, plan);
                     continue;
                 };
-                let victim = plan
-                    .reads
-                    .get_mut(&disk)
-                    .expect("a disk with a displaceable read has a read list")
-                    .remove(victim_ix);
-                // The displaced block will be reconstructed via its
-                // own parity group one cluster to the right.
-                if let mms_layout::BlockKind::Data(vi) = victim.addr.kind {
-                    if let Some(vix) = incoming_index(&incoming, victim.stream) {
-                        let e = &mut incoming[vix];
-                        e.reconstructed.push(vi);
-                        // Undo the victim's data-read buffer charge;
-                        // its parity read (when placed) re-charges.
-                        e.charged = e.charged.saturating_sub(1);
-                        let _ = self.streams.free(e.slot, 1);
-                        queue.push((vix, victim.addr.object, vi, victim.addr.group));
-                    }
-                }
+                *from = vix;
+                let vi = disk.0 - plan.reads.groups()[vix].first_disk.0;
+                plan.reads.drop_member(vix, vi);
+                // The displaced block will be reconstructed via its own
+                // parity group one cluster to the right. Undo its
+                // data-read buffer charge; its parity read (when placed)
+                // re-charges.
+                let victim = &mut incoming[vix];
+                victim.fault.reconstructed.insert(vi);
+                victim.charged = victim.charged.saturating_sub(1);
+                let _ = self.streams.free(victim.slot, 1);
+                queue.push((vix, vi));
             }
             // Idle capacity (or the slot just freed): place the parity
             // read and charge its buffer.
-            plan.push_read(disk, parity_read);
+            plan.reads.push(disk, parity_read(&group));
             self.streams
                 .alloc(slot, 1)
                 .expect("unbounded pool never refuses an allocation");
             incoming[eix].charged += 1;
+            incoming[eix].parity_read = true;
         }
         self.parity_scratch = queue;
+        self.victim_scratch = victim_from;
 
         // Pass 2.5 — adaptive parity prefetch (Section 4's sophisticated
         // scheduler): where a group's parity disk still has an idle slot,
@@ -438,37 +414,24 @@ impl SchemeScheduler for ImprovedScheduler {
         // this cycle's mid-cycle loss (the read was part of the committed
         // schedule), and load always wins: full disks skip the prefetch.
         if self.parity_prefetch {
-            for entry in incoming.iter_mut().filter(|e| e.live) {
-                let s = self.streams.slot(entry.slot);
-                let (id, object) = (s.id(), s.object);
-                let read_group = cycle - s.start_cycle;
-                // Skip groups whose parity is already being read
-                // (failure-reconstruction path placed it in pass 2).
-                let pp = layout.parity_placement(s.start_cluster, read_group);
-                let already = plan
-                    .reads_on(pp.disk)
-                    .iter()
-                    .any(|r| r.stream == id && r.addr == BlockAddr::parity(object, read_group));
-                if already {
+            for (eix, entry) in incoming.iter_mut().enumerate() {
+                // Skip dropped streams and groups whose parity is already
+                // being read (the reconstruction path placed it in pass 2).
+                if !entry.live || entry.parity_read {
                     continue;
                 }
+                let group = plan.reads.groups()[eix];
+                let start_cluster = self.streams.slot(entry.slot).start_cluster;
+                let pp = layout.parity_placement(start_cluster, group.group);
                 let parity_pos = geometry.position_in_cluster(pp.disk);
                 let parity_dead = self
                     .failed
                     .get(&pp.cluster)
-                    .map(|f| f.contains(&parity_pos))
-                    .unwrap_or(false);
-                if parity_dead || plan.reads_on(pp.disk).len() >= cap {
+                    .is_some_and(|f| f.contains(&parity_pos));
+                if parity_dead || plan.load_on(pp.disk) >= cap {
                     continue;
                 }
-                plan.push_read(
-                    pp.disk,
-                    PlannedRead {
-                        stream: id,
-                        addr: BlockAddr::parity(object, read_group),
-                        purpose: ReadPurpose::Parity,
-                    },
-                );
+                plan.reads.push(pp.disk, parity_read(&group));
                 self.streams
                     .alloc(entry.slot, 1)
                     .expect("unbounded pool never refuses an allocation");
@@ -476,13 +439,9 @@ impl SchemeScheduler for ImprovedScheduler {
                 // Rescue a mid-cycle loss: with parity and the group's
                 // surviving members resident by end of cycle, the block
                 // is reconstructed in time.
-                if let Some(ix) = entry
-                    .hiccups
-                    .iter()
-                    .position(|(_, reason)| *reason == LossReason::MidCycle)
-                {
-                    let (block, _) = entry.hiccups.remove(ix);
-                    entry.reconstructed.push(block);
+                if let Some(block) = entry.fault.mid_cycle.first() {
+                    entry.fault.mid_cycle.remove(block);
+                    entry.fault.reconstructed.insert(block);
                 }
             }
         }
@@ -498,27 +457,32 @@ impl SchemeScheduler for ImprovedScheduler {
                 continue;
             }
             let (id, object) = (st.id(), st.object);
-            let blocks = st.blocks_in_group(g, bpg);
-            for i in 0..blocks {
-                let addr = BlockAddr::data(object, g, i);
-                if let Some(&(_, reason)) = st.state.pending_hiccups.iter().find(|(ix, _)| *ix == i)
-                {
-                    plan.hiccups.push(LostBlock {
-                        stream: id,
-                        addr,
-                        reason,
-                        delivery_cycle: cycle,
-                    });
-                    st.lost += 1;
+            let all = MemberSet::range(0, st.blocks_in_group(g, bpg));
+            let fault = st.state.pending;
+            let lost = all & (fault.failed | fault.mid_cycle);
+            let sent = all.without(lost);
+            plan.deliveries.push_run(DeliveryRun {
+                stream: id,
+                object,
+                group: g,
+                blocks: sent,
+                reconstructed: sent & fault.reconstructed,
+            });
+            for i in lost.iter() {
+                let reason = if fault.mid_cycle.contains(i) {
+                    LossReason::MidCycle
                 } else {
-                    plan.deliveries.push(Delivery {
-                        stream: id,
-                        addr,
-                        reconstructed: st.state.pending_reconstructed.contains(&i),
-                    });
-                    st.delivered += 1;
-                }
+                    LossReason::FailedDisk
+                };
+                plan.hiccups.push(LostBlock {
+                    stream: id,
+                    addr: BlockAddr::data(object, g, i),
+                    reason,
+                    delivery_cycle: cycle,
+                });
             }
+            st.delivered += sent.len() as u64;
+            st.lost += lost.len() as u64;
             // Release exactly what the group charged when it was read.
             let charged = std::mem::take(&mut st.state.pending_buffered);
             let finished = g + 1 == st.groups;
@@ -533,26 +497,13 @@ impl SchemeScheduler for ImprovedScheduler {
             }
         }
 
-        // Commit the just-read groups' state, recycling the vectors the
-        // new state displaces. Dropped entries already recycled theirs
-        // when `live` was cleared; a stream retired in pass 3 takes its
-        // own pending vectors with it when the table compacts, so only
-        // its staged pair goes back to the pools.
-        for e in incoming.drain(..) {
-            if !e.live {
-                continue;
-            }
+        // Commit the just-read groups' state to the streams still there
+        // (not dropped in pass 2, not retired in pass 3).
+        for e in incoming.drain(..).filter(|e| e.live) {
             let st = self.streams.slot_mut(e.slot);
             if st.is_live() {
-                let old_rec =
-                    std::mem::replace(&mut st.state.pending_reconstructed, e.reconstructed);
-                let old_hic = std::mem::replace(&mut st.state.pending_hiccups, e.hiccups);
+                st.state.pending = e.fault;
                 st.state.pending_buffered = e.charged;
-                self.rec_pool.push(old_rec);
-                self.hic_pool.push(old_hic);
-            } else {
-                self.rec_pool.push(e.reconstructed);
-                self.hic_pool.push(e.hiccups);
             }
         }
         self.incoming_scratch = incoming;
@@ -668,12 +619,9 @@ impl SchemeScheduler for ImprovedScheduler {
 
 impl ImprovedScheduler {
     /// Terminate the stream staged in `entry` (degradation of service):
-    /// retire it, return its staged vectors to the pools, and take its
-    /// reads back out of this cycle's plan.
+    /// retire it and take its reads back out of this cycle's plan.
     fn drop_stream(&mut self, entry: &mut IncomingEntry, cycle: u64, plan: &mut CyclePlan) {
         entry.live = false;
-        self.rec_pool.push(std::mem::take(&mut entry.reconstructed));
-        self.hic_pool.push(std::mem::take(&mut entry.hiccups));
         let st = self.streams.slot(entry.slot);
         let (id, object) = (st.id(), st.object);
         self.class_load[st.state.class as usize] -= 1;
@@ -684,15 +632,23 @@ impl ImprovedScheduler {
             reason: LossReason::ServiceDegradation,
             delivery_cycle: cycle,
         });
-        for reads in plan.reads.values_mut() {
-            reads.retain(|r| r.stream != id);
-        }
+        plan.reads.drop_stream(id);
+    }
+}
+
+/// The read of `group`'s parity track.
+fn parity_read(group: &GroupRead) -> PlannedRead {
+    PlannedRead {
+        stream: group.stream,
+        addr: BlockAddr::parity(group.object, group.group),
+        purpose: ReadPurpose::Parity,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::plan_cycle;
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, Geometry, MediaObject};
 
@@ -720,11 +676,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "65 data blocks does not fit the plan's 64-member sets")]
+    fn a_group_wider_than_the_plan_records_is_refused_at_construction() {
+        make(130, 66, 1, &[(0, 65)]);
+    }
+
+    #[test]
     fn normal_mode_never_reads_parity() {
         let mut s = make(8, 5, 1, &[(0, 16)]);
         let id = s.admit(ObjectId(0), 0).unwrap();
         for t in 0..4 {
-            let p = s.plan_cycle(t);
+            let p = plan_cycle(&mut s, t);
             assert!(
                 p.reads
                     .values()
@@ -744,7 +706,7 @@ mod tests {
         let mut s = make(8, 5, 1, &[(0, 40)]);
         s.admit(ObjectId(0), 0).unwrap();
         for t in 0..6 {
-            s.plan_cycle(t);
+            plan_cycle(&mut s, t);
         }
         // 2(C−1) = 8 for C = 5.
         assert_eq!(s.buffer_high_water(), 8);
@@ -756,19 +718,19 @@ mod tests {
         s.admit(ObjectId(0), 0).unwrap();
         let r = s.on_disk_failure(DiskId(1), 0, false);
         assert!(!r.catastrophic);
-        let p0 = s.plan_cycle(0);
+        let p0 = plan_cycle(&mut s, 0);
         // 3 data reads on cluster 0 + 1 parity read on cluster 1.
         assert_eq!(p0.total_reads(), 4);
         let parity_reads: Vec<_> = p0
             .reads
             .iter()
-            .flat_map(|(d, v)| v.iter().map(move |r| (*d, *r)))
+            .flat_map(|(d, v)| v.iter().map(move |r| (*d, r)))
             .filter(|(_, r)| r.purpose == ReadPurpose::Parity)
             .collect();
         assert_eq!(parity_reads.len(), 1);
         assert!(parity_reads[0].0 .0 >= 4, "parity on cluster 1");
         assert_eq!(s.last_shift_path(), &[ClusterId(1)]);
-        let p1 = s.plan_cycle(1);
+        let p1 = plan_cycle(&mut s, 1);
         assert_eq!(p1.deliveries.len(), 4);
         assert_eq!(p1.deliveries.iter().filter(|d| d.reconstructed).count(), 1);
         assert!(p1.hiccups.is_empty());
@@ -779,17 +741,17 @@ mod tests {
         let mut s = make(8, 5, 1, &[(0, 16)]);
         s.admit(ObjectId(0), 0).unwrap();
         s.on_disk_failure(DiskId(2), 0, true);
-        let _p0 = s.plan_cycle(0);
-        let p1 = s.plan_cycle(1);
+        let _p0 = plan_cycle(&mut s, 0);
+        let p1 = plan_cycle(&mut s, 1);
         // The block being read when the disk died is a hiccup…
         assert_eq!(p1.hiccups.len(), 1);
         assert_eq!(p1.hiccups[0].reason, LossReason::MidCycle);
         assert_eq!(p1.deliveries.len(), 3);
         // …but from the next cycle on, parity masks the failure.
-        let p2 = s.plan_cycle(2);
+        let p2 = plan_cycle(&mut s, 2);
         assert_eq!(p2.deliveries.len(), 4);
         assert_eq!(p2.hiccups.len(), 0);
-        let p3 = s.plan_cycle(3);
+        let p3 = plan_cycle(&mut s, 3);
         assert_eq!(p3.deliveries.iter().filter(|d| d.reconstructed).count(), 1);
     }
 
@@ -817,7 +779,7 @@ mod tests {
         }
         assert_eq!(s.active_streams(), slots * 3);
         s.on_disk_failure(DiskId(0), 0, false);
-        let p0 = s.plan_cycle(0);
+        let p0 = plan_cycle(&mut s, 0);
         // The cascade had to visit cluster 1 and spill into cluster 2.
         assert!(s.last_shift_path().contains(&ClusterId(1)));
         assert!(s.last_shift_path().contains(&ClusterId(2)));
@@ -840,8 +802,8 @@ mod tests {
             }
         }
         s.on_disk_failure(DiskId(0), 0, false);
-        let p0 = s.plan_cycle(0);
-        let p1 = s.plan_cycle(1);
+        let p0 = plan_cycle(&mut s, 0);
+        let p1 = plan_cycle(&mut s, 1);
         let impact = p0.hiccups.len() + p1.hiccups.len();
         assert!(impact >= 1, "expected dropped streams or lost blocks");
     }
@@ -859,6 +821,7 @@ mod tests {
 #[cfg(test)]
 mod prefetch_tests {
     use super::*;
+    use crate::test_support::plan_cycle;
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, Geometry, MediaObject};
 
@@ -893,13 +856,13 @@ mod prefetch_tests {
         for (prefetch, expect_hiccups) in [(false, 1usize), (true, 0usize)] {
             let mut s = make(prefetch);
             s.admit(ObjectId(0), 0).unwrap();
-            s.plan_cycle(0);
+            plan_cycle(&mut s, 0);
             // Group 1 (cycle 1) reads cluster 1: disk 5 dies mid-cycle.
             s.on_disk_failure(DiskId(5), 1, true);
             let mut hiccups = 0;
             let mut reconstructed = 0;
             for t in 1..11 {
-                let p = s.plan_cycle(t);
+                let p = plan_cycle(&mut s, t);
                 hiccups += p.hiccups.len();
                 reconstructed += p.deliveries.iter().filter(|d| d.reconstructed).count();
             }
@@ -912,7 +875,7 @@ mod prefetch_tests {
     fn prefetch_reads_parity_every_cycle_when_idle() {
         let mut s = make(true);
         s.admit(ObjectId(0), 0).unwrap();
-        let p = s.plan_cycle(0);
+        let p = plan_cycle(&mut s, 0);
         // 4 data reads + 1 prefetched parity on the next cluster.
         assert_eq!(p.total_reads(), 5);
         assert!(p
@@ -922,7 +885,7 @@ mod prefetch_tests {
             .any(|r| r.purpose == ReadPurpose::Parity));
         // Buffer charge grows by the parity track: 2(C−1) + 2 at peak.
         for t in 1..4 {
-            s.plan_cycle(t);
+            plan_cycle(&mut s, t);
         }
         assert_eq!(s.buffer_high_water(), 10);
     }
@@ -936,7 +899,7 @@ mod prefetch_tests {
         for _ in 0..slots {
             s.admit(ObjectId(0), 0).unwrap();
         }
-        let p = s.plan_cycle(0);
+        let p = plan_cycle(&mut s, 0);
         let cap = s.config().slots_per_disk();
         for reads in p.reads.values() {
             assert!(reads.len() <= cap);

@@ -47,6 +47,8 @@ mod nonclustered;
 mod plan;
 mod streams;
 pub mod table;
+#[doc(hidden)]
+pub mod test_support;
 mod traits;
 
 pub use baseline::BaselineScheduler;
@@ -55,7 +57,8 @@ pub use grouped::GroupedScheduler;
 pub use improved::ImprovedScheduler;
 pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};
 pub use plan::{
-    CyclePlan, Delivery, DiskReads, DiskReadsIter, LossReason, LostBlock, PlannedRead, ReadPurpose,
+    CyclePlan, Deliveries, Delivery, DeliveryRun, DiskReads, DiskReadsIter, GroupRead, LossReason,
+    LostBlock, MemberSet, PlannedRead, ReadPurpose, ReadsOn, ReadsOnIter,
 };
 pub use streams::{StreamId, StreamInfo};
 pub use traits::{

@@ -320,7 +320,7 @@ impl NonClusteredScheduler {
                 }
                 continue;
             }
-            plan.push_read(
+            plan.reads.push(
                 p.disk,
                 PlannedRead {
                     stream: id,
@@ -336,7 +336,7 @@ impl NonClusteredScheduler {
         }
         if recoverable && failed_positions & ((1u128 << blocks) - 1) != 0 {
             let pp = layout.parity_placement(s.start_cluster, g);
-            plan.push_read(
+            plan.reads.push(
                 pp.disk,
                 PlannedRead {
                     stream: id,
@@ -678,7 +678,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                         delivery_cycle: cycle + 1,
                     });
                 } else {
-                    plan.push_read(
+                    plan.reads.push(
                         p.disk,
                         PlannedRead {
                             stream: id,
@@ -712,7 +712,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 if disk == DiskId(u32::MAX) {
                     continue;
                 }
-                plan.push_read(disk, read);
+                plan.reads.push(disk, read);
                 // Freed at the block's delivery cycle — registered by the
                 // transition planner (deferred_frees). Parity reads are
                 // absorbed into the reconstruction: free next cycle.
@@ -739,14 +739,14 @@ impl SchemeScheduler for NonClusteredScheduler {
         displaced_parity.clear();
         let mut keep = std::mem::take(&mut self.keep_scratch);
         let mut spill = std::mem::take(&mut self.spill_scratch);
-        for (_disk, reads) in plan.reads.iter_mut() {
-            if reads.len() <= cap {
+        for disk in (0..geometry.disks()).map(DiskId) {
+            if plan.load_on(disk) <= cap {
                 continue;
             }
             // Stable partition: keep high-priority reads first.
             keep.clear();
             spill.clear();
-            for r in reads.iter().copied() {
+            for r in plan.reads.singles_on(disk).iter().copied() {
                 if r.purpose != ReadPurpose::Delivery {
                     keep.push(r);
                 } else {
@@ -811,8 +811,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
             }
             debug_assert!(keep.len() <= cap);
-            reads.clear();
-            reads.extend_from_slice(&keep);
+            plan.reads.replace_singles(disk, &keep);
         }
         self.keep_scratch = keep;
         self.spill_scratch = spill;

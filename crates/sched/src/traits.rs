@@ -220,7 +220,7 @@ impl std::error::Error for RetireError {}
 /// The interface every scheme scheduler implements.
 ///
 /// The scheduler is a deterministic state machine driven by
-/// [`plan_cycle`](SchemeScheduler::plan_cycle); the discrete-event
+/// [`plan_cycle_into`](SchemeScheduler::plan_cycle_into); the discrete-event
 /// simulator in `mms-sim` executes the produced plans against a real
 /// [`mms_disk::DiskArray`] and real parity blocks.
 pub trait SchemeScheduler {
@@ -251,16 +251,6 @@ pub trait SchemeScheduler {
     /// one `CyclePlan` across cycles pays no per-cycle heap traffic once
     /// the plan's vectors have grown to their steady-state capacity.
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan);
-
-    /// Plan (and internally commit) one cycle, returning a fresh plan.
-    /// Convenience wrapper over
-    /// [`plan_cycle_into`](SchemeScheduler::plan_cycle_into) for tests
-    /// and one-shot callers; hot loops should reuse a plan instead.
-    fn plan_cycle(&mut self, cycle: u64) -> CyclePlan {
-        let mut plan = CyclePlan::empty(cycle);
-        self.plan_cycle_into(cycle, &mut plan);
-        plan
-    }
 
     /// Gracefully release a stream before its natural end (viewer
     /// abandonment, or a degraded-quality session finishing early).

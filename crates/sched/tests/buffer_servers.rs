@@ -4,6 +4,7 @@
 
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId};
+use mms_sched::test_support::plan_cycle;
 use mms_sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
 
 fn make(slots_b0_mb: f64, objects: u64, tracks: u64) -> NonClusteredScheduler {
@@ -43,7 +44,7 @@ fn degraded_cluster_occupies_its_server_within_eq14_sizing() {
         if t == 6 {
             s.on_disk_failure(DiskId(1), 6, false);
         }
-        s.plan_cycle(t);
+        plan_cycle(&mut s, t);
         if t > 8 {
             let pool = s
                 .servers()
@@ -73,11 +74,11 @@ fn repair_detaches_and_resets_the_server() {
         if t >= 1 {
             s.admit(ObjectId(t - 1), t).unwrap();
         }
-        s.plan_cycle(t);
+        plan_cycle(&mut s, t);
     }
     s.on_disk_failure(DiskId(2), 3, false);
     for t in 3..10u64 {
-        s.plan_cycle(t);
+        plan_cycle(&mut s, t);
     }
     assert_eq!(s.servers().busy(), 1);
     s.on_disk_repair(DiskId(2), 10);
@@ -97,13 +98,13 @@ fn two_degraded_clusters_occupy_two_servers() {
         if t >= 1 {
             s.admit(ObjectId(t - 1), t).unwrap();
         }
-        s.plan_cycle(t);
+        plan_cycle(&mut s, t);
     }
     s.on_disk_failure(DiskId(0), 3, false);
     s.on_disk_failure(DiskId(7), 3, false);
     assert_eq!(s.servers().busy(), 2);
     // Both clusters keep serving (with their bounded transition losses).
     for t in 3..16u64 {
-        s.plan_cycle(t);
+        plan_cycle(&mut s, t);
     }
 }

@@ -4,6 +4,7 @@
 
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId};
+use mms_sched::test_support::plan_cycle;
 use mms_sched::{
     CycleConfig, GroupedScheduler, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
 };
@@ -38,13 +39,13 @@ fn nc_parity_disk_failure_keeps_normal_mode() {
     let mut s =
         NonClusteredScheduler::new(cfg, catalog(10, 5, 2, 16), TransitionPolicy::Delayed, 2);
     s.admit(ObjectId(0), 0).unwrap();
-    s.plan_cycle(0);
+    plan_cycle(&mut s, 0);
     let report = s.on_disk_failure(DiskId(4), 1, false); // cluster 0's parity disk
     assert!(!report.catastrophic);
     assert!(report.lost.is_empty());
     let mut delivered = 0;
     for t in 1..20 {
-        let p = s.plan_cycle(t);
+        let p = plan_cycle(&mut s, t);
         assert!(p.hiccups.is_empty(), "cycle {t}");
         delivered += p.deliveries.len();
     }
@@ -63,14 +64,14 @@ fn nc_parity_then_data_failure_is_catastrophic_and_loses_blocks() {
     );
     let mut s = NonClusteredScheduler::new(cfg, catalog(10, 5, 2, 24), TransitionPolicy::Simple, 2);
     s.admit(ObjectId(0), 0).unwrap();
-    s.plan_cycle(0);
+    plan_cycle(&mut s, 0);
     assert!(!s.on_disk_failure(DiskId(4), 1, false).catastrophic);
     let second = s.on_disk_failure(DiskId(1), 1, false);
     assert!(second.catastrophic);
     // Blocks on the dead data disk hiccup with no parity to rebuild from.
     let mut hiccups = 0;
     for t in 1..30 {
-        hiccups += s.plan_cycle(t).hiccups.len();
+        hiccups += plan_cycle(&mut s, t).hiccups.len();
     }
     assert!(hiccups > 0);
 }
@@ -88,14 +89,14 @@ fn staggered_failure_between_read_cycles_is_invisible() {
     );
     let mut s = GroupedScheduler::new(cfg, catalog(10, 5, 1, 8));
     s.admit(ObjectId(0), 0).unwrap();
-    let p0 = s.plan_cycle(0); // read group 0 (cycles 0..4 deliver it)
+    let p0 = plan_cycle(&mut s, 0); // read group 0 (cycles 0..4 deliver it)
     assert_eq!(p0.total_reads(), 5);
     s.on_disk_failure(DiskId(0), 1, false);
-    let p1 = s.plan_cycle(1);
+    let p1 = plan_cycle(&mut s, 1);
     assert!(p1.hiccups.is_empty());
     s.on_disk_repair(DiskId(0), 2);
     for t in 2..10 {
-        let p = s.plan_cycle(t);
+        let p = plan_cycle(&mut s, t);
         assert!(p.hiccups.is_empty(), "cycle {t}");
         assert!(
             p.deliveries.iter().all(|d| !d.reconstructed),
@@ -146,13 +147,13 @@ fn nc_failure_on_idle_cluster_costs_nothing() {
     s.admit(ObjectId(0), 0).unwrap();
     // Stream starts on cluster 0 (groups 0, 2 there; 1, 3 on cluster 1).
     // Fail a cluster-1 disk while the stream is mid-group on cluster 0.
-    s.plan_cycle(0);
+    plan_cycle(&mut s, 0);
     let report = s.on_disk_failure(DiskId(6), 1, false);
     assert!(report.lost.is_empty());
     let mut hiccups = 0;
     let mut delivered = 0;
     for t in 1..20 {
-        let p = s.plan_cycle(t);
+        let p = plan_cycle(&mut s, t);
         hiccups += p.hiccups.len();
         delivered += p.deliveries.len();
     }
@@ -192,7 +193,7 @@ mod ib_edges {
         let mut s = ib(8, 1, 1);
         s.admit(ObjectId(0), 0).unwrap();
         s.on_disk_failure(DiskId(1), 0, false);
-        let p0 = s.plan_cycle(0);
+        let p0 = plan_cycle(&mut s, 0);
         // One parity read on cluster 1 during the shift.
         assert!(p0
             .reads
@@ -201,7 +202,7 @@ mod ib_edges {
             .any(|r| r.purpose == mms_sched::ReadPurpose::Parity));
         s.on_disk_repair(DiskId(1), 1);
         for t in 1..8 {
-            let p = s.plan_cycle(t);
+            let p = plan_cycle(&mut s, t);
             assert!(
                 p.reads
                     .values()
@@ -230,7 +231,7 @@ mod ib_edges {
                 denied_streak = 0;
             } else {
                 denied_streak += 1;
-                s.plan_cycle(t);
+                plan_cycle(&mut s, t);
                 t += 1;
             }
         }
@@ -238,7 +239,7 @@ mod ib_edges {
         // And the resulting schedule respects every slot budget.
         let capacity = s.config().slots_per_disk();
         for tt in t..t + 6 {
-            let p = s.plan_cycle(tt);
+            let p = plan_cycle(&mut s, tt);
             for reads in p.reads.values() {
                 assert!(reads.len() <= capacity);
             }
@@ -280,14 +281,14 @@ mod sr_edges {
                 denied_streak = 0;
             } else {
                 denied_streak += 1;
-                s.plan_cycle(t);
+                plan_cycle(&mut s, t);
                 t += 1;
             }
         }
         assert_eq!(admitted, cap);
         let capacity = s.config().slots_per_disk();
         for tt in t..t + 4 {
-            let p = s.plan_cycle(tt);
+            let p = plan_cycle(&mut s, tt);
             for reads in p.reads.values() {
                 assert!(reads.len() <= capacity);
             }

@@ -18,6 +18,7 @@ use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{
     BandwidthClass, BlockAddr, BlockKind, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
+use mms_sched::test_support::plan_cycle;
 use mms_sched::{
     CycleConfig, LossReason, NonClusteredScheduler, SchemeScheduler, StreamId, TransitionPolicy,
 };
@@ -78,7 +79,7 @@ fn run_figure(policy: TransitionPolicy) -> LossAudit {
 
     // Plan cycles 0..4; admit A/C/E/G/I at their start cycles.
     for t in 0..4u64 {
-        sched.plan_cycle(t);
+        plan_cycle(&mut sched, t);
         if t == 3 {
             ids.push((A, sched.admit(ObjectId(A), 4).unwrap()))
         }
@@ -103,7 +104,7 @@ fn run_figure(policy: TransitionPolicy) -> LossAudit {
     let mut lost = BTreeSet::new();
     let mut detail = Vec::new();
     for t in 4..16u64 {
-        let plan = sched.plan_cycle(t);
+        let plan = plan_cycle(&mut sched, t);
         for h in &plan.hiccups {
             if let BlockKind::Data(ix) = h.addr.kind {
                 lost.insert((h.addr.object.0, ix));
@@ -131,28 +132,28 @@ fn figure5_normal_mode_schedule() {
     // Before the failure, each cycle reads exactly one track per stream
     // from consecutive disks, and no parity is ever read.
     let (mut sched, _ids) = scenario(TransitionPolicy::Simple);
-    let p1 = sched.plan_cycle(0);
+    let p1 = plan_cycle(&mut sched, 0);
     assert_eq!(p1.total_reads(), 0);
-    let p1 = sched.plan_cycle(1);
+    let p1 = plan_cycle(&mut sched, 1);
     // U0 on disk 0.
     assert_eq!(p1.total_reads(), 1);
     assert_eq!(p1.reads_on(DiskId(0)).len(), 1);
-    let p2 = sched.plan_cycle(2);
+    let p2 = plan_cycle(&mut sched, 2);
     // W0 on disk 0, U1 on disk 1.
     assert_eq!(p2.total_reads(), 2);
     assert_eq!(
-        p2.reads_on(DiskId(0))[0].addr,
+        p2.reads.singles_on(DiskId(0))[0].addr,
         BlockAddr::data(ObjectId(W), 0, 0)
     );
     assert_eq!(
-        p2.reads_on(DiskId(1))[0].addr,
+        p2.reads.singles_on(DiskId(1))[0].addr,
         BlockAddr::data(ObjectId(U), 0, 1)
     );
-    let p3 = sched.plan_cycle(3);
+    let p3 = plan_cycle(&mut sched, 3);
     // Y0 / W1 / U2 on disks 0 / 1 / 2; deliveries lag one cycle.
     assert_eq!(p3.total_reads(), 3);
     assert_eq!(
-        p3.reads_on(DiskId(2))[0].addr,
+        p3.reads.singles_on(DiskId(2))[0].addr,
         BlockAddr::data(ObjectId(U), 0, 2)
     );
     assert_eq!(p3.deliveries.len(), 2);
@@ -291,11 +292,11 @@ fn telemetry_emits_the_expected_transition_sequence() {
         let guard = recorder.install();
         let (mut sched, _ids) = scenario(policy);
         for t in 0..4 {
-            sched.plan_cycle(t);
+            plan_cycle(&mut sched, t);
         }
         sched.on_disk_failure(DiskId(2), 4, false);
         for t in 4..8 {
-            sched.plan_cycle(t);
+            plan_cycle(&mut sched, t);
         }
         sched.on_disk_repair(DiskId(2), 8);
         drop(guard);
@@ -329,18 +330,18 @@ fn telemetry_emits_the_expected_transition_sequence() {
 fn repair_returns_cluster_to_normal_mode() {
     let (mut sched, _ids) = scenario(TransitionPolicy::Simple);
     for t in 0..4 {
-        sched.plan_cycle(t);
+        plan_cycle(&mut sched, t);
     }
     sched.on_disk_failure(DiskId(2), 4, false);
     for t in 4..8 {
-        sched.plan_cycle(t);
+        plan_cycle(&mut sched, t);
     }
     sched.on_disk_repair(DiskId(2), 8);
     // A fresh stream after repair runs entirely in normal mode: one read
     // per cycle, no parity.
     let id = sched.admit(ObjectId(I), 8).unwrap();
     for t in 8..13 {
-        let p = sched.plan_cycle(t);
+        let p = plan_cycle(&mut sched, t);
         assert!(p.reads_on(DiskId(4)).is_empty(), "cycle {t}");
         assert!(p.hiccups.is_empty(), "cycle {t}");
     }

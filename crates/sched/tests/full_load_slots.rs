@@ -6,6 +6,7 @@
 
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId};
+use mms_sched::test_support::plan_cycle;
 use mms_sched::{CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy};
 
 fn run_full_load(c: usize, failed: u32, policy: TransitionPolicy) {
@@ -43,7 +44,7 @@ fn run_full_load(c: usize, failed: u32, policy: TransitionPolicy) {
         if t == fail_cycle {
             sched.on_disk_failure(DiskId(failed), t, false);
         }
-        let plan = sched.plan_cycle(t);
+        let plan = plan_cycle(&mut sched, t);
         for (disk, reads) in &plan.reads {
             assert!(
                 reads.len() <= cap,

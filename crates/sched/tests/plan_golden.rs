@@ -22,6 +22,7 @@ use mms_sched::{
     BaselineScheduler, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
     LossReason, NonClusteredScheduler, ReadPurpose, SchemeScheduler, StreamId, TransitionPolicy,
 };
+use std::collections::BTreeSet;
 
 const SCRIPTS: usize = 32;
 const OPS_PER_SCRIPT: usize = 56;
@@ -101,7 +102,7 @@ impl Fnv {
         }
         self.word(plan.total_reads() as u64);
         self.word(plan.deliveries.len() as u64);
-        for d in &plan.deliveries {
+        for d in plan.deliveries.iter() {
             self.word(d.stream.0);
             self.addr(d.addr);
             self.word(u64::from(d.reconstructed));
@@ -316,10 +317,73 @@ impl Coverage {
     }
 }
 
+/// The plan's counted views against its expanded ones: what a consumer
+/// reads off the load table and the delivery totals is what it would
+/// count by walking every track.
+fn assert_views_agree(plan: &CyclePlan, disks: u32, slots: usize, what: &str) {
+    let mut read = BTreeSet::new();
+    let mut total = 0;
+    for disk in (0..disks + 1).map(DiskId) {
+        let on_disk = plan.reads_on(disk);
+        assert_eq!(plan.load_on(disk), on_disk.iter().count(), "{what}");
+        assert_eq!(plan.load_on(disk), on_disk.len(), "{what}");
+        assert!(
+            plan.load_on(disk) <= slots,
+            "{what}: {disk:?} over its slots"
+        );
+        total += plan.load_on(disk);
+        for r in on_disk {
+            // One stream never reads a data block twice in a cycle. (Its
+            // parity block it may: the Improved-bandwidth cascade fetches
+            // parity once per block it rebuilds.)
+            if let BlockKind::Data(i) = r.addr.kind {
+                let block = (r.stream, r.addr.object, r.addr.group, i);
+                assert!(read.insert(block), "{what}: {r:?} twice");
+            }
+        }
+    }
+    assert_eq!(plan.total_reads(), total, "{what}");
+    let listed: Vec<DiskId> = plan.reads.keys().copied().collect();
+    let loaded: Vec<DiskId> = (0..disks)
+        .map(DiskId)
+        .filter(|&d| plan.load_on(d) > 0)
+        .collect();
+    assert_eq!(listed, loaded, "{what}");
+
+    let deliveries = &plan.deliveries;
+    assert_eq!(deliveries.len(), deliveries.iter().count(), "{what}");
+    assert_eq!(
+        deliveries.is_empty(),
+        deliveries.iter().next().is_none(),
+        "{what}"
+    );
+    assert_eq!(
+        deliveries.reconstructed(),
+        deliveries.iter().filter(|d| d.reconstructed).count(),
+        "{what}"
+    );
+    let key = |stream: StreamId, a: mms_layout::BlockAddr| match a.kind {
+        BlockKind::Data(i) => (stream, a.object, a.group, i),
+        BlockKind::Parity => panic!("{what}: parity block {a} on the wire"),
+    };
+    let mut sent = BTreeSet::new();
+    for d in deliveries.iter() {
+        assert!(sent.insert(key(d.stream, d.addr)), "{what}: {d:?} twice");
+    }
+    for h in &plan.hiccups {
+        let dropped = h.reason == LossReason::ServiceDegradation;
+        assert!(
+            dropped || sent.insert(key(h.stream, h.addr)),
+            "{what}: {h:?} is also delivered, or lost twice"
+        );
+    }
+}
+
 /// Run one seeded script, adding what it reached to `cov`; returns its
-/// digest.
+/// digest. Every plan on the way is checked by [`assert_views_agree`].
 fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
     let (mut s, disks) = build(kind, seed);
+    let slots = s.config().slots_per_disk();
     let mut rng = Rng(seed ^ ((kind as u64) << 32) ^ 0x5EED);
     let mut h = Fnv::new();
     let mut plan = CyclePlan::empty(0);
@@ -360,6 +424,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
                 let n = if op == 0 { 1 } else { 1 + rng.below(10) };
                 for _ in 0..n {
                     s.plan_cycle_into(cycle, &mut plan);
+                    assert_views_agree(&plan, disks, slots, &format!("{kind:?} {seed} @{cycle}"));
                     cycle += 1;
                     h.plan(&plan);
                     cov.plan(&plan, !down.is_empty());
@@ -451,6 +516,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
     // Drain: every stream still in flight plays out.
     for _ in 0..64 {
         s.plan_cycle_into(cycle, &mut plan);
+        assert_views_agree(&plan, disks, slots, &format!("{kind:?} {seed} @{cycle}"));
         cycle += 1;
         h.plan(&plan);
         cov.plan(&plan, !down.is_empty());
@@ -571,5 +637,16 @@ fn plan_traces_match_the_pinned_digests() {
             }
         }
         panic!("plan digests differ from the pinned table; actual:\n{table}");
+    }
+}
+
+/// The pinned seeds are 32 points of the generator's space; the plan's
+/// views must agree on every script, so run some nobody pinned.
+#[test]
+fn plan_views_agree_on_unpinned_scripts_of_every_scheduler() {
+    for &kind in &KINDS {
+        for seed in 1000..1000 + 2 * SCRIPTS as u64 {
+            run_script(kind, seed, &mut Coverage::default());
+        }
     }
 }

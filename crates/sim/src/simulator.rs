@@ -164,6 +164,9 @@ pub struct Simulator<S: SchemeScheduler> {
     plan: CyclePlan,
     /// Reused scratch for the rebuild reads issued this cycle.
     rebuild_reads: Vec<(mms_disk::DiskId, usize)>,
+    /// Read slots a disk has per cycle, of which a rebuild may spend
+    /// those the plan leaves idle.
+    slots_per_cycle: usize,
     /// How the run drivers advance time.
     step_mode: StepMode,
     /// Disk charges captured while probing a plan rotation (reused).
@@ -192,6 +195,7 @@ impl<S: SchemeScheduler> Simulator<S> {
             )),
             DataMode::MetadataOnly => None,
         };
+        let slots_per_cycle = disk_params.slots_per_cycle(scheduler.config().t_cyc());
         Simulator {
             scheduler,
             disks: DiskArray::new(disk_count, disk_params),
@@ -204,6 +208,7 @@ impl<S: SchemeScheduler> Simulator<S> {
             trace_limit: 0,
             plan: CyclePlan::empty(0),
             rebuild_reads: Vec::new(),
+            slots_per_cycle,
             step_mode: StepMode::default(),
             probe_journal: Vec::new(),
             probe_buffer: Vec::new(),
@@ -410,31 +415,29 @@ impl<S: SchemeScheduler> Simulator<S> {
         };
         {
             let _s = span!(Level::Debug, "read", cycle = cycle);
-            // Only the disks with reads this cycle, in ascending order.
+            // Only the disks with reads this cycle, in ascending order;
+            // a disk's load is a lookup in the plan's table.
             for (&disk, reads) in &self.plan.reads {
-                let t = self.disks.disk_mut(disk)?.read_tracks(reads.len(), t_cyc)?;
-                self.metrics.disk_busy += t;
-                report.tracks_read += reads.len();
+                let tracks = reads.len();
+                let time = self.disks.disk_mut(disk)?.read_tracks(tracks, t_cyc)?;
+                self.metrics.disk_busy += time;
                 if self.probe_recording {
-                    self.probe_journal.push(ProbeCharge {
-                        disk,
-                        tracks: reads.len(),
-                        time: t,
-                    });
+                    self.probe_journal.push(ProbeCharge { disk, tracks, time });
                 }
             }
+            report.tracks_read = self.plan.total_reads();
         }
 
         // 3. Verify deliveries against ground truth through the pooled
         //    zero-allocation oracle path.
         {
             let _s = span!(Level::Debug, "verify", cycle = cycle);
-            for d in &self.plan.deliveries {
-                report.delivered += 1;
-                if d.reconstructed {
-                    report.reconstructed += 1;
-                }
-                if let Some(oracle) = self.oracle.as_mut() {
+            // The counts are kept by the plan; only the oracle needs the
+            // deliveries block by block.
+            report.delivered = self.plan.deliveries.len();
+            report.reconstructed = self.plan.deliveries.reconstructed();
+            if let Some(oracle) = self.oracle.as_mut() {
+                for d in self.plan.deliveries.iter() {
                     oracle.verify_delivery(d.addr, d.reconstructed);
                     self.metrics.verified += 1;
                     counter!("sim.verified", 1, scheme = scheme);
@@ -459,42 +462,39 @@ impl<S: SchemeScheduler> Simulator<S> {
         }
 
         // 3b. Advance rebuilds with the slots the schedule left idle.
-        let slots = {
-            let p = self.disks.disk(mms_disk::DiskId(0))?.params();
-            p.slots_per_cycle(t_cyc)
-        };
-        self.rebuild_reads.clear();
-        let disks_view = &self.disks;
-        let plan = &self.plan;
-        let rebuild_reads = &mut self.rebuild_reads;
-        let finished_rebuilds = self.rebuilds.advance(
-            |d| {
-                if disks_view.is_operational(d) {
-                    // `plan.reads` is indexed by disk, so a disk's load
-                    // is a direct lookup.
-                    slots.saturating_sub(plan.reads_on(d).len())
-                } else {
-                    0
-                }
-            },
-            |d, n| rebuild_reads.push((d, n)),
-        );
         let mut cycle_rebuild_reads = 0u64;
-        for &(d, n) in self.rebuild_reads.iter() {
-            let t = self.disks.disk_mut(d)?.read_tracks(n, t_cyc)?;
-            self.metrics.disk_busy += t;
-            self.metrics.rebuild_reads += n as u64;
-            cycle_rebuild_reads += n as u64;
-            counter!("rebuild.idle_slots_spent", n as u64, disk = d.0);
-        }
-        for d in finished_rebuilds {
-            let done = self.disks.disk_mut(d)?.advance_rebuild(1.0)?;
-            debug_assert!(done, "rebuild completion restores the disk");
-            self.scheduler.on_disk_repair(d, cycle);
-            self.metrics.rebuilds_completed += 1;
-        }
-        for r in self.rebuilds.active() {
-            gauge!("rebuild.progress", r.progress(), disk = r.disk.0);
+        if !self.rebuilds.active().is_empty() {
+            let slots = self.slots_per_cycle;
+            self.rebuild_reads.clear();
+            let disks_view = &self.disks;
+            let plan = &self.plan;
+            let rebuild_reads = &mut self.rebuild_reads;
+            let finished_rebuilds = self.rebuilds.advance(
+                |d| {
+                    if disks_view.is_operational(d) {
+                        slots.saturating_sub(plan.load_on(d))
+                    } else {
+                        0
+                    }
+                },
+                |d, n| rebuild_reads.push((d, n)),
+            );
+            for &(d, n) in self.rebuild_reads.iter() {
+                let t = self.disks.disk_mut(d)?.read_tracks(n, t_cyc)?;
+                self.metrics.disk_busy += t;
+                self.metrics.rebuild_reads += n as u64;
+                cycle_rebuild_reads += n as u64;
+                counter!("rebuild.idle_slots_spent", n as u64, disk = d.0);
+            }
+            for d in finished_rebuilds {
+                let done = self.disks.disk_mut(d)?.advance_rebuild(1.0)?;
+                debug_assert!(done, "rebuild completion restores the disk");
+                self.scheduler.on_disk_repair(d, cycle);
+                self.metrics.rebuilds_completed += 1;
+            }
+            for r in self.rebuilds.active() {
+                gauge!("rebuild.progress", r.progress(), disk = r.disk.0);
+            }
         }
 
         // 4. Account hiccups and completions.

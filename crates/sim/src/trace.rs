@@ -102,7 +102,7 @@ mod tests {
 
     fn sample_plan() -> CyclePlan {
         let mut p = CyclePlan::empty(1);
-        p.push_read(
+        p.reads.push(
             DiskId(0),
             PlannedRead {
                 stream: StreamId(0),
@@ -110,7 +110,7 @@ mod tests {
                 purpose: ReadPurpose::Delivery,
             },
         );
-        p.push_read(
+        p.reads.push(
             DiskId(4),
             PlannedRead {
                 stream: StreamId(0),

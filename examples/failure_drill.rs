@@ -10,7 +10,7 @@ use ft_media_server::layout::{
 };
 use ft_media_server::scenario::{find, ScenarioRunner};
 use ft_media_server::sched::{
-    CycleConfig, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
+    CycleConfig, CyclePlan, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
 };
 use ft_media_server::sim::trace;
 use ft_media_server::telemetry::{dashboard, jsonl, Level, Recorder};
@@ -77,6 +77,7 @@ fn drill(policy: TransitionPolicy) {
     ];
     let mut plans = Vec::new();
     let mut lost = Vec::new();
+    let mut plan = CyclePlan::empty(0);
     for t in 0..14u64 {
         for &(obj, at) in &starts {
             if at == t {
@@ -90,7 +91,7 @@ fn drill(policy: TransitionPolicy) {
                 report.lost.len()
             );
         }
-        let plan = sched.plan_cycle(t);
+        sched.plan_cycle_into(t, &mut plan);
         for h in &plan.hiccups {
             lost.push(format!(
                 "{}[{}]",
@@ -101,7 +102,7 @@ fn drill(policy: TransitionPolicy) {
                 h.reason
             ));
         }
-        plans.push(plan);
+        plans.push(plan.clone());
     }
 
     drop(guard);
