@@ -273,8 +273,7 @@ impl SchemeScheduler for GroupedScheduler {
                 members: MemberSet::range(0, blocks).without(down),
                 parity: parity_ok.then(|| geometry.disk_at(first.cluster, parity_pos)),
             };
-            plan.reads.push_group(read);
-            let reads = read.members.len() + usize::from(parity_ok);
+            let reads = plan.reads.push_group(read);
             // Reconstruction replaces the parity buffer with the missing
             // data block, so the group holds `reads` tracks either way.
             self.streams.slot_mut(ix).state.incoming = ResidentGroup {
@@ -313,13 +312,14 @@ impl SchemeScheduler for GroupedScheduler {
                 let fault = s.state.resident;
                 let chunk = MemberSet::range(first as u32, end as u32);
                 let (sent, lost) = (chunk.without(fault.lost), chunk & fault.lost);
-                plan.deliveries.push_run(DeliveryRun {
+                let delivered = plan.deliveries.push_run(DeliveryRun {
                     stream: id,
                     object,
                     group: g,
                     blocks: sent,
                     reconstructed: sent & fault.reconstructed,
                 });
+                s.delivered += delivered as u64;
                 for i in lost.iter() {
                     plan.hiccups.push(LostBlock {
                         stream: id,
@@ -327,10 +327,8 @@ impl SchemeScheduler for GroupedScheduler {
                         reason: LossReason::FailedDisk,
                         delivery_cycle: cycle,
                     });
+                    s.lost += 1;
                 }
-                let delivered = sent.len();
-                s.delivered += delivered as u64;
-                s.lost += lost.len() as u64;
                 let transmitted = end == blocks;
                 let finished = transmitted && g + 1 == s.groups;
                 let class = s.state.class as usize;
@@ -352,7 +350,7 @@ impl SchemeScheduler for GroupedScheduler {
             }
             if read_now {
                 let st = &mut self.streams.slot_mut(ix).state;
-                std::mem::swap(&mut st.resident, &mut st.incoming);
+                st.resident = st.incoming;
                 if !parity_until_transmitted && std::mem::take(&mut st.resident.parity_held) {
                     self.streams
                         .free(ix, 1)

@@ -308,7 +308,7 @@ impl SchemeScheduler for ImprovedScheduler {
                     parity_needed.push((incoming.len(), pos));
                 }
             }
-            plan.reads.push_group(GroupRead {
+            let charged = plan.reads.push_group(GroupRead {
                 stream: id,
                 object,
                 group: read_group,
@@ -317,12 +317,12 @@ impl SchemeScheduler for ImprovedScheduler {
                 parity: None,
             });
             self.streams
-                .alloc(ix, members.len())
+                .alloc(ix, charged)
                 .expect("unbounded pool never refuses an allocation");
             incoming.push(IncomingEntry {
                 slot: ix,
                 fault,
-                charged: members.len(),
+                charged,
                 parity_read: false,
                 live: true,
             });
@@ -461,13 +461,14 @@ impl SchemeScheduler for ImprovedScheduler {
             let fault = st.state.pending;
             let lost = all & (fault.failed | fault.mid_cycle);
             let sent = all.without(lost);
-            plan.deliveries.push_run(DeliveryRun {
+            let delivered = plan.deliveries.push_run(DeliveryRun {
                 stream: id,
                 object,
                 group: g,
                 blocks: sent,
                 reconstructed: sent & fault.reconstructed,
             });
+            st.delivered += delivered as u64;
             for i in lost.iter() {
                 let reason = if fault.mid_cycle.contains(i) {
                     LossReason::MidCycle
@@ -480,9 +481,8 @@ impl SchemeScheduler for ImprovedScheduler {
                     reason,
                     delivery_cycle: cycle,
                 });
+                st.lost += 1;
             }
-            st.delivered += sent.len() as u64;
-            st.lost += lost.len() as u64;
             // Release exactly what the group charged when it was read.
             let charged = std::mem::take(&mut st.state.pending_buffered);
             let finished = g + 1 == st.groups;

@@ -298,15 +298,20 @@ pub struct Deliveries {
 }
 
 impl Deliveries {
-    /// Add a run (nothing is recorded for an empty one).
-    pub fn push_run(&mut self, run: DeliveryRun) {
+    /// Add a run (nothing is recorded for an empty one); returns how
+    /// many blocks it delivers.
+    pub fn push_run(&mut self, run: DeliveryRun) -> usize {
         debug_assert!(run.reconstructed.without(run.blocks).is_empty());
         if run.blocks.is_empty() {
-            return;
+            return 0;
         }
-        self.blocks += run.blocks.len();
-        self.reconstructed += run.reconstructed.len();
+        let blocks = run.blocks.len();
+        self.blocks += blocks;
+        if !run.reconstructed.is_empty() {
+            self.reconstructed += run.reconstructed.len();
+        }
         self.runs.push(run);
+        blocks
     }
 
     /// Add one block: a run of one member.
@@ -408,19 +413,24 @@ impl DiskReads {
         self.load.get(disk.0 as usize).map_or(0, |&n| n as usize)
     }
 
-    /// Record a group read.
-    pub fn push_group(&mut self, read: GroupRead) {
+    /// Record a group read; returns how many tracks it reads.
+    pub fn push_group(&mut self, read: GroupRead) -> usize {
         let first = read.first_disk.0 as usize;
         let width = read.members.end() as usize;
-        self.cover(first + width);
-        for (i, load) in self.load[first..first + width].iter_mut().enumerate() {
-            *load += u32::from(read.members.contains(i as u32));
+        let parity = read.parity.map(|disk| disk.0 as usize);
+        self.cover((first + width).max(parity.map_or(0, |disk| disk + 1)));
+        let (mut bits, mut tracks) = (read.members.0, 0);
+        for load in &mut self.load[first..first + width] {
+            *load += (bits & 1) as u32;
+            tracks += (bits & 1) as usize;
+            bits >>= 1;
         }
-        if let Some(parity) = read.parity {
-            self.cover(parity.0 as usize + 1);
-            self.load[parity.0 as usize] += 1;
+        if let Some(parity) = parity {
+            self.load[parity] += 1;
+            tracks += 1;
         }
         self.groups.push(read);
+        tracks
     }
 
     /// Record a single read on `disk`.
