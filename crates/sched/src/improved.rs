@@ -10,9 +10,7 @@
 //! that cluster and push parity reads one cluster further.
 
 use crate::cycle::CycleConfig;
-use crate::plan::{
-    CyclePlan, DeliveryRun, GroupRead, LossReason, LostBlock, MemberSet, PlannedRead, ReadPurpose,
-};
+use crate::plan::{CyclePlan, DeliveryRun, GroupRead, LossReason, LostBlock, MemberSet};
 use crate::streams::{StreamId, StreamInfo};
 use crate::table::{Released, StreamTable};
 use crate::traits::{
@@ -35,10 +33,10 @@ struct GroupFault {
     mid_cycle: MemberSet,
 }
 
-/// Per-group-read bookkeeping gathered in pass 1 of `plan_cycle_into`. Entry
-/// `n` belongs to the stream whose [`GroupRead`] is record `n` of the
-/// plan; a dropped stream clears `live` instead of removing the entry, so
-/// the indices queued by the shift cascade stay valid.
+/// Per-group-read bookkeeping gathered in pass 1 of `plan_cycle_into`.
+/// Entry `n` belongs to the stream whose [`GroupRead`] is record `n` of
+/// the plan; a dropped stream clears `live` instead of removing the entry,
+/// so the indices queued by the shift cascade stay valid.
 #[derive(Debug, Clone, Copy)]
 struct IncomingEntry {
     /// The stream's slot in the table (valid for the whole cycle).
@@ -398,7 +396,7 @@ impl SchemeScheduler for ImprovedScheduler {
             }
             // Idle capacity (or the slot just freed): place the parity
             // read and charge its buffer.
-            plan.reads.push(disk, parity_read(&group));
+            plan.reads.push(disk, group.parity_read());
             self.streams
                 .alloc(slot, 1)
                 .expect("unbounded pool never refuses an allocation");
@@ -431,7 +429,7 @@ impl SchemeScheduler for ImprovedScheduler {
                 if parity_dead || plan.load_on(pp.disk) >= cap {
                     continue;
                 }
-                plan.reads.push(pp.disk, parity_read(&group));
+                plan.reads.push(pp.disk, group.parity_read());
                 self.streams
                     .alloc(entry.slot, 1)
                     .expect("unbounded pool never refuses an allocation");
@@ -636,19 +634,11 @@ impl ImprovedScheduler {
     }
 }
 
-/// The read of `group`'s parity track.
-fn parity_read(group: &GroupRead) -> PlannedRead {
-    PlannedRead {
-        stream: group.stream,
-        addr: BlockAddr::parity(group.object, group.group),
-        purpose: ReadPurpose::Parity,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::plan_cycle;
+    use crate::ReadPurpose;
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, Geometry, MediaObject};
 
@@ -822,6 +812,7 @@ mod tests {
 mod prefetch_tests {
     use super::*;
     use crate::test_support::plan_cycle;
+    use crate::ReadPurpose;
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, Geometry, MediaObject};
 

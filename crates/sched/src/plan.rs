@@ -196,6 +196,16 @@ pub struct GroupRead {
 }
 
 impl GroupRead {
+    /// The read of the group's parity track, wherever it is fetched.
+    #[must_use]
+    pub fn parity_read(&self) -> PlannedRead {
+        PlannedRead {
+            stream: self.stream,
+            addr: BlockAddr::parity(self.object, self.group),
+            purpose: ReadPurpose::Parity,
+        }
+    }
+
     /// The group's read on `disk`, if it has one.
     fn read_on(&self, disk: DiskId) -> Option<PlannedRead> {
         let member = disk.0.wrapping_sub(self.first_disk.0);
@@ -205,14 +215,8 @@ impl GroupRead {
                 addr: BlockAddr::data(self.object, self.group, member),
                 purpose: ReadPurpose::Delivery,
             })
-        } else if self.parity == Some(disk) {
-            Some(PlannedRead {
-                stream: self.stream,
-                addr: BlockAddr::parity(self.object, self.group),
-                purpose: ReadPurpose::Parity,
-            })
         } else {
-            None
+            (self.parity == Some(disk)).then(|| self.parity_read())
         }
     }
 }
