@@ -915,6 +915,22 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
             }
         }
+        // Transition marks are consulted once — `suppressed` when block
+        // (g, i) would be read at `start + g·bpg + i`, `reconstructions`
+        // when it is delivered the cycle after. One whose moment has
+        // passed, or whose stream has retired or been truncated short of
+        // it, only keeps `plan_stability` shut: drop it.
+        if !self.suppressed.is_empty() || !self.reconstructions.is_empty() {
+            let streams = &self.streams;
+            let pending = |&(id, g, i): &(StreamId, u64, u32), lag: u64| {
+                streams.find(id).is_some_and(|ix| {
+                    let s = streams.slot(ix);
+                    g < s.groups && s.start_cycle + g * bpg + u64::from(i) + lag > cycle
+                })
+            };
+            self.suppressed.retain(|mark| pending(mark, 0));
+            self.reconstructions.retain(|mark| pending(mark, 1));
+        }
         self.streams.compact();
     }
 

@@ -77,6 +77,56 @@ fn nc_parity_then_data_failure_is_catastrophic_and_loses_blocks() {
 }
 
 #[test]
+fn nc_stability_reopens_once_a_repaired_transition_has_drained() {
+    // ROADMAP defect (c): a transition's `suppressed` marks used to
+    // outlive it, so one failure — repaired or not — kept
+    // `plan_stability` at 0 for the rest of the run.
+    let cfg = CycleConfig::new(
+        DiskParams::paper_table1(),
+        Bandwidth::from_megabits(1.5),
+        1,
+        1,
+    );
+    for policy in [TransitionPolicy::Simple, TransitionPolicy::Delayed] {
+        let mut s = NonClusteredScheduler::new(cfg, catalog(10, 5, 2, 400), policy, 2);
+        s.admit(ObjectId(0), 0).unwrap();
+        s.admit(ObjectId(1), 1).unwrap();
+        for t in 0..6 {
+            plan_cycle(&mut s, t);
+        }
+        assert!(s.plan_stability(6).stable > 0, "{policy:?}: healthy");
+        // Disk 1 dies while stream 0 is mid-group on cluster 0: blocks
+        // are lost or moved, and the transition leaves its marks.
+        let report = s.on_disk_failure(DiskId(1), 6, false);
+        assert!(!report.catastrophic && report.dropped_streams.is_empty());
+        for t in 6..20 {
+            plan_cycle(&mut s, t);
+            assert_eq!(s.plan_stability(t + 1).stable, 0, "{policy:?}: degraded");
+        }
+        s.on_disk_repair(DiskId(1), 20);
+        // Groups read at the buffer server drain within one group time
+        // plus the delayed policy's C-cycle window.
+        let mut reopened = None;
+        for t in 20..40 {
+            plan_cycle(&mut s, t);
+            if s.plan_stability(t + 1).stable > 0 {
+                reopened = Some(t + 1);
+                break;
+            }
+        }
+        let at = reopened.unwrap_or_else(|| panic!("{policy:?}: the window never re-opened"));
+        assert!(at <= 20 + 5 + 5, "{policy:?}: re-opened only at {at}");
+        // And what it promises holds: a whole rotation can be skipped.
+        let window = s.plan_stability(at);
+        assert!(window.stable >= window.period, "{policy:?}: {window:?}");
+        s.fast_forward(window.period);
+        let p = plan_cycle(&mut s, at + window.period);
+        assert_eq!((p.total_reads(), p.deliveries.len()), (2, 2), "{policy:?}");
+        assert!(p.hiccups.is_empty());
+    }
+}
+
+#[test]
 fn staggered_failure_between_read_cycles_is_invisible() {
     // SG reads a whole group (with parity) every C−1 cycles. A failure
     // that arrives *and is repaired* strictly between a stream's read

@@ -298,6 +298,10 @@ struct Coverage {
     dropped: usize,
     degraded_plans: usize,
     skipped: u64,
+    /// Of those, cycles skipped after a failed disk had been repaired.
+    skipped_after_repair: u64,
+    /// Ops after a repair that ended with the stability window open.
+    stable_after_repair: usize,
 }
 
 impl Coverage {
@@ -391,6 +395,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
     let mut admitted: Vec<StreamId> = Vec::new();
     let mut live: Vec<StreamId> = Vec::new();
     let mut down: Vec<DiskId> = Vec::new();
+    let mut repaired = false;
     let mut refused = 0usize;
 
     let mut admit = |s: &mut dyn SchemeScheduler,
@@ -496,6 +501,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
                     let disk = down.remove(0);
                     h.word(u64::from(disk.0));
                     s.on_disk_repair(disk, cycle);
+                    repaired = true;
                 }
             }
             // Skip whole rotations of a stable window in closed form.
@@ -507,11 +513,13 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
                     s.fast_forward(skip);
                     cycle += skip;
                     cov.skipped += skip;
+                    cov.skipped_after_repair += if repaired { skip } else { 0 };
                     h.word(skip);
                 }
             }
         }
         h.state(s.as_ref(), cycle, &admitted);
+        cov.stable_after_repair += usize::from(repaired && s.plan_stability(cycle).stable > 0);
     }
     // Drain: every stream still in flight plays out.
     for _ in 0..64 {
@@ -551,12 +559,12 @@ const GOLDEN: [[u64; SCRIPTS]; 6] = [
         0x43912b89adb9c769, 0xba9f4e31618c8106, 0xc083d6d607dcdc73, 0x3ac5dffc367c2ab8,
     ],
     [
-        0x5a7fcd3eda117c26, 0xa5bcbe9f44cb707b, 0x15e391457516c9ca, 0xb4bb900819d1e438,
-        0x9975ffdefbc4925e, 0x927f996e38521e0a, 0x11f9b3b51effa397, 0x054e22d09a95d450,
+        0x5a7fcd3eda117c26, 0xa5bcbe9f44cb707b, 0x5c4c62f187fd15ab, 0xb4bb900819d1e438,
+        0x9975ffdefbc4925e, 0x927f996e38521e0a, 0x545a0c3342f3711d, 0x054e22d09a95d450,
         0xe56e1096990aac56, 0x33dc8b9edeb8f175, 0x02708b1eadb9c6fb, 0x336b25390304a790,
-        0x01172c79db47ff2e, 0x04dc38cb1db0a2c4, 0x65e4301d5c201d00, 0x297c3451181db4b9,
+        0x01172c79db47ff2e, 0xd6fadf05dae2d938, 0x65e4301d5c201d00, 0x297c3451181db4b9,
         0xa110c1e5f5e619d2, 0x064ebe80cb452f69, 0xd4062d9a61a7f908, 0xcd84689859cf46aa,
-        0xff88343145da9c16, 0x490524973392a3d5, 0xba9f33db23f5eabf, 0x62a5c25b3d7b85c3,
+        0xff88343145da9c16, 0x490524973392a3d5, 0xba9f33db23f5eabf, 0xc70be88280b2de7d,
         0x7db752433ea576ed, 0xcf95169fb60703b9, 0x516cc8e8c099babf, 0x5e328f421b10209d,
         0xe5a122532324c6b1, 0xf262c7d2bd3cd4dd, 0x1cdff61880d9b71c, 0x675768010ef47e90,
     ],
@@ -648,5 +656,27 @@ fn plan_views_agree_on_unpinned_scripts_of_every_scheduler() {
         for seed in 1000..1000 + 2 * SCRIPTS as u64 {
             run_script(kind, seed, &mut Coverage::default());
         }
+    }
+}
+
+/// The four Non-clustered rows re-pinned when a transition's marks
+/// stopped outliving it (ROADMAP defect (c)): in each, a failure left
+/// marks behind, the disk was repaired, and the window — shut for the
+/// rest of the script before — is open again at the end of some later
+/// op. None of them happens to draw the skip op inside the reopened
+/// window, so no plan moved: their digests differ in the hashed `stable`
+/// words alone. (Seeds 15 and 17 do skip after a repair, and did
+/// before: their failures left no mark.)
+#[test]
+fn repinned_non_clustered_scripts_reopen_their_window_after_a_repair() {
+    for seed in [2, 6, 13, 23] {
+        let mut cov = Coverage::default();
+        run_script(Kind::NonClustered, seed, &mut cov);
+        assert!(cov.stable_after_repair > 0, "seed {seed}: {cov:?}");
+    }
+    for seed in [15, 17] {
+        let mut cov = Coverage::default();
+        run_script(Kind::NonClustered, seed, &mut cov);
+        assert!(cov.skipped_after_repair > 0, "seed {seed}: {cov:?}");
     }
 }
