@@ -4,7 +4,8 @@ use mms_disk::DiskId;
 use mms_layout::{Catalog, Layout, ObjectId};
 use mms_sched::{
     AdmissionError, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
-    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, StreamId, StreamInfo,
+    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, SteadyCycle, StreamId,
+    StreamInfo,
 };
 
 /// A scheduler for any of the four schemes, so [`crate::MultimediaServer`]
@@ -150,6 +151,10 @@ impl SchemeScheduler for AnyScheduler {
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
         delegate!(self, s => s.plan_stability(cycle))
+    }
+
+    fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
+        delegate!(self, s => s.steady_cycle(cycle, out))
     }
 
     fn fast_forward(&mut self, cycles: u64) {

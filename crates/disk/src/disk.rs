@@ -150,15 +150,16 @@ impl Disk {
         Ok(t)
     }
 
-    /// Re-apply the accounting of an already-serviced read batch without
-    /// re-checking capacity or emitting per-call telemetry.
+    /// Apply the accounting of a read batch without re-checking capacity
+    /// or emitting per-call telemetry.
     ///
-    /// The simulator's quiescent fast-forward replays one probed plan
-    /// rotation's charges for each skipped rotation: the identical `t`
-    /// is accumulated by repeated addition, reproducing bit-for-bit the
-    /// `busy_time` a per-cycle run would have accrued. Callers guarantee
-    /// the batch passed [`read_tracks`](Self::read_tracks)'s capacity
-    /// check when it was probed and that the drive state is unchanged.
+    /// The simulator's quiescent fast-forward charges each skipped
+    /// cycle's batches this way, in the order a per-cycle run issues
+    /// them and with [`DiskParams::service_time`] for `t` — what
+    /// [`read_tracks`](Self::read_tracks) computes — so `busy_time`
+    /// accumulates the same f64 sequence bit for bit. Callers guarantee
+    /// the batch fits the cycle (admission control does) and that the
+    /// drive is operational.
     pub fn replay_read(&mut self, tracks: usize, t: Time) {
         debug_assert!(self.is_operational(), "replay on a non-operational disk");
         self.stats.tracks_read += tracks as u64;

@@ -89,7 +89,12 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
     .map(|name| format!("StreamTable::{name}"));
     // The event horizon belongs to the session loop; the fleet steps
     // its nodes cycle by cycle.
-    let horizon = ["fast_forward", "stable_window"].map(|name| format!("StreamTable::{name}"));
+    let horizon = [
+        "StreamTable::fast_forward",
+        "StreamTable::stable_window",
+        "ClassTable::state_cycle",
+    ]
+    .map(String::from);
     for root_spec in ["Simulator::run_sessions", "Fleet::step"] {
         let roots = resolve_spec(&ws, root_spec);
         assert!(!roots.is_empty(), "{root_spec} not found");

@@ -17,15 +17,13 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{Released, StreamTable};
-use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
+use crate::table::{ClassTable, Seat, StreamTable};
+use crate::traits::{
+    AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler, SteadyCycle,
+};
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusteredLayout, Layout, ObjectId};
 use std::collections::BTreeSet;
-
-/// Admission class of a stream: read-phase residue and cluster
-/// trajectory. The only per-stream state beyond the shared header.
-type Class = (u32, u32);
 
 /// The unprotected striped server (no parity reads, no reconstruction,
 /// no degraded mode — failures simply punch holes in delivery).
@@ -34,11 +32,14 @@ type Class = (u32, u32);
 /// apples-to-apples; the dedicated parity disks exist on the layout but
 /// are never read, exactly as they would be absent in a truly parity-free
 /// layout (the data-disk schedule is identical either way).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BaselineScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
-    streams: StreamTable<Class>,
+    /// A stream's only state beyond the shared header is its seat.
+    streams: StreamTable<Seat>,
+    /// Streams with reads still to issue, per admission class.
+    classes: ClassTable,
     failed_disks: BTreeSet<DiskId>,
 }
 
@@ -52,10 +53,12 @@ impl BaselineScheduler {
         assert_eq!(config.k, 1, "baseline uses k = 1");
         assert_eq!(config.k_prime, 1, "baseline uses k' = 1");
         let bpg = u64::from(catalog.layout().blocks_per_group());
+        let classes = ClassTable::new(bpg, *catalog.layout().geometry());
         BaselineScheduler {
             config,
             catalog,
             streams: StreamTable::new(bpg),
+            classes,
             failed_disks: BTreeSet::new(),
         }
     }
@@ -68,14 +71,6 @@ impl BaselineScheduler {
 
     fn bpg(&self) -> u64 {
         u64::from(self.catalog.layout().blocks_per_group())
-    }
-
-    fn class_of(&self, h: u32, at_cycle: u64) -> Class {
-        let period = self.bpg();
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let r = (at_cycle % period) as u32;
-        let q = at_cycle / period;
-        ((r), ((u64::from(h) + nc - (q % nc)) % nc) as u32)
     }
 }
 
@@ -92,26 +87,19 @@ impl SchemeScheduler for BaselineScheduler {
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
         let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
-        let class = self.class_of(placed.start_cluster, at_cycle);
-        let bpg = self.bpg();
-        let load = self
-            .streams
-            .iter()
-            .filter(|s| s.state == class && s.start_cycle + s.groups * bpg > at_cycle)
-            .count();
-        if load >= self.config.slots_per_disk() {
+        let class = self.classes.class_of(placed.start_cluster, at_cycle);
+        if self.streams.contenders(&self.classes, class, at_cycle) >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
                 active: self.streams.len(),
                 limit: self.stream_capacity(),
             });
         }
-        Ok(self.streams.admit(placed, at_cycle, class))
+        let seat = self.classes.seat(class);
+        Ok(self.streams.admit(placed, at_cycle, seat))
     }
 
     fn stream_capacity(&self) -> usize {
-        self.config.slots_per_disk()
-            * self.bpg() as usize
-            * self.catalog.layout().geometry().clusters() as usize
+        self.config.slots_per_disk() * self.classes.classes()
     }
 
     fn active_streams(&self) -> usize {
@@ -123,9 +111,7 @@ impl SchemeScheduler for BaselineScheduler {
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        // Admission counts live streams directly, so an immediate
-        // retirement has no class bookkeeping to undo.
-        !matches!(self.streams.release(id), Released::Unknown)
+        self.streams.release_seated(id, &mut self.classes)
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
@@ -145,7 +131,12 @@ impl SchemeScheduler for BaselineScheduler {
             }
             let rel = cycle - s.start_cycle;
             let (g, i) = (rel / bpg, (rel % bpg) as u32);
-            if g >= s.groups || i >= s.blocks_in_group(g, bpg) {
+            if g >= s.groups {
+                continue;
+            }
+            self.streams.vacate_if_reads_done(ix, &mut self.classes);
+            let s = self.streams.slot(ix);
+            if i >= s.blocks_in_group(g, bpg) {
                 continue;
             }
             let p = layout.data_placement(s.start_cluster, g, i);
@@ -205,6 +196,7 @@ impl SchemeScheduler for BaselineScheduler {
             }
             if finished {
                 plan.finished.push(id);
+                self.classes.vacate(&mut self.streams.slot_mut(ix).state);
                 self.streams.retire(ix);
             }
         }
@@ -249,12 +241,24 @@ impl SchemeScheduler for BaselineScheduler {
         }
     }
 
+    fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
+        if !self.failed_disks.is_empty() {
+            return false;
+        }
+        // Block `i` of a group is read `i` cycles after the group was
+        // started, from position `i` of its cluster, and held until it
+        // is delivered the cycle after; the parity disks stay idle.
+        let bpg = self.catalog.layout().blocks_per_group();
+        let lag = |pos| (pos < bpg).then_some(pos);
+        self.classes
+            .state_cycle(cycle, &self.streams, lag, 1, |_| 1, out);
+        true
+    }
+
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed_disks.is_empty(), "fast_forward while failed");
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        debug_assert_eq!(cycles % (self.bpg() * nc), 0, "not a whole rotation");
-        // One track delivered per stream per steady cycle.
-        self.streams.fast_forward(cycles, 1);
+        // One track delivered and one read per stream per steady cycle.
+        self.streams.fast_forward(cycles, 1, |_| 1);
     }
 
     fn plan_epoch(&self) -> u64 {

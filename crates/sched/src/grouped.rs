@@ -28,10 +28,10 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, DeliveryRun, GroupRead, LossReason, LostBlock, MemberSet};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{Released, StreamTable};
+use crate::table::{ClassTable, Released, Seat, StreamTable};
 use crate::traits::{
     data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
-    RetireError, SchemeKind, SchemeScheduler,
+    RetireError, SchemeKind, SchemeScheduler, SteadyCycle,
 };
 use mms_disk::DiskId;
 use mms_layout::{
@@ -59,10 +59,10 @@ struct ResidentGroup {
 /// group `g`. The read lands in `incoming` and is promoted to `resident`
 /// when the cycle ends, so the pair never depends on the parity of a
 /// group number and `fast_forward` cannot misalign it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GrState {
-    /// Index into `class_load`.
-    class: u32,
+    /// The stream's admission class, held until its last delivery.
+    seat: Seat,
     /// The group being transmitted.
     resident: ResidentGroup,
     /// The group read this cycle.
@@ -73,16 +73,18 @@ struct GrState {
 /// entire parity group, and it transmits `k′` tracks per cycle starting
 /// the cycle after. `k′ = C−1` is Streaming RAID, `k′ = 1` is
 /// Staggered-group.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GroupedScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
     streams: StreamTable<GrState>,
-    /// Active streams per admission class, indexed `r · N_C + ψ` for read
-    /// phase `r` and cluster trajectory `ψ` (see [`Self::class_of`]).
-    class_load: Vec<usize>,
+    /// Active streams per admission class.
+    classes: ClassTable,
     /// Failed disk positions per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
+    /// First cycle by which every group read with a disk down has been
+    /// transmitted, taking its fault marks with it.
+    settled_at: u64,
 }
 
 impl GroupedScheduler {
@@ -102,13 +104,14 @@ impl GroupedScheduler {
             0,
             "k' must divide C−1 so read cycles align with group boundaries"
         );
-        let classes = config.read_period() * geometry.clusters() as usize;
+        let period = config.read_period() as u64;
         GroupedScheduler {
             config,
-            catalog,
-            streams: StreamTable::new(config.read_period() as u64),
-            class_load: vec![0; classes],
+            streams: StreamTable::new(period),
+            classes: ClassTable::new(period, *geometry),
             failed: BTreeMap::new(),
+            settled_at: 0,
+            catalog,
         }
     }
 
@@ -138,17 +141,17 @@ impl GroupedScheduler {
         u64::from(self.catalog.layout().geometry().clusters())
     }
 
-    /// Admission class of a stream starting at `at_cycle` on cluster `h`:
-    /// streams with equal read phase `r = at_cycle mod k/k′` and equal
-    /// cluster trajectory `ψ = (h − ⌊at_cycle / (k/k′)⌋) mod N_C` read the
-    /// same cluster in the same cycles and so contend for the same slots
-    /// forever.
-    fn class_of(&self, h: u32, at_cycle: u64) -> usize {
-        let (period, nc) = (self.period(), self.clusters());
-        let r = at_cycle % period;
-        let q = at_cycle / period;
-        let psi = (u64::from(h) + nc - (q % nc)) % nc;
-        (r * nc + psi) as usize
+    /// Tracks a steady stream has charged at the end of the cycle `rel`
+    /// cycles after its start. Reading every cycle, a group and its
+    /// parity stay until the next has been read: `C`. Otherwise the
+    /// parity goes when the read cycle ends and `k′` tracks go out every
+    /// cycle after it.
+    fn steady_held(&self) -> impl Fn(u64) -> usize {
+        let (k, k_prime, period) = (self.config.k, self.config.k_prime, self.period());
+        move |rel| match period {
+            1 => k + 1,
+            _ => k - (rel % period) as usize * k_prime,
+        }
     }
 }
 
@@ -169,19 +172,18 @@ impl SchemeScheduler for GroupedScheduler {
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
         let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
-        let class = self.class_of(placed.start_cluster, at_cycle);
-        if self.class_load[class] >= self.config.slots_per_disk() {
+        let class = self.classes.class_of(placed.start_cluster, at_cycle);
+        if self.classes.seated(class) >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
                 active: self.streams.len(),
                 limit: self.stream_capacity(),
             });
         }
-        self.class_load[class] += 1;
         Ok(self.streams.admit(
             placed,
             at_cycle,
             GrState {
-                class: class as u32,
+                seat: self.classes.seat(class),
                 resident: ResidentGroup::default(),
                 incoming: ResidentGroup::default(),
             },
@@ -191,7 +193,7 @@ impl SchemeScheduler for GroupedScheduler {
     fn stream_capacity(&self) -> usize {
         // slots × k/k′ read phases × N_C clusters — the shape of Eqs. 8
         // and 9.
-        self.config.slots_per_disk() * self.class_load.len()
+        self.config.slots_per_disk() * self.classes.classes()
     }
 
     fn active_streams(&self) -> usize {
@@ -208,8 +210,8 @@ impl SchemeScheduler for GroupedScheduler {
             // The in-flight group drains and the normal finish path in
             // pass 2 retires the stream.
             Released::Draining => true,
-            Released::Retired(st) => {
-                self.class_load[st.class as usize] -= 1;
+            Released::Retired(mut st) => {
+                self.classes.vacate(&mut st.seat);
                 true
             }
         }
@@ -223,6 +225,11 @@ impl SchemeScheduler for GroupedScheduler {
         let bpg = u64::from(layout.blocks_per_group());
         let parity_pos = geometry.disks_per_cluster() - 1;
         let period = self.period();
+        if !self.failed.is_empty() {
+            // A group read now is on the wire for the `period` cycles
+            // after this one.
+            self.settled_at = cycle + period + 1;
+        }
         let k_prime = self.config.k_prime as u64;
         // When a group is read every cycle its parity stays charged until
         // the group has been transmitted — the paper's `2C` per Streaming
@@ -331,7 +338,6 @@ impl SchemeScheduler for GroupedScheduler {
                 }
                 let transmitted = end == blocks;
                 let finished = transmitted && g + 1 == s.groups;
-                let class = s.state.class as usize;
                 let parity = transmitted && std::mem::take(&mut s.state.resident.parity_held);
                 self.streams
                     .free(ix, delivered)
@@ -343,7 +349,8 @@ impl SchemeScheduler for GroupedScheduler {
                 }
                 if finished {
                     plan.finished.push(id);
-                    self.class_load[class] -= 1;
+                    self.classes
+                        .vacate(&mut self.streams.slot_mut(ix).state.seat);
                     self.streams.retire(ix);
                     continue;
                 }
@@ -433,18 +440,30 @@ impl SchemeScheduler for GroupedScheduler {
         }
     }
 
+    fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
+        if !self.failed.is_empty() || cycle < self.settled_at {
+            return false;
+        }
+        // A read cycle takes the whole group, parity included: one track
+        // from every disk of the cluster.
+        self.classes.state_cycle(
+            cycle,
+            &self.streams,
+            |_| Some(0),
+            self.config.k_prime,
+            self.steady_held(),
+            out,
+        );
+        true
+    }
+
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
-        debug_assert_eq!(
-            cycles % (self.period() * self.clusters()),
-            0,
-            "not a whole rotation"
-        );
-        // k' tracks delivered per stream per steady cycle. Every stream is
-        // at the same read phase afterwards, and a healthy resident group
-        // looks like any other, so the per-group state stands as it is.
+        // k' tracks delivered per stream per steady cycle, and a healthy
+        // resident group looks like any other, so the per-group state
+        // stands as it is at whichever read phase a stream lands.
         self.streams
-            .fast_forward(cycles, self.config.k_prime as u64);
+            .fast_forward(cycles, self.config.k_prime as u64, self.steady_held());
     }
 
     fn plan_epoch(&self) -> u64 {

@@ -12,10 +12,10 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, DeliveryRun, GroupRead, LossReason, LostBlock, MemberSet};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{Released, StreamTable};
+use crate::table::{ClassTable, Released, Seat, StreamTable};
 use crate::traits::{
     data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
-    SchemeKind, SchemeScheduler,
+    SchemeKind, SchemeScheduler, SteadyCycle,
 };
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusterId, ImprovedLayout, Layout, ObjectId};
@@ -50,9 +50,10 @@ struct IncomingEntry {
 }
 
 /// Per-stream state beyond the shared header.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct IbState {
-    class: u32,
+    /// The stream's admission class, held until its last delivery.
+    seat: Seat,
     /// Fault state of the group read last cycle, delivered this cycle.
     pending: GroupFault,
     /// Buffer tracks charged for the group read last cycle.
@@ -61,14 +62,19 @@ struct IbState {
 
 /// The Improved-bandwidth scheduler (`k = k' = C−1`, clusters of `C−1`
 /// all-data disks, parity on the following cluster).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ImprovedScheduler {
     config: CycleConfig,
     catalog: Catalog<ImprovedLayout>,
     streams: StreamTable<IbState>,
-    class_load: Vec<usize>,
+    /// Active streams per admission class (one read phase: a group is
+    /// read every cycle).
+    classes: ClassTable,
     /// Failed disks (positions) per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
+    /// First cycle by which every group read with a disk down has been
+    /// delivered, taking its fault marks with it.
+    settled_at: u64,
     /// Per-disk slots held back for failure absorption (Section 4's
     /// "some small amount of idle capacity could be reserved").
     reserved_slots: usize,
@@ -119,13 +125,14 @@ impl ImprovedScheduler {
             reserved_slots < config.slots_per_disk(),
             "reserve must leave at least one usable slot"
         );
-        let classes = catalog.layout().geometry().clusters() as usize;
+        let classes = ClassTable::new(1, *catalog.layout().geometry());
         ImprovedScheduler {
             config,
             catalog,
             streams: StreamTable::new(1),
-            class_load: vec![0; classes],
+            classes,
             failed: BTreeMap::new(),
+            settled_at: 0,
             reserved_slots,
             parity_prefetch: false,
             last_shift_path: Vec::new(),
@@ -209,20 +216,18 @@ impl SchemeScheduler for ImprovedScheduler {
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
         let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
-        let nc = self.clusters();
-        let class = ((u64::from(placed.start_cluster) + nc - (at_cycle % nc)) % nc) as usize;
-        if self.class_load[class] >= self.usable_slots() {
+        let class = self.classes.class_of(placed.start_cluster, at_cycle);
+        if self.classes.seated(class) >= self.usable_slots() {
             return Err(AdmissionError::AtCapacity {
                 active: self.streams.len(),
                 limit: self.stream_capacity(),
             });
         }
-        self.class_load[class] += 1;
         Ok(self.streams.admit(
             placed,
             at_cycle,
             IbState {
-                class: class as u32,
+                seat: self.classes.seat(class),
                 pending: GroupFault::default(),
                 pending_buffered: 0,
             },
@@ -247,8 +252,8 @@ impl SchemeScheduler for ImprovedScheduler {
             // The normal finish path in pass 3 delivers the final
             // resident group and retires the stream.
             Released::Draining => true,
-            Released::Retired(st) => {
-                self.class_load[st.class as usize] -= 1;
+            Released::Retired(mut st) => {
+                self.classes.vacate(&mut st.seat);
                 true
             }
         }
@@ -263,6 +268,11 @@ impl SchemeScheduler for ImprovedScheduler {
         let bpg = u64::from(layout.blocks_per_group());
         let midcycle_disk = self.midcycle_pending.take();
         let slots = self.streams.slots();
+        if !self.failed.is_empty() || midcycle_disk.is_some() {
+            // A group read now — its own cluster's or one the cascade
+            // displaced — is delivered next cycle.
+            self.settled_at = cycle + 2;
+        }
 
         // Pass 1 — base reads and allocations: each stream reads its
         // whole group of C−1 data tracks from its current cluster;
@@ -484,13 +494,13 @@ impl SchemeScheduler for ImprovedScheduler {
             // Release exactly what the group charged when it was read.
             let charged = std::mem::take(&mut st.state.pending_buffered);
             let finished = g + 1 == st.groups;
-            let class = st.state.class as usize;
             self.streams
                 .free(ix, charged)
                 .expect("pending_buffered tracks exactly what the read cycle charged");
             if finished {
                 plan.finished.push(id);
-                self.class_load[class] -= 1;
+                self.classes
+                    .vacate(&mut self.streams.slot_mut(ix).state.seat);
                 self.streams.retire(ix);
             }
         }
@@ -601,13 +611,31 @@ impl SchemeScheduler for ImprovedScheduler {
         }
     }
 
+    fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
+        // Where a prefetch lands depends on how full its disk already is
+        // and on each group's parity position: no closed form, so a
+        // prefetching server is planned cycle by cycle.
+        if !self.failed.is_empty()
+            || self.midcycle_pending.is_some()
+            || self.parity_prefetch
+            || cycle < self.settled_at
+        {
+            return false;
+        }
+        // A whole group of C−1 data tracks, one from every disk of the
+        // cluster, held until it is delivered the cycle after.
+        let bpg = self.config.k_prime;
+        self.classes
+            .state_cycle(cycle, &self.streams, |_| Some(0), bpg, |_| bpg, out);
+        true
+    }
+
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
-        debug_assert_eq!(cycles % self.clusters(), 0, "not a whole rotation");
-        // One full group delivered per stream per steady cycle; the
-        // pending_* lists stay empty and pending_buffered is periodic.
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        self.streams.fast_forward(cycles, bpg);
+        // One full group delivered per stream per steady cycle and as
+        // much read: what a stream has charged stays what it was.
+        let bpg = self.config.k_prime;
+        self.streams.fast_forward(cycles, bpg as u64, |_| bpg);
     }
 
     fn plan_epoch(&self) -> u64 {
@@ -620,9 +648,9 @@ impl ImprovedScheduler {
     /// retire it and take its reads back out of this cycle's plan.
     fn drop_stream(&mut self, entry: &mut IncomingEntry, cycle: u64, plan: &mut CyclePlan) {
         entry.live = false;
-        let st = self.streams.slot(entry.slot);
+        let st = self.streams.slot_mut(entry.slot);
         let (id, object) = (st.id(), st.object);
-        self.class_load[st.state.class as usize] -= 1;
+        self.classes.vacate(&mut st.state.seat);
         self.streams.retire(entry.slot);
         plan.hiccups.push(LostBlock {
             stream: id,

@@ -63,5 +63,5 @@ pub use plan::{
 pub use streams::{StreamId, StreamInfo};
 pub use traits::{
     emit_mode_transition, AdmissionError, FailureReport, PlanStability, RetireError, SchemeKind,
-    SchemeScheduler,
+    SchemeScheduler, SteadyCycle,
 };

@@ -10,8 +10,10 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{Released, Slot, StreamTable};
-use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
+use crate::table::{ClassTable, Seat, Slot, StreamTable};
+use crate::traits::{
+    AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler, SteadyCycle,
+};
 use mms_buffer::BufferServerPool;
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
@@ -45,14 +47,11 @@ impl TransitionPolicy {
     }
 }
 
-/// Admission class of a stream: read-phase residue and cluster
-/// trajectory. The only per-stream state beyond the shared header, so a
-/// slot is all scalars and the copy `plan_cycle_into` takes of it is a
-/// plain copy — no heap traffic on the hot path.
-type Class = (u32, u32);
-
-/// A stream's slot, as the planning helpers see it.
-type NcStream = Slot<Class>;
+/// A stream's slot, as the planning helpers see it. Its seat in the
+/// class table is the only per-stream state beyond the shared header,
+/// so a slot is all scalars and the copy `plan_cycle_into` takes of it
+/// is a plain copy — no heap traffic on the hot path.
+type NcStream = Slot<Seat>;
 
 /// Degraded-cluster state. Failure positions beyond the first are kept
 /// as a bitmask (positions are within one cluster, bounded well below
@@ -81,12 +80,14 @@ impl Degraded {
 }
 
 /// The Non-clustered scheduler (`k = k' = 1`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NonClusteredScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
     policy: TransitionPolicy,
-    streams: StreamTable<Class>,
+    streams: StreamTable<Seat>,
+    /// Streams with reads still to issue, per admission class.
+    classes: ClassTable,
     degraded: BTreeMap<ClusterId, Degraded>,
     /// Blocks that will never be delivered, keyed by delivery cycle.
     pending_losses: BTreeMap<u64, Vec<LostBlock>>,
@@ -116,9 +117,6 @@ pub struct NonClusteredScheduler {
     /// Reusable partitions for the slot-capacity priority sort.
     keep_scratch: Vec<PlannedRead>,
     spill_scratch: Vec<PlannedRead>,
-    /// Reusable staging area for rekeying `deferred_frees` in
-    /// `fast_forward` (entries move, their block lists are not cloned).
-    rekey_scratch: Vec<(u64, Vec<(StreamId, BlockAddr)>)>,
 }
 
 impl NonClusteredScheduler {
@@ -147,11 +145,13 @@ impl NonClusteredScheduler {
         let c = catalog.layout().geometry().group_size() as usize;
         let per_server = (c * (c + 1) / 2) * config.slots_per_disk();
         let bpg = u64::from(catalog.layout().blocks_per_group());
+        let classes = ClassTable::new(bpg, *catalog.layout().geometry());
         NonClusteredScheduler {
             config,
             catalog,
             policy,
             streams: StreamTable::new(bpg),
+            classes,
             degraded: BTreeMap::new(),
             pending_losses: BTreeMap::new(),
             suppressed: BTreeSet::new(),
@@ -164,7 +164,6 @@ impl NonClusteredScheduler {
             displaced_parity_scratch: Vec::new(),
             keep_scratch: Vec::new(),
             spill_scratch: Vec::new(),
-            rekey_scratch: Vec::new(),
         }
     }
 
@@ -188,17 +187,6 @@ impl NonClusteredScheduler {
 
     fn bpg(&self) -> u64 {
         u64::from(self.catalog.layout().blocks_per_group())
-    }
-
-    /// Admission class (derived at `GroupedScheduler::class_of`): streams with equal read-phase residue and cluster
-    /// trajectory contend for the same slots at every cycle.
-    fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
-        let period = self.bpg();
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let r = (at_cycle % period) as u32;
-        let q = at_cycle / period;
-        let psi = ((u64::from(h) + nc - (q % nc)) % nc) as u32;
-        (r, psi)
     }
 
     /// Stream's group-start cycle for group `g`.
@@ -522,6 +510,25 @@ impl NonClusteredScheduler {
         ));
     }
 
+    /// Fully-normal mode: no degraded cluster, no transition debris in
+    /// flight, and nothing buffered ahead but last cycle's reads — one
+    /// pending free per stream, due when the next cycle ends.
+    fn settled(&self) -> bool {
+        self.degraded.is_empty()
+            && self.pending_losses.is_empty()
+            && self.suppressed.is_empty()
+            && self.extra_reads.is_empty()
+            && self.reconstructions.is_empty()
+            && self.server_frees.is_empty()
+            && self.deferred_frees.len() <= 1
+            && self
+                .deferred_frees
+                .first_key_value()
+                .is_none_or(|(&due, frees)| {
+                    due == self.streams.next_cycle() && frees.len() == self.streams.len()
+                })
+    }
+
     /// Register a newly staged object in the catalog (the tertiary →
     /// disk load path of Figure 1).
     pub fn register_object(
@@ -551,7 +558,6 @@ impl NonClusteredScheduler {
             ),
             (self.keep_scratch.len(), self.keep_scratch.capacity()),
             (self.spill_scratch.len(), self.spill_scratch.capacity()),
-            (self.rekey_scratch.len(), self.rekey_scratch.capacity()),
         ]
     }
 }
@@ -567,29 +573,21 @@ impl SchemeScheduler for NonClusteredScheduler {
 
     fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
         let placed = self.streams.placement(&self.catalog, object, at_cycle)?;
-        let class = self.class_of(placed.start_cluster, at_cycle);
-        // Count only class members that still have reads at or after the
-        // admission cycle: a stream whose final read has already been
-        // issued no longer occupies its slot.
-        let bpg = self.bpg();
-        let load = self
-            .streams
-            .iter()
-            .filter(|s| s.state == class && s.start_cycle + s.groups * bpg > at_cycle)
-            .count();
-        if load >= self.config.slots_per_disk() {
+        // A seat is held only while reads remain: a stream whose final
+        // read has been issued no longer occupies its slot.
+        let class = self.classes.class_of(placed.start_cluster, at_cycle);
+        if self.streams.contenders(&self.classes, class, at_cycle) >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
                 active: self.streams.len(),
                 limit: self.stream_capacity(),
             });
         }
-        Ok(self.streams.admit(placed, at_cycle, class))
+        let seat = self.classes.seat(class);
+        Ok(self.streams.admit(placed, at_cycle, seat))
     }
 
     fn stream_capacity(&self) -> usize {
-        self.config.slots_per_disk()
-            * self.bpg() as usize
-            * self.catalog.layout().geometry().clusters() as usize
+        self.config.slots_per_disk() * self.classes.classes()
     }
 
     fn active_streams(&self) -> usize {
@@ -607,7 +605,7 @@ impl SchemeScheduler for NonClusteredScheduler {
         // the started group's remaining blocks drain (including any
         // degraded-mode reconstruction already planned) and the normal
         // finish path retires the stream.
-        !matches!(self.streams.release(id), Released::Unknown)
+        self.streams.release_seated(id, &mut self.classes)
     }
 
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
@@ -625,6 +623,7 @@ impl SchemeScheduler for NonClusteredScheduler {
             let Some((g, i)) = self.position_at(&s, cycle) else {
                 continue;
             };
+            self.streams.vacate_if_reads_done(ix, &mut self.classes);
             let blocks = s.blocks_in_group(g, self.bpg());
             let cluster = layout.data_cluster(s.start_cluster, g);
             let t_g = self.group_start(&s, g);
@@ -886,6 +885,7 @@ impl SchemeScheduler for NonClusteredScheduler {
             // delivery slot (partial groups leave trailing idle slots).
             if g + 1 == s.groups && q + 1 >= blocks {
                 plan.finished.push(id);
+                self.classes.vacate(&mut s.state);
                 self.streams.retire(ix);
             }
         }
@@ -995,6 +995,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 });
                 if on_cluster {
                     report.dropped_streams.push(s.id());
+                    self.classes.vacate(&mut self.streams.slot_mut(ix).state);
                     self.streams.retire(ix);
                 }
             }
@@ -1076,48 +1077,41 @@ impl SchemeScheduler for NonClusteredScheduler {
         // The plan repeats once every stream has walked every cluster:
         // bpg cycles per group × N_C clusters.
         let period = self.bpg() * u64::from(self.catalog.layout().geometry().clusters());
-        // Stable only in fully-normal mode: no degraded cluster and no
-        // transition debris in flight. `deferred_frees` is *not* a gate —
-        // healthy per-cycle reads always hold one pending free.
-        if !self.degraded.is_empty()
-            || !self.pending_losses.is_empty()
-            || !self.suppressed.is_empty()
-            || !self.extra_reads.is_empty()
-            || !self.reconstructions.is_empty()
-            || !self.server_frees.is_empty()
-        {
-            return PlanStability { period, stable: 0 };
-        }
         // Warm-up reads without delivering, and partial final groups
         // break the one-delivery-per-cycle cadence: the table's window
         // excludes both.
-        PlanStability {
-            period,
-            stable: self.streams.stable_window(cycle),
+        let stable = if self.settled() {
+            self.streams.stable_window(cycle)
+        } else {
+            0
+        };
+        PlanStability { period, stable }
+    }
+
+    fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
+        if !self.settled() {
+            return false;
         }
+        // Normal mode: block `i` of a group is read `i` cycles after the
+        // group was started, from position `i` of its cluster, and held
+        // until it is delivered the cycle after; parity is never read.
+        let bpg = self.catalog.layout().blocks_per_group();
+        let lag = |pos| (pos < bpg).then_some(pos);
+        self.classes
+            .state_cycle(cycle, &self.streams, lag, 1, |_| 1, out);
+        true
     }
 
     fn fast_forward(&mut self, cycles: u64) {
-        debug_assert!(self.degraded.is_empty(), "fast_forward in degraded mode");
-        debug_assert_eq!(
-            cycles % (self.bpg() * u64::from(self.catalog.layout().geometry().clusters())),
-            0,
-            "fast_forward span must be a whole plan rotation"
-        );
-        self.streams.fast_forward(cycles, 1);
-        // Pending buffer frees keep their relative schedule: shift every
-        // key by the skipped span. Entries are moved, not cloned; the
-        // staged addresses are only ever matched by same-cycle
-        // displacement cancels, which cannot reference skipped cycles.
-        let mut staged = std::mem::take(&mut self.rekey_scratch);
-        staged.clear();
-        while let Some((k, v)) = self.deferred_frees.pop_first() {
-            staged.push((k + cycles, v));
+        debug_assert!(self.settled(), "fast_forward around a transition");
+        self.streams.fast_forward(cycles, 1, |_| 1);
+        // Last cycle's reads are freed when the next planned cycle ends:
+        // their one entry moves with the clock. (The addresses in it are
+        // only ever matched by same-cycle displacement cancels, which
+        // cannot reference a skipped cycle.)
+        if let Some((due, frees)) = self.deferred_frees.pop_first() {
+            self.deferred_frees.insert(due + cycles, frees);
         }
-        for (k, v) in staged.drain(..) {
-            self.deferred_frees.insert(k, v);
-        }
-        self.rekey_scratch = staged;
     }
 
     fn plan_epoch(&self) -> u64 {

@@ -15,11 +15,16 @@
 //! their own maps: the stream header ([`Slot`]), the buffer charge of
 //! each stream (`held`, kept in step with the pool's aggregate gauge),
 //! the id counter, the cycle cursor and the plan epoch.
+//!
+//! Beside it sits the [`ClassTable`]: how many streams hold a seat in
+//! each admission class. It is what admission tests, and — because every
+//! stream of a class reads the same disks in the same cycles — what a
+//! steady cycle is a closed form of ([`ClassTable::state_cycle`]).
 
 use crate::streams::{StreamId, StreamInfo};
-use crate::traits::{AdmissionError, RetireError};
+use crate::traits::{AdmissionError, RetireError, SteadyCycle};
 use mms_buffer::{BufferError, BufferPool, OwnerId};
-use mms_layout::{Catalog, Layout, ObjectId};
+use mms_layout::{Catalog, ClusterId, Geometry, Layout, ObjectId};
 
 /// Where an object sits on the disks and how long it is — what
 /// admission copies out of the catalog so planning never goes back to
@@ -104,7 +109,7 @@ pub enum Released<S> {
 }
 
 /// Active streams in ascending id order, with their buffer charge.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StreamTable<S> {
     slots: Vec<Slot<S>>,
     /// Live slots (`slots.len()` minus the dead ones awaiting compaction).
@@ -115,6 +120,12 @@ pub struct StreamTable<S> {
     next_stream: u64,
     next_cycle: u64,
     epoch: u64,
+    /// Latest start cycle and earliest final-group read over the live
+    /// streams, so [`stable_window`](Self::stable_window) is a lookup:
+    /// admission and truncation can only move them one way, and a
+    /// retirement recomputes them in the pass that compacts the slab.
+    latest_start: u64,
+    earliest_final: u64,
 }
 
 impl<S> StreamTable<S> {
@@ -132,6 +143,8 @@ impl<S> StreamTable<S> {
             next_stream: 0,
             next_cycle: 0,
             epoch: 0,
+            latest_start: 0,
+            earliest_final: u64::MAX,
         }
     }
 
@@ -206,6 +219,10 @@ impl<S> StreamTable<S> {
         self.next_stream += 1;
         self.epoch += 1;
         self.live += 1;
+        self.latest_start = self.latest_start.max(at_cycle);
+        self.earliest_final = self
+            .earliest_final
+            .min(at_cycle + (placement.groups - 1) * self.read_period);
         self.slots.push(Slot {
             id,
             object: placement.object,
@@ -309,6 +326,19 @@ impl<S> StreamTable<S> {
     pub fn compact(&mut self) {
         if self.live != self.slots.len() {
             self.slots.retain(|s| s.live);
+            self.rescan_window();
+        }
+    }
+
+    /// Recompute the cached bounds of the stability window after streams
+    /// have left the table.
+    fn rescan_window(&mut self) {
+        (self.latest_start, self.earliest_final) = (0, u64::MAX);
+        for s in &self.slots {
+            self.latest_start = self.latest_start.max(s.start_cycle);
+            self.earliest_final = self
+                .earliest_final
+                .min(s.start_cycle + (s.groups - 1) * self.read_period);
         }
     }
 
@@ -354,10 +384,14 @@ impl<S> StreamTable<S> {
             .div_ceil(self.read_period);
         if read > 0 {
             slot.groups = slot.groups.min(read);
+            let final_read = slot.start_cycle + (slot.groups - 1) * self.read_period;
+            self.earliest_final = self.earliest_final.min(final_read);
             return Released::Draining;
         }
         self.retire(ix);
-        Released::Retired(self.slots.remove(ix).state)
+        let state = self.slots.remove(ix).state;
+        self.rescan_window();
+        Released::Retired(state)
     }
 
     /// Retire `object` from `catalog` (the purge path), refusing while
@@ -383,24 +417,239 @@ impl<S> StreamTable<S> {
     /// be partial, so the window ends strictly before it).
     #[must_use]
     pub fn stable_window(&self, cycle: u64) -> u64 {
-        let mut stable = u64::MAX;
-        for s in self.iter() {
-            if cycle <= s.start_cycle {
-                return 0;
-            }
-            let final_read = s.start_cycle + (s.groups - 1) * self.read_period;
-            stable = stable.min(final_read.saturating_sub(cycle));
+        if self.live == 0 {
+            u64::MAX
+        } else if cycle <= self.latest_start {
+            0
+        } else {
+            self.earliest_final.saturating_sub(cycle)
         }
-        stable
     }
 
     /// Skip `cycles` steady cycles in which every stream delivers
-    /// `tracks_per_cycle` tracks.
-    pub fn fast_forward(&mut self, cycles: u64, tracks_per_cycle: u64) {
-        self.next_cycle += cycles;
+    /// `tracks_per_cycle` tracks. `held(rel)` is what a steady stream
+    /// has charged at the end of the cycle `rel` cycles after its start;
+    /// each stream's charge moves by the difference between where it
+    /// lands and where it stood, so a skip that returns every stream to
+    /// its phase moves nothing.
+    pub fn fast_forward(
+        &mut self,
+        cycles: u64,
+        tracks_per_cycle: u64,
+        held: impl Fn(u64) -> usize,
+    ) {
+        let (mut charged, mut released) = (0, 0);
         for s in self.slots.iter_mut().filter(|s| s.live) {
             s.delivered += cycles * tracks_per_cycle;
+            let rel = self.next_cycle - 1 - s.start_cycle;
+            let (was, now) = (held(rel), held(rel + cycles));
+            s.held = s.held + now - was;
+            charged += now;
+            released += was;
         }
+        self.next_cycle += cycles;
+        // One net movement of the gauge: the sum of end-of-cycle charges
+        // is an occupancy a planned run passes through, so the
+        // high-water mark cannot overshoot.
+        if charged >= released {
+            self.buffers
+                .charge(charged - released)
+                .expect("unbounded pool never refuses an allocation");
+        } else {
+            self.buffers.release(released - charged);
+        }
+    }
+}
+
+/// The block-per-cycle schedulers (`k = k′ = 1`) keep nothing per stream
+/// but its seat, and give it back as soon as the stream's last read slot
+/// has passed: the class has room for a newcomer from the very next
+/// cycle, while the last block is still on the wire.
+impl StreamTable<Seat> {
+    /// Streams of `class` an arrival at `at_cycle` contends with: the
+    /// seated ones — less, for an arrival booked ahead, those whose last
+    /// read slot comes before it (the one case that walks the table).
+    #[must_use]
+    pub fn contenders(&self, classes: &ClassTable, class: usize, at_cycle: u64) -> usize {
+        let seat = Seat {
+            class: class as u32,
+            taken: true,
+        };
+        let gone = |s: &&Slot<Seat>| {
+            s.state == seat && s.start_cycle + s.groups * self.read_period <= at_cycle
+        };
+        let seated = classes.seated(class);
+        if at_cycle > self.next_cycle {
+            seated - self.iter().filter(gone).count()
+        } else {
+            seated
+        }
+    }
+
+    /// Give back the seat of the stream in slot `ix` once the cycle
+    /// being planned (or an earlier one) is its last read slot.
+    pub fn vacate_if_reads_done(&mut self, ix: usize, classes: &mut ClassTable) {
+        let s = &mut self.slots[ix];
+        if s.start_cycle + s.groups * self.read_period <= self.next_cycle {
+            classes.vacate(&mut s.state);
+        }
+    }
+
+    /// [`release`](Self::release), with the seat following the stream:
+    /// back at once if the stream retires or was truncated to groups it
+    /// has finished reading.
+    pub fn release_seated(&mut self, id: StreamId, classes: &mut ClassTable) -> bool {
+        match self.release(id) {
+            Released::Unknown => false,
+            Released::Retired(mut seat) => {
+                classes.vacate(&mut seat);
+                true
+            }
+            Released::Draining => {
+                let ix = self.find(id).expect("a draining stream is still live");
+                self.vacate_if_reads_done(ix, classes);
+                true
+            }
+        }
+    }
+}
+
+/// A stream's seat in its admission class (see [`ClassTable`]), carried
+/// in its per-stream state and given back exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seat {
+    class: u32,
+    taken: bool,
+}
+
+/// Streams seated per admission class.
+///
+/// A stream starting at cycle `s` on cluster `h` that reads a parity
+/// group every `P` cycles has read phase `r = s mod P` and cluster
+/// trajectory `ψ = (h − ⌊s / P⌋) mod N_C`. Streams with equal `(r, ψ)`
+/// start each of their groups in the same cycle on the same cluster, so
+/// they contend for the same slots forever — and one count per class,
+/// dense at `r · N_C + ψ`, says what every disk reads in any cycle.
+#[derive(Debug, Clone)]
+pub struct ClassTable {
+    seated: Vec<usize>,
+    period: u64,
+    clusters: u64,
+    geometry: Geometry,
+}
+
+impl ClassTable {
+    /// An empty table for streams that start a group every `period`
+    /// cycles and rotate over the clusters of `geometry`.
+    #[must_use]
+    pub fn new(period: u64, geometry: Geometry) -> Self {
+        let clusters = u64::from(geometry.clusters());
+        ClassTable {
+            seated: vec![0; (period * clusters) as usize],
+            period,
+            clusters,
+            geometry,
+        }
+    }
+
+    /// Number of classes: read phases × cluster trajectories.
+    #[must_use]
+    pub fn classes(&self) -> usize {
+        self.seated.len()
+    }
+
+    /// Class of a stream starting at `at_cycle` on `start_cluster`.
+    #[must_use]
+    pub fn class_of(&self, start_cluster: u32, at_cycle: u64) -> usize {
+        let (r, q) = (at_cycle % self.period, at_cycle / self.period);
+        let psi = (u64::from(start_cluster) + self.clusters - q % self.clusters) % self.clusters;
+        (r * self.clusters + psi) as usize
+    }
+
+    /// Streams seated in `class`.
+    #[must_use]
+    pub fn seated(&self, class: usize) -> usize {
+        self.seated[class]
+    }
+
+    /// Seat one more stream in `class`.
+    pub fn seat(&mut self, class: usize) -> Seat {
+        self.seated[class] += 1;
+        Seat {
+            class: class as u32,
+            taken: true,
+        }
+    }
+
+    /// Give `seat` back; a seat already given back stays so.
+    pub fn vacate(&mut self, seat: &mut Seat) {
+        if std::mem::take(&mut seat.taken) {
+            self.seated[seat.class as usize] -= 1;
+        }
+    }
+
+    /// State `cycle` (see [`crate::SchemeScheduler::steady_cycle`]) for
+    /// a scheduler all of whose seated streams are in steady state.
+    ///
+    /// A stream reads the disk at position `pos` of a group's cluster
+    /// `lag(pos)` cycles after it started the group (`None`: never; the
+    /// lag is less than the read period), delivers `k_prime` tracks a
+    /// cycle, and has `held(rel)` tracks charged at the end of the cycle
+    /// `rel` cycles after its start (`held` may depend on `rel mod
+    /// period` only). `streams` is the table the seats belong to: the
+    /// buffer gauge is stated as where it stands plus how far the seated
+    /// streams' charge moves from the last planned cycle to `cycle`.
+    pub fn state_cycle<S>(
+        &self,
+        cycle: u64,
+        streams: &StreamTable<S>,
+        lag: impl Fn(u32) -> Option<u32>,
+        k_prime: usize,
+        held: impl Fn(u64) -> usize,
+        out: &mut SteadyCycle,
+    ) {
+        // Everything below depends on the cycle through its place in the
+        // rotation alone, and is small-integer arithmetic from here on.
+        let (period, clusters) = (self.period as u32, self.clusters as u32);
+        let rotation = period * clusters;
+        let place = (cycle % u64::from(rotation)) as u32;
+        let mut tracks = 0;
+        out.reads.clear();
+        for cluster in 0..clusters {
+            for pos in 0..self.geometry.disks_per_cluster() {
+                // Whoever reads this disk now started a group on this
+                // cluster `lag` cycles ago (nobody, before cycle 0): the
+                // class of that read phase whose trajectory was here.
+                let Some(ago) = lag(pos).filter(|&ago| u64::from(ago) <= cycle) else {
+                    continue;
+                };
+                let then = (place + rotation - ago) % rotation;
+                let (r, q) = (then % period, then / period);
+                let psi = (cluster + clusters - q) % clusters;
+                let n = self.seated[(r * clusters + psi) as usize];
+                if n > 0 {
+                    let disk = self.geometry.disk_at(ClusterId(cluster), pos);
+                    out.reads.push((disk, n));
+                    tracks += n;
+                }
+            }
+        }
+        // A stream of read phase `r` is `(t − r) mod P` cycles into its
+        // group when cycle `t` ends; one cycle less when it starts.
+        let elapsed = (cycle + 1 - streams.next_cycle) % self.period;
+        let (mut seated, mut charged, mut before, mut stood) = (0, 0, 0, 0);
+        for (r, class) in (0..period).zip(self.seated.chunks(clusters as usize)) {
+            let n: usize = class.iter().sum();
+            let into = u64::from((place + period - r) % period);
+            seated += n;
+            charged += n * held(into);
+            before += n * held((into + self.period - 1) % self.period);
+            stood += n * held((into + self.period - elapsed) % self.period);
+        }
+        let in_use = streams.buffer_in_use();
+        out.delivered = seated * k_prime;
+        out.buffer_in_use = in_use + charged - stood;
+        out.buffer_peak = in_use + before - stood + tracks;
     }
 }
 

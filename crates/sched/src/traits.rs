@@ -167,14 +167,14 @@ pub struct FailureReport {
 /// fast path.
 ///
 /// A scheduler reporting `stable = n` promises that for every cycle `t`
-/// in `[cycle, cycle + n)`, the plan it would produce (reads,
-/// deliveries, hiccups, buffer motion) depends only on `t` and repeats
-/// with period [`period`](Self::period): planning `t` and `t + period`
-/// yields identical per-disk read shapes and identical per-stream
-/// deltas. No stream starts, finishes, or changes phase inside the
-/// window, and no failure/repair state is pending. The window is
-/// invalidated by any call to `admit`/`release`/`on_disk_failure`/
-/// `on_disk_repair` — observable via
+/// in `[cycle, cycle + n)` every active stream is in steady state: past
+/// its warm-up cycle, strictly before its final-group read, reading `k`
+/// and delivering `k′` tracks — Section 2's cycle, the one the buffer
+/// equations behind Table 2 and Figure 4 are closed forms of. No stream
+/// starts, finishes, or changes phase inside the window, and no disk is
+/// failed. The disk pattern repeats with period
+/// [`period`](Self::period). The window is invalidated by any call to
+/// `admit`/`release`/`on_disk_failure`/`on_disk_repair` — observable via
 /// [`plan_epoch`](SchemeScheduler::plan_epoch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStability {
@@ -185,6 +185,23 @@ pub struct PlanStability {
     /// Length of the stability window starting at the queried cycle; 0
     /// means the next cycle must be planned normally.
     pub stable: u64,
+}
+
+/// What one cycle of a stability window does, as
+/// [`SchemeScheduler::steady_cycle`] states it: everything a driver needs
+/// to account for the cycle without planning it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SteadyCycle {
+    /// Tracks read from each disk that reads at all, in ascending disk
+    /// order — the order a plan's read lists are walked in.
+    pub reads: Vec<(DiskId, usize)>,
+    /// Tracks delivered.
+    pub delivered: usize,
+    /// Buffer tracks charged when the cycle ends.
+    pub buffer_in_use: usize,
+    /// Most buffer tracks charged at once inside the cycle (every read
+    /// lands before anything transmitted is released).
+    pub buffer_peak: usize,
 }
 
 /// Why an object could not be retired from the catalog.
@@ -295,24 +312,44 @@ pub trait SchemeScheduler {
         }
     }
 
-    /// Skip `cycles` quiescent cycles in closed form, advancing internal
-    /// counters (per-stream delivered tracks, the next-cycle cursor, any
-    /// cycle-keyed bookkeeping) exactly as that many
-    /// [`plan_cycle_into`](SchemeScheduler::plan_cycle_into) calls
-    /// would, without planning them.
+    /// State what `cycle` — any cycle of the window
+    /// [`plan_stability`](Self::plan_stability) reports — does, in
+    /// O(classes + disks) from the admission-class table and without
+    /// planning it: `out` is what
+    /// [`plan_cycle_into`](Self::plan_cycle_into) would read per disk and
+    /// deliver, and what it would leave charged. Must not allocate once
+    /// `out.reads` has grown to the disk count.
     ///
-    /// The caller guarantees `cycles` is a multiple of the current
-    /// [`PlanStability::period`] and does not exceed the `stable` window
-    /// reported for the current cycle. Must not allocate. The default
-    /// no-op matches the default zero-stability report.
+    /// Returns `false`, leaving `out` unspecified, when the scheduler
+    /// cannot vouch for the cycle and it has to be planned: a group read
+    /// around a failure is still in memory with its marks, or the scheme
+    /// runs a read policy it has no closed form for. The default matches
+    /// the default zero-stability report.
+    fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
+        let _ = (cycle, out);
+        false
+    }
+
+    /// Skip `cycles` steady cycles in closed form, advancing internal
+    /// counters (per-stream delivered tracks and buffer charge, the
+    /// next-cycle cursor, any cycle-keyed bookkeeping) exactly as that
+    /// many [`plan_cycle_into`](SchemeScheduler::plan_cycle_into) calls
+    /// would, without planning them. The buffer high-water mark alone
+    /// stays behind; the caller has each skipped cycle's
+    /// [`SteadyCycle::buffer_peak`].
+    ///
+    /// The caller guarantees `cycles` does not exceed the `stable`
+    /// window reported for the current cycle and that
+    /// [`steady_cycle`](Self::steady_cycle) vouched for each of them.
+    /// Must not allocate. The default no-op matches the default
+    /// zero-stability report.
     fn fast_forward(&mut self, cycles: u64) {
         let _ = cycles;
     }
 
     /// Monotone counter bumped by every state change that invalidates a
     /// previously reported stability window (`admit`, `release`,
-    /// `on_disk_failure`, `on_disk_repair`). The simulator re-validates
-    /// the epoch around its probe cycles before multiplying deltas.
+    /// `on_disk_failure`, `on_disk_repair`).
     fn plan_epoch(&self) -> u64 {
         0
     }

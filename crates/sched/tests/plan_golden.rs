@@ -12,6 +12,11 @@
 //! the whole-group scheduler judged the last `k′` blocks of a group by
 //! that group's own fault state, with scripts that fail any two disks
 //! of a cluster.)
+//!
+//! The same generator drives the differential test of the stated steady
+//! cycle: wherever a script stands inside a stability window, what the
+//! scheduler states for a cycle is what planning it produces, and
+//! `fast_forward(n)` on a clone lands where `n` planned cycles do.
 
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{
@@ -20,9 +25,11 @@ use mms_layout::{
 };
 use mms_sched::{
     BaselineScheduler, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
-    LossReason, NonClusteredScheduler, ReadPurpose, SchemeScheduler, StreamId, TransitionPolicy,
+    LossReason, NonClusteredScheduler, ReadPurpose, SchemeScheduler, SteadyCycle, StreamId,
+    TransitionPolicy,
 };
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
 
 const SCRIPTS: usize = 32;
 const OPS_PER_SCRIPT: usize = 56;
@@ -187,6 +194,40 @@ const KINDS: [Kind; 6] = [
     Kind::Baseline,
 ];
 
+/// A scheduler of any kind behind one cloneable type, so a test can
+/// fork a script's state (a `Box<dyn SchemeScheduler>` cannot be).
+#[derive(Clone)]
+enum Fixture {
+    Grouped(GroupedScheduler),
+    NonClustered(NonClusteredScheduler),
+    Improved(ImprovedScheduler),
+    Baseline(BaselineScheduler),
+}
+
+impl Deref for Fixture {
+    type Target = dyn SchemeScheduler;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Fixture::Grouped(s) => s,
+            Fixture::NonClustered(s) => s,
+            Fixture::Improved(s) => s,
+            Fixture::Baseline(s) => s,
+        }
+    }
+}
+
+impl DerefMut for Fixture {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Fixture::Grouped(s) => s,
+            Fixture::NonClustered(s) => s,
+            Fixture::Improved(s) => s,
+            Fixture::Baseline(s) => s,
+        }
+    }
+}
+
 fn objects() -> impl Iterator<Item = MediaObject> {
     OBJECT_TRACKS.iter().enumerate().map(|(i, &tracks)| {
         MediaObject::new(
@@ -212,7 +253,7 @@ fn clustered_catalog(disks: usize) -> Catalog<ClusteredLayout> {
 /// count. Odd flavours run at a bandwidth that leaves three slots a
 /// disk, so admission limits, displacement and the shift cascade all
 /// trigger; even ones run the paper's Table 1 MPEG-1 numbers.
-fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
+fn build(kind: Kind, flavour: u64) -> (Fixture, u32) {
     let tight = flavour % 2 == 1;
     let cfg = |k: usize, k_prime: usize| {
         // T_cyc = k'·B/b0 with B = 50 KB: 0.1 s ⇒ (100 − 25)/20 = 3 slots.
@@ -225,14 +266,14 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
     };
     match kind {
         Kind::StreamingRaid => (
-            Box::new(GroupedScheduler::new(
+            Fixture::Grouped(GroupedScheduler::new(
                 cfg(C - 1, C - 1),
                 clustered_catalog(10),
             )),
             10,
         ),
         Kind::Staggered => (
-            Box::new(GroupedScheduler::new(cfg(C - 1, 1), clustered_catalog(10))),
+            Fixture::Grouped(GroupedScheduler::new(cfg(C - 1, 1), clustered_catalog(10))),
             10,
         ),
         Kind::NonClustered => {
@@ -243,7 +284,7 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
             };
             let servers = 1 + (flavour / 4) as usize % 2;
             (
-                Box::new(NonClusteredScheduler::new(
+                Fixture::NonClustered(NonClusteredScheduler::new(
                     cfg(1, 1),
                     clustered_catalog(15),
                     policy,
@@ -261,14 +302,14 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
             let reserve = (flavour / 2) as usize % 2;
             let mut s = ImprovedScheduler::new(cfg(C - 1, C - 1), catalog, reserve);
             s.set_parity_prefetch((flavour / 4) % 2 == 1);
-            (Box::new(s), 12)
+            (Fixture::Improved(s), 12)
         }
         Kind::Grouped => {
             // Odd flavours rotate over three clusters; the Streaming RAID
             // and Staggered-group fixtures both have two.
             let disks = if tight { 15 } else { 10 };
             (
-                Box::new(GroupedScheduler::new(
+                Fixture::Grouped(GroupedScheduler::new(
                     cfg(C - 1, 2),
                     clustered_catalog(disks),
                 )),
@@ -276,7 +317,7 @@ fn build(kind: Kind, flavour: u64) -> (Box<dyn SchemeScheduler>, u32) {
             )
         }
         Kind::Baseline => (
-            Box::new(BaselineScheduler::new(cfg(1, 1), clustered_catalog(10))),
+            Fixture::Baseline(BaselineScheduler::new(cfg(1, 1), clustered_catalog(10))),
             10,
         ),
     }
@@ -383,9 +424,181 @@ fn assert_views_agree(plan: &CyclePlan, disks: u32, slots: usize, what: &str) {
     }
 }
 
+/// What the differential test reached.
+#[derive(Debug, Default)]
+struct Differential {
+    /// Planned cycles that were stated first and compared.
+    stated: usize,
+    /// Cycles of a stability window the scheduler would not vouch for.
+    declined: usize,
+    /// `fast_forward(n)` forks compared with `n` planned cycles.
+    skips: usize,
+    /// Of those, forks whose `n` is no multiple of the plan rotation.
+    odd_skips: usize,
+}
+
+impl Differential {
+    /// The scheduler's statement of `cycle`, the next to be planned, if
+    /// it stands in a stability window. Declining is allowed for two
+    /// reasons only: a read policy without a closed form (the prefetching
+    /// Improved-bandwidth fixture states nothing), or a group read around
+    /// a failure that may still be in memory — at most one rotation after
+    /// the last cycle planned with a disk down.
+    fn state(
+        &mut self,
+        s: &Fixture,
+        cycle: u64,
+        last_degraded_plan: Option<u64>,
+        what: &str,
+    ) -> Option<SteadyCycle> {
+        let window = s.plan_stability(cycle);
+        if window.stable == 0 {
+            return None;
+        }
+        let mut stated = SteadyCycle::default();
+        if s.steady_cycle(cycle, &mut stated) {
+            self.stated += 1;
+            return Some(stated);
+        }
+        self.declined += 1;
+        let prefetching = matches!(s, Fixture::Improved(ib) if ib.parity_prefetch());
+        let draining = last_degraded_plan.is_some_and(|at| cycle <= at + window.period);
+        assert!(prefetching || draining, "{what}: declined a steady cycle");
+        None
+    }
+
+    /// From the state `s` stands in before `cycle`: for every `n` the
+    /// window allows (up to two rotations), the statement of the `n`-th
+    /// cycle made *now* is what a fork planning its way there produces,
+    /// and a fork skipping `n` cycles lands in the same state.
+    fn skip_from(
+        &mut self,
+        s: &Fixture,
+        cycle: u64,
+        admitted: &[StreamId],
+        disks: u32,
+        what: &str,
+    ) {
+        let window = s.plan_stability(cycle);
+        let mut stated = SteadyCycle::default();
+        let mut planned = s.clone();
+        let mut plan = CyclePlan::empty(0);
+        for n in 1..=window.stable.min(2 * window.period) {
+            let what = format!("{what} +{n}");
+            if !s.steady_cycle(cycle + n - 1, &mut stated) {
+                break;
+            }
+            let high_water = planned.buffer_high_water();
+            planned.plan_cycle_into(cycle + n - 1, &mut plan);
+            assert_stated(&stated, &plan, &planned, high_water, disks, &what);
+            let mut skipped = s.clone();
+            skipped.fast_forward(n);
+            assert_same_state(&planned, &skipped, cycle + n, admitted, &what);
+            self.skips += 1;
+            self.odd_skips += usize::from(n % window.period != 0);
+        }
+    }
+}
+
+/// `stated` is what planning the cycle did: `plan` is the plan, `s` the
+/// scheduler after it, `high_water` its buffer peak before it.
+fn assert_stated(
+    stated: &SteadyCycle,
+    plan: &CyclePlan,
+    s: &Fixture,
+    high_water: usize,
+    disks: u32,
+    what: &str,
+) {
+    let mut reads = stated.reads.iter().copied().peekable();
+    for disk in (0..disks).map(DiskId) {
+        let tracks = reads.next_if(|&(d, _)| d == disk).map_or(0, |(_, n)| n);
+        assert_eq!(plan.load_on(disk), tracks, "{what}: reads of {disk:?}");
+    }
+    assert_eq!(reads.next(), None, "{what}: reads out of disk order");
+    assert!(
+        stated.reads.iter().all(|&(_, n)| n > 0),
+        "{what}: idle disk listed"
+    );
+    assert_eq!(plan.deliveries.len(), stated.delivered, "{what}: delivered");
+    assert_eq!(plan.deliveries.reconstructed(), 0, "{what}");
+    assert!(
+        plan.hiccups.is_empty() && plan.finished.is_empty(),
+        "{what}"
+    );
+    assert_eq!(
+        s.buffer_in_use(),
+        stated.buffer_in_use,
+        "{what}: buffer in use"
+    );
+    assert_eq!(
+        s.buffer_high_water(),
+        high_water.max(stated.buffer_peak),
+        "{what}: buffer peak"
+    );
+}
+
+/// A fork that skipped to `cycle` and one that planned its way there
+/// are the same scheduler: every gauge but the high-water mark (which a
+/// skip leaves to its caller), every stream, and every plan of the next
+/// two rotations.
+fn assert_same_state(
+    planned: &Fixture,
+    skipped: &Fixture,
+    cycle: u64,
+    admitted: &[StreamId],
+    what: &str,
+) {
+    let digest = |s: &Fixture, cycle: u64| {
+        let mut h = Fnv::new();
+        h.word(s.buffer_in_use() as u64);
+        h.word(s.active_streams() as u64);
+        h.word(s.plan_epoch());
+        let window = s.plan_stability(cycle);
+        h.word(window.period);
+        h.word(window.stable);
+        for &id in admitted {
+            let info = s.stream_info(id);
+            h.word(info.map_or(u64::MAX, |i| i.next_group));
+            h.word(info.map_or(u64::MAX, |i| i.delivered_tracks));
+            h.word(info.map_or(u64::MAX, |i| i.lost_tracks));
+        }
+        h.0
+    };
+    assert_eq!(digest(planned, cycle), digest(skipped, cycle), "{what}");
+    assert!(
+        skipped.buffer_high_water() <= planned.buffer_high_water(),
+        "{what}: a skip overshot the buffer peak"
+    );
+    let (mut planned, mut skipped) = (planned.clone(), skipped.clone());
+    let mut plan = CyclePlan::empty(0);
+    for t in cycle..cycle + 2 * planned.plan_stability(cycle).period {
+        let mut digests = [0, 0];
+        for (s, d) in [&mut planned, &mut skipped].into_iter().zip(&mut digests) {
+            s.plan_cycle_into(t, &mut plan);
+            let mut h = Fnv::new();
+            h.plan(&plan);
+            h.word(digest(s, t + 1));
+            *d = h.0;
+        }
+        assert_eq!(digests[0], digests[1], "{what}: plans diverge at cycle {t}");
+    }
+}
+
 /// Run one seeded script, adding what it reached to `cov`; returns its
 /// digest. Every plan on the way is checked by [`assert_views_agree`].
 fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
+    run_script_with(kind, seed, cov, None)
+}
+
+/// [`run_script`], holding the stated steady cycle against every plan of
+/// a stability window when `differential` is given.
+fn run_script_with(
+    kind: Kind,
+    seed: u64,
+    cov: &mut Coverage,
+    mut differential: Option<&mut Differential>,
+) -> u64 {
     let (mut s, disks) = build(kind, seed);
     let slots = s.config().slots_per_disk();
     let mut rng = Rng(seed ^ ((kind as u64) << 32) ^ 0x5EED);
@@ -396,6 +609,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
     let mut live: Vec<StreamId> = Vec::new();
     let mut down: Vec<DiskId> = Vec::new();
     let mut repaired = false;
+    let mut last_degraded_plan: Option<u64> = None;
     let mut refused = 0usize;
 
     let mut admit = |s: &mut dyn SchemeScheduler,
@@ -428,42 +642,40 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
             0..=6 => {
                 let n = if op == 0 { 1 } else { 1 + rng.below(10) };
                 for _ in 0..n {
+                    let what = format!("{kind:?} {seed} @{cycle}");
+                    let stated = differential
+                        .as_deref_mut()
+                        .and_then(|d| d.state(&s, cycle, last_degraded_plan, &what));
+                    let high_water = s.buffer_high_water();
                     s.plan_cycle_into(cycle, &mut plan);
-                    assert_views_agree(&plan, disks, slots, &format!("{kind:?} {seed} @{cycle}"));
+                    if let Some(stated) = stated {
+                        assert_stated(&stated, &plan, &s, high_water, disks, &what);
+                    }
+                    if !down.is_empty() {
+                        last_degraded_plan = Some(cycle);
+                    }
+                    assert_views_agree(&plan, disks, slots, &what);
                     cycle += 1;
                     h.plan(&plan);
                     cov.plan(&plan, !down.is_empty());
-                    h.state(s.as_ref(), cycle, &admitted);
+                    h.state(&*s, cycle, &admitted);
                 }
             }
             // A burst of arrivals at the current cycle.
             7..=10 => {
                 for _ in 0..1 + rng.below(6) {
-                    admit(
-                        s.as_mut(),
-                        &mut h,
-                        &mut rng,
-                        cycle,
-                        &mut admitted,
-                        &mut live,
-                    );
+                    admit(&mut *s, &mut h, &mut rng, cycle, &mut admitted, &mut live);
                 }
             }
             // An arrival booked for a future cycle.
             11 => {
                 let at = cycle + 1 + rng.below(3);
-                admit(s.as_mut(), &mut h, &mut rng, at, &mut admitted, &mut live);
+                admit(&mut *s, &mut h, &mut rng, at, &mut admitted, &mut live);
             }
             // Admit and abandon before anything was read (`elapsed == 0`).
             12 => {
-                if let Some(id) = admit(
-                    s.as_mut(),
-                    &mut h,
-                    &mut rng,
-                    cycle,
-                    &mut admitted,
-                    &mut live,
-                ) {
+                if let Some(id) = admit(&mut *s, &mut h, &mut rng, cycle, &mut admitted, &mut live)
+                {
                     live.retain(|&l| l != id);
                     h.word(u64::from(s.release(id)));
                     h.word(u64::from(s.release(id)));
@@ -518,8 +730,17 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
                 }
             }
         }
-        h.state(s.as_ref(), cycle, &admitted);
+        h.state(&*s, cycle, &admitted);
         cov.stable_after_repair += usize::from(repaired && s.plan_stability(cycle).stable > 0);
+        if let Some(d) = differential.as_deref_mut() {
+            d.skip_from(
+                &s,
+                cycle,
+                &admitted,
+                disks,
+                &format!("{kind:?} {seed} @{cycle}"),
+            );
+        }
     }
     // Drain: every stream still in flight plays out.
     for _ in 0..64 {
@@ -528,7 +749,7 @@ fn run_script(kind: Kind, seed: u64, cov: &mut Coverage) -> u64 {
         cycle += 1;
         h.plan(&plan);
         cov.plan(&plan, !down.is_empty());
-        h.state(s.as_ref(), cycle, &admitted);
+        h.state(&*s, cycle, &admitted);
     }
     cov.refused += refused;
     h.0
@@ -678,5 +899,32 @@ fn repinned_non_clustered_scripts_reopen_their_window_after_a_repair() {
         let mut cov = Coverage::default();
         run_script(Kind::NonClustered, seed, &mut cov);
         assert!(cov.skipped_after_repair > 0, "seed {seed}: {cov:?}");
+    }
+}
+
+/// What a scheduler states for a steady cycle is what planning it does,
+/// and a skip of any length lands where planning lands — on every script
+/// of the generator, pinned seeds and unpinned, for every scheduler.
+#[test]
+fn stated_cycles_and_skips_agree_with_planning_on_every_script() {
+    for &kind in &KINDS {
+        let mut reached = Differential::default();
+        for seed in (0..SCRIPTS as u64).chain(2000..2000 + SCRIPTS as u64) {
+            let digest = run_script_with(kind, seed, &mut Coverage::default(), Some(&mut reached));
+            if let Some(&pinned) = GOLDEN[kind as usize].get(seed as usize) {
+                assert_eq!(
+                    digest, pinned,
+                    "{kind:?} {seed}: the checks moved the script"
+                );
+            }
+        }
+        assert!(reached.stated > 100, "{kind:?}: {reached:?}");
+        assert!(
+            reached.skips > 100 && reached.odd_skips > 50,
+            "{kind:?}: {reached:?}"
+        );
+        // Only fixtures that fail disks mid-flight or prefetch ever decline.
+        assert!(reached.declined < reached.stated, "{kind:?}: {reached:?}");
+        eprintln!("{kind:?}: {reached:?}");
     }
 }

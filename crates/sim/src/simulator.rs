@@ -7,7 +7,7 @@ use crate::verify::BlockOracle;
 use crate::workload::{SessionEngine, WorkloadGen};
 use mms_disk::{DiskArray, DiskError, DiskParams, Time};
 use mms_layout::ObjectId;
-use mms_sched::{AdmissionError, CyclePlan, PlanStability, SchemeScheduler, StreamId};
+use mms_sched::{AdmissionError, CyclePlan, PlanStability, SchemeScheduler, SteadyCycle, StreamId};
 use mms_telemetry::{counter, event, gauge, span, Level};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -40,57 +40,11 @@ pub enum StepMode {
     /// everywhere else. Observably identical to
     /// [`StepMode::CycleByCycle`]: metrics, per-disk statistics, hiccup
     /// counts, session statistics, and the caller's RNG stream all
-    /// match bit for bit; only per-cycle telemetry probes are collapsed
-    /// to stretch boundaries (and `Debug`-level collection disables the
-    /// fast path entirely, so traces stay complete).
+    /// match bit for bit; only per-cycle telemetry is collapsed to
+    /// stretch boundaries (and `Debug`-level collection or byte
+    /// verification disables the fast path entirely, so traces stay
+    /// complete and every delivery meets the oracle).
     EventHorizon,
-}
-
-/// One probed disk charge: replaying the journal once re-applies one
-/// plan rotation's worth of reads in the exact order a per-cycle run
-/// would have issued them.
-#[derive(Debug, Clone, Copy)]
-struct ProbeCharge {
-    disk: mms_disk::DiskId,
-    tracks: usize,
-    time: Time,
-}
-
-/// Scalar metric snapshot taken before a probe rotation, to measure the
-/// per-rotation deltas and to prove the rotation stayed quiescent.
-#[derive(Debug, Clone, Copy)]
-struct MetricSnap {
-    tracks_read: u64,
-    delivered: u64,
-    reconstructed: u64,
-    verified: u64,
-    hiccups_failed_disk: u64,
-    hiccups_displaced: u64,
-    hiccups_mid_cycle: u64,
-    service_degradations: u64,
-    streams_finished: u64,
-    catastrophes: u64,
-    rebuild_reads: u64,
-    rebuilds_completed: u64,
-}
-
-impl MetricSnap {
-    fn of(m: &Metrics) -> Self {
-        MetricSnap {
-            tracks_read: m.tracks_read,
-            delivered: m.delivered,
-            reconstructed: m.reconstructed,
-            verified: m.verified,
-            hiccups_failed_disk: m.hiccups_failed_disk,
-            hiccups_displaced: m.hiccups_displaced,
-            hiccups_mid_cycle: m.hiccups_mid_cycle,
-            service_degradations: m.service_degradations,
-            streams_finished: m.streams_finished,
-            catastrophes: m.catastrophes,
-            rebuild_reads: m.rebuild_reads,
-            rebuilds_completed: m.rebuilds_completed,
-        }
-    }
 }
 
 /// Object lengths registry, used by the oracle and end detection.
@@ -169,12 +123,10 @@ pub struct Simulator<S: SchemeScheduler> {
     slots_per_cycle: usize,
     /// How the run drivers advance time.
     step_mode: StepMode,
-    /// Disk charges captured while probing a plan rotation (reused).
-    probe_journal: Vec<ProbeCharge>,
-    /// End-of-cycle buffer occupancy pattern from the probe (reused).
-    probe_buffer: Vec<usize>,
-    /// Whether [`step`](Self::step) is journaling its disk charges.
-    probe_recording: bool,
+    /// Reused storage for the cycles of one plan rotation as the
+    /// scheduler states them while
+    /// [`advance_quiescent`](Self::advance_quiescent) skips them.
+    steady: Vec<SteadyCycle>,
 }
 
 impl<S: SchemeScheduler> Simulator<S> {
@@ -210,9 +162,7 @@ impl<S: SchemeScheduler> Simulator<S> {
             rebuild_reads: Vec::new(),
             slots_per_cycle,
             step_mode: StepMode::default(),
-            probe_journal: Vec::new(),
-            probe_buffer: Vec::new(),
-            probe_recording: false,
+            steady: Vec::new(),
         }
     }
 
@@ -421,9 +371,6 @@ impl<S: SchemeScheduler> Simulator<S> {
                 let tracks = reads.len();
                 let time = self.disks.disk_mut(disk)?.read_tracks(tracks, t_cyc)?;
                 self.metrics.disk_busy += time;
-                if self.probe_recording {
-                    self.probe_journal.push(ProbeCharge { disk, tracks, time });
-                }
             }
             report.tracks_read = self.plan.total_reads();
         }
@@ -565,151 +512,96 @@ impl<S: SchemeScheduler> Simulator<S> {
     ///
     /// The scheduler reports via
     /// [`plan_stability`](SchemeScheduler::plan_stability) how many
-    /// future cycles its plan is a pure function of the cycle index
-    /// (only when fully healthy — degraded stretches always step cycle
-    /// by cycle). One full plan rotation is then *probed* with real
-    /// [`step`](Self::step)s while journaling every disk charge; if the
-    /// probe stayed quiescent (plan epoch unchanged, no finishes,
-    /// hiccups, or rebuild activity), each remaining whole rotation in
-    /// the stretch is applied in closed form: the journal is replayed
-    /// per rotation (bit-for-bit identical float accumulation into
-    /// `disk_busy` and the per-disk stats), integer metrics advance by
-    /// the probed per-rotation deltas, the buffer series replays the
-    /// probed occupancy pattern, and the scheduler bulk-advances with
-    /// [`fast_forward`](SchemeScheduler::fast_forward).
+    /// future cycles are steady-state cycles (only when fully healthy —
+    /// degraded stretches always step cycle by cycle), and for each of
+    /// them *states* what it does
+    /// ([`steady_cycle`](SchemeScheduler::steady_cycle)): tracks read per
+    /// disk, tracks delivered, buffer occupancy. Every stated cycle is
+    /// applied in closed form, in cycle order and within a cycle in
+    /// ascending disk order — the order [`step`](Self::step) charges
+    /// in, with the service time `step` would compute, so `disk_busy`
+    /// and the per-disk stats accumulate the same f64 sequence and land
+    /// bit-for-bit where a per-cycle run puts them. The buffer series
+    /// gets one point per cycle, integer metrics advance by sums, and
+    /// the scheduler bulk-advances with
+    /// [`fast_forward`](SchemeScheduler::fast_forward). A window may be
+    /// any length, and opens on the cycle after an admission.
     ///
     /// The stretch never crosses the next scheduled failure/repair
     /// event, and the fast path disables itself whenever a per-cycle
     /// observer is active: plan-trace retention, `Debug`-level
-    /// telemetry, or an in-progress rebuild. Telemetry for skipped
-    /// rotations is aggregated into the same `sim.*` counters at the
-    /// stretch boundary; in Verified mode the probe rotation verifies
-    /// every delivery and `verified` is extrapolated for the skipped
-    /// repetitions of the identical plan.
+    /// telemetry, an in-progress rebuild, or the verification oracle (a
+    /// skipped delivery would never be byte-checked). Telemetry for
+    /// skipped cycles is aggregated into the same `sim.*` counters at the
+    /// stretch boundary.
     pub fn advance_quiescent(&mut self, limit: u64) -> Result<u64, SimError> {
-        if self.trace_limit > 0
-            || mms_telemetry::enabled(Level::Debug)
+        let start = self.cycle;
+        let horizon = self.failures.peek().map_or(limit, |due| limit.min(due));
+        if horizon <= start
+            || self.trace_limit > 0
+            || self.oracle.is_some()
             || !self.rebuilds.active().is_empty()
+            || mms_telemetry::enabled(Level::Debug)
         {
             return Ok(0);
         }
-        let start = self.cycle;
-        let mut horizon = limit;
-        if let Some(due) = self.failures.peek() {
-            if due <= start {
-                return Ok(0);
-            }
-            horizon = horizon.min(due);
-        }
-        if horizon <= start {
-            return Ok(0);
-        }
         let PlanStability { period, stable } = self.scheduler.plan_stability(start);
-        if period == 0 || stable == 0 {
-            return Ok(0);
-        }
         let end = horizon.min(start.saturating_add(stable));
-        let span = end - start;
-        // One rotation is probed for real; at least one more must be
-        // skippable for the closed form to pay for itself.
-        if span < 2 * period {
-            return Ok(0);
-        }
-
-        let epoch = self.scheduler.plan_epoch();
-        let snap = MetricSnap::of(&self.metrics);
-        self.probe_journal.clear();
-        self.probe_buffer.clear();
-        self.probe_recording = true;
-        for _ in 0..period {
-            match self.step() {
-                Ok(report) => self.probe_buffer.push(report.buffer_in_use),
-                Err(e) => {
-                    self.probe_recording = false;
-                    return Err(e);
+        let (mut tracks_read, mut delivered) = (0u64, 0u64);
+        while self.cycle < end {
+            // The pattern repeats with `period`: a window's first
+            // rotation is stated, the rest of it says the same again.
+            let lap = self.cycle - start;
+            let slot = (lap % period) as usize;
+            if lap < period {
+                if slot == self.steady.len() {
+                    self.steady.push(SteadyCycle::default());
+                }
+                if !self
+                    .scheduler
+                    .steady_cycle(self.cycle, &mut self.steady[slot])
+                {
+                    break;
                 }
             }
-        }
-        self.probe_recording = false;
-
-        // Validate the probe stayed quiescent. If anything moved, the
-        // probed cycles still ran for real, so the probe itself is the
-        // (correct) progress and the caller resumes per-cycle stepping.
-        // `reconstructed` must be flat too: right after a repair, groups
-        // that were *read* degraded still drain from stream buffers with
-        // their reconstruction flag set, and that residue decays from
-        // rotation to rotation — extrapolating it would overcount. A
-        // truly steady healthy rotation reconstructs nothing.
-        let quiet = self.scheduler.plan_epoch() == epoch
-            && self.rebuilds.active().is_empty()
-            && self.metrics.reconstructed == snap.reconstructed
-            && self.metrics.streams_finished == snap.streams_finished
-            && self.metrics.catastrophes == snap.catastrophes
-            && self.metrics.service_degradations == snap.service_degradations
-            && self.metrics.hiccups_failed_disk == snap.hiccups_failed_disk
-            && self.metrics.hiccups_displaced == snap.hiccups_displaced
-            && self.metrics.hiccups_mid_cycle == snap.hiccups_mid_cycle
-            && self.metrics.rebuild_reads == snap.rebuild_reads
-            && self.metrics.rebuilds_completed == snap.rebuilds_completed;
-        if !quiet {
-            return Ok(period);
-        }
-        let reps = (span - period) / period;
-        if reps == 0 {
-            return Ok(period);
-        }
-        let skipped = reps * period;
-
-        // Replay the probed charges once per skipped rotation: repeated
-        // addition of the identical f64 service times reproduces the
-        // exact accumulation order of per-cycle stepping, so
-        // `disk_busy` and the per-disk stats land bit-for-bit where a
-        // real run would put them; the buffer series replays the probed
-        // end-of-cycle occupancy pattern.
-        for _ in 0..reps {
-            for charge in &self.probe_journal {
-                self.disks
-                    .disk_mut(charge.disk)?
-                    .replay_read(charge.tracks, charge.time);
-                self.metrics.disk_busy += charge.time;
+            let steady = &self.steady[slot];
+            for &(disk, tracks) in &steady.reads {
+                let disk = self.disks.disk_mut(disk)?;
+                let time = disk.params().service_time(tracks);
+                disk.replay_read(tracks, time);
+                self.metrics.disk_busy += time;
+                tracks_read += tracks as u64;
             }
-            for &occupancy in &self.probe_buffer {
-                self.metrics.buffer_series.push(occupancy);
-            }
+            delivered += steady.delivered as u64;
+            self.metrics.buffer_peak = self.metrics.buffer_peak.max(steady.buffer_peak);
+            self.metrics.buffer_series.push(steady.buffer_in_use);
+            self.cycle += 1;
         }
-        let d_tracks = self.metrics.tracks_read - snap.tracks_read;
-        let d_delivered = self.metrics.delivered - snap.delivered;
-        let d_reconstructed = self.metrics.reconstructed - snap.reconstructed;
-        let d_verified = self.metrics.verified - snap.verified;
-        self.metrics.cycles += skipped;
-        self.metrics.tracks_read += reps * d_tracks;
-        self.metrics.delivered += reps * d_delivered;
-        self.metrics.reconstructed += reps * d_reconstructed;
-        self.metrics.verified += reps * d_verified;
+        let skipped = self.cycle - start;
+        if skipped == 0 {
+            return Ok(0);
+        }
+        let last = &self.steady[((skipped - 1) % period) as usize];
+        let buffer_in_use = last.buffer_in_use;
         self.scheduler.fast_forward(skipped);
-        self.cycle += skipped;
+        self.metrics.cycles += skipped;
+        self.metrics.tracks_read += tracks_read;
+        self.metrics.delivered += delivered;
 
-        // Aggregate the skipped rotations' telemetry at the boundary.
+        // Aggregate the skipped cycles' telemetry at the boundary.
         let scheme = self.scheduler.scheme().abbrev();
         counter!("sim.cycles", skipped, scheme = scheme);
-        counter!("sim.tracks_read", reps * d_tracks, scheme = scheme);
-        counter!("sim.delivered", reps * d_delivered, scheme = scheme);
-        counter!("sim.reconstructed", reps * d_reconstructed, scheme = scheme);
-        counter!("sim.verified", reps * d_verified, scheme = scheme);
-        gauge!(
-            "sim.buffer_in_use",
-            self.probe_buffer.last().copied().unwrap_or(0) as f64,
-            scheme = scheme
-        );
+        counter!("sim.tracks_read", tracks_read, scheme = scheme);
+        counter!("sim.delivered", delivered, scheme = scheme);
+        gauge!("sim.buffer_in_use", buffer_in_use as f64, scheme = scheme);
         event!(
             Level::Info,
             "fast_forward",
             from = start,
-            cycles = period + skipped,
-            period = period,
+            cycles = skipped,
             scheme = scheme
         );
-        Ok(period + skipped)
+        Ok(skipped)
     }
 
     /// Simulate `cycles` cycles.
@@ -846,6 +738,20 @@ mod tests {
     use rand::SeedableRng;
 
     fn build(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler> {
+        build_in(DataMode::Verified { track_bytes: 256 }, disks, c, tracks)
+    }
+
+    /// Metadata only: the one data mode the event horizon opens in.
+    fn build_unverified(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler> {
+        build_in(DataMode::MetadataOnly, disks, c, tracks)
+    }
+
+    fn build_in(
+        mode: DataMode,
+        disks: usize,
+        c: usize,
+        tracks: u64,
+    ) -> Simulator<GroupedScheduler> {
         let geo = Geometry::clustered(disks, c).unwrap();
         let layout = ClusteredLayout::new(geo);
         let mut catalog = Catalog::new(layout, 1_000_000);
@@ -865,13 +771,7 @@ mod tests {
             c - 1,
         );
         let sched = GroupedScheduler::new(cfg, catalog);
-        Simulator::new(
-            sched,
-            DiskParams::paper_table1(),
-            disks,
-            DataMode::Verified { track_bytes: 256 },
-            dir,
-        )
+        Simulator::new(sched, DiskParams::paper_table1(), disks, mode, dir)
     }
 
     #[test]
@@ -1164,7 +1064,7 @@ mod tests {
     #[test]
     fn event_horizon_matches_cycle_by_cycle_exactly() {
         let run = |mode: StepMode| {
-            let mut sim = build(10, 5, 400);
+            let mut sim = build_unverified(10, 5, 400);
             sim.set_step_mode(mode);
             sim.admit(ObjectId(0)).unwrap();
             sim.run(150).unwrap();
@@ -1179,7 +1079,7 @@ mod tests {
     #[test]
     fn event_horizon_matches_under_failures() {
         let run = |mode: StepMode| {
-            let mut sim = build(10, 5, 400);
+            let mut sim = build_unverified(10, 5, 400);
             sim.set_step_mode(mode);
             sim.admit(ObjectId(0)).unwrap();
             sim.set_failures(FailureSchedule::fail_and_repair(30, 60, DiskId(1)));
@@ -1195,7 +1095,7 @@ mod tests {
     #[test]
     fn event_horizon_matches_workload_runs() {
         let run = |mode: StepMode| {
-            let mut sim = build(10, 5, 40);
+            let mut sim = build_unverified(10, 5, 40);
             sim.set_step_mode(mode);
             let workload = WorkloadGen::new(vec![ObjectId(0)], 0.0, 0.05);
             let mut rng = crate::workload::SplitMix64::new(1995);
@@ -1213,7 +1113,7 @@ mod tests {
         use crate::workload::{AdmissionPolicy, ArrivalProcess, SessionEngine, SplitMix64};
 
         let run = |mode: StepMode| {
-            let mut sim = build(10, 5, 200);
+            let mut sim = build_unverified(10, 5, 200);
             sim.set_step_mode(mode);
             let mut engine = SessionEngine::new(
                 vec![(ObjectId(0), 50)],
@@ -1240,6 +1140,48 @@ mod tests {
         let fast = run(StepMode::EventHorizon);
         assert!(slow.1 > 0, "sessions must be offered");
         assert_eq!(slow, fast);
+    }
+
+    #[test]
+    fn a_window_opens_the_cycle_after_an_admission_and_may_be_any_length() {
+        let mut sim = build_unverified(10, 5, 400);
+        sim.admit(ObjectId(0)).unwrap();
+        assert_eq!(sim.advance_quiescent(50).unwrap(), 0, "warm-up cycle");
+        sim.step().unwrap();
+        // One cycle, then a stretch that is no multiple of the two-cluster
+        // rotation, then up to the final-group read at cycle 99.
+        assert_eq!(sim.advance_quiescent(2).unwrap(), 1);
+        assert_eq!(sim.advance_quiescent(9).unwrap(), 7);
+        sim.admit(ObjectId(0)).unwrap();
+        sim.step().unwrap();
+        assert_eq!(sim.advance_quiescent(1_000).unwrap(), 89);
+        assert_eq!(sim.cycle(), 99);
+        let mut stepped = build_unverified(10, 5, 400);
+        stepped.admit(ObjectId(0)).unwrap();
+        stepped.run(9).unwrap();
+        stepped.admit(ObjectId(0)).unwrap();
+        stepped.run(90).unwrap();
+        assert_eq!(observe(&sim), observe(&stepped));
+    }
+
+    #[test]
+    fn the_horizon_stays_shut_while_deliveries_are_verified() {
+        // Nothing skipped means nothing extrapolated: `verified ==
+        // delivered` says the oracle saw every delivered track, one
+        // generator pass each on a healthy array.
+        crate::verify::counted::take_passes();
+        let mut sim = build(10, 5, 400);
+        sim.set_step_mode(StepMode::EventHorizon);
+        sim.admit(ObjectId(0)).unwrap();
+        sim.step().unwrap();
+        assert_eq!(sim.advance_quiescent(50).unwrap(), 0);
+        sim.run(60).unwrap();
+        let m = sim.metrics();
+        assert_eq!((m.cycles, m.delivered, m.verified), (61, 240, 240));
+        assert_eq!(
+            u64::from(crate::verify::counted::take_passes()),
+            m.delivered
+        );
     }
 
     #[test]

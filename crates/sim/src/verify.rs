@@ -358,7 +358,7 @@ impl BlockOracle {
 /// The generator kernels behind a per-thread pass counter, so a test
 /// can assert how many times a delivery ran the generator.
 #[cfg(test)]
-mod counted {
+pub(crate) mod counted {
     use std::cell::Cell;
 
     thread_local! {

@@ -5,24 +5,29 @@
 //! schedulers (the four server schemes plus the grouped and unprotected
 //! baseline schedulers at the `Simulator` level).
 //!
-//! `Op::Run(1)` is over-weighted so the horizon-1 degeneracy — a limit
-//! one cycle away, where the fast path must decline and fall back to a
-//! plain step — is exercised in nearly every script.
+//! `Op::Run(1)` is over-weighted so the horizon-1 case — a limit one
+//! cycle away — is exercised in nearly every script. A window may be any
+//! length and opens on the cycle after an admission, so the fast path
+//! *takes* that one cycle: whenever a run starts inside a stability
+//! window whose cycles the scheduler vouches for, the event-horizon copy
+//! must have skipped something, `Run(1)` included.
 
 use ft_media_server::disk::{Bandwidth, DiskId, DiskParams};
 use ft_media_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
+use ft_media_server::sched::SteadyCycle;
 use ft_media_server::sched::{
     BaselineScheduler, CycleConfig, GroupedScheduler, SchemeScheduler, StreamId,
 };
 use ft_media_server::sim::{DataMode, FailureEvent, Metrics, ObjectDirectory, Simulator, StepMode};
+use ft_media_server::telemetry::{Level, Recorder, Value};
 use ft_media_server::{MultimediaServer, Scheme, ServerBuilder};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Advance the clock; `Run(1)` is the horizon-1 degeneracy.
+    /// Advance the clock; `Run(1)` is a limit one cycle away.
     Run(u64),
     /// Admit a viewer on the catalog object at this index (mod catalog).
     Admit(u8),
@@ -37,7 +42,7 @@ enum Op {
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         // The vendored `prop_oneof!` is unweighted; repeated entries
-        // skew the mix toward clock advances and the Run(1) degeneracy.
+        // skew the mix toward clock advances and one-cycle runs.
         prop_oneof![
             (1u64..=40).prop_map(Op::Run),
             (1u64..=40).prop_map(Op::Run),
@@ -78,16 +83,62 @@ fn observe(m: &Metrics, cycle: u64) -> (u64, Vec<u64>, u64, usize) {
     )
 }
 
+/// Cycles the fast path skipped since the last call, summed from the
+/// `fast_forward` events an `Info`-level recorder collected.
+fn take_skipped(recorder: &Recorder) -> u64 {
+    let cycles = |e: &ft_media_server::telemetry::EventRecord| match e.field("cycles") {
+        Some(&Value::U64(n)) => n,
+        other => panic!("fast_forward event without a cycle count: {other:?}"),
+    };
+    recorder
+        .take_events()
+        .iter()
+        .filter(|e| e.name == "fast_forward")
+        .map(cycles)
+        .sum()
+}
+
+/// Does the scheduler stand in a stability window whose first cycle it
+/// vouches for?
+fn window_open<S: SchemeScheduler>(scheduler: &S, cycle: u64) -> bool {
+    scheduler.plan_stability(cycle).stable > 0
+        && scheduler.steady_cycle(cycle, &mut SteadyCycle::default())
+}
+
+/// A run that starts inside an open window must be taken by the fast
+/// path — at any length, one cycle included — and never by the stepper.
+fn check_taken(mode: StepMode, open: bool, skipped: u64, what: &str) {
+    match mode {
+        StepMode::CycleByCycle => assert_eq!(skipped, 0, "{what}: the stepper skipped"),
+        StepMode::EventHorizon => {
+            assert!(!open || skipped > 0, "{what}: an open window was stepped")
+        }
+    }
+}
+
 /// Run a script against a server, recording each op's outcome so the
 /// two step modes can be compared decision by decision, not just on
 /// final metrics.
 fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<String> {
+    let recorder = Recorder::new(Level::Info);
+    let _guard = recorder.install();
     let mut live: Vec<StreamId> = Vec::new();
     let mut down: Option<DiskId> = None;
+    // An injected event fires on the next step, which the run must take.
+    let mut event_due = false;
     let mut trace = Vec::new();
     for op in ops {
         match op {
-            Op::Run(n) => server.run(*n).expect("run never fails without data loss"),
+            Op::Run(n) => {
+                let scheduler = server.simulator().scheduler();
+                let open = !event_due && window_open(scheduler, server.cycle());
+                take_skipped(&recorder);
+                server.run(*n).expect("run never fails without data loss");
+                let scheme = server.simulator().scheduler().scheme();
+                let what = format!("{scheme:?} run {n} at {}", server.cycle());
+                check_taken(server.step_mode(), open, take_skipped(&recorder), &what);
+                event_due = false;
+            }
             Op::Admit(i) => {
                 let obj = server.objects()[*i as usize % server.objects().len()];
                 match server.admit(obj) {
@@ -113,6 +164,7 @@ fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<St
                     trace.push(format!("fail {disk:?} {ok}"));
                     if ok {
                         down = Some(disk);
+                        event_due = true;
                     }
                 }
             }
@@ -122,6 +174,7 @@ fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<St
                         .inject(FailureEvent::repair(server.cycle(), disk))
                         .is_ok();
                     trace.push(format!("repair {disk:?} {ok}"));
+                    event_due |= ok;
                 }
             }
         }
@@ -131,12 +184,20 @@ fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<St
 
 /// Same script driver for a bare `Simulator` (grouped / baseline).
 fn drive_sim<S: SchemeScheduler>(sim: &mut Simulator<S>, ops: &[Op], disks: u32) -> Vec<String> {
+    let recorder = Recorder::new(Level::Info);
+    let _guard = recorder.install();
     let mut live: Vec<StreamId> = Vec::new();
     let mut down: Option<DiskId> = None;
     let mut trace = Vec::new();
     for op in ops {
         match op {
-            Op::Run(n) => sim.run(*n).expect("run never fails without data loss"),
+            Op::Run(n) => {
+                let open = window_open(sim.scheduler(), sim.cycle());
+                take_skipped(&recorder);
+                sim.run(*n).expect("run never fails without data loss");
+                let what = format!("run {n} at {}", sim.cycle());
+                check_taken(sim.step_mode(), open, take_skipped(&recorder), &what);
+            }
             Op::Admit(_) => match sim.admit(ObjectId(0)) {
                 Ok(id) => {
                     live.push(id);
@@ -274,6 +335,51 @@ proptest! {
             observe(slow.metrics(), slow.cycle()),
             observe(fast.metrics(), fast.cycle()),
             "baseline: observables diverged"
+        );
+    }
+}
+
+/// The window opens on the cycle after an admission — not a rotation
+/// later — is taken at any length, and re-opens once a released stream
+/// has drained. Staggered-group and Non-clustered have the long
+/// rotation (8 cycles here) that used to swallow such windows whole.
+#[test]
+fn a_window_opens_on_the_cycle_after_an_admission_and_after_a_release_drains() {
+    for scheme in [Scheme::StaggeredGroup, Scheme::NonClustered] {
+        let mut server = build_server(scheme, StepMode::EventHorizon);
+        let recorder = Recorder::new(Level::Info);
+        let _guard = recorder.install();
+        let run = |server: &mut MultimediaServer, cycles: u64| {
+            server.run(cycles).expect("healthy run");
+            take_skipped(&recorder)
+        };
+        let long = server.objects()[1];
+        server.admit(long).expect("empty server admits");
+        assert_eq!(
+            run(&mut server, 1),
+            0,
+            "{scheme:?}: a warm-up cycle is planned"
+        );
+        assert_eq!(run(&mut server, 1), 1, "{scheme:?}: a limit one cycle away");
+        assert_eq!(run(&mut server, 5), 5, "{scheme:?}: less than a rotation");
+        let second = server.admit(long).expect("room for two");
+        assert_eq!(run(&mut server, 1), 0, "{scheme:?}: the newcomer's warm-up");
+        assert_eq!(
+            run(&mut server, 1),
+            1,
+            "{scheme:?}: the cycle after an admission"
+        );
+        // Two cycles into its first group: the rest of it drains.
+        assert!(server.release(second));
+        assert_eq!(
+            run(&mut server, 1),
+            0,
+            "{scheme:?}: a released stream drains"
+        );
+        let skipped = run(&mut server, 12);
+        assert!(
+            (6..12).contains(&skipped),
+            "{scheme:?}: skipped {skipped} of 12"
         );
     }
 }
