@@ -510,6 +510,32 @@ impl NonClusteredScheduler {
         ));
     }
 
+    /// Transition marks are consulted once — `suppressed` when block
+    /// (g, i) would be read at `start + g·bpg + i`, `reconstructions`
+    /// when it is delivered the cycle after. One whose moment has passed,
+    /// or whose stream has retired or been truncated short of it, only
+    /// keeps `plan_stability` shut: drop it. That matters once every
+    /// cluster is healthy again — a degraded one keeps the window shut
+    /// anyway — so the sets are left alone (and keep their storage) while
+    /// a transition is still adding to them.
+    fn drop_spent_marks(&mut self) {
+        if !self.degraded.is_empty()
+            || (self.suppressed.is_empty() && self.reconstructions.is_empty())
+        {
+            return;
+        }
+        let (streams, bpg) = (&self.streams, self.bpg());
+        let pending = |&(id, g, i): &(StreamId, u64, u32), lag: u64| {
+            streams.find(id).is_some_and(|ix| {
+                let s = streams.slot(ix);
+                let due = s.start_cycle + g * bpg + u64::from(i) + lag;
+                g < s.groups && due >= streams.next_cycle()
+            })
+        };
+        self.suppressed.retain(|mark| pending(mark, 0));
+        self.reconstructions.retain(|mark| pending(mark, 1));
+    }
+
     /// Fully-normal mode: no degraded cluster, no transition debris in
     /// flight, and nothing buffered ahead but last cycle's reads — one
     /// pending free per stream, due when the next cycle ends.
@@ -915,22 +941,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
             }
         }
-        // Transition marks are consulted once — `suppressed` when block
-        // (g, i) would be read at `start + g·bpg + i`, `reconstructions`
-        // when it is delivered the cycle after. One whose moment has
-        // passed, or whose stream has retired or been truncated short of
-        // it, only keeps `plan_stability` shut: drop it.
-        if !self.suppressed.is_empty() || !self.reconstructions.is_empty() {
-            let streams = &self.streams;
-            let pending = |&(id, g, i): &(StreamId, u64, u32), lag: u64| {
-                streams.find(id).is_some_and(|ix| {
-                    let s = streams.slot(ix);
-                    g < s.groups && s.start_cycle + g * bpg + u64::from(i) + lag > cycle
-                })
-            };
-            self.suppressed.retain(|mark| pending(mark, 0));
-            self.reconstructions.retain(|mark| pending(mark, 1));
-        }
+        self.drop_spent_marks();
         self.streams.compact();
     }
 
@@ -1063,6 +1074,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 d.also_failed &= !(1u128 << pos);
             }
         }
+        self.drop_spent_marks();
     }
 
     fn buffer_in_use(&self) -> usize {
