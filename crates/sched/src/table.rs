@@ -25,6 +25,7 @@ use crate::streams::{StreamId, StreamInfo};
 use crate::traits::{AdmissionError, RetireError, SteadyCycle};
 use mms_buffer::{BufferError, BufferPool, OwnerId};
 use mms_layout::{Catalog, ClusterId, Geometry, Layout, ObjectId};
+use std::cell::Cell;
 
 /// Where an object sits on the disks and how long it is — what
 /// admission copies out of the catalog so planning never goes back to
@@ -120,12 +121,35 @@ pub struct StreamTable<S> {
     next_stream: u64,
     next_cycle: u64,
     epoch: u64,
-    /// Latest start cycle and earliest final-group read over the live
-    /// streams, so [`stable_window`](Self::stable_window) is a lookup:
-    /// admission and truncation can only move them one way, and a
-    /// retirement recomputes them in the pass that compacts the slab.
+    /// Bounds of the stability window over the live streams, so
+    /// [`stable_window`](Self::stable_window) is a lookup between
+    /// changes: admission and truncation can only tighten them; a
+    /// retirement forgets them and the next query walks the table once.
+    /// (A driver that never asks — the fleet steps cycle by cycle —
+    /// pays nothing for them.)
+    window: Cell<Option<Window>>,
+}
+
+/// What bounds a stability window: no stream may be starting (the latest
+/// start cycle) and none may reach its final-group read (the earliest).
+#[derive(Debug, Clone, Copy)]
+struct Window {
     latest_start: u64,
     earliest_final: u64,
+}
+
+impl Window {
+    const OPEN: Window = Window {
+        latest_start: 0,
+        earliest_final: u64::MAX,
+    };
+
+    /// Tighten the bounds for a stream starting at `start` that reads
+    /// `groups` groups, one every `period` cycles.
+    fn cover(&mut self, start: u64, groups: u64, period: u64) {
+        self.latest_start = self.latest_start.max(start);
+        self.earliest_final = self.earliest_final.min(start + (groups - 1) * period);
+    }
 }
 
 impl<S> StreamTable<S> {
@@ -143,8 +167,7 @@ impl<S> StreamTable<S> {
             next_stream: 0,
             next_cycle: 0,
             epoch: 0,
-            latest_start: 0,
-            earliest_final: u64::MAX,
+            window: Cell::new(Some(Window::OPEN)),
         }
     }
 
@@ -219,10 +242,7 @@ impl<S> StreamTable<S> {
         self.next_stream += 1;
         self.epoch += 1;
         self.live += 1;
-        self.latest_start = self.latest_start.max(at_cycle);
-        self.earliest_final = self
-            .earliest_final
-            .min(at_cycle + (placement.groups - 1) * self.read_period);
+        self.tighten_window(at_cycle, placement.groups);
         self.slots.push(Slot {
             id,
             object: placement.object,
@@ -326,19 +346,15 @@ impl<S> StreamTable<S> {
     pub fn compact(&mut self) {
         if self.live != self.slots.len() {
             self.slots.retain(|s| s.live);
-            self.rescan_window();
+            self.window.set(None);
         }
     }
 
-    /// Recompute the cached bounds of the stability window after streams
-    /// have left the table.
-    fn rescan_window(&mut self) {
-        (self.latest_start, self.earliest_final) = (0, u64::MAX);
-        for s in &self.slots {
-            self.latest_start = self.latest_start.max(s.start_cycle);
-            self.earliest_final = self
-                .earliest_final
-                .min(s.start_cycle + (s.groups - 1) * self.read_period);
+    /// Tighten the remembered window bounds, if they are remembered, for
+    /// a stream that now starts at `start` and reads `groups` groups.
+    fn tighten_window(&mut self, start: u64, groups: u64) {
+        if let Some(window) = self.window.get_mut() {
+            window.cover(start, groups, self.read_period);
         }
     }
 
@@ -384,14 +400,13 @@ impl<S> StreamTable<S> {
             .div_ceil(self.read_period);
         if read > 0 {
             slot.groups = slot.groups.min(read);
-            let final_read = slot.start_cycle + (slot.groups - 1) * self.read_period;
-            self.earliest_final = self.earliest_final.min(final_read);
+            let (start, groups) = (slot.start_cycle, slot.groups);
+            self.tighten_window(start, groups);
             return Released::Draining;
         }
         self.retire(ix);
-        let state = self.slots.remove(ix).state;
-        self.rescan_window();
-        Released::Retired(state)
+        self.window.set(None);
+        Released::Retired(self.slots.remove(ix).state)
     }
 
     /// Retire `object` from `catalog` (the purge path), refusing while
@@ -417,12 +432,20 @@ impl<S> StreamTable<S> {
     /// be partial, so the window ends strictly before it).
     #[must_use]
     pub fn stable_window(&self, cycle: u64) -> u64 {
+        let window = self.window.get().unwrap_or_else(|| {
+            let mut window = Window::OPEN;
+            for s in self.iter() {
+                window.cover(s.start_cycle, s.groups, self.read_period);
+            }
+            self.window.set(Some(window));
+            window
+        });
         if self.live == 0 {
             u64::MAX
-        } else if cycle <= self.latest_start {
+        } else if cycle <= window.latest_start {
             0
         } else {
-            self.earliest_final.saturating_sub(cycle)
+            window.earliest_final.saturating_sub(cycle)
         }
     }
 
