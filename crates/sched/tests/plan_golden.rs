@@ -925,6 +925,5 @@ fn stated_cycles_and_skips_agree_with_planning_on_every_script() {
         );
         // Only fixtures that fail disks mid-flight or prefetch ever decline.
         assert!(reached.declined < reached.stated, "{kind:?}: {reached:?}");
-        eprintln!("{kind:?}: {reached:?}");
     }
 }
