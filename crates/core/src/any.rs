@@ -1,19 +1,21 @@
 //! Scheme-erased scheduler.
 
 use mms_disk::DiskId;
-use mms_layout::{Catalog, Layout, ObjectId};
+use mms_layout::{Catalog, ClusteredLayout, ImprovedLayout, Layout, ObjectId};
 use mms_sched::{
-    AdmissionError, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
-    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, SteadyCycle, StreamId,
-    StreamInfo,
+    AdmissionError, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, NonClusteredScheduler,
+    PlanStability, SchemeKind, SchemeScheduler, SteadyCycle, StreamId, StreamInfo,
 };
 
 /// A scheduler for any of the four schemes, so [`crate::MultimediaServer`]
 /// is a single concrete type.
 ///
-/// Three variants serve four schemes: Streaming RAID and Staggered-group
-/// are the whole-group scheduler at `k′ = C−1` and `k′ = 1`
-/// ([`SchemeScheduler::scheme`] tells them apart).
+/// Two scheduler types serve four schemes: Streaming RAID and
+/// Staggered-group are the whole-group scheduler at `k′ = C−1` and
+/// `k′ = 1` ([`SchemeScheduler::scheme`] tells them apart), and
+/// Improved-bandwidth is the same scheduler over the layout that keeps
+/// parity on the next cluster — a variant of its own only because the
+/// layout is a type parameter.
 ///
 /// An enum (rather than `Box<dyn SchemeScheduler>`) keeps the concrete
 /// schedulers inspectable — e.g. the Non-clustered buffer-server pool —
@@ -21,11 +23,11 @@ use mms_sched::{
 #[derive(Debug)]
 pub enum AnyScheduler {
     /// Streaming RAID or Staggered-group, by the `k′` of its config.
-    Grouped(GroupedScheduler),
+    Grouped(GroupedScheduler<ClusteredLayout>),
     /// Non-clustered with buffer pool.
     NonClustered(NonClusteredScheduler),
     /// Improved-bandwidth.
-    Improved(ImprovedScheduler),
+    Improved(GroupedScheduler<ImprovedLayout>),
 }
 
 macro_rules! delegate {
@@ -39,16 +41,12 @@ macro_rules! delegate {
 }
 
 /// [`AnyScheduler::rebuild_spec`] over any layout's catalog.
-fn parity_rebuild<L: Layout>(
-    catalog: &Catalog<L>,
-    disk: DiskId,
-    parity_on_next_cluster: bool,
-) -> (Vec<DiskId>, u64) {
+fn parity_rebuild<L: Layout>(catalog: &Catalog<L>, disk: DiskId) -> (Vec<DiskId>, u64) {
     let geo = catalog.layout().geometry();
     let cluster = geo.cluster_of(disk);
     let mut sources = geo.cluster_disks(cluster);
     sources.retain(|&d| d != disk);
-    if parity_on_next_cluster {
+    if !geo.has_parity_disk() {
         sources.extend(geo.cluster_disks(geo.next_cluster(cluster)));
     }
     (sources, catalog.blocks_on_disk(disk).len() as u64)
@@ -66,7 +64,7 @@ impl AnyScheduler {
 
     /// The Improved-bandwidth scheduler, if that is the configured scheme.
     #[must_use]
-    pub fn as_improved(&self) -> Option<&ImprovedScheduler> {
+    pub fn as_improved(&self) -> Option<&GroupedScheduler<ImprovedLayout>> {
         match self {
             AnyScheduler::Improved(s) => Some(s),
             _ => None,
@@ -75,13 +73,12 @@ impl AnyScheduler {
 
     /// Source disks and track count for rebuilding `disk` from parity:
     /// the other disks of its cluster (whose surviving group members and
-    /// parity XOR back to the lost contents), plus — for the improved
-    /// layout — the next cluster's disks, which host this cluster's
-    /// parity blocks.
+    /// parity XOR back to the lost contents), plus — for a layout without
+    /// a dedicated parity disk — the next cluster's disks, which host this
+    /// cluster's parity blocks.
     #[must_use]
     pub fn rebuild_spec(&self, disk: DiskId) -> (Vec<DiskId>, u64) {
-        let parity_on_next_cluster = matches!(self, AnyScheduler::Improved(_));
-        delegate!(self, s => parity_rebuild(s.catalog(), disk, parity_on_next_cluster))
+        delegate!(self, s => parity_rebuild(s.catalog(), disk))
     }
 }
 

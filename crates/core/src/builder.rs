@@ -8,9 +8,7 @@ use mms_layout::{
     BandwidthClass, Catalog, CatalogError, ClusteredLayout, Geometry, GeometryError,
     ImprovedLayout, MediaObject, ObjectId,
 };
-use mms_sched::{
-    CycleConfig, GroupedScheduler, ImprovedScheduler, NonClusteredScheduler, TransitionPolicy,
-};
+use mms_sched::{CycleConfig, GroupedScheduler, NonClusteredScheduler, TransitionPolicy};
 use mms_sim::{DataMode, ObjectDirectory, Simulator, StepMode};
 use std::fmt;
 
@@ -269,7 +267,8 @@ impl ServerBuilder {
                     catalog.add(o)?;
                 }
                 let cfg = CycleConfig::new(self.disk_params, b0, k, k_prime);
-                let mut sched = ImprovedScheduler::new(cfg, catalog, self.ib_reserved_slots);
+                let mut sched =
+                    GroupedScheduler::with_reserve(cfg, catalog, self.ib_reserved_slots);
                 sched.set_parity_prefetch(self.ib_parity_prefetch);
                 AnyScheduler::Improved(sched)
             }

@@ -68,7 +68,6 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
     let g = CallGraph::build(&ws);
     let planners = [
         "NonClusteredScheduler",
-        "ImprovedScheduler",
         "GroupedScheduler",
         "BaselineScheduler",
     ]

@@ -8,8 +8,8 @@
 
 use crate::test_support::plan_cycle;
 use crate::{
-    CycleConfig, CyclePlan, GroupedScheduler, ImprovedScheduler, NonClusteredScheduler,
-    SchemeScheduler, TransitionPolicy,
+    CycleConfig, CyclePlan, GroupedScheduler, NonClusteredScheduler, SchemeScheduler,
+    TransitionPolicy,
 };
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{
@@ -76,14 +76,16 @@ fn churn<S: SchemeScheduler>(s: &mut S, footprint: impl Fn(&S) -> Vec<(usize, us
 }
 
 /// The whole-group scheduler keeps a group's fault state in the stream's
-/// slot and has no pool to bound; what 100,000 lifecycles must leave
-/// behind here is every buffer and every admission slot.
+/// slot, and over a dedicated parity disk never touches the cascade's
+/// scratch; what 100,000 lifecycles must leave behind here is every
+/// buffer and every admission slot.
 #[test]
 fn grouped_churn_returns_every_buffer_and_admission_slot() {
     for k_prime in [4, 2, 1] {
         let layout = ClusteredLayout::new(Geometry::clustered(10, 5).unwrap());
         let mut s = GroupedScheduler::new(config(4, k_prime), catalog(layout));
-        let mut cycle = churn(&mut s, |_| Vec::new());
+        let mut cycle = churn(&mut s, GroupedScheduler::scratch_footprint);
+        assert_eq!(s.scratch_footprint(), [(0, 0); 4], "k'={k_prime}");
         while s.active_streams() > 0 {
             plan_cycle(&mut s, cycle);
             cycle += 1;
@@ -114,6 +116,25 @@ fn nonclustered_pools_stay_bounded() {
 #[test]
 fn improved_pools_stay_bounded() {
     let layout = ImprovedLayout::new(Geometry::improved(8, 5).unwrap());
-    let mut s = ImprovedScheduler::new(config(4, 4), catalog(layout), 1);
-    churn(&mut s, ImprovedScheduler::scratch_footprint);
+    let mut s = GroupedScheduler::with_reserve(config(4, 4), catalog(layout), 1);
+    churn(&mut s, GroupedScheduler::scratch_footprint);
+}
+
+/// The shift cascade is paid for only in cycles that cascade: with every
+/// disk up and no prefetch, admissions, releases and finishing streams
+/// leave its staging untouched.
+#[test]
+fn a_healthy_improved_layout_never_stages_the_cascade() {
+    let layout = ImprovedLayout::new(Geometry::improved(8, 5).unwrap());
+    let mut s = GroupedScheduler::with_reserve(config(4, 4), catalog(layout), 1);
+    let (mut live, mut finished) = (Vec::new(), 0);
+    for cycle in 0..240 {
+        live.extend(s.admit(ObjectId(cycle % 2), cycle));
+        if cycle % 3 == 0 && !live.is_empty() {
+            s.release(live.remove(0));
+        }
+        finished += plan_cycle(&mut s, cycle).finished.len();
+        assert_eq!(s.scratch_footprint(), [(0, 0); 4], "cycle {cycle}");
+    }
+    assert!(finished > 100, "{finished} streams finished");
 }

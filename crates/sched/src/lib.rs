@@ -42,7 +42,6 @@ mod baseline;
 mod churn_tests;
 mod cycle;
 mod grouped;
-mod improved;
 mod nonclustered;
 mod plan;
 mod streams;
@@ -54,7 +53,6 @@ mod traits;
 pub use baseline::BaselineScheduler;
 pub use cycle::CycleConfig;
 pub use grouped::GroupedScheduler;
-pub use improved::ImprovedScheduler;
 pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};
 pub use plan::{
     CyclePlan, Deliveries, Delivery, DeliveryRun, DiskReads, DiskReadsIter, GroupRead, LossReason,

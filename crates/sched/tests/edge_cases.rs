@@ -214,9 +214,8 @@ fn nc_failure_on_idle_cluster_costs_nothing() {
 mod ib_edges {
     use super::*;
     use mms_layout::ImprovedLayout;
-    use mms_sched::ImprovedScheduler;
 
-    fn ib(disks: usize, reserve: usize, objects: u64) -> ImprovedScheduler {
+    fn ib(disks: usize, reserve: usize, objects: u64) -> GroupedScheduler<ImprovedLayout> {
         let geo = Geometry::improved(disks, 5).unwrap();
         let mut catalog = Catalog::new(ImprovedLayout::new(geo), 100_000);
         for i in 0..objects {
@@ -235,7 +234,7 @@ mod ib_edges {
             4,
             4,
         );
-        ImprovedScheduler::new(cfg, catalog, reserve)
+        GroupedScheduler::with_reserve(cfg, catalog, reserve)
     }
 
     #[test]

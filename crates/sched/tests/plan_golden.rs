@@ -24,9 +24,8 @@ use mms_layout::{
     ObjectId,
 };
 use mms_sched::{
-    BaselineScheduler, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
-    LossReason, NonClusteredScheduler, ReadPurpose, SchemeScheduler, SteadyCycle, StreamId,
-    TransitionPolicy,
+    BaselineScheduler, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, LossReason,
+    NonClusteredScheduler, ReadPurpose, SchemeScheduler, SteadyCycle, StreamId, TransitionPolicy,
 };
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
@@ -198,9 +197,9 @@ const KINDS: [Kind; 6] = [
 /// fork a script's state (a `Box<dyn SchemeScheduler>` cannot be).
 #[derive(Clone)]
 enum Fixture {
-    Grouped(GroupedScheduler),
+    Grouped(GroupedScheduler<ClusteredLayout>),
     NonClustered(NonClusteredScheduler),
-    Improved(ImprovedScheduler),
+    Improved(GroupedScheduler<ImprovedLayout>),
     Baseline(BaselineScheduler),
 }
 
@@ -300,7 +299,7 @@ fn build(kind: Kind, flavour: u64) -> (Fixture, u32) {
                 catalog.add(o).unwrap();
             }
             let reserve = (flavour / 2) as usize % 2;
-            let mut s = ImprovedScheduler::new(cfg(C - 1, C - 1), catalog, reserve);
+            let mut s = GroupedScheduler::with_reserve(cfg(C - 1, C - 1), catalog, reserve);
             s.set_parity_prefetch((flavour / 4) % 2 == 1);
             (Fixture::Improved(s), 12)
         }

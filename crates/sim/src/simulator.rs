@@ -737,12 +737,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn build(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler> {
+    fn build(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler<ClusteredLayout>> {
         build_in(DataMode::Verified { track_bytes: 256 }, disks, c, tracks)
     }
 
     /// Metadata only: the one data mode the event horizon opens in.
-    fn build_unverified(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler> {
+    fn build_unverified(
+        disks: usize,
+        c: usize,
+        tracks: u64,
+    ) -> Simulator<GroupedScheduler<ClusteredLayout>> {
         build_in(DataMode::MetadataOnly, disks, c, tracks)
     }
 
@@ -751,7 +755,7 @@ mod tests {
         disks: usize,
         c: usize,
         tracks: u64,
-    ) -> Simulator<GroupedScheduler> {
+    ) -> Simulator<GroupedScheduler<ClusteredLayout>> {
         let geo = Geometry::clustered(disks, c).unwrap();
         let layout = ClusteredLayout::new(geo);
         let mut catalog = Catalog::new(layout, 1_000_000);
