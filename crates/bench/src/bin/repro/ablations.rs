@@ -8,7 +8,8 @@ use mms_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
 use mms_server::sched::{
-    BaselineScheduler, CycleConfig, CyclePlan, GroupedScheduler, SchemeScheduler, TransitionPolicy,
+    CycleConfig, CyclePlan, GroupedScheduler, NonClusteredScheduler, SchemeScheduler,
+    TransitionPolicy,
 };
 use mms_server::sim::{run_batch, DataMode, FailureEvent, ObjectDirectory, Simulator};
 use mms_server::{Parallelism, Scheme, ServerBuilder};
@@ -34,7 +35,7 @@ fn baseline_run() -> (u64, u64) {
         1,
         1,
     );
-    let sched = BaselineScheduler::new(cfg, catalog);
+    let sched = NonClusteredScheduler::unprotected(cfg, catalog);
     let dir = ObjectDirectory::new([(ObjectId(0), TRACKS)], 4);
     let mut sim = Simulator::new(
         sched,

@@ -67,11 +67,12 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
     let ws = mms_lint::load_workspace(&root()).expect("workspace scan succeeds");
     let g = CallGraph::build(&ws);
     let planners = [
-        "NonClusteredScheduler",
-        "GroupedScheduler",
-        "BaselineScheduler",
+        "NonClusteredScheduler::plan_cycle_into",
+        "GroupedScheduler::plan_cycle_into",
+        // The whole-group planner's degraded half: the shift cascade.
+        "GroupedScheduler::read_parity_on_demand",
     ]
-    .map(|ty| format!("{ty}::plan_cycle_into"));
+    .map(String::from);
     let table = [
         "begin_cycle",
         "slot",

@@ -5,16 +5,22 @@
 //!
 //! | Scheduler | Paper section | `k` | `k'` | Normal-mode parity reads |
 //! |---|---|---|---|---|
-//! | [`GroupedScheduler`] | §2: Streaming RAID (Tobagi et al.) at `k' = C−1`, Staggered-group at `k' = 1` | `C−1` | `C−1` or `1` | yes, at each read cycle (every `k/k'` cycles) |
+//! | [`GroupedScheduler`] over a dedicated parity disk | §2: Streaming RAID (Tobagi et al.) at `k' = C−1`, Staggered-group at `k' = 1` | `C−1` | `C−1` or `1` | yes, at each read cycle (every `k/k'` cycles) |
+//! | [`GroupedScheduler`] over `ImprovedLayout` | §4: Improved-bandwidth | `C−1` | `C−1` | no (parity on next cluster, on demand) |
 //! | [`NonClusteredScheduler`] | §3 | `1` | `1` | no (degraded mode only) |
-//! | [`ImprovedScheduler`] | §4 | `C−1` | `C−1` | no (parity on next cluster) |
+//! | [`NonClusteredScheduler::unprotected`] | §1's strawman | `1` | `1` | never |
 //!
-//! [`GroupedScheduler`] is one scheduler for the two whole-group schemes:
-//! the paper defines them as two settings of `k'` in one cycle model
-//! (Figure 2), and any `k′ | C−1` in between is accepted too (the
-//! GSS-style continuum of the paper's reference \[3\]).
-//! [`BaselineScheduler`] is the unprotected striped
-//! server of Section 1 — no parity at all — the quantitative foil
+//! Two scheduler types, because the paper has two read disciplines.
+//! [`GroupedScheduler`] reads a whole parity group per read cycle: the
+//! paper defines Streaming RAID and Staggered-group as two settings of
+//! `k'` in one cycle model (Figure 2), any `k′ | C−1` in between is
+//! accepted too (the GSS-style continuum of the paper's reference \[3\]),
+//! and the layout it is built over says where parity lives — with the
+//! group on a dedicated disk, or on the next cluster, which makes it
+//! Improved-bandwidth. [`NonClusteredScheduler`] reads one block per
+//! stream per cycle and falls back on group-at-a-time reads when a disk
+//! fails; built with nothing to fall back on it is the unprotected
+//! striped server of Section 1 — no parity at all — the quantitative foil
 //! ("without some form of fault tolerance, such a system is not likely to
 //! be acceptable").
 //!
@@ -37,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod baseline;
 #[cfg(test)]
 mod churn_tests;
 mod cycle;
@@ -50,7 +55,6 @@ pub mod table;
 pub mod test_support;
 mod traits;
 
-pub use baseline::BaselineScheduler;
 pub use cycle::CycleConfig;
 pub use grouped::GroupedScheduler;
 pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};

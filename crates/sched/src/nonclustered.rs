@@ -6,6 +6,15 @@
 //! parity group read at once, buffered at a shared buffer server) and a
 //! bounded number of tracks is lost during the transition — the scenarios
 //! of Figures 6 and 7, both of which this module reproduces exactly.
+//!
+//! The same normal mode with nothing to fall back on is the
+//! no-redundancy baseline Section 1 argues against
+//! ([`NonClusteredScheduler::unprotected`]): "a disk failure can result
+//! in interruption of requests in progress. … a single disk failure can
+//! cause multiple hiccups in the display of many objects. These hiccups
+//! will repeat at regular intervals each time an object being displayed
+//! needs data from the failed disk. … Therefore, without some form of
+//! fault tolerance, such a system is not likely to be acceptable."
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
@@ -84,7 +93,9 @@ impl Degraded {
 pub struct NonClusteredScheduler {
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
-    policy: TransitionPolicy,
+    /// How a cluster goes degraded; `None` for the unprotected server,
+    /// which never does.
+    policy: Option<TransitionPolicy>,
     streams: StreamTable<Seat>,
     /// Streams with reads still to issue, per admission class.
     classes: ClassTable,
@@ -134,6 +145,33 @@ impl NonClusteredScheduler {
         policy: TransitionPolicy,
         buffer_servers: usize,
     ) -> Self {
+        Self::with_policy(config, catalog, Some(policy), buffer_servers)
+    }
+
+    /// The unprotected striped server: normal mode only — no transition
+    /// policy, no buffer servers, no parity read ever. Every block on a
+    /// failed disk is a hiccup, repeating every rotation until repair —
+    /// the quantitative foil for every scheme in the comparison benches.
+    ///
+    /// It runs over the same clustered layout as the protected schemes so
+    /// comparisons are apples-to-apples; the dedicated parity disks exist
+    /// on the layout but are never read, exactly as they would be absent
+    /// in a truly parity-free layout (the data-disk schedule is identical
+    /// either way).
+    ///
+    /// # Panics
+    /// Panics unless `k = k' = 1`.
+    #[must_use]
+    pub fn unprotected(config: CycleConfig, catalog: Catalog<ClusteredLayout>) -> Self {
+        Self::with_policy(config, catalog, None, 0)
+    }
+
+    fn with_policy(
+        config: CycleConfig,
+        catalog: Catalog<ClusteredLayout>,
+        policy: Option<TransitionPolicy>,
+        buffer_servers: usize,
+    ) -> Self {
         assert_eq!(config.k, 1, "Non-clustered requires k = 1");
         assert_eq!(config.k_prime, 1, "Non-clustered requires k' = 1");
         assert!(
@@ -173,9 +211,9 @@ impl NonClusteredScheduler {
         &self.catalog
     }
 
-    /// The transition policy in force.
+    /// The transition policy in force (none: an unprotected server).
     #[must_use]
-    pub fn policy(&self) -> TransitionPolicy {
+    pub fn policy(&self) -> Option<TransitionPolicy> {
         self.policy
     }
 
@@ -224,6 +262,9 @@ impl NonClusteredScheduler {
     /// state)? True when its cluster is degraded and either the policy is
     /// simple or the group starts after the C-cycle transition window.
     fn group_at_a_time(&self, cluster: ClusterId, group_start: u64) -> bool {
+        let Some(policy) = self.policy else {
+            return false; // nothing to fall back on
+        };
         let parity_pos = self.catalog.layout().geometry().disks_per_cluster() - 1;
         match self.degraded.get(&cluster) {
             None => false,
@@ -235,7 +276,7 @@ impl NonClusteredScheduler {
                 } else if group_start < d.since {
                     false // in-flight at failure: handled by transition
                 } else {
-                    match self.policy {
+                    match policy {
                         TransitionPolicy::Simple => true,
                         TransitionPolicy::Delayed => {
                             let window = u64::from(self.catalog.layout().geometry().group_size());
@@ -249,7 +290,7 @@ impl NonClusteredScheduler {
 
     /// Is this group's read handled by delayed per-cycle reconstruction?
     fn delayed_window(&self, cluster: ClusterId, group_start: u64) -> bool {
-        if self.policy != TransitionPolicy::Delayed {
+        if self.policy != Some(TransitionPolicy::Delayed) {
             return false;
         }
         let parity_pos = self.catalog.layout().geometry().disks_per_cluster() - 1;
@@ -586,6 +627,26 @@ impl NonClusteredScheduler {
             (self.spill_scratch.len(), self.spill_scratch.capacity()),
         ]
     }
+}
+
+/// The `mode_transition` event, with the policy that shaped it.
+fn emit_transition(
+    policy: TransitionPolicy,
+    cluster: ClusterId,
+    cycle: u64,
+    from: &'static str,
+    to: &'static str,
+) {
+    mms_telemetry::event!(
+        mms_telemetry::Level::Info,
+        "mode_transition",
+        scheme = "NC",
+        cluster = cluster.0,
+        cycle = cycle,
+        from = from,
+        to = to,
+        policy = policy.as_str()
+    );
 }
 
 impl SchemeScheduler for NonClusteredScheduler {
@@ -950,6 +1011,50 @@ impl SchemeScheduler for NonClusteredScheduler {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
+        let Some(policy) = self.policy else {
+            // No parity: any data on the disk is unreadable until repair;
+            // the paper calls the no-redundancy data outage what it is.
+            // The position is all there is to record — reads aimed at it
+            // are skipped, and lost, as their cycles come.
+            self.degraded
+                .entry(cluster)
+                .and_modify(|d| d.also_failed |= 1u128 << pos)
+                .or_insert(Degraded {
+                    failed_pos: pos,
+                    since: cycle,
+                    also_failed: 0,
+                });
+            // COMPAT, deleted with ROADMAP defect (b): the baseline judged
+            // a delivery by its disk's state at delivery time, so a block
+            // read last cycle from the disk failing now is a hiccup and
+            // its buffer stays charged until the stream retires.
+            for ix in 0..self.streams.slots() {
+                let s = *self.streams.slot(ix);
+                let read = cycle.checked_sub(1).and_then(|t| self.position_at(&s, t));
+                let Some((g, i)) = read.filter(|&(g, i)| i < s.blocks_in_group(g, self.bpg()))
+                else {
+                    continue;
+                };
+                let layout = self.catalog.layout();
+                if layout.data_placement(s.start_cluster, g, i).disk != disk {
+                    continue;
+                }
+                let addr = BlockAddr::data(s.object, g, i);
+                if let Some(frees) = self.deferred_frees.get_mut(&cycle) {
+                    frees.retain(|&(id, _)| id != s.id());
+                }
+                self.record_loss(LostBlock {
+                    stream: s.id(),
+                    addr,
+                    reason: LossReason::FailedDisk,
+                    delivery_cycle: cycle,
+                });
+            }
+            return FailureReport {
+                catastrophic: true,
+                ..FailureReport::default()
+            };
+        };
         let mut report = FailureReport {
             degraded_clusters: vec![cluster],
             ..FailureReport::default()
@@ -964,16 +1069,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 .filter(|&p| mask & (1u128 << p) != 0)
                 .map(|p| geometry.disk_at(cluster, p));
             report.data_loss_tracks = crate::traits::data_tracks_on_disks(&self.catalog, failed);
-            mms_telemetry::event!(
-                mms_telemetry::Level::Info,
-                "mode_transition",
-                scheme = "NC",
-                cluster = cluster.0,
-                cycle = cycle,
-                from = "degraded",
-                to = "catastrophic",
-                policy = self.policy.as_str()
-            );
+            emit_transition(policy, cluster, cycle, "degraded", "catastrophic");
             return report;
         }
         self.degraded.insert(
@@ -984,16 +1080,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 also_failed: 0,
             },
         );
-        mms_telemetry::event!(
-            mms_telemetry::Level::Info,
-            "mode_transition",
-            scheme = "NC",
-            cluster = cluster.0,
-            cycle = cycle,
-            from = "normal",
-            to = "degraded",
-            policy = self.policy.as_str()
-        );
+        emit_transition(policy, cluster, cycle, "normal", "degraded");
 
         // Attach a buffer server; exhaustion = degradation of service:
         // drop the streams currently using this cluster.
@@ -1034,7 +1121,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 // the steady rules (group-at-a-time or delayed window).
                 continue;
             }
-            match self.policy {
+            match policy {
                 TransitionPolicy::Simple => {
                     self.simple_transition_for(&s, g, p, cycle, pos);
                 }
@@ -1060,16 +1147,14 @@ impl SchemeScheduler for NonClusteredScheduler {
             if d.failed_pos == pos && d.also_failed == 0 {
                 self.degraded.remove(&cluster);
                 let _ = self.servers.detach(cluster.0);
-                mms_telemetry::event!(
-                    mms_telemetry::Level::Info,
-                    "mode_transition",
-                    scheme = "NC",
-                    cluster = cluster.0,
-                    cycle = cycle,
-                    from = "degraded",
-                    to = "normal",
-                    policy = self.policy.as_str()
-                );
+                if let Some(policy) = self.policy {
+                    emit_transition(policy, cluster, cycle, "degraded", "normal");
+                }
+            } else if d.failed_pos == pos && self.policy.is_none() {
+                // All an unprotected server keeps is which disks are
+                // down: another of the cluster's is the one on record now.
+                d.failed_pos = d.also_failed.trailing_zeros();
+                d.also_failed &= d.also_failed - 1;
             } else {
                 d.also_failed &= !(1u128 << pos);
             }
@@ -1128,5 +1213,116 @@ impl SchemeScheduler for NonClusteredScheduler {
 
     fn plan_epoch(&self) -> u64 {
         self.streams.epoch()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::plan_cycle;
+    use mms_disk::{Bandwidth, DiskParams};
+    use mms_layout::{BandwidthClass, Geometry, MediaObject};
+
+    /// Ten disks, C = 5, one movie of `tracks` tracks; `policy: None` is
+    /// the unprotected server.
+    fn make(tracks: u64, policy: Option<TransitionPolicy>) -> NonClusteredScheduler {
+        let geo = Geometry::clustered(10, 5).unwrap();
+        let mut catalog = Catalog::new(ClusteredLayout::new(geo), 100_000);
+        catalog
+            .add(MediaObject::new(
+                ObjectId(0),
+                "m",
+                tracks,
+                BandwidthClass::Mpeg1,
+            ))
+            .unwrap();
+        let cfg = CycleConfig::new(
+            DiskParams::paper_table1(),
+            Bandwidth::from_megabits(1.5),
+            1,
+            1,
+        );
+        match policy {
+            Some(policy) => NonClusteredScheduler::new(cfg, catalog, policy, 1),
+            None => NonClusteredScheduler::unprotected(cfg, catalog),
+        }
+    }
+
+    #[test]
+    fn fault_free_baseline_is_identical_to_nc_normal_mode() {
+        let mut baseline = make(16, None);
+        let mut nc = make(16, Some(TransitionPolicy::Delayed));
+        let mut delivered = 0;
+        for t in 0..40 {
+            // Arrivals for a while, one of them abandoned mid-group.
+            for s in [&mut baseline, &mut nc] {
+                if t % 3 == 0 && t < 18 {
+                    s.admit(ObjectId(0), t).unwrap();
+                }
+                if t == 10 {
+                    assert!(s.release(StreamId(1)));
+                }
+            }
+            let (a, b) = (plan_cycle(&mut baseline, t), plan_cycle(&mut nc, t));
+            let reads = |p: &CyclePlan| -> Vec<(DiskId, Vec<PlannedRead>)> {
+                let per_disk = p.reads.iter();
+                per_disk.map(|(d, r)| (*d, r.iter().collect())).collect()
+            };
+            assert_eq!(reads(&a), reads(&b), "cycle {t}");
+            assert_eq!(a.deliveries, b.deliveries, "cycle {t}");
+            assert_eq!(a.finished, b.finished, "cycle {t}");
+            assert!(a.hiccups.is_empty() && b.hiccups.is_empty(), "cycle {t}");
+            assert_eq!(baseline.buffer_in_use(), nc.buffer_in_use(), "cycle {t}");
+            assert_eq!(baseline.plan_stability(t + 1), nc.plan_stability(t + 1));
+            // One read per active stream per cycle.
+            assert!(a.total_reads() <= baseline.active_streams() + a.finished.len());
+            delivered += a.deliveries.len();
+        }
+        // Five whole movies, and the abandoned one's first two groups.
+        assert_eq!(delivered, 5 * 16 + 8);
+        assert_eq!(baseline.buffer_high_water(), nc.buffer_high_water());
+        assert_eq!((baseline.active_streams(), nc.active_streams()), (0, 0));
+    }
+
+    #[test]
+    fn failure_hiccups_repeat_every_rotation() {
+        // "These hiccups will repeat at regular intervals each time an
+        // object being displayed needs data from the failed disk."
+        let mut s = make(40, None); // 10 groups, 5 on each cluster
+        s.admit(ObjectId(0), 0).unwrap();
+        s.on_disk_failure(DiskId(1), 0, false);
+        let mut hiccup_cycles = Vec::new();
+        for t in 0..42 {
+            let p = plan_cycle(&mut s, t);
+            if !p.hiccups.is_empty() {
+                hiccup_cycles.push(t);
+            }
+        }
+        // Disk 1 holds block 1 of every cluster-0 group: groups 0, 2, 4,
+        // 6, 8 → read cycles 1, 9, 17, 25, 33 → hiccups one cycle later,
+        // every 8 cycles (the rotation period over two clusters).
+        assert_eq!(hiccup_cycles, vec![2, 10, 18, 26, 34]);
+    }
+
+    #[test]
+    fn repair_stops_the_bleeding() {
+        let mut s = make(40, None);
+        s.admit(ObjectId(0), 0).unwrap();
+        s.on_disk_failure(DiskId(1), 0, false);
+        for t in 0..12 {
+            plan_cycle(&mut s, t);
+        }
+        s.on_disk_repair(DiskId(1), 12);
+        let mut hiccups = 0;
+        for t in 12..42 {
+            hiccups += plan_cycle(&mut s, t).hiccups.len();
+        }
+        assert_eq!(hiccups, 0);
+    }
+
+    #[test]
+    fn every_failure_is_reported_catastrophic() {
+        let mut s = make(8, None);
+        assert!(s.on_disk_failure(DiskId(0), 0, false).catastrophic);
     }
 }

@@ -24,8 +24,8 @@ use mms_layout::{
     ObjectId,
 };
 use mms_sched::{
-    BaselineScheduler, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, LossReason,
-    NonClusteredScheduler, ReadPurpose, SchemeScheduler, SteadyCycle, StreamId, TransitionPolicy,
+    CycleConfig, CyclePlan, FailureReport, GroupedScheduler, LossReason, NonClusteredScheduler,
+    ReadPurpose, SchemeScheduler, SteadyCycle, StreamId, TransitionPolicy,
 };
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
@@ -200,7 +200,6 @@ enum Fixture {
     Grouped(GroupedScheduler<ClusteredLayout>),
     NonClustered(NonClusteredScheduler),
     Improved(GroupedScheduler<ImprovedLayout>),
-    Baseline(BaselineScheduler),
 }
 
 impl Deref for Fixture {
@@ -211,7 +210,6 @@ impl Deref for Fixture {
             Fixture::Grouped(s) => s,
             Fixture::NonClustered(s) => s,
             Fixture::Improved(s) => s,
-            Fixture::Baseline(s) => s,
         }
     }
 }
@@ -222,7 +220,6 @@ impl DerefMut for Fixture {
             Fixture::Grouped(s) => s,
             Fixture::NonClustered(s) => s,
             Fixture::Improved(s) => s,
-            Fixture::Baseline(s) => s,
         }
     }
 }
@@ -316,7 +313,10 @@ fn build(kind: Kind, flavour: u64) -> (Fixture, u32) {
             )
         }
         Kind::Baseline => (
-            Fixture::Baseline(BaselineScheduler::new(cfg(1, 1), clustered_catalog(10))),
+            Fixture::NonClustered(NonClusteredScheduler::unprotected(
+                cfg(1, 1),
+                clustered_catalog(10),
+            )),
             10,
         ),
     }

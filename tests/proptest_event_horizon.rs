@@ -2,8 +2,8 @@
 //! admit/release/run/fail/repair scripts drive two copies of the same
 //! system — one stepping cycle by cycle, one in `StepMode::EventHorizon`
 //! — and every observable outcome must match exactly, for all six
-//! schedulers (the four server schemes plus the grouped and unprotected
-//! baseline schedulers at the `Simulator` level).
+//! configurations (the four server schemes, plus the whole-group scheduler
+//! at `k′ = 2` and the unprotected baseline at the `Simulator` level).
 //!
 //! `Op::Run(1)` is over-weighted so the horizon-1 case — a limit one
 //! cycle away — is exercised in nearly every script. A window may be any
@@ -18,7 +18,7 @@ use ft_media_server::layout::{
 };
 use ft_media_server::sched::SteadyCycle;
 use ft_media_server::sched::{
-    BaselineScheduler, CycleConfig, GroupedScheduler, SchemeScheduler, StreamId,
+    CycleConfig, GroupedScheduler, NonClusteredScheduler, SchemeScheduler, StreamId,
 };
 use ft_media_server::sim::{DataMode, FailureEvent, Metrics, ObjectDirectory, Simulator, StepMode};
 use ft_media_server::telemetry::{Level, Recorder, Value};
@@ -250,9 +250,9 @@ fn build_server(scheme: Scheme, mode: StepMode) -> MultimediaServer {
     server
 }
 
-/// A `Simulator` over a clustered catalog for the schedulers the
-/// server builder does not expose (grouped `k' | C−1`, baseline
-/// `k = k' = 1`).
+/// A `Simulator` over a clustered catalog for the configurations the
+/// server builder does not expose (grouped `k' | C−1`, the unprotected
+/// baseline at `k = k' = 1`).
 fn build_sim<S, F>(tracks: u64, k: usize, k_prime: usize, make: F, mode: StepMode) -> Simulator<S>
 where
     S: SchemeScheduler,
@@ -325,7 +325,7 @@ proptest! {
             "grouped: observables diverged"
         );
 
-        let baseline = |cfg, cat| BaselineScheduler::new(cfg, cat);
+        let baseline = |cfg, cat| NonClusteredScheduler::unprotected(cfg, cat);
         let mut slow = build_sim(120, 1, 1, baseline, StepMode::CycleByCycle);
         let mut fast = build_sim(120, 1, 1, baseline, StepMode::EventHorizon);
         let t_slow = drive_sim(&mut slow, &ops, 10);
