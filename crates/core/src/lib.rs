@@ -59,7 +59,7 @@ pub use any::AnyScheduler;
 pub use builder::{BuildError, Scheme, ServerBuilder};
 pub use error::ServerError;
 pub use library::{Librarian, StagingJob};
-pub use runcfg::{RunConfig, TelemetryConfig};
+pub use runcfg::{flag_arg, flag_value, RunConfig, TelemetryConfig};
 pub use server::MultimediaServer;
 
 // Legacy per-subsystem error enums, re-exported so pattern-matching

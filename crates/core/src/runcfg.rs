@@ -78,15 +78,31 @@ impl Default for RunConfig {
     }
 }
 
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    for w in args.windows(2) {
-        if w[0] == flag {
-            return w[1]
-                .parse()
-                .map_err(|_| format!("bad value for {flag}: '{}'", w[1]));
-        }
+/// The argument given for `flag` in a raw argument list, `None` when the
+/// flag is absent. A flag that ends the list, or is followed by another
+/// `--flag`, was given no value: an error naming it, not a default.
+pub fn flag_arg<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value)),
+        _ => Err(format!("{flag} needs a value")),
     }
-    Ok(default)
+}
+
+/// [`flag_arg`], parsed; `default` when the flag is absent.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    match flag_arg(args, flag)? {
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("bad value for {flag}: '{value}'")),
+        None => Ok(default),
+    }
 }
 
 impl RunConfig {
@@ -94,7 +110,7 @@ impl RunConfig {
     /// defaulting everything that is absent. Unrelated flags are
     /// ignored, so subcommands can mix their own flags freely.
     pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let path_flag = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
+        let path_flag = |flag| Ok::<_, String>(flag_arg(args, flag)?.map(str::to_string));
         Ok(RunConfig {
             threads: flag_value(args, "--threads", Parallelism::Auto)?,
             step_mode: if args.iter().any(|a| a == "--fast-forward") {
@@ -103,13 +119,13 @@ impl RunConfig {
                 StepMode::CycleByCycle
             },
             telemetry: TelemetryConfig {
-                jsonl: path_flag("--telemetry"),
+                jsonl: path_flag("--telemetry")?,
                 level: flag_value(args, "--log-level", Level::Info)?,
                 dash: args.iter().any(|a| a == "--dash"),
-                flight: path_flag("--flight-recorder"),
+                flight: path_flag("--flight-recorder")?,
                 flight_capacity: flag_value(args, "--flight-capacity", 4096)?,
-                prom: path_flag("--prom-out"),
-                perfetto: path_flag("--perfetto-out"),
+                prom: path_flag("--prom-out")?,
+                perfetto: path_flag("--perfetto-out")?,
                 slo: args.iter().any(|a| a == "--slo"),
             },
         })

@@ -105,7 +105,7 @@ use ft_media_server::sim::{
     AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, SessionEngine, SplitMix64, StepMode,
 };
 use ft_media_server::telemetry::{FlightSnapshot, Recorder};
-use ft_media_server::{RunConfig, Scheme, ServerBuilder, ServerError};
+use ft_media_server::{flag_arg, flag_value, RunConfig, Scheme, ServerBuilder, ServerError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -264,17 +264,6 @@ fn parse_events(args: &[String], flag: &str) -> Result<Vec<(u32, u64)>, String> 
         }
     }
     Ok(out)
-}
-
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    for w in args.windows(2) {
-        if w[0] == flag {
-            return w[1]
-                .parse()
-                .map_err(|_| format!("bad value for {flag}: '{}'", w[1]));
-        }
-    }
-    Ok(default)
 }
 
 /// A Monte-Carlo trial count: absent or 0 turns validation off; one
@@ -526,17 +515,16 @@ fn cmd_workload(args: &[String]) -> CmdResult {
     let recorder = cfg.recorder();
     let _guard = recorder.as_ref().map(Recorder::install);
 
-    let arrivals = match args.windows(2).find(|w| w[0] == "--burst") {
-        Some(w) => {
-            let parts: Result<Vec<f64>, _> = w[1].split(':').map(str::parse).collect();
+    let arrivals = match flag_arg(args, "--burst")? {
+        Some(spec) => {
+            let parts: Result<Vec<f64>, _> = spec.split(':').map(str::parse).collect();
             match parts.as_deref() {
                 Ok([quiet, burst, p_enter, p_exit]) => {
                     ArrivalProcess::bursty(*quiet, *burst, *p_enter, *p_exit)
                 }
                 _ => {
                     return Err(format!(
-                        "bad --burst spec '{}': want QUIET:BURST:P_ENTER:P_EXIT",
-                        w[1]
+                        "bad --burst spec '{spec}': want QUIET:BURST:P_ENTER:P_EXIT"
                     )
                     .into())
                 }
@@ -576,12 +564,12 @@ fn cmd_workload(args: &[String]) -> CmdResult {
     let nominal = tracks.div_ceil(cyc.k as u64) * cyc.read_period() as u64;
     let catalog: Vec<(ObjectId, u64)> = server.objects().iter().map(|&o| (o, nominal)).collect();
     let mut engine = SessionEngine::new(catalog, theta, arrivals, policy).with_abandonment(abandon);
-    if let Some(w) = args.windows(2).find(|w| w[0] == "--vbr") {
-        let ladder: Vec<f64> = w[1]
+    if let Some(spec) = flag_arg(args, "--vbr")? {
+        let ladder: Vec<f64> = spec
             .split(',')
             .map(|s| s.trim().parse())
             .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad --vbr ladder '{}'", w[1]))?;
+            .map_err(|_| format!("bad --vbr ladder '{spec}'"))?;
         engine = engine.with_vbr(ladder);
     }
     println!(
@@ -819,10 +807,10 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("usage: mms-ctl trace <flight.jsonl> [--session ID]")?;
-    let session = match args.windows(2).find(|w| w[0] == "--session") {
-        Some(w) => Some(
-            w[1].parse::<u64>()
-                .map_err(|_| format!("bad --session id '{}'", w[1]))?,
+    let session = match flag_arg(args, "--session")? {
+        Some(id) => Some(
+            id.parse::<u64>()
+                .map_err(|_| format!("bad --session id '{id}'"))?,
         ),
         None => None,
     };

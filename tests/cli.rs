@@ -93,6 +93,29 @@ fn bad_arguments_fail_gracefully() {
     }
 }
 
+/// `mms-ctl simulate --cycles` used to run 129 default cycles and exit 0.
+#[test]
+fn a_flag_without_its_value_is_an_error_naming_the_flag() {
+    let cases: [(&[&str], &str); 8] = [
+        (&["simulate", "--cycles"], "--cycles"),
+        // Followed by another flag is as bare as last on the line.
+        (&["simulate", "--cycles", "--viewers", "2"], "--cycles"),
+        (&["mttf", "1000", "10", "--mc"], "--mc"),
+        (&["design", "1200", "--threads"], "--threads"),
+        (&["scenario", "all", "--quick", "--threads"], "--threads"),
+        (&["workload", "--rate", "--cycles", "50"], "--rate"),
+        (&["fleet", "--nodes"], "--nodes"),
+        (&["fleet", "--cycles", "20", "--telemetry"], "--telemetry"),
+    ];
+    for (args, flag) in cases {
+        let (stdout, stderr, ok) = ctl(args);
+        assert!(!ok, "{args:?}");
+        let message = format!("{flag} needs a value");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran anyway:\n{stdout}");
+    }
+}
+
 /// Every subcommand the dispatcher knows, as the usage text names them.
 const SUBCOMMANDS: [&str; 8] = [
     "table", "simulate", "mttf", "design", "scenario", "workload", "fleet", "trace",
