@@ -561,18 +561,15 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         // with this one loses data: the cluster itself — and, where its
         // groups keep their parity on the next cluster and it keeps the
         // previous one's, both neighbours.
-        let mut sharing = vec![cluster];
-        if !geometry.has_parity_disk() {
-            let prev = ClusterId((cluster.0 + geometry.clusters() - 1) % geometry.clusters());
-            sharing.extend([prev, geometry.next_cluster(cluster)]);
-            sharing.sort_unstable_by_key(|c| c.0);
-            sharing.dedup();
-        }
+        let (clusters, reach) = (geometry.clusters(), u32::from(!geometry.has_parity_disk()));
+        let sharing: BTreeSet<u32> = (clusters - reach..=clusters + reach)
+            .map(|step| (cluster.0 + step) % clusters)
+            .collect();
         let down: Vec<DiskId> = sharing
             .into_iter()
             .flat_map(|c| {
-                let failed = self.failed.get(&c).into_iter().flatten();
-                failed.map(move |&p| geometry.disk_at(c, p))
+                let failed = self.failed.get(&ClusterId(c)).into_iter().flatten();
+                failed.map(move |&p| geometry.disk_at(ClusterId(c), p))
             })
             .collect();
         let catastrophic = down.len() >= 2;
@@ -824,14 +821,9 @@ mod tests {
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, ClusteredLayout, Geometry};
 
-    fn build(
-        disks: usize,
-        c: usize,
-        k_prime: usize,
-        tracks: &[u64],
-    ) -> GroupedScheduler<ClusteredLayout> {
-        let geo = Geometry::clustered(disks, c).unwrap();
-        let mut catalog = Catalog::new(ClusteredLayout::new(geo), 100_000);
+    /// A catalog over `layout`; object `i` has `tracks[i]` tracks.
+    fn catalog<L: Layout>(layout: L, tracks: &[u64]) -> Catalog<L> {
+        let mut catalog = Catalog::new(layout, 100_000);
         for (id, &tracks) in tracks.iter().enumerate() {
             let id = ObjectId(id as u64);
             catalog
@@ -843,7 +835,17 @@ mod tests {
                 ))
                 .unwrap();
         }
-        GroupedScheduler::new(config(c - 1, k_prime), catalog)
+        catalog
+    }
+
+    fn build(
+        disks: usize,
+        c: usize,
+        k_prime: usize,
+        tracks: &[u64],
+    ) -> GroupedScheduler<ClusteredLayout> {
+        let layout = ClusteredLayout::new(Geometry::clustered(disks, c).unwrap());
+        GroupedScheduler::new(config(c - 1, k_prime), catalog(layout, tracks))
     }
 
     /// Table 1 disks serving MPEG-1.
@@ -1036,10 +1038,7 @@ mod tests {
         // One constructor, `k = k' = C−1 = 4`, two layouts: a healthy
         // read's parity disk and the per-stream buffer peak.
         fn healthy<L: Layout + Copy>(layout: L) -> (Option<DiskId>, usize) {
-            let mut catalog = Catalog::new(layout, 100_000);
-            let movie = MediaObject::new(ObjectId(0), "m", 40, BandwidthClass::Mpeg1);
-            catalog.add(movie).unwrap();
-            let mut s = GroupedScheduler::new(config(4, 4), catalog);
+            let mut s = GroupedScheduler::new(config(4, 4), catalog(layout, &[40]));
             s.admit(ObjectId(0), 0).unwrap();
             let parity = plan_cycle(&mut s, 0).reads.groups()[0].parity;
             for t in 1..6 {
@@ -1301,38 +1300,27 @@ mod tests {
     mod improved_bandwidth {
         use super::*;
 
+        /// Object `i` has `tracks[i]` tracks.
         fn make(
             disks: usize,
             c: usize,
             reserve: usize,
-            objects: &[(u64, u64)],
+            tracks: &[u64],
         ) -> GroupedScheduler<ImprovedLayout> {
-            let geo = Geometry::improved(disks, c).unwrap();
-            let mut catalog = Catalog::new(ImprovedLayout::new(geo), 100_000);
-            for &(id, tracks) in objects {
-                let id = ObjectId(id);
-                catalog
-                    .add(MediaObject::new(
-                        id,
-                        format!("o{id}"),
-                        tracks,
-                        BandwidthClass::Mpeg1,
-                    ))
-                    .unwrap();
-            }
-            GroupedScheduler::with_reserve(config(c - 1, c - 1), catalog, reserve)
+            let layout = ImprovedLayout::new(Geometry::improved(disks, c).unwrap());
+            GroupedScheduler::with_reserve(config(c - 1, c - 1), catalog(layout, tracks), reserve)
         }
 
         /// Eight disks, reserve 1, one 40-track movie.
         fn prefetching(prefetch: bool) -> GroupedScheduler<ImprovedLayout> {
-            let mut s = make(8, 5, 1, &[(0, 40)]);
+            let mut s = make(8, 5, 1, &[40]);
             s.set_parity_prefetch(prefetch);
             s
         }
 
         #[test]
         fn normal_mode_never_reads_parity() {
-            let mut s = make(8, 5, 1, &[(0, 16)]);
+            let mut s = make(8, 5, 1, &[16]);
             let id = s.admit(ObjectId(0), 0).unwrap();
             for t in 0..4 {
                 let p = plan_cycle(&mut s, t);
@@ -1352,7 +1340,7 @@ mod tests {
 
         #[test]
         fn failure_masked_by_parity_from_next_cluster() {
-            let mut s = make(8, 5, 1, &[(0, 16)]);
+            let mut s = make(8, 5, 1, &[16]);
             s.admit(ObjectId(0), 0).unwrap();
             let r = s.on_disk_failure(DiskId(1), 0, false);
             assert!(!r.catastrophic);
@@ -1376,7 +1364,7 @@ mod tests {
 
         #[test]
         fn midcycle_failure_causes_one_hiccup_then_masks() {
-            let mut s = make(8, 5, 1, &[(0, 16)]);
+            let mut s = make(8, 5, 1, &[16]);
             s.admit(ObjectId(0), 0).unwrap();
             s.on_disk_failure(DiskId(2), 0, true);
             let _p0 = plan_cycle(&mut s, 0);
@@ -1395,7 +1383,7 @@ mod tests {
 
         #[test]
         fn adjacent_cluster_failures_are_catastrophic() {
-            let mut s = make(8, 5, 1, &[(0, 16)]);
+            let mut s = make(8, 5, 1, &[16]);
             assert!(!s.on_disk_failure(DiskId(0), 0, false).catastrophic);
             // Disk 4 is in cluster 1, adjacent to cluster 0.
             assert!(s.on_disk_failure(DiskId(4), 0, false).catastrophic);
@@ -1406,7 +1394,7 @@ mod tests {
             // 3 clusters of 4 disks; fill cluster 1's disks to capacity so the
             // parity read for cluster 0's failure displaces a local read,
             // which in turn needs parity from cluster 2.
-            let mut s = make(12, 5, 1, &[(0, 120), (1, 120), (2, 120)]);
+            let mut s = make(12, 5, 1, &[120, 120, 120]);
             let slots = s.usable_slots();
             // Saturate all classes: admit `slots` streams per object (objects
             // start on clusters 0, 1, 2 round-robin).
@@ -1432,7 +1420,7 @@ mod tests {
         fn no_reserve_and_full_load_degrades_service() {
             // Zero reserve: admission fills every slot; a failure has nowhere
             // to shift, so some stream must be dropped.
-            let mut s = make(8, 5, 0, &[(0, 120), (1, 120)]);
+            let mut s = make(8, 5, 0, &[120, 120]);
             let slots = s.usable_slots();
             for obj in 0..2u64 {
                 for _ in 0..slots {
@@ -1448,10 +1436,10 @@ mod tests {
 
         #[test]
         fn capacity_reflects_reserve() {
-            let s = make(8, 5, 1, &[(0, 16)]);
+            let s = make(8, 5, 1, &[16]);
             // T_cyc for k' = 4: slots = 52; usable 51 × 2 clusters = 102.
             assert_eq!(s.stream_capacity(), 102);
-            let s2 = make(8, 5, 10, &[(0, 16)]);
+            let s2 = make(8, 5, 10, &[16]);
             assert_eq!(s2.stream_capacity(), 84);
         }
 
