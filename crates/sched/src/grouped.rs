@@ -561,20 +561,16 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         // with this one loses data: the cluster itself — and, where its
         // groups keep their parity on the next cluster and it keeps the
         // previous one's, both neighbours.
-        let (clusters, reach) = (geometry.clusters(), u32::from(!geometry.has_parity_disk()));
-        let sharing: BTreeSet<u32> = (clusters - reach..=clusters + reach)
-            .map(|step| (cluster.0 + step) % clusters)
-            .collect();
-        let down: Vec<DiskId> = sharing
-            .into_iter()
-            .flat_map(|c| {
-                let failed = self.failed.get(&ClusterId(c)).into_iter().flatten();
-                failed.map(move |&p| geometry.disk_at(ClusterId(c), p))
-            })
-            .collect();
-        let catastrophic = down.len() >= 2;
+        let prev = ClusterId((cluster.0 + geometry.clusters() - 1) % geometry.clusters());
+        let neighbours = [prev, geometry.next_cluster(cluster)];
+        let shares = |c| c == cluster || (!geometry.has_parity_disk() && neighbours.contains(&c));
+        let down = || {
+            let sharing = self.failed.iter().filter(|&(&c, _)| shares(c));
+            sharing.flat_map(|(&c, failed)| failed.iter().map(move |&p| geometry.disk_at(c, p)))
+        };
+        let catastrophic = down().count() >= 2;
         let data_loss_tracks = if catastrophic {
-            data_tracks_on_disks(&self.catalog, down)
+            data_tracks_on_disks(&self.catalog, down())
         } else {
             0
         };
