@@ -42,12 +42,14 @@ impl CycleConfig {
 
     /// Cycle length `T_cyc = k'·B / b₀`.
     #[must_use]
+    #[inline]
     pub fn t_cyc(&self) -> Time {
         self.disk.cycle_time(self.k_prime, self.b0)
     }
 
     /// Cycles between consecutive read cycles of one stream, `k / k'`.
     #[must_use]
+    #[inline]
     pub fn read_period(&self) -> usize {
         self.k / self.k_prime
     }
@@ -55,6 +57,7 @@ impl CycleConfig {
     /// Per-disk, per-cycle slot capacity: the number of track reads that
     /// fit in one cycle, `max r: τ_seek + r·τ_trk ≤ T_cyc`.
     #[must_use]
+    #[inline]
     pub fn slots_per_disk(&self) -> usize {
         self.disk.slots_per_cycle(self.t_cyc())
     }

@@ -13,6 +13,13 @@
 //! renderer, the golden plan digests — expand the records through
 //! [`CyclePlan::reads_on`] and [`Deliveries::iter`], which yield the
 //! per-track [`PlannedRead`] and [`Delivery`] items in emission order.
+//!
+//! The whole-group planner is generic over the layout, so it is compiled
+//! in whichever crate names the layout, where the functions of this crate
+//! are out of the inliner's reach unless they say otherwise: the small
+//! ones a planner calls per stream are `#[inline]` (without them the
+//! healthy planning loop measured 10–30 % slower than when it was
+//! compiled here).
 
 use crate::streams::StreamId;
 use mms_disk::DiskId;
@@ -80,6 +87,7 @@ impl MemberSet {
 
     /// Block `i` alone.
     #[must_use]
+    #[inline]
     pub fn one(i: u32) -> Self {
         debug_assert!(i < Self::CAPACITY);
         MemberSet(1 << i)
@@ -87,6 +95,7 @@ impl MemberSet {
 
     /// Blocks `first..end` (empty when `first >= end`).
     #[must_use]
+    #[inline]
     pub fn range(first: u32, end: u32) -> Self {
         debug_assert!(end <= Self::CAPACITY);
         if first >= end {
@@ -96,12 +105,14 @@ impl MemberSet {
     }
 
     /// Add block `i`.
+    #[inline]
     pub fn insert(&mut self, i: u32) {
         debug_assert!(i < Self::CAPACITY);
         self.0 |= 1 << i;
     }
 
     /// Remove block `i`.
+    #[inline]
     pub fn remove(&mut self, i: u32) {
         debug_assert!(i < Self::CAPACITY);
         self.0 &= !(1 << i);
@@ -109,41 +120,48 @@ impl MemberSet {
 
     /// Whether block `i` is in the set.
     #[must_use]
+    #[inline]
     pub fn contains(self, i: u32) -> bool {
         i < Self::CAPACITY && self.0 >> i & 1 == 1
     }
 
     /// Number of members.
     #[must_use]
+    #[inline]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// Whether the set is empty.
     #[must_use]
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// The lowest member.
     #[must_use]
+    #[inline]
     pub fn first(self) -> Option<u32> {
         (self.0 != 0).then(|| self.0.trailing_zeros())
     }
 
     /// One past the highest member (0 when empty).
     #[must_use]
+    #[inline]
     pub fn end(self) -> u32 {
         Self::CAPACITY - self.0.leading_zeros()
     }
 
     /// The members of `self` that are not in `other`.
     #[must_use]
+    #[inline]
     pub fn without(self, other: MemberSet) -> Self {
         MemberSet(self.0 & !other.0)
     }
 
     /// The members, ascending.
+    #[inline]
     pub fn iter(self) -> impl Iterator<Item = u32> {
         let mut bits = self.0;
         std::iter::from_fn(move || {
@@ -158,6 +176,7 @@ impl MemberSet {
 
 impl BitAnd for MemberSet {
     type Output = MemberSet;
+    #[inline]
     fn bitand(self, rhs: MemberSet) -> MemberSet {
         MemberSet(self.0 & rhs.0)
     }
@@ -165,6 +184,7 @@ impl BitAnd for MemberSet {
 
 impl BitOr for MemberSet {
     type Output = MemberSet;
+    #[inline]
     fn bitor(self, rhs: MemberSet) -> MemberSet {
         MemberSet(self.0 | rhs.0)
     }
@@ -198,6 +218,7 @@ pub struct GroupRead {
 impl GroupRead {
     /// The read of the group's parity track, wherever it is fetched.
     #[must_use]
+    #[inline]
     pub fn parity_read(&self) -> PlannedRead {
         PlannedRead {
             stream: self.stream,
@@ -304,6 +325,7 @@ pub struct Deliveries {
 impl Deliveries {
     /// Add a run (nothing is recorded for an empty one); returns how
     /// many blocks it delivers.
+    #[inline]
     pub fn push_run(&mut self, run: DeliveryRun) -> usize {
         debug_assert!(run.reconstructed.without(run.blocks).is_empty());
         if run.blocks.is_empty() {
@@ -374,6 +396,7 @@ impl Deliveries {
         })
     }
 
+    #[inline]
     fn clear(&mut self) {
         self.runs.clear();
         self.blocks = 0;
@@ -404,6 +427,7 @@ pub struct DiskReads {
 
 impl DiskReads {
     /// Grow the load table to cover disks `0..disks`.
+    #[inline]
     fn cover(&mut self, disks: usize) {
         if self.load.len() < disks {
             self.ids
@@ -413,11 +437,13 @@ impl DiskReads {
     }
 
     /// Tracks read from `disk` this cycle.
+    #[inline]
     fn load_on(&self, disk: DiskId) -> usize {
         self.load.get(disk.0 as usize).map_or(0, |&n| n as usize)
     }
 
     /// Record a group read; returns how many tracks it reads.
+    #[inline]
     pub fn push_group(&mut self, read: GroupRead) -> usize {
         let first = read.first_disk.0 as usize;
         let width = read.members.end() as usize;
@@ -438,6 +464,7 @@ impl DiskReads {
     }
 
     /// Record a single read on `disk`.
+    #[inline]
     pub fn push(&mut self, disk: DiskId, read: PlannedRead) {
         let ix = disk.0 as usize;
         if self.singles.len() <= ix {
@@ -450,6 +477,7 @@ impl DiskReads {
 
     /// The group records, in emission order.
     #[must_use]
+    #[inline]
     pub fn groups(&self) -> &[GroupRead] {
         &self.groups
     }
@@ -463,12 +491,14 @@ impl DiskReads {
     /// The first group record at or after `from` that reads a data
     /// member from `disk`.
     #[must_use]
+    #[inline]
     pub fn group_reading(&self, disk: DiskId, from: usize) -> Option<usize> {
         let reads = |g: &GroupRead| g.members.contains(disk.0.wrapping_sub(g.first_disk.0));
         Some(from + self.groups.get(from..)?.iter().position(reads)?)
     }
 
     /// Take data member `member` back out of group record `record`.
+    #[inline]
     pub fn drop_member(&mut self, record: usize, member: u32) {
         let group = &mut self.groups[record];
         debug_assert!(group.members.contains(member));
@@ -530,6 +560,7 @@ impl DiskReads {
         self.iter().map(|(_, reads)| reads)
     }
 
+    #[inline]
     fn clear(&mut self) {
         self.load.fill(0);
         self.groups.clear();
@@ -655,6 +686,7 @@ impl CyclePlan {
 
     /// Reset the plan to cover `cycle` with no activity, keeping all
     /// allocated storage so its capacity is reused next cycle.
+    #[inline]
     pub fn reset(&mut self, cycle: u64) {
         self.cycle = cycle;
         self.reads.clear();
@@ -671,6 +703,7 @@ impl CyclePlan {
 
     /// Tracks read from one disk.
     #[must_use]
+    #[inline]
     pub fn load_on(&self, disk: DiskId) -> usize {
         self.reads.load_on(disk)
     }

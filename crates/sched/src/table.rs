@@ -577,12 +577,14 @@ impl ClassTable {
 
     /// Number of classes: read phases × cluster trajectories.
     #[must_use]
+    #[inline]
     pub fn classes(&self) -> usize {
         self.seated.len()
     }
 
     /// Class of a stream starting at `at_cycle` on `start_cluster`.
     #[must_use]
+    #[inline]
     pub fn class_of(&self, start_cluster: u32, at_cycle: u64) -> usize {
         let (r, q) = (at_cycle % self.period, at_cycle / self.period);
         let psi = (u64::from(start_cluster) + self.clusters - q % self.clusters) % self.clusters;
@@ -591,11 +593,13 @@ impl ClassTable {
 
     /// Streams seated in `class`.
     #[must_use]
+    #[inline]
     pub fn seated(&self, class: usize) -> usize {
         self.seated[class]
     }
 
     /// Seat one more stream in `class`.
+    #[inline]
     pub fn seat(&mut self, class: usize) -> Seat {
         self.seated[class] += 1;
         Seat {
@@ -605,6 +609,7 @@ impl ClassTable {
     }
 
     /// Give `seat` back; a seat already given back stays so.
+    #[inline]
     pub fn vacate(&mut self, seat: &mut Seat) {
         if std::mem::take(&mut seat.taken) {
             self.seated[seat.class as usize] -= 1;
