@@ -906,7 +906,7 @@ mod tests {
     fn a_streams_slot_is_two_cache_lines() {
         // The planner walks and compacts the slab every cycle; at 144
         // bytes a slot (one more member set in each resident group) the
-        // healthy SR/SG loop measured 10 % slower.
+        // healthy SR loop measured slower (EXPERIMENTS, PR 23).
         assert!(std::mem::size_of::<crate::table::Slot<GrState>>() <= 128);
     }
 
