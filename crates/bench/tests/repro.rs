@@ -10,7 +10,10 @@ use std::process::{Command, Output};
 /// default arguments except `reliability_mc`, whose default `auto`
 /// thread count prints the host's core count: it is pinned to the two
 /// cores of the host the table was captured on (the numbers themselves
-/// are the same at any thread count).
+/// are the same at any thread count). `baseline_vs_schemes` was re-pinned
+/// once: the unprotected server now delivers the one block it had read
+/// from the disk the cycle before the disk failed (7250 delivered / 750
+/// hiccups became 7251 / 749; ROADMAP defect (b)).
 const GOLDEN: [(&str, &[&str], u64); 17] = [
     ("section2_table", &[], 0xf6b0_4cd5_c057_1e42),
     ("table2", &[], 0xab6a_5e3c_0bae_989e),
@@ -24,7 +27,7 @@ const GOLDEN: [(&str, &[&str], u64); 17] = [
     ("fig8_layout", &[], 0x3f77_8cd9_da39_310d),
     ("fig9_cost", &[], 0x806c_49f7_e694_f4c2),
     ("reliability_mc", &["400", "2"], 0xb957_510c_9d01_2551),
-    ("baseline_vs_schemes", &[], 0xc621_f170_0b1e_4382),
+    ("baseline_vs_schemes", &[], 0x6ebe_e149_3f0e_4509),
     ("ablation_transition", &[], 0x3ef0_91ea_e685_9f6e),
     ("ablation_ib_reserve", &[], 0x6461_cea7_3f1b_fa9b),
     ("ablation_kprime", &[], 0x71cd_4710_2350_84e0),

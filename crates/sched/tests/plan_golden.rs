@@ -11,7 +11,8 @@
 //! `Staggered` and `Grouped` rows are younger: they were captured once
 //! the whole-group scheduler judged the last `k′` blocks of a group by
 //! that group's own fault state, with scripts that fail any two disks
-//! of a cluster.)
+//! of a cluster; the `Baseline` row, once the unprotected server decided
+//! a loss when the read is skipped and scripts repaired it under load.)
 //!
 //! The same generator drives the differential test of the stated steady
 //! cycle: wherever a script stands inside a stability window, what the
@@ -342,6 +343,8 @@ struct Coverage {
     skipped_after_repair: u64,
     /// Ops after a repair that ended with the stability window open.
     stable_after_repair: usize,
+    /// Repairs made while streams were active.
+    busy_repairs: usize,
 }
 
 impl Coverage {
@@ -702,15 +705,11 @@ fn run_script_with(
                 }
             }
             // Repair the disk that has been down longest.
-            // (The baseline decides "was it read?" by re-checking the
-            // disk at delivery time, so a repair between a skipped read
-            // and its delivery frees an uncharged buffer — another
-            // defect that predates these traces; repair it only idle.)
             18 => {
-                let unsafe_repair = kind == Kind::Baseline && s.active_streams() > 0;
-                if !down.is_empty() && !unsafe_repair {
+                if !down.is_empty() {
                     let disk = down.remove(0);
                     h.word(u64::from(disk.0));
+                    cov.busy_repairs += usize::from(s.active_streams() > 0);
                     s.on_disk_repair(disk, cycle);
                     repaired = true;
                 }
@@ -809,14 +808,14 @@ const GOLDEN: [[u64; SCRIPTS]; 6] = [
         0x7466c9e8aa4f535c, 0x4ee1868cdd80c320, 0xfdc35ba140084394, 0x8ceee162de817f44,
     ],
     [
-        0x85cbbb34f4ff4069, 0x034a01c2c62d414b, 0xe4e265576105f296, 0xe7d3f17a2123bb3b,
-        0x194751f9377a5859, 0xa968f6007a59f0fc, 0xe333d7e87e2ebc1c, 0x58b3967bbb92de8d,
-        0x86cd4777eee2b2dd, 0x69edb0bcac990a1f, 0xff2105066f638894, 0xa65a80fbc0db9e7d,
-        0xb6f1aeaf06a31195, 0x8ab5c6ea0bbca343, 0xad95bd921c21c3e7, 0xee84bd7cdd47b097,
-        0x30f5c2b8aa486b21, 0x579eb94740cee3c0, 0x04db2590c9fde827, 0xcba97304dab7b488,
-        0x5ee390c5c020c776, 0xddeee6e9be91825a, 0x773c3095d00e5d63, 0x526a79e6a75bc968,
-        0x38d07a22dd610acb, 0x2abbabdfa6138505, 0xc918d3efa13b8a65, 0x57394c56a328100e,
-        0x540dd97d2f2a843c, 0x5ef56d8c72cd26a1, 0x16410f1a2efbe2a9, 0x8bc66499571f1335,
+        0x358ac71e7babe0e5, 0x36d70c784ceee966, 0x4f1de5f0dbe696d4, 0xd196db07f1a258d0,
+        0xad13104bbb10cc09, 0x957e27d6a77aa961, 0xc1195fe9db6f413c, 0x598fbafc80471c57,
+        0x1dcd6f2d009fb408, 0xac7920879d8158ae, 0x01a1c1083c535ede, 0x67c6db7237017eb5,
+        0xa2bad81ffff0eb81, 0x3f05a1f16fa97ca9, 0xc6dc45a19da0c3ce, 0xabb3b52399835f59,
+        0xb7683016e3da66f8, 0xa381bf4febe2779a, 0x9d078c8eed660260, 0xa23bec304524b173,
+        0xe5ef4eb2b37cf067, 0x2e534839d1b8a263, 0xba335bda86078070, 0x526a79e6a75bc968,
+        0x28b0406de6010743, 0x95cbbc90e341bc51, 0x2fc3e53185a55e22, 0x57394c56a328100e,
+        0x9a4941ddf2e653c9, 0x182e3424907c1091, 0xba8a021f377c0e9e, 0xacb40d8821484b14,
     ],
 ];
 
@@ -898,6 +897,24 @@ fn repinned_non_clustered_scripts_reopen_their_window_after_a_repair() {
         let mut cov = Coverage::default();
         run_script(Kind::NonClustered, seed, &mut cov);
         assert!(cov.skipped_after_repair > 0, "seed {seed}: {cov:?}");
+    }
+}
+
+/// The Baseline row was re-pinned when the unprotected server began to
+/// decide a loss when the read is skipped, not when the delivery is due
+/// (ROADMAP defect (b)), and the generator stopped holding its repairs
+/// back until the server was idle: each of the 30 seeds that moved now
+/// repairs a disk with streams active; seeds 23 and 27 never do, and
+/// kept their digests. (Seeds 1, 5, 6, 14, 15, 21 and 25 would have
+/// moved under the old generator too: a disk fails the cycle after a
+/// stream read it, and the block already in memory is delivered.)
+#[test]
+fn repinned_baseline_scripts_repair_a_disk_with_streams_active() {
+    for seed in 0..SCRIPTS as u64 {
+        let mut cov = Coverage::default();
+        run_script(Kind::Baseline, seed, &mut cov);
+        let idle_repairs_only = [23, 27].contains(&seed);
+        assert_eq!(cov.busy_repairs == 0, idle_repairs_only, "{seed}: {cov:?}");
     }
 }
 
