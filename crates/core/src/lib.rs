@@ -39,7 +39,7 @@
 //!
 //! [`MultimediaServer::inject`] is the single fault-surface entry
 //! point, and the [`scenario`] module scripts whole
-//! deterministic failure scenarios (see `ScenarioRunner`). All
+//! deterministic failure scenarios and runs them as a corpus. All
 //! fallible server methods return the unified [`ServerError`]; the
 //! legacy per-subsystem enums remain re-exported below for
 //! pattern-matching callers.

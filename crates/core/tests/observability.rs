@@ -4,28 +4,29 @@
 //! agrees with the scenario engine's own mode-transition accounting
 //! (the live analogue of the paper's Eq. 6 MTTDS integrand).
 
-use mms_server::scenario::{find, ScenarioRunner};
+use mms_server::scenario::{corpus, Case, Report};
+use mms_server::sim::StepMode;
 use mms_server::telemetry::{
     FlightRecorder, FlightSnapshot, HealthConfig, HealthModel, Level, Recorder,
 };
-use mms_server::Parallelism;
-use std::num::NonZeroUsize;
-
-fn threads(n: usize) -> Parallelism {
-    Parallelism::Threads(NonZeroUsize::new(n).expect("thread count is nonzero"))
-}
+use mms_server::{Parallelism, RunConfig};
 
 /// Run the double-fault corpus case under an ambient Debug recorder and
 /// return the flight recorder's dump bytes.
 fn double_fault_flight_dump(par: Parallelism) -> Vec<u8> {
-    let case = find("double-fault-same-group", true).expect("corpus has the double-fault case");
+    let case = corpus(true)
+        .only("double-fault-same-group")
+        .expect("corpus has the double-fault case");
     let recorder = Recorder::new(Level::Debug);
     let reports = {
         let _guard = recorder.install();
-        ScenarioRunner::new(par).run_case(&case)
+        case.reports(&RunConfig {
+            threads: par,
+            ..RunConfig::default()
+        })
     };
     assert!(
-        reports.iter().all(|r| r.passed()),
+        reports[0].iter().all(Report::passed),
         "double-fault case must pass for every scheme"
     );
     // Capacity large enough to keep the whole run: eviction is tested
@@ -46,8 +47,8 @@ fn double_fault_flight_dump(par: Parallelism) -> Vec<u8> {
 #[test]
 fn flight_dump_is_byte_identical_across_thread_counts() {
     let seq = double_fault_flight_dump(Parallelism::Sequential);
-    assert_eq!(seq, double_fault_flight_dump(threads(2)));
-    assert_eq!(seq, double_fault_flight_dump(threads(8)));
+    assert_eq!(seq, double_fault_flight_dump(Parallelism::threads(2)));
+    assert_eq!(seq, double_fault_flight_dump(Parallelism::threads(8)));
 }
 
 #[test]
@@ -89,11 +90,13 @@ fn flight_dump_replays_a_stream_timeline() {
 
 #[test]
 fn health_model_matches_the_scenario_engines_degraded_accounting() {
-    let case = find("nc-transition-simple", true).expect("corpus has the Fig. 6 case");
+    let drill = corpus(true)
+        .only("nc-transition-simple")
+        .expect("corpus has the Fig. 6 case");
     let recorder = Recorder::new(Level::Info);
     let report = {
         let _guard = recorder.install();
-        ScenarioRunner::new(Parallelism::Sequential).run(&case, case.schemes[0])
+        drill.cases[0].run(0, StepMode::CycleByCycle)
     };
     assert!(report.passed(), "{:?}", report.violations);
 

@@ -1,15 +1,12 @@
-//! Scriptable fleet-level failure scenarios and the named corpus
-//! behind `mms-ctl fleet corpus`.
-//!
-//! The single-server corpus (`mms_server::scenario`) scripts disk
-//! deaths inside one node; this module scripts *node* deaths across
-//! the fleet. Every case is fully deterministic — seeded traffic,
-//! seeded consensus message delivery — so its rendered report is
-//! byte-identical at any thread count, which CI asserts.
+//! The fleet fault corpus behind `mms-ctl fleet <corpus|list|NAME>`: a
+//! table of [`FleetScenario`]s, scripted *node* deaths across the
+//! fleet, run by `mms_server`'s scenario engine. Every case is fully
+//! deterministic — seeded traffic, seeded consensus message delivery —
+//! so its rendered report is byte-identical at any thread count.
 
-use crate::fleet::{FleetBuilder, FleetEvent, FleetMetrics, TrafficReport};
-use mms_exec::Parallelism;
-use mms_sim::{run_batch, SplitMix64};
+use crate::fleet::{FleetBuilder, FleetError, FleetEvent, FleetMetrics, TrafficReport};
+use mms_server::scenario::{Case, Corpus, Report};
+use mms_sim::{SplitMix64, StepMode};
 
 /// A named, scripted fleet scenario.
 #[derive(Debug, Clone)]
@@ -61,7 +58,7 @@ pub enum FleetCheck {
 }
 
 /// Outcome of one scenario run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetCaseReport {
     /// The scenario name.
     pub name: &'static str,
@@ -79,16 +76,13 @@ pub struct FleetCaseReport {
     pub error: Option<String>,
 }
 
-impl FleetCaseReport {
+impl Report for FleetCaseReport {
     /// Whether every check held and no hard error occurred.
-    #[must_use]
-    pub fn passed(&self) -> bool {
+    fn passed(&self) -> bool {
         self.error.is_none() && self.verdicts.iter().all(|&(_, held)| held)
     }
 
-    /// Render the report as stable, diffable text.
-    #[must_use]
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         if let Some(e) = &self.error {
             out.push_str(&format!("  ERROR {e}\n"));
@@ -138,52 +132,54 @@ fn check_holds(check: FleetCheck, r: &FleetCaseReport) -> bool {
     }
 }
 
-/// Run one scenario to completion and evaluate its checks.
-#[must_use]
-pub fn run_case(case: &FleetScenario) -> FleetCaseReport {
-    let mut report = FleetCaseReport {
-        name: case.name,
-        traffic: TrafficReport::default(),
-        metrics: FleetMetrics::default(),
-        stalled: 0,
-        elections: 0,
-        verdicts: Vec::new(),
-        error: None,
-    };
-    let built = FleetBuilder::new(case.nodes)
-        .catalog(case.movies, case.tracks)
-        .control_seed(case.seed)
-        .build();
-    let mut fleet = match built {
-        Ok(f) => f,
-        Err(e) => {
-            report.error = Some(e.to_string());
-            return report;
-        }
-    };
-    for &event in &case.events {
-        if let Err(e) = fleet.inject(event) {
-            report.error = Some(e.to_string());
-            return report;
-        }
+impl Case for FleetScenario {
+    type Report = FleetCaseReport;
+
+    fn name(&self) -> &'static str {
+        self.name
     }
-    let mut rng = SplitMix64::new(case.seed);
-    match fleet.run_with_traffic(case.cycles, case.rate, case.theta, &mut rng) {
-        Ok(t) => report.traffic = t,
-        Err(e) => {
-            report.error = Some(e.to_string());
-            return report;
-        }
+
+    fn summary(&self) -> &'static str {
+        self.summary
     }
-    report.metrics = *fleet.metrics();
-    report.stalled = fleet.stalled_sessions();
-    report.elections = fleet.control_stats().elections;
-    report.verdicts = case
-        .checks
-        .iter()
-        .map(|&c| (c, check_holds(c, &report)))
-        .collect();
-    report
+
+    /// Run the scenario to completion and evaluate its checks. The
+    /// fleet's nodes step cycle by cycle whatever `_step_mode` says.
+    fn run(&self, _run: usize, _step_mode: StepMode) -> FleetCaseReport {
+        let mut report = FleetCaseReport {
+            name: self.name,
+            ..FleetCaseReport::default()
+        };
+        if let Err(e) = self.drive(&mut report) {
+            report.error = Some(e.to_string());
+        }
+        report
+    }
+}
+
+impl FleetScenario {
+    /// Build the fleet, script its events, drive the traffic and
+    /// record the verdicts; a hard error stops the run where it occurs.
+    fn drive(&self, report: &mut FleetCaseReport) -> Result<(), FleetError> {
+        let mut fleet = FleetBuilder::new(self.nodes)
+            .catalog(self.movies, self.tracks)
+            .control_seed(self.seed)
+            .build()?;
+        for &event in &self.events {
+            fleet.inject(event)?;
+        }
+        let mut rng = SplitMix64::new(self.seed);
+        report.traffic = fleet.run_with_traffic(self.cycles, self.rate, self.theta, &mut rng)?;
+        report.metrics = *fleet.metrics();
+        report.stalled = fleet.stalled_sessions();
+        report.elections = fleet.control_stats().elections;
+        report.verdicts = self
+            .checks
+            .iter()
+            .map(|&c| (c, check_holds(c, report)))
+            .collect();
+        Ok(())
+    }
 }
 
 /// Worst-case decree-commit gap the corpus tolerates: twice the
@@ -191,204 +187,172 @@ pub fn run_case(case: &FleetScenario) -> FleetCaseReport {
 /// concurrent election.
 const HICCUP_BOUND: u64 = 64;
 
-/// The named fleet scenario corpus (the `mms-ctl fleet corpus`
-/// registry).
+/// The named fleet corpus (the `mms-ctl fleet` table).
 ///
 /// `quick` halves the traffic horizon of the longer soaks; scripted
 /// events always stay inside the shortened horizon so verdicts are
 /// mode-independent.
 #[must_use]
-pub fn corpus(quick: bool) -> Vec<FleetScenario> {
+pub fn corpus(quick: bool) -> Corpus<FleetScenario> {
     let soak = |cycles: u64| if quick { cycles / 2 } else { cycles };
-    vec![
-        FleetScenario {
-            name: "fleet-failover",
-            summary: "one node dies mid-traffic; chained secondary absorbs every stream",
-            nodes: 4,
-            movies: 8,
-            tracks: 120,
-            cycles: soak(400),
-            rate: 1.5,
-            theta: 0.271,
-            seed: 9501,
-            events: vec![FleetEvent::fail_node(60, 2)],
-            checks: vec![
+    // Four nodes, eight 120-track movies, 1.5 arrivals a cycle: the
+    // shape of every case that does not say otherwise.
+    let ring = |name, summary, seed, events, checks| FleetScenario {
+        name,
+        summary,
+        nodes: 4,
+        movies: 8,
+        tracks: 120,
+        cycles: soak(400),
+        rate: 1.5,
+        theta: 0.271,
+        seed,
+        events,
+        checks,
+    };
+    let cases = vec![
+        ring(
+            "fleet-failover",
+            "one node dies mid-traffic; chained secondary absorbs every stream",
+            9501,
+            vec![FleetEvent::fail_node(60, 2)],
+            vec![
                 FleetCheck::NoTracksLost,
                 FleetCheck::ReRouted(1),
                 FleetCheck::BoundedFailoverHiccups(HICCUP_BOUND),
                 FleetCheck::NoStalledStreams,
                 FleetCheck::MinAdmitted(20),
             ],
-        },
-        FleetScenario {
-            name: "fleet-leader-failover",
-            summary: "the consensus leader itself dies; the ring elects its right neighbor",
-            nodes: 4,
-            movies: 8,
-            tracks: 120,
-            cycles: soak(400),
-            rate: 1.5,
-            theta: 0.271,
-            seed: 9502,
-            events: vec![FleetEvent::fail_node(50, 0)],
-            checks: vec![
+        ),
+        ring(
+            "fleet-leader-failover",
+            "the consensus leader itself dies; the ring elects its right neighbor",
+            9502,
+            vec![FleetEvent::fail_node(50, 0)],
+            vec![
                 FleetCheck::NoTracksLost,
                 FleetCheck::ReElected(1),
                 FleetCheck::BoundedFailoverHiccups(HICCUP_BOUND),
                 FleetCheck::NoStalledStreams,
             ],
-        },
-        FleetScenario {
-            name: "fleet-repair",
-            summary: "fail then repair one node; primaries return only after the NodeUp decree",
-            nodes: 4,
-            movies: 8,
-            tracks: 120,
-            cycles: soak(400),
-            rate: 1.5,
-            theta: 0.271,
-            seed: 9503,
-            events: vec![
+        ),
+        ring(
+            "fleet-repair",
+            "fail then repair one node; primaries return only after the NodeUp decree",
+            9503,
+            vec![
                 FleetEvent::fail_node(50, 1),
                 FleetEvent::repair_node(150, 1),
             ],
-            checks: vec![
+            vec![
                 FleetCheck::NoTracksLost,
                 FleetCheck::NoStalledStreams,
                 FleetCheck::MinAdmitted(20),
             ],
-        },
+        ),
         FleetScenario {
-            name: "fleet-replication-exhausted",
-            summary: "adjacent double fault with quorum intact: typed data loss, fleet survives",
             nodes: 5,
             movies: 10,
             // Long movies: the hold (tracks/k cycles) must exceed the
             // decree-commit gap, or every stream expires before the
             // second failover can find replication exhausted.
             tracks: 400,
-            cycles: soak(400),
             rate: 2.0,
-            theta: 0.271,
-            seed: 9504,
-            events: vec![FleetEvent::fail_node(40, 1), FleetEvent::fail_node(120, 2)],
-            checks: vec![
-                FleetCheck::ExpectDataLoss,
-                FleetCheck::NoStalledStreams,
-                FleetCheck::MinAdmitted(20),
-            ],
+            ..ring(
+                "fleet-replication-exhausted",
+                "adjacent double fault with quorum intact: typed data loss, fleet survives",
+                9504,
+                vec![FleetEvent::fail_node(40, 1), FleetEvent::fail_node(120, 2)],
+                vec![
+                    FleetCheck::ExpectDataLoss,
+                    FleetCheck::NoStalledStreams,
+                    FleetCheck::MinAdmitted(20),
+                ],
+            )
         },
-        FleetScenario {
-            name: "fleet-quorum-loss",
-            summary: "two of four nodes down: the second NodeDown decree can never commit",
-            nodes: 4,
-            movies: 8,
-            tracks: 120,
-            cycles: soak(400),
-            rate: 1.5,
-            theta: 0.271,
-            seed: 9505,
-            events: vec![FleetEvent::fail_node(40, 0), FleetEvent::fail_node(120, 2)],
-            checks: vec![
+        ring(
+            "fleet-quorum-loss",
+            "two of four nodes down: the second NodeDown decree can never commit",
+            9505,
+            vec![FleetEvent::fail_node(40, 0), FleetEvent::fail_node(120, 2)],
+            vec![
                 FleetCheck::NoTracksLost,
                 FleetCheck::ExpectStalledStreams,
                 FleetCheck::ReElected(1),
             ],
-        },
+        ),
         FleetScenario {
-            name: "fleet-storm",
-            summary: "rolling fail/repair storm, never two down at once: zero loss throughout",
             nodes: 6,
             movies: 12,
-            tracks: 120,
             cycles: soak(600),
             rate: 2.0,
-            theta: 0.271,
-            seed: 9506,
-            events: vec![
-                FleetEvent::fail_node(40, 0),
-                FleetEvent::repair_node(120, 0),
-                FleetEvent::fail_node(180, 3),
-                FleetEvent::repair_node(260, 3),
-                FleetEvent::fail_node(320, 5),
-                FleetEvent::repair_node(400, 5),
-            ],
-            checks: vec![
-                FleetCheck::NoTracksLost,
-                FleetCheck::BoundedFailoverHiccups(HICCUP_BOUND),
-                FleetCheck::NoStalledStreams,
-                FleetCheck::MinAdmitted(40),
-            ],
+            ..ring(
+                "fleet-storm",
+                "rolling fail/repair storm, never two down at once: zero loss throughout",
+                9506,
+                vec![
+                    FleetEvent::fail_node(40, 0),
+                    FleetEvent::repair_node(120, 0),
+                    FleetEvent::fail_node(180, 3),
+                    FleetEvent::repair_node(260, 3),
+                    FleetEvent::fail_node(320, 5),
+                    FleetEvent::repair_node(400, 5),
+                ],
+                vec![
+                    FleetCheck::NoTracksLost,
+                    FleetCheck::BoundedFailoverHiccups(HICCUP_BOUND),
+                    FleetCheck::NoStalledStreams,
+                    FleetCheck::MinAdmitted(40),
+                ],
+            )
         },
-    ]
-}
-
-/// Find a corpus scenario by name.
-#[must_use]
-pub fn find(name: &str, quick: bool) -> Option<FleetScenario> {
-    corpus(quick).into_iter().find(|c| c.name == name)
-}
-
-/// Run the whole corpus (or one named case) over the worker pool and
-/// render every report. Returns the rendered text and whether every
-/// check held. The text is bit-identical for every thread count.
-#[must_use]
-pub fn run_corpus_rendered(
-    parallelism: Parallelism,
-    quick: bool,
-    only: Option<&str>,
-) -> (String, bool) {
-    let cases: Vec<FleetScenario> = corpus(quick)
-        .into_iter()
-        .filter(|c| only.is_none_or(|n| c.name == n))
-        .collect();
-    let reports = run_batch(parallelism, &cases, run_case);
-    let mut out = String::new();
-    let mut all_passed = true;
-    for (case, report) in cases.iter().zip(&reports) {
-        out.push_str(&format!("== {} — {}\n", case.name, case.summary));
-        out.push_str(&report.render());
-        all_passed &= report.passed();
+    ];
+    Corpus {
+        label: "fleet corpus",
+        cases,
     }
-    out.push_str(if all_passed {
-        "fleet corpus: all invariants held"
-    } else {
-        "fleet corpus: INVARIANT VIOLATIONS"
-    });
-    out.push('\n');
-    (out, all_passed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mms_exec::Parallelism;
+    use mms_server::RunConfig;
+
+    fn render(threads: Parallelism, quick: bool) -> (String, bool) {
+        corpus(quick).render(&RunConfig {
+            threads,
+            ..RunConfig::default()
+        })
+    }
 
     #[test]
     fn corpus_names_are_unique() {
-        let cases = corpus(true);
+        let corpus = corpus(true);
+        let cases = &corpus.cases;
         assert!(cases.len() >= 6, "fleet corpus shrank to {}", cases.len());
         let mut names: Vec<&str> = cases.iter().map(|c| c.name).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate fleet scenario names");
-        assert!(find("fleet-failover", true).is_some());
-        assert!(find("no-such-scenario", true).is_none());
+        assert!(corpus.clone().only("fleet-failover").is_some());
+        assert!(corpus.only("no-such-scenario").is_none());
     }
 
     #[test]
     fn corpus_passes_in_both_modes() {
         for quick in [true, false] {
-            let (text, passed) = run_corpus_rendered(Parallelism::Sequential, quick, None);
+            let (text, passed) = render(Parallelism::Sequential, quick);
             assert!(passed, "fleet corpus failed (quick={quick}):\n{text}");
         }
     }
 
     #[test]
     fn corpus_is_thread_count_invariant() {
-        let base = run_corpus_rendered(Parallelism::threads(1), true, None);
+        let base = render(Parallelism::threads(1), true);
         for threads in [2, 8] {
-            let other = run_corpus_rendered(Parallelism::threads(threads), true, None);
+            let other = render(Parallelism::threads(threads), true);
             assert_eq!(
                 base.0, other.0,
                 "fleet corpus text diverged at {threads} threads"

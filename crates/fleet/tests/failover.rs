@@ -248,7 +248,9 @@ fn corpus_check_surface_is_stable() {
         FleetCheck::ExpectStalledStreams,
         FleetCheck::BoundedFailoverHiccups(GAP_BOUND),
     ];
-    let (text, passed) =
-        mms_fleet::scenario::run_corpus_rendered(Parallelism::Sequential, true, None);
+    let (text, passed) = mms_fleet::scenario::corpus(true).render(&RunConfig {
+        threads: Parallelism::Sequential,
+        ..RunConfig::default()
+    });
     assert!(passed, "fleet corpus must hold in quick mode:\n{text}");
 }

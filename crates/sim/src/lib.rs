@@ -29,11 +29,8 @@
 //! * [`trace`] — ASCII rendering of read schedules in the style of the
 //!   paper's Figures 3, 5, 6, 7, and 8.
 //! * [`batch`] — deterministic parallel execution of independent
-//!   scenario grids (ablations, design drills) over `mms-exec`'s worker
-//!   pool.
-//! * [`scenario`] — the declarative fault-injection model: seeded
-//!   scripts of timed failure/repair/rebuild events with paper-derived
-//!   invariants, executed by `mms-server`'s `ScenarioRunner`.
+//!   scenario grids (ablations, design drills, the fault corpora of
+//!   `mms-server`'s scenario engine) over `mms-exec`'s worker pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +39,6 @@ pub mod batch;
 mod failure;
 mod metrics;
 mod rebuild;
-pub mod scenario;
 mod simulator;
 pub mod trace;
 mod verify;
@@ -52,7 +48,6 @@ pub use batch::{run_batch, run_batch_seeded};
 pub use failure::{FailureEvent, FailureSchedule};
 pub use metrics::{BufferSeries, CycleReport, Metrics};
 pub use rebuild::{Rebuild, RebuildManager, RebuildSource};
-pub use scenario::{Check, Expectation, Horizon, Scenario, ScenarioEvent, ScenarioReport};
 pub use simulator::{DataMode, ObjectDirectory, SimError, Simulator, StepMode};
 pub use verify::BlockOracle;
 pub use workload::{

@@ -17,7 +17,7 @@
 //!
 //! [`observe`](HealthModel::observe) is allocation-free per event so the
 //! model can ride on the hot path; the degraded-cycle accounting matches
-//! `mms_sim::scenario::degraded_cycles` exactly (keep-first on repeated
+//! `mms_server::scenario::degraded_cycles` exactly (keep-first on repeated
 //! non-normal transitions, close on return to `normal`).
 
 use crate::event::{EventKind, EventRecord, Value};

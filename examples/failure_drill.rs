@@ -8,13 +8,13 @@ use ft_media_server::disk::{Bandwidth, DiskId, DiskParams};
 use ft_media_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
-use ft_media_server::scenario::{find, ScenarioRunner};
+use ft_media_server::scenario::{corpus, Report};
 use ft_media_server::sched::{
     CycleConfig, CyclePlan, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
 };
 use ft_media_server::sim::trace;
 use ft_media_server::telemetry::{dashboard, jsonl, Level, Recorder};
-use ft_media_server::Parallelism;
+use ft_media_server::{Parallelism, RunConfig};
 use std::collections::BTreeMap;
 
 /// Stream names as in the figures.
@@ -143,10 +143,13 @@ fn main() {
     // the scenario engine, which checks the exact loss counts as
     // invariants.
     println!("== the same drills through the scenario engine ==\n");
-    let runner = ScenarioRunner::new(Parallelism::Sequential);
+    let cfg = RunConfig {
+        threads: Parallelism::Sequential,
+        ..RunConfig::default()
+    };
     for name in ["nc-transition-simple", "nc-transition-delayed"] {
-        let case = find(name, true).expect("corpus scenario");
-        for report in runner.run_case(&case) {
+        let drill = corpus(true).only(name).expect("corpus scenario");
+        for report in drill.reports(&cfg).concat() {
             print!("{}", report.render());
         }
     }

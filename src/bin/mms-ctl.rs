@@ -1,88 +1,24 @@
 //! `mms-ctl` — command-line driver for the fault-tolerant multimedia
 //! server library.
 //!
-//! ```text
-//! mms-ctl table <C>                          the Table 2/3 metrics at any C
-//! mms-ctl simulate [options]                 run a failure scenario
-//!   --scheme sr|sg|nc|ib   (default sr)
-//!   --disks N              (default 10; IB default 8)
-//!   --group C              (default 5)
-//!   --viewers N            (default 4)
-//!   --tracks N             (default 500)
-//!   --fail DISK@CYCLE      (repeatable)
-//!   --repair DISK@CYCLE    (repeatable)
-//!   --rebuild DISK@CYCLE   (repeatable; parity rebuild)
-//!   --cycles N             (default: run until streams finish)
-//! mms-ctl mttf <D> <C> [options]             reliability summary
-//!   --mc TRIALS            Monte-Carlo validation of Eqs. 4-5 (default off; at least 2)
-//!   --threads N|auto|seq   worker pool for the trials (default auto)
-//! mms-ctl design <streams> [options]         cheapest feasible design
-//!   --threads N|auto|seq   worker pool for the sweep (default auto)
-//! mms-ctl scenario <name|all|list> [options]  run the fault-injection corpus
-//!   --quick                shorten the stochastic soak (CI smoke mode)
-//!   --threads N|auto|seq   worker pool for the scheme fan-out (default auto)
-//!   --fast-forward         event-horizon execution (identical reports, faster)
-//! mms-ctl workload [options]                 heavy-traffic session engine
-//!   --scheme sr|sg|nc|ib   (default sr)
-//!   --disks N              (default 10; IB default 8)
-//!   --group C              (default 5)
-//!   --movies N             catalog size (default 8)
-//!   --tracks N             tracks per movie (default 200)
-//!   --cycles N             (default 1000)
-//!   --theta F              Zipf skew (default 0.271, the video-store fit)
-//!   --rate F               Poisson arrivals per cycle (default 2.0)
-//!   --burst Q:B:PIN:POUT   MMPP instead: quiet/burst rates + switch probs
-//!   --policy P             reject|degrade|queue (default reject)
-//!   --threshold F          degrade above this utilization (default 0.8)
-//!   --quality F            degraded duration multiplier (default 0.5)
-//!   --max-wait N           queue patience in cycles (default 10)
-//!   --vbr A,B,…            bitrate-ladder hold multipliers
-//!   --abandon F            viewer abandonment probability (default 0)
-//!   --fail DISK@CYCLE      (repeatable; run degraded)
-//!   --seed N               (default 1995)
-//!   --fast-forward         event-horizon execution (identical results, faster)
-//! mms-ctl fleet [corpus|list|<case>] [options]  sharded multi-node tier
-//!   (no positional: run a fleet under traffic with scripted node faults)
-//!   --nodes N              fleet size (default 4)
-//!   --scheme sr|sg|nc|ib   per-node scheme (default sr)
-//!   --disks N              per-node disks (default 10; IB default 8)
-//!   --group C              (default 5)
-//!   --movies N             global catalog size (default 8)
-//!   --tracks N             tracks per movie (default 200)
-//!   --cycles N             (default 400)
-//!   --rate F               Poisson arrivals per cycle (default 2.0)
-//!   --theta F              Zipf skew (default 0.271)
-//!   --fail-node N@CYCLE    (repeatable; whole-node failure)
-//!   --repair-node N@CYCLE  (repeatable; node returns, catalog re-syncs)
-//!   --seed N               (default 1995)
-//!   --mttf TRIALS          Monte-Carlo fleet MTTF/MTTDS (default off; at least 2)
-//!   --node-mttf-h H        node MTTF hours for --mttf (default 100000)
-//!   --node-mttr-h H        node MTTR hours for --mttf (default 24)
-//!   corpus [--quick]       run the fleet fault corpus (nonzero exit on violation)
-//!   list                   list the fleet corpus cases
-//! mms-ctl trace <flight.jsonl> [options]     walk a flight-recorder dump
-//!   --session ID           only records mentioning this stream/session
-//! ```
+//! `mms-ctl --help` prints one line per subcommand with the flags it
+//! takes; the text, the dispatcher and the argument check are all read
+//! off [`COMMANDS`]. Every argument is checked before anything runs:
+//! positionals first and no more than the usage line shows, then only
+//! flags the subcommand takes, each valued flag followed by its value.
+//! Anything else is an error naming the argument, with the usage on
+//! stderr and exit status 2.
 //!
 //! Every run-style subcommand (`simulate`, `mttf`, `scenario`,
 //! `workload`, `fleet`) shares one [`RunConfig`]: the worker pool
 //! (`--threads N|auto|seq`), the step mode (`--fast-forward` selects
 //! event-horizon execution — identical results, faster), and the
-//! observability flags:
-//!
-//! ```text
-//!   --telemetry PATH.jsonl export events + final metric snapshot as JSONL
-//!   --log-level LEVEL      error|warn|info|debug|trace (default info)
-//!   --dash                 print the ASCII metrics dashboard at the end
-//!   --flight-recorder PATH dump the newest events as a replayable black box
-//!   --flight-capacity N    flight-recorder ring size (default 4096)
-//!   --prom-out PATH        write the metric snapshot in Prometheus text format
-//!   --perfetto-out PATH    write the event stream as Chrome/Perfetto trace JSON
-//!   --slo                  print the HealthModel SLO panel at the end
-//! ```
-//!
-//! The config is parsed once per invocation and handed to builders
-//! directly (`ServerBuilder::run_config`, `FleetBuilder::run_config`).
+//! observability flags (`--telemetry`, `--log-level`, `--dash`,
+//! `--flight-recorder`, `--flight-capacity`, `--prom-out`,
+//! `--perfetto-out`, `--slo`). The config is parsed once per invocation
+//! and handed to builders directly (`ServerBuilder::run_config`,
+//! `FleetBuilder::run_config`) and to the scenario engine's corpus
+//! runner, which `scenario` and `fleet <corpus|list|NAME>` share.
 //!
 //! The flight recorder arms itself on the first `error`-level record
 //! (data loss, check violations); `--flight-recorder` also dumps on a
@@ -100,9 +36,9 @@ use ft_media_server::disk::{DiskId, ReliabilityParams};
 use ft_media_server::fleet::{fleet_mttds, fleet_mttf, FleetBuilder, FleetEvent};
 use ft_media_server::layout::{BandwidthClass, MediaObject, ObjectId};
 use ft_media_server::reliability::{formulas, CatastropheRule, MonteCarlo, PoolMarkov};
-use ft_media_server::scenario;
+use ft_media_server::scenario::{self, Case, Corpus};
 use ft_media_server::sim::{
-    AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, SessionEngine, SplitMix64, StepMode,
+    AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, SessionEngine, SplitMix64,
 };
 use ft_media_server::telemetry::{FlightSnapshot, Recorder};
 use ft_media_server::{flag_arg, flag_value, RunConfig, Scheme, ServerBuilder, ServerError};
@@ -112,83 +48,165 @@ use std::process::ExitCode;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
-/// One subcommand: the dispatcher, the usage text and the
-/// unknown-subcommand error are all read off [`COMMANDS`].
+/// One subcommand: the dispatcher, the usage text, the argument check
+/// and the unknown-subcommand error are all read off [`COMMANDS`].
 struct Command {
     name: &'static str,
-    /// Positionals and flags, as shown on the command's usage line.
-    synopsis: &'static str,
+    /// Positionals as the usage line shows them, one word each.
+    positionals: &'static str,
+    /// The flags it takes, each followed by its value when it takes one.
+    flags: &'static str,
+    /// Whether it also takes the [`RUN_FLAGS`].
+    run_config: bool,
     run: fn(&[String]) -> CmdResult,
 }
 
 const COMMANDS: &[Command] = &[
     Command {
         name: "table",
-        synopsis: "[C]",
+        positionals: "[C]",
+        flags: "",
+        run_config: false,
         run: cmd_table,
     },
     Command {
         name: "simulate",
-        synopsis:
-            "[--scheme sr|sg|nc|ib] [--disks N] [--group C] [--viewers N] [--tracks N] \
-                   [--fail DISK@CYCLE]… [--repair DISK@CYCLE]… [--rebuild DISK@CYCLE]… [--cycles N]",
+        positionals: "",
+        flags: "--scheme sr|sg|nc|ib --disks N --group C --viewers N --tracks N \
+                --fail DISK@CYCLE --repair DISK@CYCLE --rebuild DISK@CYCLE --cycles N",
+        run_config: true,
         run: cmd_simulate,
     },
     Command {
         name: "mttf",
-        synopsis: "<D> <C> [--mc TRIALS]",
+        positionals: "<D> <C>",
+        flags: "--mc TRIALS",
+        run_config: true,
         run: cmd_mttf,
     },
     Command {
         name: "design",
-        synopsis: "<streams> [--threads N|auto|seq]",
+        positionals: "<streams>",
+        flags: "--threads N|auto|seq",
+        run_config: false,
         run: cmd_design,
     },
     Command {
         name: "scenario",
-        synopsis: "<name|all|list> [--quick]",
+        positionals: "<name|all|list>",
+        flags: "--quick",
+        run_config: true,
         run: cmd_scenario,
     },
     Command {
         name: "workload",
-        synopsis: "[--scheme sr|sg|nc|ib] [--disks N] [--group C] [--movies N] [--tracks N] \
-                   [--cycles N] [--theta F] [--rate F] [--burst Q:B:PIN:POUT] \
-                   [--policy reject|degrade|queue] [--threshold F] [--quality F] [--max-wait N] \
-                   [--vbr A,B,…] [--abandon F] [--fail DISK@CYCLE]… [--seed N]",
+        positionals: "",
+        flags: "--scheme sr|sg|nc|ib --disks N --group C --movies N --tracks N --cycles N \
+                --theta F --rate F --burst Q:B:PIN:POUT --policy reject|degrade|queue \
+                --threshold F --quality F --max-wait N --vbr A,B,… --abandon F \
+                --fail DISK@CYCLE --seed N",
+        run_config: true,
         run: cmd_workload,
     },
     Command {
         name: "fleet",
-        synopsis: "[corpus [--quick]|list|<case>] [--nodes N] [--scheme sr|sg|nc|ib] [--disks N] \
-                   [--group C] [--movies N] [--tracks N] [--cycles N] [--rate F] [--theta F] \
-                   [--fail-node N@CYCLE]… [--repair-node N@CYCLE]… [--seed N] [--mttf TRIALS] \
-                   [--node-mttf-h H] [--node-mttr-h H]",
+        positionals: "[corpus|list|<case>]",
+        flags: "--quick --nodes N --scheme sr|sg|nc|ib --disks N --group C --movies N \
+                --tracks N --cycles N --rate F --theta F --fail-node N@CYCLE \
+                --repair-node N@CYCLE --seed N --mttf TRIALS --node-mttf-h H --node-mttr-h H",
+        run_config: true,
         run: cmd_fleet,
     },
     Command {
         name: "trace",
-        synopsis: "<flight.jsonl> [--session ID]",
+        positionals: "<flight.jsonl>",
+        flags: "--session ID",
+        run_config: false,
         run: cmd_trace,
     },
 ];
 
-/// Flags every run-style subcommand accepts (see [`RunConfig`]).
-const RUN_FLAGS: &str = "[--threads N|auto|seq] [--fast-forward] [--telemetry PATH.jsonl] \
-                         [--log-level error|warn|info|debug|trace] [--dash] [--flight-recorder PATH] \
-                         [--flight-capacity N] [--prom-out PATH] [--perfetto-out PATH] [--slo]";
+/// Flags every run-style subcommand takes (see [`RunConfig`]).
+const RUN_FLAGS: &str = "--threads N|auto|seq --fast-forward --telemetry PATH.jsonl \
+                         --log-level error|warn|info|debug|trace --dash --flight-recorder PATH \
+                         --flight-capacity N --prom-out PATH --perfetto-out PATH --slo";
+
+/// The `(flag, value)` pairs of a flag list: a word after a flag that
+/// is not itself a flag is that flag's value.
+fn flag_list(list: &'static str) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+    let mut words = list.split_whitespace().peekable();
+    std::iter::from_fn(move || Some((words.next()?, words.next_if(|w| !w.starts_with("--")))))
+}
+
+impl Command {
+    /// Every flag the command takes.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+        flag_list(self.flags).chain(flag_list(if self.run_config { RUN_FLAGS } else { "" }))
+    }
+
+    /// Check `args` against the table before anything runs.
+    fn check(&self, args: &[String]) -> Result<(), String> {
+        let leading = args.iter().take_while(|a| !a.starts_with("--")).count();
+        let most = self.positionals.split_whitespace().count();
+        if leading > most {
+            return Err(format!(
+                "unexpected argument `{}`: {} takes at most {most} positional(s)",
+                args[most], self.name
+            ));
+        }
+        let mut rest = args[leading..].iter();
+        while let Some(arg) = rest.next() {
+            let Some((flag, value)) = self.flags().find(|&(flag, _)| flag == arg) else {
+                return Err(if arg.starts_with("--") {
+                    format!("unknown flag `{arg}` for {}", self.name)
+                } else {
+                    format!("unexpected argument `{arg}`: positionals go before the flags")
+                });
+            };
+            if value.is_some() && rest.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("{flag} needs a value"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A flag list as the usage shows it; every `…@CYCLE` event flag may
+/// repeat.
+fn synopsis(list: &'static str) -> String {
+    let shown: Vec<String> = flag_list(list)
+        .map(|(flag, value)| match value {
+            None => format!("[{flag}]"),
+            Some(v) if v.ends_with("@CYCLE") => format!("[{flag} {v}]…"),
+            Some(v) => format!("[{flag} {v}]"),
+        })
+        .collect();
+    shown.join(" ")
+}
 
 /// The usage text: one line per subcommand with its flags.
 fn usage() -> String {
     let mut text = String::from("usage: mms-ctl <command> [options]\n\ncommands:\n");
     for c in COMMANDS {
-        text.push_str(&format!("  {:<9} {}\n", c.name, c.synopsis));
+        let line = format!("{} {}", c.positionals, synopsis(c.flags));
+        text.push_str(&format!("  {:<9} {}\n", c.name, line.trim()));
     }
     text.push_str("  help      print this text (also --help, -h)\n");
+    let run_style: Vec<&str> = COMMANDS
+        .iter()
+        .filter(|c| c.run_config)
+        .map(|c| c.name)
+        .collect();
     text.push_str(&format!(
-        "\nsimulate, mttf, scenario, workload and fleet also take:\n  {RUN_FLAGS}\n"
+        "\n{} also take:\n  {}\n",
+        run_style.join(", "),
+        synopsis(RUN_FLAGS)
     ));
     text
 }
+
+/// Exit status of a command line the table cannot account for.
+const USAGE_ERROR: u8 = 2;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -197,19 +215,25 @@ fn main() -> ExitCode {
         print!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let Some(command) = COMMANDS.iter().find(|c| Some(c.name) == name) else {
-        match name {
+    let checked = match COMMANDS.iter().find(|c| Some(c.name) == name) {
+        Some(command) => command.check(&args[1..]).map(|()| command),
+        None => Err(match name {
             Some(other) => {
                 let known: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
-                eprintln!(
-                    "error: unknown subcommand `{other}` (expected one of: {})\n",
+                format!(
+                    "unknown subcommand `{other}` (expected one of: {})",
                     known.join(", ")
-                );
+                )
             }
-            None => eprintln!("error: missing subcommand\n"),
+            None => "missing subcommand".to_string(),
+        }),
+    };
+    let command = match checked {
+        Ok(command) => command,
+        Err(e) => {
+            eprint!("error: {e}\n\n{}", usage());
+            return ExitCode::from(USAGE_ERROR);
         }
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
     };
     match (command.run)(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
@@ -447,35 +471,47 @@ fn cmd_mttf(args: &[String]) -> CmdResult {
 }
 
 fn cmd_scenario(args: &[String]) -> CmdResult {
-    let name = args
+    let quick = args.iter().any(|a| a == "--quick");
+    run_corpus("scenario", scenario::corpus(quick), "all", "all", args)
+}
+
+/// `scenario <name|all|list>` and `fleet <corpus|list|NAME>`: list
+/// `corpus`, run all of it (`everything`), or run the one case named.
+/// `label` tags the run's `health.*` gauges.
+fn run_corpus<C: Case>(
+    command: &str,
+    corpus: Corpus<C>,
+    everything: &str,
+    label: &str,
+    args: &[String],
+) -> CmdResult {
+    let pick = args
         .first()
         .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .ok_or("usage: mms-ctl scenario <name|all|list> [--quick] [--threads N|auto|seq]")?;
-    let quick = args.iter().any(|a| a == "--quick");
+        .ok_or_else(|| format!("{command} needs a case name, `{everything}` or `list`"))?;
     let cfg = RunConfig::from_args(args)?;
-    if name == "list" {
-        for case in scenario::corpus(quick) {
-            println!("{:<26} {}", case.scenario.name, case.scenario.summary);
-        }
+    if pick == "list" {
+        print!("{}", corpus.list());
         return Ok(());
     }
-    let only = (name != "all").then_some(name.as_str());
-    if only.is_some() && scenario::find(&name, quick).is_none() {
-        return Err(format!("unknown scenario '{name}' (try `mms-ctl scenario list`)").into());
-    }
+    let corpus = if pick == everything {
+        corpus
+    } else {
+        corpus.only(pick).ok_or_else(|| {
+            format!("unknown {command} case '{pick}' (try `mms-ctl {command} list`)")
+        })?
+    };
     let recorder = cfg.recorder();
     let _guard = recorder.as_ref().map(Recorder::install);
-    let fast_forward = cfg.step_mode == StepMode::EventHorizon;
-    let (text, ok) = scenario::run_corpus_rendered(cfg.threads, quick, only, fast_forward);
+    let (text, ok) = corpus.render(&cfg);
     print!("{text}");
     if let Some(recorder) = recorder {
-        cfg.finish(recorder, "all")?;
+        cfg.finish(recorder, label)?;
     }
     if ok {
         Ok(())
     } else {
-        Err("scenario invariants violated".into())
+        Err(format!("{command} corpus invariants violated").into())
     }
 }
 
@@ -646,56 +682,12 @@ fn cmd_workload(args: &[String]) -> CmdResult {
 }
 
 fn cmd_fleet(args: &[String]) -> CmdResult {
-    let sub = args.first().filter(|a| !a.starts_with("--")).cloned();
-    let quick = args.iter().any(|a| a == "--quick");
-    let cfg = RunConfig::from_args(args)?;
-    match sub.as_deref() {
-        Some("list") => {
-            for case in ft_media_server::fleet::scenario::corpus(quick) {
-                println!("{:<28} {}", case.name, case.summary);
-            }
-            return Ok(());
-        }
-        Some("corpus") => {
-            let recorder = cfg.recorder();
-            let _guard = recorder.as_ref().map(Recorder::install);
-            let (text, ok) =
-                ft_media_server::fleet::scenario::run_corpus_rendered(cfg.threads, quick, None);
-            print!("{text}");
-            if let Some(recorder) = recorder {
-                cfg.finish(recorder, "fleet")?;
-            }
-            return if ok {
-                Ok(())
-            } else {
-                Err("fleet corpus invariants violated".into())
-            };
-        }
-        Some(name) => {
-            if ft_media_server::fleet::scenario::find(name, quick).is_none() {
-                return Err(
-                    format!("unknown fleet case '{name}' (try `mms-ctl fleet list`)").into(),
-                );
-            }
-            let recorder = cfg.recorder();
-            let _guard = recorder.as_ref().map(Recorder::install);
-            let (text, ok) = ft_media_server::fleet::scenario::run_corpus_rendered(
-                cfg.threads,
-                quick,
-                Some(name),
-            );
-            print!("{text}");
-            if let Some(recorder) = recorder {
-                cfg.finish(recorder, "fleet")?;
-            }
-            return if ok {
-                Ok(())
-            } else {
-                Err("fleet case invariants violated".into())
-            };
-        }
-        None => {}
+    if args.first().is_some_and(|a| !a.starts_with("--")) {
+        let quick = args.iter().any(|a| a == "--quick");
+        let corpus = ft_media_server::fleet::scenario::corpus(quick);
+        return run_corpus("fleet", corpus, "corpus", "fleet", args);
     }
+    let cfg = RunConfig::from_args(args)?;
 
     // No positional: run a fleet under traffic with scripted node faults.
     let nodes: usize = flag_value(args, "--nodes", 4)?;

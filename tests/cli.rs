@@ -121,6 +121,47 @@ const SUBCOMMANDS: [&str; 8] = [
     "table", "simulate", "mttf", "design", "scenario", "workload", "fleet", "trace",
 ];
 
+/// An argument the subcommand cannot account for — an unknown flag, a
+/// surplus positional, a positional after a flag — used to be dropped
+/// without a word (`scenario all --quik` ran the full corpus). Now it
+/// is named on stderr above the usage, nothing runs, and the exit
+/// status is 2.
+#[test]
+fn an_argument_the_subcommand_cannot_account_for_is_a_usage_error() {
+    let (help, _, _) = ctl(&["--help"]);
+    let cases: [(&[&str], &str); 9] = [
+        (&["table", "5", "extra", "junk"], "`extra`"),
+        (&["simulate", "--cycels", "5"], "`--cycels`"),
+        // `--mc` takes 100; 500 and 5 follow a flag.
+        (&["mttf", "--mc", "100", "500", "5"], "`500`"),
+        (&["design", "1200", "--threds", "2"], "`--threds`"),
+        (&["scenario", "all", "--quik"], "`--quik`"),
+        (&["workload", "--rate", "2", "extra"], "`extra`"),
+        (&["fleet", "corpus", "list"], "`list`"),
+        (&["trace", "dump.jsonl", "--sesion", "1"], "`--sesion`"),
+        // The shared run flags belong to the run-style subcommands only.
+        (&["table", "5", "--threads", "2"], "`--threads`"),
+    ];
+    for name in SUBCOMMANDS {
+        assert!(cases.iter().any(|(args, _)| args[0] == name), "{name}");
+    }
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mms-ctl"))
+            .args(args)
+            .output()
+            .expect("run mms-ctl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(named), "{args:?}: {first}");
+        assert!(
+            stderr.ends_with(&help),
+            "{args:?}: usage follows:\n{stderr}"
+        );
+    }
+}
+
 #[test]
 fn help_prints_the_usage_on_stdout_and_succeeds() {
     let (reference, _, _) = ctl(&["--help"]);

@@ -6,14 +6,17 @@
 
 use ft_media_server::disk::DiskId;
 use ft_media_server::reliability::CatastropheRule;
-use ft_media_server::scenario::{corpus, find, run_corpus_rendered, ScenarioRunner};
-use ft_media_server::sched::SchemeKind;
-use ft_media_server::sim::FailureEvent;
-use ft_media_server::{Parallelism, Scheme, ServerBuilder, ServerError};
-use std::num::NonZeroUsize;
+use ft_media_server::scenario::{corpus, Case, Report};
+use ft_media_server::sim::{FailureEvent, StepMode};
+use ft_media_server::{Parallelism, RunConfig, Scheme, ServerBuilder, ServerError};
 
-fn threads(n: usize) -> Parallelism {
-    Parallelism::Threads(NonZeroUsize::new(n).unwrap())
+/// The quick corpus, rendered on `threads` workers in `step_mode`.
+fn render(threads: Parallelism, step_mode: StepMode) -> (String, bool) {
+    corpus(true).render(&RunConfig {
+        threads,
+        step_mode,
+        ..RunConfig::default()
+    })
 }
 
 #[test]
@@ -59,7 +62,7 @@ fn second_fault_in_degraded_group_is_typed_data_loss_for_every_scheme() {
 
 #[test]
 fn corpus_invariants_hold_for_every_scheme() {
-    let (text, ok) = run_corpus_rendered(Parallelism::Sequential, true, None, false);
+    let (text, ok) = render(Parallelism::Sequential, StepMode::CycleByCycle);
     assert!(ok, "corpus violations:\n{text}");
 }
 
@@ -68,9 +71,9 @@ fn corpus_invariants_hold_for_every_scheme() {
 /// losses), every metric line, every verdict.
 #[test]
 fn corpus_output_is_bit_identical_with_fast_forward() {
-    let (slow, ok) = run_corpus_rendered(Parallelism::Sequential, true, None, false);
+    let (slow, ok) = render(Parallelism::Sequential, StepMode::CycleByCycle);
     assert!(ok);
-    let (fast, ok) = run_corpus_rendered(Parallelism::Sequential, true, None, true);
+    let (fast, ok) = render(Parallelism::Sequential, StepMode::EventHorizon);
     assert!(ok);
     assert_eq!(slow, fast, "fast-forward changed the corpus output");
 }
@@ -78,9 +81,9 @@ fn corpus_output_is_bit_identical_with_fast_forward() {
 #[test]
 fn nc_figure_scenarios_reproduce_exact_transition_losses() {
     for (name, expected) in [("nc-transition-simple", 6), ("nc-transition-delayed", 3)] {
-        let case = find(name, true).unwrap();
-        let runner = ScenarioRunner::new(Parallelism::Sequential);
-        let report = runner.run(&case, SchemeKind::NonClustered);
+        let drill = corpus(true).only(name).unwrap();
+        let report = drill.cases[0].run(0, StepMode::CycleByCycle);
+        assert_eq!(report.scheme, Scheme::NonClustered, "{name}");
         assert!(report.passed(), "{name}: {:?}", report.violations);
         assert_eq!(report.tracks_lost, expected, "{name}");
     }
@@ -88,10 +91,10 @@ fn nc_figure_scenarios_reproduce_exact_transition_losses() {
 
 #[test]
 fn corpus_output_is_bit_identical_across_thread_counts() {
-    let (seq, ok) = run_corpus_rendered(Parallelism::Sequential, true, None, false);
+    let (seq, ok) = render(Parallelism::Sequential, StepMode::CycleByCycle);
     assert!(ok);
     for n in [2, 8] {
-        let (par, ok) = run_corpus_rendered(threads(n), true, None, false);
+        let (par, ok) = render(Parallelism::threads(n), StepMode::CycleByCycle);
         assert!(ok);
         assert_eq!(seq, par, "corpus diverged at {n} threads");
     }
@@ -138,19 +141,23 @@ fn simulated_catastrophes_match_the_reliability_rule() {
 
 #[test]
 fn every_corpus_scenario_runs_for_each_of_its_schemes() {
-    let runner = ScenarioRunner::new(Parallelism::Sequential);
-    for case in corpus(true) {
-        let reports = runner.run_case(&case);
-        assert_eq!(reports.len(), case.schemes.len());
+    let corpus = corpus(true);
+    let cfg = RunConfig {
+        threads: Parallelism::Sequential,
+        ..RunConfig::default()
+    };
+    for (case, reports) in corpus.cases.iter().zip(corpus.reports(&cfg)) {
+        let schemes: Vec<Scheme> = reports.iter().map(|r| r.scheme).collect();
+        assert_eq!(schemes, case.schemes, "{}", case.name);
         for report in reports {
             assert!(
                 report.passed(),
                 "{}/{:?}: {:?}",
-                case.scenario.name,
+                case.name,
                 report.scheme,
                 report.violations
             );
-            assert!(report.cycles > 0, "{}", case.scenario.name);
+            assert!(report.cycles > 0, "{}", case.name);
         }
     }
 }
