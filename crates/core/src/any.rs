@@ -157,8 +157,4 @@ impl SchemeScheduler for AnyScheduler {
     fn fast_forward(&mut self, cycles: u64) {
         delegate!(self, s => s.fast_forward(cycles))
     }
-
-    fn plan_epoch(&self) -> u64 {
-        delegate!(self, s => s.plan_epoch())
-    }
 }

@@ -552,7 +552,6 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.streams.bump_epoch();
         self.failed.entry(cluster).or_default().insert(pos);
         // Parity read with every group masks a failure whenever it
         // strikes; parity fetched on demand was not asked for in time.
@@ -594,7 +593,6 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.streams.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -660,10 +658,6 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         // stands as it is at whichever read phase a stream lands.
         self.streams
             .fast_forward(cycles, self.config.k_prime as u64, self.steady_held());
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        self.streams.epoch()
     }
 }
 

@@ -1007,7 +1007,6 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
-        self.streams.bump_epoch();
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
@@ -1113,7 +1112,6 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
-        self.streams.bump_epoch();
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         if let Some(d) = self.degraded.get_mut(&cluster) {
@@ -1183,10 +1181,6 @@ impl SchemeScheduler for NonClusteredScheduler {
         if let Some((due, frees)) = self.deferred_frees.pop_first() {
             self.deferred_frees.insert(due + cycles, frees);
         }
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        self.streams.epoch()
     }
 }
 

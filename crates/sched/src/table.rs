@@ -14,7 +14,7 @@
 //! The table also owns what the schedulers used to duplicate around
 //! their own maps: the stream header ([`Slot`]), the buffer charge of
 //! each stream (`held`, kept in step with the pool's aggregate gauge),
-//! the id counter, the cycle cursor and the plan epoch.
+//! the id counter and the cycle cursor.
 //!
 //! Beside it sits the [`ClassTable`]: how many streams hold a seat in
 //! each admission class. It is what admission tests, and — because every
@@ -120,7 +120,6 @@ pub struct StreamTable<S> {
     buffers: BufferPool,
     next_stream: u64,
     next_cycle: u64,
-    epoch: u64,
     /// Bounds of the stability window over the live streams, so
     /// [`stable_window`](Self::stable_window) is a lookup between
     /// changes: admission and truncation can only tighten them; a
@@ -166,7 +165,6 @@ impl<S> StreamTable<S> {
             buffers: BufferPool::unbounded(),
             next_stream: 0,
             next_cycle: 0,
-            epoch: 0,
             window: Cell::new(Some(Window::OPEN)),
         }
     }
@@ -187,19 +185,6 @@ impl<S> StreamTable<S> {
     #[must_use]
     pub fn next_cycle(&self) -> u64 {
         self.next_cycle
-    }
-
-    /// The plan epoch (see [`crate::SchemeScheduler::plan_epoch`]).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Record a state change that invalidates reported stability
-    /// windows. Admission and release bump the epoch themselves;
-    /// schedulers call this for failures and repairs.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
     }
 
     /// Buffer tracks charged across all streams.
@@ -240,7 +225,6 @@ impl<S> StreamTable<S> {
     pub fn admit(&mut self, placement: Placement, at_cycle: u64, state: S) -> StreamId {
         let id = StreamId(self.next_stream);
         self.next_stream += 1;
-        self.epoch += 1;
         self.live += 1;
         self.tighten_window(at_cycle, placement.groups);
         self.slots.push(Slot {
@@ -392,7 +376,6 @@ impl<S> StreamTable<S> {
         let Some(ix) = self.find(id) else {
             return Released::Unknown;
         };
-        self.epoch += 1;
         let slot = &mut self.slots[ix];
         let read = self
             .next_cycle
@@ -704,7 +687,6 @@ mod tests {
         assert_eq!(t.find(b), Some(1));
         assert_eq!(t.slot(1).state, 8);
         assert_eq!(t.find(StreamId(2)), None);
-        assert_eq!(t.epoch(), 2);
     }
 
     #[test]

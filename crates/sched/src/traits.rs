@@ -174,8 +174,7 @@ pub struct FailureReport {
 /// starts, finishes, or changes phase inside the window, and no disk is
 /// failed. The disk pattern repeats with period
 /// [`period`](Self::period). The window is invalidated by any call to
-/// `admit`/`release`/`on_disk_failure`/`on_disk_repair` — observable via
-/// [`plan_epoch`](SchemeScheduler::plan_epoch).
+/// `admit`/`release`/`on_disk_failure`/`on_disk_repair`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStability {
     /// Cycles per repetition of the plan pattern (≥ 1). For the
@@ -345,13 +344,6 @@ pub trait SchemeScheduler {
     /// zero-stability report.
     fn fast_forward(&mut self, cycles: u64) {
         let _ = cycles;
-    }
-
-    /// Monotone counter bumped by every state change that invalidates a
-    /// previously reported stability window (`admit`, `release`,
-    /// `on_disk_failure`, `on_disk_repair`).
-    fn plan_epoch(&self) -> u64 {
-        0
     }
 }
 

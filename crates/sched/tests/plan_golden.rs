@@ -4,8 +4,9 @@
 //! is three of them), and
 //! every observable of every cycle — the whole `CyclePlan`, the buffer
 //! gauges, `stream_info` of every stream ever admitted, the stability
-//! window and the plan epoch — is folded into one FNV-1a digest per
-//! script. The digests below were captured before the schedulers moved
+//! window and the plan epoch (the count of admissions, releases,
+//! failures and repairs, which the harness keeps) — is folded into one
+//! FNV-1a digest per script. The digests below were captured before the schedulers moved
 //! onto the shared stream table; a refactor of the stream, buffer or
 //! read-list bookkeeping must leave every one of them unchanged. (The
 //! `Staggered` and `Grouped` rows are younger: they were captured once
@@ -28,6 +29,7 @@ use mms_sched::{
     CycleConfig, CyclePlan, FailureReport, GroupedScheduler, LossReason, NonClusteredScheduler,
     ReadPurpose, SchemeScheduler, SteadyCycle, StreamId, TransitionPolicy,
 };
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 
@@ -149,12 +151,14 @@ impl Fnv {
         }
     }
 
-    /// Everything observable between two plans.
-    fn state(&mut self, s: &dyn SchemeScheduler, cycle: u64, admitted: &[StreamId]) {
+    /// Everything observable between two plans, and the script's plan
+    /// epoch: successful admissions, releases that found their stream,
+    /// failures and repairs so far.
+    fn state(&mut self, s: &dyn SchemeScheduler, cycle: u64, admitted: &[StreamId], epoch: u64) {
         self.word(s.buffer_in_use() as u64);
         self.word(s.buffer_high_water() as u64);
         self.word(s.active_streams() as u64);
-        self.word(s.plan_epoch());
+        self.word(epoch);
         let st = s.plan_stability(cycle);
         self.word(st.period);
         self.word(st.stable);
@@ -555,7 +559,6 @@ fn assert_same_state(
         let mut h = Fnv::new();
         h.word(s.buffer_in_use() as u64);
         h.word(s.active_streams() as u64);
-        h.word(s.plan_epoch());
         let window = s.plan_stability(cycle);
         h.word(window.period);
         h.word(window.stable);
@@ -613,6 +616,8 @@ fn run_script_with(
     let mut repaired = false;
     let mut last_degraded_plan: Option<u64> = None;
     let mut refused = 0usize;
+    let epoch = Cell::new(0u64);
+    let bump = |n: u64| epoch.set(epoch.get() + n);
 
     let mut admit = |s: &mut dyn SchemeScheduler,
                      h: &mut Fnv,
@@ -623,6 +628,7 @@ fn run_script_with(
         let object = ObjectId(rng.below(OBJECT_TRACKS.len() as u64));
         match s.admit(object, at) {
             Ok(id) => {
+                bump(1);
                 h.word(id.0);
                 admitted.push(id);
                 live.push(id);
@@ -660,7 +666,7 @@ fn run_script_with(
                     cycle += 1;
                     h.plan(&plan);
                     cov.plan(&plan, !down.is_empty());
-                    h.state(&*s, cycle, &admitted);
+                    h.state(&*s, cycle, &admitted, epoch.get());
                 }
             }
             // A burst of arrivals at the current cycle.
@@ -679,8 +685,10 @@ fn run_script_with(
                 if let Some(id) = admit(&mut *s, &mut h, &mut rng, cycle, &mut admitted, &mut live)
                 {
                     live.retain(|&l| l != id);
-                    h.word(u64::from(s.release(id)));
-                    h.word(u64::from(s.release(id)));
+                    for released in [s.release(id), s.release(id)] {
+                        bump(u64::from(released));
+                        h.word(u64::from(released));
+                    }
                 }
             }
             // Release a stream in flight (possibly one already finished).
@@ -688,7 +696,9 @@ fn run_script_with(
                 if !live.is_empty() {
                     let id = live.remove(rng.below(live.len() as u64) as usize);
                     h.word(id.0);
-                    h.word(u64::from(s.release(id)));
+                    let released = s.release(id);
+                    bump(u64::from(released));
+                    h.word(u64::from(released));
                 }
             }
             // Fail a disk between cycles (15, 16) or mid-cycle (17); a
@@ -699,6 +709,7 @@ fn run_script_with(
                     down.push(disk);
                     h.word(u64::from(disk.0));
                     let report = s.on_disk_failure(disk, cycle, op == 17);
+                    bump(1);
                     h.failure(&report);
                     cov.dropped += report.dropped_streams.len();
                     live.retain(|id| !report.dropped_streams.contains(id));
@@ -711,6 +722,7 @@ fn run_script_with(
                     h.word(u64::from(disk.0));
                     cov.busy_repairs += usize::from(s.active_streams() > 0);
                     s.on_disk_repair(disk, cycle);
+                    bump(1);
                     repaired = true;
                 }
             }
@@ -728,7 +740,7 @@ fn run_script_with(
                 }
             }
         }
-        h.state(&*s, cycle, &admitted);
+        h.state(&*s, cycle, &admitted, epoch.get());
         cov.stable_after_repair += usize::from(repaired && s.plan_stability(cycle).stable > 0);
         if let Some(d) = differential.as_deref_mut() {
             d.skip_from(
@@ -747,7 +759,7 @@ fn run_script_with(
         cycle += 1;
         h.plan(&plan);
         cov.plan(&plan, !down.is_empty());
-        h.state(&*s, cycle, &admitted);
+        h.state(&*s, cycle, &admitted, epoch.get());
     }
     cov.refused += refused;
     h.0
