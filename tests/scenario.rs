@@ -70,7 +70,7 @@ fn corpus_invariants_hold_for_every_scheme() {
 /// — every loss count (including the exact Figures 6/7 NC transition
 /// losses), every metric line, every verdict.
 #[test]
-fn corpus_output_is_bit_identical_with_fast_forward() {
+fn corpus_output_is_bit_identical_under_fast_forward() {
     let (slow, ok) = render(Parallelism::Sequential, StepMode::CycleByCycle);
     assert!(ok);
     let (fast, ok) = render(Parallelism::Sequential, StepMode::EventHorizon);
