@@ -7,7 +7,9 @@ use crate::verify::BlockOracle;
 use crate::workload::{SessionEngine, WorkloadGen};
 use mms_disk::{DiskArray, DiskError, DiskParams, Time};
 use mms_layout::ObjectId;
-use mms_sched::{AdmissionError, CyclePlan, PlanStability, SchemeScheduler, SteadyCycle, StreamId};
+use mms_sched::{
+    AdmissionError, CyclePlan, FailureReport, PlanStability, SchemeScheduler, SteadyCycle, StreamId,
+};
 use mms_telemetry::{counter, event, gauge, span, Level};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -251,23 +253,46 @@ impl<S: SchemeScheduler> Simulator<S> {
         &mut self,
         disk: mms_disk::DiskId,
         mid_cycle: bool,
-    ) -> Result<mms_sched::FailureReport, SimError> {
-        let now = Time::from_secs(self.scheduler.config().t_cyc().as_secs() * self.cycle as f64);
-        self.disks.fail(disk, now)?;
-        // lint:allow(transitive-alloc): failure handling runs once per injected disk fault, not per cycle
-        let report = self.scheduler.on_disk_failure(disk, self.cycle, mid_cycle);
-        if report.catastrophic {
-            self.metrics.catastrophes += 1;
-        }
-        self.metrics.service_degradations += report.dropped_streams.len() as u64;
-        Ok(report)
+    ) -> Result<FailureReport, SimError> {
+        let fail = FailureEvent::Fail {
+            cycle: self.cycle,
+            disk,
+            mid_cycle,
+        };
+        self.apply_fault(fail, self.cycle)
     }
 
     /// Repair a disk effective at the next cycle.
     pub fn repair_disk_now(&mut self, disk: mms_disk::DiskId) -> Result<(), SimError> {
-        self.disks.repair(disk)?;
-        self.scheduler.on_disk_repair(disk, self.cycle);
+        self.apply_fault(FailureEvent::repair(self.cycle, disk), self.cycle)?;
         Ok(())
+    }
+
+    /// Apply a failure or repair effective at `cycle`: the one path for
+    /// injected faults and for the scheduled ones [`step`](Self::step)
+    /// drains. A repair reports nothing.
+    fn apply_fault(&mut self, event: FailureEvent, cycle: u64) -> Result<FailureReport, SimError> {
+        match event {
+            FailureEvent::Fail {
+                disk, mid_cycle, ..
+            } => {
+                // Simulated wall time of the failure.
+                let now = Time::from_secs(self.scheduler.config().t_cyc().as_secs() * cycle as f64);
+                self.disks.fail(disk, now)?;
+                // lint:allow(transitive-alloc): failure handling runs once per disk failure, not per cycle
+                let report = self.scheduler.on_disk_failure(disk, cycle, mid_cycle);
+                if report.catastrophic {
+                    self.metrics.catastrophes += 1;
+                }
+                self.metrics.service_degradations += report.dropped_streams.len() as u64;
+                Ok(report)
+            }
+            FailureEvent::Repair { disk, .. } => {
+                self.disks.repair(disk)?;
+                self.scheduler.on_disk_repair(disk, cycle);
+                Ok(FailureReport::default())
+            }
+        }
     }
 
     /// Begin rebuilding a failed disk onto a spare. The disk transitions
@@ -329,28 +354,7 @@ impl<S: SchemeScheduler> Simulator<S> {
         // 1. Apply failure/repair events due now, drained one at a time
         //    so the steady-state loop allocates no per-cycle event list.
         while let Some(event) = self.failures.next_due(cycle) {
-            match event {
-                FailureEvent::Fail {
-                    disk, mid_cycle, ..
-                } => {
-                    // Simulated wall time of the failure.
-                    let now =
-                        Time::from_secs(self.scheduler.config().t_cyc().as_secs() * cycle as f64);
-                    self.disks.fail(disk, now)?;
-                    // lint:allow(transitive-alloc): failure handling runs once per disk failure, not per cycle
-                    let report = self.scheduler.on_disk_failure(disk, cycle, mid_cycle);
-                    if report.catastrophic {
-                        self.metrics.catastrophes += 1;
-                    }
-                    for _ in &report.dropped_streams {
-                        self.metrics.service_degradations += 1;
-                    }
-                }
-                FailureEvent::Repair { disk, .. } => {
-                    self.disks.repair(disk)?;
-                    self.scheduler.on_disk_repair(disk, cycle);
-                }
-            }
+            self.apply_fault(event, cycle)?;
         }
 
         // 2. Plan and execute the cycle, refilling the reused plan.
