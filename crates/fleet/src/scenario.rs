@@ -195,8 +195,6 @@ const HICCUP_BOUND: u64 = 64;
 #[must_use]
 pub fn corpus(quick: bool) -> Corpus<FleetScenario> {
     let soak = |cycles: u64| if quick { cycles / 2 } else { cycles };
-    // Four nodes, eight 120-track movies, 1.5 arrivals a cycle: the
-    // shape of every case that does not say otherwise.
     let ring = |name, summary, seed, events, checks| FleetScenario {
         name,
         summary,
