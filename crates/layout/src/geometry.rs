@@ -69,6 +69,9 @@ pub struct Geometry {
     disks: u32,
     group_size: u32,
     disks_per_cluster: u32,
+    /// `disks / disks_per_cluster`, kept so the per-stream planners that
+    /// ask for it (and for the next cluster) do not divide each time.
+    clusters: u32,
     has_parity_disk: bool,
 }
 
@@ -90,6 +93,7 @@ impl Geometry {
             disks: disks as u32,
             group_size: c as u32,
             disks_per_cluster: c as u32,
+            clusters: (disks / c) as u32,
             has_parity_disk: true,
         })
     }
@@ -112,6 +116,7 @@ impl Geometry {
             disks: disks as u32,
             group_size: c as u32,
             disks_per_cluster: per as u32,
+            clusters: (disks / per) as u32,
             has_parity_disk: false,
         })
     }
@@ -142,8 +147,9 @@ impl Geometry {
 
     /// Number of clusters, the paper's `N_C`.
     #[must_use]
+    #[inline]
     pub fn clusters(&self) -> u32 {
-        self.disks / self.disks_per_cluster
+        self.clusters
     }
 
     /// Whether each cluster has a dedicated parity disk.
@@ -210,8 +216,11 @@ impl Geometry {
     /// round-robin group placement and for the improved scheme's
     /// "shift to the right").
     #[must_use]
+    #[inline]
     pub fn next_cluster(&self, cluster: ClusterId) -> ClusterId {
-        ClusterId((cluster.0 + 1) % self.clusters())
+        debug_assert!(cluster.0 < self.clusters);
+        let next = cluster.0 + 1;
+        ClusterId(if next == self.clusters { 0 } else { next })
     }
 }
 
