@@ -15,18 +15,24 @@
 //! will repeat at regular intervals each time an object being displayed
 //! needs data from the failed disk. … Therefore, without some form of
 //! fault tolerance, such a system is not likely to be acceptable."
+//!
+//! What a transition or a degraded group schedules for later cycles —
+//! losses, moved reads, buffer frees — sits on a [`Calendar`] of per-cycle
+//! buckets; which blocks it took off the normal schedule, or will deliver
+//! rebuilt, sits in the stream's own slot as [`GroupMarks`]. Neither is
+//! looked up by key: a cycle takes its own bucket, a stream reads its own
+//! marks.
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{ClassTable, Seat, Slot, StreamTable};
+use crate::table::{ClassTable, Seat, Seated, Slot, StreamTable};
 use crate::traits::{
     AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler, SteadyCycle,
 };
 use mms_buffer::BufferServerPool;
 use mms_disk::DiskId;
-use mms_layout::{BlockAddr, Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
-use std::collections::{BTreeMap, BTreeSet};
+use mms_layout::{BlockAddr, BlockKind, Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
 
 /// How a cluster transitions to degraded mode when one of its disks fails
 /// (Section 3 describes both).
@@ -56,11 +62,323 @@ impl TransitionPolicy {
     }
 }
 
-/// A stream's slot, as the planning helpers see it. Its seat in the
-/// class table is the only per-stream state beyond the shared header,
-/// so a slot is all scalars and the copy `plan_cycle_into` takes of it
-/// is a plain copy — no heap traffic on the hot path.
-type NcStream = Slot<Seat>;
+/// Which of a stream's transition marks.
+#[derive(Debug, Clone, Copy)]
+enum Mark {
+    /// The normal schedule does not read the block: a transition moved
+    /// its read or gave the block up.
+    Suppressed,
+    /// The block is delivered rebuilt from parity.
+    Reconstructed,
+}
+
+/// A stream's transition marks on one parity group, one bit per block
+/// (a group has at most 127 data blocks: see the constructor). A mark is
+/// used once — a suppressed one in the cycle its block would be read, a
+/// reconstructed one in the cycle its block is delivered — and using it
+/// clears it.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupMarks {
+    group: u64,
+    suppressed: u128,
+    reconstructed: u128,
+}
+
+impl GroupMarks {
+    fn bits(&mut self, mark: Mark) -> &mut u128 {
+        match mark {
+            Mark::Suppressed => &mut self.suppressed,
+            Mark::Reconstructed => &mut self.reconstructed,
+        }
+    }
+
+    fn count(&self) -> usize {
+        (self.suppressed.count_ones() + self.reconstructed.count_ones()) as usize
+    }
+}
+
+/// A stream's slot state: its admission seat, and the marks of the two
+/// most recent groups a transition or a degraded read touched. Group
+/// `g + 1` may be marked at its start while the last block of `g` is
+/// still to be delivered; every mark of an older group was due, and so
+/// used, before that. The slot stays all scalars, so `plan_cycle_into`
+/// never touches the heap for it.
+#[derive(Debug, Clone, Copy)]
+struct NcState {
+    seat: Seat,
+    marks: [GroupMarks; 2],
+}
+
+impl NcState {
+    fn new(seat: Seat) -> Self {
+        NcState {
+            seat,
+            marks: [GroupMarks::default(); 2],
+        }
+    }
+
+    /// Set `mark` on block `i` of group `g`; true if it was not set.
+    fn mark(&mut self, g: u64, i: u32, mark: Mark) -> bool {
+        let k = match self.marks.iter().position(|m| m.group == g) {
+            Some(k) => k,
+            None => {
+                let k = self
+                    .marks
+                    .iter()
+                    .position(|m| m.count() == 0)
+                    .expect("a stream carries marks for its two most recent groups at most");
+                self.marks[k].group = g;
+                k
+            }
+        };
+        let bits = self.marks[k].bits(mark);
+        let unset = *bits >> i & 1 == 0;
+        *bits |= 1 << i;
+        unset
+    }
+
+    /// Use `mark` on block `i` of group `g`: clear it, and say whether it
+    /// was set.
+    #[inline]
+    fn take(&mut self, g: u64, i: u32, mark: Mark) -> bool {
+        let Some(m) = self.marks.iter_mut().find(|m| m.group == g) else {
+            return false;
+        };
+        let bits = m.bits(mark);
+        let set = *bits >> i & 1 == 1;
+        *bits &= !(1 << i);
+        set
+    }
+
+    /// The lowest block of group `g` marked to be delivered rebuilt.
+    fn first_reconstructed(&self, g: u64) -> Option<u32> {
+        let m = self.marks.iter().find(|m| m.group == g)?;
+        (m.reconstructed != 0).then(|| m.reconstructed.trailing_zeros())
+    }
+
+    /// Clear every mark; returns how many were set.
+    fn clear_marks(&mut self) -> usize {
+        let set = self.marks.iter().map(GroupMarks::count).sum();
+        self.marks = [GroupMarks::default(); 2];
+        set
+    }
+}
+
+impl Seated for NcState {
+    #[inline]
+    fn seat(&self) -> &Seat {
+        &self.seat
+    }
+
+    #[inline]
+    fn seat_mut(&mut self) -> &mut Seat {
+        &mut self.seat
+    }
+}
+
+/// A stream's slot, as the planning helpers see it.
+type NcStream = Slot<NcState>;
+
+/// The lists of a [`Due`] bucket, as bits of its `keys`.
+#[derive(Debug, Clone, Copy)]
+enum List {
+    Losses,
+    Reads,
+    Frees,
+    ServerFrees,
+}
+
+/// What falls due in one cycle.
+#[derive(Debug, Clone, Default)]
+struct Due {
+    /// Blocks that will not be delivered this cycle.
+    losses: Vec<LostBlock>,
+    /// Reads a transition moved into this cycle. `DiskId(u32::MAX)` marks
+    /// the delayed policy's XOR accumulator: a buffer, but no read.
+    reads: Vec<(DiskId, PlannedRead)>,
+    /// One stream buffer track each, released when the cycle's deliveries
+    /// end; the block is named so a displaced read can cancel its free.
+    frees: Vec<(StreamId, BlockAddr)>,
+    /// One track each on the named cluster's buffer server.
+    server_frees: Vec<u32>,
+    /// Which lists hold this cycle as a key, one bit per [`List`]: set by
+    /// a list's first entry and cleared only when the cycle is taken —
+    /// an entry cancelled since (a displaced read's free, a detached
+    /// server's) leaves the key, as it would in a map keyed by cycle.
+    keys: u8,
+}
+
+impl Due {
+    fn clear(&mut self) {
+        self.losses.clear();
+        self.reads.clear();
+        self.frees.clear();
+        self.server_frees.clear();
+        self.keys = 0;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.keys == 0
+            && self.losses.is_empty()
+            && self.reads.is_empty()
+            && self.frees.is_empty()
+            && self.server_frees.is_empty()
+    }
+}
+
+/// Everything NC has scheduled for later cycles, one [`Due`] bucket per
+/// cycle from the one being planned to `bpg` cycles after it — nothing is
+/// due later: a group read at its start delivers its last block `bpg`
+/// cycles on. The buckets form a ring whose storage is reused as the
+/// clock moves, so a cycle allocates nothing once every bucket has grown
+/// to its working size.
+#[derive(Debug, Clone)]
+struct Calendar {
+    ring: Vec<Due>,
+    /// Ring index of `base`'s bucket.
+    head: usize,
+    /// The first cycle not yet taken.
+    base: u64,
+    /// Buckets holding each [`List`] as a key.
+    keyed: [usize; 4],
+}
+
+impl Calendar {
+    /// A calendar whose latest bucket is `horizon` cycles after the cycle
+    /// being planned.
+    fn new(horizon: u64) -> Self {
+        Calendar {
+            ring: vec![Due::default(); horizon as usize + 1],
+            head: 0,
+            base: 0,
+            keyed: [0; 4],
+        }
+    }
+
+    /// Ring index of `cycle`'s bucket.
+    #[inline]
+    fn index(&self, cycle: u64) -> usize {
+        let offset = cycle
+            .checked_sub(self.base)
+            .filter(|&offset| offset < self.ring.len() as u64)
+            .expect("NC calendar: nothing is due before the cycle being planned or more than bpg cycles after it");
+        let ix = self.head + offset as usize;
+        if ix >= self.ring.len() {
+            ix - self.ring.len()
+        } else {
+            ix
+        }
+    }
+
+    /// `cycle`'s bucket, holding `list` as a key until the cycle is taken.
+    #[inline]
+    fn at(&mut self, cycle: u64, list: List) -> &mut Due {
+        let ix = self.index(cycle);
+        let due = &mut self.ring[ix];
+        let key = 1 << list as u8;
+        if due.keys & key == 0 {
+            due.keys |= key;
+            self.keyed[list as usize] += 1;
+        }
+        due
+    }
+
+    /// Lose `loss` at its delivery cycle.
+    fn lose(&mut self, loss: LostBlock) {
+        self.at(loss.delivery_cycle, List::Losses).losses.push(loss);
+    }
+
+    /// Issue `read` from `disk` in `cycle`.
+    fn read_at(&mut self, cycle: u64, disk: DiskId, read: PlannedRead) {
+        self.at(cycle, List::Reads).reads.push((disk, read));
+    }
+
+    /// Free the buffer track holding `addr` for stream `id` when `cycle`
+    /// ends.
+    #[inline]
+    fn free_at(&mut self, cycle: u64, id: StreamId, addr: BlockAddr) {
+        self.at(cycle, List::Frees).frees.push((id, addr));
+    }
+
+    /// Free one track of `cluster`'s buffer server when `cycle` ends.
+    fn server_free_at(&mut self, cycle: u64, cluster: u32) {
+        self.at(cycle, List::ServerFrees).server_frees.push(cluster);
+    }
+
+    /// Cancel the free of `addr` for stream `id` due when `cycle` ends: its
+    /// read was displaced, so nothing was buffered.
+    fn cancel_free(&mut self, cycle: u64, id: StreamId, addr: BlockAddr) {
+        let ix = self.index(cycle);
+        let frees = &mut self.ring[ix].frees;
+        if let Some(jx) = frees.iter().position(|&(sid, a)| sid == id && a == addr) {
+            frees.swap_remove(jx);
+        }
+    }
+
+    /// Forget the frees owed to `cluster`'s buffer server: it detached,
+    /// and its pool went with it.
+    fn drop_server_frees(&mut self, cluster: u32) {
+        for due in &mut self.ring {
+            due.server_frees.retain(|&c| c != cluster);
+        }
+    }
+
+    /// Every pending loss, by delivery cycle and, within one, in the
+    /// order recorded.
+    fn losses(&self) -> impl Iterator<Item = &LostBlock> {
+        let (front, back) = self.ring.split_at(self.head);
+        back.iter().chain(front).flat_map(|due| &due.losses)
+    }
+
+    /// Take out everything due in `cycle`, the cycle being planned. The
+    /// bucket goes back, emptied, with [`recycle`](Self::recycle).
+    fn take(&mut self, cycle: u64) -> Due {
+        assert_eq!(cycle, self.base, "NC calendar: cycles are taken in order");
+        let due = std::mem::take(&mut self.ring[self.head]);
+        for (list, keyed) in self.keyed.iter_mut().enumerate() {
+            *keyed -= usize::from(due.keys >> list & 1);
+        }
+        due
+    }
+
+    /// End the cycle [`take`](Self::take) opened: its bucket's storage
+    /// becomes the latest cycle's.
+    fn recycle(&mut self, mut due: Due) {
+        debug_assert!(
+            self.ring[self.head].is_empty(),
+            "NC calendar: nothing is scheduled into a cycle already taken"
+        );
+        due.clear();
+        self.ring[self.head] = due;
+        self.head = (self.head + 1) % self.ring.len();
+        self.base += 1;
+    }
+
+    /// Move the clock `cycles` on, with the one bucket a settled server
+    /// has pending — the healthy cycle's frees, due when the next planned
+    /// cycle ends — moving with it.
+    fn fast_forward(&mut self, cycles: u64) {
+        let from = self.head;
+        self.head = (self.head + (cycles % self.ring.len() as u64) as usize) % self.ring.len();
+        self.ring.swap(from, self.head);
+        self.base += cycles;
+    }
+
+    /// Whether all that is pending is one healthy cycle's reads: `frees`
+    /// buffer frees, due when the next planned cycle ends.
+    fn holds_one_cycle_of_frees(&self, frees: usize) -> bool {
+        let [losses, reads, keyed_frees, server_frees] = self.keyed;
+        let next = &self.ring[self.head];
+        losses == 0
+            && reads == 0
+            && server_frees == 0
+            && match keyed_frees {
+                0 => true,
+                1 => next.keys >> List::Frees as u8 & 1 == 1 && next.frees.len() == frees,
+                _ => false,
+            }
+    }
+}
 
 /// Degraded-cluster state. Failure positions beyond the first are kept
 /// as a bitmask (positions are within one cluster, bounded well below
@@ -96,30 +414,20 @@ pub struct NonClusteredScheduler {
     /// How a cluster goes degraded; `None` for the unprotected server,
     /// which never does.
     policy: Option<TransitionPolicy>,
-    streams: StreamTable<Seat>,
+    streams: StreamTable<NcState>,
     /// Streams with reads still to issue, per admission class.
     classes: ClassTable,
-    degraded: BTreeMap<ClusterId, Degraded>,
-    /// Blocks that will never be delivered, keyed by delivery cycle.
-    pending_losses: BTreeMap<u64, Vec<LostBlock>>,
-    /// Normal-schedule reads cancelled by a transition (moved or lost):
-    /// `(stream, group, index)`.
-    suppressed: BTreeSet<(StreamId, u64, u32)>,
-    /// Extra reads injected by a transition, keyed by cycle.
-    extra_reads: BTreeMap<u64, Vec<(DiskId, PlannedRead)>>,
-    /// Blocks that will be delivered as reconstructed: `(stream, group,
-    /// index)`.
-    reconstructions: BTreeSet<(StreamId, u64, u32)>,
-    /// Buffer frees scheduled for future cycles (tracks read early are
-    /// held until their delivery cycle), keyed by cycle; each entry frees
-    /// one track and names the block so a displaced read can cancel its
-    /// pending free.
-    deferred_frees: BTreeMap<u64, Vec<(StreamId, BlockAddr)>>,
-    /// Frees owed to buffer-server pools: (cycle → (cluster, stream,
-    /// tracks)). Degraded-mode group buffers are charged to the cluster's
-    /// attached server so §3's sizing (BF_SG/(D′/C) per server) is
-    /// *enforced*, not just provisioned.
-    server_frees: BTreeMap<u64, Vec<(u32, StreamId, usize)>>,
+    /// Degraded-cluster state, indexed by cluster.
+    degraded: Vec<Option<Degraded>>,
+    /// Clusters with a degraded record.
+    degraded_clusters: usize,
+    /// Losses, moved reads and buffer frees, by the cycle they fall due.
+    /// Degraded-mode group buffers are also charged to the cluster's
+    /// attached buffer server, so §3's sizing (BF_SG/(D′/C) per server) is
+    /// *enforced*, not just provisioned; the server's frees wait here too.
+    calendar: Calendar,
+    /// Marks set and not yet used, over every stream's slot.
+    live_marks: usize,
     servers: BufferServerPool,
     /// Reusable list of blocks displaced past slot capacity this cycle.
     displaced_scratch: Vec<LostBlock>,
@@ -174,29 +482,27 @@ impl NonClusteredScheduler {
     ) -> Self {
         assert_eq!(config.k, 1, "Non-clustered requires k = 1");
         assert_eq!(config.k_prime, 1, "Non-clustered requires k' = 1");
+        let geometry = *catalog.layout().geometry();
         assert!(
-            catalog.layout().geometry().disks_per_cluster() <= 128,
+            geometry.disks_per_cluster() <= 128,
             "failure bitmask supports at most 128 disks per cluster"
         );
         // Each degraded cluster needs the staggered-group buffer profile:
         // C(C+1)/2 tracks per C−1 streams, bounded by slots per class.
-        let c = catalog.layout().geometry().group_size() as usize;
+        let c = geometry.group_size() as usize;
         let per_server = (c * (c + 1) / 2) * config.slots_per_disk();
         let bpg = u64::from(catalog.layout().blocks_per_group());
-        let classes = ClassTable::new(bpg, *catalog.layout().geometry());
+        let classes = ClassTable::new(bpg, geometry);
         NonClusteredScheduler {
             config,
             catalog,
             policy,
             streams: StreamTable::new(bpg),
             classes,
-            degraded: BTreeMap::new(),
-            pending_losses: BTreeMap::new(),
-            suppressed: BTreeSet::new(),
-            extra_reads: BTreeMap::new(),
-            reconstructions: BTreeSet::new(),
-            deferred_frees: BTreeMap::new(),
-            server_frees: BTreeMap::new(),
+            degraded: vec![None; geometry.clusters() as usize],
+            degraded_clusters: 0,
+            calendar: Calendar::new(bpg),
+            live_marks: 0,
             servers: BufferServerPool::new(buffer_servers, per_server),
             displaced_scratch: Vec::new(),
             displaced_parity_scratch: Vec::new(),
@@ -252,10 +558,35 @@ impl NonClusteredScheduler {
             scheme = "NC",
             reason = loss.reason.as_str()
         );
-        self.pending_losses
-            .entry(loss.delivery_cycle)
-            .or_default()
-            .push(loss);
+        self.calendar.lose(loss);
+    }
+
+    /// Set `mark` on block (g, i) of the stream in slot `ix`.
+    fn mark(&mut self, ix: usize, g: u64, i: u32, mark: Mark) {
+        if self.streams.slot_mut(ix).state.mark(g, i, mark) {
+            self.live_marks += 1;
+        }
+    }
+
+    /// Use `mark` on block (g, i) of the stream in slot `ix`: whether it
+    /// was set.
+    #[inline]
+    fn take_mark(&mut self, ix: usize, g: u64, i: u32, mark: Mark) -> bool {
+        if self.live_marks == 0 {
+            return false;
+        }
+        let taken = self.streams.slot_mut(ix).state.take(g, i, mark);
+        self.live_marks -= usize::from(taken);
+        taken
+    }
+
+    /// Retire the stream in slot `ix`: its seat goes back, and whatever
+    /// marks it had not used go with it.
+    fn retire(&mut self, ix: usize) {
+        let state = &mut self.streams.slot_mut(ix).state;
+        self.classes.vacate(&mut state.seat);
+        self.live_marks -= state.clear_marks();
+        self.streams.retire(ix);
     }
 
     /// Is this group's read handled group-at-a-time (degraded steady
@@ -266,7 +597,7 @@ impl NonClusteredScheduler {
             return false; // nothing to fall back on
         };
         let parity_pos = self.catalog.layout().geometry().disks_per_cluster() - 1;
-        match self.degraded.get(&cluster) {
+        match self.degraded[cluster.index()] {
             None => false,
             Some(d) => {
                 if d.failed_pos == parity_pos && d.also_failed == 0 {
@@ -294,7 +625,7 @@ impl NonClusteredScheduler {
             return false;
         }
         let parity_pos = self.catalog.layout().geometry().disks_per_cluster() - 1;
-        match self.degraded.get(&cluster) {
+        match self.degraded[cluster.index()] {
             None => false,
             Some(d) => {
                 if d.failed_pos == parity_pos {
@@ -306,21 +637,21 @@ impl NonClusteredScheduler {
         }
     }
 
-    /// Plan the group-at-a-time reads for a group starting now.
-    #[allow(clippy::too_many_arguments)]
+    /// Plan the group-at-a-time reads for the group `g` the stream in slot
+    /// `ix` starts now.
     fn plan_group_at_once(
         &mut self,
         plan: &mut CyclePlan,
         ix: usize,
-        s: &NcStream,
         g: u64,
         cycle: u64,
         degraded: &Degraded,
         parity_alive: bool,
     ) {
-        let id = s.id();
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let s = self.streams.slot(ix);
+        let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
         let blocks = s.blocks_in_group(g, self.bpg());
         let failed_positions = degraded.all_failed_mask();
         // A single data-disk failure with live parity is reconstructable;
@@ -330,21 +661,20 @@ impl NonClusteredScheduler {
         let recoverable = parity_alive && data_failures <= 1;
         let mut reads = 0usize;
         for i in 0..blocks {
-            let p = layout.data_placement(s.start_cluster, g, i);
+            let p = layout.data_placement(start_cluster, g, i);
             let pos = geometry.position_in_cluster(p.disk);
+            let addr = BlockAddr::data(object, g, i);
+            let delivery_cycle = cycle + u64::from(i) + 1;
             if failed_positions & (1u128 << pos) != 0 {
                 if recoverable {
-                    self.reconstructions.insert((id, g, i));
-                    self.deferred_frees
-                        .entry(cycle + u64::from(i) + 1)
-                        .or_default()
-                        .push((id, BlockAddr::data(s.object, g, i)));
+                    self.mark(ix, g, i, Mark::Reconstructed);
+                    self.calendar.free_at(delivery_cycle, id, addr);
                 } else {
                     self.record_loss(LostBlock {
                         stream: id,
-                        addr: BlockAddr::data(s.object, g, i),
+                        addr,
                         reason: LossReason::FailedDisk,
-                        delivery_cycle: cycle + u64::from(i) + 1,
+                        delivery_cycle,
                     });
                 }
                 continue;
@@ -353,23 +683,20 @@ impl NonClusteredScheduler {
                 p.disk,
                 PlannedRead {
                     stream: id,
-                    addr: BlockAddr::data(s.object, g, i),
+                    addr,
                     purpose: ReadPurpose::Reconstruction,
                 },
             );
             reads += 1;
-            self.deferred_frees
-                .entry(cycle + u64::from(i) + 1)
-                .or_default()
-                .push((id, BlockAddr::data(s.object, g, i)));
+            self.calendar.free_at(delivery_cycle, id, addr);
         }
         if recoverable && failed_positions & ((1u128 << blocks) - 1) != 0 {
-            let pp = layout.parity_placement(s.start_cluster, g);
+            let pp = layout.parity_placement(start_cluster, g);
             plan.reads.push(
                 pp.disk,
                 PlannedRead {
                     stream: id,
-                    addr: BlockAddr::parity(s.object, g),
+                    addr: BlockAddr::parity(object, g),
                     purpose: ReadPurpose::Parity,
                 },
             );
@@ -386,11 +713,11 @@ impl NonClusteredScheduler {
         // track per delivery cycle — the staggered-group profile Eq. 14
         // sizes each server for. Overflow would be a sizing bug,
         // surfaced loudly.
-        let cluster_id = layout.data_cluster(s.start_cluster, g).0;
-        if let Some(server) = self.servers.server_for(cluster_id) {
+        let cluster = layout.data_cluster(start_cluster, g).0;
+        if let Some(server) = self.servers.server_for(cluster) {
             server
                 .pool_mut()
-                .alloc(mms_buffer::OwnerId(id.0), reads)
+                .charge(reads)
                 .expect("buffer server sized for its cluster's degraded load");
             let mut remaining = reads;
             for i in 0..blocks {
@@ -400,34 +727,34 @@ impl NonClusteredScheduler {
                 // One buffer drains per delivery slot; lost blocks (never
                 // buffered) skip their slot.
                 let buffered = {
-                    let p = layout.data_placement(s.start_cluster, g, i);
+                    let p = layout.data_placement(start_cluster, g, i);
                     let pos = geometry.position_in_cluster(p.disk);
                     recoverable || failed_positions & (1u128 << pos) == 0
                 };
                 if buffered {
-                    self.server_frees
-                        .entry(cycle + u64::from(i) + 1)
-                        .or_default()
-                        .push((cluster_id, id, 1));
+                    self.calendar
+                        .server_free_at(cycle + u64::from(i) + 1, cluster);
                     remaining -= 1;
                 }
             }
         }
     }
 
-    /// Apply the Figure-6 simple transition for one in-flight stream.
-    fn simple_transition_for(&mut self, s: &NcStream, g: u64, p: u32, since: u64, failed_pos: u32) {
-        let id = s.id();
+    /// Apply the Figure-6 simple transition for the stream in slot `ix`,
+    /// at block `p` of group `g` when the failure strikes.
+    fn simple_transition_for(&mut self, ix: usize, g: u64, p: u32, since: u64, failed_pos: u32) {
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let s = self.streams.slot(ix);
+        let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
         let blocks = s.blocks_in_group(g, self.bpg());
         let t_g = self.group_start(s, g);
         for q in p..blocks {
             let delivery_cycle = t_g + u64::from(q) + 1;
-            let addr = BlockAddr::data(s.object, g, q);
-            let placement = layout.data_placement(s.start_cluster, g, q);
+            let addr = BlockAddr::data(object, g, q);
+            let placement = layout.data_placement(start_cluster, g, q);
             let pos = geometry.position_in_cluster(placement.disk);
-            self.suppressed.insert((id, g, q));
+            self.mark(ix, g, q, Mark::Suppressed);
             if pos == failed_pos {
                 // Unreconstructable: earlier members were delivered and
                 // discarded before the failure.
@@ -440,160 +767,111 @@ impl NonClusteredScheduler {
             } else {
                 // Moved forward to the failure cycle (salvage attempt;
                 // may be displaced there if slots are full).
-                self.extra_reads.entry(since).or_default().push((
-                    placement.disk,
-                    PlannedRead {
-                        stream: id,
-                        addr,
-                        purpose: ReadPurpose::Delivery,
-                    },
-                ));
+                let read = PlannedRead {
+                    stream: id,
+                    addr,
+                    purpose: ReadPurpose::Delivery,
+                };
+                self.calendar.read_at(since, placement.disk, read);
             }
         }
     }
 
-    /// Apply the Figure-7 delayed transition for one in-flight stream.
-    fn delayed_transition_for(&mut self, s: &NcStream, g: u64, p: u32, failed_pos: u32) {
-        let id = s.id();
+    /// Apply the Figure-7 delayed transition for the stream in slot `ix`,
+    /// at block `p` of group `g` when the failure strikes.
+    fn delayed_transition_for(&mut self, ix: usize, g: u64, p: u32, failed_pos: u32) {
+        let s = self.streams.slot(ix);
+        let (id, object) = (s.id(), s.object);
         let blocks = s.blocks_in_group(g, self.bpg());
         let t_g = self.group_start(s, g);
         // Only the block on the failed disk is lost (if not yet read);
         // everything else keeps its original schedule.
         if failed_pos < blocks && failed_pos >= p {
-            self.suppressed.insert((id, g, failed_pos));
+            self.mark(ix, g, failed_pos, Mark::Suppressed);
             self.record_loss(LostBlock {
                 stream: id,
-                addr: BlockAddr::data(s.object, g, failed_pos),
+                addr: BlockAddr::data(object, g, failed_pos),
                 reason: LossReason::FailedDisk,
                 delivery_cycle: t_g + u64::from(failed_pos) + 1,
             });
         }
     }
 
-    /// Plan the delayed-window reads for a group starting at `t_g`
-    /// (failure-window groups under the delayed policy): normal per-cycle
-    /// reads before the failed position, everything after it plus parity
-    /// at the reconstruction deadline `t_g + f`.
+    /// Plan the delayed-window reads for the group `g` the stream in slot
+    /// `ix` starts now (failure-window groups under the delayed policy):
+    /// normal per-cycle reads before the failed position, everything
+    /// after it plus parity at the reconstruction deadline `t_g + f`.
     fn plan_delayed_group_events(
         &mut self,
-        s: &NcStream,
+        ix: usize,
         g: u64,
         failed_pos: u32,
         parity_alive: bool,
     ) {
-        let id = s.id();
         let layout = *self.catalog.layout();
+        let s = self.streams.slot(ix);
+        let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
         let blocks = s.blocks_in_group(g, self.bpg());
         let t_g = self.group_start(s, g);
         if failed_pos >= blocks {
             return; // failed disk not used by this (partial) group
         }
+        let failed_addr = BlockAddr::data(object, g, failed_pos);
+        self.mark(ix, g, failed_pos, Mark::Suppressed);
         if !parity_alive {
-            self.suppressed.insert((id, g, failed_pos));
             self.record_loss(LostBlock {
                 stream: id,
-                addr: BlockAddr::data(s.object, g, failed_pos),
+                addr: failed_addr,
                 reason: LossReason::FailedDisk,
                 delivery_cycle: t_g + u64::from(failed_pos) + 1,
             });
             return;
         }
         let deadline = t_g + u64::from(failed_pos);
-        self.suppressed.insert((id, g, failed_pos));
-        self.reconstructions.insert((id, g, failed_pos));
+        self.mark(ix, g, failed_pos, Mark::Reconstructed);
         // The XOR accumulator occupies one track from group start until
-        // the reconstructed block is delivered.
-        self.deferred_frees
-            .entry(deadline + 1)
-            .or_default()
-            .push((id, BlockAddr::data(s.object, g, failed_pos)));
-        self.extra_reads.entry(t_g).or_default().push((
-            // Accumulator "allocation marker": zero-disk read is not
-            // representable, so charge the buffer directly at plan time
-            // via a sentinel handled in plan_cycle. Instead we charge it
-            // here against the pool immediately if the group has already
-            // started; otherwise plan_cycle charges it when t_g arrives.
-            DiskId(u32::MAX),
-            PlannedRead {
-                stream: id,
-                addr: BlockAddr::data(s.object, g, failed_pos),
-                purpose: ReadPurpose::Reconstruction,
-            },
-        ));
+        // the reconstructed block is delivered: charged when `t_g`'s
+        // moved reads are issued (a read from no disk stands for it),
+        // freed after the delivery.
+        self.calendar.free_at(deadline + 1, id, failed_addr);
+        let accumulator = PlannedRead {
+            stream: id,
+            addr: failed_addr,
+            purpose: ReadPurpose::Reconstruction,
+        };
+        self.calendar.read_at(t_g, DiskId(u32::MAX), accumulator);
         // Blocks after the failed position move up to the deadline.
         for q in (failed_pos + 1)..blocks {
-            let placement = layout.data_placement(s.start_cluster, g, q);
-            self.suppressed.insert((id, g, q));
-            self.extra_reads.entry(deadline).or_default().push((
-                placement.disk,
-                PlannedRead {
-                    stream: id,
-                    addr: BlockAddr::data(s.object, g, q),
-                    purpose: ReadPurpose::Reconstruction,
-                },
-            ));
+            let placement = layout.data_placement(start_cluster, g, q);
+            let addr = BlockAddr::data(object, g, q);
+            self.mark(ix, g, q, Mark::Suppressed);
+            let read = PlannedRead {
+                stream: id,
+                addr,
+                purpose: ReadPurpose::Reconstruction,
+            };
+            self.calendar.read_at(deadline, placement.disk, read);
             // Held from the deadline until delivery.
-            self.deferred_frees
-                .entry(t_g + u64::from(q) + 1)
-                .or_default()
-                .push((id, BlockAddr::data(s.object, g, q)));
+            self.calendar.free_at(t_g + u64::from(q) + 1, id, addr);
         }
         // Parity at the deadline (absorbed into the reconstruction, so
         // its buffer is the accumulator's — no extra charge).
-        let pp = layout.parity_placement(s.start_cluster, g);
-        self.extra_reads.entry(deadline).or_default().push((
-            pp.disk,
-            PlannedRead {
-                stream: id,
-                addr: BlockAddr::parity(s.object, g),
-                purpose: ReadPurpose::Parity,
-            },
-        ));
-    }
-
-    /// Transition marks are consulted once — `suppressed` when block
-    /// (g, i) would be read at `start + g·bpg + i`, `reconstructions`
-    /// when it is delivered the cycle after. One whose moment has passed,
-    /// or whose stream has retired or been truncated short of it, only
-    /// keeps `plan_stability` shut: drop it. That matters once every
-    /// cluster is healthy again — a degraded one keeps the window shut
-    /// anyway — so the sets are left alone (and keep their storage) while
-    /// a transition is still adding to them.
-    fn drop_spent_marks(&mut self) {
-        if !self.degraded.is_empty()
-            || (self.suppressed.is_empty() && self.reconstructions.is_empty())
-        {
-            return;
-        }
-        let (streams, bpg) = (&self.streams, self.bpg());
-        let pending = |&(id, g, i): &(StreamId, u64, u32), lag: u64| {
-            streams.find(id).is_some_and(|ix| {
-                let s = streams.slot(ix);
-                let due = s.start_cycle + g * bpg + u64::from(i) + lag;
-                g < s.groups && due >= streams.next_cycle()
-            })
+        let pp = layout.parity_placement(start_cluster, g);
+        let parity = PlannedRead {
+            stream: id,
+            addr: BlockAddr::parity(object, g),
+            purpose: ReadPurpose::Parity,
         };
-        self.suppressed.retain(|mark| pending(mark, 0));
-        self.reconstructions.retain(|mark| pending(mark, 1));
+        self.calendar.read_at(deadline, pp.disk, parity);
     }
 
-    /// Fully-normal mode: no degraded cluster, no transition debris in
-    /// flight, and nothing buffered ahead but last cycle's reads — one
+    /// Fully-normal mode: no degraded cluster, no transition mark left
+    /// to use, and nothing scheduled ahead but last cycle's reads — one
     /// pending free per stream, due when the next cycle ends.
     fn settled(&self) -> bool {
-        self.degraded.is_empty()
-            && self.pending_losses.is_empty()
-            && self.suppressed.is_empty()
-            && self.extra_reads.is_empty()
-            && self.reconstructions.is_empty()
-            && self.server_frees.is_empty()
-            && self.deferred_frees.len() <= 1
-            && self
-                .deferred_frees
-                .first_key_value()
-                .is_none_or(|(&due, frees)| {
-                    due == self.streams.next_cycle() && frees.len() == self.streams.len()
-                })
+        self.degraded_clusters == 0
+            && self.live_marks == 0
+            && self.calendar.holds_one_cycle_of_frees(self.streams.len())
     }
 
     /// Register a newly staged object in the catalog (the tertiary →
@@ -611,10 +889,11 @@ impl NonClusteredScheduler {
         self.streams.retire_object(&mut self.catalog, object)
     }
 
-    /// `(len, capacity)` of each scratch pool, for the churn leak test.
+    /// `(len, capacity)` of each scratch pool and of every list of the
+    /// calendar, for the churn leak test.
     #[cfg(test)]
     pub(crate) fn scratch_footprint(&self) -> Vec<(usize, usize)> {
-        vec![
+        let mut footprint = vec![
             (
                 self.displaced_scratch.len(),
                 self.displaced_scratch.capacity(),
@@ -625,7 +904,22 @@ impl NonClusteredScheduler {
             ),
             (self.keep_scratch.len(), self.keep_scratch.capacity()),
             (self.spill_scratch.len(), self.spill_scratch.capacity()),
-        ]
+        ];
+        for due in &self.calendar.ring {
+            footprint.push((due.losses.len(), due.losses.capacity()));
+            footprint.push((due.reads.len(), due.reads.capacity()));
+            footprint.push((due.frees.len(), due.frees.capacity()));
+            footprint.push((due.server_frees.len(), due.server_frees.capacity()));
+        }
+        footprint
+    }
+
+    /// Marks set and not yet used, counted two ways: the running count
+    /// `settled` reads, and a walk over every slot.
+    #[cfg(test)]
+    pub(crate) fn live_marks(&self) -> (usize, usize) {
+        let walked = self.streams.iter().flat_map(|s| &s.state.marks);
+        (self.live_marks, walked.map(GroupMarks::count).sum())
     }
 }
 
@@ -670,7 +964,7 @@ impl SchemeScheduler for NonClusteredScheduler {
             });
         }
         let seat = self.classes.seat(class);
-        Ok(self.streams.admit(placed, at_cycle, seat))
+        Ok(self.streams.admit(placed, at_cycle, NcState::new(seat)))
     }
 
     fn stream_capacity(&self) -> usize {
@@ -686,12 +980,11 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn release(&mut self, id: StreamId) -> bool {
-        // A stream that has read nothing retires at once; transition
-        // state keyed by it is tolerated by the delivery and
-        // deferred-free paths, which ignore unknown streams. Otherwise
-        // the started group's remaining blocks drain (including any
-        // degraded-mode reconstruction already planned) and the normal
-        // finish path retires the stream.
+        // A stream that has read nothing retires at once (it carries no
+        // mark: a mark is only ever set on a group being read).
+        // Otherwise the started group's remaining blocks drain (including
+        // any degraded-mode reconstruction already planned) and the
+        // normal finish path retires the stream.
         self.streams.release_seated(id, &mut self.classes)
     }
 
@@ -700,41 +993,37 @@ impl SchemeScheduler for NonClusteredScheduler {
         plan.reset(cycle);
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let bpg = self.bpg();
         let slots = self.streams.slots();
 
         // 1. Normal-schedule reads + group-at-a-time + delayed-window
         //    planning for groups starting this cycle.
         for ix in 0..slots {
-            let s = *self.streams.slot(ix);
-            let id = s.id();
-            let Some((g, i)) = self.position_at(&s, cycle) else {
+            let s = self.streams.slot(ix);
+            let Some((g, i)) = self.position_at(s, cycle) else {
                 continue;
             };
+            let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
+            let blocks = s.blocks_in_group(g, bpg);
+            let t_g = self.group_start(s, g);
             self.streams.vacate_if_reads_done(ix, &mut self.classes);
-            let blocks = s.blocks_in_group(g, self.bpg());
-            let cluster = layout.data_cluster(s.start_cluster, g);
-            let t_g = self.group_start(&s, g);
+            let cluster = layout.data_cluster(start_cluster, g);
+            let whole_group = self.group_at_a_time(cluster, t_g);
 
             if i == 0 {
-                if self.group_at_a_time(cluster, t_g) {
-                    let d = self
-                        .degraded
-                        .get(&cluster)
-                        .copied()
+                if whole_group {
+                    let d = self.degraded[cluster.index()]
                         .expect("group_at_a_time is only true for degraded clusters");
                     let parity_pos = geometry.disks_per_cluster() - 1;
                     let parity_alive = d.failed_pos != parity_pos && !d.also_contains(parity_pos);
-                    self.plan_group_at_once(plan, ix, &s, g, cycle, &d, parity_alive);
+                    self.plan_group_at_once(plan, ix, g, cycle, &d, parity_alive);
                     continue;
                 }
                 if self.delayed_window(cluster, t_g) {
-                    let d = self
-                        .degraded
-                        .get(&cluster)
-                        .copied()
+                    let d = self.degraded[cluster.index()]
                         .expect("delayed_window is only true for degraded clusters");
                     let parity_alive = d.failed_pos != geometry.disks_per_cluster() - 1;
-                    self.plan_delayed_group_events(&s, g, d.failed_pos, parity_alive);
+                    self.plan_delayed_group_events(ix, g, d.failed_pos, parity_alive);
                     // Normal per-cycle reads still apply below for the
                     // non-suppressed positions.
                 }
@@ -742,24 +1031,20 @@ impl SchemeScheduler for NonClusteredScheduler {
 
             // Normal read of block (g, i), unless suppressed or this
             // group is handled group-at-a-time (its start planned all
-            // reads already).
-            if i < blocks
-                && !self.group_at_a_time(cluster, t_g)
-                && !self.suppressed.contains(&(id, g, i))
-            {
-                let p = layout.data_placement(s.start_cluster, g, i);
+            // reads already). The mark is used either way.
+            let suppressed = self.take_mark(ix, g, i, Mark::Suppressed);
+            if i < blocks && !whole_group && !suppressed {
+                let p = layout.data_placement(start_cluster, g, i);
                 let pos = geometry.position_in_cluster(p.disk);
-                let failed_here = self
-                    .degraded
-                    .get(&cluster)
-                    .map(|d| d.failed_pos == pos || d.also_contains(pos))
-                    .unwrap_or(false);
+                let failed_here = self.degraded[cluster.index()]
+                    .is_some_and(|d| d.failed_pos == pos || d.also_contains(pos));
+                let addr = BlockAddr::data(object, g, i);
                 if failed_here {
                     // A normal read aimed at a failed disk with no
                     // transition plan covering it: lost.
                     self.record_loss(LostBlock {
                         stream: id,
-                        addr: BlockAddr::data(s.object, g, i),
+                        addr,
                         reason: LossReason::FailedDisk,
                         delivery_cycle: cycle + 1,
                     });
@@ -768,46 +1053,41 @@ impl SchemeScheduler for NonClusteredScheduler {
                         p.disk,
                         PlannedRead {
                             stream: id,
-                            addr: BlockAddr::data(s.object, g, i),
+                            addr,
                             purpose: ReadPurpose::Delivery,
                         },
                     );
                     self.streams
                         .alloc(ix, 1)
                         .expect("unbounded pool never refuses an allocation");
-                    self.deferred_frees
-                        .entry(cycle + 1)
-                        .or_default()
-                        .push((id, BlockAddr::data(s.object, g, i)));
+                    self.calendar.free_at(cycle + 1, id, addr);
                 }
             }
         }
 
+        // Nothing is scheduled into this cycle from here on.
+        let due = self.calendar.take(cycle);
+
         // 3. Inject transition extra reads for this cycle.
-        if let Some(extras) = self.extra_reads.remove(&cycle) {
-            for (disk, read) in extras {
-                // One buffer per extra read, or for the XOR accumulator
-                // the zero-disk marker stands for. A stream dropped
-                // since the transition was planned has no slot to charge
-                // (and its pending free will find none to release).
-                if let Some(ix) = self.streams.find(read.stream) {
-                    self.streams
-                        .alloc(ix, 1)
-                        .expect("unbounded pool never refuses an allocation");
-                }
-                if disk == DiskId(u32::MAX) {
-                    continue;
-                }
-                plan.reads.push(disk, read);
-                // Freed at the block's delivery cycle — registered by the
-                // transition planner (deferred_frees). Parity reads are
-                // absorbed into the reconstruction: free next cycle.
-                if read.addr.kind == mms_layout::BlockKind::Parity {
-                    self.deferred_frees
-                        .entry(cycle + 1)
-                        .or_default()
-                        .push((read.stream, read.addr));
-                }
+        for &(disk, read) in &due.reads {
+            // One buffer per extra read, or for the XOR accumulator
+            // the zero-disk marker stands for. A stream dropped
+            // since the transition was planned has no slot to charge
+            // (and its pending free will find none to release).
+            if let Some(ix) = self.streams.find(read.stream) {
+                self.streams
+                    .alloc(ix, 1)
+                    .expect("unbounded pool never refuses an allocation");
+            }
+            if disk == DiskId(u32::MAX) {
+                continue;
+            }
+            plan.reads.push(disk, read);
+            // Freed at the block's delivery cycle — registered by the
+            // transition planner. Parity reads are absorbed into the
+            // reconstruction: free next cycle.
+            if read.addr.kind == BlockKind::Parity {
+                self.calendar.free_at(cycle + 1, read.stream, read.addr);
             }
         }
 
@@ -855,14 +1135,13 @@ impl SchemeScheduler for NonClusteredScheduler {
                     continue;
                 }
                 match r.addr.kind {
-                    mms_layout::BlockKind::Data(ix) => {
+                    BlockKind::Data(ix) => {
                         let owner = self
                             .streams
                             .find(r.stream)
                             .expect("a planned read belongs to a live stream");
                         let delivery_cycle = {
                             let st = self.streams.slot(owner);
-                            let bpg = u64::from(layout.blocks_per_group());
                             st.start_cycle + r.addr.group * bpg + u64::from(ix) + 1
                         };
                         displaced.push(LostBlock {
@@ -874,19 +1153,12 @@ impl SchemeScheduler for NonClusteredScheduler {
                         // Undo the displaced read's buffer charge and
                         // cancel its pending free.
                         let _ = self.streams.free(owner, 1);
-                        if let Some(entries) = self.deferred_frees.get_mut(&delivery_cycle) {
-                            if let Some(jx) = entries
-                                .iter()
-                                .position(|(sid, a)| *sid == r.stream && *a == r.addr)
-                            {
-                                entries.swap_remove(jx);
-                            }
-                        }
+                        self.calendar.cancel_free(delivery_cycle, r.stream, r.addr);
                         // A lost reconstruction target is no longer
                         // reconstructed.
-                        self.reconstructions.remove(&(r.stream, r.addr.group, ix));
+                        self.take_mark(owner, r.addr.group, ix, Mark::Reconstructed);
                     }
-                    mms_layout::BlockKind::Parity => {
+                    BlockKind::Parity => {
                         // Losing the parity read loses the block it was
                         // fetched to rebuild.
                         displaced_parity.push((r.stream, r.addr.group));
@@ -902,25 +1174,21 @@ impl SchemeScheduler for NonClusteredScheduler {
         self.keep_scratch = keep;
         self.spill_scratch = spill;
         for (sid, group) in displaced_parity.drain(..) {
-            // Find the reconstruction this parity read was serving.
-            let target = self
-                .reconstructions
-                .iter()
-                .find(|(s2, g2, _)| *s2 == sid && *g2 == group)
-                .copied();
-            if let Some((_, _, ix)) = target {
-                self.reconstructions.remove(&(sid, group, ix));
-                if let Some(st) = self.streams.find(sid).map(|ix| self.streams.slot(ix)) {
-                    let bpg = u64::from(layout.blocks_per_group());
-                    let delivery_cycle = st.start_cycle + group * bpg + u64::from(ix) + 1;
-                    displaced.push(LostBlock {
-                        stream: sid,
-                        addr: BlockAddr::data(st.object, group, ix),
-                        reason: LossReason::Displaced,
-                        delivery_cycle,
-                    });
-                }
-            }
+            // The reconstruction this parity read was serving.
+            let Some(owner) = self.streams.find(sid) else {
+                continue;
+            };
+            let Some(ix) = self.streams.slot(owner).state.first_reconstructed(group) else {
+                continue;
+            };
+            self.take_mark(owner, group, ix, Mark::Reconstructed);
+            let st = self.streams.slot(owner);
+            displaced.push(LostBlock {
+                stream: sid,
+                addr: BlockAddr::data(st.object, group, ix),
+                reason: LossReason::Displaced,
+                delivery_cycle: st.start_cycle + group * bpg + u64::from(ix) + 1,
+            });
         }
         for loss in displaced.drain(..) {
             self.record_loss(loss);
@@ -930,8 +1198,7 @@ impl SchemeScheduler for NonClusteredScheduler {
 
         // Deliveries and hiccups: block (g, q) is delivered at
         //    `t_g + q + 1` unless recorded lost.
-        let losses_now = self.pending_losses.remove(&cycle).unwrap_or_default();
-        for loss in losses_now.iter().copied() {
+        for &loss in &due.losses {
             if let Some(ix) = self.streams.find(loss.stream) {
                 self.streams.slot_mut(ix).lost += 1;
             }
@@ -940,13 +1207,13 @@ impl SchemeScheduler for NonClusteredScheduler {
         // Whether block (id, g, q) is among this cycle's losses. The list
         // is tiny (bounded by one loss per stream per cycle), so a linear
         // scan beats building a set — and allocates nothing.
+        let losses_now = &due.losses;
         let is_lost = |id: StreamId, g: u64, q: u32| {
             losses_now.iter().any(|l| match l.addr.kind {
-                mms_layout::BlockKind::Data(ix) => l.stream == id && l.addr.group == g && ix == q,
-                mms_layout::BlockKind::Parity => false,
+                BlockKind::Data(ix) => l.stream == id && l.addr.group == g && ix == q,
+                BlockKind::Parity => false,
             })
         };
-        let bpg = self.bpg();
         for ix in 0..slots {
             let s = self.streams.slot_mut(ix);
             if cycle == 0 || cycle < s.start_cycle + 1 {
@@ -960,49 +1227,50 @@ impl SchemeScheduler for NonClusteredScheduler {
             }
             let id = s.id();
             let blocks = s.blocks_in_group(g, bpg);
-            if q < blocks && !is_lost(id, g, q) {
-                plan.deliveries.push(Delivery {
-                    stream: id,
-                    addr: BlockAddr::data(s.object, g, q),
-                    reconstructed: self.reconstructions.remove(&(id, g, q)),
-                });
-                s.delivered += 1;
+            if q < blocks {
+                // The reconstruction mark is used whether or not the
+                // block goes out.
+                let reconstructed = self.live_marks > 0 && s.state.take(g, q, Mark::Reconstructed);
+                self.live_marks -= usize::from(reconstructed);
+                if !is_lost(id, g, q) {
+                    plan.deliveries.push(Delivery {
+                        stream: id,
+                        addr: BlockAddr::data(s.object, g, q),
+                        reconstructed,
+                    });
+                    s.delivered += 1;
+                }
             }
             // Stream finishes after its final group's last real block's
             // delivery slot (partial groups leave trailing idle slots).
             if g + 1 == s.groups && q + 1 >= blocks {
                 plan.finished.push(id);
-                self.classes.vacate(&mut s.state);
-                self.streams.retire(ix);
+                self.retire(ix);
             }
         }
 
         // End of cycle: release the buffers of blocks whose delivery slot
         // was this cycle (they stay resident while being transmitted, so
         // the pool's high-water mark measures true peak occupancy).
-        if let Some(frees) = self.deferred_frees.remove(&cycle) {
-            // Healthy-mode frees were recorded in table order one cycle
-            // ago, so each is found at the slot after the previous hit.
-            let mut hint = 0;
-            for (id, _addr) in frees {
-                // The stream may already have finished (retire released
-                // all it held): then there is nothing to free.
-                if let Some(ix) = self.streams.find_from(hint, id) {
-                    let _ = self.streams.free(ix, 1);
-                    hint = ix + 1;
-                }
+        // Healthy-mode frees were recorded in table order one cycle ago,
+        // so each is found at the slot after the previous hit.
+        let mut hint = 0;
+        for &(id, _addr) in &due.frees {
+            // The stream may already have finished (retire released
+            // all it held): then there is nothing to free.
+            if let Some(ix) = self.streams.find_from(hint, id) {
+                let _ = self.streams.free(ix, 1);
+                hint = ix + 1;
             }
         }
-        if let Some(frees) = self.server_frees.remove(&cycle) {
-            for (cluster, id, n) in frees {
-                if let Some(server) = self.servers.server_for(cluster) {
-                    // The server may have been detached (repair resets
-                    // its pool), in which case there is nothing to free.
-                    let _ = server.pool_mut().free(mms_buffer::OwnerId(id.0), n);
-                }
-            }
+        for &cluster in &due.server_frees {
+            self.servers
+                .server_for(cluster)
+                .expect("a detaching cluster takes its pending server frees with it")
+                .pool_mut()
+                .release(1);
         }
-        self.drop_spent_marks();
+        self.calendar.recycle(due);
         self.streams.compact();
     }
 
@@ -1015,14 +1283,17 @@ impl SchemeScheduler for NonClusteredScheduler {
             // the paper calls the no-redundancy data outage what it is.
             // The position is all there is to record — reads aimed at it
             // are skipped, and lost, as their cycles come.
-            self.degraded
-                .entry(cluster)
-                .and_modify(|d| d.also_failed |= 1u128 << pos)
-                .or_insert(Degraded {
-                    failed_pos: pos,
-                    since: cycle,
-                    also_failed: 0,
-                });
+            match &mut self.degraded[cluster.index()] {
+                Some(d) => d.also_failed |= 1u128 << pos,
+                none => {
+                    *none = Some(Degraded {
+                        failed_pos: pos,
+                        since: cycle,
+                        also_failed: 0,
+                    });
+                    self.degraded_clusters += 1;
+                }
+            }
             return FailureReport {
                 catastrophic: true,
                 ..FailureReport::default()
@@ -1033,7 +1304,7 @@ impl SchemeScheduler for NonClusteredScheduler {
             ..FailureReport::default()
         };
 
-        if let Some(d) = self.degraded.get_mut(&cluster) {
+        if let Some(d) = &mut self.degraded[cluster.index()] {
             // Second failure in one cluster: catastrophic.
             d.also_failed |= 1u128 << pos;
             report.catastrophic = true;
@@ -1045,14 +1316,12 @@ impl SchemeScheduler for NonClusteredScheduler {
             emit_transition(policy, cluster, cycle, "degraded", "catastrophic");
             return report;
         }
-        self.degraded.insert(
-            cluster,
-            Degraded {
-                failed_pos: pos,
-                since: cycle,
-                also_failed: 0,
-            },
-        );
+        self.degraded[cluster.index()] = Some(Degraded {
+            failed_pos: pos,
+            since: cycle,
+            also_failed: 0,
+        });
+        self.degraded_clusters += 1;
         emit_transition(policy, cluster, cycle, "normal", "degraded");
 
         // Attach a buffer server; exhaustion = degradation of service:
@@ -1066,8 +1335,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 });
                 if on_cluster {
                     report.dropped_streams.push(s.id());
-                    self.classes.vacate(&mut self.streams.slot_mut(ix).state);
-                    self.streams.retire(ix);
+                    self.retire(ix);
                 }
             }
             self.streams.compact();
@@ -1080,10 +1348,10 @@ impl SchemeScheduler for NonClusteredScheduler {
         }
 
         // Transition for in-flight groups on this cluster.
-        let losses_before: usize = self.pending_losses.values().map(Vec::len).sum();
+        let losses_before = self.calendar.losses().count();
         for ix in 0..self.streams.slots() {
-            let s = *self.streams.slot(ix);
-            let Some((g, p)) = self.position_at(&s, cycle) else {
+            let s = self.streams.slot(ix);
+            let Some((g, p)) = self.position_at(s, cycle) else {
                 continue;
             };
             if self.catalog.layout().data_cluster(s.start_cluster, g) != cluster {
@@ -1096,42 +1364,51 @@ impl SchemeScheduler for NonClusteredScheduler {
             }
             match policy {
                 TransitionPolicy::Simple => {
-                    self.simple_transition_for(&s, g, p, cycle, pos);
+                    self.simple_transition_for(ix, g, p, cycle, pos);
                 }
                 TransitionPolicy::Delayed => {
-                    self.delayed_transition_for(&s, g, p, pos);
+                    self.delayed_transition_for(ix, g, p, pos);
                 }
             }
         }
 
-        // Collect the losses just recorded for the report (they are also
-        // emitted as hiccups at their delivery cycles).
-        let mut all: Vec<LostBlock> = self.pending_losses.values().flatten().copied().collect();
-        report.lost = all.split_off(losses_before);
+        // Report the pending losses past those held before, in due order
+        // (they are also emitted as hiccups at their delivery cycles).
+        report.lost = self
+            .calendar
+            .losses()
+            .skip(losses_before)
+            .copied()
+            .collect();
         report
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
-        if let Some(d) = self.degraded.get_mut(&cluster) {
-            let pos = geometry.position_in_cluster(disk);
-            if d.failed_pos == pos && d.also_failed == 0 {
-                self.degraded.remove(&cluster);
-                let _ = self.servers.detach(cluster.0);
-                if let Some(policy) = self.policy {
-                    emit_transition(policy, cluster, cycle, "degraded", "normal");
-                }
-            } else if d.failed_pos == pos && self.policy.is_none() {
-                // All an unprotected server keeps is which disks are
-                // down: another of the cluster's is the one on record now.
-                d.failed_pos = d.also_failed.trailing_zeros();
-                d.also_failed &= d.also_failed - 1;
-            } else {
-                d.also_failed &= !(1u128 << pos);
+        let pos = geometry.position_in_cluster(disk);
+        let Some(d) = &mut self.degraded[cluster.index()] else {
+            return;
+        };
+        if d.failed_pos == pos && d.also_failed == 0 {
+            self.degraded[cluster.index()] = None;
+            self.degraded_clusters -= 1;
+            // The detached server's pool is reset; the frees it was owed
+            // would otherwise land on whichever attachment comes next.
+            if self.servers.detach(cluster.0).is_ok() {
+                self.calendar.drop_server_frees(cluster.0);
             }
+            if let Some(policy) = self.policy {
+                emit_transition(policy, cluster, cycle, "degraded", "normal");
+            }
+        } else if d.failed_pos == pos && self.policy.is_none() {
+            // All an unprotected server keeps is which disks are
+            // down: another of the cluster's is the one on record now.
+            d.failed_pos = d.also_failed.trailing_zeros();
+            d.also_failed &= d.also_failed - 1;
+        } else {
+            d.also_failed &= !(1u128 << pos);
         }
-        self.drop_spent_marks();
     }
 
     fn buffer_in_use(&self) -> usize {
@@ -1175,12 +1452,10 @@ impl SchemeScheduler for NonClusteredScheduler {
         debug_assert!(self.settled(), "fast_forward around a transition");
         self.streams.fast_forward(cycles, 1, |_| 1);
         // Last cycle's reads are freed when the next planned cycle ends:
-        // their one entry moves with the clock. (The addresses in it are
+        // their one bucket moves with the clock. (The addresses in it are
         // only ever matched by same-cycle displacement cancels, which
         // cannot reference a skipped cycle.)
-        if let Some((due, frees)) = self.deferred_frees.pop_first() {
-            self.deferred_frees.insert(due + cycles, frees);
-        }
+        self.calendar.fast_forward(cycles);
     }
 }
 

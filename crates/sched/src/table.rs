@@ -467,11 +467,11 @@ impl<S> StreamTable<S> {
     }
 }
 
-/// The block-per-cycle schedulers (`k = k′ = 1`) keep nothing per stream
-/// but its seat, and give it back as soon as the stream's last read slot
-/// has passed: the class has room for a newcomer from the very next
-/// cycle, while the last block is still on the wire.
-impl StreamTable<Seat> {
+/// The block-per-cycle schedulers (`k = k′ = 1`) give a stream's seat
+/// back as soon as its last read slot has passed: the class has room for
+/// a newcomer from the very next cycle, while the last block is still on
+/// the wire.
+impl<S: Seated> StreamTable<S> {
     /// Streams of `class` an arrival at `at_cycle` contends with: the
     /// seated ones — less, for an arrival booked ahead, those whose last
     /// read slot comes before it (the one case that walks the table).
@@ -481,8 +481,8 @@ impl StreamTable<Seat> {
             class: class as u32,
             taken: true,
         };
-        let gone = |s: &&Slot<Seat>| {
-            s.state == seat && s.start_cycle + s.groups * self.read_period <= at_cycle
+        let gone = |s: &&Slot<S>| {
+            *s.state.seat() == seat && s.start_cycle + s.groups * self.read_period <= at_cycle
         };
         let seated = classes.seated(class);
         if at_cycle > self.next_cycle {
@@ -497,7 +497,7 @@ impl StreamTable<Seat> {
     pub fn vacate_if_reads_done(&mut self, ix: usize, classes: &mut ClassTable) {
         let s = &mut self.slots[ix];
         if s.start_cycle + s.groups * self.read_period <= self.next_cycle {
-            classes.vacate(&mut s.state);
+            classes.vacate(s.state.seat_mut());
         }
     }
 
@@ -507,8 +507,8 @@ impl StreamTable<Seat> {
     pub fn release_seated(&mut self, id: StreamId, classes: &mut ClassTable) -> bool {
         match self.release(id) {
             Released::Unknown => false,
-            Released::Retired(mut seat) => {
-                classes.vacate(&mut seat);
+            Released::Retired(mut state) => {
+                classes.vacate(state.seat_mut());
                 true
             }
             Released::Draining => {
@@ -526,6 +526,14 @@ impl StreamTable<Seat> {
 pub struct Seat {
     class: u32,
     taken: bool,
+}
+
+/// Per-stream state that carries a [`Seat`].
+pub trait Seated {
+    /// The stream's seat.
+    fn seat(&self) -> &Seat;
+    /// The stream's seat, to give back.
+    fn seat_mut(&mut self) -> &mut Seat;
 }
 
 /// Streams seated per admission class.
