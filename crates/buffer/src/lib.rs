@@ -8,10 +8,10 @@
 //!
 //! Two pieces:
 //!
-//! * [`BufferPool`] — a track-granular buffer pool with per-owner
-//!   accounting and high-water tracking. Schedulers charge each stream's
-//!   read-ahead against a pool; the peak occupancy *is* the scheme's
-//!   buffer requirement (this is how Figure 4 and the `BF_p` rows are
+//! * [`BufferPool`] — a track-granular buffer pool with high-water
+//!   tracking. Schedulers charge each stream's read-ahead against a pool
+//!   (and keep who holds what themselves); the peak occupancy *is* the
+//!   scheme's buffer requirement (this is how Figure 4 and the `BF_p` rows are
 //!   measured rather than just computed).
 //! * [`BufferServerPool`] — Section 3's shared **buffer servers**: "one or
 //!   more extra processors containing a buffer pool to help handle

@@ -1,10 +1,10 @@
-//! Track-granular buffer pool with per-owner accounting.
+//! Track-granular buffer pool.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// Identifies the entity a buffer is charged to (a stream, a cluster, a
-/// buffer server — the pool does not care).
+/// Identifies the entity a buffer is charged to, when a caller that keeps
+/// its own per-owner tally refuses a release (the stream table names the
+/// stream in [`BufferError::Underflow`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OwnerId(pub u64);
 
@@ -65,12 +65,17 @@ impl std::error::Error for BufferError {}
 /// scheme's requirement (run the schedule, read off `high_water`); a
 /// bounded pool enforces a provisioned size and reports exhaustion, which
 /// callers surface as degradation of service.
+///
+/// The pool keeps the gauges only. Who holds the tracks is the caller's
+/// to remember: the stream table keeps each stream's charge in the
+/// stream's own slot, and the Non-clustered scheduler frees a buffer
+/// server's tracks on the cycle calendar it charged them from — so no
+/// per-cycle pass touches a map.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: Option<usize>,
     in_use: usize,
     high_water: usize,
-    owners: BTreeMap<OwnerId, usize>,
 }
 
 impl BufferPool {
@@ -81,7 +86,6 @@ impl BufferPool {
             capacity: Some(capacity),
             in_use: 0,
             high_water: 0,
-            owners: BTreeMap::new(),
         }
     }
 
@@ -92,7 +96,6 @@ impl BufferPool {
             capacity: None,
             in_use: 0,
             high_water: 0,
-            owners: BTreeMap::new(),
         }
     }
 
@@ -123,24 +126,9 @@ impl BufferPool {
         self.high_water
     }
 
-    /// Tracks held by one owner.
-    #[must_use]
-    pub fn held_by(&self, owner: OwnerId) -> usize {
-        self.owners.get(&owner).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct owners currently holding buffers.
-    #[must_use]
-    pub fn owner_count(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// Charge `tracks` to the pool without naming an owner: capacity,
-    /// occupancy and the high-water mark move exactly as in
-    /// [`alloc`](Self::alloc), but who holds the tracks is the caller's
-    /// to remember (the scheduler's stream table keeps each stream's
-    /// charge in the stream's own slot, so its per-cycle passes touch no
-    /// map). Pair with [`release`](Self::release).
+    /// Charge `tracks` to the pool: occupancy and the high-water mark
+    /// move, or nothing does if a bounded pool has no room. Pair with
+    /// [`release`](Self::release).
     pub fn charge(&mut self, tracks: usize) -> Result<(), BufferError> {
         if let Some(cap) = self.capacity {
             let available = cap - self.in_use;
@@ -168,48 +156,6 @@ impl BufferPool {
             .expect("released more buffer tracks than are charged");
     }
 
-    /// Allocate `tracks` to `owner`.
-    pub fn alloc(&mut self, owner: OwnerId, tracks: usize) -> Result<(), BufferError> {
-        if tracks == 0 {
-            return Ok(());
-        }
-        self.charge(tracks)?;
-        *self.owners.entry(owner).or_insert(0) += tracks;
-        Ok(())
-    }
-
-    /// Release `tracks` held by `owner`.
-    pub fn free(&mut self, owner: OwnerId, tracks: usize) -> Result<(), BufferError> {
-        if tracks == 0 {
-            return Ok(());
-        }
-        let held = self.held_by(owner);
-        if tracks > held {
-            return Err(BufferError::Underflow {
-                owner,
-                held,
-                freeing: tracks,
-            });
-        }
-        self.in_use -= tracks;
-        if held == tracks {
-            self.owners.remove(&owner);
-        } else {
-            *self
-                .owners
-                .get_mut(&owner)
-                .expect("held > tracks, so the owner entry exists") -= tracks;
-        }
-        Ok(())
-    }
-
-    /// Release everything held by `owner`, returning the count.
-    pub fn free_all(&mut self, owner: OwnerId) -> usize {
-        let held = self.owners.remove(&owner).unwrap_or(0);
-        self.in_use -= held;
-        held
-    }
-
     /// Reset the high-water mark to the current occupancy (for windowed
     /// measurements).
     pub fn reset_high_water(&mut self) {
@@ -222,23 +168,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_free_round_trip() {
+    fn charge_release_round_trip() {
         let mut p = BufferPool::bounded(10);
-        p.alloc(OwnerId(1), 4).unwrap();
-        p.alloc(OwnerId(2), 3).unwrap();
+        p.charge(4).unwrap();
+        p.charge(3).unwrap();
         assert_eq!(p.in_use(), 7);
         assert_eq!(p.available(), 3);
-        assert_eq!(p.held_by(OwnerId(1)), 4);
-        p.free(OwnerId(1), 2).unwrap();
+        p.release(2);
         assert_eq!(p.in_use(), 5);
-        assert_eq!(p.held_by(OwnerId(1)), 2);
+        assert_eq!(p.capacity(), Some(10));
     }
 
     #[test]
     fn exhaustion_is_reported_and_nondestructive() {
         let mut p = BufferPool::bounded(5);
-        p.alloc(OwnerId(1), 4).unwrap();
-        let err = p.alloc(OwnerId(2), 2).unwrap_err();
+        p.charge(4).unwrap();
+        let err = p.charge(2).unwrap_err();
         assert_eq!(
             err,
             BufferError::Exhausted {
@@ -247,67 +192,35 @@ mod tests {
             }
         );
         assert_eq!(p.in_use(), 4);
+        assert_eq!(p.high_water(), 4);
     }
 
     #[test]
     fn high_water_tracks_peak() {
         let mut p = BufferPool::unbounded();
-        p.alloc(OwnerId(1), 10).unwrap();
-        p.free(OwnerId(1), 8).unwrap();
-        p.alloc(OwnerId(1), 3).unwrap();
+        p.charge(10).unwrap();
+        p.release(8);
+        p.charge(3).unwrap();
         assert_eq!(p.in_use(), 5);
         assert_eq!(p.high_water(), 10);
+        assert_eq!(p.available(), usize::MAX);
         p.reset_high_water();
         assert_eq!(p.high_water(), 5);
     }
 
     #[test]
-    fn underflow_is_rejected() {
+    #[should_panic(expected = "released more buffer tracks than are charged")]
+    fn releasing_more_than_is_charged_panics() {
         let mut p = BufferPool::bounded(10);
-        p.alloc(OwnerId(1), 2).unwrap();
-        let err = p.free(OwnerId(1), 3).unwrap_err();
-        assert!(matches!(err, BufferError::Underflow { held: 2, .. }));
-        // Freeing from an unknown owner is also an underflow.
-        assert!(p.free(OwnerId(9), 1).is_err());
-    }
-
-    #[test]
-    fn free_all_clears_owner() {
-        let mut p = BufferPool::bounded(10);
-        p.alloc(OwnerId(1), 6).unwrap();
-        assert_eq!(p.free_all(OwnerId(1)), 6);
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.owner_count(), 0);
-        assert_eq!(p.free_all(OwnerId(1)), 0);
-    }
-
-    #[test]
-    fn anonymous_charges_share_the_gauges_with_owned_ones() {
-        let mut p = BufferPool::bounded(10);
-        p.alloc(OwnerId(1), 4).unwrap();
-        p.charge(5).unwrap();
-        assert_eq!(p.in_use(), 9);
-        assert_eq!(p.high_water(), 9);
-        assert_eq!(p.owner_count(), 1);
-        assert_eq!(
-            p.charge(2),
-            Err(BufferError::Exhausted {
-                requested: 2,
-                available: 1
-            })
-        );
-        p.release(5);
-        assert_eq!(p.in_use(), 4);
-        assert_eq!(p.high_water(), 9);
-        assert_eq!(p.held_by(OwnerId(1)), 4);
+        p.charge(2).unwrap();
+        p.release(3);
     }
 
     #[test]
     fn zero_sized_operations_are_noops() {
         let mut p = BufferPool::bounded(1);
-        p.alloc(OwnerId(1), 0).unwrap();
-        p.free(OwnerId(1), 0).unwrap();
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.owner_count(), 0);
+        p.charge(0).unwrap();
+        p.release(0);
+        assert_eq!((p.in_use(), p.high_water()), (0, 0));
     }
 }

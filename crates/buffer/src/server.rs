@@ -192,7 +192,6 @@ impl BufferServerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::OwnerId;
 
     #[test]
     fn attach_until_exhausted() {
@@ -209,11 +208,7 @@ mod tests {
     fn detach_frees_a_server_and_its_buffers() {
         let mut pool = BufferServerPool::new(1, 50);
         pool.attach(3).unwrap();
-        pool.server_for(3)
-            .unwrap()
-            .pool_mut()
-            .alloc(OwnerId(1), 20)
-            .unwrap();
+        pool.server_for(3).unwrap().pool_mut().charge(20).unwrap();
         pool.detach(3).unwrap();
         assert_eq!(pool.busy(), 0);
         pool.attach(4).unwrap();
