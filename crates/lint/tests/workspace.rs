@@ -58,7 +58,8 @@ fn single_rule_runs_see_the_same_clean_tree() {
 
 /// The stream table put the schedulers' per-stream bookkeeping behind
 /// one type. The hot-path walk must keep reaching it — and every
-/// scheduler's planner — from both per-cycle roots, or the
+/// scheduler's planner, and the Non-clustered scheduler's cycle calendar
+/// and transition marks — from both per-cycle roots, or the
 /// zero-allocation guarantee silently stops covering the code that
 /// matters most.
 #[test]
@@ -87,6 +88,22 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
         "release",
     ]
     .map(|name| format!("StreamTable::{name}"));
+    // What a degraded Non-clustered cycle schedules ahead and takes back,
+    // and the marks each stream carries: per cycle, so `transitive-alloc`
+    // must police them.
+    let calendar = [
+        "Calendar::at",
+        "Calendar::lose",
+        "Calendar::read_at",
+        "Calendar::free_at",
+        "Calendar::server_free_at",
+        "Calendar::cancel_free",
+        "Calendar::take",
+        "Calendar::recycle",
+        "NcState::mark",
+        "NcState::take",
+    ]
+    .map(String::from);
     // The event horizon belongs to the session loop; the fleet steps
     // its nodes cycle by cycle.
     let horizon = [
@@ -100,7 +117,12 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
         assert!(!roots.is_empty(), "{root_spec} not found");
         let pred = g.reach(&roots[..1], &|_| false);
         let horizon = horizon.iter().filter(|_| root_spec != "Fleet::step");
-        for spec in planners.iter().chain(&table).chain(horizon) {
+        for spec in planners
+            .iter()
+            .chain(&table)
+            .chain(&calendar)
+            .chain(horizon)
+        {
             let targets = resolve_spec(&ws, spec);
             assert!(
                 targets
