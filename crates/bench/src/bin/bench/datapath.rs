@@ -14,7 +14,8 @@
 //!   (`verify_delivery`), the latter split into plain and reconstructed
 //!   deliveries.
 //! * **Simulator cycles** — heap allocations per steady-state cycle of a
-//!   degraded Streaming-RAID run under `DataMode::Verified`.
+//!   degraded run under `DataMode::Verified`, for each of the four
+//!   schemes at 4 and at 40 viewers.
 //!
 //! Allocations are counted by a `#[global_allocator]` shim around the
 //! system allocator (it serves the whole `bench` binary; the other four
@@ -25,8 +26,8 @@
 //!
 //! `--quick` shrinks every workload to a smoke-test size; the committed
 //! JSON comes from a full run. Either way the exit status is 1 if a
-//! streaming delivery or a simulator cycle allocated: zero is the
-//! contract, and CI runs this bench to enforce it.
+//! streaming delivery or a simulator cycle of any scheme allocated: zero
+//! is the contract, and CI runs this bench to enforce it.
 
 use crate::{timed, Harness};
 use mms_bench::args::Args;
@@ -37,7 +38,7 @@ use mms_server::parity::{
     fill_synthetic, fill_synthetic_folded, synthetic_fingerprint, xor_slices, xor_synthetic,
 };
 use mms_server::sim::{BlockOracle, DataMode, FailureEvent};
-use mms_server::{Scheme, ServerBuilder};
+use mms_server::{Scheme, ServerBuilder, ServerError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -211,46 +212,73 @@ fn verified_delivery(quick: bool) -> (Json, f64) {
     (section, streaming_allocs_per)
 }
 
-/// Steady-state allocations per cycle of a degraded Streaming-RAID run
-/// with verified synthetic content: four viewers stream one movie while
-/// one disk is down, so every cycle plans, reads, reconstructs, and
-/// verifies through the hoisted plan/load/pool storage. Also returns
-/// the allocations per cycle, which must be 0.
-fn simulator(quick: bool) -> (Json, f64) {
-    let (warmup, cycles) = if quick { (8, 16u64) } else { (64, 256) };
+/// Steady-state allocations per cycle of one degraded run with verified
+/// synthetic content: `viewers` viewers stream one movie while disk 1 is
+/// down, so every cycle plans — Non-clustered group-at-a-time, the
+/// Improved-bandwidth shift cascade — reads, reconstructs, and verifies
+/// through the hoisted plan/load/pool storage. The warm-up outlasts the
+/// transition, so what is measured is the degraded steady state.
+fn degraded_allocs(
+    scheme: Scheme,
+    viewers: usize,
+    warmup: u64,
+    cycles: u64,
+) -> Result<f64, ServerError> {
     let object = ObjectId(0);
-    let mut server = ServerBuilder::new(Scheme::StreamingRaid)
-        .disks(10)
+    // Ten disks in two clusters of C; Improved-bandwidth's clusters are
+    // C − 1 wide, so two of them take eight.
+    let disks = match scheme {
+        Scheme::ImprovedBandwidth => 2 * (GROUP_C - 1),
+        _ => 2 * GROUP_C,
+    };
+    let mut server = ServerBuilder::new(scheme)
+        .disks(disks)
         .parity_group(GROUP_C)
         .object(MediaObject::new(object, "m", 20_000, BandwidthClass::Mpeg1))
         .data_mode(DataMode::Verified { track_bytes: 4096 })
-        .build()
-        .expect("server builds");
-    for _ in 0..4 {
-        server.admit(object).expect("admission");
-        server.step().expect("cycle");
+        .build()?;
+    for _ in 0..viewers {
+        server.admit(object)?;
+        server.step()?;
     }
-    server
-        .inject(FailureEvent::fail(server.cycle(), DiskId(1)))
-        .expect("fail disk");
+    server.inject(FailureEvent::fail(server.cycle(), DiskId(1)))?;
     for _ in 0..warmup {
-        server.step().expect("cycle");
+        server.step()?;
     }
     let allocs_before = allocations();
     for _ in 0..cycles {
-        server.step().expect("cycle");
+        server.step()?;
     }
-    let allocs_per_cycle = (allocations() - allocs_before) as f64 / cycles as f64;
-    println!(
-        "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} degraded SR cycles"
-    );
-    let section = obj([
-        ("scheme", Json::from("sr")),
-        ("degraded", true.into()),
-        ("cycles", cycles.into()),
-        ("allocs_per_cycle", Json::Fixed(allocs_per_cycle, 2)),
-    ]);
-    (section, allocs_per_cycle)
+    Ok((allocations() - allocs_before) as f64 / cycles as f64)
+}
+
+/// [`degraded_allocs`] for every scheme at 4 and at 40 viewers. Also
+/// returns the most any run allocated per cycle, which must be 0.
+fn simulator(quick: bool) -> Result<(Json, f64), ServerError> {
+    // Quick runs measure fewer cycles, not an earlier state: 64 cycles
+    // carry every run past its transition and let each per-cycle list
+    // (the Non-clustered calendar's five buckets against its eight-cycle
+    // rotation) grow to its working size.
+    let (warmup, cycles) = (64, if quick { 16u64 } else { 256 });
+    let (mut cells, mut worst) = (Vec::new(), 0.0f64);
+    for scheme in Scheme::ALL {
+        for viewers in [4, 40] {
+            let allocs_per_cycle = degraded_allocs(scheme, viewers, warmup, cycles)?;
+            let name = scheme.abbrev();
+            println!(
+                "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} degraded {name} cycles, {viewers} viewers"
+            );
+            cells.push(Json::Row(vec![
+                ("scheme".into(), Json::from(name.to_lowercase())),
+                ("viewers".into(), viewers.into()),
+                ("degraded".into(), true.into()),
+                ("cycles".into(), cycles.into()),
+                ("allocs_per_cycle".into(), Json::Fixed(allocs_per_cycle, 2)),
+            ]));
+            worst = worst.max(allocs_per_cycle);
+        }
+    }
+    Ok((Json::Arr(cells), worst))
 }
 
 pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
@@ -259,7 +287,7 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
     let xor = xor_kernel(quick);
     let synthetic = synthetic_kernel(quick);
     let (delivery, allocs_per_delivery) = verified_delivery(quick);
-    let (sim, allocs_per_cycle) = simulator(quick);
+    let (sim, allocs_per_cycle) = simulator(quick).map_err(|e| e.to_string())?;
     harness.write(
         None,
         vec![
@@ -272,7 +300,7 @@ pub fn run(harness: &Harness, args: &mut Args) -> Result<ExitCode, String> {
     );
     if allocs_per_delivery != 0.0 || allocs_per_cycle != 0.0 {
         eprintln!(
-            "error: the data path allocated ({allocs_per_delivery} per streaming delivery, {allocs_per_cycle} per simulator cycle); both must be 0"
+            "error: the data path allocated ({allocs_per_delivery} per streaming delivery, up to {allocs_per_cycle} per simulator cycle); both must be 0"
         );
         return Ok(ExitCode::FAILURE);
     }
