@@ -58,10 +58,10 @@ fn single_rule_runs_see_the_same_clean_tree() {
 
 /// The stream table put the schedulers' per-stream bookkeeping behind
 /// one type. The hot-path walk must keep reaching it — and every
-/// scheduler's planner, and the Non-clustered scheduler's cycle calendar
-/// and transition marks — from both per-cycle roots, or the
-/// zero-allocation guarantee silently stops covering the code that
-/// matters most.
+/// scheduler's planner, its counted path, and the Non-clustered
+/// scheduler's cycle calendar and transition marks — from both
+/// per-cycle roots, or the zero-allocation guarantee silently stops
+/// covering the code that matters most.
 #[test]
 fn hot_roots_reach_every_planner_and_the_stream_table() {
     use mms_lint::graph::{resolve_spec, CallGraph};
@@ -104,6 +104,21 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
         "NcState::take",
     ]
     .map(String::from);
+    // A counted cycle: the split of the stream table, the steady
+    // streams' charge and release, and the per-stream steps both kinds
+    // of plan share. Which kind a cycle gets is decided at run time, so
+    // both roots reach the counted path.
+    let counted = [
+        "StreamTable::tally",
+        "StreamTable::charge_steady",
+        "StreamTable::release_steady",
+        "ClassTable::state_reads",
+        "GroupedScheduler::read_group",
+        "GroupedScheduler::deliver_chunk",
+        "NonClusteredScheduler::read_block",
+        "NonClusteredScheduler::deliver_block",
+    ]
+    .map(String::from);
     // The event horizon belongs to the session loop; the fleet steps
     // its nodes cycle by cycle.
     let horizon = [
@@ -121,6 +136,7 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
             .iter()
             .chain(&table)
             .chain(&calendar)
+            .chain(&counted)
             .chain(horizon)
         {
             let targets = resolve_spec(&ws, spec);

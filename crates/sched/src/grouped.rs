@@ -47,7 +47,7 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, DeliveryRun, GroupRead, LossReason, LostBlock, MemberSet};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{ClassTable, Released, Seat, StreamTable};
+use crate::table::{ClassTable, Released, Seat, Seated, StreamTable, Tally};
 use crate::traits::{
     data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
     RetireError, SchemeKind, SchemeScheduler, SteadyCycle,
@@ -95,6 +95,18 @@ struct GrState {
     incoming: ResidentGroup,
 }
 
+impl Seated for GrState {
+    #[inline]
+    fn seat(&self) -> &Seat {
+        &self.seat
+    }
+
+    #[inline]
+    fn seat_mut(&mut self) -> &mut Seat {
+        &mut self.seat
+    }
+}
+
 /// What reading parity on demand keeps between cycles (all of it idle
 /// over a layout with a dedicated parity disk).
 #[derive(Debug, Clone, Default)]
@@ -135,6 +147,25 @@ struct Record {
     parity_down: bool,
 }
 
+/// What the per-stream steps of one cycle read, worked out once a cycle.
+#[derive(Debug, Clone, Copy)]
+struct Pass<L> {
+    layout: L,
+    /// Data blocks a group.
+    bpg: u64,
+    /// The cluster position of a parity disk read with the group, if
+    /// the layout dedicates one.
+    parity_pos: Option<u32>,
+    /// The disk that failed after this cycle's reads were committed.
+    midcycle_disk: Option<DiskId>,
+    /// Cycles between a stream's group reads.
+    period: u64,
+    /// Tracks delivered a cycle.
+    k_prime: u64,
+    /// Whether pass 1½ reads parity on demand this cycle.
+    cascades: bool,
+}
+
 /// The positions set in a cluster's failure mask, ascending.
 fn positions(mut mask: u128) -> impl Iterator<Item = u32> {
     std::iter::from_fn(move || {
@@ -158,6 +189,8 @@ pub struct GroupedScheduler<L: Layout> {
     streams: StreamTable<GrState>,
     /// Active streams per admission class.
     classes: ClassTable,
+    /// A counted cycle's scratch.
+    tally: Tally,
     /// Failed disk positions, one bit each, per cluster (a cluster is at
     /// most `C ≤ 65` disks wide: see `MemberSet::assert_holds`).
     failed: Vec<u128>,
@@ -196,10 +229,13 @@ impl<L: Layout + Copy> GroupedScheduler<L> {
             "Improved-bandwidth requires k' = C−1"
         );
         let period = config.read_period() as u64;
+        let classes = ClassTable::new(period, *geometry);
         GroupedScheduler {
+            // Every live stream holds a seat, and a class seats `slots`.
+            tally: Tally::new(&classes, config.slots_per_disk() * classes.classes()),
             config,
             streams: StreamTable::new(period),
-            classes: ClassTable::new(period, *geometry),
+            classes,
             failed: vec![0; geometry.clusters() as usize],
             down: 0,
             settled_at: 0,
@@ -381,12 +417,6 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         self.on_demand.last_shift_path.clear();
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
-        let bpg = u64::from(layout.blocks_per_group());
-        // Where a group's parity is read with it: the last disk of its
-        // cluster, if the layout dedicates one.
-        let parity_pos = geometry
-            .has_parity_disk()
-            .then(|| geometry.disks_per_cluster() - 1);
         let midcycle_disk = self.on_demand.midcycle_pending.take();
         let period = self.period();
         if self.down > 0 || midcycle_disk.is_some() {
@@ -395,170 +425,63 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
             // this one.
             self.settled_at = cycle + period + 1;
         }
-        let k_prime = self.config.k_prime as u64;
-        // When a group is read every cycle its parity stays charged until
-        // the group has been transmitted — the paper's `2C` per Streaming
-        // RAID stream. Otherwise the group is fully resident once its read
-        // cycle ends and the parity track is released there — the paper's
-        // `C+1` Staggered-group peak (Figure 4).
-        let parity_until_transmitted = period == 1;
-        let slots = self.streams.slots();
+        let pass = Pass {
+            layout,
+            bpg: u64::from(layout.blocks_per_group()),
+            // Where a group's parity is read with it: the last disk of
+            // its cluster, if the layout dedicates one.
+            parity_pos: geometry
+                .has_parity_disk()
+                .then(|| geometry.disks_per_cluster() - 1),
+            midcycle_disk,
+            period,
+            k_prime: self.config.k_prime as u64,
+            // Parity that is not read with the group is read on demand
+            // (pass 1½), which may take streams out of the cycle.
+            cascades: !geometry.has_parity_disk() && (self.down > 0 || self.on_demand.prefetch),
+        };
+
+        // In a healthy cycle whose records nobody reads, the class table
+        // states the steady streams, and only the edge streams take the
+        // passes — between the steady charge and the steady release.
+        let counted = plan.counting_allowed() && self.steady_cycle_possible(cycle);
+        if counted {
+            let (held, k_prime) = (self.steady_held(), self.config.k_prime);
+            self.streams.tally(
+                &self.classes,
+                &mut self.tally,
+                |_| Some(0),
+                k_prime,
+                held,
+                |_| 0,
+            );
+            self.streams.charge_steady(&self.tally, k_prime, plan);
+        }
+        let walked = if counted {
+            self.tally.edges().len()
+        } else {
+            self.streams.slots()
+        };
+        let slot = |tally: &Tally, e: usize| if counted { tally.edges()[e] } else { e };
 
         // Pass 1 — whole-group reads and their allocations. All of a
         // cycle's reads are in flight while the previous data is still
         // being transmitted, so allocations logically precede every free
         // of the same cycle; the pool's high-water mark then measures the
         // paper's start-of-cycle occupancy.
-        for ix in 0..slots {
-            let s = self.streams.slot(ix);
-            if cycle < s.start_cycle {
-                continue;
-            }
-            let rel = cycle - s.start_cycle;
-            let (g, phase) = (rel / period, rel % period);
-            if phase != 0 || g >= s.groups {
-                continue;
-            }
-            let (id, object) = (s.id(), s.object);
-            let blocks = s.blocks_in_group(g, bpg);
-            let first = layout.data_placement(s.start_cluster, g, 0);
-            let failed = self.failed[first.cluster.index()];
-            // Member `i` of a group is at position `i` of its cluster.
-            let mut down = MemberSet::EMPTY;
-            for pos in positions(failed).filter(|&pos| pos < blocks) {
-                down.insert(pos);
-            }
-            // The block of a single failure is rebuilt from parity;
-            // otherwise a block on a failed disk is a hiccup.
-            let single = failed.count_ones() == 1;
-            let mut fault = ResidentGroup::default();
-            let parity = if let Some(pos) = parity_pos {
-                // Read with the group while its disk lives. Reconstruction
-                // replaces the parity buffer with the missing data block,
-                // so the group holds as many tracks as it reads either way.
-                let alive = failed >> pos & 1 == 0;
-                if alive && single {
-                    fault.reconstructed = down;
-                } else {
-                    fault.lost = down;
-                }
-                fault.parity_held = alive && fault.reconstructed.is_empty();
-                alive.then(|| geometry.disk_at(first.cluster, pos))
-            } else {
-                // On the next cluster: pass 1½ fetches it for the block to
-                // rebuild. A read in flight when its disk died cannot be
-                // masked — unless the committed schedule already carried
-                // a parity prefetch.
-                let in_flight = |pos| midcycle_disk == Some(geometry.disk_at(first.cluster, pos));
-                if !single {
-                    fault.lost = down;
-                } else if let Some(block) = down.first().filter(|&pos| in_flight(pos)) {
-                    (fault.lost, fault.mid_cycle) = (down, Some(block as u8));
-                } else {
-                    fault.reconstructed = down;
-                }
-                None
-            };
-            let read = GroupRead {
-                stream: id,
-                object,
-                group: g,
-                first_disk: first.disk,
-                members: MemberSet::range(0, blocks).without(down),
-                parity,
-            };
-            let reads = plan.reads.push_group(read);
-            self.streams.slot_mut(ix).state.incoming = fault;
-            self.streams
-                .alloc(ix, reads)
-                .expect("unbounded pool never refuses an allocation");
+        for e in 0..walked {
+            self.read_group(slot(&self.tally, e), cycle, plan, &pass);
         }
-
-        // Pass 1½ — parity that is not read with the group is read on
-        // demand, which may take streams out of the cycle.
-        let cascades = parity_pos.is_none() && (self.down > 0 || self.on_demand.prefetch);
-        if cascades {
+        if pass.cascades {
             self.read_parity_on_demand(cycle, plan);
         }
-
         // Pass 2 — deliver `k′` tracks of the resident group, free what
         // was transmitted, and promote the group read in pass 1.
-        for ix in 0..slots {
-            let s = self.streams.slot_mut(ix);
-            if cycle < s.start_cycle || (cascades && !s.is_live()) {
-                continue;
-            }
-            let rel = cycle - s.start_cycle;
-            let (q, phase) = (rel / period, rel % period);
-            let read_now = phase == 0 && q < s.groups;
-            // The group on the wire was read `phase` cycles ago — a whole
-            // period ago when this is a read cycle itself — and nothing is
-            // on the wire in the stream's first cycle.
-            let on_wire = match phase {
-                _ if rel == 0 => None,
-                0 => Some((q - 1, period - 1)),
-                _ => Some((q, phase - 1)),
-            };
-            if let Some((g, chunk)) = on_wire.filter(|&(g, _)| g < s.groups) {
-                let (id, object) = (s.id(), s.object);
-                let blocks = u64::from(s.blocks_in_group(g, bpg));
-                let first = chunk * k_prime;
-                let end = (first + k_prime).min(blocks);
-                let fault = s.state.resident;
-                let chunk = MemberSet::range(first as u32, end as u32);
-                let (sent, lost) = (chunk.without(fault.lost), chunk & fault.lost);
-                let delivered = plan.deliveries.push_run(DeliveryRun {
-                    stream: id,
-                    object,
-                    group: g,
-                    blocks: sent,
-                    reconstructed: sent & fault.reconstructed,
-                });
-                s.delivered += delivered as u64;
-                for i in lost.iter() {
-                    let reason = if fault.mid_cycle == Some(i as u8) {
-                        LossReason::MidCycle
-                    } else {
-                        LossReason::FailedDisk
-                    };
-                    plan.hiccups.push(LostBlock {
-                        stream: id,
-                        addr: BlockAddr::data(object, g, i),
-                        reason,
-                        delivery_cycle: cycle,
-                    });
-                    s.lost += 1;
-                }
-                let transmitted = end == blocks;
-                let finished = transmitted && g + 1 == s.groups;
-                let parity = transmitted && std::mem::take(&mut s.state.resident.parity_held);
-                // Every delivered block was charged in its read cycle: as
-                // a data read, or as the parity read it was rebuilt from.
-                self.streams
-                    .free(ix, delivered)
-                    .expect("every delivered block was allocated at its read cycle");
-                if parity {
-                    self.streams
-                        .free(ix, 1)
-                        .expect("parity_held implies a parity buffer is allocated");
-                }
-                if finished {
-                    plan.finished.push(id);
-                    self.classes
-                        .vacate(&mut self.streams.slot_mut(ix).state.seat);
-                    self.streams.retire(ix);
-                    continue;
-                }
-            }
-            if read_now {
-                let st = &mut self.streams.slot_mut(ix).state;
-                st.resident = st.incoming;
-                if !parity_until_transmitted && std::mem::take(&mut st.resident.parity_held) {
-                    self.streams
-                        .free(ix, 1)
-                        .expect("parity_held implies a parity buffer is allocated");
-                }
-            }
+        for e in 0..walked {
+            self.deliver_chunk(slot(&self.tally, e), cycle, plan, &pass);
+        }
+        if counted {
+            self.streams.release_steady(&self.tally);
         }
         self.streams.compact();
 
@@ -659,14 +582,7 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
     }
 
     fn steady_cycle(&self, cycle: u64, out: &mut SteadyCycle) -> bool {
-        // Where a prefetch lands depends on how full its disk already is
-        // and on each group's parity position: no closed form, so a
-        // prefetching server is planned cycle by cycle.
-        if self.down > 0
-            || self.on_demand.midcycle_pending.is_some()
-            || self.on_demand.prefetch
-            || cycle < self.settled_at
-        {
+        if !self.steady_cycle_possible(cycle) {
             return false;
         }
         // A read cycle takes the whole group, a parity disk's track
@@ -693,6 +609,180 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
 }
 
 impl<L: Layout + Copy> GroupedScheduler<L> {
+    /// Whether the class table can state `cycle`: no disk down, no
+    /// mid-cycle failure to hiccup, every group read around a failure
+    /// transmitted — and no parity prefetch, since where a prefetch lands
+    /// depends on how full its disk already is and on each group's
+    /// parity position: no closed form, so a prefetching server is
+    /// planned stream by stream.
+    fn steady_cycle_possible(&self, cycle: u64) -> bool {
+        self.down == 0
+            && self.on_demand.midcycle_pending.is_none()
+            && !self.on_demand.prefetch
+            && cycle >= self.settled_at
+    }
+
+    /// Pass 1 for the stream in slot `ix`: in a read cycle, read its next
+    /// group — the members whose disks are up, and the parity where it
+    /// is read with the group — charge what is read, and fix the group's
+    /// fault state.
+    #[inline]
+    fn read_group(&mut self, ix: usize, cycle: u64, plan: &mut CyclePlan, pass: &Pass<L>) {
+        let s = self.streams.slot(ix);
+        if cycle < s.start_cycle {
+            return;
+        }
+        let rel = cycle - s.start_cycle;
+        let (g, phase) = (rel / pass.period, rel % pass.period);
+        if phase != 0 || g >= s.groups {
+            return;
+        }
+        let layout = pass.layout;
+        let geometry = *layout.geometry();
+        let (id, object) = (s.id(), s.object);
+        let blocks = s.blocks_in_group(g, pass.bpg);
+        let first = layout.data_placement(s.start_cluster, g, 0);
+        let failed = self.failed[first.cluster.index()];
+        // Member `i` of a group is at position `i` of its cluster.
+        let mut down = MemberSet::EMPTY;
+        for pos in positions(failed).filter(|&pos| pos < blocks) {
+            down.insert(pos);
+        }
+        // The block of a single failure is rebuilt from parity;
+        // otherwise a block on a failed disk is a hiccup.
+        let single = failed.count_ones() == 1;
+        let mut fault = ResidentGroup::default();
+        let parity = if let Some(pos) = pass.parity_pos {
+            // Read with the group while its disk lives. Reconstruction
+            // replaces the parity buffer with the missing data block,
+            // so the group holds as many tracks as it reads either way.
+            let alive = failed >> pos & 1 == 0;
+            if alive && single {
+                fault.reconstructed = down;
+            } else {
+                fault.lost = down;
+            }
+            fault.parity_held = alive && fault.reconstructed.is_empty();
+            alive.then(|| geometry.disk_at(first.cluster, pos))
+        } else {
+            // On the next cluster: pass 1½ fetches it for the block to
+            // rebuild. A read in flight when its disk died cannot be
+            // masked — unless the committed schedule already carried
+            // a parity prefetch.
+            let in_flight = |pos| pass.midcycle_disk == Some(geometry.disk_at(first.cluster, pos));
+            if !single {
+                fault.lost = down;
+            } else if let Some(block) = down.first().filter(|&pos| in_flight(pos)) {
+                (fault.lost, fault.mid_cycle) = (down, Some(block as u8));
+            } else {
+                fault.reconstructed = down;
+            }
+            None
+        };
+        let read = GroupRead {
+            stream: id,
+            object,
+            group: g,
+            first_disk: first.disk,
+            members: MemberSet::range(0, blocks).without(down),
+            parity,
+        };
+        let reads = plan.reads.push_group(read);
+        self.streams.slot_mut(ix).state.incoming = fault;
+        self.streams
+            .alloc(ix, reads)
+            .expect("unbounded pool never refuses an allocation");
+    }
+
+    /// Pass 2 for the stream in slot `ix`: deliver the next `k′` tracks
+    /// of its resident group, free what was transmitted, retire it after
+    /// its last delivery, and promote the group read in pass 1.
+    #[inline]
+    fn deliver_chunk(&mut self, ix: usize, cycle: u64, plan: &mut CyclePlan, pass: &Pass<L>) {
+        let period = pass.period;
+        let s = self.streams.slot_mut(ix);
+        if cycle < s.start_cycle || (pass.cascades && !s.is_live()) {
+            return;
+        }
+        let rel = cycle - s.start_cycle;
+        let (q, phase) = (rel / period, rel % period);
+        let read_now = phase == 0 && q < s.groups;
+        // The group on the wire was read `phase` cycles ago — a whole
+        // period ago when this is a read cycle itself — and nothing is
+        // on the wire in the stream's first cycle.
+        let on_wire = match phase {
+            _ if rel == 0 => None,
+            0 => Some((q - 1, period - 1)),
+            _ => Some((q, phase - 1)),
+        };
+        if let Some((g, chunk)) = on_wire.filter(|&(g, _)| g < s.groups) {
+            let (id, object) = (s.id(), s.object);
+            let blocks = u64::from(s.blocks_in_group(g, pass.bpg));
+            let first = chunk * pass.k_prime;
+            let end = (first + pass.k_prime).min(blocks);
+            let fault = s.state.resident;
+            let chunk = MemberSet::range(first as u32, end as u32);
+            let (sent, lost) = (chunk.without(fault.lost), chunk & fault.lost);
+            let delivered = plan.deliveries.push_run(DeliveryRun {
+                stream: id,
+                object,
+                group: g,
+                blocks: sent,
+                reconstructed: sent & fault.reconstructed,
+            });
+            s.delivered += delivered as u64;
+            for i in lost.iter() {
+                let reason = if fault.mid_cycle == Some(i as u8) {
+                    LossReason::MidCycle
+                } else {
+                    LossReason::FailedDisk
+                };
+                plan.hiccups.push(LostBlock {
+                    stream: id,
+                    addr: BlockAddr::data(object, g, i),
+                    reason,
+                    delivery_cycle: cycle,
+                });
+                s.lost += 1;
+            }
+            let transmitted = end == blocks;
+            let finished = transmitted && g + 1 == s.groups;
+            let parity = transmitted && std::mem::take(&mut s.state.resident.parity_held);
+            // Every delivered block was charged in its read cycle: as
+            // a data read, or as the parity read it was rebuilt from.
+            self.streams
+                .free(ix, delivered)
+                .expect("every delivered block was allocated at its read cycle");
+            if parity {
+                self.streams
+                    .free(ix, 1)
+                    .expect("parity_held implies a parity buffer is allocated");
+            }
+            if finished {
+                plan.finished.push(id);
+                self.classes
+                    .vacate(&mut self.streams.slot_mut(ix).state.seat);
+                self.streams.retire(ix);
+                return;
+            }
+        }
+        if read_now {
+            // When a group is read every cycle its parity stays charged
+            // until the group has been transmitted — the paper's `2C` per
+            // Streaming RAID stream. Otherwise the group is fully
+            // resident once its read cycle ends and the parity track is
+            // released there — the paper's `C+1` Staggered-group peak
+            // (Figure 4).
+            let st = &mut self.streams.slot_mut(ix).state;
+            st.resident = st.incoming;
+            if period != 1 && std::mem::take(&mut st.resident.parity_held) {
+                self.streams
+                    .free(ix, 1)
+                    .expect("parity_held implies a parity buffer is allocated");
+            }
+        }
+    }
+
     /// Place the parity reads pass 1 asked for, shifting right through
     /// clusters until idle capacity is found: a displaced local read
     /// becomes a partial failure that needs *its* parity one cluster

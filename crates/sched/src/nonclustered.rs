@@ -26,7 +26,7 @@
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
-use crate::table::{ClassTable, Seat, Seated, Slot, StreamTable};
+use crate::table::{ClassTable, Seat, Seated, Slot, StreamTable, Tally};
 use crate::traits::{
     AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler, SteadyCycle,
 };
@@ -97,7 +97,8 @@ impl GroupMarks {
     }
 }
 
-/// A stream's slot state: its admission seat, and the marks of the two
+/// A stream's slot state: its admission seat, whether its last read's
+/// buffer is freed with the steady streams', and the marks of the two
 /// most recent groups a transition or a degraded read touched. Group
 /// `g + 1` may be marked at its start while the last block of `g` is
 /// still to be delivered; every mark of an older group was due, and so
@@ -106,6 +107,11 @@ impl GroupMarks {
 #[derive(Debug, Clone, Copy)]
 struct NcState {
     seat: Seat,
+    /// The block read in the last planned cycle was counted, not
+    /// planned: no calendar free names it, and the next cycle frees it
+    /// with the steady streams' if this stream is steady then, or on its
+    /// own otherwise.
+    implicit_free: bool,
     marks: [GroupMarks; 2],
 }
 
@@ -113,6 +119,7 @@ impl NcState {
     fn new(seat: Seat) -> Self {
         NcState {
             seat,
+            implicit_free: false,
             marks: [GroupMarks::default(); 2],
         }
     }
@@ -364,19 +371,25 @@ impl Calendar {
         self.base += cycles;
     }
 
-    /// Whether all that is pending is one healthy cycle's reads: `frees`
-    /// buffer frees, due when the next planned cycle ends.
-    fn holds_one_cycle_of_frees(&self, frees: usize) -> bool {
-        let [losses, reads, keyed_frees, server_frees] = self.keyed;
+    /// Whether nothing is pending but buffer frees due when the next
+    /// planned cycle ends.
+    fn quiet(&self) -> bool {
+        let [losses, reads, frees, server_frees] = self.keyed;
         let next = &self.ring[self.head];
         losses == 0
             && reads == 0
             && server_frees == 0
-            && match keyed_frees {
-                0 => true,
-                1 => next.keys >> List::Frees as u8 & 1 == 1 && next.frees.len() == frees,
-                _ => false,
-            }
+            && (frees == 0 || frees == 1 && next.keys >> List::Frees as u8 & 1 == 1)
+    }
+
+    /// Whether all that is pending is one healthy cycle's reads: `frees`
+    /// buffer frees, due when the next planned cycle ends, `implicit` of
+    /// them counted rather than booked.
+    fn holds_one_cycle_of_frees(&self, frees: usize, implicit: usize) -> bool {
+        let booked = self.ring[self.head].frees.len();
+        // With nothing booked or counted, no stream read last cycle.
+        self.quiet()
+            && (booked + implicit == frees || self.keyed[List::Frees as usize] + implicit == 0)
     }
 }
 
@@ -428,6 +441,10 @@ pub struct NonClusteredScheduler {
     calendar: Calendar,
     /// Marks set and not yet used, over every stream's slot.
     live_marks: usize,
+    /// Streams whose last read's free is implicit (`NcState::implicit_free`).
+    implicit_frees: usize,
+    /// A counted cycle's scratch.
+    tally: Tally,
     servers: BufferServerPool,
     /// Reusable list of blocks displaced past slot capacity this cycle.
     displaced_scratch: Vec<LostBlock>,
@@ -493,7 +510,11 @@ impl NonClusteredScheduler {
         let per_server = (c * (c + 1) / 2) * config.slots_per_disk();
         let bpg = u64::from(catalog.layout().blocks_per_group());
         let classes = ClassTable::new(bpg, geometry);
+        // A class seats `slots` streams, and as many may still be
+        // delivering the last block of a seat they gave back.
+        let streams = 2 * config.slots_per_disk() * classes.classes();
         NonClusteredScheduler {
+            tally: Tally::new(&classes, streams),
             config,
             catalog,
             policy,
@@ -503,6 +524,7 @@ impl NonClusteredScheduler {
             degraded_clusters: 0,
             calendar: Calendar::new(bpg),
             live_marks: 0,
+            implicit_frees: 0,
             servers: BufferServerPool::new(buffer_servers, per_server),
             displaced_scratch: Vec::new(),
             displaced_parity_scratch: Vec::new(),
@@ -581,11 +603,12 @@ impl NonClusteredScheduler {
     }
 
     /// Retire the stream in slot `ix`: its seat goes back, and whatever
-    /// marks it had not used go with it.
+    /// marks and pending free it had go with it.
     fn retire(&mut self, ix: usize) {
         let state = &mut self.streams.slot_mut(ix).state;
         self.classes.vacate(&mut state.seat);
         self.live_marks -= state.clear_marks();
+        self.implicit_frees -= usize::from(std::mem::take(&mut state.implicit_free));
         self.streams.retire(ix);
     }
 
@@ -865,13 +888,155 @@ impl NonClusteredScheduler {
         self.calendar.read_at(deadline, pp.disk, parity);
     }
 
-    /// Fully-normal mode: no degraded cluster, no transition mark left
-    /// to use, and nothing scheduled ahead but last cycle's reads — one
-    /// pending free per stream, due when the next cycle ends.
+    /// Normal mode with nothing left of a transition: no degraded
+    /// cluster, no mark to use, and nothing scheduled ahead but last
+    /// cycle's buffer frees — what a counted cycle needs.
+    fn quiet(&self) -> bool {
+        self.degraded_clusters == 0 && self.live_marks == 0 && self.calendar.quiet()
+    }
+
+    /// Fully-normal mode: [`quiet`](Self::quiet), and every stream read
+    /// last cycle — one pending free per stream, due when the next cycle
+    /// ends.
     fn settled(&self) -> bool {
-        self.degraded_clusters == 0
-            && self.live_marks == 0
-            && self.calendar.holds_one_cycle_of_frees(self.streams.len())
+        self.quiet()
+            && self
+                .calendar
+                .holds_one_cycle_of_frees(self.streams.len(), self.implicit_frees)
+    }
+
+    /// Normal mode: block `i` of a group is read `i` cycles after the
+    /// group was started, from position `i` of its cluster; parity is
+    /// never read. The lag of [`ClassTable::state_cycle`].
+    fn normal_lag(&self) -> impl Fn(u32) -> Option<u32> {
+        let bpg = self.catalog.layout().blocks_per_group();
+        move |pos| (pos < bpg).then_some(pos)
+    }
+
+    /// Pass 1 for the stream in slot `ix`: its read of this cycle on the
+    /// normal schedule — or, at the start of a group on a degraded
+    /// cluster, the group-at-a-time or delayed-window reads.
+    #[inline]
+    fn read_block(&mut self, ix: usize, cycle: u64, plan: &mut CyclePlan) {
+        let layout = *self.catalog.layout();
+        let geometry = *layout.geometry();
+        let s = self.streams.slot(ix);
+        let Some((g, i)) = self.position_at(s, cycle) else {
+            return;
+        };
+        let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
+        let blocks = s.blocks_in_group(g, self.bpg());
+        let t_g = self.group_start(s, g);
+        self.streams.vacate_if_reads_done(ix, &mut self.classes);
+        let cluster = layout.data_cluster(start_cluster, g);
+        let whole_group = self.group_at_a_time(cluster, t_g);
+
+        if i == 0 {
+            if whole_group {
+                let d = self.degraded[cluster.index()]
+                    .expect("group_at_a_time is only true for degraded clusters");
+                let parity_pos = geometry.disks_per_cluster() - 1;
+                let parity_alive = d.failed_pos != parity_pos && !d.also_contains(parity_pos);
+                self.plan_group_at_once(plan, ix, g, cycle, &d, parity_alive);
+                return;
+            }
+            if self.delayed_window(cluster, t_g) {
+                let d = self.degraded[cluster.index()]
+                    .expect("delayed_window is only true for degraded clusters");
+                let parity_alive = d.failed_pos != geometry.disks_per_cluster() - 1;
+                self.plan_delayed_group_events(ix, g, d.failed_pos, parity_alive);
+                // Normal per-cycle reads still apply below for the
+                // non-suppressed positions.
+            }
+        }
+
+        // Normal read of block (g, i), unless suppressed or this group is
+        // handled group-at-a-time (its start planned all reads already).
+        // The mark is used either way.
+        let suppressed = self.take_mark(ix, g, i, Mark::Suppressed);
+        if i < blocks && !whole_group && !suppressed {
+            let p = layout.data_placement(start_cluster, g, i);
+            let pos = geometry.position_in_cluster(p.disk);
+            let failed_here = self.degraded[cluster.index()]
+                .is_some_and(|d| d.failed_pos == pos || d.also_contains(pos));
+            let addr = BlockAddr::data(object, g, i);
+            if failed_here {
+                // A normal read aimed at a failed disk with no transition
+                // plan covering it: lost.
+                self.record_loss(LostBlock {
+                    stream: id,
+                    addr,
+                    reason: LossReason::FailedDisk,
+                    delivery_cycle: cycle + 1,
+                });
+            } else {
+                plan.reads.push(
+                    p.disk,
+                    PlannedRead {
+                        stream: id,
+                        addr,
+                        purpose: ReadPurpose::Delivery,
+                    },
+                );
+                self.streams
+                    .alloc(ix, 1)
+                    .expect("unbounded pool never refuses an allocation");
+                self.calendar.free_at(cycle + 1, id, addr);
+            }
+        }
+    }
+
+    /// The delivery step for the stream in slot `ix`: block (g, q) goes
+    /// out at `t_g + q + 1` unless it is among `losses`, this cycle's;
+    /// the stream retires after its final group's last real block's
+    /// delivery slot (partial groups leave trailing idle slots). A read
+    /// of last cycle that was counted is freed here.
+    #[inline]
+    fn deliver_block(&mut self, ix: usize, cycle: u64, plan: &mut CyclePlan, losses: &[LostBlock]) {
+        let bpg = self.bpg();
+        if std::mem::take(&mut self.streams.slot_mut(ix).state.implicit_free) {
+            self.implicit_frees -= 1;
+            self.streams
+                .free(ix, 1)
+                .expect("a counted read's buffer stays charged until it is freed");
+        }
+        let s = self.streams.slot_mut(ix);
+        if cycle == 0 || cycle < s.start_cycle + 1 {
+            return;
+        }
+        let rel = cycle - s.start_cycle - 1;
+        let g = rel / bpg;
+        let q = (rel % bpg) as u32;
+        if g >= s.groups {
+            return;
+        }
+        let id = s.id();
+        let blocks = s.blocks_in_group(g, bpg);
+        if q < blocks {
+            // The reconstruction mark is used whether or not the block
+            // goes out.
+            let reconstructed = self.live_marks > 0 && s.state.take(g, q, Mark::Reconstructed);
+            self.live_marks -= usize::from(reconstructed);
+            // The list is tiny (one loss per stream per cycle at most),
+            // so a linear scan beats building a set — and allocates
+            // nothing.
+            let lost = losses.iter().any(|l| match l.addr.kind {
+                BlockKind::Data(ix) => l.stream == id && l.addr.group == g && ix == q,
+                BlockKind::Parity => false,
+            });
+            if !lost {
+                plan.deliveries.push(Delivery {
+                    stream: id,
+                    addr: BlockAddr::data(s.object, g, q),
+                    reconstructed,
+                });
+                s.delivered += 1;
+            }
+        }
+        if g + 1 == s.groups && q + 1 >= blocks {
+            plan.finished.push(id);
+            self.retire(ix);
+        }
     }
 
     /// Register a newly staged object in the catalog (the tertiary →
@@ -994,75 +1159,36 @@ impl SchemeScheduler for NonClusteredScheduler {
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
         let bpg = self.bpg();
-        let slots = self.streams.slots();
+
+        // In a quiet cycle whose records nobody reads, the class table
+        // states the steady streams — their frees of last cycle's reads,
+        // where those were booked, still come from the calendar — and
+        // only the edge streams take the per-stream steps, between the
+        // steady charge and the steady release.
+        let counted = plan.counting_allowed() && self.quiet();
+        if counted {
+            let (lag, mut newly) = (self.normal_lag(), 0);
+            let freed_apart = |st: &mut NcState| {
+                let booked = !std::mem::replace(&mut st.implicit_free, true);
+                newly += usize::from(booked);
+                usize::from(booked)
+            };
+            self.streams
+                .tally(&self.classes, &mut self.tally, lag, 1, |_| 1, freed_apart);
+            self.implicit_frees += newly;
+            self.streams.charge_steady(&self.tally, 1, plan);
+        }
+        let walked = if counted {
+            self.tally.edges().len()
+        } else {
+            self.streams.slots()
+        };
+        let slot = |tally: &Tally, e: usize| if counted { tally.edges()[e] } else { e };
 
         // 1. Normal-schedule reads + group-at-a-time + delayed-window
         //    planning for groups starting this cycle.
-        for ix in 0..slots {
-            let s = self.streams.slot(ix);
-            let Some((g, i)) = self.position_at(s, cycle) else {
-                continue;
-            };
-            let (id, object, start_cluster) = (s.id(), s.object, s.start_cluster);
-            let blocks = s.blocks_in_group(g, bpg);
-            let t_g = self.group_start(s, g);
-            self.streams.vacate_if_reads_done(ix, &mut self.classes);
-            let cluster = layout.data_cluster(start_cluster, g);
-            let whole_group = self.group_at_a_time(cluster, t_g);
-
-            if i == 0 {
-                if whole_group {
-                    let d = self.degraded[cluster.index()]
-                        .expect("group_at_a_time is only true for degraded clusters");
-                    let parity_pos = geometry.disks_per_cluster() - 1;
-                    let parity_alive = d.failed_pos != parity_pos && !d.also_contains(parity_pos);
-                    self.plan_group_at_once(plan, ix, g, cycle, &d, parity_alive);
-                    continue;
-                }
-                if self.delayed_window(cluster, t_g) {
-                    let d = self.degraded[cluster.index()]
-                        .expect("delayed_window is only true for degraded clusters");
-                    let parity_alive = d.failed_pos != geometry.disks_per_cluster() - 1;
-                    self.plan_delayed_group_events(ix, g, d.failed_pos, parity_alive);
-                    // Normal per-cycle reads still apply below for the
-                    // non-suppressed positions.
-                }
-            }
-
-            // Normal read of block (g, i), unless suppressed or this
-            // group is handled group-at-a-time (its start planned all
-            // reads already). The mark is used either way.
-            let suppressed = self.take_mark(ix, g, i, Mark::Suppressed);
-            if i < blocks && !whole_group && !suppressed {
-                let p = layout.data_placement(start_cluster, g, i);
-                let pos = geometry.position_in_cluster(p.disk);
-                let failed_here = self.degraded[cluster.index()]
-                    .is_some_and(|d| d.failed_pos == pos || d.also_contains(pos));
-                let addr = BlockAddr::data(object, g, i);
-                if failed_here {
-                    // A normal read aimed at a failed disk with no
-                    // transition plan covering it: lost.
-                    self.record_loss(LostBlock {
-                        stream: id,
-                        addr,
-                        reason: LossReason::FailedDisk,
-                        delivery_cycle: cycle + 1,
-                    });
-                } else {
-                    plan.reads.push(
-                        p.disk,
-                        PlannedRead {
-                            stream: id,
-                            addr,
-                            purpose: ReadPurpose::Delivery,
-                        },
-                    );
-                    self.streams
-                        .alloc(ix, 1)
-                        .expect("unbounded pool never refuses an allocation");
-                    self.calendar.free_at(cycle + 1, id, addr);
-                }
-            }
+        for e in 0..walked {
+            self.read_block(slot(&self.tally, e), cycle, plan);
         }
 
         // Nothing is scheduled into this cycle from here on.
@@ -1204,49 +1330,8 @@ impl SchemeScheduler for NonClusteredScheduler {
             }
             plan.hiccups.push(loss);
         }
-        // Whether block (id, g, q) is among this cycle's losses. The list
-        // is tiny (bounded by one loss per stream per cycle), so a linear
-        // scan beats building a set — and allocates nothing.
-        let losses_now = &due.losses;
-        let is_lost = |id: StreamId, g: u64, q: u32| {
-            losses_now.iter().any(|l| match l.addr.kind {
-                BlockKind::Data(ix) => l.stream == id && l.addr.group == g && ix == q,
-                BlockKind::Parity => false,
-            })
-        };
-        for ix in 0..slots {
-            let s = self.streams.slot_mut(ix);
-            if cycle == 0 || cycle < s.start_cycle + 1 {
-                continue;
-            }
-            let rel = cycle - s.start_cycle - 1;
-            let g = rel / bpg;
-            let q = (rel % bpg) as u32;
-            if g >= s.groups {
-                continue;
-            }
-            let id = s.id();
-            let blocks = s.blocks_in_group(g, bpg);
-            if q < blocks {
-                // The reconstruction mark is used whether or not the
-                // block goes out.
-                let reconstructed = self.live_marks > 0 && s.state.take(g, q, Mark::Reconstructed);
-                self.live_marks -= usize::from(reconstructed);
-                if !is_lost(id, g, q) {
-                    plan.deliveries.push(Delivery {
-                        stream: id,
-                        addr: BlockAddr::data(s.object, g, q),
-                        reconstructed,
-                    });
-                    s.delivered += 1;
-                }
-            }
-            // Stream finishes after its final group's last real block's
-            // delivery slot (partial groups leave trailing idle slots).
-            if g + 1 == s.groups && q + 1 >= blocks {
-                plan.finished.push(id);
-                self.retire(ix);
-            }
+        for e in 0..walked {
+            self.deliver_block(slot(&self.tally, e), cycle, plan, &due.losses);
         }
 
         // End of cycle: release the buffers of blocks whose delivery slot
@@ -1269,6 +1354,9 @@ impl SchemeScheduler for NonClusteredScheduler {
                 .expect("a detaching cluster takes its pending server frees with it")
                 .pool_mut()
                 .release(1);
+        }
+        if counted {
+            self.streams.release_steady(&self.tally);
         }
         self.calendar.recycle(due);
         self.streams.compact();
@@ -1438,13 +1526,9 @@ impl SchemeScheduler for NonClusteredScheduler {
         if !self.settled() {
             return false;
         }
-        // Normal mode: block `i` of a group is read `i` cycles after the
-        // group was started, from position `i` of its cluster, and held
-        // until it is delivered the cycle after; parity is never read.
-        let bpg = self.catalog.layout().blocks_per_group();
-        let lag = |pos| (pos < bpg).then_some(pos);
+        // A block is held until it is delivered, the cycle after its read.
         self.classes
-            .state_cycle(cycle, &self.streams, lag, 1, |_| 1, out);
+            .state_cycle(cycle, &self.streams, self.normal_lag(), 1, |_| 1, out);
         true
     }
 

@@ -14,6 +14,13 @@
 //! [`CyclePlan::reads_on`] and [`Deliveries::iter`], which yield the
 //! per-track [`PlannedRead`] and [`Delivery`] items in emission order.
 //!
+//! A consumer that needs no record may say so
+//! ([`CyclePlan::allow_counting`]), and a healthy scheduler then fills a
+//! *counted* plan: the streams at an edge of their lives are recorded as
+//! ever, the rest only counted into the load table and the delivery
+//! totals. The counts are exact either way; the record views refuse a
+//! counted plan in debug builds ([`CyclePlan::is_counted`]).
+//!
 //! The whole-group planner is generic over the layout, so it is compiled
 //! in whichever crate names the layout, where the functions of this crate
 //! are out of the inliner's reach unless they say otherwise: the small
@@ -320,6 +327,8 @@ pub struct Deliveries {
     runs: Vec<DeliveryRun>,
     blocks: usize,
     reconstructed: usize,
+    /// Whether some of `blocks` have no run (a counted plan).
+    counted: bool,
 }
 
 impl Deliveries {
@@ -383,9 +392,21 @@ impl Deliveries {
         self.reconstructed
     }
 
+    /// Add `blocks` delivered blocks that have no run: a counted plan's
+    /// steady streams, none of them rebuilt.
+    #[inline]
+    pub(crate) fn add_counted(&mut self, blocks: usize) {
+        debug_assert!(self.counted, "only a counted plan delivers without runs");
+        self.blocks += blocks;
+    }
+
     /// Every delivered block, expanded: runs in emission order, blocks
-    /// ascending within a run.
+    /// ascending within a run. An itemised plan's view only.
     pub fn iter(&self) -> impl Iterator<Item = Delivery> + '_ {
+        debug_assert!(
+            !self.counted,
+            "a counted plan's deliveries are not all recorded"
+        );
         self.runs.iter().flat_map(|run| {
             let run = *run;
             run.blocks.iter().map(move |i| Delivery {
@@ -401,6 +422,7 @@ impl Deliveries {
         self.runs.clear();
         self.blocks = 0;
         self.reconstructed = 0;
+        self.counted = false;
     }
 }
 
@@ -423,6 +445,8 @@ pub struct DiskReads {
     /// Reads outside any group record, per disk; after the group reads
     /// of the disk in emission order.
     singles: Vec<Vec<PlannedRead>>,
+    /// Whether some of `load` has no record (a counted plan).
+    counted: bool,
 }
 
 impl DiskReads {
@@ -463,6 +487,16 @@ impl DiskReads {
         tracks
     }
 
+    /// Add `tracks` reads on `disk` that have no record: a counted
+    /// plan's steady streams.
+    #[inline]
+    pub(crate) fn add_counted(&mut self, disk: DiskId, tracks: usize) {
+        debug_assert!(self.counted, "only a counted plan reads without records");
+        let ix = disk.0 as usize;
+        self.cover(ix + 1);
+        self.load[ix] += tracks as u32;
+    }
+
     /// Record a single read on `disk`.
     #[inline]
     pub fn push(&mut self, disk: DiskId, read: PlannedRead) {
@@ -475,10 +509,12 @@ impl DiskReads {
         self.singles[ix].push(read);
     }
 
-    /// The group records, in emission order.
+    /// The group records, in emission order. An itemised plan's view
+    /// only.
     #[must_use]
     #[inline]
     pub fn groups(&self) -> &[GroupRead] {
+        debug_assert!(!self.counted, "a counted plan's reads are not all recorded");
         &self.groups
     }
 
@@ -567,6 +603,7 @@ impl DiskReads {
         for list in &mut self.singles {
             list.clear();
         }
+        self.counted = false;
     }
 }
 
@@ -592,9 +629,14 @@ impl<'a> ReadsOn<'a> {
     }
 
     /// The disk's reads in emission order: one per group record that
-    /// touches the disk, then its single reads.
+    /// touches the disk, then its single reads. An itemised plan's view
+    /// only.
     #[must_use]
     pub fn iter(&self) -> ReadsOnIter<'a> {
+        debug_assert!(
+            !self.reads.counted,
+            "a counted plan's reads are not all recorded"
+        );
         ReadsOnIter {
             disk: self.disk,
             groups: self.reads.groups.iter(),
@@ -659,6 +701,20 @@ impl<'a> IntoIterator for &'a DiskReads {
 }
 
 /// Everything the scheduler decided for one cycle.
+///
+/// A plan is *itemised* — every read and every delivery has its record —
+/// unless its owner [allows counting](Self::allow_counting) and the
+/// scheduler takes the offer for a healthy cycle. A *counted* plan
+/// records only the streams at an edge of their lives: not yet started,
+/// in their first cycle, or in their final group (where a released
+/// stream always is). Every other stream reads and delivers exactly what
+/// its admission class does, so it is only counted: into the per-disk
+/// loads and the delivery total. Everything a counted plan reports is
+/// exact — [`total_reads`](Self::total_reads),
+/// [`load_on`](Self::load_on), [`Deliveries::len`],
+/// [`Deliveries::reconstructed`], `hiccups` and `finished`; the record
+/// views ([`Deliveries::iter`], [`DiskReads::groups`], [`ReadsOn::iter`])
+/// are an itemised plan's alone, and say so in debug builds.
 #[derive(Debug, Clone, Default)]
 pub struct CyclePlan {
     /// The cycle this plan covers.
@@ -672,16 +728,49 @@ pub struct CyclePlan {
     pub hiccups: Vec<LostBlock>,
     /// Streams that completed delivery this cycle.
     pub finished: Vec<StreamId>,
+    /// Whether the owner reads no record, so a scheduler may count.
+    countable: bool,
 }
 
 impl CyclePlan {
-    /// A plan with no activity.
+    /// A plan with no activity, itemised whenever it is filled.
     #[must_use]
     pub fn empty(cycle: u64) -> Self {
         CyclePlan {
             cycle,
             ..CyclePlan::default()
         }
+    }
+
+    /// Say whether the plan's owner reads records: with `allowed`, the
+    /// fills that follow may be counted (see [`CyclePlan`]). Stays set
+    /// across [`reset`](Self::reset); a new plan is itemised.
+    #[inline]
+    pub fn allow_counting(&mut self, allowed: bool) {
+        self.countable = allowed;
+    }
+
+    /// Whether a scheduler may fill this plan counted.
+    #[must_use]
+    #[inline]
+    pub fn counting_allowed(&self) -> bool {
+        self.countable
+    }
+
+    /// Whether this cycle's fill is counted: only the streams at an edge
+    /// of their lives have records.
+    #[must_use]
+    #[inline]
+    pub fn is_counted(&self) -> bool {
+        self.reads.counted
+    }
+
+    /// Start a counted fill of the cycle just [`reset`](Self::reset).
+    #[inline]
+    pub(crate) fn start_counting(&mut self) {
+        debug_assert!(self.countable, "the plan's owner reads records");
+        self.reads.counted = true;
+        self.deliveries.counted = true;
     }
 
     /// Reset the plan to cover `cycle` with no activity, keeping all
@@ -913,6 +1002,45 @@ mod tests {
         assert!(p.deliveries.is_empty() && p.deliveries.iter().next().is_none());
         assert!(p.hiccups.is_empty());
         assert!(p.finished.is_empty());
+    }
+
+    #[test]
+    fn a_counted_plan_counts_what_it_does_not_record() {
+        let mut p = CyclePlan::empty(0);
+        assert!(!p.counting_allowed() && !p.is_counted());
+        p.allow_counting(true);
+        p.start_counting();
+        p.reads.add_counted(DiskId(3), 2);
+        p.reads
+            .push_group(group(1, 2, MemberSet::range(0, 2), Some(4)));
+        p.deliveries.add_counted(5);
+        p.deliveries.push(Delivery {
+            stream: StreamId(1),
+            addr: BlockAddr::data(ObjectId(0), 0, 1),
+            reconstructed: true,
+        });
+        let loads: Vec<_> = (0..6).map(|d| p.load_on(DiskId(d))).collect();
+        assert_eq!(loads, [0, 0, 1, 3, 1, 0]);
+        assert_eq!(p.total_reads(), 5);
+        assert_eq!(p.reads.keys().map(|d| d.0).collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!((p.deliveries.len(), p.deliveries.reconstructed()), (6, 1));
+        assert!(p.is_counted());
+        // The next fill starts itemised; the owner's word stands.
+        p.reset(1);
+        assert!(!p.is_counted() && p.counting_allowed());
+        assert_eq!((p.total_reads(), p.deliveries.len()), (0, 0));
+        assert!(p.reads.groups().is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a counted plan's reads are not all recorded")]
+    fn a_counted_plan_does_not_expand_its_reads() {
+        let mut p = CyclePlan::empty(0);
+        p.allow_counting(true);
+        p.start_counting();
+        p.reads.add_counted(DiskId(0), 1);
+        let _ = p.reads_on(DiskId(0)).iter().count();
     }
 
     #[test]

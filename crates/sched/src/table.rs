@@ -19,11 +19,15 @@
 //! Beside it sits the [`ClassTable`]: how many streams hold a seat in
 //! each admission class. It is what admission tests, and — because every
 //! stream of a class reads the same disks in the same cycles — what a
-//! steady cycle is a closed form of ([`ClassTable::state_cycle`]).
+//! steady cycle is a closed form of ([`ClassTable::state_cycle`]). A
+//! counted plan uses the same closed form for the streams strictly
+//! inside their lives and plans only the rest ([`StreamTable::tally`]).
 
+use crate::plan::CyclePlan;
 use crate::streams::{StreamId, StreamInfo};
 use crate::traits::{AdmissionError, RetireError, SteadyCycle};
 use mms_buffer::{BufferError, BufferPool, OwnerId};
+use mms_disk::DiskId;
 use mms_layout::{Catalog, ClusterId, Geometry, Layout, ObjectId};
 use std::cell::Cell;
 
@@ -93,6 +97,24 @@ impl<S> Slot<S> {
     #[must_use]
     pub fn blocks_in_group(&self, g: u64, bpg: u64) -> u32 {
         (self.tracks - g * bpg).min(bpg) as u32
+    }
+
+    /// Advance a steady stream over `cycles` cycles from the end of the
+    /// cycle `rel` cycles after its start, delivering `tracks_per_cycle`
+    /// a cycle; `held` as in [`StreamTable::fast_forward`]. Returns the
+    /// charge it stood at and the one it lands on.
+    #[inline]
+    fn advance(
+        &mut self,
+        rel: u64,
+        cycles: u64,
+        tracks_per_cycle: u64,
+        held: &impl Fn(u64) -> usize,
+    ) -> (usize, usize) {
+        self.delivered += cycles * tracks_per_cycle;
+        let (was, now) = (held(rel), held(rel + cycles));
+        self.held = self.held + now - was;
+        (was, now)
     }
 }
 
@@ -446,10 +468,8 @@ impl<S> StreamTable<S> {
     ) {
         let (mut charged, mut released) = (0, 0);
         for s in self.slots.iter_mut().filter(|s| s.live) {
-            s.delivered += cycles * tracks_per_cycle;
             let rel = self.next_cycle - 1 - s.start_cycle;
-            let (was, now) = (held(rel), held(rel + cycles));
-            s.held = s.held + now - was;
+            let (was, now) = s.advance(rel, cycles, tracks_per_cycle, &held);
             charged += now;
             released += was;
         }
@@ -520,6 +540,83 @@ impl<S: Seated> StreamTable<S> {
     }
 }
 
+/// Counted cycles: what every scheme's stream table does for the streams
+/// a counted plan does not itemise.
+impl<S: Seated> StreamTable<S> {
+    /// Split the cycle being planned (opened by
+    /// [`begin_cycle`](Self::begin_cycle)) for a counted plan. A stream
+    /// is *steady* when it is strictly inside its life — started before
+    /// this cycle and short of its final-group read, the two bounds of a
+    /// [stability window](Self::stable_window) — and otherwise at an
+    /// *edge*: not yet started, in its first cycle, or in its final group
+    /// (which a truncated stream always is). Every steady stream holds
+    /// its seat and does what its admission class does, so its counters
+    /// advance one cycle the way [`fast_forward`](Self::fast_forward)
+    /// advances them (`k_prime` tracks delivered, the charge following
+    /// `held`), and `tally` counts what the class table states for the
+    /// steady seats — the edge streams' seats taken out — with `lag` as
+    /// in [`ClassTable::state_cycle`]. The edge streams' slots are
+    /// listed, ascending, for the scheduler's per-stream steps.
+    ///
+    /// `freed_apart` is called on each steady stream's state and returns
+    /// how many tracks of its charge the scheduler will free one by one
+    /// this cycle; the steady release leaves them out.
+    pub fn tally(
+        &mut self,
+        classes: &ClassTable,
+        tally: &mut Tally,
+        lag: impl Fn(u32) -> Option<u32>,
+        k_prime: usize,
+        held: impl Fn(u64) -> usize,
+        mut freed_apart: impl FnMut(&mut S) -> usize,
+    ) {
+        let cycle = self.next_cycle - 1;
+        tally.steady.seated.copy_from_slice(&classes.seated);
+        tally.edges.clear();
+        let (mut streams, mut was, mut now, mut apart) = (0, 0, 0, 0);
+        for (ix, s) in self.slots.iter_mut().enumerate() {
+            debug_assert!(s.live, "a cycle opens on a compacted table");
+            let final_read = s.start_cycle + (s.groups - 1) * self.read_period;
+            if cycle <= s.start_cycle || cycle >= final_read {
+                tally.edges.push(ix);
+                tally.steady.discount(s.state.seat());
+                continue;
+            }
+            let extra = freed_apart(&mut s.state);
+            let (before, after) = s.advance(cycle - 1 - s.start_cycle, 1, k_prime as u64, &held);
+            s.held += extra;
+            streams += 1;
+            (was, now, apart) = (was + before, now + after, apart + extra);
+        }
+        tally.streams = streams;
+        tally.tracks = tally.steady.state_reads(cycle, lag, &mut tally.loads);
+        // Every read charges a track; what a steady stream holds past
+        // this cycle's charge was released by its delivery.
+        tally.released = tally.tracks + was - now - apart;
+    }
+
+    /// Open a counted fill of `plan`: the steady streams' reads and
+    /// deliveries as [`tally`](Self::tally) counted them, and their
+    /// buffer charge — before any edge stream allocates, so the pool's
+    /// high-water mark is the one the itemised plan reaches.
+    pub fn charge_steady(&mut self, tally: &Tally, k_prime: usize, plan: &mut CyclePlan) {
+        plan.start_counting();
+        for &(disk, tracks) in &tally.loads {
+            plan.reads.add_counted(disk, tracks);
+        }
+        plan.deliveries.add_counted(tally.streams * k_prime);
+        self.buffers
+            .charge(tally.tracks)
+            .expect("unbounded pool never refuses an allocation");
+    }
+
+    /// Close a counted fill: release what the steady streams delivered,
+    /// after every edge stream's free.
+    pub fn release_steady(&mut self, tally: &Tally) {
+        self.buffers.release(tally.released);
+    }
+}
+
 /// A stream's seat in its admission class (see [`ClassTable`]), carried
 /// in its per-stream state and given back exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -534,6 +631,50 @@ pub trait Seated {
     fn seat(&self) -> &Seat;
     /// The stream's seat, to give back.
     fn seat_mut(&mut self) -> &mut Seat;
+}
+
+/// What a counted cycle keeps between [`StreamTable::tally`] and the
+/// plan: the steady streams per admission class and what they read, and
+/// the slots of the streams at an edge of their lives. Allocated once,
+/// at the scheduler's construction, so a counted cycle allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    /// Steady streams per class: the seated ones less the edge streams'.
+    steady: ClassTable,
+    /// Slots of the edge streams, ascending.
+    edges: Vec<usize>,
+    /// Tracks the steady streams read from each disk that reads at all,
+    /// in ascending disk order.
+    loads: Vec<(DiskId, usize)>,
+    /// Steady streams.
+    streams: usize,
+    /// Tracks the steady streams read, and so charge.
+    tracks: usize,
+    /// Tracks the steady streams release when the cycle ends.
+    released: usize,
+}
+
+impl Tally {
+    /// Scratch for a scheduler seating streams in `classes`, of which up
+    /// to `streams` are live at once.
+    #[must_use]
+    pub fn new(classes: &ClassTable, streams: usize) -> Self {
+        Tally {
+            steady: classes.clone(),
+            edges: Vec::with_capacity(streams),
+            loads: Vec::with_capacity(classes.geometry.disks() as usize),
+            streams: 0,
+            tracks: 0,
+            released: 0,
+        }
+    }
+
+    /// Slots of the streams at an edge of their lives, ascending.
+    #[must_use]
+    #[inline]
+    pub fn edges(&self) -> &[usize] {
+        &self.edges
+    }
 }
 
 /// Streams seated per admission class.
@@ -607,6 +748,12 @@ impl ClassTable {
         }
     }
 
+    /// Leave `seat`'s stream out of the count, if it holds the seat.
+    #[inline]
+    fn discount(&mut self, seat: &Seat) {
+        self.seated[seat.class as usize] -= usize::from(seat.taken);
+    }
+
     /// State `cycle` (see [`crate::SchemeScheduler::steady_cycle`]) for
     /// a scheduler all of whose seated streams are in steady state.
     ///
@@ -627,32 +774,9 @@ impl ClassTable {
         held: impl Fn(u64) -> usize,
         out: &mut SteadyCycle,
     ) {
-        // Everything below depends on the cycle through its place in the
-        // rotation alone, and is small-integer arithmetic from here on.
+        let tracks = self.state_reads(cycle, lag, &mut out.reads);
         let (period, clusters) = (self.period as u32, self.clusters as u32);
-        let rotation = period * clusters;
-        let place = (cycle % u64::from(rotation)) as u32;
-        let mut tracks = 0;
-        out.reads.clear();
-        for cluster in 0..clusters {
-            for pos in 0..self.geometry.disks_per_cluster() {
-                // Whoever reads this disk now started a group on this
-                // cluster `lag` cycles ago (nobody, before cycle 0): the
-                // class of that read phase whose trajectory was here.
-                let Some(ago) = lag(pos).filter(|&ago| u64::from(ago) <= cycle) else {
-                    continue;
-                };
-                let then = (place + rotation - ago) % rotation;
-                let (r, q) = (then % period, then / period);
-                let psi = (cluster + clusters - q) % clusters;
-                let n = self.seated[(r * clusters + psi) as usize];
-                if n > 0 {
-                    let disk = self.geometry.disk_at(ClusterId(cluster), pos);
-                    out.reads.push((disk, n));
-                    tracks += n;
-                }
-            }
-        }
+        let place = (cycle % (self.period * self.clusters)) as u32;
         // A stream of read phase `r` is `(t − r) mod P` cycles into its
         // group when cycle `t` ends; one cycle less when it starts.
         let elapsed = (cycle + 1 - streams.next_cycle) % self.period;
@@ -669,6 +793,44 @@ impl ClassTable {
         out.delivered = seated * k_prime;
         out.buffer_in_use = in_use + charged - stood;
         out.buffer_peak = in_use + before - stood + tracks;
+    }
+
+    /// The reads half of [`state_cycle`](Self::state_cycle): the tracks
+    /// the seated streams read from each disk in `cycle`, into `reads`
+    /// in ascending disk order (idle disks left out). Returns their sum.
+    fn state_reads(
+        &self,
+        cycle: u64,
+        lag: impl Fn(u32) -> Option<u32>,
+        reads: &mut Vec<(DiskId, usize)>,
+    ) -> usize {
+        // Everything below depends on the cycle through its place in the
+        // rotation alone, and is small-integer arithmetic from here on.
+        let (period, clusters) = (self.period as u32, self.clusters as u32);
+        let rotation = period * clusters;
+        let place = (cycle % u64::from(rotation)) as u32;
+        let mut tracks = 0;
+        reads.clear();
+        for cluster in 0..clusters {
+            for pos in 0..self.geometry.disks_per_cluster() {
+                // Whoever reads this disk now started a group on this
+                // cluster `lag` cycles ago (nobody, before cycle 0): the
+                // class of that read phase whose trajectory was here.
+                let Some(ago) = lag(pos).filter(|&ago| u64::from(ago) <= cycle) else {
+                    continue;
+                };
+                let then = (place + rotation - ago) % rotation;
+                let (r, q) = (then % period, then / period);
+                let psi = (cluster + clusters - q) % clusters;
+                let n = self.seated[(r * clusters + psi) as usize];
+                if n > 0 {
+                    let disk = self.geometry.disk_at(ClusterId(cluster), pos);
+                    reads.push((disk, n));
+                    tracks += n;
+                }
+            }
+        }
+        tracks
     }
 }
 

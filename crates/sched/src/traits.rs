@@ -266,6 +266,19 @@ pub trait SchemeScheduler {
     /// [`reset`](CyclePlan::reset) and refilled, so a driver that reuses
     /// one `CyclePlan` across cycles pays no per-cycle heap traffic once
     /// the plan's vectors have grown to their steady-state capacity.
+    ///
+    /// The plan is itemised — a record for every read and delivery —
+    /// unless the caller [allowed counting](CyclePlan::allow_counting).
+    /// Then a scheduler may fill a *counted* plan for a cycle it could
+    /// [state](Self::steady_cycle) (healthy: no disk down, no failure
+    /// pending, no read policy without a closed form, nothing left in
+    /// memory from a degraded read): the streams at an edge of their
+    /// lives are planned one by one as ever, and the others are counted
+    /// from the admission-class table. The scheduler's state after the
+    /// call, and every count the plan reports, are the ones an itemised
+    /// plan gives; only the record views are missing
+    /// ([`CyclePlan::is_counted`]). The choice may differ from one cycle
+    /// to the next.
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan);
 
     /// Gracefully release a stream before its natural end (viewer

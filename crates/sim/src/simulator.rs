@@ -34,17 +34,21 @@ pub enum DataMode {
 /// How the [`Simulator`] run drivers advance simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Execute every cycle with a full [`Simulator::step`].
+    /// Execute every cycle with a full [`Simulator::step`], planning
+    /// every stream one by one: the reference the other mode is held to.
     #[default]
     CycleByCycle,
     /// Fast-forward provably quiescent stretches in closed form (see
     /// [`Simulator::advance_quiescent`]), stepping cycle by cycle
-    /// everywhere else. Observably identical to
+    /// everywhere else — and let a healthy step plan only the streams at
+    /// an edge of their lives, counting the rest
+    /// ([`CyclePlan`]'s counted plans), unless the oracle or trace
+    /// retention reads the plan's records. Observably identical to
     /// [`StepMode::CycleByCycle`]: metrics, per-disk statistics, hiccup
     /// counts, session statistics, and the caller's RNG stream all
     /// match bit for bit; only per-cycle telemetry is collapsed to
     /// stretch boundaries (and `Debug`-level collection or byte
-    /// verification disables the fast path entirely, so traces stay
+    /// verification disables the fast-forward entirely, so traces stay
     /// complete and every delivery meets the oracle).
     EventHorizon,
 }
@@ -357,10 +361,18 @@ impl<S: SchemeScheduler> Simulator<S> {
             self.apply_fault(event, cycle)?;
         }
 
-        // 2. Plan and execute the cycle, refilling the reused plan.
+        // 2. Plan and execute the cycle, refilling the reused plan. Only
+        //    the oracle and trace retention read its records; without
+        //    them an event-horizon step lets a healthy cycle be counted.
+        //    The cycle-by-cycle mode stays the stream-by-stream reference.
         let t_cyc = self.scheduler.config().t_cyc();
         {
             let _s = span!(Level::Debug, "plan", cycle = cycle);
+            self.plan.allow_counting(
+                self.step_mode == StepMode::EventHorizon
+                    && self.oracle.is_none()
+                    && self.trace.len() >= self.trace_limit,
+            );
             self.scheduler.plan_cycle_into(cycle, &mut self.plan);
         }
         let mut report = CycleReport {
