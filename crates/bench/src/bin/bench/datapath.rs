@@ -15,7 +15,10 @@
 //!   deliveries.
 //! * **Simulator cycles** — heap allocations per steady-state cycle of a
 //!   degraded run under `DataMode::Verified`, for each of the four
-//!   schemes at 4 and at 40 viewers.
+//!   schemes at 4 and at 40 viewers; and of a healthy session-churn run
+//!   under `DataMode::MetadataOnly` and `StepMode::EventHorizon`, where
+//!   two viewers arrive and two finish every cycle and each step fills a
+//!   counted plan.
 //!
 //! Allocations are counted by a `#[global_allocator]` shim around the
 //! system allocator (it serves the whole `bench` binary; the other four
@@ -26,8 +29,9 @@
 //!
 //! `--quick` shrinks every workload to a smoke-test size; the committed
 //! JSON comes from a full run. Either way the exit status is 1 if a
-//! streaming delivery or a simulator cycle of any scheme allocated: zero
-//! is the contract, and CI runs this bench to enforce it.
+//! streaming delivery or a simulator cycle of any scheme — degraded or
+//! counted — allocated: zero is the contract, and CI runs this bench to
+//! enforce it.
 
 use crate::{timed, Harness};
 use mms_bench::args::Args;
@@ -37,7 +41,7 @@ use mms_server::layout::{BandwidthClass, BlockAddr, MediaObject, ObjectId};
 use mms_server::parity::{
     fill_synthetic, fill_synthetic_folded, synthetic_fingerprint, xor_slices, xor_synthetic,
 };
-use mms_server::sim::{BlockOracle, DataMode, FailureEvent};
+use mms_server::sim::{BlockOracle, DataMode, FailureEvent, StepMode};
 use mms_server::{Scheme, ServerBuilder, ServerError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -252,8 +256,50 @@ fn degraded_allocs(
     Ok((allocations() - allocs_before) as f64 / cycles as f64)
 }
 
-/// [`degraded_allocs`] for every scheme at 4 and at 40 viewers. Also
-/// returns the most any run allocated per cycle, which must be 0.
+/// Clip lengths of the churn cells: ten groups, and a partial eleventh.
+const CHURN_CLIPS: [u64; 2] = [40, 42];
+
+/// Steady-state allocations per cycle of a healthy session-churn run:
+/// one viewer of each clip arrives every cycle, so once the first have
+/// played out streams start and finish every cycle, and every step of
+/// an event-horizon server with no oracle plans a counted cycle — the
+/// streams at an edge of their lives one by one, the rest by admission
+/// class. The warm-up outlasts the longest life, so what is measured is
+/// the churn's steady state.
+fn churn_allocs(scheme: Scheme, warmup: u64, cycles: u64) -> Result<f64, ServerError> {
+    let disks = match scheme {
+        Scheme::ImprovedBandwidth => 2 * (GROUP_C - 1),
+        _ => 2 * GROUP_C,
+    };
+    let mut builder = ServerBuilder::new(scheme)
+        .disks(disks)
+        .parity_group(GROUP_C)
+        .data_mode(DataMode::MetadataOnly)
+        .step_mode(StepMode::EventHorizon);
+    for (id, tracks) in CHURN_CLIPS.into_iter().enumerate() {
+        let clip = MediaObject::new(ObjectId(id as u64), "clip", tracks, BandwidthClass::Mpeg1);
+        builder = builder.object(clip);
+    }
+    let mut server = builder.build()?;
+    let mut cycle = || -> Result<(), ServerError> {
+        for id in 0..CHURN_CLIPS.len() {
+            server.admit(ObjectId(id as u64))?;
+        }
+        server.step().map(drop)
+    };
+    for _ in 0..warmup {
+        cycle()?;
+    }
+    let allocs_before = allocations();
+    for _ in 0..cycles {
+        cycle()?;
+    }
+    Ok((allocations() - allocs_before) as f64 / cycles as f64)
+}
+
+/// [`degraded_allocs`] for every scheme at 4 and at 40 viewers, then
+/// [`churn_allocs`] for every scheme. Also returns the most any run
+/// allocated per cycle, which must be 0.
 fn simulator(quick: bool) -> Result<(Json, f64), ServerError> {
     // Quick runs measure fewer cycles, not an earlier state: 64 cycles
     // carry every run past its transition and let each per-cycle list
@@ -277,6 +323,23 @@ fn simulator(quick: bool) -> Result<(Json, f64), ServerError> {
             ]));
             worst = worst.max(allocs_per_cycle);
         }
+    }
+    for scheme in Scheme::ALL {
+        let allocs_per_cycle = churn_allocs(scheme, warmup, cycles)?;
+        let name = scheme.abbrev();
+        println!(
+            "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} counted {name} churn cycles, {} arrivals a cycle",
+            CHURN_CLIPS.len()
+        );
+        cells.push(Json::Row(vec![
+            ("scheme".into(), Json::from(name.to_lowercase())),
+            ("arrivals_per_cycle".into(), CHURN_CLIPS.len().into()),
+            ("degraded".into(), false.into()),
+            ("step_mode".into(), Json::from("event-horizon")),
+            ("cycles".into(), cycles.into()),
+            ("allocs_per_cycle".into(), Json::Fixed(allocs_per_cycle, 2)),
+        ]));
+        worst = worst.max(allocs_per_cycle);
     }
     Ok((Json::Arr(cells), worst))
 }
