@@ -207,14 +207,10 @@ impl RunConfig {
             let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
             jsonl::write_all(&mut out, &events, &snapshot)?;
             out.flush()?;
-            let metric_lines = snapshot.counters.len()
-                + snapshot.gauges.len()
-                + snapshot.histograms.len()
-                + snapshot.quantiles.len();
             println!(
                 "\ntelemetry: {} event(s) + {} metric line(s) -> {path}",
                 events.len(),
-                metric_lines
+                snapshot.len()
             );
         }
         if t.dash {

@@ -321,21 +321,11 @@ mod tests {
         let labels = Labels::new(vec![("disk", 0u64.into())]);
         let snap = rec.snapshot();
         let hist = snap
-            .histograms
-            .iter()
-            .find(|(k, _)| k.name == "disk.service_ms" && k.labels == labels)
-            .map(|(_, h)| h)
+            .histogram("disk.service_ms", &labels)
             .expect("service-time histogram recorded");
         assert_eq!(hist.count(), 1);
         assert_eq!(hist.max(), Some(125.0));
-        assert_eq!(
-            snap.counters
-                .iter()
-                .find(|(k, _)| k.name == "disk.rejected_reads")
-                .unwrap()
-                .1,
-            3
-        );
+        assert_eq!(snap.counter_total("disk.rejected_reads"), 3);
         let events = rec.take_events();
         assert!(events
             .iter()

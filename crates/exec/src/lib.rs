@@ -454,15 +454,7 @@ mod tests {
             (sums, rec.take_events(), rec.snapshot())
         };
         let (seq_sums, seq_events, seq_snap) = run(Parallelism::Sequential);
-        assert_eq!(
-            seq_snap
-                .counters
-                .iter()
-                .find(|(k, _)| k.name == "exec.test.jobs")
-                .unwrap()
-                .1,
-            48
-        );
+        assert_eq!(seq_snap.counter_total("exec.test.jobs"), 48);
         // Job events arrive in index order, after the batch event.
         assert_eq!(seq_events[0].name, "exec.batch");
         let indices: Vec<String> = seq_events
@@ -476,14 +468,7 @@ mod tests {
             let (sums, events, snap) = run(par);
             assert_eq!(sums, seq_sums);
             assert_eq!(events, seq_events, "event stream differs under {par}");
-            assert_eq!(
-                snap.counters
-                    .iter()
-                    .find(|(k, _)| k.name == "exec.test.jobs")
-                    .unwrap()
-                    .1,
-                48
-            );
+            assert_eq!(snap.counter_total("exec.test.jobs"), 48);
         }
     }
 

@@ -1,7 +1,7 @@
-//! ASCII dashboard: render a metric [`Snapshot`] as aligned tables and
+//! ASCII dashboard: render a metric [`Registry`] as aligned tables and
 //! histogram bars, in the style of `mms_sim::trace`.
 
-use crate::registry::{Histogram, MetricKey, Snapshot};
+use crate::registry::{Histogram, MetricKey, Registry};
 use std::fmt::Write as _;
 
 const BAR_WIDTH: usize = 32;
@@ -43,54 +43,55 @@ fn render_histogram(out: &mut String, key: &MetricKey, h: &Histogram) {
     );
 }
 
-/// Render `snapshot` as an ASCII dashboard: a counters table, a gauges
+/// Render `metrics` as an ASCII dashboard: a counters table, a gauges
 /// table, one bar chart per histogram, then a percentile table for the
 /// streaming quantile sets. Returns an empty string for an empty
-/// snapshot.
+/// registry.
 #[must_use]
-pub fn render(snapshot: &Snapshot) -> String {
+pub fn render(metrics: &Registry) -> String {
     let mut out = String::new();
-    if snapshot.is_empty() {
-        return out;
-    }
-    if !snapshot.counters.is_empty() {
-        let width = key_column(snapshot.counters.iter().map(|(k, _)| k.to_string()));
+    let counters = metrics.counters();
+    if !counters.is_empty() {
+        let width = key_column(counters.keys().map(ToString::to_string));
         let _ = writeln!(out, "counters");
         let _ = writeln!(out, "{}", "-".repeat(width + 12));
-        for (key, value) in &snapshot.counters {
+        for (key, value) in counters {
             let _ = writeln!(out, "{:<width$}  {value:>10}", key.to_string());
         }
     }
-    if !snapshot.gauges.is_empty() {
-        let width = key_column(snapshot.gauges.iter().map(|(k, _)| k.to_string()));
+    let gauges = metrics.gauges();
+    if !gauges.is_empty() {
+        let width = key_column(gauges.keys().map(ToString::to_string));
         if !out.is_empty() {
             out.push('\n');
         }
         let _ = writeln!(out, "gauges");
         let _ = writeln!(out, "{}", "-".repeat(width + 12));
-        for (key, value) in &snapshot.gauges {
+        for (key, value) in gauges {
             let _ = writeln!(out, "{:<width$}  {value:>10.3}", key.to_string());
         }
     }
-    if !snapshot.histograms.is_empty() {
+    let histograms = metrics.histograms();
+    if !histograms.is_empty() {
         if !out.is_empty() {
             out.push('\n');
         }
         let _ = writeln!(out, "histograms");
-        let width = key_column(snapshot.histograms.iter().map(|(k, _)| k.to_string()));
+        let width = key_column(histograms.keys().map(ToString::to_string));
         let _ = writeln!(out, "{}", "-".repeat(width + 12));
-        for (key, h) in &snapshot.histograms {
+        for (key, h) in histograms {
             render_histogram(&mut out, key, h);
         }
     }
-    if !snapshot.quantiles.is_empty() {
+    let quantiles = metrics.quantiles();
+    if !quantiles.is_empty() {
         if !out.is_empty() {
             out.push('\n');
         }
         let _ = writeln!(out, "quantiles");
-        let width = key_column(snapshot.quantiles.iter().map(|(k, _)| k.to_string()));
+        let width = key_column(quantiles.keys().map(ToString::to_string));
         let _ = writeln!(out, "{}", "-".repeat(width + 12));
-        for (key, q) in &snapshot.quantiles {
+        for (key, q) in quantiles {
             let _ = writeln!(
                 out,
                 "{:<width$}  count {:>8}  p50 {:>10.3}  p95 {:>10.3}  p99 {:>10.3}",
@@ -105,7 +106,7 @@ pub fn render(snapshot: &Snapshot) -> String {
     out
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{counter, gauge, histogram, quantile, Level, Recorder};
@@ -143,7 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_renders_empty() {
-        assert_eq!(render(&Snapshot::default()), "");
+    fn empty_registry_renders_empty() {
+        assert_eq!(render(&Registry::new()), "");
     }
 }

@@ -1,6 +1,6 @@
 //! Event records: what the tracing macros hand to a collector.
 
-use crate::{collect, Level};
+use crate::{recorder, Level};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -137,10 +137,10 @@ impl SpanGuard {
         name: &'static str,
         fields: Vec<(&'static str, Value)>,
     ) -> Self {
-        if !collect::enabled(level) {
+        if !recorder::enabled(level) {
             return SpanGuard { open: None };
         }
-        collect::dispatch_event(EventRecord {
+        recorder::dispatch_event(EventRecord {
             level,
             target,
             name,
@@ -156,7 +156,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((level, target, name)) = self.open.take() {
-            collect::dispatch_event(EventRecord {
+            recorder::dispatch_event(EventRecord {
                 level,
                 target,
                 name,

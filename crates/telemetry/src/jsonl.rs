@@ -11,7 +11,7 @@
 //! {"t":"span_close","level":"debug","target":"mms_sim::simulator","name":"cycle"}
 //! ```
 //!
-//! Metric lines (from a [`Snapshot`], key-ordered and therefore
+//! Metric lines (from a [`Registry`], key-ordered and therefore
 //! deterministic):
 //!
 //! ```json
@@ -23,7 +23,7 @@
 
 use crate::event::{EventKind, EventRecord, Value};
 use crate::json;
-use crate::registry::{Histogram, LabelValue, Labels, MetricKey, Snapshot};
+use crate::registry::{Histogram, LabelValue, Labels, MetricKey, Registry};
 use std::io::{self, Write};
 
 fn write_value<W: Write>(out: &mut W, v: &Value) -> io::Result<()> {
@@ -59,7 +59,7 @@ fn write_labels<W: Write>(out: &mut W, labels: &Labels) -> io::Result<()> {
 
 fn write_metric_head<W: Write>(out: &mut W, kind: &str, key: &MetricKey) -> io::Result<()> {
     write!(out, "{{\"t\":\"{kind}\",\"name\":")?;
-    json::write_str(out, &key.name)?;
+    json::write_str(out, key.name)?;
     out.write_all(b",\"labels\":")?;
     write_labels(out, &key.labels)
 }
@@ -117,25 +117,25 @@ fn write_histogram_body<W: Write>(out: &mut W, h: &Histogram) -> io::Result<()> 
     write!(out, "],\"overflow\":{}", h.overflow())
 }
 
-/// Write every metric in `snapshot` as JSONL lines: counters, then
+/// Write every metric in `metrics` as JSONL lines: counters, then
 /// gauges, then histograms, then quantile sets, each key-ordered.
-pub fn write_snapshot<W: Write>(out: &mut W, snapshot: &Snapshot) -> io::Result<()> {
-    for (key, value) in &snapshot.counters {
+pub fn write_snapshot<W: Write>(out: &mut W, metrics: &Registry) -> io::Result<()> {
+    for (key, value) in metrics.counters() {
         write_metric_head(out, "counter", key)?;
         writeln!(out, ",\"value\":{value}}}")?;
     }
-    for (key, value) in &snapshot.gauges {
+    for (key, value) in metrics.gauges() {
         write_metric_head(out, "gauge", key)?;
         out.write_all(b",\"value\":")?;
         json::write_f64(out, *value)?;
         out.write_all(b"}\n")?;
     }
-    for (key, h) in &snapshot.histograms {
+    for (key, h) in metrics.histograms() {
         write_metric_head(out, "histogram", key)?;
         write_histogram_body(out, h)?;
         out.write_all(b"}\n")?;
     }
-    for (key, q) in &snapshot.quantiles {
+    for (key, q) in metrics.quantiles() {
         write_metric_head(out, "quantile", key)?;
         write!(out, ",\"count\":{},\"sum\":", q.count())?;
         json::write_f64(out, q.sum())?;
@@ -152,19 +152,19 @@ pub fn write_snapshot<W: Write>(out: &mut W, snapshot: &Snapshot) -> io::Result<
 }
 
 /// Write the full export: the event stream in record order, then the
-/// metric snapshot. This is the format `mms-ctl --telemetry` produces.
+/// metrics. This is the format `mms-ctl --telemetry` produces.
 pub fn write_all<W: Write>(
     out: &mut W,
     events: &[EventRecord],
-    snapshot: &Snapshot,
+    metrics: &Registry,
 ) -> io::Result<()> {
     for event in events {
         write_event(out, event)?;
     }
-    write_snapshot(out, snapshot)
+    write_snapshot(out, metrics)
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{counter, event, gauge, histogram, span, Level, Recorder};

@@ -138,7 +138,7 @@ macro_rules! quantile {
     }};
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use crate::{Labels, Level, Recorder, Value};
 
@@ -157,18 +157,14 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].field("reason"), Some(&Value::from("failed-disk")));
         let snap = rec.snapshot();
-        assert_eq!(
-            snap.counters[0].0.labels.get("reason").unwrap().to_string(),
-            "failed-disk"
-        );
-        assert_eq!(snap.gauges[0].1, 3.0);
-        assert_eq!(snap.histograms[0].1.sum(), 2.5);
-        assert_eq!(snap.quantiles[0].1.count(), 1);
-        assert_eq!(snap.quantiles[0].1.p50(), Some(4.0));
-        assert_eq!(
-            rec.snapshot().counters[0].0.labels,
-            Labels::new(vec![("reason", "failed-disk".into())])
-        );
+        let reason = Labels::new(vec![("reason", "failed-disk".into())]);
+        assert_eq!(snap.counter("sim.hiccups", &reason), 1);
+        assert_eq!(snap.gauge("sim.buffer", &Labels::empty()), Some(3.0));
+        let disk = Labels::new(vec![("disk", 1u64.into())]);
+        assert_eq!(snap.histogram("svc", &disk).unwrap().sum(), 2.5);
+        let quantiles = snap.quantiles().values().next().unwrap();
+        assert_eq!(quantiles.count(), 1);
+        assert_eq!(quantiles.p50(), Some(4.0));
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn write_trace<W: Write>(out: &mut W, events: &[EventRecord]) -> io::Result<
     out.write_all(b"\n]}\n")
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{event, span, Level, Recorder};

@@ -1,4 +1,4 @@
-//! Prometheus text-exposition exporter for a metric [`Snapshot`].
+//! Prometheus text-exposition exporter for a metric [`Registry`].
 //!
 //! Emits the classic text format (version 0.0.4): one `# TYPE` line per
 //! metric name, then one sample line per label set. Counters export
@@ -8,11 +8,11 @@
 //! charset (`[a-zA-Z0-9_:]`, so `sim.delivered` becomes
 //! `sim_delivered`).
 //!
-//! The output is a pure function of the (key-ordered) snapshot, so it
+//! The output is a pure function of the (key-ordered) registry, so it
 //! is byte-identical at any thread count.
 
 use crate::quantile::QuantileSet;
-use crate::registry::{Histogram, Labels, MetricKey, Snapshot};
+use crate::registry::{Histogram, Labels, MetricKey, Registry};
 use std::io::{self, Write};
 
 /// Write `name` with every non-Prometheus character replaced by `_`.
@@ -105,24 +105,24 @@ fn write_histogram<W: Write>(out: &mut W, key: &MetricKey, h: &Histogram) -> io:
     let mut cumulative = 0u64;
     for (bound, count) in h.bounds().iter().zip(h.counts()) {
         cumulative += count;
-        write_name(out, &key.name)?;
+        write_name(out, key.name)?;
         out.write_all(b"_bucket")?;
         let le = format!("{bound}");
         write_labels(out, &key.labels, Some(("le", le.as_str())))?;
         writeln!(out, " {cumulative}")?;
     }
     cumulative += h.overflow();
-    write_name(out, &key.name)?;
+    write_name(out, key.name)?;
     out.write_all(b"_bucket")?;
     write_labels(out, &key.labels, Some(("le", "+Inf")))?;
     writeln!(out, " {cumulative}")?;
-    write_name(out, &key.name)?;
+    write_name(out, key.name)?;
     out.write_all(b"_sum")?;
     write_labels(out, &key.labels, None)?;
     out.write_all(b" ")?;
     write_num(out, h.sum())?;
     out.write_all(b"\n")?;
-    write_name(out, &key.name)?;
+    write_name(out, key.name)?;
     out.write_all(b"_count")?;
     write_labels(out, &key.labels, None)?;
     writeln!(out, " {}", h.count())
@@ -131,60 +131,60 @@ fn write_histogram<W: Write>(out: &mut W, key: &MetricKey, h: &Histogram) -> io:
 fn write_quantiles<W: Write>(out: &mut W, key: &MetricKey, q: &QuantileSet) -> io::Result<()> {
     for (tag, value) in [("0.5", q.p50()), ("0.95", q.p95()), ("0.99", q.p99())] {
         let Some(value) = value else { continue };
-        write_name(out, &key.name)?;
+        write_name(out, key.name)?;
         write_labels(out, &key.labels, Some(("quantile", tag)))?;
         out.write_all(b" ")?;
         write_num(out, value)?;
         out.write_all(b"\n")?;
     }
-    write_name(out, &key.name)?;
+    write_name(out, key.name)?;
     out.write_all(b"_sum")?;
     write_labels(out, &key.labels, None)?;
     out.write_all(b" ")?;
     write_num(out, q.sum())?;
     out.write_all(b"\n")?;
-    write_name(out, &key.name)?;
+    write_name(out, key.name)?;
     out.write_all(b"_count")?;
     write_labels(out, &key.labels, None)?;
     writeln!(out, " {}", q.count())
 }
 
-/// Write `snapshot` in Prometheus text-exposition format: counters,
+/// Write `metrics` in Prometheus text-exposition format: counters,
 /// gauges, histograms, then quantile summaries, each key-ordered.
 ///
 /// # Errors
 /// Propagates I/O errors from `out`.
-pub fn write_snapshot<W: Write>(out: &mut W, snapshot: &Snapshot) -> io::Result<()> {
+pub fn write_snapshot<W: Write>(out: &mut W, metrics: &Registry) -> io::Result<()> {
     let mut last: Option<&str> = None;
-    for (key, value) in &snapshot.counters {
-        type_line(out, &mut last, &key.name, "counter")?;
-        write_name(out, &key.name)?;
+    for (key, value) in metrics.counters() {
+        type_line(out, &mut last, key.name, "counter")?;
+        write_name(out, key.name)?;
         write_labels(out, &key.labels, None)?;
         writeln!(out, " {value}")?;
     }
     let mut last: Option<&str> = None;
-    for (key, value) in &snapshot.gauges {
-        type_line(out, &mut last, &key.name, "gauge")?;
-        write_name(out, &key.name)?;
+    for (key, value) in metrics.gauges() {
+        type_line(out, &mut last, key.name, "gauge")?;
+        write_name(out, key.name)?;
         write_labels(out, &key.labels, None)?;
         out.write_all(b" ")?;
         write_num(out, *value)?;
         out.write_all(b"\n")?;
     }
     let mut last: Option<&str> = None;
-    for (key, h) in &snapshot.histograms {
-        type_line(out, &mut last, &key.name, "histogram")?;
+    for (key, h) in metrics.histograms() {
+        type_line(out, &mut last, key.name, "histogram")?;
         write_histogram(out, key, h)?;
     }
     let mut last: Option<&str> = None;
-    for (key, q) in &snapshot.quantiles {
-        type_line(out, &mut last, &key.name, "summary")?;
+    for (key, q) in metrics.quantiles() {
+        type_line(out, &mut last, key.name, "summary")?;
         write_quantiles(out, key, q)?;
     }
     Ok(())
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{counter, gauge, histogram, quantile, Level, Recorder};
@@ -198,7 +198,6 @@ mod tests {
     #[test]
     fn golden_export_covers_every_metric_kind() {
         let rec = Recorder::new(Level::Info);
-        rec.set_buckets("disk.service_ms", &[1.0, 10.0]);
         {
             let _g = rec.install();
             counter!("sim.delivered", 92, scheme = "SR");
@@ -216,8 +215,17 @@ sim_delivered{scheme=\"SR\"} 92
 # TYPE rebuild_progress gauge
 rebuild_progress{disk=\"2\"} 0.5
 # TYPE disk_service_ms histogram
+disk_service_ms_bucket{disk=\"0\",le=\"0.5\"} 1
 disk_service_ms_bucket{disk=\"0\",le=\"1\"} 1
+disk_service_ms_bucket{disk=\"0\",le=\"2\"} 1
+disk_service_ms_bucket{disk=\"0\",le=\"5\"} 2
 disk_service_ms_bucket{disk=\"0\",le=\"10\"} 2
+disk_service_ms_bucket{disk=\"0\",le=\"25\"} 2
+disk_service_ms_bucket{disk=\"0\",le=\"50\"} 2
+disk_service_ms_bucket{disk=\"0\",le=\"100\"} 3
+disk_service_ms_bucket{disk=\"0\",le=\"250\"} 3
+disk_service_ms_bucket{disk=\"0\",le=\"500\"} 3
+disk_service_ms_bucket{disk=\"0\",le=\"1000\"} 3
 disk_service_ms_bucket{disk=\"0\",le=\"+Inf\"} 3
 disk_service_ms_sum{disk=\"0\"} 105.5
 disk_service_ms_count{disk=\"0\"} 3

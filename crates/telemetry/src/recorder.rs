@@ -1,61 +1,130 @@
-//! The standard in-memory collector: buffers events and owns a
-//! [`Registry`].
+//! The collector: an in-memory [`Recorder`] that buffers events and owns
+//! a [`Registry`], and the thread-local stack the macros dispatch to.
+//!
+//! Installing a recorder is scoped and stack-shaped:
+//! [`Recorder::install`] returns a guard; the macros dispatch to the top
+//! of the stack. With the stack empty (the default everywhere) every
+//! macro reduces to one thread-local flag read — the no-op fast path.
 
-use crate::collect::{self, Collect, CollectorGuard};
 use crate::event::EventRecord;
-use crate::registry::{Labels, Registry, Snapshot};
+use crate::registry::{Labels, Registry};
 use crate::Level;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+/// A recorder's state, shared by its clones and the collector stack.
 struct Inner {
     max_level: Level,
     events: RefCell<Vec<EventRecord>>,
     registry: RefCell<Registry>,
 }
 
-impl Collect for Inner {
-    fn max_level(&self) -> Level {
-        self.max_level
-    }
+thread_local! {
+    static STACK: RefCell<Vec<Rc<Inner>>> = const { RefCell::new(Vec::new()) };
+    /// Cached `(stack non-empty, top max_level)` for the fast path.
+    static TOP_LEVEL: Cell<Option<Level>> = const { Cell::new(None) };
+}
 
-    fn record(&self, event: EventRecord) {
-        if event.level <= self.max_level {
-            self.events.borrow_mut().push(event);
+/// Pops the recorder installed by the matching [`Recorder::install`].
+#[must_use = "dropping the guard immediately uninstalls the collector"]
+#[derive(Debug)]
+pub struct CollectorGuard {
+    _private: (),
+}
+
+impl Drop for CollectorGuard {
+    fn drop(&mut self) {
+        STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            s.pop();
+            TOP_LEVEL.with(|t| t.set(s.last().map(|top| top.max_level)));
+        });
+    }
+}
+
+/// Whether any collector is installed on this thread.
+#[inline]
+#[must_use]
+pub fn active() -> bool {
+    TOP_LEVEL.with(|t| t.get().is_some())
+}
+
+/// The installed collector's max level, if one is installed.
+#[inline]
+#[must_use]
+pub fn current_max_level() -> Option<Level> {
+    TOP_LEVEL.with(Cell::get)
+}
+
+/// Whether a record at `level` would reach the installed collector.
+/// The macros call this before building fields, so disabled levels cost
+/// nothing but this check.
+#[inline]
+#[must_use]
+pub fn enabled(level: Level) -> bool {
+    current_max_level().is_some_and(|max| level <= max)
+}
+
+fn with_top(f: impl FnOnce(&Inner)) {
+    STACK.with(|s| {
+        if let Some(top) = s.borrow().last() {
+            f(top);
         }
-    }
+    });
+}
 
-    fn counter(&self, name: &'static str, labels: Labels, delta: u64) {
-        self.registry.borrow_mut().counter_add(name, labels, delta);
-    }
+fn with_registry(f: impl FnOnce(&mut Registry)) {
+    with_top(|top| f(&mut top.registry.borrow_mut()));
+}
 
-    fn gauge(&self, name: &'static str, labels: Labels, value: f64) {
-        self.registry.borrow_mut().gauge_set(name, labels, value);
-    }
+/// Dispatch an event to the installed collector (top of stack).
+pub fn dispatch_event(event: EventRecord) {
+    with_top(|top| {
+        if event.level <= top.max_level {
+            top.events.borrow_mut().push(event);
+        }
+    });
+}
 
-    fn histogram(&self, name: &'static str, labels: Labels, value: f64) {
-        self.registry
+/// Dispatch a counter increment.
+pub fn dispatch_counter(name: &'static str, labels: Labels, delta: u64) {
+    with_registry(|r| r.counter_add(name, labels, delta));
+}
+
+/// Dispatch a gauge write.
+pub fn dispatch_gauge(name: &'static str, labels: Labels, value: f64) {
+    with_registry(|r| r.gauge_set(name, labels, value));
+}
+
+/// Dispatch a histogram observation.
+pub fn dispatch_histogram(name: &'static str, labels: Labels, value: f64) {
+    with_registry(|r| r.histogram_observe(name, labels, value));
+}
+
+/// Dispatch a streaming-quantile observation.
+pub fn dispatch_quantile(name: &'static str, labels: Labels, value: f64) {
+    with_registry(|r| r.quantile_observe(name, labels, value));
+}
+
+/// Hand a finished parallel job's captured telemetry to the installed
+/// collector (no-op if none): its events are replayed in order, then
+/// its registry merged. Parallel layers call this once per job, in job
+/// index order, which is what makes traced parallel runs bit-identical
+/// to sequential ones.
+pub fn dispatch_absorb(events: Vec<EventRecord>, registry: &Registry) {
+    with_top(|top| {
+        top.events
             .borrow_mut()
-            .histogram_observe(name, labels, value);
-    }
-
-    fn quantile(&self, name: &'static str, labels: Labels, value: f64) {
-        self.registry
-            .borrow_mut()
-            .quantile_observe(name, labels, value);
-    }
-
-    fn absorb(&self, events: Vec<EventRecord>, registry: &Registry) {
-        self.events
-            .borrow_mut()
-            .extend(events.into_iter().filter(|e| e.level <= self.max_level));
-        self.registry.borrow_mut().merge(registry);
-    }
+            .extend(events.into_iter().filter(|e| e.level <= top.max_level));
+        top.registry.borrow_mut().merge(registry);
+    });
 }
 
 /// An in-memory collector: events accumulate in arrival order, metrics
 /// in a [`Registry`]. Clone-cheap (`Rc` inside); clones share the same
-/// buffers.
+/// buffers. Single-threaded: installed per thread, or per job in a
+/// worker pool — that is what keeps the hot path lock-free and the
+/// merged output deterministic.
 ///
 /// This is the collector `mms-exec` creates per parallel job and the one
 /// `mms-ctl` installs for `--telemetry`.
@@ -86,22 +155,15 @@ impl Recorder {
         }
     }
 
-    /// This recorder as an installable collector handle.
-    #[must_use]
-    pub fn handle(&self) -> Rc<dyn Collect> {
-        self.inner.clone()
-    }
-
     /// Install this recorder on the current thread's collector stack;
-    /// it receives records until the guard drops.
+    /// it receives records until the guard drops. Nested installs
+    /// shadow outer ones.
     pub fn install(&self) -> CollectorGuard {
-        collect::install(self.handle())
-    }
-
-    /// Pre-register histogram bucket bounds for `name` (see
-    /// [`Registry::set_buckets`]).
-    pub fn set_buckets(&self, name: &'static str, bounds: &[f64]) {
-        self.inner.registry.borrow_mut().set_buckets(name, bounds);
+        STACK.with(|s| {
+            TOP_LEVEL.with(|t| t.set(Some(self.inner.max_level)));
+            s.borrow_mut().push(self.inner.clone());
+        });
+        CollectorGuard { _private: () }
     }
 
     /// Number of buffered events.
@@ -116,10 +178,11 @@ impl Recorder {
         self.inner.events.take()
     }
 
-    /// A key-ordered copy of the current metrics.
+    /// A copy of the current metrics. The registry's maps are
+    /// key-ordered, so the copy exports deterministically.
     #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.inner.registry.borrow().snapshot()
+    pub fn snapshot(&self) -> Registry {
+        self.inner.registry.borrow().clone()
     }
 
     /// Run `f` with mutable access to the underlying registry. Post-run
@@ -138,10 +201,40 @@ impl Recorder {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{counter, event, gauge, histogram, span};
+
+    #[test]
+    fn stack_install_and_shadowing() {
+        assert!(!active());
+        assert!(!enabled(Level::Error));
+        let outer = Recorder::new(Level::Info);
+        let _g1 = outer.install();
+        assert!(active());
+        assert!(enabled(Level::Info));
+        assert!(!enabled(Level::Debug));
+        {
+            let inner = Recorder::new(Level::Trace);
+            let _g2 = inner.install();
+            assert!(enabled(Level::Trace));
+            event!(Level::Debug, "inner_only");
+            assert_eq!(inner.take_events().len(), 1);
+        }
+        // Back to the outer collector and its filter.
+        assert!(!enabled(Level::Debug));
+        event!(Level::Info, "outer");
+        assert_eq!(outer.take_events().len(), 1);
+    }
+
+    #[test]
+    fn no_collector_means_no_dispatch() {
+        // Must not panic, must not leak anywhere.
+        event!(Level::Error, "nobody_listens", x = 1u64);
+        counter!("c", 1);
+        assert_eq!(current_max_level(), None);
+    }
 
     #[test]
     fn records_respect_max_level() {
@@ -190,10 +283,10 @@ mod tests {
         histogram!("disk.service_ms", 12.0, disk = 0u64);
         drop(_g);
         let snap = rec.snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.counters[0].1, 7);
-        assert_eq!(snap.gauges[0].1, 0.5);
-        assert_eq!(snap.histograms[0].1.count(), 1);
+        assert_eq!(snap.counters().len(), 1);
+        assert_eq!(snap.counter_total("sim.delivered"), 7);
+        assert_eq!(snap.gauges().values().next(), Some(&0.5));
+        assert_eq!(snap.histograms().values().next().unwrap().count(), 1);
     }
 
     #[test]
@@ -215,15 +308,15 @@ mod tests {
         let ambient = Recorder::new(Level::Debug);
         {
             let _g = ambient.install();
-            crate::dispatch_absorb(e0, &r0);
-            crate::dispatch_absorb(e1, &r1);
+            dispatch_absorb(e0, &r0);
+            dispatch_absorb(e1, &r1);
         }
         let events = ambient.take_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].field("tag").unwrap().to_string(), "a");
         assert_eq!(events[1].field("tag").unwrap().to_string(), "b");
         assert_eq!(
-            ambient.snapshot().counters[0].1,
+            ambient.snapshot().counter_total("jobs"),
             2,
             "counters sum across absorbed jobs"
         );

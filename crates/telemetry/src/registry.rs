@@ -116,7 +116,7 @@ impl fmt::Display for Labels {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricKey {
     /// The metric name (dotted, e.g. `sim.delivered`).
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// The label set.
     pub labels: Labels,
 }
@@ -125,10 +125,7 @@ impl MetricKey {
     /// Build a key.
     #[must_use]
     pub fn new(name: &'static str, labels: Labels) -> Self {
-        MetricKey {
-            name: Cow::Borrowed(name),
-            labels,
-        }
+        MetricKey { name, labels }
     }
 }
 
@@ -260,52 +257,39 @@ impl Histogram {
         self.overflow
     }
 
-    /// Merge another histogram into this one. The bucket layouts must
-    /// match (they do for same-named metrics recorded by this crate's
-    /// macros); mismatched layouts fall back to re-observing the other's
-    /// mean, which preserves `count` and `sum` but coarsens buckets.
+    /// Merge another histogram with the same bucket layout into this
+    /// one (a registry gives every histogram [`DEFAULT_BOUNDS`]).
     pub fn merge(&mut self, other: &Histogram) {
-        if self.bounds == other.bounds {
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
-            self.overflow += other.overflow;
-            self.count += other.count;
-            self.sum += other.sum;
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        } else {
-            let mean = other.mean();
-            for _ in 0..other.count {
-                self.observe(mean);
-            }
+        debug_assert_eq!(self.bounds, other.bounds, "bucket layouts differ");
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
+        self.overflow += other.overflow;
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
-/// One metric's exported value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Monotone counter.
-    Counter(u64),
-    /// Last-written gauge.
-    Gauge(f64),
-    /// Distribution.
-    Histogram(Histogram),
+/// The one value in `map` keyed `name` and `labels`.
+fn find<'a, T>(map: &'a BTreeMap<MetricKey, T>, name: &str, labels: &Labels) -> Option<&'a T> {
+    map.iter()
+        .find(|(k, _)| k.name == name && &k.labels == labels)
+        .map(|(_, v)| v)
 }
 
-/// The metrics store. Single-threaded by design: each collector owns its
-/// own registry and parallel layers merge registries in job index order
-/// (see [`Registry::merge`]), so no lock sits on the hot path.
+/// The metrics store, and the unit every exporter reads: each kind is a
+/// key-ordered map, which makes the exports deterministic.
+/// Single-threaded by design: each collector owns its own registry and
+/// parallel layers merge registries in job index order (see
+/// [`Registry::merge`]), so no lock sits on the hot path.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histograms: BTreeMap<MetricKey, Histogram>,
     quantiles: BTreeMap<MetricKey, QuantileSet>,
-    /// Bucket bounds to use for histograms created by name, when a
-    /// metric wants something other than [`DEFAULT_BOUNDS`].
-    buckets: BTreeMap<&'static str, Vec<f64>>,
 }
 
 impl Registry {
@@ -313,13 +297,6 @@ impl Registry {
     #[must_use]
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// Pre-register bucket bounds for histograms named `name`. Must be
-    /// called before the first observation of that metric to take
-    /// effect.
-    pub fn set_buckets(&mut self, name: &'static str, bounds: &[f64]) {
-        self.buckets.insert(name, bounds.to_vec());
     }
 
     /// Add to a counter.
@@ -337,13 +314,9 @@ impl Registry {
 
     /// Record a histogram sample.
     pub fn histogram_observe(&mut self, name: &'static str, labels: Labels, value: f64) {
-        let key = MetricKey::new(name, labels);
         self.histograms
-            .entry(key)
-            .or_insert_with(|| match self.buckets.get(name) {
-                Some(bounds) => Histogram::new(bounds),
-                None => Histogram::default_bounds(),
-            })
+            .entry(MetricKey::new(name, labels))
+            .or_insert_with(Histogram::default_bounds)
             .observe(value);
     }
 
@@ -358,10 +331,7 @@ impl Registry {
     /// A counter's current value (0 if never written).
     #[must_use]
     pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k.name == name && &k.labels == labels)
-            .map_or(0, |(_, v)| *v)
+        find(&self.counters, name, labels).map_or(0, |v| *v)
     }
 
     /// Sum of a counter across all label sets.
@@ -377,37 +347,63 @@ impl Registry {
     /// A gauge's current value.
     #[must_use]
     pub fn gauge(&self, name: &str, labels: &Labels) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k.name == name && &k.labels == labels)
-            .map(|(_, v)| *v)
+        find(&self.gauges, name, labels).copied()
     }
 
     /// A histogram, if any sample was recorded.
     #[must_use]
     pub fn histogram(&self, name: &str, labels: &Labels) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k.name == name && &k.labels == labels)
-            .map(|(_, v)| v)
+        find(&self.histograms, name, labels)
     }
 
     /// A quantile set, if any sample was recorded.
     #[must_use]
     pub fn quantile(&self, name: &str, labels: &Labels) -> Option<&QuantileSet> {
-        self.quantiles
-            .iter()
-            .find(|(k, _)| k.name == name && &k.labels == labels)
-            .map(|(_, v)| v)
+        find(&self.quantiles, name, labels)
+    }
+
+    /// Every counter, key-ordered.
+    #[must_use]
+    pub fn counters(&self) -> &BTreeMap<MetricKey, u64> {
+        &self.counters
+    }
+
+    /// Every gauge, key-ordered.
+    #[must_use]
+    pub fn gauges(&self) -> &BTreeMap<MetricKey, f64> {
+        &self.gauges
+    }
+
+    /// Every histogram, key-ordered.
+    #[must_use]
+    pub fn histograms(&self) -> &BTreeMap<MetricKey, Histogram> {
+        &self.histograms
+    }
+
+    /// Every streaming p50/p95/p99 set, key-ordered.
+    #[must_use]
+    pub fn quantiles(&self) -> &BTreeMap<MetricKey, QuantileSet> {
+        &self.quantiles
+    }
+
+    /// Number of metrics of every kind.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.counters.len() + self.gauges.len() + self.histograms.len() + self.quantiles.len()
     }
 
     /// Whether nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.quantiles.is_empty()
+        self.len() == 0
+    }
+
+    /// Keep only the metrics whose key passes `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&MetricKey) -> bool) {
+        self.counters.retain(|k, _| keep(k));
+        self.gauges.retain(|k, _| keep(k));
+        self.histograms.retain(|k, _| keep(k));
+        self.quantiles.retain(|k, _| keep(k));
     }
 
     /// Merge `other` into `self`: counters and histogram buckets sum;
@@ -436,70 +432,6 @@ impl Registry {
                 }
             }
         }
-    }
-
-    /// An ordered, point-in-time copy of every metric.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            quantiles: self
-                .quantiles
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time, key-ordered copy of a [`Registry`] — the unit the
-/// JSONL exporter and the dashboard consume. Key order makes the export
-/// deterministic.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Snapshot {
-    /// Counters, key-ordered.
-    pub counters: Vec<(MetricKey, u64)>,
-    /// Gauges, key-ordered.
-    pub gauges: Vec<(MetricKey, f64)>,
-    /// Histograms, key-ordered.
-    pub histograms: Vec<(MetricKey, Histogram)>,
-    /// Streaming p50/p95/p99 sets, key-ordered.
-    pub quantiles: Vec<(MetricKey, QuantileSet)>,
-}
-
-impl Snapshot {
-    /// Whether the snapshot holds no metrics.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.quantiles.is_empty()
-    }
-
-    /// Sum of a counter across every label set (0 if absent).
-    #[must_use]
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name.as_ref() == name)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// A counter's value for an exact label set (0 if absent).
-    #[must_use]
-    pub fn counter(&self, name: &str, labels: &Labels) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k.name.as_ref() == name && &k.labels == labels)
-            .map_or(0, |(_, v)| *v)
     }
 }
 
@@ -586,9 +518,7 @@ mod tests {
         other.quantile_observe("wait", Labels::empty(), 9.0);
         r.merge(&other);
         assert_eq!(r.quantile("wait", &Labels::empty()).unwrap().count(), 4);
-        let snap = r.snapshot();
-        assert_eq!(snap.quantiles.len(), 1);
-        assert!(!snap.is_empty());
+        assert_eq!(r.quantiles().len(), 1);
     }
 
     #[test]
@@ -622,22 +552,22 @@ mod tests {
     }
 
     #[test]
-    fn custom_buckets_apply_to_named_histograms() {
+    fn registry_histograms_take_the_default_bounds() {
         let mut r = Registry::new();
-        r.set_buckets("latency", &[2.0]);
         r.histogram_observe("latency", Labels::empty(), 1.0);
         let h = r.histogram("latency", &Labels::empty()).unwrap();
-        assert_eq!(h.bounds(), &[2.0]);
+        assert_eq!(h.bounds(), DEFAULT_BOUNDS);
     }
 
     #[test]
-    fn snapshot_is_key_ordered() {
+    fn metrics_are_key_ordered() {
         let mut r = Registry::new();
         r.counter_add("z", Labels::empty(), 1);
         r.counter_add("a", Labels::empty(), 1);
-        let s = r.snapshot();
-        assert_eq!(s.counters[0].0.name, "a");
-        assert_eq!(s.counters[1].0.name, "z");
-        assert!(!s.is_empty());
+        let names: Vec<_> = r.counters().keys().map(|k| k.name).collect();
+        assert_eq!(names, ["a", "z"]);
+        assert_eq!(r.len(), 2);
+        r.retain(|k| k.name != "z");
+        assert_eq!(r.len(), 1);
     }
 }
