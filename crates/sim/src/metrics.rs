@@ -197,6 +197,17 @@ impl Metrics {
             + self.service_degradations
     }
 
+    /// Hiccups by cause, in [`LossReason`] declaration order.
+    #[must_use]
+    pub fn hiccups_by_reason(&self) -> [(LossReason, u64); 4] {
+        [
+            (LossReason::FailedDisk, self.hiccups_failed_disk),
+            (LossReason::Displaced, self.hiccups_displaced),
+            (LossReason::MidCycle, self.hiccups_mid_cycle),
+            (LossReason::ServiceDegradation, self.service_degradations),
+        ]
+    }
+
     /// Record one hiccup by cause.
     pub fn count_hiccup(&mut self, reason: LossReason) {
         match reason {

@@ -7,6 +7,7 @@ use ft_media_server::disk::DiskId;
 use ft_media_server::layout::BandwidthClass;
 use ft_media_server::sched::{SchemeScheduler, TransitionPolicy};
 use ft_media_server::sim::{DataMode, FailureEvent};
+use ft_media_server::telemetry::{Level, Recorder};
 use ft_media_server::{MultimediaServer, Scheme, ServerBuilder, ServerError};
 
 /// Inject a cycle-boundary failure effective now.
@@ -158,11 +159,11 @@ fn improved_bandwidth_tolerates_non_adjacent_failures() {
     assert_eq!(m.delivered, m.verified);
 }
 
-#[test]
-fn nonclustered_buffer_server_exhaustion_degrades_service() {
-    // K_NC = 1 buffer server, failures in two different clusters: the
-    // second degraded cluster finds no server and its streams are
-    // dropped — the Eq. 6 degradation-of-service event.
+/// K_NC = 1 buffer server, failures in two different clusters: the
+/// second degraded cluster finds no server and its streams are dropped —
+/// the Eq. 6 degradation-of-service event. Returns the server after the
+/// second failure.
+fn exhaust_nc_buffer_servers() -> MultimediaServer {
     let mut s = ServerBuilder::new(Scheme::NonClustered)
         .disks(10)
         .parity_group(5)
@@ -181,7 +182,25 @@ fn nonclustered_buffer_server_exhaustion_degrades_service() {
         !r2.dropped_streams.is_empty(),
         "second degraded cluster must shed streams"
     );
+    s
+}
+
+#[test]
+fn nonclustered_buffer_server_exhaustion_degrades_service() {
+    let s = exhaust_nc_buffer_servers();
     assert!(s.metrics().service_degradations > 0);
+}
+
+#[test]
+fn dropped_streams_reach_the_hiccup_series() {
+    let recorder = Recorder::new(Level::Info);
+    let _guard = recorder.install();
+    let mut s = exhaust_nc_buffer_servers();
+    let hiccups = || recorder.snapshot().counter_total("sim.hiccups");
+    assert!(s.metrics().service_degradations > 0);
+    assert_eq!(hiccups(), s.metrics().total_hiccups());
+    s.run(4).unwrap();
+    assert_eq!(hiccups(), s.metrics().total_hiccups());
 }
 
 #[test]
