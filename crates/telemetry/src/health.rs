@@ -4,13 +4,11 @@
 //! cluster runs degraded, a second failure in the wrong place loses
 //! data (the MTTDS analysis of Eq. 6). [`HealthModel`] watches the
 //! event stream a simulation already emits — `cycle` spans, `hiccup`
-//! events, `mode_transition` events, `rebuild_started` events, and
-//! `Error`-level records — and maintains three live signals:
+//! events, `mode_transition` events, and `Error`-level records — and
+//! maintains two live signals:
 //!
 //! * **stall-budget burn** — hiccups per kilocycle against a budget,
 //!   with a first-crossing alert cycle;
-//! * **rebuild ETA** — cycles until the active rebuild completes, from
-//!   the observed progress rate;
 //! * **degraded exposure** — cumulative cluster-cycles (and seconds, at
 //!   `T_cyc` seconds per cycle) spent in a non-normal mode: the live
 //!   integrand of the paper's data-loss exposure.
@@ -69,9 +67,6 @@ pub struct HealthModel {
     open_since: Vec<(u64, u64, u64)>,
     stall_alert_at: Option<u64>,
     loss_alert_at: Option<u64>,
-    rebuild_started_at: Option<u64>,
-    rebuild_progress: f64,
-    rebuild_progress_cycle: u64,
 }
 
 impl HealthModel {
@@ -87,9 +82,6 @@ impl HealthModel {
             open_since: Vec::with_capacity(64),
             stall_alert_at: None,
             loss_alert_at: None,
-            rebuild_started_at: None,
-            rebuild_progress: 0.0,
-            rebuild_progress_cycle: 0,
         }
     }
 
@@ -149,21 +141,8 @@ impl HealthModel {
                     self.open_since.push((scheme, cluster, cycle));
                 }
             }
-            "rebuild_started" => {
-                self.rebuild_started_at = Some(event_cycle(event).unwrap_or(self.cycle));
-                self.rebuild_progress = 0.0;
-                self.rebuild_progress_cycle = self.rebuild_started_at.unwrap_or(0);
-            }
             _ => {}
         }
-    }
-
-    /// Report the latest rebuild progress (a fraction in `[0, 1]`) as of
-    /// `cycle`, e.g. from the `rebuild.progress` gauge.
-    pub fn observe_progress(&mut self, cycle: u64, progress: f64) {
-        self.cycle = cycle.max(self.cycle);
-        self.rebuild_progress = progress;
-        self.rebuild_progress_cycle = cycle;
     }
 
     /// Close every open degraded interval at `end_cycle` (intervals
@@ -252,23 +231,6 @@ impl HealthModel {
         self.loss_alert_at
     }
 
-    /// Estimated cycles until the active rebuild completes, from the
-    /// observed progress rate. `None` without an active rebuild or any
-    /// progress to extrapolate from.
-    #[must_use]
-    pub fn rebuild_eta_cycles(&self) -> Option<f64> {
-        let start = self.rebuild_started_at?;
-        let p = self.rebuild_progress;
-        if p <= 0.0 {
-            return None;
-        }
-        if p >= 1.0 {
-            return Some(0.0);
-        }
-        let elapsed = self.rebuild_progress_cycle.saturating_sub(start).max(1);
-        Some(elapsed as f64 * (1.0 - p) / p)
-    }
-
     /// Write the `health.*` gauges for `scheme` into `registry`.
     pub fn publish_to(&self, registry: &mut Registry, scheme: &str) {
         let labels = || Labels::new(vec![("scheme", LabelValue::Str(scheme.to_string().into()))]);
@@ -289,9 +251,6 @@ impl HealthModel {
             labels(),
             self.data_loss_events as f64,
         );
-        if let Some(eta) = self.rebuild_eta_cycles() {
-            registry.gauge_set("health.rebuild_eta_cycles", labels(), eta);
-        }
     }
 
     /// Synthesized alert events for thresholds crossed during the run,
@@ -349,14 +308,6 @@ impl HealthModel {
             self.degraded_cycles(),
             self.degraded_exposure_secs()
         );
-        match self.rebuild_eta_cycles() {
-            Some(eta) => {
-                let _ = writeln!(out, "rebuild ETA           {eta:>12.1}  cycles");
-            }
-            None => {
-                let _ = writeln!(out, "rebuild ETA           {:>12}", "-");
-            }
-        }
         match self.stall_alert_at {
             Some(c) => {
                 let _ = writeln!(out, "stall alert           {c:>12}  (first crossing)");
@@ -387,7 +338,6 @@ impl Default for HealthModel {
     }
 }
 
-/// An event's `cycle` field, accepting both integer encodings.
 /// FNV-1a over the scheme label: a deterministic, allocation-free key
 /// for telling schemes apart in the open-interval table.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -399,6 +349,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// An event's `cycle` field, accepting both integer encodings.
 fn event_cycle(event: &EventRecord) -> Option<u64> {
     match event.field("cycle") {
         Some(Value::U64(c)) => Some(*c),
@@ -483,22 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_eta_extrapolates_progress() {
-        let mut h = HealthModel::default();
-        h.observe(&ev(
-            "rebuild_started",
-            vec![("cycle", Value::U64(100)), ("disk", Value::U64(3))],
-        ));
-        assert_eq!(h.rebuild_eta_cycles(), None, "no progress yet");
-        h.observe_progress(120, 0.25);
-        // 20 cycles bought 25%; 75% remains → 60 cycles.
-        let eta = h.rebuild_eta_cycles().expect("progress seen");
-        assert!((eta - 60.0).abs() < 1e-9, "{eta}");
-        h.observe_progress(180, 1.0);
-        assert_eq!(h.rebuild_eta_cycles(), Some(0.0));
-    }
-
-    #[test]
     fn publish_writes_health_gauges() {
         let mut h = HealthModel::default();
         h.observe(&transition(5, 0, "degraded"));
@@ -521,7 +456,6 @@ mod tests {
         let text = h.panel();
         assert!(text.contains("health"), "{text}");
         assert!(text.contains("degraded exposure"), "{text}");
-        assert!(text.contains("rebuild ETA"), "{text}");
         assert!(text.contains("10"), "{text}");
     }
 }
