@@ -34,7 +34,6 @@
 //! enforce it.
 
 use crate::{timed, Harness};
-use mms_bench::args::Args;
 use mms_bench::json::{obj, Json};
 use mms_server::disk::DiskId;
 use mms_server::layout::{BandwidthClass, BlockAddr, MediaObject, ObjectId};
@@ -42,6 +41,7 @@ use mms_server::parity::{
     fill_synthetic, fill_synthetic_folded, synthetic_fingerprint, xor_slices, xor_synthetic,
 };
 use mms_server::sim::{BlockOracle, DataMode, FailureEvent, StepMode};
+use mms_server::Args;
 use mms_server::{Scheme, ServerBuilder, ServerError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;

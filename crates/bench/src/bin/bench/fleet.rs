@@ -21,11 +21,11 @@
 //! `--quick` shrinks the horizon and trial count for CI smoke runs.
 
 use crate::{timed, Harness};
-use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
 use mms_fleet::{fleet_mttds, fleet_mttf, FleetBuilder, ShardReport, ShardedLoad};
 use mms_server::disk::{ReliabilityParams, Time};
 use mms_server::sim::{SplitMix64, StepMode};
+use mms_server::Args;
 use mms_server::Parallelism;
 use std::process::ExitCode;
 

@@ -9,15 +9,17 @@ mod parallel;
 mod steady;
 mod workload;
 
-use mms_bench::args::Args;
 use mms_bench::json::{obj, Json};
-use mms_server::{Parallelism, Scheme};
+use mms_server::{synopsis, Args, Parallelism, Scheme};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 /// A bench parses what is left of the command line (and must `finish`
 /// it) before it measures anything; its exit code is its verdict.
 type Bench = fn(&Harness, &mut Args) -> Result<ExitCode, String>;
+
+/// The flags every bench takes.
+const FLAGS: &str = "--quick";
 
 /// `(name, what it measures, bench)`.
 #[rustfmt::skip]
@@ -97,7 +99,7 @@ fn run(mut argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         .iter()
         .find(|(known, _, _)| *known == name)
         .ok_or_else(|| format!("no bench named `{name}`"))?;
-    let mut args = Args::parse(argv, &["--quick"])?;
+    let mut args = Args::parse(argv, &[FLAGS])?;
     let harness = Harness {
         name,
         out_path: args.positional("output path", format!("BENCH_{name}.json"))?,
@@ -108,7 +110,8 @@ fn run(mut argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     run(std::env::args().skip(1)).unwrap_or_else(|problem| {
-        eprintln!("error: {problem}\nusage: bench <name> [out.json] [--quick]");
+        let flags = synopsis(FLAGS);
+        eprintln!("error: {problem}\nusage: bench <name> [out.json] {flags}");
         for (name, what, _) in BENCHES {
             eprintln!("  {name:<9} {what}");
         }

@@ -14,7 +14,6 @@
 //! seconds at its one size, so `--quick` changes nothing here.
 
 use crate::{timed, Harness};
-use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
 use mms_bench::nc_transition_losses;
 use mms_server::analysis::{design_space_par, CostModel, SchemeParams, SystemParams};
@@ -22,6 +21,7 @@ use mms_server::disk::ReliabilityParams;
 use mms_server::reliability::{CatastropheRule, MonteCarlo};
 use mms_server::sched::TransitionPolicy;
 use mms_server::sim::run_batch;
+use mms_server::Args;
 use mms_server::Parallelism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -29,11 +29,11 @@
 //! assertions always run.
 
 use crate::{timed, Harness, SCHEMES};
-use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
 use mms_bench::scheme_server;
 use mms_server::layout::ObjectId;
 use mms_server::sim::{StepMode, WorkloadGen};
+use mms_server::Args;
 use mms_server::{MultimediaServer, Scheme};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

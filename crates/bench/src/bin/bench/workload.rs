@@ -23,7 +23,6 @@
 //! "million-session day").
 
 use crate::{timed, Harness, SCHEMES};
-use mms_bench::args::Args;
 use mms_bench::json::{obj, row, Json};
 use mms_bench::scheme_server;
 use mms_server::disk::DiskId;
@@ -31,6 +30,7 @@ use mms_server::layout::ObjectId;
 use mms_server::sim::{
     run_batch_seeded, AdmissionPolicy, ArrivalProcess, FailureEvent, SessionEngine, StepMode,
 };
+use mms_server::Args;
 use mms_server::{Parallelism, Scheme};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -4,8 +4,8 @@
 use mms_bench::scheme_server;
 use mms_server::disk::{Bandwidth, DiskId, DiskParams};
 use mms_server::layout::{
-    BandwidthClass, BlockKind, Catalog, ClusteredLayout, Geometry, ImprovedLayout, MediaObject,
-    ObjectId,
+    BandwidthClass, BlockKind, Catalog, ClusteredLayout, Geometry, ImprovedLayout, Layout,
+    MediaObject, ObjectId,
 };
 use mms_server::sched::{
     CycleConfig, CyclePlan, NonClusteredScheduler, SchemeScheduler, TransitionPolicy,
@@ -275,8 +275,11 @@ pub fn fig7_transition() {
 /// cluster i+1 (X0p/Y0p/Z0p staircase).
 pub fn fig8_layout() {
     let geo = Geometry::improved(8, 5).unwrap();
-    // Figure 8 places objects X, Y, Z starting on cluster 0 with their
-    // parity staircased across cluster 1; the salt models that staircase.
+    let layout = ImprovedLayout::new(geo);
+    // Figure 8 places objects X, Y, Z starting on cluster 0 and
+    // staircases their parity across cluster 1: object i's parity sits
+    // i disks further along the next cluster than the layout's own
+    // rotation by group.
     println!("Figure 8 — Improved-bandwidth layout (cluster 0: disks 0-3, cluster 1: disks 4-7)\n");
     let names = ["X", "Y", "Z"];
     print!("{:>6}", "");
@@ -285,24 +288,20 @@ pub fn fig8_layout() {
     }
     println!();
     for (i, name) in names.iter().enumerate() {
-        let layout = ImprovedLayout::with_salt(geo, i as u32);
-        let mut catalog = Catalog::new(layout, 10_000);
-        catalog
-            .add_at(
-                MediaObject::new(ObjectId(i as u64), *name, 16, BandwidthClass::Mpeg1),
-                0,
-            )
-            .unwrap();
         print!("{name:>4}: ");
         for d in 0..8u32 {
-            let blocks = catalog.blocks_on_disk(DiskId(d));
-            let cell: Vec<String> = blocks
-                .iter()
-                .map(|b| match b.kind {
-                    BlockKind::Data(_) => format!("{name}{}", b.track_number(4).unwrap()),
-                    BlockKind::Parity => format!("{name}{}p", b.group * 4),
-                })
-                .collect();
+            let mut cell = Vec::new();
+            for group in 0..4u64 {
+                for index in 0..4 {
+                    if layout.data_placement(0, group, index).disk == DiskId(d) {
+                        cell.push(format!("{name}{}", group * 4 + u64::from(index)));
+                    }
+                }
+                let parity_cluster = geo.next_cluster(layout.data_cluster(0, group));
+                if geo.disk_at(parity_cluster, ((group + i as u64) % 4) as u32) == DiskId(d) {
+                    cell.push(format!("{name}{}p", group * 4));
+                }
+            }
             print!(" {:>13}", cell.join(","));
         }
         println!();

@@ -8,7 +8,7 @@ mod tables;
 
 use ablations::*;
 use figures::*;
-use mms_bench::args::Args;
+use mms_server::Args;
 use std::process::ExitCode;
 use tables::*;
 

@@ -1,13 +1,13 @@
 //! The paper's numeric results: the §2 table, Tables 2 and 3, Figure 9,
 //! the reliability quotes of §1–§4 and the §5 design exercise.
 
-use mms_bench::args::Args;
 use mms_server::analysis::{
     design_space_par, fig9_rows, partition_classes, section2_rows, table_rows, ClassDemand,
     CostModel, SchemeKind, SchemeParams, SystemParams,
 };
 use mms_server::disk::{Bandwidth, ReliabilityParams, Time};
 use mms_server::reliability::{formulas, CatastropheRule, ClusterMarkov, MonteCarlo};
+use mms_server::Args;
 use mms_server::Parallelism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

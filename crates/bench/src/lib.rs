@@ -13,13 +13,11 @@
 //! arguments the catalogue of measurements; each is one table in its
 //! `main.rs`, and that table is the only list there is.
 //!
-//! This library holds what both binaries share: the argument parser,
-//! the JSON writer, the server most grids are measured on and the one
+//! This library holds what both binaries share: the JSON writer, the server most grids are measured on and the one
 //! scenario both binaries run.
 
 #![forbid(unsafe_code)]
 
-pub mod args;
 pub mod json;
 
 use mms_server::disk::{Bandwidth, DiskId, DiskParams};

@@ -3,7 +3,6 @@
 use crate::any::AnyScheduler;
 use crate::server::MultimediaServer;
 use mms_disk::DiskParams;
-use mms_exec::Parallelism;
 use mms_layout::{
     BandwidthClass, Catalog, CatalogError, ClusteredLayout, Geometry, GeometryError,
     ImprovedLayout, MediaObject, ObjectId,
@@ -70,7 +69,6 @@ pub struct ServerBuilder {
     ib_reserved_slots: usize,
     ib_parity_prefetch: bool,
     data_mode: DataMode,
-    parallelism: Parallelism,
     step_mode: StepMode,
     movies: Vec<(String, f64, BandwidthClass)>,
     raw_objects: Vec<MediaObject>,
@@ -91,7 +89,6 @@ impl ServerBuilder {
             ib_reserved_slots: 1,
             ib_parity_prefetch: false,
             data_mode: DataMode::Verified { track_bytes: 256 },
-            parallelism: Parallelism::Auto,
             step_mode: StepMode::CycleByCycle,
             movies: Vec::new(),
             raw_objects: Vec::new(),
@@ -159,17 +156,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Worker-pool width for the server's batch experiments (the
-    /// Monte-Carlo reliability measurement and any `mms_sim::batch`
-    /// grids driven through this server). Purely a performance knob:
-    /// results are bit-identical for every setting. Default
-    /// [`Parallelism::Auto`].
-    #[must_use]
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = par;
-        self
-    }
-
     /// Simulator step mode (`EventHorizon` fast-forwards idle spans;
     /// observably identical to `Cycle`).
     #[must_use]
@@ -178,12 +164,13 @@ impl ServerBuilder {
         self
     }
 
-    /// Apply a unified [`crate::RunConfig`]: worker pool and step mode
-    /// in one call, so drivers configure the server from the same
-    /// object that configures their telemetry.
+    /// Apply a unified [`crate::RunConfig`]: its step mode, so drivers
+    /// configure the server from the same object that configures their
+    /// telemetry. (A server runs on one thread; the config's worker pool
+    /// is for the driver's own batch fan-outs.)
     #[must_use]
     pub fn run_config(self, cfg: &crate::RunConfig) -> Self {
-        self.parallelism(cfg.threads).step_mode(cfg.step_mode)
+        self.step_mode(cfg.step_mode)
     }
 
     /// Register a movie by play length in minutes.
@@ -281,7 +268,7 @@ impl ServerBuilder {
             self.data_mode,
             directory,
         );
-        let mut server = MultimediaServer::from_parts(sim, object_ids, self.c, self.parallelism);
+        let mut server = MultimediaServer::from_parts(sim, object_ids);
         server.set_step_mode(self.step_mode);
         Ok(server)
     }

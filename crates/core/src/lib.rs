@@ -9,6 +9,9 @@
 //!   disk failures, and read metrics.
 //! * [`AnyScheduler`] — a scheme-erased scheduler so all four schemes
 //!   share one server type.
+//! * [`RunConfig`] and [`Args`] — the run knobs every driver shares,
+//!   and the one command-line parser `mms-ctl`, `repro` and `bench`
+//!   check their arguments with.
 //! * Re-exports of every substrate (`disk`, `parity`, `layout`,
 //!   `buffer`, `sched`, `reliability`, `analysis`, `sim`).
 //!
@@ -40,14 +43,13 @@
 //! [`MultimediaServer::inject`] is the single fault-surface entry
 //! point, and the [`scenario`] module scripts whole
 //! deterministic failure scenarios and runs them as a corpus. All
-//! fallible server methods return the unified [`ServerError`]; the
-//! legacy per-subsystem enums remain re-exported below for
-//! pattern-matching callers.
+//! fallible server methods return the unified [`ServerError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod any;
+mod args;
 mod builder;
 mod error;
 mod library;
@@ -56,17 +58,12 @@ pub mod scenario;
 mod server;
 
 pub use any::AnyScheduler;
+pub use args::{synopsis, Args};
 pub use builder::{BuildError, Scheme, ServerBuilder};
 pub use error::ServerError;
 pub use library::{Librarian, StagingJob};
-pub use runcfg::{flag_arg, flag_value, RunConfig, TelemetryConfig};
+pub use runcfg::{RunConfig, TelemetryConfig};
 pub use server::MultimediaServer;
-
-// Legacy per-subsystem error enums, re-exported so pattern-matching
-// callers predating [`ServerError`] keep compiling.
-pub use mms_layout::CatalogError;
-pub use mms_sched::{AdmissionError, RetireError};
-pub use mms_sim::SimError;
 
 /// Deterministic parallel execution ([`mms_exec`]).
 pub use mms_exec as exec;

@@ -3,11 +3,13 @@
 //! Every `mms-ctl` subcommand (and any downstream driver) takes the
 //! same knobs: a worker pool, a step mode, and the observability
 //! surface (JSONL export, dashboard, flight recorder, SLO panel,
-//! Prometheus/Perfetto outs). [`RunConfig`] parses them once from the
-//! command line and is handed to builders directly —
+//! Prometheus/Perfetto outs). [`RunConfig`] reads them once from the
+//! parsed command line (its flag list is [`RunConfig::FLAGS`], checked
+//! by [`Args`]) and is handed to builders directly —
 //! `ServerBuilder::run_config` and the fleet builder both accept it —
 //! instead of each subcommand re-threading individual flags.
 
+use crate::Args;
 use mms_exec::Parallelism;
 use mms_sim::StepMode;
 use mms_telemetry::{
@@ -55,7 +57,7 @@ impl Default for TelemetryConfig {
 /// One run's complete configuration: worker pool, step mode, and
 /// telemetry. Built once per invocation and shared by every
 /// subsystem the run touches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Worker pool for any fan-out the run performs (`--threads`,
     /// default auto). Purely a performance knob — outputs are
@@ -68,65 +70,34 @@ pub struct RunConfig {
     pub telemetry: TelemetryConfig,
 }
 
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            threads: Parallelism::Auto,
-            step_mode: StepMode::CycleByCycle,
-            telemetry: TelemetryConfig::default(),
-        }
-    }
-}
-
-/// The argument given for `flag` in a raw argument list, `None` when the
-/// flag is absent. A flag that ends the list, or is followed by another
-/// `--flag`, was given no value: an error naming it, not a default.
-pub fn flag_arg<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    let Some(at) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(at + 1) {
-        Some(value) if !value.starts_with("--") => Ok(Some(value)),
-        _ => Err(format!("{flag} needs a value")),
-    }
-}
-
-/// [`flag_arg`], parsed; `default` when the flag is absent.
-pub fn flag_value<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
-    match flag_arg(args, flag)? {
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("bad value for {flag}: '{value}'")),
-        None => Ok(default),
-    }
-}
-
 impl RunConfig {
-    /// Parse the shared run flags out of a raw argument list,
-    /// defaulting everything that is absent. Unrelated flags are
-    /// ignored, so subcommands can mix their own flags freely.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let path_flag = |flag| Ok::<_, String>(flag_arg(args, flag)?.map(str::to_string));
+    /// The flags [`from_args`](Self::from_args) reads, as a flag list
+    /// of [`Args`]: every run-style `mms-ctl` subcommand takes them.
+    pub const FLAGS: &'static str = "--threads N|auto|seq --fast-forward --telemetry PATH.jsonl \
+                                     --log-level error|warn|info|debug|trace --dash \
+                                     --flight-recorder PATH --flight-capacity N --prom-out PATH \
+                                     --perfetto-out PATH --slo";
+
+    /// Read the run flags out of a parsed command line, defaulting
+    /// everything that is absent.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let path = |flag| args.get(flag).map(str::to_string);
         Ok(RunConfig {
-            threads: flag_value(args, "--threads", Parallelism::Auto)?,
-            step_mode: if args.iter().any(|a| a == "--fast-forward") {
+            threads: args.value("--threads", Parallelism::Auto)?,
+            step_mode: if args.flag("--fast-forward") {
                 StepMode::EventHorizon
             } else {
                 StepMode::CycleByCycle
             },
             telemetry: TelemetryConfig {
-                jsonl: path_flag("--telemetry")?,
-                level: flag_value(args, "--log-level", Level::Info)?,
-                dash: args.iter().any(|a| a == "--dash"),
-                flight: path_flag("--flight-recorder")?,
-                flight_capacity: flag_value(args, "--flight-capacity", 4096)?,
-                prom: path_flag("--prom-out")?,
-                perfetto: path_flag("--perfetto-out")?,
-                slo: args.iter().any(|a| a == "--slo"),
+                jsonl: path("--telemetry"),
+                level: args.value("--log-level", Level::Info)?,
+                dash: args.flag("--dash"),
+                flight: path("--flight-recorder"),
+                flight_capacity: args.value("--flight-capacity", 4096)?,
+                prom: path("--prom-out"),
+                perfetto: path("--perfetto-out"),
+                slo: args.flag("--slo"),
             },
         })
     }
@@ -229,41 +200,10 @@ impl RunConfig {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn parses_shared_flags_once() {
-        let cfg = RunConfig::from_args(&args(&[
-            "--threads",
-            "4",
-            "--fast-forward",
-            "--log-level",
-            "debug",
-            "--dash",
-            "--flight-capacity",
-            "64",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.threads, Parallelism::threads(4));
-        assert_eq!(cfg.step_mode, StepMode::EventHorizon);
-        assert_eq!(cfg.telemetry.level, Level::Debug);
-        assert!(cfg.telemetry.dash);
-        assert_eq!(cfg.telemetry.flight_capacity, 64);
-    }
-
-    #[test]
-    fn defaults_without_flags() {
-        let cfg = RunConfig::from_args(&[]).unwrap();
-        assert_eq!(cfg.threads, Parallelism::Auto);
-        assert_eq!(cfg.step_mode, StepMode::CycleByCycle);
-        assert!(cfg.recorder().is_none(), "no telemetry flags → untraced");
-    }
-
     #[test]
     fn flight_recorder_raises_collection_floor() {
-        let cfg = RunConfig::from_args(&args(&["--flight-recorder", "/tmp/x.jsonl"])).unwrap();
+        let mut cfg = RunConfig::default();
+        cfg.telemetry.flight = Some("/tmp/x.jsonl".into());
         let rec = cfg.recorder().expect("flight recording implies a recorder");
         {
             let _guard = rec.install();

@@ -24,7 +24,7 @@ use crate::error::ServerError;
 use crate::runcfg::RunConfig;
 use crate::server::MultimediaServer;
 use mms_disk::{DiskId, ReliabilityParams, Time};
-use mms_exec::{Parallelism, SeedSequence};
+use mms_exec::SeedSequence;
 use mms_layout::{BandwidthClass, MediaObject, ObjectId};
 use mms_sched::{SchemeKind, TransitionPolicy};
 use mms_sim::{run_batch, DataMode, FailureEvent, FailureSchedule, StepMode};
@@ -609,8 +609,7 @@ impl ScenarioTopology {
             .parity_prefetch(self.ib_parity_prefetch)
             .data_mode(DataMode::Verified {
                 track_bytes: self.track_bytes,
-            })
-            .parallelism(Parallelism::Sequential);
+            });
         match &self.objects {
             ObjectSet::Movies(movies) => {
                 for (name, minutes, class) in movies {

@@ -3,10 +3,8 @@
 use crate::any::AnyScheduler;
 use crate::error::ServerError;
 use crate::library::Librarian;
-use mms_disk::{DiskId, ReliabilityParams};
-use mms_exec::Parallelism;
+use mms_disk::DiskId;
 use mms_layout::{CatalogError, MediaObject, ObjectId};
-use mms_reliability::montecarlo::{CatastropheRule, MonteCarlo, TrialStats};
 use mms_sched::{CycleConfig, FailureReport, SchemeKind, SchemeScheduler, StreamId, StreamInfo};
 use mms_sim::{
     CycleReport, FailureEvent, Metrics, RebuildSource, SessionEngine, Simulator, StepMode,
@@ -24,63 +22,17 @@ pub struct MultimediaServer {
     librarian: Librarian,
     /// Last cycle each resident object was admitted (for LRU purging).
     last_use: std::collections::BTreeMap<ObjectId, u64>,
-    /// Parity-group size `C` (kept for reliability measurements).
-    c: usize,
-    /// Worker-pool width for batch experiments.
-    parallelism: Parallelism,
 }
 
 impl MultimediaServer {
-    pub(crate) fn from_parts(
-        sim: Simulator<AnyScheduler>,
-        objects: Vec<ObjectId>,
-        c: usize,
-        parallelism: Parallelism,
-    ) -> Self {
+    pub(crate) fn from_parts(sim: Simulator<AnyScheduler>, objects: Vec<ObjectId>) -> Self {
         let last_use = objects.iter().map(|&o| (o, 0)).collect();
         MultimediaServer {
             sim,
             objects,
             librarian: Librarian::new(1),
             last_use,
-            c,
-            parallelism,
         }
-    }
-
-    /// The configured worker-pool width (see
-    /// [`ServerBuilder::parallelism`](crate::ServerBuilder::parallelism)).
-    #[must_use]
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Change the worker-pool width. Purely a performance knob — no
-    /// result this server produces depends on it.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.parallelism = par;
-    }
-
-    /// Measure this server's mean time to catastrophic failure by
-    /// Monte-Carlo, using the scheme's terminal rule over the configured
-    /// geometry (Eqs. 4–5) and the configured [`Parallelism`]. Results
-    /// are bit-identical for every thread count.
-    pub fn measure_mttf<R: Rng + ?Sized>(
-        &self,
-        rel: ReliabilityParams,
-        rng: &mut R,
-        trials: usize,
-    ) -> TrialStats {
-        let rule = match self.scheme() {
-            SchemeKind::ImprovedBandwidth => CatastropheRule::SameOrAdjacentCluster { c: self.c },
-            _ => CatastropheRule::SameCluster { c: self.c },
-        };
-        let mc = MonteCarlo {
-            d: self.sim.disks().len(),
-            rel,
-            rule,
-        };
-        mc.run_par(rng, trials, self.parallelism)
     }
 
     /// The configured scheme.
@@ -430,25 +382,6 @@ mod tests {
             assert!(m.reconstructed > 0, "{scheme:?}");
             assert_eq!(m.catastrophes, 0, "{scheme:?}");
         }
-    }
-
-    #[test]
-    fn measure_mttf_uses_the_parallelism_knob_deterministically() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let rel = ReliabilityParams {
-            mttf: mms_disk::Time::from_hours(1_000.0),
-            mttr: mms_disk::Time::from_hours(1.0),
-        };
-        let mut results = Vec::new();
-        for par in [Parallelism::Sequential, Parallelism::threads(4)] {
-            let mut s = server(Scheme::StreamingRaid);
-            s.set_parallelism(par);
-            assert_eq!(s.parallelism(), par);
-            let stats = s.measure_mttf(rel, &mut StdRng::seed_from_u64(3), 32);
-            results.push(stats.mean.as_secs().to_bits());
-        }
-        assert_eq!(results[0], results[1], "thread count changed the MTTF");
     }
 
     #[test]

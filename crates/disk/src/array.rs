@@ -1,6 +1,6 @@
 //! The disk farm: a homogeneous array of drives with failure injection.
 
-use crate::disk::{Disk, DiskId, DiskState};
+use crate::disk::{Disk, DiskId};
 use crate::error::DiskError;
 use crate::params::DiskParams;
 use crate::units::Time;
@@ -124,12 +124,6 @@ impl DiskArray {
     #[must_use]
     pub fn availability(&self) -> f64 {
         self.operational_count() as f64 / self.len() as f64
-    }
-
-    /// States of every drive, indexed by `DiskId`.
-    #[must_use]
-    pub fn states(&self) -> Vec<DiskState> {
-        self.disks.iter().map(Disk::state).collect()
     }
 }
 

@@ -130,12 +130,6 @@ impl Size {
     /// Zero bytes.
     pub const ZERO: Size = Size(0.0);
 
-    /// Construct from bytes.
-    #[must_use]
-    pub fn from_bytes(b: f64) -> Self {
-        Size(b)
-    }
-
     /// Construct from kilobytes (decimal: 1 KB = 1000 B).
     #[must_use]
     pub fn from_kb(kb: f64) -> Self {
@@ -146,12 +140,6 @@ impl Size {
     #[must_use]
     pub fn from_mb(mb: f64) -> Self {
         Size(mb * 1e6)
-    }
-
-    /// Construct from gigabytes (decimal: 1 GB = 10⁹ B).
-    #[must_use]
-    pub fn from_gb(gb: f64) -> Self {
-        Size(gb * 1e9)
     }
 
     /// The value in bytes.

@@ -291,10 +291,8 @@ pub struct FleetBuilder {
     scheme: Scheme,
     disks: usize,
     group: usize,
-    data_mode: DataMode,
     movies: usize,
     tracks: u64,
-    objects: Vec<MediaObject>,
     step_mode: StepMode,
     par: Parallelism,
     control_seed: u64,
@@ -309,10 +307,8 @@ impl FleetBuilder {
             scheme: Scheme::StreamingRaid,
             disks: 10,
             group: 5,
-            data_mode: DataMode::MetadataOnly,
             movies: 8,
             tracks: 200,
-            objects: Vec::new(),
             step_mode: StepMode::CycleByCycle,
             par: Parallelism::Auto,
             control_seed: 1995,
@@ -337,23 +333,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Data mode for every node.
-    pub fn data_mode(mut self, mode: DataMode) -> Self {
-        self.data_mode = mode;
-        self
-    }
-
     /// Generate a uniform catalog of `movies` objects of `tracks`
-    /// tracks each (ignored if explicit objects were registered).
+    /// tracks each.
     pub fn catalog(mut self, movies: usize, tracks: u64) -> Self {
         self.movies = movies;
         self.tracks = tracks;
-        self
-    }
-
-    /// Register an explicit media object.
-    pub fn object(mut self, object: MediaObject) -> Self {
-        self.objects.push(object);
         self
     }
 
@@ -392,21 +376,7 @@ impl FleetBuilder {
                 "a fleet needs at least 2 nodes for chained declustering".into(),
             ));
         }
-        let objects = if self.objects.is_empty() {
-            (0..self.movies.max(1))
-                .map(|m| {
-                    MediaObject::new(
-                        ObjectId(m as u64),
-                        format!("title-{m}"),
-                        self.tracks,
-                        BandwidthClass::Mpeg1,
-                    )
-                })
-                .collect()
-        } else {
-            self.objects
-        };
-        let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
+        let ids: Vec<ObjectId> = (0..self.movies.max(1) as u64).map(ObjectId).collect();
         let placement = PlacementMap::new(self.nodes, &ids);
 
         let mut nodes = Vec::with_capacity(self.nodes);
@@ -414,14 +384,11 @@ impl FleetBuilder {
             let mut builder = ServerBuilder::new(self.scheme)
                 .disks(self.disks)
                 .parity_group(self.group)
-                .data_mode(self.data_mode)
-                .parallelism(Parallelism::Sequential);
+                .data_mode(DataMode::MetadataOnly);
             for (id, _role) in placement.placed_on(NodeId(n)) {
-                let obj = objects
-                    .iter()
-                    .find(|o| o.id == id)
-                    .expect("placement only places registered objects");
-                builder = builder.object(obj.clone());
+                let title = format!("title-{}", id.0);
+                let object = MediaObject::new(id, title, self.tracks, BandwidthClass::Mpeg1);
+                builder = builder.object(object);
             }
             let mut server = builder
                 .build()
@@ -434,27 +401,17 @@ impl FleetBuilder {
             });
         }
 
-        // All nodes share one geometry, so one node's cycle config
-        // prices every object's nominal hold.
+        // All nodes share one geometry and every title one length, so
+        // one node's cycle config prices every session's nominal hold.
         let cfg = *nodes[0].server.cycle_config();
-        let nominal = |tracks: u64| tracks.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
-        let mut holds = Vec::with_capacity(placement.objects().len());
-        let mut tracks = Vec::with_capacity(placement.objects().len());
-        for &id in placement.objects() {
-            let obj = objects
-                .iter()
-                .find(|o| o.id == id)
-                .expect("placement catalog mirrors registered objects");
-            holds.push(nominal(obj.tracks).max(1));
-            tracks.push(obj.tracks);
-        }
+        let hold = self.tracks.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
 
         let n = self.nodes;
         Ok(Fleet {
             nodes,
             placement,
-            holds,
-            tracks,
+            hold: hold.max(1),
+            tracks: self.tracks,
             control: ControlPlane::new(n, self.control_seed),
             log_cursor: 0,
             sessions: BTreeMap::new(),
@@ -473,10 +430,10 @@ impl FleetBuilder {
 pub struct Fleet {
     nodes: Vec<Node>,
     placement: PlacementMap,
-    /// Nominal session hold in cycles, per placement index.
-    holds: Vec<u64>,
-    /// Data tracks, per placement index.
-    tracks: Vec<u64>,
+    /// Nominal session hold in cycles (every title is as long).
+    hold: u64,
+    /// Data tracks of every title.
+    tracks: u64,
     control: ControlPlane,
     log_cursor: usize,
     sessions: BTreeMap<u64, FleetSession>,
@@ -527,16 +484,6 @@ impl Fleet {
     /// Read access to node `n`'s server.
     pub fn node(&self, n: usize) -> &MultimediaServer {
         &self.nodes[n].server
-    }
-
-    /// Whether node `n`'s process is up.
-    pub fn node_up(&self, n: usize) -> bool {
-        self.nodes[n].up
-    }
-
-    /// Live fleet sessions (including any in failover limbo).
-    pub fn active_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// The node currently serving a live fleet stream (`None` once the
@@ -591,7 +538,7 @@ impl Fleet {
         };
         let id = self.next_id;
         self.next_id += 1;
-        let end = self.cycle + self.holds[ix];
+        let end = self.cycle + self.hold;
         self.sessions.insert(
             id,
             FleetSession {
@@ -731,10 +678,9 @@ impl Fleet {
         let n = self.nodes.len();
         let mean_rate = {
             // Little's law per node: load × capacity concurrent
-            // sessions of the catalog's mean hold.
+            // sessions of the catalog's hold.
             let cap = self.nodes[0].server.stream_capacity() as f64;
-            let mean_hold = self.holds.iter().sum::<u64>() as f64 / self.holds.len() as f64;
-            cfg.load * cap / (mean_hold * (1.0 - cfg.abandon / 2.0))
+            cfg.load * cap / (self.hold as f64 * (1.0 - cfg.abandon / 2.0))
         };
 
         // Build each live node's engine: its primary shard, plus the
@@ -751,7 +697,7 @@ impl Fleet {
             for (ix, &id) in self.placement.objects().iter().enumerate() {
                 let primary = ix % n;
                 if primary == i || (absorb_left && primary == left) {
-                    catalog.push((id, self.holds[ix]));
+                    catalog.push((id, self.hold));
                 }
             }
             if catalog.is_empty() {
@@ -1027,8 +973,7 @@ impl Fleet {
                     // Replication exhausted: the remainder of this
                     // stream's object has no live copy.
                     let remaining = s.end - self.cycle;
-                    let hold = self.holds[s.obj_ix].max(1);
-                    let tracks = (self.tracks[s.obj_ix] * remaining / hold).max(1);
+                    let tracks = (self.tracks * remaining / self.hold).max(1);
                     lost += tracks;
                     self.sessions.remove(&id);
                 }
@@ -1095,18 +1040,6 @@ impl Fleet {
                 .map_err(|source| FleetError::Node { node: i, source })?;
         }
         Ok(())
-    }
-
-    /// Mean time to data loss of this fleet's geometry under the
-    /// paper's disk reliability figures — see [`fleet_mttf`].
-    pub fn mttf<R: Rng + ?Sized>(
-        &self,
-        rel: mms_disk::ReliabilityParams,
-        rng: &mut R,
-        trials: usize,
-        par: Parallelism,
-    ) -> mms_reliability::TrialStats {
-        fleet_mttf(self.nodes.len(), rel, rng, trials, par)
     }
 
     fn publish_gauges(&self) {

@@ -12,7 +12,7 @@ use mms_fleet::{
     ShardedLoad,
 };
 use mms_server::disk::ReliabilityParams;
-use mms_server::{Parallelism, RunConfig};
+use mms_server::{Args, Parallelism, RunConfig};
 use mms_sim::{SplitMix64, StepMode};
 use proptest::prelude::*;
 
@@ -186,10 +186,8 @@ fn sharded_sessions_thread_count_invariant() {
 /// `ServerBuilder`: threads and step mode from one object.
 #[test]
 fn run_config_flows_into_fleet_builder() {
-    let args: Vec<String> = ["--threads", "2", "--fast-forward"]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
+    let argv = ["--threads", "2", "--fast-forward"].map(String::from);
+    let args = Args::parse(argv, &[RunConfig::FLAGS]).expect("valid flags parse");
     let cfg = RunConfig::from_args(&args).expect("valid flags parse");
     let mut fleet = FleetBuilder::new(3)
         .catalog(6, 120)

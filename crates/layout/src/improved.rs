@@ -15,11 +15,10 @@ use crate::Layout;
 /// sits on a disk of the *next* cluster. In Figure 8, `X0–X3` sit on disks
 /// 0–3 (cluster 0) and `X0p` on disk 4 (cluster 1); `Y0p` on disk 5, `Z0p`
 /// on disk 6 — parity is rotated across the next cluster's disks so no
-/// single disk absorbs all of a cluster's parity load. We rotate by
-/// `start_cluster + group` (objects start on different clusters, so both
-/// coordinates spread the load); the figure's `X/Y/Z` pattern corresponds
-/// to consecutive objects mapping to consecutive parity positions, which
-/// this rotation reproduces when start clusters are assigned round-robin.
+/// single disk absorbs all of a cluster's parity load. We rotate by the
+/// group ordinal; the figure's `X/Y/Z` staircase across objects is the
+/// same rotation shifted by one disk per object (`repro fig8_layout`
+/// draws it).
 ///
 /// The consequence the paper highlights: "certain disks belong to two
 /// parity groups; for instance, disk 4 in Figure 8 belongs to two different
@@ -29,9 +28,6 @@ use crate::Layout;
 #[derive(Debug, Clone, Copy)]
 pub struct ImprovedLayout {
     geometry: Geometry,
-    /// Extra rotation so different objects' parity lands on different
-    /// disks of the next cluster (see struct docs).
-    parity_salt: u32,
 }
 
 impl ImprovedLayout {
@@ -45,21 +41,7 @@ impl ImprovedLayout {
             !geometry.has_parity_disk(),
             "ImprovedLayout requires an improved geometry"
         );
-        ImprovedLayout {
-            geometry,
-            parity_salt: 0,
-        }
-    }
-
-    /// Build with a per-object salt that further rotates parity placement
-    /// within the next cluster (the catalog passes the object id so that
-    /// objects sharing a start cluster do not stack parity on one disk —
-    /// the `X0p/Y0p/Z0p` staircase of Figure 8).
-    #[must_use]
-    pub fn with_salt(geometry: Geometry, salt: u32) -> Self {
-        let mut l = ImprovedLayout::new(geometry);
-        l.parity_salt = salt;
-        l
+        ImprovedLayout { geometry }
     }
 }
 
@@ -81,7 +63,7 @@ impl Layout for ImprovedLayout {
         let data_cluster = self.data_cluster(start_cluster, group);
         let cluster = self.geometry.next_cluster(data_cluster);
         let width = u64::from(self.geometry.disks_per_cluster());
-        let pos = (group + u64::from(self.parity_salt)) % width;
+        let pos = group % width;
         Placement {
             cluster,
             disk: self.geometry.disk_at(cluster, pos as u32),
@@ -129,17 +111,6 @@ mod tests {
         let p1 = l.parity_placement(0, 1);
         assert_eq!(p1.cluster, ClusterId(0));
         assert_eq!(p1.disk, DiskId(1)); // rotated by group ordinal
-    }
-
-    #[test]
-    fn salt_staircases_parity_across_objects() {
-        // Objects X, Y, Z (salts 0, 1, 2) starting at cluster 0: their
-        // group-0 parity lands on disks 4, 5, 6 — Figure 8's staircase.
-        let geo = Geometry::improved(8, 5).unwrap();
-        for salt in 0..3u32 {
-            let l = ImprovedLayout::with_salt(geo, salt);
-            assert_eq!(l.parity_placement(0, 0).disk, DiskId(4 + salt));
-        }
     }
 
     #[test]

@@ -95,13 +95,4 @@ mod tests {
             assert!(check(&l, 20).is_empty(), "D={d} C={c}");
         }
     }
-
-    #[test]
-    fn improved_layouts_with_salt_are_clean() {
-        let geo = Geometry::improved(12, 5).unwrap();
-        for salt in 0..8 {
-            let l = ImprovedLayout::with_salt(geo, salt);
-            assert!(check(&l, 20).is_empty(), "salt={salt}");
-        }
-    }
 }

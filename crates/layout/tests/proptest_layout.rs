@@ -28,10 +28,10 @@ proptest! {
         prop_assert!(invariants::check(&layout, 32).is_empty());
     }
 
-    /// All invariants hold for any improved geometry and salt.
+    /// All invariants hold for any improved geometry.
     #[test]
-    fn improved_invariants((d, c) in arb_improved(), salt in 0u32..16) {
-        let layout = ImprovedLayout::with_salt(Geometry::improved(d, c).unwrap(), salt);
+    fn improved_invariants((d, c) in arb_improved()) {
+        let layout = ImprovedLayout::new(Geometry::improved(d, c).unwrap());
         prop_assert!(invariants::check(&layout, 32).is_empty());
     }
 

@@ -28,7 +28,7 @@
 //! calls made from a closure are attributed to the enclosing function.
 
 use crate::model::FileModel;
-use crate::scan::Kind;
+use crate::scan::{Kind, Tok};
 use crate::symbols::Workspace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -59,23 +59,81 @@ const KEYWORDS: &[&str] = &[
     "ref", "mut", "where", "impl", "dyn", "break", "continue", "unsafe", "async", "await",
 ];
 
+/// The non-test functions by bare name, split into methods and free
+/// functions: what a name at a call or reference site can resolve to.
+#[derive(Default)]
+pub struct Names<'a> {
+    typed: BTreeMap<&'a str, Vec<usize>>,
+    free: BTreeMap<&'a str, Vec<usize>>,
+}
+
+impl<'a> Names<'a> {
+    /// Index every non-test function of `ws`.
+    #[must_use]
+    pub fn new(ws: &'a Workspace) -> Names<'a> {
+        let mut names = Names::default();
+        for (i, f) in ws.fns.iter().enumerate().filter(|(_, f)| !f.is_test) {
+            let by_name = if f.impl_type.is_some() {
+                &mut names.typed
+            } else {
+                &mut names.free
+            };
+            by_name.entry(&f.name).or_default().push(i);
+        }
+        names
+    }
+
+    /// The functions the identifier `words[k]` may name, judged by the
+    /// words before it (the resolution order in the module docs). `own`
+    /// is the impl type of the function the words belong to.
+    #[must_use]
+    pub fn resolve(
+        &self,
+        ws: &Workspace,
+        words: &[&str],
+        k: usize,
+        own: Option<&str>,
+    ) -> Vec<usize> {
+        let name = words[k];
+        let word = |back: usize| k.checked_sub(back).map(|i| words[i]);
+        let methods = self.typed.get(name).map(Vec::as_slice).unwrap_or(&[]);
+        let of_type = |ty: Option<&str>| -> Vec<usize> {
+            methods
+                .iter()
+                .copied()
+                .filter(|&m| ty.is_some() && ws.fns[m].impl_type.as_deref() == ty)
+                .collect()
+        };
+        let free = || self.free.get(name).cloned().unwrap_or_default();
+        match (word(1), word(2), word(3)) {
+            // Method call. `self.name(…)` prefers the caller's own impl
+            // type; default trait methods are modeled as free fns.
+            (Some("."), receiver, _) => {
+                let mine = of_type(own.filter(|_| receiver == Some("self")));
+                match (mine.is_empty(), methods.is_empty()) {
+                    (false, _) => mine,
+                    (true, false) => methods.to_vec(),
+                    (true, true) => free(),
+                }
+            }
+            // Qualified path `Q::name`.
+            (Some(":"), Some(":"), Some("Self")) => of_type(own),
+            // Type-qualified: methods of that type. An unknown type (std
+            // `Vec::new`) resolves to nothing rather than everything.
+            (Some(":"), Some(":"), Some(q)) if q.starts_with(char::is_uppercase) => {
+                of_type(Some(q))
+            }
+            // Bare or module-qualified: free functions only.
+            _ => free(),
+        }
+    }
+}
+
 impl CallGraph {
     /// Build the graph for every non-test function with a body.
     #[must_use]
     pub fn build(ws: &Workspace) -> CallGraph {
-        // name -> (typed candidates, free candidates), test fns excluded.
-        let mut typed: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, f) in ws.fns.iter().enumerate() {
-            if f.is_test {
-                continue;
-            }
-            if f.impl_type.is_some() {
-                typed.entry(&f.name).or_default().push(i);
-            } else {
-                free.entry(&f.name).or_default().push(i);
-            }
-        }
+        let names = Names::new(ws);
         let mut out: Vec<Vec<Edge>> = vec![Vec::new(); ws.fns.len()];
         let mut in_degree = vec![0usize; ws.fns.len()];
         for (ci, caller) in ws.fns.iter().enumerate() {
@@ -86,79 +144,20 @@ impl CallGraph {
                 continue;
             };
             let model = &ws.files[caller.file];
-            let code: Vec<usize> = (lo..=hi.min(model.toks.len().saturating_sub(1)))
-                .filter(|&i| !model.toks[i].is_comment())
+            let code: Vec<&Tok> = model.toks[lo..=hi.min(model.toks.len().saturating_sub(1))]
+                .iter()
+                .filter(|t| !t.is_comment())
                 .collect();
-            let tok = |k: usize| code.get(k).map(|&i| &model.toks[i]);
-            let text = |k: usize| tok(k).map(|t| t.text.as_str());
+            let words: Vec<&str> = code.iter().map(|t| t.text.as_str()).collect();
             let mut edges: Vec<Edge> = Vec::new();
-            for (k, &ti) in code.iter().enumerate() {
-                let t = &model.toks[ti];
-                if t.kind != Kind::Ident || text(k + 1) != Some("(") {
+            for (k, t) in code.iter().enumerate() {
+                if t.kind != Kind::Ident || words.get(k + 1) != Some(&"(") {
                     continue;
                 }
-                let name = t.text.as_str();
-                if KEYWORDS.contains(&name) {
+                if KEYWORDS.contains(&words[k]) {
                     continue;
                 }
-                let prev = k.checked_sub(1).and_then(text);
-                let candidates: Vec<usize> = if prev == Some(".") {
-                    // Method call. `self.name(…)` prefers the caller's
-                    // own impl type.
-                    let methods = typed.get(name).map(Vec::as_slice).unwrap_or(&[]);
-                    let receiver_self = k >= 2 && text(k - 2) == Some("self");
-                    let own: Vec<usize> = if receiver_self {
-                        methods
-                            .iter()
-                            .copied()
-                            .filter(|&m| {
-                                ws.fns[m].impl_type == caller.impl_type
-                                    && caller.impl_type.is_some()
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    if !own.is_empty() {
-                        own
-                    } else if !methods.is_empty() {
-                        methods.to_vec()
-                    } else {
-                        // Default trait methods are modeled as free fns.
-                        free.get(name).cloned().unwrap_or_default()
-                    }
-                } else if prev == Some(":") && k >= 2 && text(k - 2) == Some(":") {
-                    // Qualified call `Q::name(…)`.
-                    let qualifier = k.checked_sub(3).and_then(text);
-                    let methods = typed.get(name).map(Vec::as_slice).unwrap_or(&[]);
-                    match qualifier {
-                        Some("Self") => methods
-                            .iter()
-                            .copied()
-                            .filter(|&m| {
-                                caller.impl_type.is_some()
-                                    && ws.fns[m].impl_type == caller.impl_type
-                            })
-                            .collect(),
-                        Some(q) if q.chars().next().is_some_and(char::is_uppercase) => {
-                            // Type-qualified: methods of that type. An
-                            // unknown type (std `Vec::new`) resolves to
-                            // nothing rather than everything.
-                            methods
-                                .iter()
-                                .copied()
-                                .filter(|&m| ws.fns[m].impl_type.as_deref() == Some(q))
-                                .collect()
-                        }
-                        _ => {
-                            // Module-qualified free function.
-                            free.get(name).cloned().unwrap_or_default()
-                        }
-                    }
-                } else {
-                    // Bare call: free functions only.
-                    free.get(name).cloned().unwrap_or_default()
-                };
+                let candidates = names.resolve(ws, &words, k, caller.impl_type.as_deref());
                 for callee in candidates {
                     if !ws.may_depend(&caller.krate, &ws.fns[callee].krate) {
                         continue;

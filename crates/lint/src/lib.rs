@@ -7,9 +7,9 @@
 //! around. This crate is the static layer: a comment- and
 //! string-literal-aware token scanner ([`scan`]), a structural model of
 //! each file ([`model`]), a workspace-wide symbol table ([`symbols`])
-//! with a conservative call graph ([`graph`]), and eight rules
-//! ([`rules`], [`taint`]) that fail CI the moment a diff violates an
-//! invariant.
+//! with a conservative call graph ([`graph`]), and nine rules
+//! ([`rules`], [`taint`], [`dead`]) that fail CI the moment a diff
+//! violates an invariant.
 //!
 //! ## Per-file rules
 //!
@@ -42,6 +42,9 @@
 //! * `panic-reachability` — panic sites outside `panic-policy`'s
 //!   per-file jurisdiction (bins, integration tests, examples) must
 //!   state invariants when a hot root reaches them.
+//! * `dead-pub` — a `pub` fn of library code that no code names —
+//!   tests, binaries, examples and the benchmark's sources included —
+//!   is dead. Names resolve as calls do, without the call syntax.
 //!
 //! ## Escape hatch
 //!
@@ -71,6 +74,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dead;
 pub mod graph;
 pub mod model;
 pub mod report;
@@ -91,7 +95,7 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// All eight rules.
+    /// All nine rules.
     #[must_use]
     pub fn all() -> RuleSet {
         RuleSet {
@@ -249,6 +253,11 @@ pub fn lint_source(path: &str, src: &str, set: &RuleSet) -> FileOutcome {
 /// Source files the linter walks: first-party Rust under these roots.
 const WALK_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
+/// Source read only for the functions it names (`dead-pub`), never
+/// linted: the reference benchmark compiles against the public API
+/// from a workspace of its own.
+pub const READER_ROOTS: [&str; 1] = ["benchmark/src"];
+
 /// Paths never linted: vendored third-party subsets, build output, and
 /// the linter's own known-bad fixture corpus.
 fn excluded(rel: &str) -> bool {
@@ -257,9 +266,9 @@ fn excluded(rel: &str) -> bool {
 
 /// Recursively collect the workspace's first-party `.rs` files, sorted
 /// for deterministic output.
-fn collect_files(root: &Path) -> Vec<PathBuf> {
+fn collect_files(root: &Path, tops: &[&str]) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    for top in WALK_ROOTS {
+    for top in tops {
         walk(&root.join(top), &mut out);
     }
     out.sort();
@@ -284,10 +293,23 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 /// modeling every first-party file). Shared by [`check_workspace`] and
 /// the `graph` subcommand.
 pub fn load_workspace(root: &Path) -> Result<symbols::Workspace, String> {
-    let files = collect_files(root);
-    let mut paths = Vec::new();
+    let models = load_models(root, &WALK_ROOTS)?;
+    if models.is_empty() {
+        return Err(format!(
+            "no source files found under {} — wrong --root?",
+            root.display()
+        ));
+    }
+    let paths = models.iter().map(|m| m.path.clone()).collect();
+    let mut ws = symbols::Workspace::build(root, paths, models);
+    ws.readers = load_models(root, &READER_ROOTS)?;
+    Ok(ws)
+}
+
+/// Read and model every non-excluded `.rs` file under `tops`.
+fn load_models(root: &Path, tops: &[&str]) -> Result<Vec<FileModel>, String> {
     let mut models = Vec::new();
-    for path in &files {
+    for path in collect_files(root, tops) {
         let rel = path
             .strip_prefix(root)
             .map_err(|_| "path escaped root".to_string())?
@@ -297,17 +319,10 @@ pub fn load_workspace(root: &Path) -> Result<symbols::Workspace, String> {
             continue;
         }
         let src =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         models.push(FileModel::build(&rel, &src));
-        paths.push(rel);
     }
-    if models.is_empty() {
-        return Err(format!(
-            "no source files found under {} — wrong --root?",
-            root.display()
-        ));
-    }
-    Ok(symbols::Workspace::build(root, paths, models))
+    Ok(models)
 }
 
 /// Run the active rules over the workspace rooted at `root`.
@@ -354,6 +369,9 @@ pub fn check_workspace(root: &Path, set: &RuleSet) -> Result<Report, String> {
             report
                 .findings
                 .extend(taint::panic_reachability(&ws, &g, &roots));
+        }
+        if set.is_active("dead-pub") {
+            report.findings.extend(dead::dead_pub(&ws));
         }
     }
 

@@ -20,7 +20,7 @@ OPTIONS:
     --rule <name>      Run only the named rule (repeatable). Known rules:
                        determinism, hot-path-alloc, unsafe-pragma,
                        panic-policy, paper-refs, transitive-alloc,
-                       determinism-taint, panic-reachability
+                       determinism-taint, panic-reachability, dead-pub
     --json             Emit findings and coverage as JSON
     --root <dir>       Workspace root (default: nearest [workspace] above
                        the linter's own manifest, or the current directory)

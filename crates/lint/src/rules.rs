@@ -10,10 +10,12 @@
 //! | `transitive-alloc` | zero allocation everywhere *reachable* from a hot root | workspace call graph |
 //! | `determinism-taint` | no laundering nondeterminism through helper crates | workspace call graph |
 //! | `panic-reachability` | reachable panic sites outside library code state invariants | workspace call graph |
+//! | `dead-pub` | every `pub` fn of library code is called or named somewhere | workspace references |
 //!
-//! The last three are interprocedural: they run on the call graph built
-//! by [`crate::graph`] over the symbol table of [`crate::symbols`], and
-//! live in [`crate::taint`]. This module keeps the per-file rules and
+//! The last four are interprocedural: they run over the symbol table of
+//! [`crate::symbols`] — three on the call graph built by
+//! [`crate::graph`], living in [`crate::taint`], and `dead-pub` on the
+//! references it resolves the same way ([`crate::dead`]). This module keeps the per-file rules and
 //! the registries (hot roots, equations, fact patterns) both layers
 //! share.
 
@@ -22,7 +24,7 @@ use crate::report::Finding;
 use crate::scan::Kind;
 
 /// Names of every rule, in reporting order.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 9] = [
     "determinism",
     "hot-path-alloc",
     "unsafe-pragma",
@@ -31,6 +33,7 @@ pub const RULE_NAMES: [&str; 8] = [
     "transitive-alloc",
     "determinism-taint",
     "panic-reachability",
+    "dead-pub",
 ];
 
 /// The interprocedural rules: they need the whole-workspace call graph
@@ -38,10 +41,13 @@ pub const RULE_NAMES: [&str; 8] = [
 /// allow on a *call-site* line cuts that edge out of the graph
 /// (suppressing only chains through that frame), while an allow on the
 /// allocation/nondeterminism/panic *fact* line clears the fact itself.
-pub const GRAPH_RULES: [&str; 3] = [
+/// `dead-pub` reads every file for references; its allow goes on the
+/// `fn` line.
+pub const GRAPH_RULES: [&str; 4] = [
     "transitive-alloc",
     "determinism-taint",
     "panic-reachability",
+    "dead-pub",
 ];
 
 /// Crates whose library code must be deterministic: no wall-clock

@@ -63,6 +63,9 @@ pub struct Workspace {
     pub deps: BTreeMap<String, BTreeSet<String>>,
     /// All crate directory names seen (plus `""` for the root package).
     pub crates: BTreeSet<String>,
+    /// Files read only for the functions they name
+    /// ([`crate::READER_ROOTS`]); they hold no symbols.
+    pub readers: Vec<FileModel>,
 }
 
 /// The crate directory name of a workspace path (`""` for the root
@@ -132,6 +135,7 @@ impl Workspace {
             fns,
             deps,
             crates,
+            readers: Vec::new(),
         }
     }
 

@@ -126,7 +126,7 @@ fn check_on_the_real_workspace_exits_0() {
 }
 
 #[test]
-fn rules_subcommand_lists_all_eight() {
+fn rules_subcommand_lists_all_nine() {
     let out = run(&["rules"]);
     assert_eq!(exit_code(&out), 0);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 list");
@@ -141,7 +141,8 @@ fn rules_subcommand_lists_all_eight() {
             "paper-refs",
             "transitive-alloc",
             "determinism-taint",
-            "panic-reachability"
+            "panic-reachability",
+            "dead-pub"
         ]
     );
 }

@@ -250,3 +250,59 @@ fn unused_graph_allow_is_itself_a_finding() {
         "hygiene finding in:\n{stdout}"
     );
 }
+
+/// The findings of a report, one `file:line: [rule] message` per line.
+fn findings(stdout: &str) -> Vec<&str> {
+    stdout.lines().filter(|l| l.contains(": [")).collect()
+}
+
+#[test]
+fn dead_pub_flags_only_the_fn_nothing_names() {
+    // Callers in a `#[cfg(test)]` fn, a `tests/` file, a `benchmark/src`
+    // file, a `macro_rules!` body and a path used as a value each keep
+    // their fn alive; so do a trait impl and a reasoned allow.
+    let root = graph_workspace(
+        "graph-dead-pub",
+        &[
+            (
+                "crates/media/src/lib.rs",
+                include_str!("fixtures/dead/lib.rs"),
+            ),
+            (
+                "crates/media/tests/it.rs",
+                include_str!("fixtures/dead/it.rs"),
+            ),
+            (
+                "benchmark/src/main.rs",
+                include_str!("fixtures/dead/bench.rs"),
+            ),
+        ],
+    );
+    let (code, stdout) = check(&root, "dead-pub");
+    assert_eq!(code, 1, "the dead fn must fail:\n{stdout}");
+    let found = findings(&stdout);
+    assert_eq!(found.len(), 1, "{stdout}");
+    assert!(
+        found[0].starts_with("crates/media/src/lib.rs:7: [dead-pub] `pub fn never_named`"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn an_allow_on_a_live_fn_is_itself_a_finding() {
+    let root = graph_workspace(
+        "graph-dead-pub-allow",
+        &[(
+            "crates/media/src/lib.rs",
+            include_str!("fixtures/dead/stale_allow.rs"),
+        )],
+    );
+    let (code, stdout) = check(&root, "dead-pub");
+    assert_eq!(code, 1, "stale allow must fail:\n{stdout}");
+    let found = findings(&stdout);
+    assert_eq!(found.len(), 1, "{stdout}");
+    assert!(
+        found[0].contains("[lint-allow] unused `lint:allow(dead-pub)`"),
+        "{stdout}"
+    );
+}

@@ -282,12 +282,6 @@ impl Block {
         xor_slices(&mut self.bytes, &other.bytes);
     }
 
-    /// XOR a raw byte slice into `self` in place, word-wise. Same layout
-    /// contract (and panic) as [`Block::xor_assign`].
-    pub fn xor_assign_bytes(&mut self, other: &[u8]) {
-        xor_slices(&mut self.bytes, other);
-    }
-
     /// Whether every byte is zero (true for `a ⊕ a`), checked word-wise.
     #[must_use]
     pub fn is_zero(&self) -> bool {

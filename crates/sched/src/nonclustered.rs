@@ -539,12 +539,6 @@ impl NonClusteredScheduler {
         &self.catalog
     }
 
-    /// The transition policy in force (none: an unprotected server).
-    #[must_use]
-    pub fn policy(&self) -> Option<TransitionPolicy> {
-        self.policy
-    }
-
     /// The buffer-server pool (to observe degraded-cluster attachment).
     #[must_use]
     pub fn servers(&self) -> &BufferServerPool {

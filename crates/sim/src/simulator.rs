@@ -71,12 +71,6 @@ impl ObjectDirectory {
             blocks_per_group,
         }
     }
-
-    /// The raw map.
-    #[must_use]
-    pub fn tracks(&self) -> &BTreeMap<ObjectId, u64> {
-        &self.tracks
-    }
 }
 
 /// Simulation errors: a scheduler planned something the hardware cannot

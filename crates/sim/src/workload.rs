@@ -531,18 +531,6 @@ impl SessionEngine {
         self.queue.len()
     }
 
-    /// Early releases scheduled but not yet due.
-    #[must_use]
-    pub fn pending_releases(&self) -> usize {
-        self.releases.len()
-    }
-
-    /// The admission policy in force.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
     /// Sample one session's slot-hold time for an object of `nominal`
     /// cycles: VBR rung × (abandonment fraction), at least one cycle.
     fn sample_hold<R: Rng + ?Sized>(&self, nominal: u64, rng: &mut R) -> u64 {

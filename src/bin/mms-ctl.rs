@@ -3,11 +3,13 @@
 //!
 //! `mms-ctl --help` prints one line per subcommand with the flags it
 //! takes; the text, the dispatcher and the argument check are all read
-//! off [`COMMANDS`]. Every argument is checked before anything runs:
-//! positionals first and no more than the usage line shows, then only
-//! flags the subcommand takes, each valued flag followed by its value.
-//! Anything else is an error naming the argument, with the usage on
-//! stderr and exit status 2.
+//! off [`COMMANDS`]. Every argument is checked by [`Args`] before
+//! anything runs: positionals first and no more than the usage line
+//! shows, then only flags the subcommand takes, each valued flag
+//! followed by its value. Anything else is an error naming the argument,
+//! with the usage on stderr and exit status 2. A value that does not
+//! parse, or lies outside the range the command can run with, is an
+//! `error:` naming it and exit status 1.
 //!
 //! Every run-style subcommand (`simulate`, `mttf`, `scenario`,
 //! `workload`, `fleet`) shares one [`RunConfig`]: the worker pool
@@ -41,9 +43,10 @@ use ft_media_server::sim::{
     AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, SessionEngine, SplitMix64,
 };
 use ft_media_server::telemetry::{FlightSnapshot, Recorder};
-use ft_media_server::{flag_arg, flag_value, RunConfig, Scheme, ServerBuilder, ServerError};
+use ft_media_server::{synopsis, Args, Parallelism, RunConfig, Scheme, ServerBuilder, ServerError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Bound::{Excluded, Included};
 use std::process::ExitCode;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
@@ -56,9 +59,9 @@ struct Command {
     positionals: &'static str,
     /// The flags it takes, each followed by its value when it takes one.
     flags: &'static str,
-    /// Whether it also takes the [`RUN_FLAGS`].
+    /// Whether it also takes the [`RunConfig::FLAGS`].
     run_config: bool,
-    run: fn(&[String]) -> CmdResult,
+    run: fn(&mut Args) -> CmdResult,
 }
 
 const COMMANDS: &[Command] = &[
@@ -126,62 +129,24 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
-/// Flags every run-style subcommand takes (see [`RunConfig`]).
-const RUN_FLAGS: &str = "--threads N|auto|seq --fast-forward --telemetry PATH.jsonl \
-                         --log-level error|warn|info|debug|trace --dash --flight-recorder PATH \
-                         --flight-capacity N --prom-out PATH --perfetto-out PATH --slo";
-
-/// The `(flag, value)` pairs of a flag list: a word after a flag that
-/// is not itself a flag is that flag's value.
-fn flag_list(list: &'static str) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
-    let mut words = list.split_whitespace().peekable();
-    std::iter::from_fn(move || Some((words.next()?, words.next_if(|w| !w.starts_with("--")))))
-}
-
 impl Command {
-    /// Every flag the command takes.
-    fn flags(&self) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
-        flag_list(self.flags).chain(flag_list(if self.run_config { RUN_FLAGS } else { "" }))
-    }
-
-    /// Check `args` against the table before anything runs.
-    fn check(&self, args: &[String]) -> Result<(), String> {
-        let leading = args.iter().take_while(|a| !a.starts_with("--")).count();
+    /// Check `argv` against the table before anything runs.
+    fn check(&self, argv: &[String]) -> Result<Args, String> {
+        let run_flags = if self.run_config {
+            RunConfig::FLAGS
+        } else {
+            ""
+        };
+        let args = Args::parse(argv.iter().cloned(), &[self.flags, run_flags])?;
         let most = self.positionals.split_whitespace().count();
-        if leading > most {
-            return Err(format!(
-                "unexpected argument `{}`: {} takes at most {most} positional(s)",
-                args[most], self.name
-            ));
+        match args.remaining().get(most) {
+            Some(extra) => Err(format!(
+                "unexpected argument `{extra}`: {} takes at most {most} positional(s)",
+                self.name
+            )),
+            None => Ok(args),
         }
-        let mut rest = args[leading..].iter();
-        while let Some(arg) = rest.next() {
-            let Some((flag, value)) = self.flags().find(|&(flag, _)| flag == arg) else {
-                return Err(if arg.starts_with("--") {
-                    format!("unknown flag `{arg}` for {}", self.name)
-                } else {
-                    format!("unexpected argument `{arg}`: positionals go before the flags")
-                });
-            };
-            if value.is_some() && rest.next().is_none_or(|v| v.starts_with("--")) {
-                return Err(format!("{flag} needs a value"));
-            }
-        }
-        Ok(())
     }
-}
-
-/// A flag list as the usage shows it; every `…@CYCLE` event flag may
-/// repeat.
-fn synopsis(list: &'static str) -> String {
-    let shown: Vec<String> = flag_list(list)
-        .map(|(flag, value)| match value {
-            None => format!("[{flag}]"),
-            Some(v) if v.ends_with("@CYCLE") => format!("[{flag} {v}]…"),
-            Some(v) => format!("[{flag} {v}]"),
-        })
-        .collect();
-    shown.join(" ")
 }
 
 /// The usage text: one line per subcommand with its flags.
@@ -200,7 +165,7 @@ fn usage() -> String {
     text.push_str(&format!(
         "\n{} also take:\n  {}\n",
         run_style.join(", "),
-        synopsis(RUN_FLAGS)
+        synopsis(RunConfig::FLAGS)
     ));
     text
 }
@@ -216,7 +181,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let checked = match COMMANDS.iter().find(|c| Some(c.name) == name) {
-        Some(command) => command.check(&args[1..]).map(|()| command),
+        Some(command) => command.check(&args[1..]).map(|parsed| (command, parsed)),
         None => Err(match name {
             Some(other) => {
                 let known: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
@@ -228,14 +193,14 @@ fn main() -> ExitCode {
             None => "missing subcommand".to_string(),
         }),
     };
-    let command = match checked {
-        Ok(command) => command,
+    let (command, mut args) = match checked {
+        Ok(checked) => checked,
         Err(e) => {
             eprint!("error: {e}\n\n{}", usage());
             return ExitCode::from(USAGE_ERROR);
         }
     };
-    match (command.run)(&args[1..]) {
+    match (command.run)(&mut args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -244,8 +209,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_table(args: &[String]) -> CmdResult {
-    let c: usize = args.first().map_or(Ok(5), |s| s.parse())?;
+fn cmd_table(args: &mut Args) -> CmdResult {
+    let c: usize = args.positional("parity group size", 5)?;
     if !(2..=50).contains(&c) {
         return Err("parity group size must be in 2..=50".into());
     }
@@ -270,39 +235,31 @@ fn cmd_table(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn parse_events(args: &[String], flag: &str) -> Result<Vec<(u32, u64)>, String> {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            let spec = it
-                .next()
-                .ok_or_else(|| format!("{flag} needs DISK@CYCLE"))?;
-            let (d, c) = spec
-                .split_once('@')
-                .ok_or_else(|| format!("bad {flag} spec '{spec}': want DISK@CYCLE"))?;
-            out.push((
-                d.parse().map_err(|_| format!("bad disk '{d}'"))?,
-                c.parse().map_err(|_| format!("bad cycle '{c}'"))?,
-            ));
-        }
-    }
-    Ok(out)
+/// The `UNIT@CYCLE` events given for a repeating `flag`.
+fn events(args: &Args, flag: &str, unit: &str) -> Result<Vec<(u32, u64)>, String> {
+    args.values(flag)
+        .map(|spec| {
+            let event = spec.split_once('@');
+            event
+                .and_then(|(n, at)| Some((n.parse().ok()?, at.parse().ok()?)))
+                .ok_or_else(|| format!("`{spec}` is not a valid {flag} {unit}@CYCLE"))
+        })
+        .collect()
 }
 
 /// A Monte-Carlo trial count: absent or 0 turns validation off; one
 /// trial has no spread to report, so it is an error rather than a
 /// silent skip.
-fn trials_flag(args: &[String], flag: &str) -> Result<usize, String> {
-    match flag_value(args, flag, 0)? {
+fn trials_flag(args: &Args, flag: &str) -> Result<usize, String> {
+    match args.value(flag, 0)? {
         1 => Err(format!("{flag} needs at least 2 trials, got 1")),
         trials => Ok(trials),
     }
 }
 
 /// Parse `--scheme` plus the per-scheme default disk count.
-fn parse_scheme(args: &[String]) -> Result<(Scheme, usize), String> {
-    let scheme = match flag_value(args, "--scheme", "sr".to_string())?.as_str() {
+fn parse_scheme(args: &Args) -> Result<(Scheme, usize), String> {
+    let scheme = match args.get("--scheme").unwrap_or("sr") {
         "sr" => Scheme::StreamingRaid,
         "sg" => Scheme::StaggeredGroup,
         "nc" => Scheme::NonClustered,
@@ -317,16 +274,21 @@ fn parse_scheme(args: &[String]) -> Result<(Scheme, usize), String> {
     Ok((scheme, default_disks))
 }
 
-fn cmd_simulate(args: &[String]) -> CmdResult {
+/// Finite and non-negative: arrival rates and the Zipf exponent.
+const NON_NEGATIVE: std::ops::Range<f64> = 0.0..f64::INFINITY;
+/// Probabilities.
+const PROBABILITY: std::ops::RangeInclusive<f64> = 0.0..=1.0;
+
+fn cmd_simulate(args: &mut Args) -> CmdResult {
     let (scheme, default_disks) = parse_scheme(args)?;
-    let disks: usize = flag_value(args, "--disks", default_disks)?;
-    let group: usize = flag_value(args, "--group", 5)?;
-    let viewers: usize = flag_value(args, "--viewers", 4)?;
-    let tracks: u64 = flag_value(args, "--tracks", 500)?;
-    let cycles: u64 = flag_value(args, "--cycles", 0)?;
-    let fails = parse_events(args, "--fail")?;
-    let repairs = parse_events(args, "--repair")?;
-    let rebuilds = parse_events(args, "--rebuild")?;
+    let disks: usize = args.value("--disks", default_disks)?;
+    let group: usize = args.value("--group", 5)?;
+    let viewers: usize = args.value("--viewers", 4)?;
+    let tracks: u64 = args.value("--tracks", 500)?;
+    let cycles: u64 = args.value("--cycles", 0)?;
+    let fails = events(args, "--fail", "DISK")?;
+    let repairs = events(args, "--repair", "DISK")?;
+    let rebuilds = events(args, "--rebuild", "DISK")?;
     let cfg = RunConfig::from_args(args)?;
     let recorder = cfg.recorder();
     let _guard = recorder.as_ref().map(Recorder::install);
@@ -349,7 +311,33 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
         server.cycle_config().slots_per_disk(),
         server.stream_capacity()
     );
+    // The events dated this cycle, applied before it is stepped.
+    let apply_events = |server: &mut ft_media_server::MultimediaServer| -> CmdResult {
+        let t = server.simulator().cycle();
+        for &(d, _) in fails.iter().filter(|&&(_, at)| at == t) {
+            match server.inject(FailureEvent::fail(t, DiskId(d))) {
+                Ok(r) => println!(
+                    "cycle {t}: disk {d} FAILED (dropped: {})",
+                    r.dropped_streams.len()
+                ),
+                Err(ServerError::DataLoss { tracks }) => {
+                    println!("cycle {t}: disk {d} FAILED — DATA LOSS ({tracks} track(s))");
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        for &(d, _) in repairs.iter().filter(|&&(_, at)| at == t) {
+            server.inject(FailureEvent::repair(t, DiskId(d)))?;
+            println!("cycle {t}: disk {d} repaired");
+        }
+        for &(d, _) in rebuilds.iter().filter(|&&(_, at)| at == t) {
+            server.start_parity_rebuild(DiskId(d))?;
+            println!("cycle {t}: parity rebuild of disk {d} started");
+        }
+        Ok(())
+    };
     for _ in 0..viewers {
+        apply_events(&mut server)?;
         server.admit(ObjectId(0))?;
         server.step()?;
     }
@@ -357,32 +345,7 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
     let horizon = if cycles > 0 { cycles } else { u64::MAX };
     let mut t = server.simulator().cycle();
     while t < horizon && (server.active_streams() > 0 || t < cycles) {
-        for &(d, at) in &fails {
-            if at == t {
-                match server.inject(FailureEvent::fail(t, DiskId(d))) {
-                    Ok(r) => println!(
-                        "cycle {t}: disk {d} FAILED (dropped: {})",
-                        r.dropped_streams.len()
-                    ),
-                    Err(ServerError::DataLoss { tracks }) => {
-                        println!("cycle {t}: disk {d} FAILED — DATA LOSS ({tracks} track(s))");
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        for &(d, at) in &repairs {
-            if at == t {
-                server.inject(FailureEvent::repair(t, DiskId(d)))?;
-                println!("cycle {t}: disk {d} repaired");
-            }
-        }
-        for &(d, at) in &rebuilds {
-            if at == t {
-                server.start_parity_rebuild(DiskId(d))?;
-                println!("cycle {t}: parity rebuild of disk {d} started");
-            }
-        }
+        apply_events(&mut server)?;
         server.step()?;
         t = server.simulator().cycle();
         if cycles == 0 && server.active_streams() == 0 {
@@ -415,10 +378,16 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn cmd_mttf(args: &[String]) -> CmdResult {
-    let pos: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let d: usize = pos.first().map_or(Ok(1000), |s| s.parse())?;
-    let c: usize = pos.get(1).map_or(Ok(10), |s| s.parse())?;
+fn cmd_mttf(args: &mut Args) -> CmdResult {
+    let d: usize = args.positional("disk count", 1000)?;
+    let c: usize = args.positional("parity group size", 10)?;
+    if d < 5 {
+        let why = "the DoS rows mask up to 4 failures";
+        return Err(format!("disk count must be at least 5 ({why}), got {d}").into());
+    }
+    if c < 2 {
+        return Err(format!("parity group size must be at least 2, got {c}").into());
+    }
     let mc_trials = trials_flag(args, "--mc")?;
     let cfg = RunConfig::from_args(args)?;
     let par = cfg.threads;
@@ -470,8 +439,8 @@ fn cmd_mttf(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn cmd_scenario(args: &[String]) -> CmdResult {
-    let quick = args.iter().any(|a| a == "--quick");
+fn cmd_scenario(args: &mut Args) -> CmdResult {
+    let quick = args.flag("--quick");
     run_corpus("scenario", scenario::corpus(quick), "all", "all", args)
 }
 
@@ -483,12 +452,12 @@ fn run_corpus<C: Case>(
     corpus: Corpus<C>,
     everything: &str,
     label: &str,
-    args: &[String],
+    args: &mut Args,
 ) -> CmdResult {
-    let pick = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| format!("{command} needs a case name, `{everything}` or `list`"))?;
+    let pick: String = args.positional("case name", String::new())?;
+    if pick.is_empty() {
+        return Err(format!("{command} needs a case name, `{everything}` or `list`").into());
+    }
     let cfg = RunConfig::from_args(args)?;
     if pick == "list" {
         print!("{}", corpus.list());
@@ -497,7 +466,7 @@ fn run_corpus<C: Case>(
     let corpus = if pick == everything {
         corpus
     } else {
-        corpus.only(pick).ok_or_else(|| {
+        corpus.only(&pick).ok_or_else(|| {
             format!("unknown {command} case '{pick}' (try `mms-ctl {command} list`)")
         })?
     };
@@ -515,10 +484,9 @@ fn run_corpus<C: Case>(
     }
 }
 
-fn cmd_design(args: &[String]) -> CmdResult {
-    let pos: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let required: f64 = pos.first().map_or(Ok(1200.0), |s| s.parse())?;
-    let par = RunConfig::from_args(args)?.threads;
+fn cmd_design(args: &mut Args) -> CmdResult {
+    let required: f64 = args.positional("stream count", 1200.0)?;
+    let par = args.value("--threads", Parallelism::Auto)?;
     let sys = SystemParams::paper_table1();
     let model = CostModel::paper_fig9();
     let best = design_space_par(&sys, &model, 2..=10, SchemeParams::paper_fig9, par)
@@ -535,57 +503,77 @@ fn cmd_design(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn cmd_workload(args: &[String]) -> CmdResult {
+fn cmd_workload(args: &mut Args) -> CmdResult {
     let (scheme, default_disks) = parse_scheme(args)?;
-    let disks: usize = flag_value(args, "--disks", default_disks)?;
-    let group: usize = flag_value(args, "--group", 5)?;
-    let movies: usize = flag_value(args, "--movies", 8)?;
-    let tracks: u64 = flag_value(args, "--tracks", 200)?;
-    let cycles: u64 = flag_value(args, "--cycles", 1000)?;
-    let theta: f64 = flag_value(args, "--theta", 0.271)?;
-    let abandon: f64 = flag_value(args, "--abandon", 0.0)?;
-    let seed: u64 = flag_value(args, "--seed", 1995)?;
-    let mut fails = parse_events(args, "--fail")?;
+    let disks: usize = args.value("--disks", default_disks)?;
+    let group: usize = args.value("--group", 5)?;
+    let movies: usize = args.value_in("--movies", 8, 1..)?;
+    let tracks: u64 = args.value_in("--tracks", 200, 1..)?;
+    let cycles: u64 = args.value("--cycles", 1000)?;
+    let theta: f64 = args.value_in("--theta", 0.271, NON_NEGATIVE)?;
+    let abandon: f64 = args.value_in("--abandon", 0.0, PROBABILITY)?;
+    let seed: u64 = args.value("--seed", 1995)?;
+    let mut fails = events(args, "--fail", "DISK")?;
     fails.sort_by_key(|&(_, at)| at);
     let cfg = RunConfig::from_args(args)?;
-    let recorder = cfg.recorder();
-    let _guard = recorder.as_ref().map(Recorder::install);
 
-    let arrivals = match flag_arg(args, "--burst")? {
+    let arrivals = match args.get("--burst") {
         Some(spec) => {
             let parts: Result<Vec<f64>, _> = spec.split(':').map(str::parse).collect();
             match parts.as_deref() {
-                Ok([quiet, burst, p_enter, p_exit]) => {
-                    ArrivalProcess::bursty(*quiet, *burst, *p_enter, *p_exit)
+                Ok(&[quiet, burst, p_enter, p_exit])
+                    if NON_NEGATIVE.contains(&quiet)
+                        && NON_NEGATIVE.contains(&burst)
+                        && PROBABILITY.contains(&p_enter)
+                        && PROBABILITY.contains(&p_exit) =>
+                {
+                    ArrivalProcess::bursty(quiet, burst, p_enter, p_exit)
                 }
                 _ => {
                     return Err(format!(
-                        "bad --burst spec '{spec}': want QUIET:BURST:P_ENTER:P_EXIT"
+                        "`{spec}` is not a valid --burst QUIET:BURST:P_ENTER:P_EXIT \
+                         (rates >= 0, probabilities in [0, 1])"
                     )
                     .into())
                 }
             }
         }
-        None => ArrivalProcess::poisson(flag_value(args, "--rate", 2.0)?),
+        None => ArrivalProcess::poisson(args.value_in("--rate", 2.0, NON_NEGATIVE)?),
     };
-    let policy = match flag_value(args, "--policy", "reject".to_string())?.as_str() {
+    let policy = match args.get("--policy").unwrap_or("reject") {
         "reject" => AdmissionPolicy::Reject,
         "degrade" => AdmissionPolicy::Degrade {
-            threshold: flag_value(args, "--threshold", 0.8)?,
-            quality: flag_value(args, "--quality", 0.5)?,
+            threshold: args.value_in("--threshold", 0.8, PROBABILITY)?,
+            quality: args.value_in("--quality", 0.5, (Excluded(0.0), Included(1.0)))?,
         },
         "queue" => AdmissionPolicy::Queue {
-            max_wait: flag_value(args, "--max-wait", 10)?,
+            max_wait: args.value("--max-wait", 10)?,
         },
         other => return Err(format!("unknown policy '{other}' (reject|degrade|queue)").into()),
     };
+    let ladder = match args.get("--vbr") {
+        Some(spec) => Some(
+            spec.split(',')
+                .map(|s| {
+                    s.trim()
+                        .parse()
+                        .ok()
+                        .filter(|m: &f64| m.is_finite() && *m > 0.0)
+                })
+                .collect::<Option<Vec<f64>>>()
+                .ok_or_else(|| format!("`{spec}` is not a valid --vbr ladder of positive rungs"))?,
+        ),
+        None => None,
+    };
+    let recorder = cfg.recorder();
+    let _guard = recorder.as_ref().map(Recorder::install);
 
     let mut builder = ServerBuilder::new(scheme)
         .disks(disks)
         .parity_group(group)
         .data_mode(DataMode::MetadataOnly)
         .run_config(&cfg);
-    for m in 0..movies.max(1) {
+    for m in 0..movies {
         builder = builder.object(MediaObject::new(
             ObjectId(m as u64),
             format!("movie-{m}"),
@@ -600,12 +588,7 @@ fn cmd_workload(args: &[String]) -> CmdResult {
     let nominal = tracks.div_ceil(cyc.k as u64) * cyc.read_period() as u64;
     let catalog: Vec<(ObjectId, u64)> = server.objects().iter().map(|&o| (o, nominal)).collect();
     let mut engine = SessionEngine::new(catalog, theta, arrivals, policy).with_abandonment(abandon);
-    if let Some(spec) = flag_arg(args, "--vbr")? {
-        let ladder: Vec<f64> = spec
-            .split(',')
-            .map(|s| s.trim().parse())
-            .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad --vbr ladder '{spec}'"))?;
+    if let Some(ladder) = ladder {
         engine = engine.with_vbr(ladder);
     }
     println!(
@@ -613,7 +596,7 @@ fn cmd_workload(args: &[String]) -> CmdResult {
         server.scheme(),
         disks,
         server.stream_capacity(),
-        movies.max(1),
+        movies,
         tracks,
         nominal,
     );
@@ -681,28 +664,31 @@ fn cmd_workload(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn cmd_fleet(args: &[String]) -> CmdResult {
-    if args.first().is_some_and(|a| !a.starts_with("--")) {
-        let quick = args.iter().any(|a| a == "--quick");
-        let corpus = ft_media_server::fleet::scenario::corpus(quick);
+fn cmd_fleet(args: &mut Args) -> CmdResult {
+    if !args.remaining().is_empty() {
+        let corpus = ft_media_server::fleet::scenario::corpus(args.flag("--quick"));
         return run_corpus("fleet", corpus, "corpus", "fleet", args);
     }
     let cfg = RunConfig::from_args(args)?;
 
     // No positional: run a fleet under traffic with scripted node faults.
-    let nodes: usize = flag_value(args, "--nodes", 4)?;
+    let nodes: usize = args.value("--nodes", 4)?;
     let (scheme, default_disks) = parse_scheme(args)?;
-    let disks: usize = flag_value(args, "--disks", default_disks)?;
-    let group: usize = flag_value(args, "--group", 5)?;
-    let movies: usize = flag_value(args, "--movies", 8)?;
-    let tracks: u64 = flag_value(args, "--tracks", 200)?;
-    let cycles: u64 = flag_value(args, "--cycles", 400)?;
-    let rate: f64 = flag_value(args, "--rate", 2.0)?;
-    let theta: f64 = flag_value(args, "--theta", 0.271)?;
-    let seed: u64 = flag_value(args, "--seed", 1995)?;
+    let disks: usize = args.value("--disks", default_disks)?;
+    let group: usize = args.value("--group", 5)?;
+    let movies: usize = args.value_in("--movies", 8, 1..)?;
+    let tracks: u64 = args.value_in("--tracks", 200, 1..)?;
+    let cycles: u64 = args.value("--cycles", 400)?;
+    let rate: f64 = args.value_in("--rate", 2.0, NON_NEGATIVE)?;
+    let theta: f64 = args.value_in("--theta", 0.271, NON_NEGATIVE)?;
+    let seed: u64 = args.value("--seed", 1995)?;
     let mttf_trials = trials_flag(args, "--mttf")?;
-    let node_fails = parse_events(args, "--fail-node")?;
-    let node_repairs = parse_events(args, "--repair-node")?;
+    let node_fails = events(args, "--fail-node", "N")?;
+    let node_repairs = events(args, "--repair-node", "N")?;
+    let node_rel = ReliabilityParams {
+        mttf: ft_media_server::disk::Time::from_hours(args.value("--node-mttf-h", 100_000.0)?),
+        mttr: ft_media_server::disk::Time::from_hours(args.value("--node-mttr-h", 24.0)?),
+    };
     let recorder = cfg.recorder();
     let _guard = recorder.as_ref().map(Recorder::install);
 
@@ -719,7 +705,7 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
          chained declustering + replicated control plane",
         disks,
         scheme.abbrev(),
-        movies.max(1),
+        movies,
     );
     for &(n, at) in &node_fails {
         fleet.inject(FleetEvent::fail_node(at, n as usize))?;
@@ -766,17 +752,9 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
     );
 
     if mttf_trials > 0 {
-        let rel = ReliabilityParams {
-            mttf: ft_media_server::disk::Time::from_hours(flag_value(
-                args,
-                "--node-mttf-h",
-                100_000.0,
-            )?),
-            mttr: ft_media_server::disk::Time::from_hours(flag_value(args, "--node-mttr-h", 24.0)?),
-        };
         let mut rng = SplitMix64::new(seed);
-        let mttf = fleet_mttf(nodes, rel, &mut rng, mttf_trials, cfg.threads);
-        let mttds = fleet_mttds(nodes, rel, &mut rng, mttf_trials, cfg.threads);
+        let mttf = fleet_mttf(nodes, node_rel, &mut rng, mttf_trials, cfg.threads);
+        let mttds = fleet_mttds(nodes, node_rel, &mut rng, mttf_trials, cfg.threads);
         println!(
             "\nfleet MTTF (adjacent pair)  : {:>12.1} h ± {:.1} ({mttf_trials} trials)",
             mttf.mean.as_hours(),
@@ -794,19 +772,16 @@ fn cmd_fleet(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> CmdResult {
-    let path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("usage: mms-ctl trace <flight.jsonl> [--session ID]")?;
-    let session = match flag_arg(args, "--session")? {
-        Some(id) => Some(
-            id.parse::<u64>()
-                .map_err(|_| format!("bad --session id '{id}'"))?,
-        ),
-        None => None,
-    };
-    let text = std::fs::read_to_string(path)?;
+fn cmd_trace(args: &mut Args) -> CmdResult {
+    let path: String = args.positional("flight dump path", String::new())?;
+    if path.is_empty() {
+        return Err("usage: mms-ctl trace <flight.jsonl> [--session ID]".into());
+    }
+    let session = args
+        .flag("--session")
+        .then(|| args.value("--session", 0u64))
+        .transpose()?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let snap = FlightSnapshot::parse(&text)?;
     println!(
         "flight dump {path}: {} record(s) kept of {} seen (capacity {}), trigger '{}'",
