@@ -13,8 +13,10 @@
 //! arguments the catalogue of measurements; each is one table in its
 //! `main.rs`, and that table is the only list there is.
 //!
-//! This library holds what both binaries share: the JSON writer, the server most grids are measured on and the one
-//! scenario both binaries run.
+//! This library holds what both binaries share: the JSON writer, the
+//! server most grids are measured on and the one scenario both binaries
+//! run. The argument parser is `mms_server::Args`, which `mms-ctl`
+//! uses too.
 
 #![forbid(unsafe_code)]
 

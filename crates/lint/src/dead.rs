@@ -1,14 +1,15 @@
 //! `dead-pub`: a `pub` function of library code that nothing names.
 //!
 //! A function is alive when any code names it — as a call, or as a path
-//! used as a value (`or_insert_with(T::f)`, a `fn()` table). Every token of every walked file counts, test code,
-//! binaries, examples and `macro_rules!` bodies (`$crate::m::f(…)`)
-//! included, and so do the reader roots ([`crate::READER_ROOTS`]): code
-//! that compiles against the public API from outside the walk and is
-//! read for its references but never linted. A name resolves as a call
-//! does ([`Names::resolve`]), except that `.name` must be followed by
-//! `(` or `::` — a field of that name keeps no method alive — and `use`
-//! declarations name nothing: a re-export is not a caller.
+//! used as a value (`or_insert_with(T::f)`, a `fn()` table). Every token
+//! of every walked file counts, test code, binaries, examples and
+//! `macro_rules!` bodies (`$crate::m::f(…)`) included, and so do the
+//! reader roots ([`crate::READER_ROOTS`]): code that compiles against
+//! the public API from outside the walk and is read for its references
+//! but never linted. A name resolves as a call does ([`Names::resolve`]),
+//! except that `.name` must be followed by `(` or `::` — a field of that
+//! name keeps no method alive — and `use` declarations name nothing: a
+//! re-export is not a caller.
 //!
 //! Resolution by name over-approximates: a method call links every
 //! method of that name, so a method that shares its name with a used
