@@ -91,10 +91,10 @@ impl MultimediaServer {
         let cycle = self.sim.cycle();
         let (scheduler, oracle) = self.sim.scheduler_and_oracle();
         let mut placed_meta: Option<(ObjectId, u64)> = None;
-        // lint:allow(transitive-alloc): tertiary staging completes at tape speed — a per-object event
+        // lint:allow(hot-path-alloc): tertiary staging completes at tape speed — a per-object event
         let placed = self.librarian.advance(|object| {
             let meta = (object.id, object.tracks);
-            // lint:allow(transitive-alloc): object registration happens once per staged object
+            // lint:allow(hot-path-alloc): object registration happens once per staged object
             match scheduler.register_object(object) {
                 Ok(()) => {
                     placed_meta = Some(meta);

@@ -796,9 +796,9 @@ impl Fleet {
 
     fn apply_event(&mut self, event: FleetEvent) -> Result<(), FleetError> {
         match event {
-            // lint:allow(transitive-alloc): node failure is a rare event, off the per-cycle path
+            // lint:allow(hot-path-alloc): node failure is a rare event, off the per-cycle path
             FleetEvent::NodeFail { node, .. } => self.fail_node_now(node),
-            // lint:allow(transitive-alloc): node repair is a rare event, off the per-cycle path
+            // lint:allow(hot-path-alloc): node repair is a rare event, off the per-cycle path
             FleetEvent::NodeRepair { node, .. } => self.repair_node_now(node),
             FleetEvent::Disk { node, event, .. } => self.nodes[node]
                 .server
@@ -884,7 +884,7 @@ impl Fleet {
             let cmd = self.control.log()[self.log_cursor];
             self.log_cursor += 1;
             match cmd {
-                // lint:allow(transitive-alloc): failover runs once per committed NodeDown decree
+                // lint:allow(hot-path-alloc): failover runs once per committed NodeDown decree
                 Command::NodeDown { node } => lost += self.failover(node as usize),
                 Command::NodeUp { node } => {
                     let node = node as usize;

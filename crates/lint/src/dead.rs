@@ -20,7 +20,7 @@
 //! trait is their caller). An allow on the `fn` line keeps a function
 //! that must stay.
 
-use crate::graph::{allow_cuts, Names};
+use crate::graph::Names;
 use crate::model::FileModel;
 use crate::report::Finding;
 use crate::rules;
@@ -49,19 +49,19 @@ pub fn dead_pub(ws: &Workspace) -> Vec<Finding> {
         {
             continue;
         }
-        if allow_cuts(&ws.files[f.file], RULE, f.line, true) {
+        if ws.files[f.file].allowed(RULE, f.line, true) {
             continue;
         }
-        out.push(Finding {
-            rule: RULE.into(),
-            file: path.clone(),
-            line: f.line,
-            message: format!(
+        out.push(Finding::new(
+            RULE,
+            path,
+            f.line,
+            format!(
                 "`pub fn {}` is dead: nothing in the workspace, its tests or `benchmark/src` \
                  calls or names it — delete it, or keep it with `lint:allow({RULE})` and a reason",
                 f.qualified()
             ),
-        });
+        ));
     }
     out
 }

@@ -2,9 +2,8 @@
 //!
 //! Edges over-approximate the real program: a function call the
 //! analyzer cannot resolve precisely produces edges to *every*
-//! plausible callee, never none — so reachability-based rules
-//! (transitive allocation, determinism taint, panic reachability) can
-//! miss nothing that a precise analysis would find, at the cost of
+//! plausible callee, never none — so the reachability-based rules
+//! (`hot-path-alloc`, `determinism`, `panic-policy`) can miss nothing that a precise analysis would find, at the cost of
 //! some spurious chains. Resolution, from most to least precise:
 //!
 //! * `Type::name(…)` / `Self::name(…)` — methods of that impl type
@@ -27,7 +26,6 @@
 //! their bodies lie inside the enclosing function's token range, so
 //! calls made from a closure are attributed to the enclosing function.
 
-use crate::model::FileModel;
 use crate::scan::{Kind, Tok};
 use crate::symbols::Workspace;
 use std::collections::BTreeMap;
@@ -338,36 +336,13 @@ pub fn render_chain(ws: &Workspace, start: usize, chain: &[Edge]) -> String {
     s
 }
 
-/// Find a `lint:allow(rule)` annotation targeting `line` in `model`,
-/// returning whether one exists (and marking it used when `mark`).
-pub fn allow_cuts(model: &FileModel, rule: &str, line: u32, mark: bool) -> bool {
-    let mut any = false;
-    for a in model.allows_for(rule, line) {
-        if a.has_reason {
-            if mark {
-                a.used.set(true);
-            }
-            any = true;
-        }
-    }
-    any
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
+    use crate::model::FileModel;
 
     fn ws_of(files: &[(&str, &str)]) -> Workspace {
-        let models = files
-            .iter()
-            .map(|(p, s)| FileModel::build(p, s))
-            .collect::<Vec<_>>();
-        Workspace::build(
-            Path::new("/nonexistent"),
-            files.iter().map(|(p, _)| p.to_string()).collect(),
-            models,
-        )
+        Workspace::build(files.iter().map(|(p, s)| FileModel::build(p, s)).collect())
     }
 
     fn idx(ws: &Workspace, spec: &str) -> usize {

@@ -7,48 +7,43 @@
 //! around. This crate is the static layer: a comment- and
 //! string-literal-aware token scanner ([`scan`]), a structural model of
 //! each file ([`model`]), a workspace-wide symbol table ([`symbols`])
-//! with a conservative call graph ([`graph`]), and nine rules
+//! with a conservative call graph ([`graph`]), and six rules
 //! ([`rules`], [`taint`], [`dead`]) that fail CI the moment a diff
 //! violates an invariant.
 //!
-//! ## Per-file rules
+//! ## Rules
+//!
+//! One rule per property. The three that follow calls run on the call
+//! graph, a function's own body being a chain of length 0, so a finding
+//! names the whole chain:
 //!
 //! * `determinism` — no `Instant`/`SystemTime`/`HashMap`/`HashSet`/
-//!   ambient randomness in the deterministic crates' library code.
-//! * `hot-path-alloc` — the registered hot *roots* (the simulation
-//!   step, the XOR kernels, the fleet/control-plane steps) must not
-//!   contain `Vec::new`/`vec!`/`.to_vec()`/`Box::new`/`format!`/
-//!   `.collect()`/`.clone()`.
+//!   ambient randomness in the deterministic crates' library code, nor
+//!   reached from it through a helper in another crate.
+//! * `hot-path-alloc` — every function a registered hot *root* (the
+//!   session loop, the fleet step, the flight recorder, the zero scan)
+//!   reaches, the roots included, must not contain `Vec::new`/`vec!`/
+//!   `.to_vec()`/`Box::new`/`format!`/`.collect()`/`.clone()`. The
+//!   registry holds only true roots; missing, interior and dead entries
+//!   are themselves findings.
+//! * `panic-policy` — `.unwrap()`/`.expect(…)`/`panic!` must state the
+//!   invariant they rely on in non-test library code, and in bins,
+//!   integration tests and examples a hot root reaches.
+//!
+//! The other three read files and references:
+//!
 //! * `unsafe-pragma` — every first-party crate root carries
 //!   `#![forbid(unsafe_code)]`.
-//! * `panic-policy` — `.unwrap()`/`.expect(…)`/`panic!` in non-test
-//!   library code must state the invariant they rely on.
 //! * `paper-refs` — comment citations must exist in the paper
 //!   (Eqs 1–19, Figures 1–9, Tables 1–3), and every equation's
 //!   registered implementing item must still exist and cite it.
-//!
-//! ## Interprocedural rules
-//!
-//! These run on the call graph, so a finding names the whole chain:
-//!
-//! * `transitive-alloc` — every function *reachable* from a hot root
-//!   must be allocation-free, at any call depth. The registry holds
-//!   only true roots; interior and dead entries are themselves
-//!   findings.
-//! * `determinism-taint` — nondeterminism sources taint callers
-//!   transitively, so wall-clock reads laundered through a helper in a
-//!   non-deterministic crate are caught at the frame where a
-//!   deterministic crate calls out.
-//! * `panic-reachability` — panic sites outside `panic-policy`'s
-//!   per-file jurisdiction (bins, integration tests, examples) must
-//!   state invariants when a hot root reaches them.
 //! * `dead-pub` — a `pub` fn of library code that no code names —
 //!   tests, binaries, examples and the benchmark's sources included —
 //!   is dead. Names resolve as calls do, without the call syntax.
 //!
 //! ## Escape hatch
 //!
-//! A finding can be suppressed in place:
+//! A reasoned annotation is the one way to suppress a finding:
 //!
 //! ```text
 //! // lint:allow(determinism): pool diagnostics are trace-only wall time
@@ -57,8 +52,8 @@
 //!
 //! The annotation names one or more rules, requires a reason after the
 //! colon, and applies to its own line or the next line carrying code.
-//! For the graph rules the placement is semantic: on a *call-site* line
-//! the allow cuts that edge (suppressing only chains through that
+//! For the call-graph rules the placement is semantic: on a *call-site*
+//! line the allow cuts that edge (suppressing only chains through that
 //! frame); on the *fact* line it clears the fact for all chains. An
 //! annotation that suppresses nothing is itself an error, so stale
 //! allows cannot accumulate.
@@ -67,7 +62,6 @@
 //!
 //! ```text
 //! cargo run -p mms-lint -- check [--rule <name>] [--json] [--root <dir>]
-//!                                [--baseline <file>] [--write-baseline <file>]
 //! cargo run -p mms-lint -- graph [--dot] [--roots] [--why <from> <to>]
 //! ```
 
@@ -87,6 +81,7 @@ use model::FileModel;
 use report::{EqCoverage, Finding, Report};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use symbols::Workspace;
 
 /// Which rules a run enforces.
 #[derive(Debug, Clone)]
@@ -95,7 +90,7 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// All nine rules.
+    /// All six rules.
     #[must_use]
     pub fn all() -> RuleSet {
         RuleSet {
@@ -123,131 +118,61 @@ impl RuleSet {
     pub fn is_active(&self, rule: &str) -> bool {
         self.active.iter().any(|r| r == rule)
     }
-
-    /// Whether any interprocedural rule is enforced by this run.
-    #[must_use]
-    pub fn any_graph_rule(&self) -> bool {
-        rules::GRAPH_RULES.iter().any(|r| self.is_active(r))
-    }
-}
-
-/// Per-file lint outcome: findings after annotation filtering, plus the
-/// equation citations the file carries (for workspace coverage).
-pub struct FileOutcome {
-    /// Surviving findings.
-    pub findings: Vec<Finding>,
-    /// Equation numbers cited in this file's comments.
-    pub eq_cited: Vec<u32>,
-    /// Which hot-registry entries this file matched.
-    pub hot_matched: Vec<bool>,
-}
-
-/// Run the per-file rules over one model, suppressing findings via
-/// allows (and marking them used). No hygiene — that runs once the
-/// graph rules have had their chance to use allows too.
-fn file_rules(m: &FileModel, set: &RuleSet, hot_matched: &mut [bool]) -> (Vec<Finding>, Vec<u32>) {
-    let mut raw: Vec<Finding> = Vec::new();
-    let mut eq_cited = Vec::new();
-    if set.is_active("determinism") {
-        raw.extend(rules::determinism(m));
-    }
-    if set.is_active("hot-path-alloc") {
-        raw.extend(rules::hot_path_alloc(m, hot_matched));
-    }
-    if set.is_active("unsafe-pragma") {
-        raw.extend(rules::unsafe_pragma(m));
-    }
-    if set.is_active("panic-policy") {
-        raw.extend(rules::panic_policy(m));
-    }
-    if set.is_active("paper-refs") {
-        let (f, eqs) = rules::paper_refs(m);
-        raw.extend(f);
-        eq_cited.extend(eqs.iter().map(|c| c.num));
-    }
-    let mut findings: Vec<Finding> = Vec::new();
-    for f in raw {
-        let mut suppressed = false;
-        for a in m.allows_for(&f.rule, f.line) {
-            if a.has_reason {
-                a.used.set(true);
-                suppressed = true;
-            }
-        }
-        if !suppressed {
-            findings.push(f);
-        }
-    }
-    (findings, eq_cited)
 }
 
 /// Annotation hygiene for one model: unknown rules, missing reasons,
-/// unused allows. When `graph_ran` is false (per-file-only linting, as
-/// in [`lint_source`]), allows naming a graph rule are exempt from the
-/// unused check — nothing could have marked them.
-fn hygiene(m: &FileModel, set: &RuleSet, graph_ran: bool, out: &mut Vec<Finding>) {
+/// unused allows. Runs once every active rule has had its chance to
+/// use an allow.
+fn hygiene(m: &FileModel, set: &RuleSet, out: &mut Vec<Finding>) {
     for a in &m.allows {
         for r in &a.rules {
             if !rules::RULE_NAMES.contains(&r.as_str()) {
-                out.push(Finding {
-                    rule: "lint-allow".into(),
-                    file: m.path.clone(),
-                    line: a.line,
-                    message: format!(
+                out.push(Finding::new(
+                    "lint-allow",
+                    &m.path,
+                    a.line,
+                    format!(
                         "`lint:allow({r})` names an unknown rule (known: {})",
                         rules::RULE_NAMES.join(", ")
                     ),
-                });
+                ));
             }
         }
-        let relevant = a.rules.iter().any(|r| set.is_active(r));
-        if !relevant {
+        if !a.rules.iter().any(|r| set.is_active(r)) {
             continue;
         }
         if !a.has_reason {
-            out.push(Finding {
-                rule: "lint-allow".into(),
-                file: m.path.clone(),
-                line: a.line,
-                message: "`lint:allow(…)` requires a reason: `// lint:allow(<rule>): <why>`".into(),
-            });
+            out.push(Finding::new(
+                "lint-allow",
+                &m.path,
+                a.line,
+                "`lint:allow(…)` requires a reason: `// lint:allow(<rule>): <why>`".into(),
+            ));
         } else if !a.used.get() {
-            let names_graph_rule = a
-                .rules
-                .iter()
-                .any(|r| rules::GRAPH_RULES.contains(&r.as_str()));
-            if names_graph_rule && !graph_ran {
-                continue;
-            }
-            out.push(Finding {
-                rule: "lint-allow".into(),
-                file: m.path.clone(),
-                line: a.line,
-                message: format!(
+            out.push(Finding::new(
+                "lint-allow",
+                &m.path,
+                a.line,
+                format!(
                     "unused `lint:allow({})`: nothing on line {} violates it — remove the annotation",
                     a.rules.join(", "),
                     a.target_line
                 ),
-            });
+            ));
         }
     }
 }
 
 /// Lint a single source text as if it lived at workspace-relative
-/// `path`. This is the per-file core used by fixture tests; the
-/// interprocedural rules need the whole workspace and only run in
-/// [`check_workspace`].
+/// `path`: [`check_workspace`]'s pipeline over a one-file workspace.
+/// Returns the findings in that file; registry entries that name other
+/// files are not found in a one-file workspace and are left out.
 #[must_use]
-pub fn lint_source(path: &str, src: &str, set: &RuleSet) -> FileOutcome {
-    let m = FileModel::build(path, src);
-    let mut hot_matched = vec![false; rules::HOT_FNS.len()];
-    let (mut findings, eq_cited) = file_rules(&m, set, &mut hot_matched);
-    hygiene(&m, set, false, &mut findings);
-    FileOutcome {
-        findings,
-        eq_cited,
-        hot_matched,
-    }
+pub fn lint_source(path: &str, src: &str, set: &RuleSet) -> Vec<Finding> {
+    let ws = Workspace::build(vec![FileModel::build(path, src)]);
+    let mut findings = run(&ws, set).findings;
+    findings.retain(|f| f.file == ws.paths[0]);
+    findings
 }
 
 /// Source files the linter walks: first-party Rust under these roots.
@@ -292,7 +217,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Load the workspace rooted at `root` into a symbol table (reading and
 /// modeling every first-party file). Shared by [`check_workspace`] and
 /// the `graph` subcommand.
-pub fn load_workspace(root: &Path) -> Result<symbols::Workspace, String> {
+pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     let models = load_models(root, &WALK_ROOTS)?;
     if models.is_empty() {
         return Err(format!(
@@ -300,8 +225,8 @@ pub fn load_workspace(root: &Path) -> Result<symbols::Workspace, String> {
             root.display()
         ));
     }
-    let paths = models.iter().map(|m| m.path.clone()).collect();
-    let mut ws = symbols::Workspace::build(root, paths, models);
+    let mut ws = Workspace::build(models);
+    ws.deps = symbols::dep_closure(root, &ws.paths);
     ws.readers = load_models(root, &READER_ROOTS)?;
     Ok(ws)
 }
@@ -326,76 +251,54 @@ fn load_models(root: &Path, tops: &[&str]) -> Result<Vec<FileModel>, String> {
 }
 
 /// Run the active rules over the workspace rooted at `root`.
-///
-/// Phases: per-file rules (allow-filtered), the interprocedural rules
-/// over the call graph (edge-cut and fact-clear allows applied), then
-/// annotation hygiene and the registry cross-checks — every
-/// hot-function entry must match a function somewhere (a rename would
-/// otherwise silently drop protection), and every equation's
-/// implementing item must exist and be cited in its registered file.
 pub fn check_workspace(root: &Path, set: &RuleSet) -> Result<Report, String> {
-    let ws = load_workspace(root)?;
+    Ok(run(&load_workspace(root)?, set))
+}
+
+/// Run the active rules over `ws`: the call-graph rules, the per-file
+/// rules (allow-filtered), `dead-pub`, annotation hygiene once every
+/// rule has had its chance to use an allow, and the equation registry's
+/// cross-check — every implementing item must exist and be cited in
+/// its registered file.
+fn run(ws: &Workspace, set: &RuleSet) -> Report {
     let mut report = Report {
         files_checked: ws.files.len(),
         ..Report::default()
     };
-    let mut hot_matched = vec![false; rules::HOT_FNS.len()];
-    let mut eqs_by_file: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-
-    for m in &ws.files {
-        let (findings, eq_cited) = file_rules(m, set, &mut hot_matched);
-        report.findings.extend(findings);
-        if set.is_active("paper-refs") {
-            eqs_by_file
-                .entry(m.path.clone())
-                .or_default()
-                .extend(eq_cited);
-        }
+    let findings = &mut report.findings;
+    let g = graph::CallGraph::build(ws);
+    let roots = taint::resolve_roots(ws);
+    if set.is_active("determinism") {
+        findings.extend(taint::determinism(ws, &g));
     }
-
-    let graph_ran = set.any_graph_rule();
-    if graph_ran {
-        let g = graph::CallGraph::build(&ws);
-        let roots = taint::resolve_roots(&ws);
-        if set.is_active("transitive-alloc") {
-            report
-                .findings
-                .extend(taint::transitive_alloc(&ws, &g, &roots));
-        }
-        if set.is_active("determinism-taint") {
-            report.findings.extend(taint::determinism_taint(&ws, &g));
-        }
-        if set.is_active("panic-reachability") {
-            report
-                .findings
-                .extend(taint::panic_reachability(&ws, &g, &roots));
-        }
-        if set.is_active("dead-pub") {
-            report.findings.extend(dead::dead_pub(&ws));
-        }
-    }
-
-    for m in &ws.files {
-        hygiene(m, set, graph_ran, &mut report.findings);
-    }
-
     if set.is_active("hot-path-alloc") {
-        for (i, reg) in rules::HOT_FNS.iter().enumerate() {
-            if !hot_matched[i] {
-                let qual = reg
-                    .impl_type
-                    .map(|t| format!("{t}::{}", reg.name))
-                    .unwrap_or_else(|| reg.name.to_string());
-                report.findings.push(Finding {
-                    rule: "hot-path-alloc".into(),
-                    file: reg.file.into(),
-                    line: 1,
-                    message: format!(
-                        "hot-path registry entry `{qual}` not found — renamed or moved? update the registry in crates/lint/src/rules.rs"
-                    ),
-                });
-            }
+        findings.extend(taint::hot_path_alloc(ws, &g, &roots));
+    }
+    if set.is_active("panic-policy") {
+        findings.extend(taint::panic_policy(ws, &g, &roots.concat()));
+    }
+    let mut eqs_by_file: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
+    for m in &ws.files {
+        let mut raw = Vec::new();
+        if set.is_active("unsafe-pragma") {
+            raw.extend(rules::unsafe_pragma(m));
         }
+        if set.is_active("paper-refs") {
+            let (found, eqs) = rules::paper_refs(m);
+            raw.extend(found);
+            eqs_by_file
+                .entry(&m.path)
+                .or_default()
+                .extend(eqs.iter().map(|c| c.num));
+        }
+        raw.retain(|f| !m.allowed(&f.rule, f.line, true));
+        findings.extend(raw);
+    }
+    if set.is_active("dead-pub") {
+        findings.extend(dead::dead_pub(ws));
+    }
+    for m in &ws.files {
+        hygiene(m, set, findings);
     }
 
     if set.is_active("paper-refs") {
@@ -404,32 +307,31 @@ pub fn check_workspace(root: &Path, set: &RuleSet) -> Result<Report, String> {
                 .iter()
                 .any(|(f, eqs)| f.ends_with(e.file) && eqs.contains(&e.eq));
             let present = ws
-                .paths
+                .files
                 .iter()
-                .zip(&ws.files)
-                .filter(|(p, _)| p.ends_with(e.file))
-                .any(|(_, m)| m.toks.iter().any(|t| t.text.contains(e.item)));
+                .filter(|m| m.path.ends_with(e.file))
+                .any(|m| m.toks.iter().any(|t| t.text.contains(e.item)));
             if !present {
-                report.findings.push(Finding {
-                    rule: "paper-refs".into(),
-                    file: e.file.into(),
-                    line: 1,
-                    message: format!(
+                report.findings.push(Finding::new(
+                    "paper-refs",
+                    e.file,
+                    1,
+                    format!(
                         "registered implementing item `{}` for Eq. {} not found — renamed? update the registry in crates/lint/src/rules.rs",
                         e.item, e.eq
                     ),
-                });
+                ));
             }
             if !cited {
-                report.findings.push(Finding {
-                    rule: "paper-refs".into(),
-                    file: e.file.into(),
-                    line: 1,
-                    message: format!(
+                report.findings.push(Finding::new(
+                    "paper-refs",
+                    e.file,
+                    1,
+                    format!(
                         "Eq. {} ({}) is no longer cited in this file — restore the doc citation on `{}`",
                         e.eq, e.what, e.item
                     ),
-                });
+                ));
             }
             report.coverage.push(EqCoverage {
                 eq: e.eq,
@@ -444,7 +346,7 @@ pub fn check_workspace(root: &Path, set: &RuleSet) -> Result<Report, String> {
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    Ok(report)
+    report
 }
 
 /// Locate the workspace root: walk up from `start` until a `Cargo.toml`

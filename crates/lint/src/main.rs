@@ -1,9 +1,9 @@
-//! CLI driver: `mms-lint check [--rule <name>] [--json] [--root <dir>]
-//! [--baseline <file>] [--write-baseline <file>]`, `mms-lint graph
-//! [--dot] [--roots] [--why <from> <to>]`, and `mms-lint rules`.
+//! CLI driver: `mms-lint check [--rule <name>] [--json] [--root <dir>]`,
+//! `mms-lint graph [--dot] [--roots] [--why <from> <to>]`, and
+//! `mms-lint rules`.
 
 use mms_lint::graph::{render_chain, resolve_spec, CallGraph};
-use mms_lint::{check_workspace, find_root, load_workspace, report, taint, RuleSet};
+use mms_lint::{check_workspace, find_root, load_workspace, taint, RuleSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -12,23 +12,19 @@ mms-lint — static enforcement of the workspace's invariants
 
 USAGE:
     mms-lint check [--rule <name>]... [--json] [--root <dir>]
-                   [--baseline <file>] [--write-baseline <file>]
     mms-lint graph [--dot] [--roots] [--why <from> <to>] [--root <dir>]
     mms-lint rules
 
 OPTIONS:
     --rule <name>      Run only the named rule (repeatable). Known rules:
                        determinism, hot-path-alloc, unsafe-pragma,
-                       panic-policy, paper-refs, transitive-alloc,
-                       determinism-taint, panic-reachability, dead-pub
+                       panic-policy, paper-refs, dead-pub
     --json             Emit findings and coverage as JSON
     --root <dir>       Workspace root (default: nearest [workspace] above
                        the linter's own manifest, or the current directory)
-    --baseline <file>  Suppress findings recorded in <file>; fail only on
-                       new ones (line numbers ignored, so edits above a
-                       baselined finding don't churn it)
-    --write-baseline <file>
-                       Write the current findings to <file> and exit 0
+
+The one way to suppress a finding is a reasoned annotation at the end of
+its line or on a line of its own above it: // lint:allow(<rule>): <why>
 
 GRAPH:
     --dot              Export the workspace call graph as Graphviz DOT
@@ -38,7 +34,7 @@ GRAPH:
                        `name` or `Type::name`
 
 EXIT STATUS:
-    0  clean tree (or no new findings vs. the baseline)
+    0  clean tree
     1  findings
     2  usage or I/O error
 ";
@@ -75,8 +71,6 @@ fn run_check(args: &[String]) -> ExitCode {
     let mut rules: Vec<String> = Vec::new();
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -88,14 +82,6 @@ fn run_check(args: &[String]) -> ExitCode {
             "--root" => match it.next() {
                 Some(r) => root = Some(PathBuf::from(r)),
                 None => return usage_err("--root needs a value"),
-            },
-            "--baseline" => match it.next() {
-                Some(r) => baseline = Some(PathBuf::from(r)),
-                None => return usage_err("--baseline needs a value"),
-            },
-            "--write-baseline" => match it.next() {
-                Some(r) => write_baseline = Some(PathBuf::from(r)),
-                None => return usage_err("--write-baseline needs a value"),
             },
             other => return usage_err(&format!("unknown flag `{other}`")),
         }
@@ -113,39 +99,7 @@ fn run_check(args: &[String]) -> ExitCode {
         return usage_err("could not locate the workspace root; pass --root");
     };
     match check_workspace(&root, &set) {
-        Ok(mut rep) => {
-            if let Some(path) = write_baseline {
-                let text = report::render_baseline(&rep.findings);
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("mms-lint: write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "mms-lint: wrote baseline with {} finding(s) to {}",
-                    rep.findings.len(),
-                    path.display()
-                );
-                return ExitCode::SUCCESS;
-            }
-            if let Some(path) = baseline {
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("mms-lint: read {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                };
-                let known = report::parse_baseline(&text);
-                let before = rep.findings.len();
-                rep.findings
-                    .retain(|f| !known.contains(&report::baseline_key(f)));
-                if !json {
-                    println!(
-                        "mms-lint: baseline suppressed {} of {before} finding(s)",
-                        before - rep.findings.len()
-                    );
-                }
-            }
+        Ok(rep) => {
             if json {
                 print!("{}", rep.render_json());
             } else {
@@ -231,30 +185,30 @@ fn run_graph(args: &[String]) -> ExitCode {
     }
     if roots_report {
         let roots = taint::resolve_roots(&ws);
-        let root_fns: Vec<usize> = roots.iter().map(|&(_, fi)| fi).collect();
         println!(
             "hot-root coverage: {}/{} registry entries resolved",
-            roots.len(),
-            mms_lint::rules::HOT_FNS.len()
+            roots.iter().filter(|fns| !fns.is_empty()).count(),
+            roots.len()
         );
         let mut covered = vec![false; ws.fns.len()];
-        for &(ri, fi) in &roots {
-            let reg = &mms_lint::rules::HOT_FNS[ri];
-            let pred = g.reach(&[fi], &|_| false);
-            let reach = pred.iter().filter(|p| p.is_some()).count() - 1;
-            for (i, p) in pred.iter().enumerate() {
-                if p.is_some() {
-                    covered[i] = true;
+        for (reg, fns) in mms_lint::rules::HOT_FNS.iter().zip(&roots) {
+            for &fi in fns {
+                let pred = g.reach(&[fi], &|_| false);
+                let reach = pred.iter().filter(|p| p.is_some()).count() - 1;
+                for (i, p) in pred.iter().enumerate() {
+                    if p.is_some() {
+                        covered[i] = true;
+                    }
                 }
+                println!(
+                    "  {:<40} in={:<3} out={:<3} reaches={:<4} {}",
+                    ws.fns[fi].qualified(),
+                    g.in_degree[fi],
+                    g.out[fi].len(),
+                    reach,
+                    reg.why
+                );
             }
-            println!(
-                "  {:<40} in={:<3} out={:<3} reaches={:<4} {}",
-                ws.fns[fi].qualified(),
-                g.in_degree[fi],
-                g.out[fi].len(),
-                reach,
-                reg.why
-            );
         }
         let total: usize = ws.fns.iter().filter(|f| !f.is_test).count();
         let cov = covered
@@ -264,7 +218,7 @@ fn run_graph(args: &[String]) -> ExitCode {
             .count();
         println!(
             "covered: {cov}/{total} production functions reachable from the {} root(s)",
-            root_fns.len()
+            roots.concat().len()
         );
     }
     ExitCode::SUCCESS

@@ -82,15 +82,17 @@ impl FileModel {
             .any(|(t, &it)| t.line == line && !t.is_comment() && it)
     }
 
-    /// The allows whose target line is `line` and that name `rule`.
-    pub fn allows_for<'a>(
-        &'a self,
-        rule: &'a str,
-        line: u32,
-    ) -> impl Iterator<Item = &'a Allow> + 'a {
-        self.allows
-            .iter()
-            .filter(move |a| a.target_line == line && a.rules.iter().any(|r| r == rule))
+    /// Whether an allow with a reason names `rule` and targets `line`.
+    /// With `mark`, every such allow is marked used.
+    pub fn allowed(&self, rule: &str, line: u32, mark: bool) -> bool {
+        let mut any = false;
+        for a in &self.allows {
+            if a.has_reason && a.target_line == line && a.rules.iter().any(|r| r == rule) {
+                a.used.set(a.used.get() || mark);
+                any = true;
+            }
+        }
+        any
     }
 }
 

@@ -16,6 +16,19 @@ pub struct Finding {
     pub message: String,
 }
 
+impl Finding {
+    /// A finding of `rule` at `file:line`.
+    #[must_use]
+    pub fn new(rule: &str, file: &str, line: u32, message: String) -> Finding {
+        Finding {
+            rule: rule.to_string(),
+            file: file.to_string(),
+            line,
+            message,
+        }
+    }
+}
+
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -133,45 +146,6 @@ impl Report {
         );
         s
     }
-}
-
-/// One line of a findings baseline: `rule<TAB>file<TAB>message`. Line
-/// numbers are deliberately excluded so unrelated edits above a
-/// baselined finding don't churn the file.
-#[must_use]
-pub fn baseline_key(f: &Finding) -> String {
-    format!(
-        "{}\t{}\t{}",
-        f.rule,
-        f.file,
-        f.message.replace(['\t', '\n'], " ")
-    )
-}
-
-/// Serialize findings as a baseline file (sorted, deduplicated — a
-/// plain text format so the linter stays zero-dependency).
-#[must_use]
-pub fn render_baseline(findings: &[Finding]) -> String {
-    let mut keys: Vec<String> = findings.iter().map(baseline_key).collect();
-    keys.sort();
-    keys.dedup();
-    let mut s = String::from("# mms-lint baseline: one `rule<TAB>file<TAB>message` per line\n");
-    for k in &keys {
-        s.push_str(k);
-        s.push('\n');
-    }
-    s
-}
-
-/// Parse a baseline file back into its keys (comments and blank lines
-/// skipped).
-#[must_use]
-pub fn parse_baseline(text: &str) -> std::collections::BTreeSet<String> {
-    text.lines()
-        .map(str::trim_end)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
 }
 
 /// Minimal JSON string escaping.

@@ -1,52 +1,34 @@
-//! The invariant rules and their registries.
+//! The registries and token scans the rules share, and the two rules
+//! that need neither the call graph nor the workspace's references.
 //!
 //! | Rule | Protects | Scope |
 //! |---|---|---|
-//! | `determinism` | bit-identical output at any thread count (PR 1/2) | deterministic crates' non-test code |
-//! | `hot-path-alloc` | the zero-allocation data path (PR 3) | registered hot functions |
+//! | `determinism` | bit-identical output at any thread count | deterministic crates' non-test library code, and chains out of it |
+//! | `hot-path-alloc` | the zero-allocation data path | every function a registered hot root reaches, the roots included |
 //! | `unsafe-pragma` | `#![forbid(unsafe_code)]` on every first-party crate | crate roots |
-//! | `panic-policy` | panics in library code state their invariant | non-test library code |
+//! | `panic-policy` | panics state their invariant | non-test library code, and bins/tests/examples a hot root reaches |
 //! | `paper-refs` | citations stay within the paper (Eqs 1–19, Figs 1–9, Tables 1–3) | all comments |
-//! | `transitive-alloc` | zero allocation everywhere *reachable* from a hot root | workspace call graph |
-//! | `determinism-taint` | no laundering nondeterminism through helper crates | workspace call graph |
-//! | `panic-reachability` | reachable panic sites outside library code state invariants | workspace call graph |
 //! | `dead-pub` | every `pub` fn of library code is called or named somewhere | workspace references |
 //!
-//! The last four are interprocedural: they run over the symbol table of
-//! [`crate::symbols`] — three on the call graph built by
-//! [`crate::graph`], living in [`crate::taint`], and `dead-pub` on the
-//! references it resolves the same way ([`crate::dead`]). This module keeps the per-file rules and
-//! the registries (hot roots, equations, fact patterns) both layers
-//! share.
+//! `unsafe-pragma` and `paper-refs` live here. The three call-graph
+//! rules live in [`crate::taint`]: each flags the *facts* this module
+//! scans for ([`alloc_sites`], [`nondet_sites`], [`panic_sites`]) in
+//! the functions a chain reaches, a function's own body being a chain
+//! of length 0. `dead-pub` resolves references the way calls resolve
+//! ([`crate::dead`]).
 
 use crate::model::FileModel;
 use crate::report::Finding;
 use crate::scan::Kind;
+use std::ops::Range;
 
 /// Names of every rule, in reporting order.
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 6] = [
     "determinism",
     "hot-path-alloc",
     "unsafe-pragma",
     "panic-policy",
     "paper-refs",
-    "transitive-alloc",
-    "determinism-taint",
-    "panic-reachability",
-    "dead-pub",
-];
-
-/// The interprocedural rules: they need the whole-workspace call graph
-/// and cannot run per-file. `lint:allow` semantics differ too — an
-/// allow on a *call-site* line cuts that edge out of the graph
-/// (suppressing only chains through that frame), while an allow on the
-/// allocation/nondeterminism/panic *fact* line clears the fact itself.
-/// `dead-pub` reads every file for references; its allow goes on the
-/// `fn` line.
-pub const GRAPH_RULES: [&str; 4] = [
-    "transitive-alloc",
-    "determinism-taint",
-    "panic-reachability",
     "dead-pub",
 ];
 
@@ -85,8 +67,8 @@ pub const NONDETERMINISTIC_IDENTS: [(&str, &str); 8] = [
 ];
 
 /// One entry of the hot-function registry: the function must exist
-/// (renaming it without updating the registry is itself a finding) and
-/// its body must not contain the forbidden allocation tokens.
+/// (renaming it without updating the registry is itself a finding), and
+/// neither its body nor anything it reaches may allocate.
 pub struct HotFn {
     /// Workspace-relative file the function lives in.
     pub file: &'static str,
@@ -100,7 +82,7 @@ pub struct HotFn {
 
 /// The zero-allocation registry (PR 3's guarantee, made static).
 ///
-/// Since `transitive-alloc` walks the call graph, the registry lists
+/// Since `hot-path-alloc` walks the call graph, the registry lists
 /// only the **roots** of the hot paths — the entry points a driver
 /// calls per cycle (or per event) — not every function on them.
 /// `Simulator::step`, the schedulers' `plan_cycle_into`/`fast_forward`
@@ -275,7 +257,7 @@ pub const FIG_RANGE: (u32, u32) = (1, 9);
 pub const TABLE_RANGE: (u32, u32) = (1, 3);
 
 /// The crate directory name (`crates/<name>/…`) of a workspace path.
-pub fn crate_of(path: &str) -> Option<&str> {
+fn crate_of(path: &str) -> Option<&str> {
     let rest = path.strip_prefix("crates/")?;
     rest.split('/').next()
 }
@@ -294,6 +276,13 @@ pub fn is_library_source(path: &str) -> bool {
     path.starts_with(&prefix) && !path.starts_with(&format!("crates/{c}/src/bin/"))
 }
 
+/// Whether `path` is a deterministic crate's library source: the
+/// `determinism` rule's jurisdiction.
+#[must_use]
+pub fn is_deterministic(path: &str) -> bool {
+    crate_of(path).is_some_and(|c| DETERMINISTIC_CRATES.contains(&c)) && is_library_source(path)
+}
+
 /// Whether `path` is a first-party crate root (`lib.rs`).
 fn is_crate_root(path: &str) -> bool {
     path == "src/lib.rs"
@@ -302,54 +291,15 @@ fn is_crate_root(path: &str) -> bool {
             && path.matches('/').count() == 3)
 }
 
-fn finding(rule: &'static str, path: &str, line: u32, message: String) -> Finding {
-    Finding {
-        rule: rule.to_string(),
-        file: path.to_string(),
-        line,
-        message,
-    }
-}
-
-/// `determinism`: forbid wall-clock, hash-randomized collections, and
-/// ambient randomness in deterministic crates' non-test code.
-pub fn determinism(m: &FileModel) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let applies = crate_of(&m.path).is_some_and(|c| DETERMINISTIC_CRATES.contains(&c))
-        && is_library_source(&m.path);
-    if !applies {
-        return out;
-    }
-    for (t, &in_test) in m.toks.iter().zip(&m.in_test) {
-        if in_test || t.kind != Kind::Ident {
-            continue;
-        }
-        if let Some((ident, why)) = NONDETERMINISTIC_IDENTS
-            .iter()
-            .find(|(ident, _)| t.text == *ident)
-        {
-            out.push(finding(
-                "determinism",
-                &m.path,
-                t.line,
-                format!("`{ident}` in deterministic crate: {why}"),
-            ));
-        }
-    }
-    out
-}
-
-/// Token-sequence matcher over non-comment tokens of a body range.
+/// Token-sequence matcher over the non-comment tokens of a range.
 struct Seq<'a> {
     m: &'a FileModel,
     idx: Vec<usize>,
 }
 
 impl<'a> Seq<'a> {
-    fn body(m: &'a FileModel, lo: usize, hi: usize) -> Seq<'a> {
-        let idx = (lo..=hi.min(m.toks.len().saturating_sub(1)))
-            .filter(|&i| !m.toks[i].is_comment())
-            .collect();
+    fn new(m: &'a FileModel, toks: Range<usize>) -> Seq<'a> {
+        let idx = toks.filter(|&i| !m.toks[i].is_comment()).collect();
         Seq { m, idx }
     }
 
@@ -379,26 +329,27 @@ impl<'a> Seq<'a> {
 
 /// The allocation tokens forbidden in hot functions.
 const HOT_FORBIDDEN: &[(&[&str], &str)] = &[
-    (&["Vec", ":", ":", "new"], "Vec::new"),
-    (&["vec", "!"], "vec!"),
-    (&[".", "to_vec"], ".to_vec()"),
-    (&["Box", ":", ":", "new"], "Box::new"),
-    (&["format", "!"], "format!"),
-    (&[".", "collect"], ".collect()"),
+    (&["Vec", ":", ":", "new"], "`Vec::new`"),
+    (&["vec", "!"], "`vec!`"),
+    (&[".", "to_vec"], "`.to_vec()`"),
+    (&["Box", ":", ":", "new"], "`Box::new`"),
+    (&["format", "!"], "`format!`"),
+    (&[".", "collect"], "`.collect()`"),
     // Cloning a stream entry or failure set hides a heap allocation the
     // moment the struct holds a non-empty Vec/BTreeSet; planners must
     // copy scalar fields or hold a shared borrow instead.
-    (&[".", "clone"], ".clone()"),
-    (&[".", "cloned"], ".cloned()"),
+    (&[".", "clone"], "`.clone()`"),
+    (&[".", "cloned"], "`.cloned()`"),
 ];
 
-/// Allocation fact sites within a body token range: every occurrence
-/// of a `HOT_FORBIDDEN` pattern outside test code, as
-/// `(line, label)`. Shared by the per-file `hot-path-alloc` rule and
-/// the interprocedural `transitive-alloc` rule.
+/// A fact a rule looks for: its line, and what was found there.
+pub type Fact = (u32, &'static str);
+
+/// Allocation facts among the tokens `toks`: every occurrence of a
+/// `HOT_FORBIDDEN` pattern outside test code, as `(line, label)`.
 #[must_use]
-pub fn alloc_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static str)> {
-    let seq = Seq::body(m, lo, hi);
+pub fn alloc_sites(m: &FileModel, toks: Range<usize>) -> Vec<Fact> {
+    let seq = Seq::new(m, toks);
     let mut out = Vec::new();
     for k in 0..seq.len() {
         if seq.in_test(k) {
@@ -413,14 +364,13 @@ pub fn alloc_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static st
     out
 }
 
-/// Nondeterminism fact sites within a body token range: every
+/// Nondeterminism facts among the tokens `toks`: every
 /// [`NONDETERMINISTIC_IDENTS`] occurrence outside test code, as
-/// `(line, ident, why)`. Shared with the `determinism-taint` rule,
-/// which seeds its sources from these in *any* crate.
+/// `(line, ident, why)`.
 #[must_use]
-pub fn nondet_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static str, &'static str)> {
+pub fn nondet_sites(m: &FileModel, toks: Range<usize>) -> Vec<(u32, &'static str, &'static str)> {
     let mut out = Vec::new();
-    for i in lo..=hi.min(m.toks.len().saturating_sub(1)) {
+    for i in toks {
         let t = &m.toks[i];
         if m.in_test[i] || t.kind != Kind::Ident {
             continue;
@@ -435,13 +385,12 @@ pub fn nondet_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static s
     out
 }
 
-/// Panic fact sites within a body token range: `.unwrap()`, and
+/// Panic facts among the tokens `toks`: `.unwrap()`, and
 /// `.expect(…)`/`panic!(…)` whose message is not a string literal of at
 /// least `MIN_PANIC_MSG` chars — as `(line, short description)`.
-/// Shared with the `panic-reachability` rule.
 #[must_use]
-pub fn panic_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static str)> {
-    let seq = Seq::body(m, lo, hi);
+pub fn panic_sites(m: &FileModel, toks: Range<usize>) -> Vec<Fact> {
+    let seq = Seq::new(m, toks);
     let msg_ok = |k: usize| {
         seq.idx.get(k).is_some_and(|&i| m.toks[i].kind == Kind::Str)
             && seq.text(k).is_some_and(|s| s.trim().len() >= MIN_PANIC_MSG)
@@ -459,41 +408,6 @@ pub fn panic_sites(m: &FileModel, lo: usize, hi: usize) -> Vec<(u32, &'static st
         }
         if seq.matches(k, &["panic", "!", "("]) && !msg_ok(k + 3) {
             out.push((seq.line(k), "`panic!` without an invariant message"));
-        }
-    }
-    out
-}
-
-/// `hot-path-alloc`: registered hot functions must not allocate via the
-/// forbidden constructors.
-pub fn hot_path_alloc(m: &FileModel, matched: &mut [bool]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (reg_ix, reg) in HOT_FNS.iter().enumerate() {
-        if !m.path.ends_with(reg.file) {
-            continue;
-        }
-        for f in &m.fns {
-            if f.is_test || f.name != reg.name {
-                continue;
-            }
-            if let Some(want) = reg.impl_type {
-                if f.impl_type.as_deref() != Some(want) {
-                    continue;
-                }
-            }
-            matched[reg_ix] = true;
-            let Some((lo, hi)) = f.body else { continue };
-            for (line, label) in alloc_sites(m, lo, hi) {
-                out.push(finding(
-                    "hot-path-alloc",
-                    &m.path,
-                    line,
-                    format!(
-                        "`{label}` in hot function `{}` ({}): the data path must not allocate",
-                        reg.name, reg.why
-                    ),
-                ));
-            }
         }
     }
     out
@@ -518,7 +432,7 @@ pub fn unsafe_pragma(m: &FileModel) -> Vec<Finding> {
     if found {
         Vec::new()
     } else {
-        vec![finding(
+        vec![Finding::new(
             "unsafe-pragma",
             &m.path,
             1,
@@ -529,77 +443,7 @@ pub fn unsafe_pragma(m: &FileModel) -> Vec<Finding> {
 
 /// Minimum length for a panic/expect message to count as stating an
 /// invariant rather than being a placeholder.
-const MIN_PANIC_MSG: usize = 10;
-
-/// `panic-policy`: `.unwrap()` / `.expect(…)` / `panic!` in non-test
-/// library code must state the invariant they rely on (or carry an
-/// annotation).
-pub fn panic_policy(m: &FileModel) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if !is_library_source(&m.path) {
-        return out;
-    }
-    let idx: Vec<usize> = (0..m.toks.len())
-        .filter(|&i| !m.toks[i].is_comment())
-        .collect();
-    let text = |k: usize| idx.get(k).map(|&i| m.toks[i].text.as_str());
-    let kind = |k: usize| idx.get(k).map(|&i| m.toks[i].kind);
-    for (k, &tok_i) in idx.iter().enumerate() {
-        if m.in_test[tok_i] {
-            continue;
-        }
-        let line = m.toks[tok_i].line;
-        // `.unwrap()`
-        if text(k) == Some(".")
-            && text(k + 1) == Some("unwrap")
-            && text(k + 2) == Some("(")
-            && text(k + 3) == Some(")")
-        {
-            out.push(finding(
-                "panic-policy",
-                &m.path,
-                line,
-                "`.unwrap()` in library code: use `.expect(\"<invariant>\")` or annotate"
-                    .to_string(),
-            ));
-        }
-        // `.expect(<msg>)`
-        if text(k) == Some(".") && text(k + 1) == Some("expect") && text(k + 2) == Some("(") {
-            let ok = kind(k + 3) == Some(Kind::Str)
-                && text(k + 3).is_some_and(|s| s.trim().len() >= MIN_PANIC_MSG);
-            if !ok {
-                out.push(finding(
-                    "panic-policy",
-                    &m.path,
-                    line,
-                    format!(
-                        "`.expect(…)` message must be a string literal of ≥ {MIN_PANIC_MSG} chars stating the invariant"
-                    ),
-                ));
-            }
-        }
-        // `panic!(<msg>, …)`
-        if kind(k) == Some(Kind::Ident)
-            && text(k) == Some("panic")
-            && text(k + 1) == Some("!")
-            && text(k + 2) == Some("(")
-        {
-            let ok = kind(k + 3) == Some(Kind::Str)
-                && text(k + 3).is_some_and(|s| s.trim().len() >= MIN_PANIC_MSG);
-            if !ok {
-                out.push(finding(
-                    "panic-policy",
-                    &m.path,
-                    line,
-                    format!(
-                        "`panic!` in library code needs a string message of ≥ {MIN_PANIC_MSG} chars stating the invariant"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
+pub const MIN_PANIC_MSG: usize = 10;
 
 /// A citation parsed out of a comment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -754,7 +598,7 @@ pub fn paper_refs(m: &FileModel) -> (Vec<Finding>, Vec<Citation>) {
                 CiteKind::Table => ("Table", TABLE_RANGE),
             };
             if c.num < lo || c.num > hi {
-                out.push(finding(
+                out.push(Finding::new(
                     "paper-refs",
                     &m.path,
                     c.line,

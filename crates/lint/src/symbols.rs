@@ -3,7 +3,7 @@
 //! type, plus the crate dependency closure used to filter call-graph
 //! candidates to edges the compiler could actually produce.
 //!
-//! The table is the substrate the interprocedural rules build on: the
+//! The table is the substrate the call-graph rules build on: the
 //! per-file [`FileModel`]s stay alive here so cross-file analyses
 //! (call chains, `lint:allow` frames on interior calls) can resolve
 //! any `(file, line)` back to its annotations.
@@ -61,8 +61,6 @@ pub struct Workspace {
     /// directory names, self included). Crates without a parsed
     /// manifest get the permissive full closure.
     pub deps: BTreeMap<String, BTreeSet<String>>,
-    /// All crate directory names seen (plus `""` for the root package).
-    pub crates: BTreeSet<String>,
     /// Files read only for the functions they name
     /// ([`crate::READER_ROOTS`]); they hold no symbols.
     pub readers: Vec<FileModel>,
@@ -99,17 +97,15 @@ fn module_of(path: &str) -> String {
 }
 
 impl Workspace {
-    /// Build the symbol table from pre-scanned file models. `root` is
-    /// the workspace directory, used to read `crates/*/Cargo.toml` for
-    /// the dependency closure (missing manifests degrade gracefully to
-    /// the permissive closure).
+    /// Build the symbol table from scanned file models. Every crate may
+    /// call every other until [`dep_closure`] fills in
+    /// [`deps`](Self::deps).
     #[must_use]
-    pub fn build(root: &Path, paths: Vec<String>, files: Vec<FileModel>) -> Workspace {
+    pub fn build(files: Vec<FileModel>) -> Workspace {
+        let paths = files.iter().map(|m| m.path.clone()).collect();
         let mut fns = Vec::new();
-        let mut crates = BTreeSet::new();
         for (fi, model) in files.iter().enumerate() {
             let krate = crate_dir(&model.path);
-            crates.insert(krate.clone());
             let module = module_of(&model.path);
             for f in &model.fns {
                 if f.name.is_empty() {
@@ -128,13 +124,11 @@ impl Workspace {
                 });
             }
         }
-        let deps = dep_closure(root, &crates);
         Workspace {
             paths,
             files,
             fns,
-            deps,
-            crates,
+            deps: BTreeMap::new(),
             readers: Vec::new(),
         }
     }
@@ -162,13 +156,16 @@ impl Workspace {
     }
 }
 
-/// Compute each crate's transitive dependency closure by reading the
-/// workspace manifests. Mapping is by crate *directory* name; package
-/// names (`mms-sim`) are resolved from each manifest's `name =` line.
-fn dep_closure(root: &Path, crates: &BTreeSet<String>) -> BTreeMap<String, BTreeSet<String>> {
+/// Compute the transitive dependency closure of each crate the `paths`
+/// lie in by reading the manifests under `root`. Mapping is by crate
+/// *directory* name; package names (`mms-sim`) are resolved from each
+/// manifest's `name =` line.
+#[must_use]
+pub fn dep_closure(root: &Path, paths: &[String]) -> BTreeMap<String, BTreeSet<String>> {
+    let crates: BTreeSet<String> = paths.iter().map(|p| crate_dir(p)).collect();
     // dir -> (package name, manifest text)
     let mut manifests: BTreeMap<String, (String, String)> = BTreeMap::new();
-    for dir in crates {
+    for dir in &crates {
         if dir.is_empty() {
             continue;
         }
@@ -243,17 +240,13 @@ mod tests {
             "crates/sim/src/simulator.rs",
             "impl Simulator { pub fn step(&mut self) {} }\nfn helper() {}\n",
         );
-        let ws = Workspace::build(
-            Path::new("/nonexistent"),
-            vec!["crates/sim/src/simulator.rs".into()],
-            vec![m],
-        );
+        let ws = Workspace::build(vec![m]);
         assert_eq!(ws.fns.len(), 2);
         assert_eq!(ws.fns[0].qualified(), "Simulator::step");
         assert!(ws.fns[0].is_pub);
         assert_eq!(ws.fns[0].krate, "sim");
         assert!(!ws.fns[1].is_pub);
-        // No manifests on disk: permissive dependency answers.
+        // No closure computed: permissive dependency answers.
         assert!(ws.may_depend("sim", "sched"));
     }
 }

@@ -1,183 +1,110 @@
-//! The interprocedural rules: reachability and taint over the
-//! [`CallGraph`].
+//! The three call-graph rules. Each flags a *fact* — an allocation, a
+//! nondeterminism source, a panic site, as [`crate::rules`] scans them
+//! — in the functions a chain reaches. A function's own body is a
+//! chain of length 0.
 //!
-//! * `transitive-alloc` — the [`crate::rules::HOT_FNS`] registry
-//!   entries are *roots*; every non-root function reachable from a
-//!   root must be allocation-free. The per-file `hot-path-alloc` rule
-//!   keeps checking the roots' own bodies; this rule covers everything
-//!   they call, at any depth, so the registry no longer has to chase
-//!   helpers. It also polices the registry itself: an entry reachable
-//!   from another root is an interior node that must be pruned, and a
-//!   non-`pub` entry nothing calls is dead code.
-//! * `determinism-taint` — functions whose bodies touch a
-//!   nondeterminism source ([`crate::rules::NONDETERMINISTIC_IDENTS`])
-//!   taint their callers transitively, in *every* crate. A function in
-//!   a deterministic crate's library code whose call chain crosses out
-//!   of deterministic-crate jurisdiction into tainted code is flagged —
-//!   laundering a wall-clock read through a helper in `mms-bench`
-//!   no longer evades the per-file `determinism` rule.
-//! * `panic-reachability` — panic sites without invariant messages in
-//!   code the per-file `panic-policy` rule does *not* cover (binaries,
-//!   integration tests, examples) are findings when a hot root can
-//!   reach them.
+//! * `hot-path-alloc` — the [`HOT_FNS`] registry entries are *roots*;
+//!   every function a root reaches, the roots included, must be
+//!   allocation-free, at any call depth, so the registry never has to
+//!   chase helpers. The rule also polices the registry: an entry that
+//!   matches no function (renamed or moved), an entry another root
+//!   reaches (an interior node to prune), and a non-`pub` entry nothing
+//!   calls (dead code) are findings.
+//! * `determinism` — every nondeterminism fact
+//!   ([`crate::rules::NONDETERMINISTIC_IDENTS`]) in a deterministic
+//!   crate's non-test library code is a finding, `use` lines and
+//!   signatures included. Facts in *any* crate taint their callers
+//!   transitively, and a deterministic function whose chain leaves
+//!   deterministic jurisdiction into tainted code is flagged at that
+//!   frontier frame — so a wall-clock read laundered through a helper
+//!   in `mms-bench` is caught where the deterministic crate calls out.
+//! * `panic-policy` — panic facts without an invariant message are
+//!   findings anywhere in non-test library code, and in binaries,
+//!   integration tests and examples when a hot root reaches them.
 //!
-//! ## `lint:allow` semantics for graph rules
+//! ## `lint:allow` semantics
 //!
 //! An allow on a **call-site** line cuts that edge out of the graph
 //! before analysis — so it suppresses exactly the chains that pass
 //! through that frame, and nothing else. An allow on the **fact** line
 //! (the allocation, the `Instant`, the `.unwrap()`) clears the fact for
-//! every chain. Either kind is "used" only when it is load-bearing: a
-//! cut edge whose caller no chain reaches, or a cleared fact in an
-//! unreachable function, is an unused allow and fails hygiene.
+//! every chain. A cut edge is "used" only when it is load-bearing: a
+//! cut whose caller no chain reaches is an unused allow and fails
+//! hygiene.
 
-use crate::graph::{allow_cuts, render_chain, CallGraph, Edge};
+use crate::graph::{render_chain, CallGraph, Edge};
 use crate::model::FileModel;
 use crate::report::Finding;
 use crate::rules::{self, HOT_FNS};
 use crate::symbols::Workspace;
+use std::ops::Range;
 
-/// Resolve each hot-registry entry to its function index, when present
-/// (absence is reported by the per-file registry cross-check).
+/// Every non-test function each hot-registry entry names, in registry
+/// order. An empty list is an entry that matches nothing.
 #[must_use]
-pub fn resolve_roots(ws: &Workspace) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (ri, reg) in HOT_FNS.iter().enumerate() {
-        let hit = ws.fns.iter().position(|f| {
-            !f.is_test
-                && f.name == reg.name
-                && ws.paths[f.file].ends_with(reg.file)
-                && reg
-                    .impl_type
-                    .map_or(true, |want| f.impl_type.as_deref() == Some(want))
-        });
-        if let Some(fi) = hit {
-            out.push((ri, fi));
-        }
-    }
-    out
+pub fn resolve_roots(ws: &Workspace) -> Vec<Vec<usize>> {
+    HOT_FNS
+        .iter()
+        .map(|reg| {
+            (0..ws.fns.len())
+                .filter(|&fi| {
+                    let f = &ws.fns[fi];
+                    !f.is_test
+                        && f.name == reg.name
+                        && ws.paths[f.file].ends_with(reg.file)
+                        && reg
+                            .impl_type
+                            .map_or(true, |want| f.impl_type.as_deref() == Some(want))
+                })
+                .collect()
+        })
+        .collect()
 }
 
-/// Whether an allow for `rule` clears the fact on `line`, marking it
-/// used when it does (a matched fact is a real suppression).
-fn fact_allowed(m: &FileModel, rule: &str, line: u32) -> bool {
-    let mut any = false;
-    for a in m.allows_for(rule, line) {
-        if a.has_reason {
-            a.used.set(true);
-            any = true;
-        }
-    }
-    any
+/// Whether an allow for `rule` on the call-site line cuts edge `e`.
+fn cut(ws: &Workspace, rule: &str, e: &Edge, mark: bool) -> bool {
+    ws.files[ws.fns[e.from].file].allowed(rule, e.line, mark)
 }
 
-/// The edge-cut predicate for `rule`: an allow on the call-site line in
-/// the caller's file removes the edge (without marking — used-marking
-/// happens after analysis, when we know which cuts were load-bearing).
-fn edge_cut<'a>(ws: &'a Workspace, rule: &'a str) -> impl Fn(&Edge) -> bool + 'a {
-    move |e: &Edge| allow_cuts(&ws.files[ws.fns[e.from].file], rule, e.line, false)
-}
-
-/// Mark the allows behind cut edges used when the cut mattered
-/// (`load_bearing` says whether a chain actually arrived at the frame).
-fn mark_edge_allows(
+/// Findings for the facts `sites` finds in each non-test function a
+/// root reaches whose file `scope` admits, each naming its chain.
+/// `rule`'s call-site allows cut edges, and a cut is used when a chain
+/// reaches its caller.
+fn reached_facts(
     ws: &Workspace,
     g: &CallGraph,
     rule: &str,
-    load_bearing: &dyn Fn(&Edge) -> bool,
-) {
-    for edges in &g.out {
-        for e in edges {
-            let m = &ws.files[ws.fns[e.from].file];
-            if allow_cuts(m, rule, e.line, false) && load_bearing(e) {
-                allow_cuts(m, rule, e.line, true);
-            }
-        }
+    roots: &[usize],
+    scope: fn(&str) -> bool,
+    sites: fn(&FileModel, Range<usize>) -> Vec<rules::Fact>,
+    advice: &str,
+) -> Vec<Finding> {
+    let pred = g.reach(roots, &|e| cut(ws, rule, e, false));
+    for e in g.out.iter().flatten().filter(|e| pred[e.from].is_some()) {
+        cut(ws, rule, e, true);
     }
-}
-
-fn finding(rule: &str, file: &str, line: u32, message: String) -> Finding {
-    Finding {
-        rule: rule.to_string(),
-        file: file.to_string(),
-        line,
-        message,
-    }
-}
-
-/// `transitive-alloc`: allocation facts in non-root functions reachable
-/// from a hot root, plus the two registry-drift checks (interior
-/// entries, dead non-pub entries).
-#[must_use]
-pub fn transitive_alloc(ws: &Workspace, g: &CallGraph, roots: &[(usize, usize)]) -> Vec<Finding> {
-    const RULE: &str = "transitive-alloc";
-    let root_fns: Vec<usize> = roots.iter().map(|&(_, fi)| fi).collect();
-    let cut = edge_cut(ws, RULE);
-    let pred = g.reach(&root_fns, &cut);
-    mark_edge_allows(ws, g, RULE, &|e| pred[e.from].is_some());
-
     let mut out = Vec::new();
     for (fi, f) in ws.fns.iter().enumerate() {
-        if f.is_test || root_fns.contains(&fi) || pred[fi].is_none() {
+        if f.is_test || pred[fi].is_none() || !scope(&ws.paths[f.file]) {
             continue;
         }
         let Some((lo, hi)) = f.body else { continue };
         let m = &ws.files[f.file];
         let chain = g.chain_to(&pred, fi);
         let start = chain.first().map_or(fi, |e| e.from);
-        for (line, label) in rules::alloc_sites(m, lo, hi) {
-            if fact_allowed(m, RULE, line) {
+        for (line, label) in sites(m, lo..hi + 1) {
+            if m.allowed(rule, line, true) {
                 continue;
             }
-            out.push(finding(
-                RULE,
+            out.push(Finding::new(
+                rule,
                 &ws.paths[f.file],
                 line,
                 format!(
-                    "`{label}` in `{}` is on a hot path: {} — the data path must not allocate \
-                     (cut the edge or clear the fact with `lint:allow({RULE})`)",
+                    "{label} in `{}` is on a hot path: {} — {advice} \
+                     (cut the edge or clear the fact with `lint:allow({rule})`)",
                     f.qualified(),
                     render_chain(ws, start, &chain),
-                ),
-            ));
-        }
-    }
-
-    // Registry drift. Interior check: a root another root reaches is
-    // redundant — transitive-alloc already covers it. Dead check: a
-    // non-pub root nothing calls protects nothing.
-    for &(ri, fi) in roots {
-        let others: Vec<usize> = roots
-            .iter()
-            .filter(|&&(_, o)| o != fi)
-            .map(|&(_, o)| o)
-            .collect();
-        let p = g.reach(&others, &|_| false);
-        let reg = &HOT_FNS[ri];
-        if p[fi].is_some() {
-            let chain = g.chain_to(&p, fi);
-            let start = chain.first().map_or(fi, |e| e.from);
-            out.push(finding(
-                RULE,
-                reg.file,
-                ws.fns[fi].line,
-                format!(
-                    "hot-path registry entry `{}` is an interior node: {} — prune it from \
-                     HOT_FNS in crates/lint/src/rules.rs; transitive-alloc already covers it",
-                    ws.fns[fi].qualified(),
-                    render_chain(ws, start, &chain),
-                ),
-            ));
-        }
-        if g.in_degree[fi] == 0 && !ws.fns[fi].is_pub {
-            out.push(finding(
-                RULE,
-                reg.file,
-                ws.fns[fi].line,
-                format!(
-                    "hot-path registry entry `{}` is dead code: not `pub` and nothing in the \
-                     workspace calls it — delete the function or the registry entry",
-                    ws.fns[fi].qualified(),
                 ),
             ));
         }
@@ -185,24 +112,95 @@ pub fn transitive_alloc(ws: &Workspace, g: &CallGraph, roots: &[(usize, usize)])
     out
 }
 
-/// Whether symbol `fi` lives in a deterministic crate's library source
-/// (the per-file `determinism` rule's jurisdiction).
-fn in_det_jurisdiction(ws: &Workspace, fi: usize) -> bool {
-    let path = &ws.paths[ws.fns[fi].file];
-    rules::crate_of(path).is_some_and(|c| rules::DETERMINISTIC_CRATES.contains(&c))
-        && rules::is_library_source(path)
+/// `hot-path-alloc`: allocation facts in every function a hot root
+/// reaches, the roots included, plus the three registry-drift checks
+/// (missing, interior and dead entries). `roots` is [`resolve_roots`].
+#[must_use]
+pub fn hot_path_alloc(ws: &Workspace, g: &CallGraph, roots: &[Vec<usize>]) -> Vec<Finding> {
+    const RULE: &str = "hot-path-alloc";
+    let root_fns = roots.concat();
+    let mut out = reached_facts(
+        ws,
+        g,
+        RULE,
+        &root_fns,
+        |_| true,
+        rules::alloc_sites,
+        "the data path must not allocate",
+    );
+    // Registry drift. A missing entry protects nothing; a root another
+    // root reaches is redundant; a non-pub root nothing calls is dead.
+    for (reg, fns) in HOT_FNS.iter().zip(roots) {
+        if fns.is_empty() {
+            let qual = reg
+                .impl_type
+                .map_or_else(|| reg.name.to_string(), |t| format!("{t}::{}", reg.name));
+            out.push(Finding::new(
+                RULE,
+                reg.file,
+                1,
+                format!(
+                    "hot-path registry entry `{qual}` not found — renamed or moved? update \
+                     HOT_FNS in crates/lint/src/rules.rs"
+                ),
+            ));
+        }
+        for &fi in fns {
+            let others: Vec<usize> = root_fns.iter().copied().filter(|&o| o != fi).collect();
+            let p = g.reach(&others, &|_| false);
+            let f = &ws.fns[fi];
+            if p[fi].is_some() {
+                let chain = g.chain_to(&p, fi);
+                let start = chain.first().map_or(fi, |e| e.from);
+                out.push(Finding::new(
+                    RULE,
+                    &ws.paths[f.file],
+                    f.line,
+                    format!(
+                        "hot-path registry entry `{}` is an interior node: {} — prune it from \
+                         HOT_FNS in crates/lint/src/rules.rs; the roots above it cover it",
+                        f.qualified(),
+                        render_chain(ws, start, &chain),
+                    ),
+                ));
+            }
+            if g.in_degree[fi] == 0 && !f.is_pub {
+                out.push(Finding::new(
+                    RULE,
+                    &ws.paths[f.file],
+                    f.line,
+                    format!(
+                        "hot-path registry entry `{}` is dead code: not `pub` and nothing in the \
+                         workspace calls it — delete the function or the registry entry",
+                        f.qualified(),
+                    ),
+                ));
+            }
+        }
+    }
+    out
 }
 
-/// `determinism-taint`: deterministic-crate library functions whose
-/// call chain crosses out of deterministic jurisdiction into code that
-/// (transitively) touches a nondeterminism source.
+/// `determinism`: nondeterminism facts anywhere in deterministic
+/// crates' non-test library code, plus the frontier frames whose chain
+/// leaves that jurisdiction into code that (transitively) touches one.
 #[must_use]
-pub fn determinism_taint(ws: &Workspace, g: &CallGraph) -> Vec<Finding> {
-    const RULE: &str = "determinism-taint";
-    // Sources: any non-test fn whose body has an unallowed fact. Inside
-    // deterministic jurisdiction a per-file `determinism` allow also
-    // clears the source — its stated reason covers the usage.
-    let mut sources: Vec<usize> = Vec::new();
+pub fn determinism(ws: &Workspace, g: &CallGraph) -> Vec<Finding> {
+    const RULE: &str = "determinism";
+    let mut out = Vec::new();
+    for m in ws.files.iter().filter(|m| rules::is_deterministic(&m.path)) {
+        for (line, ident, why) in rules::nondet_sites(m, 0..m.toks.len()) {
+            if !m.allowed(RULE, line, true) {
+                out.push(Finding::new(
+                    RULE,
+                    &m.path,
+                    line,
+                    format!("`{ident}` in deterministic crate: {why}"),
+                ));
+            }
+        }
+    }
+    // Sources: every non-test fn, in any crate, with an uncleared fact.
     let mut fact: Vec<Option<(u32, &'static str, &'static str)>> = vec![None; ws.fns.len()];
     for (fi, f) in ws.fns.iter().enumerate() {
         if f.is_test {
@@ -210,35 +208,29 @@ pub fn determinism_taint(ws: &Workspace, g: &CallGraph) -> Vec<Finding> {
         }
         let Some((lo, hi)) = f.body else { continue };
         let m = &ws.files[f.file];
-        for (line, ident, why) in rules::nondet_sites(m, lo, hi) {
-            let cleared = fact_allowed(m, RULE, line)
-                || (in_det_jurisdiction(ws, fi)
-                    && m.allows_for("determinism", line).any(|a| a.has_reason));
-            if !cleared {
-                sources.push(fi);
-                fact[fi] = Some((line, ident, why));
-                break;
-            }
-        }
+        fact[fi] = rules::nondet_sites(m, lo..hi + 1)
+            .into_iter()
+            .find(|&(line, ..)| !m.allowed(RULE, line, true));
     }
-    let cut = edge_cut(ws, RULE);
-    let next = g.reach_rev(&sources, &cut);
-    mark_edge_allows(ws, g, RULE, &|e| next[e.to].is_some());
+    let sources: Vec<usize> = (0..ws.fns.len()).filter(|&fi| fact[fi].is_some()).collect();
+    let next = g.reach_rev(&sources, &|e| cut(ws, RULE, e, false));
+    for e in g.out.iter().flatten().filter(|e| next[e.to].is_some()) {
+        cut(ws, RULE, e, true);
+    }
 
-    let mut out = Vec::new();
+    let in_jurisdiction = |fi: usize| rules::is_deterministic(&ws.paths[ws.fns[fi].file]);
     for (fi, f) in ws.fns.iter().enumerate() {
-        if f.is_test || !in_det_jurisdiction(ws, fi) {
+        if f.is_test || !in_jurisdiction(fi) {
             continue;
         }
         // Some(Some(e)): tainted through at least one call. A direct
-        // fact (Some(None)) is the per-file rule's finding, and a
-        // next hop still inside deterministic jurisdiction will carry
-        // its own finding (or per-file fact) — flag only the frontier
-        // frame where the chain escapes the determinism rules' reach.
+        // fact (Some(None)) is flagged above, and a next hop still
+        // inside deterministic jurisdiction carries its own finding —
+        // flag only the frontier frame where the chain escapes.
         let Some(Some(first)) = next[fi] else {
             continue;
         };
-        if in_det_jurisdiction(ws, first.to) {
+        if in_jurisdiction(first.to) {
             continue;
         }
         // Walk the chain forward to the source for the message.
@@ -252,7 +244,7 @@ pub fn determinism_taint(ws: &Workspace, g: &CallGraph) -> Vec<Finding> {
             }
         }
         let (line, ident, why) = fact[cur].unwrap_or((ws.fns[cur].line, "?", "tainted"));
-        out.push(finding(
+        out.push(Finding::new(
             RULE,
             &ws.paths[f.file],
             first.line,
@@ -269,60 +261,51 @@ pub fn determinism_taint(ws: &Workspace, g: &CallGraph) -> Vec<Finding> {
     out
 }
 
-/// `panic-reachability`: panic sites without invariant messages,
-/// outside the per-file `panic-policy` jurisdiction (binaries,
-/// integration tests, examples), reachable from a hot root.
+/// `panic-policy`: panic facts without an invariant message anywhere in
+/// non-test library code, and in the binaries, integration tests and
+/// examples a hot root reaches. `roots` are the resolved root fns.
 #[must_use]
-pub fn panic_reachability(ws: &Workspace, g: &CallGraph, roots: &[(usize, usize)]) -> Vec<Finding> {
-    const RULE: &str = "panic-reachability";
-    let root_fns: Vec<usize> = roots.iter().map(|&(_, fi)| fi).collect();
-    let cut = edge_cut(ws, RULE);
-    let pred = g.reach(&root_fns, &cut);
-    mark_edge_allows(ws, g, RULE, &|e| pred[e.from].is_some());
-
+pub fn panic_policy(ws: &Workspace, g: &CallGraph, roots: &[usize]) -> Vec<Finding> {
+    const RULE: &str = "panic-policy";
     let mut out = Vec::new();
-    for (fi, f) in ws.fns.iter().enumerate() {
-        if f.is_test || pred[fi].is_none() || rules::is_library_source(&ws.paths[f.file]) {
-            continue;
-        }
-        let Some((lo, hi)) = f.body else { continue };
-        let m = &ws.files[f.file];
-        let chain = g.chain_to(&pred, fi);
-        let start = chain.first().map_or(fi, |e| e.from);
-        for (line, desc) in rules::panic_sites(m, lo, hi) {
-            if fact_allowed(m, RULE, line) {
-                continue;
+    for m in ws
+        .files
+        .iter()
+        .filter(|m| rules::is_library_source(&m.path))
+    {
+        for (line, label) in rules::panic_sites(m, 0..m.toks.len()) {
+            if !m.allowed(RULE, line, true) {
+                out.push(Finding::new(
+                    RULE,
+                    &m.path,
+                    line,
+                    format!(
+                        "{label} in library code: state the invariant in a string message of \
+                         ≥ {} chars, or annotate",
+                        rules::MIN_PANIC_MSG
+                    ),
+                ));
             }
-            out.push(finding(
-                RULE,
-                &ws.paths[f.file],
-                line,
-                format!(
-                    "{desc} in `{}` is reachable from a hot root: {} — state the invariant",
-                    f.qualified(),
-                    render_chain(ws, start, &chain),
-                ),
-            ));
         }
     }
+    out.extend(reached_facts(
+        ws,
+        g,
+        RULE,
+        roots,
+        |path| !rules::is_library_source(path),
+        rules::panic_sites,
+        "state the invariant",
+    ));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     fn ws_of(files: &[(&str, &str)]) -> Workspace {
-        let models = files
-            .iter()
-            .map(|(p, s)| FileModel::build(p, s))
-            .collect::<Vec<_>>();
-        Workspace::build(
-            Path::new("/nonexistent"),
-            files.iter().map(|(p, _)| p.to_string()).collect(),
-            models,
-        )
+        Workspace::build(files.iter().map(|(p, s)| FileModel::build(p, s)).collect())
     }
 
     // The registry lists Simulator::run_sessions in
@@ -331,7 +314,7 @@ mod tests {
     const ROOT_FILE: &str = "crates/sim/src/simulator.rs";
 
     #[test]
-    fn transitive_alloc_flags_helper_with_chain() {
+    fn hot_path_alloc_flags_helper_with_chain() {
         let ws = ws_of(&[(
             ROOT_FILE,
             "pub struct Simulator;\nimpl Simulator {\n  pub fn run_sessions(&mut self) { helper(self); }\n}\n\
@@ -340,9 +323,10 @@ mod tests {
         let g = CallGraph::build(&ws);
         let roots = resolve_roots(&ws);
         assert!(roots
+            .concat()
             .iter()
-            .any(|&(_, fi)| ws.fns[fi].name == "run_sessions"));
-        let f = transitive_alloc(&ws, &g, &roots);
+            .any(|&fi| ws.fns[fi].name == "run_sessions"));
+        let f = hot_path_alloc(&ws, &g, &roots);
         let hit = f
             .iter()
             .find(|x| x.message.contains("`Vec::new` in `helper`"))
@@ -355,16 +339,16 @@ mod tests {
     }
 
     #[test]
-    fn transitive_alloc_edge_allow_cuts_only_that_chain() {
+    fn hot_path_alloc_edge_allow_cuts_only_that_chain() {
         let ws = ws_of(&[(
             ROOT_FILE,
             "pub struct Simulator;\nimpl Simulator {\n  pub fn run_sessions(&mut self) {\n    \
-             helper(); // lint:allow(transitive-alloc): cold path, runs once per failure\n  }\n}\n\
+             helper(); // lint:allow(hot-path-alloc): cold path, runs once per failure\n  }\n}\n\
              fn helper() { let v: Vec<u32> = Vec::new(); drop(v); }\n",
         )]);
         let g = CallGraph::build(&ws);
         let roots = resolve_roots(&ws);
-        let f = transitive_alloc(&ws, &g, &roots);
+        let f = hot_path_alloc(&ws, &g, &roots);
         assert!(
             !f.iter().any(|x| x.message.contains("helper")),
             "cut edge suppresses the chain: {f:?}"
@@ -374,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn determinism_taint_catches_laundering() {
+    fn determinism_catches_laundering() {
         let ws = ws_of(&[
             (ROOT_FILE, "pub fn drive() { helper_now(); }\n"),
             (
@@ -383,17 +367,17 @@ mod tests {
             ),
         ]);
         let g = CallGraph::build(&ws);
-        let f = determinism_taint(&ws, &g);
+        let f = determinism(&ws, &g);
         let hit = f
             .iter()
-            .find(|x| x.rule == "determinism-taint")
+            .find(|x| x.file == ROOT_FILE)
             .expect("laundered Instant is caught");
         assert!(hit.message.contains("helper_now"), "{}", hit.message);
         assert!(hit.message.contains("Instant"), "{}", hit.message);
     }
 
     #[test]
-    fn panic_reachability_skips_library_code_but_flags_bins() {
+    fn panic_policy_flags_bins_a_root_reaches() {
         let ws = ws_of(&[
             (
                 ROOT_FILE,
@@ -405,8 +389,7 @@ mod tests {
             ),
         ]);
         let g = CallGraph::build(&ws);
-        let roots = resolve_roots(&ws);
-        let f = panic_reachability(&ws, &g, &roots);
+        let f = panic_policy(&ws, &g, &resolve_roots(&ws).concat());
         assert!(
             f.iter().any(|x| x.file.contains("bin/tool.rs")),
             "unwrap in a bin reachable from a root is flagged: {f:?}"

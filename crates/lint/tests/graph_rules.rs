@@ -1,5 +1,5 @@
-//! Interprocedural-rule fixtures: each test materializes a mini
-//! multi-crate workspace under the target tmpdir from the corpus in
+//! Call-graph rule fixtures: each test materializes a mini multi-crate
+//! workspace under the target tmpdir from the corpus in
 //! `fixtures/graph/` and drives the real CLI binary against it, so the
 //! whole pipeline (walk → symbol table → call graph → taint → report)
 //! is exercised end to end.
@@ -67,7 +67,7 @@ fn cross_crate_chain_is_flagged_with_the_full_path() {
             ),
         ],
     );
-    let (code, stdout) = check(&root, "transitive-alloc");
+    let (code, stdout) = check(&root, "hot-path-alloc");
     assert_eq!(code, 1, "cross-crate alloc must fail:\n{stdout}");
     assert!(
         stdout.contains("`Vec::new` in `lookup_blocks`"),
@@ -92,7 +92,7 @@ fn trait_object_dispatch_over_approximates_to_all_implementors() {
             include_str!("fixtures/graph/trait_dispatch.rs"),
         )],
     );
-    let (code, stdout) = check(&root, "transitive-alloc");
+    let (code, stdout) = check(&root, "hot-path-alloc");
     assert_eq!(code, 1, "dyn dispatch must reach the impl:\n{stdout}");
     // The receiver is `Box<dyn Planner>`: the analyzer cannot know the
     // concrete type, so every implementor is a candidate and the
@@ -117,7 +117,7 @@ fn closure_alloc_is_attributed_to_the_enclosing_fn() {
             include_str!("fixtures/graph/closure_hot.rs"),
         )],
     );
-    let (code, stdout) = check(&root, "transitive-alloc");
+    let (code, stdout) = check(&root, "hot-path-alloc");
     assert_eq!(code, 1, "closure alloc must fail:\n{stdout}");
     // The `Vec::new` sits inside a closure literal, but the fact (and
     // the chain) land on the enclosing `drain`.
@@ -146,11 +146,11 @@ fn laundered_nondeterminism_is_caught_at_the_frontier() {
             ),
         ],
     );
-    let (code, stdout) = check(&root, "determinism-taint");
+    let (code, stdout) = check(&root, "determinism");
     assert_eq!(code, 1, "laundering must fail:\n{stdout}");
-    // The per-file `determinism` rule cannot see this: `Instant` only
-    // appears in mms-bench, where wall time is legal. The taint rule
-    // flags the frame where the deterministic crate calls out.
+    // `Instant` only appears in mms-bench, where wall time is legal, so
+    // no fact is flagged; the taint flags the frame where the
+    // deterministic crate calls out.
     assert!(
         stdout.contains("crates/sim/src/clock.rs"),
         "finding lands on the deterministic frontier in:\n{stdout}"
@@ -162,91 +162,20 @@ fn laundered_nondeterminism_is_caught_at_the_frontier() {
 }
 
 #[test]
-fn baseline_suppresses_old_findings_and_fails_only_new_ones() {
-    let files_v1 = [(
-        "crates/sim/src/simulator.rs",
-        include_str!("fixtures/graph/baseline_v1.rs"),
-    )];
-    let root = graph_workspace("graph-baseline", &files_v1);
-    let base = root.join("lint-baseline.txt");
-    let base_str = base.to_str().expect("utf-8 tmpdir");
-    let root_str = root.to_str().expect("utf-8 tmpdir");
-
-    // Record the pre-existing finding.
-    let out = run(&[
-        "check",
-        "--rule",
-        "transitive-alloc",
-        "--root",
-        root_str,
-        "--write-baseline",
-        base_str,
-    ]);
-    assert_eq!(out.status.code(), Some(0), "--write-baseline exits 0");
-
-    // Unchanged tree + baseline: clean.
-    let out = run(&[
-        "check",
-        "--rule",
-        "transitive-alloc",
-        "--root",
-        root_str,
-        "--baseline",
-        base_str,
-    ]);
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "baselined finding is suppressed:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("baseline suppressed 1 of 1 finding(s)"),
-        "suppression count in:\n{stdout}"
-    );
-
-    // Introduce a second allocating helper: only it fails the run.
-    fs::write(
-        root.join("crates/sim/src/simulator.rs"),
-        include_str!("fixtures/graph/baseline_v2.rs"),
-    )
-    .expect("tmpdir is writable");
-    let out = run(&[
-        "check",
-        "--rule",
-        "transitive-alloc",
-        "--root",
-        root_str,
-        "--baseline",
-        base_str,
-    ]);
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    assert_eq!(out.status.code(), Some(1), "new finding fails:\n{stdout}");
-    assert!(
-        stdout.contains("new_helper"),
-        "new finding reported in:\n{stdout}"
-    );
-    assert!(
-        !stdout.contains("old_helper`"),
-        "old finding stays suppressed in:\n{stdout}"
-    );
-}
-
-#[test]
 fn unused_graph_allow_is_itself_a_finding() {
-    // The allow names a graph rule but nothing it could suppress is on
-    // that line, so hygiene (which runs after the graph phase) flags it.
+    // The allow names a call-graph rule but nothing it could suppress is
+    // on that line, so hygiene (which runs after every rule) flags it.
     let root = graph_workspace(
         "graph-unused-allow",
         &[(
             "crates/sim/src/simulator.rs",
-            "pub struct Simulator;\nimpl Simulator {\n    pub fn run_sessions(&mut self) -> usize {\n        // lint:allow(transitive-alloc): nothing here allocates\n        7\n    }\n}\n",
+            "pub struct Simulator;\nimpl Simulator {\n    pub fn run_sessions(&mut self) -> usize {\n        // lint:allow(hot-path-alloc): nothing here allocates\n        7\n    }\n}\n",
         )],
     );
-    let (code, stdout) = check(&root, "transitive-alloc");
+    let (code, stdout) = check(&root, "hot-path-alloc");
     assert_eq!(code, 1, "stale allow must fail:\n{stdout}");
     assert!(
-        stdout.contains("unused `lint:allow(transitive-alloc)`"),
+        stdout.contains("unused `lint:allow(hot-path-alloc)`"),
         "hygiene finding in:\n{stdout}"
     );
 }
@@ -254,6 +183,116 @@ fn unused_graph_allow_is_itself_a_finding() {
 /// The findings of a report, one `file:line: [rule] message` per line.
 fn findings(stdout: &str) -> Vec<&str> {
     stdout.lines().filter(|l| l.contains(": [")).collect()
+}
+
+/// The one finding at `at` (`file:line`), which must exist.
+fn finding_at<'a>(stdout: &'a str, at: &str) -> &'a str {
+    let hits: Vec<&str> = findings(stdout)
+        .into_iter()
+        .filter(|l| l.starts_with(&format!("{at}: [")))
+        .collect();
+    assert_eq!(hits.len(), 1, "one finding at {at} in:\n{stdout}");
+    hits[0]
+}
+
+#[test]
+fn a_renamed_root_is_a_finding() {
+    // The root lost its name, so nothing protects the allocating helper
+    // it calls; the registry entry that no longer matches is the alarm.
+    let root = graph_workspace(
+        "graph-root-renamed",
+        &[(
+            "crates/sim/src/simulator.rs",
+            include_str!("fixtures/graph/root_renamed.rs"),
+        )],
+    );
+    let (code, stdout) = check(&root, "hot-path-alloc");
+    assert_eq!(code, 1, "a renamed root must fail:\n{stdout}");
+    assert!(
+        finding_at(&stdout, "crates/sim/src/simulator.rs:1").contains(
+            "[hot-path-alloc] hot-path registry entry `Simulator::run_sessions` not found"
+        ),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn a_root_another_root_reaches_is_a_finding() {
+    let root = graph_workspace(
+        "graph-root-interior",
+        &[
+            (
+                "crates/sim/src/simulator.rs",
+                include_str!("fixtures/graph/root_interior.rs"),
+            ),
+            (
+                "crates/telemetry/src/flight.rs",
+                include_str!("fixtures/graph/root_interior_recorder.rs"),
+            ),
+        ],
+    );
+    let (code, stdout) = check(&root, "hot-path-alloc");
+    assert_eq!(code, 1, "an interior root must fail:\n{stdout}");
+    let hit = finding_at(&stdout, "crates/telemetry/src/flight.rs:6");
+    assert!(
+        hit.contains("`FlightRecorder::record` is an interior node")
+            && hit.contains("Simulator::run_sessions"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn an_uncalled_private_root_is_a_finding() {
+    let root = graph_workspace(
+        "graph-root-dead",
+        &[(
+            "crates/sim/src/simulator.rs",
+            include_str!("fixtures/graph/root_dead.rs"),
+        )],
+    );
+    let (code, stdout) = check(&root, "hot-path-alloc");
+    assert_eq!(code, 1, "a dead root must fail:\n{stdout}");
+    assert!(
+        finding_at(&stdout, "crates/sim/src/simulator.rs:4")
+            .contains("`Simulator::run_sessions` is dead code"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn panic_policy_covers_library_code_and_the_bins_a_root_reaches() {
+    // Library code is covered whether or not a root reaches it; a bin
+    // only when one does.
+    let root = graph_workspace(
+        "graph-panic",
+        &[
+            (
+                "crates/sim/src/simulator.rs",
+                include_str!("fixtures/graph/panic_root.rs"),
+            ),
+            (
+                "crates/sim/src/bin/tool.rs",
+                include_str!("fixtures/graph/panic_bin.rs"),
+            ),
+            (
+                "crates/core/src/cold.rs",
+                include_str!("fixtures/graph/panic_lib.rs"),
+            ),
+        ],
+    );
+    let (code, stdout) = check(&root, "panic-policy");
+    assert_eq!(code, 1, "both unwraps must fail:\n{stdout}");
+    assert_eq!(findings(&stdout).len(), 2, "{stdout}");
+    assert!(
+        finding_at(&stdout, "crates/core/src/cold.rs:2").contains("[panic-policy] `.unwrap()`"),
+        "{stdout}"
+    );
+    let hit = finding_at(&stdout, "crates/sim/src/bin/tool.rs:3");
+    assert!(
+        hit.contains("[panic-policy] `.unwrap()` in `tool_step`")
+            && hit.contains("Simulator::run_sessions"),
+        "{stdout}"
+    );
 }
 
 #[test]

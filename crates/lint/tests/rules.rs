@@ -1,21 +1,26 @@
 //! Fixture corpus: every rule must fire on its known-bad fixture at the
 //! expected lines and stay silent on the known-good one. Fixtures live
 //! under `tests/fixtures/`, which the workspace walk excludes, so they
-//! can be as bad as the rules require.
+//! can be as bad as the rules require. Each is linted as a one-file
+//! workspace, by the same pipeline as the real tree.
 
-use mms_lint::{lint_source, FileOutcome, RuleSet};
+use mms_lint::report::Finding;
+use mms_lint::{lint_source, RuleSet};
 
-fn check(path: &str, src: &str) -> FileOutcome {
-    lint_source(path, src, &RuleSet::all())
+/// Lint `src` at `path` under every rule but `dead-pub`: nothing in a
+/// one-file workspace calls its `pub fn`s, so each would be dead.
+fn check(path: &str, src: &str) -> Vec<Finding> {
+    let names: Vec<String> = mms_lint::rules::RULE_NAMES
+        .iter()
+        .filter(|&&r| r != "dead-pub")
+        .map(|r| r.to_string())
+        .collect();
+    lint_source(path, src, &RuleSet::only(&names).expect("known rules"))
 }
 
-/// (rule, line) pairs of every finding, in emission order.
-fn keys(outcome: &FileOutcome) -> Vec<(&str, u32)> {
-    outcome
-        .findings
-        .iter()
-        .map(|f| (f.rule.as_str(), f.line))
-        .collect()
+/// (rule, line) pairs of every finding, in report order.
+fn keys(findings: &[Finding]) -> Vec<(&str, u32)> {
+    findings.iter().map(|f| (f.rule.as_str(), f.line)).collect()
 }
 
 #[test]
@@ -44,21 +49,17 @@ fn determinism_accepts_ordered_collections() {
         "crates/sim/src/good.rs",
         include_str!("fixtures/determinism_good.rs"),
     );
-    assert!(
-        out.findings.is_empty(),
-        "clean fixture produced {:?}",
-        out.findings
-    );
+    assert!(out.is_empty(), "clean fixture produced {out:?}");
 }
 
 #[test]
 fn determinism_scopes_to_deterministic_library_code() {
     let src = "use std::time::Instant;\n";
     // mms-bench measures wall time on purpose.
-    assert!(check("crates/bench/src/timing.rs", src).findings.is_empty());
+    assert!(check("crates/bench/src/timing.rs", src).is_empty());
     // Binaries and test targets are outside the rule's scope.
-    assert!(check("crates/sim/src/bin/tool.rs", src).findings.is_empty());
-    assert!(check("crates/sim/tests/clock.rs", src).findings.is_empty());
+    assert!(check("crates/sim/src/bin/tool.rs", src).is_empty());
+    assert!(check("crates/sim/tests/clock.rs", src).is_empty());
     // The same text inside a deterministic crate's library is a finding.
     assert_eq!(
         keys(&check("crates/sim/src/clock.rs", src)),
@@ -66,16 +67,10 @@ fn determinism_scopes_to_deterministic_library_code() {
     );
 }
 
-/// Index of `Simulator::run_sessions` in the hot-function registry.
-fn run_sessions_entry() -> usize {
-    mms_lint::rules::HOT_FNS
-        .iter()
-        .position(|h| h.name == "run_sessions")
-        .expect("Simulator::run_sessions is a registered hot root")
-}
-
 #[test]
 fn hot_path_alloc_flags_every_forbidden_constructor() {
+    // `Simulator::run_sessions` matches its registry entry: were it
+    // missing, a `not found` finding would open the list at line 1.
     let out = check(
         "crates/sim/src/simulator.rs",
         include_str!("fixtures/hot_alloc_bad.rs"),
@@ -91,26 +86,18 @@ fn hot_path_alloc_flags_every_forbidden_constructor() {
             ("hot-path-alloc", 11),
         ]
     );
-    assert!(
-        out.hot_matched[run_sessions_entry()],
-        "Simulator::run_sessions must match its registry entry"
-    );
 }
 
 #[test]
 fn hot_path_alloc_ignores_unregistered_functions() {
     // `Other::step` and the free `helper` allocate, but only
-    // `Simulator::run_sessions` is registered for this file.
+    // `Simulator::run_sessions` is registered for this file, and it
+    // calls neither.
     let out = check(
         "crates/sim/src/simulator.rs",
         include_str!("fixtures/hot_alloc_good.rs"),
     );
-    assert!(
-        out.findings.is_empty(),
-        "clean fixture produced {:?}",
-        out.findings
-    );
-    assert!(out.hot_matched[run_sessions_entry()]);
+    assert!(out.is_empty(), "clean fixture produced {out:?}");
 }
 
 #[test]
@@ -121,8 +108,7 @@ fn hot_path_alloc_matches_on_the_full_registry_path() {
         "crates/other/src/simulator.rs",
         include_str!("fixtures/hot_alloc_bad.rs"),
     );
-    assert!(out.findings.is_empty());
-    assert!(out.hot_matched.iter().all(|&m| !m));
+    assert!(out.is_empty(), "{out:?}");
 }
 
 #[test]
@@ -150,11 +136,7 @@ fn panic_policy_accepts_invariant_messages_and_annotations() {
         "crates/core/src/panics_ok.rs",
         include_str!("fixtures/panic_good.rs"),
     );
-    assert!(
-        out.findings.is_empty(),
-        "clean fixture produced {:?}",
-        out.findings
-    );
+    assert!(out.is_empty(), "clean fixture produced {out:?}");
 }
 
 #[test]
@@ -172,31 +154,28 @@ fn unsafe_pragma_accepts_a_compliant_root_and_skips_non_roots() {
         "crates/core/src/lib.rs",
         include_str!("fixtures/pragma_ok.rs"),
     );
-    assert!(
-        ok.findings.is_empty(),
-        "clean fixture produced {:?}",
-        ok.findings
-    );
+    assert!(ok.is_empty(), "clean fixture produced {ok:?}");
     // The same pragma-less text anywhere else is not a crate root.
     let non_root = check(
         "crates/core/src/util.rs",
         include_str!("fixtures/pragma_missing.rs"),
     );
-    assert!(non_root.findings.is_empty());
+    assert!(non_root.is_empty());
 }
 
 #[test]
 fn paper_refs_flags_out_of_range_citations_and_collects_valid_ones() {
-    let out = check(
+    let (path, src) = (
         "crates/analysis/src/notes.rs",
         include_str!("fixtures/paper_refs_bad.rs"),
     );
     assert_eq!(
-        keys(&out),
+        keys(&check(path, src)),
         vec![("paper-refs", 3), ("paper-refs", 6), ("paper-refs", 9)]
     );
+    let (_, eqs) = mms_lint::rules::paper_refs(&mms_lint::model::FileModel::build(path, src));
     assert_eq!(
-        out.eq_cited,
+        eqs.iter().map(|c| c.num).collect::<Vec<_>>(),
         vec![7],
         "the in-range citation feeds coverage"
     );
@@ -208,25 +187,25 @@ fn allow_annotations_suppress_track_usage_and_demand_hygiene() {
         "crates/sim/src/allows.rs",
         include_str!("fixtures/allow_cases.rs"),
     );
-    // 16: the reason-less annotation suppresses nothing, so the
-    // violation itself still fires; 10: unused annotation; 15: missing
-    // reason; 21: unknown rule name. The annotated violation on line 5
+    // 10: unused annotation; 15: missing reason; 16: the reason-less
+    // annotation suppresses nothing, so the violation itself still
+    // fires; 21: unknown rule name. The annotated violation on line 5
     // is suppressed and produces nothing.
     assert_eq!(
         keys(&out),
         vec![
-            ("determinism", 16),
             ("lint-allow", 10),
             ("lint-allow", 15),
+            ("determinism", 16),
             ("lint-allow", 21),
         ]
     );
-    let unused = &out.findings[1];
+    let unused = &out[0];
     assert!(
         unused.message.contains("unused"),
         "line 10 is the stale annotation"
     );
-    let unknown = &out.findings[3];
+    let unknown = &out[3];
     assert!(
         unknown.message.contains("unknown rule"),
         "line 21 names a bogus rule"
@@ -241,9 +220,6 @@ fn rule_selection_limits_what_fires() {
         include_str!("fixtures/pragma_missing.rs"),
         &set,
     );
-    assert!(
-        out.findings.is_empty(),
-        "unsafe-pragma is inactive in this run"
-    );
+    assert!(out.is_empty(), "unsafe-pragma is inactive in this run");
     assert!(RuleSet::only(&["no-such-rule".to_string()]).is_err());
 }

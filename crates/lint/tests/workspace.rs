@@ -89,7 +89,7 @@ fn hot_roots_reach_every_planner_and_the_stream_table() {
     ]
     .map(|name| format!("StreamTable::{name}"));
     // What a degraded Non-clustered cycle schedules ahead and takes back,
-    // and the marks each stream carries: per cycle, so `transitive-alloc`
+    // and the marks each stream carries: per cycle, so `hot-path-alloc`
     // must police them.
     let calendar = [
         "Calendar::at",

@@ -203,7 +203,7 @@ impl Block {
     #[must_use]
     pub fn zeroed(len: usize) -> Self {
         Block {
-            // lint:allow(transitive-alloc): zeroed IS the allocation point; hot callers reach it only to size a mismatched buffer
+            // lint:allow(hot-path-alloc): zeroed IS the allocation point; hot callers reach it only to size a mismatched buffer
             bytes: vec![0u8; len].into_boxed_slice(),
         }
     }

@@ -92,7 +92,7 @@ impl TrackPool {
             buf
         } else {
             self.stats.misses += 1;
-            // lint:allow(transitive-alloc): a pool miss grows the pool once; steady state recycles returned tracks
+            // lint:allow(hot-path-alloc): a pool miss grows the pool once; steady state recycles returned tracks
             vec![0u8; self.track_bytes].into_boxed_slice()
         }
     }

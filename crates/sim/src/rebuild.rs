@@ -113,7 +113,7 @@ impl RebuildManager {
         F: FnMut(DiskId) -> usize,
         G: FnMut(DiskId, usize),
     {
-        // lint:allow(transitive-alloc): an empty Vec never touches the heap; it grows only when a rebuild completes
+        // lint:allow(hot-path-alloc): an empty Vec never touches the heap; it grows only when a rebuild completes
         let mut finished = Vec::new();
         for r in &mut self.active {
             let remaining = r.total_tracks - r.done_tracks;

@@ -321,7 +321,7 @@ impl<S: SchemeScheduler> Simulator<S> {
                 // Simulated wall time of the failure.
                 let now = Time::from_secs(self.scheduler.config().t_cyc().as_secs() * cycle as f64);
                 self.disks.fail(disk, now)?;
-                // lint:allow(transitive-alloc): failure handling runs once per disk failure, not per cycle
+                // lint:allow(hot-path-alloc): failure handling runs once per disk failure, not per cycle
                 let report = self.scheduler.on_disk_failure(disk, cycle, mid_cycle);
                 if report.catastrophic {
                     self.metrics.catastrophes += 1;
@@ -527,7 +527,7 @@ impl<S: SchemeScheduler> Simulator<S> {
         if self.trace.len() < self.trace_limit {
             // Trace retention is a debugging path; the clone is the one
             // place a retained plan still allocates.
-            // lint:allow(transitive-alloc): trace retention is off unless trace_limit > 0 and bounded by it
+            // lint:allow(hot-path-alloc): trace retention is off unless trace_limit > 0 and bounded by it
             self.trace.push(self.plan.clone());
         }
         self.publish(Publish::Step(report.buffer_in_use));

@@ -562,7 +562,7 @@ impl SessionEngine {
                 degrade = true;
             }
         }
-        // lint:allow(transitive-alloc): admission allocates the stream's state once per session, not per cycle
+        // lint:allow(hot-path-alloc): admission allocates the stream's state once per session, not per cycle
         match sched.admit(object, cycle) {
             Ok(id) => {
                 self.stats.admitted += 1;

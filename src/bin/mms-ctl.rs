@@ -34,7 +34,7 @@
 use ft_media_server::analysis::{
     design_space_par, table_rows, CostModel, SchemeParams, SystemParams,
 };
-use ft_media_server::disk::{DiskId, ReliabilityParams};
+use ft_media_server::disk::{DiskId, ReliabilityParams, Time};
 use ft_media_server::fleet::{fleet_mttds, fleet_mttf, FleetBuilder, FleetEvent};
 use ft_media_server::layout::{BandwidthClass, MediaObject, ObjectId};
 use ft_media_server::reliability::{formulas, CatastropheRule, MonteCarlo, PoolMarkov};
@@ -278,13 +278,16 @@ fn parse_scheme(args: &Args) -> Result<(Scheme, usize), String> {
 const NON_NEGATIVE: std::ops::Range<f64> = 0.0..f64::INFINITY;
 /// Probabilities.
 const PROBABILITY: std::ops::RangeInclusive<f64> = 0.0..=1.0;
+/// Finite and positive: mean times between events.
+const POSITIVE: (std::ops::Bound<f64>, std::ops::Bound<f64>) =
+    (Excluded(0.0), Excluded(f64::INFINITY));
 
 fn cmd_simulate(args: &mut Args) -> CmdResult {
     let (scheme, default_disks) = parse_scheme(args)?;
     let disks: usize = args.value("--disks", default_disks)?;
     let group: usize = args.value("--group", 5)?;
     let viewers: usize = args.value("--viewers", 4)?;
-    let tracks: u64 = args.value("--tracks", 500)?;
+    let tracks: u64 = args.value_in("--tracks", 500, 1..)?;
     let cycles: u64 = args.value("--cycles", 0)?;
     let fails = events(args, "--fail", "DISK")?;
     let repairs = events(args, "--repair", "DISK")?;
@@ -686,8 +689,8 @@ fn cmd_fleet(args: &mut Args) -> CmdResult {
     let node_fails = events(args, "--fail-node", "N")?;
     let node_repairs = events(args, "--repair-node", "N")?;
     let node_rel = ReliabilityParams {
-        mttf: ft_media_server::disk::Time::from_hours(args.value("--node-mttf-h", 100_000.0)?),
-        mttr: ft_media_server::disk::Time::from_hours(args.value("--node-mttr-h", 24.0)?),
+        mttf: Time::from_hours(args.value_in("--node-mttf-h", 100_000.0, POSITIVE)?),
+        mttr: Time::from_hours(args.value_in("--node-mttr-h", 24.0, POSITIVE)?),
     };
     let recorder = cfg.recorder();
     let _guard = recorder.as_ref().map(Recorder::install);

@@ -225,7 +225,7 @@ fn a_bad_or_missing_subcommand_prints_the_usage_on_stderr_and_fails() {
 /// reads it: an error naming the argument, nothing printed, exit 1.
 #[test]
 fn an_out_of_range_value_is_an_error_naming_the_argument() {
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["workload", "--abandon", "2"], "--abandon"),
         (&["workload", "--rate", "-1"], "--rate"),
         (&["workload", "--rate", "nan"], "--rate"),
@@ -239,6 +239,20 @@ fn an_out_of_range_value_is_an_error_naming_the_argument() {
         (&["fleet", "--rate", "-1"], "--rate"),
         (&["mttf", "0", "0"], "disk count"),
         (&["workload", "--movies", "0"], "--movies"),
+        // A zero-track stream never finishes, so `simulate` never ended.
+        (&["simulate", "--tracks", "0"], "--tracks"),
+        // A zero or negative node repair time never ended either; a
+        // negative or NaN node MTTF printed a negative or NaN fleet MTTF.
+        (
+            &["fleet", "--node-mttr-h", "0", "--mttf", "10"],
+            "--node-mttr-h",
+        ),
+        (
+            &["fleet", "--node-mttr-h", "-1", "--mttf", "10"],
+            "--node-mttr-h",
+        ),
+        (&["fleet", "--node-mttf-h", "-1"], "--node-mttf-h"),
+        (&["fleet", "--node-mttf-h", "nan"], "--node-mttf-h"),
     ];
     for (args, named) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_mms-ctl"))
