@@ -138,6 +138,10 @@ impl SchemeScheduler for AnyScheduler {
         delegate!(self, s => s.on_disk_repair(disk, cycle))
     }
 
+    fn degraded_clusters(&self) -> usize {
+        delegate!(self, s => s.degraded_clusters())
+    }
+
     fn buffer_in_use(&self) -> usize {
         delegate!(self, s => s.buffer_in_use())
     }

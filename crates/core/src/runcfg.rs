@@ -13,7 +13,7 @@ use crate::Args;
 use mms_exec::Parallelism;
 use mms_sim::StepMode;
 use mms_telemetry::{
-    dashboard, jsonl, perfetto, prom, FlightRecorder, HealthConfig, HealthModel, Level, Recorder,
+    dashboard, jsonl, perfetto, prom, FlightRecorder, HealthModel, Level, Recorder,
 };
 use std::io::Write;
 
@@ -35,7 +35,7 @@ pub struct TelemetryConfig {
     pub prom: Option<String>,
     /// Chrome/Perfetto trace JSON export path (`--perfetto-out PATH`).
     pub perfetto: Option<String>,
-    /// Print the HealthModel SLO panel at the end (`--slo`).
+    /// Print the [`HealthModel`] SLO panel at the end (`--slo`).
     pub slo: bool,
 }
 
@@ -94,7 +94,7 @@ impl RunConfig {
                 level: args.value("--log-level", Level::Info)?,
                 dash: args.flag("--dash"),
                 flight: path("--flight-recorder"),
-                flight_capacity: args.value("--flight-capacity", 4096)?,
+                flight_capacity: args.value_in("--flight-capacity", 4096, 1..)?,
                 prom: path("--prom-out"),
                 perfetto: path("--perfetto-out"),
                 slo: args.flag("--slo"),
@@ -129,23 +129,18 @@ impl RunConfig {
     /// `health.*` gauges ("all" for multi-scheme runs).
     pub fn finish(&self, recorder: Recorder, scheme: &str) -> std::io::Result<()> {
         let t = &self.telemetry;
-        let mut events = recorder.take_events();
-
+        let events = recorder.take_events();
         if t.slo {
-            let mut health = HealthModel::new(HealthConfig::default());
-            for event in &events {
-                health.observe(event);
-            }
-            let end = health.cycle();
-            health.finish(end);
-            recorder.with_registry_mut(|r| health.publish_to(r, scheme));
-            events.extend(health.alert_records());
-            println!("\n{}", health.panel());
+            recorder.with_registry_mut(|r| {
+                let health = HealthModel::new(r, &events);
+                health.publish_to(r, scheme);
+                println!("\n{}", health.panel());
+            });
         }
 
         let snapshot = recorder.snapshot();
         if let Some(path) = &t.flight {
-            let mut flight = FlightRecorder::new(t.flight_capacity.max(1));
+            let mut flight = FlightRecorder::new(t.flight_capacity);
             for event in &events {
                 flight.record(event.clone());
             }

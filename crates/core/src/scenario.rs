@@ -347,29 +347,6 @@ pub fn transitions_from_events(events: &[EventRecord]) -> Vec<ModeTransition> {
         .collect()
 }
 
-/// Sum, over all clusters, of the cycles each spent out of normal mode
-/// (degraded or catastrophic), integrating `transitions` to
-/// `end_cycle`.
-#[must_use]
-pub fn degraded_cycles(transitions: &[ModeTransition], end_cycle: u64) -> u64 {
-    use std::collections::BTreeMap;
-    let mut since: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut total = 0;
-    for t in transitions {
-        if t.to == "normal" {
-            if let Some(start) = since.remove(&t.cluster) {
-                total += t.cycle.saturating_sub(start);
-            }
-        } else {
-            since.entry(t.cluster).or_insert(t.cycle);
-        }
-    }
-    for (_, start) in since {
-        total += end_cycle.saturating_sub(start);
-    }
-    total
-}
-
 /// One typed data-loss outcome from an injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataLossRecord {
@@ -411,7 +388,8 @@ pub struct ScenarioReport {
     pub data_loss: Vec<DataLossRecord>,
     /// Mode-transition timeline from telemetry.
     pub transitions: Vec<ModeTransition>,
-    /// Total cluster-cycles spent out of normal mode.
+    /// Total cluster-cycles spent out of normal mode
+    /// ([`Metrics::degraded_cluster_cycles`](mms_sim::Metrics::degraded_cluster_cycles)).
     pub degraded_cycles: u64,
     /// Rebuilds started by the script.
     pub rebuilds_started: u64,
@@ -819,6 +797,7 @@ impl Case for Scenario {
         report.active_at_end = server.active_streams() as u64;
         report.tracks_lost = m.total_hiccups();
         report.reconstructed = m.reconstructed;
+        report.degraded_cycles = m.degraded_cluster_cycles;
         // `fail_disk_now` counts catastrophes for immediate injections
         // too; subtract the typed losses so `catastrophes` covers only
         // scheduled (step-path) faults, as documented on the report.
@@ -826,7 +805,6 @@ impl Case for Scenario {
         report.rebuilds_completed = m.rebuilds_completed;
         let (events, registry) = recorder.into_parts();
         report.transitions = transitions_from_events(&events);
-        report.degraded_cycles = degraded_cycles(&report.transitions, report.cycles);
         report.rebuild_duration = rebuild_started_at
             .zip(last_rebuild_done)
             .map(|(s, e)| e.saturating_sub(s));
@@ -1192,32 +1170,6 @@ mod tests {
         r.scheme = SchemeKind::NonClustered;
         let v = s.evaluate(&r);
         assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn degraded_cycles_integrates_transitions() {
-        let ts = vec![
-            ModeTransition {
-                cycle: 4,
-                cluster: 0,
-                from: "normal".into(),
-                to: "degraded".into(),
-            },
-            ModeTransition {
-                cycle: 10,
-                cluster: 0,
-                from: "degraded".into(),
-                to: "normal".into(),
-            },
-            ModeTransition {
-                cycle: 12,
-                cluster: 1,
-                from: "normal".into(),
-                to: "degraded".into(),
-            },
-        ];
-        // Cluster 0: 6 cycles; cluster 1: open until the end (20).
-        assert_eq!(degraded_cycles(&ts, 20), 6 + 8);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! End-to-end observability drills: the flight recorder's black-box
 //! dump is byte-identical at every thread count and replays a stream's
-//! causal timeline, and the [`HealthModel`]'s degraded-exposure clock
-//! agrees with the scenario engine's own mode-transition accounting
-//! (the live analogue of the paper's Eq. 6 MTTDS integrand).
+//! causal timeline; every corpus run's degraded exposure (the paper's
+//! Eq. 6 MTTDS integrand) equals the integral of its mode-transition
+//! timeline; and the [`HealthModel`] panel is the sum of the corpus
+//! reports at every collection level.
 
-use mms_server::scenario::{corpus, Case, Report};
+use mms_server::scenario::{corpus, ModeTransition, Report, ScenarioReport};
 use mms_server::sim::StepMode;
-use mms_server::telemetry::{
-    FlightRecorder, FlightSnapshot, HealthConfig, HealthModel, Level, Recorder,
-};
+use mms_server::telemetry::{FlightRecorder, FlightSnapshot, HealthModel, Level, Recorder};
 use mms_server::{Parallelism, RunConfig};
+use std::collections::BTreeMap;
 
 /// Run the double-fault corpus case under an ambient Debug recorder and
 /// return the flight recorder's dump bytes.
@@ -88,39 +88,119 @@ fn flight_dump_replays_a_stream_timeline() {
     );
 }
 
-#[test]
-fn health_model_matches_the_scenario_engines_degraded_accounting() {
-    let drill = corpus(true)
-        .only("nc-transition-simple")
-        .expect("corpus has the Fig. 6 case");
-    let recorder = Recorder::new(Level::Info);
-    let report = {
-        let _guard = recorder.install();
-        drill.cases[0].run(0, StepMode::CycleByCycle)
-    };
-    assert!(report.passed(), "{:?}", report.violations);
-
-    let mut health = HealthModel::new(HealthConfig::default());
-    for event in &recorder.take_events() {
-        health.observe(event);
+/// The reference integral: the cluster-cycles out of normal mode that a
+/// `mode_transition` timeline states. A cluster's interval opens at its
+/// first transition out of `normal` (a deeper one does not restart it)
+/// and closes at its return to `normal`, or at `end_cycle`.
+fn transition_integral(transitions: &[ModeTransition], end_cycle: u64) -> u64 {
+    let mut since = BTreeMap::new();
+    let mut total = 0;
+    for t in transitions {
+        if t.to == "normal" {
+            if let Some(start) = since.remove(&t.cluster) {
+                total += t.cycle - start;
+            }
+        } else {
+            since.entry(t.cluster).or_insert(t.cycle);
+        }
     }
-    health.finish(report.cycles);
+    total + since.values().map(|start| end_cycle - start).sum::<u64>()
+}
 
-    assert!(report.degraded_cycles > 0, "Fig. 6 spends time degraded");
-    assert_eq!(
-        health.degraded_cycles(),
-        report.degraded_cycles,
-        "the streaming tracker and the post-hoc report must agree"
-    );
-    // Default config: t_cyc = 1 s, so exposure seconds == cluster-cycles.
-    assert_eq!(
-        health.degraded_exposure_secs(),
-        report.degraded_cycles as f64
-    );
-    assert_eq!(
-        health.hiccups(),
-        report.tracks_lost,
-        "Fig. 6 loses 6 tracks"
-    );
-    assert_eq!(health.data_loss_events(), 0, "degraded, never catastrophic");
+#[test]
+fn the_reference_integral_keeps_the_first_opening_and_closes_at_the_end() {
+    let t = |cycle, cluster, to: &str| ModeTransition {
+        cycle,
+        cluster,
+        from: String::new(),
+        to: to.to_string(),
+    };
+    let timeline = [
+        t(4, 0, "degraded"),
+        t(7, 0, "catastrophic"),
+        t(10, 0, "normal"),
+        t(12, 1, "degraded"),
+    ];
+    // Cluster 0: cycles 4..10; cluster 1: 12 up to the end (20).
+    assert_eq!(transition_integral(&timeline, 20), 6 + 8);
+}
+
+/// Every report of the corpus, run at `level` under an ambient recorder,
+/// and the health panel read off that recorder.
+fn corpus_with_panel(
+    quick: bool,
+    level: Level,
+    cfg: &RunConfig,
+) -> (Vec<ScenarioReport>, HealthModel) {
+    let recorder = Recorder::new(level);
+    let reports = {
+        let _guard = recorder.install();
+        corpus(quick).reports(cfg)
+    };
+    let health = HealthModel::new(&recorder.snapshot(), &recorder.take_events());
+    (reports.into_iter().flatten().collect(), health)
+}
+
+#[test]
+fn every_corpus_run_counts_the_exposure_its_transitions_state() {
+    for step_mode in [StepMode::CycleByCycle, StepMode::EventHorizon] {
+        let cfg = RunConfig {
+            step_mode,
+            ..RunConfig::default()
+        };
+        let (reports, _) = corpus_with_panel(false, Level::Info, &cfg);
+        assert_eq!(reports.len(), 41);
+        for r in &reports {
+            assert_eq!(
+                r.degraded_cycles,
+                transition_integral(&r.transitions, r.cycles),
+                "{} / {} ({step_mode:?}): {:?}",
+                r.scenario,
+                r.scheme.abbrev(),
+                r.transitions
+            );
+        }
+        let total: u64 = reports.iter().map(|r| r.degraded_cycles).sum();
+        assert_eq!(total, 3_796, "{step_mode:?}");
+    }
+}
+
+#[test]
+fn the_corpus_panel_is_the_sum_of_its_reports_at_every_level() {
+    for level in [Level::Error, Level::Info, Level::Debug] {
+        for step_mode in [StepMode::CycleByCycle, StepMode::EventHorizon] {
+            let cfg = RunConfig {
+                step_mode,
+                ..RunConfig::default()
+            };
+            let (reports, health) = corpus_with_panel(true, level, &cfg);
+            let sum = |f: fn(&ScenarioReport) -> u64| reports.iter().map(f).sum::<u64>();
+            let panel = (health.cycles, health.hiccups, health.degraded_cycles);
+            let want = (
+                sum(|r| r.cycles),
+                sum(|r| r.tracks_lost),
+                sum(|r| r.degraded_cycles),
+            );
+            assert_eq!(panel, want, "{level:?} {step_mode:?}");
+            assert_eq!(panel, (5_172, 381, 3_661), "{level:?} {step_mode:?}");
+        }
+    }
+}
+
+#[test]
+fn a_dropped_stream_reaches_the_panel() {
+    // Defect (f): the two streams the exhausted buffer server drops
+    // emit no `hiccup` event, and the panel used to read 0.
+    let recorder = Recorder::new(Level::Info);
+    let reports = {
+        let _guard = recorder.install();
+        let case = corpus(true)
+            .only("buffer-exhaustion")
+            .expect("corpus has the buffer-exhaustion case");
+        case.reports(&RunConfig::default())
+    };
+    let report = &reports[0][0];
+    assert_eq!((report.dropped, report.tracks_lost), (2, 2));
+    let health = HealthModel::new(&recorder.snapshot(), &recorder.take_events());
+    assert_eq!(health.hiccups, 2);
 }

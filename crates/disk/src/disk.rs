@@ -150,21 +150,26 @@ impl Disk {
         Ok(t)
     }
 
-    /// Apply the accounting of a read batch without re-checking capacity
-    /// or emitting per-call telemetry.
+    /// Apply the accounting of a read batch without re-checking capacity.
     ///
     /// The simulator's quiescent fast-forward charges each skipped
     /// cycle's batches this way, in the order a per-cycle run issues
     /// them and with [`DiskParams::service_time`] for `t` — what
     /// [`read_tracks`](Self::read_tracks) computes — so `busy_time`
-    /// accumulates the same f64 sequence bit for bit. Callers guarantee
-    /// the batch fits the cycle (admission control does) and that the
-    /// drive is operational.
-    pub fn replay_read(&mut self, tracks: usize, t: Time) {
+    /// accumulates the same f64 sequence bit for bit. With `traced`, the
+    /// batch also records the `disk.service_ms` point `read_tracks`
+    /// records; the caller decides it once per skipped window, so an
+    /// untraced run pays nothing per read. Callers guarantee the batch
+    /// fits the cycle (admission control does) and that the drive is
+    /// operational.
+    pub fn replay_read(&mut self, tracks: usize, t: Time, traced: bool) {
         debug_assert!(self.is_operational(), "replay on a non-operational disk");
         self.stats.tracks_read += tracks as u64;
         self.stats.busy_cycles += 1;
         self.stats.busy_time += t;
+        if traced {
+            histogram!("disk.service_ms", t.as_millis(), disk = self.id.0);
+        }
     }
 
     /// Mark the drive failed at simulation time `now`.
@@ -331,6 +336,31 @@ mod tests {
             .iter()
             .any(|e| e.name == "disk.failed" && e.level == Level::Warn));
         assert!(events.iter().any(|e| e.name == "disk.repaired"));
+    }
+
+    #[test]
+    fn a_traced_replay_records_the_point_a_read_records() {
+        use mms_telemetry::{Labels, Level, Recorder};
+        let t_cyc = Time::from_millis(266.0);
+        let labels = Labels::new(vec![("disk", 0u64.into())]);
+        let histogram = |replay: bool| {
+            let rec = Recorder::new(Level::Info);
+            let mut d = disk();
+            {
+                let _g = rec.install();
+                if replay {
+                    d.replay_read(5, d.params().service_time(5), true);
+                    d.replay_read(5, d.params().service_time(5), false);
+                } else {
+                    d.read_tracks(5, t_cyc).unwrap();
+                }
+            }
+            let snap = rec.snapshot();
+            let hist = snap.histogram("disk.service_ms", &labels).cloned();
+            hist.map(|h| (h.count(), h.counts().to_vec(), h.sum()))
+        };
+        assert_eq!(histogram(true), histogram(false));
+        assert!(histogram(false).is_some());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use mms_fleet::{
     ShardedLoad,
 };
 use mms_server::disk::ReliabilityParams;
+use mms_server::telemetry::{HealthModel, Level, Recorder};
 use mms_server::{Args, Parallelism, RunConfig};
 use mms_sim::{SplitMix64, StepMode};
 use proptest::prelude::*;
@@ -251,4 +252,51 @@ fn corpus_check_surface_is_stable() {
         ..RunConfig::default()
     });
     assert!(passed, "fleet corpus must hold in quick mode:\n{text}");
+}
+
+/// The health panel over the fleet corpus is a view of the nodes'
+/// records: its cycles, hiccups and degraded exposure are the sums of
+/// every node's `Metrics`, case by case and for the corpus run the way
+/// `mms-ctl fleet corpus --quick --slo` runs it.
+#[test]
+fn the_fleet_corpus_panel_reads_the_nodes_records() {
+    let corpus = mms_fleet::scenario::corpus(true);
+    let mut nodes_total = (0, 0, 0);
+    for case in &corpus.cases {
+        let recorder = Recorder::new(Level::Info);
+        let mut fleet = build_fleet(case.nodes, case.movies, case.tracks, case.seed);
+        {
+            let _guard = recorder.install();
+            for &event in &case.events {
+                fleet.inject(event).expect("corpus events apply");
+            }
+            let mut rng = SplitMix64::new(case.seed);
+            fleet
+                .run_with_traffic(case.cycles, case.rate, case.theta, &mut rng)
+                .expect("corpus traffic runs");
+        }
+        let mut nodes = (0, 0, 0);
+        for n in 0..fleet.nodes() {
+            let m = fleet.node(n).metrics();
+            nodes.0 += m.cycles;
+            nodes.1 += m.total_hiccups();
+            nodes.2 += m.degraded_cluster_cycles;
+        }
+        let health = HealthModel::new(&recorder.snapshot(), &recorder.take_events());
+        let panel = (health.cycles, health.hiccups, health.degraded_cycles);
+        assert_eq!(panel, nodes, "{}", case.name);
+        nodes_total.0 += nodes.0;
+        nodes_total.1 += nodes.1;
+        nodes_total.2 += nodes.2;
+    }
+
+    let recorder = Recorder::new(Level::Info);
+    let reports = {
+        let _guard = recorder.install();
+        corpus.reports(&RunConfig::default())
+    };
+    assert_eq!(reports.len(), corpus.cases.len());
+    let health = HealthModel::new(&recorder.snapshot(), &recorder.take_events());
+    let panel = (health.cycles, health.hiccups, health.degraded_cycles);
+    assert_eq!(panel, nodes_total);
 }

@@ -196,6 +196,8 @@ pub struct GroupedScheduler<L: Layout> {
     failed: Vec<u128>,
     /// Disks down across all clusters.
     down: usize,
+    /// Clusters with a disk down: those out of normal mode.
+    degraded_clusters: usize,
     /// First cycle by which every group read with a disk down has been
     /// transmitted, taking its fault marks with it.
     settled_at: u64,
@@ -238,6 +240,7 @@ impl<L: Layout + Copy> GroupedScheduler<L> {
             classes,
             failed: vec![0; geometry.clusters() as usize],
             down: 0,
+            degraded_clusters: 0,
             settled_at: 0,
             reserved_slots: 0,
             on_demand: OnDemand::default(),
@@ -499,6 +502,7 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         let pos = geometry.position_in_cluster(disk);
         let failed = &mut self.failed[cluster.index()];
         if *failed >> pos & 1 == 0 {
+            self.degraded_clusters += usize::from(*failed == 0);
             *failed |= 1 << pos;
             self.down += 1;
         }
@@ -551,9 +555,14 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
             *failed &= !bit;
             self.down -= 1;
             if *failed == 0 {
+                self.degraded_clusters -= 1;
                 emit_mode_transition(self.scheme(), cluster, cycle, "degraded", "normal");
             }
         }
+    }
+
+    fn degraded_clusters(&self) -> usize {
+        self.degraded_clusters
     }
 
     fn buffer_in_use(&self) -> usize {

@@ -1493,6 +1493,10 @@ impl SchemeScheduler for NonClusteredScheduler {
         }
     }
 
+    fn degraded_clusters(&self) -> usize {
+        self.degraded_clusters
+    }
+
     fn buffer_in_use(&self) -> usize {
         self.streams.buffer_in_use()
     }

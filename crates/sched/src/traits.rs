@@ -301,6 +301,11 @@ pub trait SchemeScheduler {
     /// React to a disk repair (cluster leaves degraded mode).
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64);
 
+    /// Clusters out of normal mode, in O(1): a cluster counts from the
+    /// `mode_transition` that takes it out of `normal` until the one
+    /// that brings it back.
+    fn degraded_clusters(&self) -> usize;
+
     /// Buffer tracks currently charged.
     fn buffer_in_use(&self) -> usize;
 

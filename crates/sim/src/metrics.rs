@@ -185,6 +185,10 @@ pub struct Metrics {
     pub rebuild_reads: u64,
     /// Rebuilds completed (disks returned to service).
     pub rebuilds_completed: u64,
+    /// Cluster-cycles spent out of normal mode: each stepped cycle adds
+    /// the clusters its plan ran degraded (or catastrophic). The
+    /// exposure window behind Eq. 6's MTTDS.
+    pub degraded_cluster_cycles: u64,
 }
 
 impl Metrics {

@@ -142,6 +142,7 @@ struct Published {
     reconstructed: u64,
     rebuild_reads: u64,
     verified: u64,
+    degraded_cluster_cycles: u64,
     hiccups: [(LossReason, u64); 4],
 }
 
@@ -154,6 +155,7 @@ impl Published {
             reconstructed: m.reconstructed,
             rebuild_reads: m.rebuild_reads,
             verified: m.verified,
+            degraded_cluster_cycles: m.degraded_cluster_cycles,
             hiccups: m.hiccups_by_reason(),
         }
     }
@@ -398,6 +400,9 @@ impl<S: SchemeScheduler> Simulator<S> {
         while let Some(event) = self.failures.next_due(cycle) {
             self.apply_fault(event, cycle)?;
         }
+        // The clusters out of normal mode while this cycle's plan runs,
+        // read before a rebuild that finishes during the cycle ends.
+        let degraded_clusters = self.scheduler.degraded_clusters() as u64;
 
         // 2. Plan and execute the cycle, refilling the reused plan. Only
         //    the oracle and trace retention read its records; without
@@ -487,7 +492,9 @@ impl<S: SchemeScheduler> Simulator<S> {
             for d in finished_rebuilds {
                 let done = self.disks.disk_mut(d)?.advance_rebuild(1.0)?;
                 debug_assert!(done, "rebuild completion restores the disk");
-                self.scheduler.on_disk_repair(d, cycle);
+                // This cycle's plan ran degraded: the disk is back from
+                // the next one, as for a repair injected between steps.
+                self.scheduler.on_disk_repair(d, cycle + 1);
                 self.metrics.rebuilds_completed += 1;
             }
             for r in self.rebuilds.active() {
@@ -518,6 +525,7 @@ impl<S: SchemeScheduler> Simulator<S> {
         self.metrics.tracks_read += report.tracks_read as u64;
         self.metrics.delivered += report.delivered as u64;
         self.metrics.reconstructed += report.reconstructed as u64;
+        self.metrics.degraded_cluster_cycles += degraded_clusters;
         self.metrics.buffer_peak = self
             .metrics
             .buffer_peak
@@ -542,7 +550,8 @@ impl<S: SchemeScheduler> Simulator<S> {
     /// written where the call could move it: the cycle series and the
     /// end-of-cycle `sim.buffer_in_use` by steps and skips,
     /// `sim.reconstructed` and `sim.rebuild_reads` by steps only, and
-    /// `sim.verified` and each reason's `sim.hiccups` when they grew.
+    /// `sim.verified`, `sim.degraded_cluster_cycles` and each reason's
+    /// `sim.hiccups` when they grew.
     fn publish(&mut self, call: Publish) {
         let now = Published::of(&self.metrics);
         let was = std::mem::replace(&mut self.published, now);
@@ -555,8 +564,7 @@ impl<S: SchemeScheduler> Simulator<S> {
             Publish::Skip(_) => (true, false),
             Publish::Fault => (false, false),
         };
-        let grew = now.verified > was.verified;
-        for (name, now, was, write) in [
+        for (name, now, was, always) in [
             ("sim.cycles", now.cycles, was.cycles, ran),
             ("sim.tracks_read", now.tracks_read, was.tracks_read, ran),
             ("sim.delivered", now.delivered, was.delivered, ran),
@@ -572,9 +580,15 @@ impl<S: SchemeScheduler> Simulator<S> {
                 was.rebuild_reads,
                 stepped,
             ),
-            ("sim.verified", now.verified, was.verified, grew),
+            ("sim.verified", now.verified, was.verified, false),
+            (
+                "sim.degraded_cluster_cycles",
+                now.degraded_cluster_cycles,
+                was.degraded_cluster_cycles,
+                false,
+            ),
         ] {
-            if write {
+            if always || now > was {
                 counter!(name, now - was, scheme = scheme);
             }
         }
@@ -630,6 +644,13 @@ impl<S: SchemeScheduler> Simulator<S> {
         }
         let PlanStability { period, stable } = self.scheduler.plan_stability(start);
         let end = horizon.min(start.saturating_add(stable));
+        debug_assert!(
+            stable == 0 || self.scheduler.degraded_clusters() == 0,
+            "a skipped window is healthy"
+        );
+        // Whether the replayed reads record their service times, decided
+        // once for the window rather than per read.
+        let traced = mms_telemetry::active();
         let (mut tracks_read, mut delivered) = (0u64, 0u64);
         while self.cycle < end {
             // The pattern repeats with `period`: a window's first
@@ -651,7 +672,7 @@ impl<S: SchemeScheduler> Simulator<S> {
             for &(disk, tracks) in &steady.reads {
                 let disk = self.disks.disk_mut(disk)?;
                 let time = disk.params().service_time(tracks);
-                disk.replay_read(tracks, time);
+                disk.replay_read(tracks, time, traced);
                 self.metrics.disk_busy += time;
                 tracks_read += tracks as u64;
             }
@@ -1049,6 +1070,7 @@ mod tests {
             ("sim.reconstructed", m.reconstructed),
             ("sim.rebuild_reads", m.rebuild_reads),
             ("sim.verified", m.verified),
+            ("sim.degraded_cluster_cycles", m.degraded_cluster_cycles),
         ];
         for (name, want) in counters {
             assert_eq!(snap.counter(name, &labels), want, "{name}");
@@ -1139,6 +1161,7 @@ mod tests {
                     .iter()
                     .filter(|e| e.name == "fast_forward")
                     .count();
+                assert!(m.degraded_cluster_cycles > 0, "{m:?}");
                 let skipping =
                     mode == DataMode::MetadataOnly && step_mode == StepMode::EventHorizon;
                 assert_eq!(skips > 0, skipping, "{mode:?} {step_mode:?}");

@@ -493,11 +493,17 @@ impl JsonObj {
     }
 }
 
+/// The deepest object nesting a dump line holds: a record, then its
+/// `fields`. The parser recurses per level, so it stops past this
+/// rather than on the stack.
+const MAX_DEPTH: usize = 2;
+
 fn parse_object_line(line: &str, lineno: usize) -> Result<JsonObj, ParseFlightError> {
     let mut cur = Cursor {
         bytes: line.as_bytes(),
         pos: 0,
         lineno,
+        depth: 0,
     };
     let value = cur.parse_value()?;
     cur.skip_ws();
@@ -514,6 +520,8 @@ struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     lineno: usize,
+    /// Objects open at `pos`.
+    depth: usize,
 }
 
 impl Cursor<'_> {
@@ -564,6 +572,16 @@ impl Cursor<'_> {
 
     fn parse_object(&mut self) -> Result<Json, ParseFlightError> {
         self.expect_byte(b'{')?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("objects nest deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let object = self.parse_members();
+        self.depth -= 1;
+        object
+    }
+
+    fn parse_members(&mut self) -> Result<Json, ParseFlightError> {
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -788,6 +806,12 @@ mod tests {
             .expect_err("malformed second line must fail");
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"));
+        // 50,000 nested objects on one line: an error naming the line,
+        // not a stack overflow.
+        let deep = format!("{good_header}\n{}", "{\"a\":".repeat(50_000));
+        let err = FlightSnapshot::parse(&deep).expect_err("deep nesting must fail");
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("nest"), "{err}");
     }
 
     #[test]

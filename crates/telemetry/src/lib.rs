@@ -22,9 +22,10 @@
 //! * **Forensics** — [`FlightRecorder`], a fixed-capacity black box of
 //!   the newest events with deterministic virtual-time stamps, dumped
 //!   as replayable JSONL on data loss or check violations.
-//! * **Health** — [`HealthModel`], a streaming SLO tracker: stall-budget
-//!   burn and degraded-exposure seconds as `health.*` gauges plus a
-//!   dashboard panel.
+//! * **Health** — [`HealthModel`], the `--slo` panel: a view of a run's
+//!   record (Σ `sim.cycles`, `sim.hiccups`, `sim.degraded_cluster_cycles`
+//!   and the `Error`-level records) with the stall-budget burn, the same
+//!   at any collection level.
 //!
 //! ## Determinism contract
 //!
@@ -76,7 +77,7 @@ pub use flight::{
     FlightRecorder, FlightSnapshot, OwnedRecord, OwnedValue, ParseFlightError, StampedRecord,
     VirtualClock,
 };
-pub use health::{HealthConfig, HealthModel};
+pub use health::HealthModel;
 pub use quantile::{P2Quantile, QuantileSet};
 pub use recorder::{
     active, current_max_level, dispatch_absorb, dispatch_counter, dispatch_event, dispatch_gauge,

@@ -225,7 +225,7 @@ fn a_bad_or_missing_subcommand_prints_the_usage_on_stderr_and_fails() {
 /// reads it: an error naming the argument, nothing printed, exit 1.
 #[test]
 fn an_out_of_range_value_is_an_error_naming_the_argument() {
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["workload", "--abandon", "2"], "--abandon"),
         (&["workload", "--rate", "-1"], "--rate"),
         (&["workload", "--rate", "nan"], "--rate"),
@@ -253,6 +253,17 @@ fn an_out_of_range_value_is_an_error_naming_the_argument() {
         ),
         (&["fleet", "--node-mttf-h", "-1"], "--node-mttf-h"),
         (&["fleet", "--node-mttf-h", "nan"], "--node-mttf-h"),
+        // A zero-record flight recorder kept one record, silently.
+        (
+            &[
+                "simulate",
+                "--flight-recorder",
+                "/dev/null",
+                "--flight-capacity",
+                "0",
+            ],
+            "--flight-capacity",
+        ),
     ];
     for (args, named) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_mms-ctl"))

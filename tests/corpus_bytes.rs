@@ -6,14 +6,17 @@
 use std::process::Command;
 
 /// `(arguments, FNV-1a 64 of stdout)`, captured from the `mms-ctl` of
-/// the commit before the one-engine refactor. The fast-forward run
+/// the commit before the one-engine refactor. The `scenario all` rows
+/// were re-captured once since, when a rebuild that finishes during a
+/// cycle began to leave degraded mode at the next one (eight
+/// `rebuild-under-load` lines moved by one cycle). The fast-forward run
 /// prints what the per-cycle run prints, so the two share a digest.
 const GOLDEN: [(&[&str], u64); 7] = [
-    (&["scenario", "all", "--quick"], 0xd8de_52e9_dab2_0266),
-    (&["scenario", "all"], 0x1362_6701_0b61_d1fa),
+    (&["scenario", "all", "--quick"], 0xcddb_9014_5586_eec4),
+    (&["scenario", "all"], 0xbefc_ecfb_856f_1f1c),
     (
         &["scenario", "all", "--quick", "--fast-forward"],
-        0xd8de_52e9_dab2_0266,
+        0xcddb_9014_5586_eec4,
     ),
     (&["scenario", "nc-transition-simple"], 0x1890_4ab6_9d3e_5d03),
     (&["fleet", "corpus", "--quick"], 0xc8c3_d5ce_bdea_2741),

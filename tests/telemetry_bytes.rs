@@ -5,7 +5,9 @@
 //! threads, with and without `--fast-forward`, collected at `info` and
 //! at `debug` (never `trace`, whose pool diagnostics are
 //! scheduling-dependent). This is the oracle for the telemetry layer and
-//! for what the simulator publishes into it.
+//! for what the simulator publishes into it. Across those runs, and a
+//! run at `error`, the health panel must not move, nor may
+//! `--fast-forward` move the Prometheus snapshot.
 
 use std::path::Path;
 use std::process::Command;
@@ -21,22 +23,22 @@ const FILES: [&str; 3] = ["telemetry.jsonl", "metrics.prom", "trace.json"];
 /// `info` run writes no trace (a trace raises collection to `debug`), so
 /// its last digest is `-`. A failing run prints its line in this format.
 const GOLDEN: &str = "\
-simulate info  -  50d13f4b78701b0d 1ffd0dd5654ce723 c4c42f129eac5d4b -
-simulate info  ff 50d13f4b78701b0d 1ffd0dd5654ce723 c4c42f129eac5d4b -
-simulate debug -  07f00af7fc657e0f 1f7d96678b005385 e94215d962ab9555 25c73dc2caeb6950
-simulate debug ff 07f00af7fc657e0f 1f7d96678b005385 e94215d962ab9555 25c73dc2caeb6950
-workload info  -  fde0463aea0292b9 bc07ed7478045a8a 49a71dbf22b30352 -
-workload info  ff eb7f35bdf26fd98e 4f51a226c727b656 a86e685a0ba81717 -
-workload debug -  2e97025a270b5c6e d3a267d439c24092 e67fcb1c1027b7de 02241c6dba5a99d3
-workload debug ff 2e97025a270b5c6e d3a267d439c24092 e67fcb1c1027b7de 02241c6dba5a99d3
-scenario info  -  a2a2ec880f4c6a79 a8a016e44e8de307 bfc080f5444fdc17 -
-scenario info  ff a2a2ec880f4c6a79 a8a016e44e8de307 bfc080f5444fdc17 -
-scenario debug -  01f0c0c5b3e15bb9 468728cd2c2e417d f04ed9c0e1115232 b58a8778ed51676c
-scenario debug ff 01f0c0c5b3e15bb9 468728cd2c2e417d f04ed9c0e1115232 b58a8778ed51676c
-fleet    info  -  163e9914a1c57d02 42a7ccdcf1027fb7 bbb0885dd5c980c7 -
-fleet    info  ff 163e9914a1c57d02 42a7ccdcf1027fb7 bbb0885dd5c980c7 -
-fleet    debug -  43181f02ab97a6da 3fde532ccff3e60e bbb0885dd5c980c7 dcf357afb6bd2d0c
-fleet    debug ff 43181f02ab97a6da 3fde532ccff3e60e bbb0885dd5c980c7 dcf357afb6bd2d0c
+simulate info  -  e80b45855f94a2b4 0c117098c1c26b76 674b6ad47a95df59 -
+simulate info  ff e80b45855f94a2b4 0c117098c1c26b76 674b6ad47a95df59 -
+simulate debug -  9801fc725d74cff7 456190991b824622 674b6ad47a95df59 dd61f11f1d598429
+simulate debug ff 9801fc725d74cff7 456190991b824622 674b6ad47a95df59 dd61f11f1d598429
+workload info  -  9d57e8d9320318ac a8ffc0a174024e7a 251247d765367396 -
+workload info  ff a8eeddfe9c854bb7 d8070e25c9d692d1 251247d765367396 -
+workload debug -  77738749fb7786d0 db1db65b8fb58d8a 251247d765367396 02241c6dba5a99d3
+workload debug ff 77738749fb7786d0 db1db65b8fb58d8a 251247d765367396 02241c6dba5a99d3
+scenario info  -  054a7fe9386c54f1 b5b19422741e7a96 7de17ec2218738cb -
+scenario info  ff 054a7fe9386c54f1 b5b19422741e7a96 7de17ec2218738cb -
+scenario debug -  a908e40a1d33a658 ab6898868158c540 7de17ec2218738cb 09abd917e73bca20
+scenario debug ff a908e40a1d33a658 ab6898868158c540 7de17ec2218738cb 09abd917e73bca20
+fleet    info  -  6d016ee8f2cb4eea a911aa9fd1f23bd2 17f04775802d0767 -
+fleet    info  ff 6d016ee8f2cb4eea a911aa9fd1f23bd2 17f04775802d0767 -
+fleet    debug -  65f0d2deb261990e 333e53e88b1ff615 17f04775802d0767 dcf357afb6bd2d0c
+fleet    debug ff 65f0d2deb261990e 333e53e88b1ff615 17f04775802d0767 dcf357afb6bd2d0c
 ";
 
 /// The command line of each case.
@@ -73,9 +75,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Run one case in `dir`: the digests of stdout and of each telemetry
-/// file, `-` for a file the run did not write.
-fn run(dir: &Path, args: &[&str]) -> String {
+/// Run one case in `dir`: its stdout, and the digests of stdout and of
+/// each telemetry file, `-` for a file the run did not write.
+fn run(dir: &Path, args: &[&str]) -> (String, String) {
     for file in FILES {
         let _ = std::fs::remove_file(dir.join(file));
     }
@@ -96,14 +98,31 @@ fn run(dir: &Path, args: &[&str]) -> String {
             std::fs::read(dir.join(file)).map_or("-".into(), |b| format!("{:016x}", fnv1a(&b))),
         );
     }
-    digests.join(" ")
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    (stdout, digests.join(" "))
+}
+
+/// The `--slo` panel of a run's stdout: from its `health` line to the
+/// first blank line after it.
+fn health_block(stdout: &str) -> String {
+    let panel = stdout
+        .lines()
+        .skip_while(|line| *line != "health")
+        .take_while(|line| !line.is_empty());
+    panel.map(|line| format!("{line}\n")).collect()
 }
 
 /// Every pinned run of `case`, at both thread counts, against its line.
+/// Two properties hold across the runs as well: the health panel is the
+/// same in every one of them and in a `--log-level error` run (it reads
+/// the record, not the event stream), and `--fast-forward` leaves the
+/// Prometheus snapshot at each level as it is.
 fn check(case: &str) {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("telemetry_bytes_{case}"));
     std::fs::create_dir_all(&dir).expect("scratch directory");
     let mut mismatches = Vec::new();
+    let mut panels = Vec::new();
+    let mut prom = std::collections::BTreeMap::new();
     for line in GOLDEN
         .lines()
         .filter(|l| l.split_whitespace().next() == Some(case))
@@ -121,15 +140,39 @@ fn check(case: &str) {
             if fast_forward == "ff" {
                 args.push("--fast-forward");
             }
-            let got = run(&dir, &args);
+            let (stdout, got) = run(&dir, &args);
             if got != want {
                 mismatches.push(format!(
                     "{case:<8} {level:<5} {fast_forward:<2} {got}   ({threads} thread(s))"
                 ));
             }
+            panels.push((
+                format!("{level} {fast_forward} {threads}"),
+                health_block(&stdout),
+            ));
+            let digest = got.split(' ').nth(2).expect("a prom digest").to_string();
+            prom.entry(level).or_insert_with(Vec::new).push(digest);
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+
+    let mut args = case_args(case).to_vec();
+    args.extend(["--threads", "seq", "--log-level", "error", "--slo"]);
+    panels.push(("error - seq".into(), health_block(&run(&dir, &args).0)));
+    let (first, want) = &panels[0];
+    assert!(want.starts_with("health\n"), "{first}: no panel");
+    for (run, panel) in &panels {
+        assert_eq!(
+            panel, want,
+            "{case}: the panel of {run} differs from {first}'s"
+        );
+    }
+    for (level, digests) in prom {
+        assert!(
+            digests.iter().all(|d| *d == digests[0]),
+            "{case} {level}: --fast-forward moves the Prometheus snapshot: {digests:?}"
+        );
+    }
 }
 
 #[test]
