@@ -15,10 +15,12 @@
 //!   deliveries.
 //! * **Simulator cycles** — heap allocations per steady-state cycle of a
 //!   degraded run under `DataMode::Verified`, for each of the four
-//!   schemes at 4 and at 40 viewers; and of a healthy session-churn run
+//!   schemes at 4 and at 40 viewers; of a healthy session-churn run
 //!   under `DataMode::MetadataOnly` and `StepMode::EventHorizon`, where
 //!   two viewers arrive and two finish every cycle and each step fills a
-//!   counted plan.
+//!   counted plan; and of a healthy eight-node fleet under traffic,
+//!   stepped cycle by cycle, whose sessions go through the fleet's
+//!   session book.
 //!
 //! Allocations are counted by a `#[global_allocator]` shim around the
 //! system allocator (it serves the whole `bench` binary; the other four
@@ -29,12 +31,13 @@
 //!
 //! `--quick` shrinks every workload to a smoke-test size; the committed
 //! JSON comes from a full run. Either way the exit status is 1 if a
-//! streaming delivery or a simulator cycle of any scheme — degraded or
-//! counted — allocated: zero is the contract, and CI runs this bench to
-//! enforce it.
+//! streaming delivery, a simulator cycle of any scheme — degraded or
+//! counted — or a fleet cycle allocated: zero is the contract, and CI
+//! runs this bench to enforce it.
 
 use crate::{timed, Harness};
 use mms_bench::json::{obj, Json};
+use mms_fleet::{FleetBuilder, FleetError};
 use mms_server::disk::DiskId;
 use mms_server::layout::{BandwidthClass, BlockAddr, MediaObject, ObjectId};
 use mms_server::parity::{
@@ -297,10 +300,48 @@ fn churn_allocs(scheme: Scheme, warmup: u64, cycles: u64) -> Result<f64, ServerE
     Ok((allocations() - allocs_before) as f64 / cycles as f64)
 }
 
+/// Nodes of the fleet cell; each serves one title of 200 tracks.
+const FLEET_NODES: usize = 8;
+const FLEET_TRACKS: u64 = 200;
+/// Viewers of each title arriving every fleet cycle.
+const FLEET_ARRIVALS: usize = 2;
+
+/// Steady-state allocations per fleet cycle of a healthy fleet under
+/// traffic: eight Streaming-RAID nodes in `StepMode::CycleByCycle`, two
+/// viewers of every title arriving each cycle, so once the first have
+/// played out sessions are admitted to and released from every node
+/// every cycle. No node fails. The warm-up is two holds, so the session
+/// book and every node are at their working size.
+fn fleet_allocs(cycles: u64) -> Result<f64, FleetError> {
+    let mut fleet = FleetBuilder::new(FLEET_NODES)
+        .catalog(FLEET_NODES, FLEET_TRACKS)
+        .step_mode(StepMode::CycleByCycle)
+        .build()?;
+    let cfg = fleet.node(0).cycle_config();
+    let hold = FLEET_TRACKS.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+    let titles = fleet.placement().objects().to_vec();
+    let mut cycle = || -> Result<(), FleetError> {
+        for &title in &titles {
+            for _ in 0..FLEET_ARRIVALS {
+                fleet.admit(title)?;
+            }
+        }
+        fleet.step()
+    };
+    for _ in 0..2 * hold {
+        cycle()?;
+    }
+    let allocs_before = allocations();
+    for _ in 0..cycles {
+        cycle()?;
+    }
+    Ok((allocations() - allocs_before) as f64 / cycles as f64)
+}
+
 /// [`degraded_allocs`] for every scheme at 4 and at 40 viewers, then
-/// [`churn_allocs`] for every scheme. Also returns the most any run
-/// allocated per cycle, which must be 0.
-fn simulator(quick: bool) -> Result<(Json, f64), ServerError> {
+/// [`churn_allocs`] for every scheme, then [`fleet_allocs`]. Also
+/// returns the most any run allocated per cycle, which must be 0.
+fn simulator(quick: bool) -> Result<(Json, f64), Box<dyn std::error::Error>> {
     // Quick runs measure fewer cycles, not an earlier state: 64 cycles
     // carry every run past its transition and let each per-cycle list
     // (the Non-clustered calendar's five buckets against its eight-cycle
@@ -341,6 +382,21 @@ fn simulator(quick: bool) -> Result<(Json, f64), ServerError> {
         ]));
         worst = worst.max(allocs_per_cycle);
     }
+    let allocs_per_cycle = fleet_allocs(cycles)?;
+    let arrivals = FLEET_NODES * FLEET_ARRIVALS;
+    println!(
+        "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} fleet cycles, {FLEET_NODES} SR nodes cycle by cycle, {arrivals} arrivals a cycle"
+    );
+    cells.push(Json::Row(vec![
+        ("scheme".into(), Json::from("sr")),
+        ("nodes".into(), FLEET_NODES.into()),
+        ("arrivals_per_cycle".into(), arrivals.into()),
+        ("degraded".into(), false.into()),
+        ("step_mode".into(), Json::from("cycle-by-cycle")),
+        ("cycles".into(), cycles.into()),
+        ("allocs_per_cycle".into(), Json::Fixed(allocs_per_cycle, 2)),
+    ]));
+    worst = worst.max(allocs_per_cycle);
     Ok((Json::Arr(cells), worst))
 }
 

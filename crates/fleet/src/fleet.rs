@@ -28,8 +28,7 @@ use mms_sim::{poisson, AdmissionPolicy, DataMode, FailureEvent, SessionEngine, S
 use mms_telemetry::{event, gauge, Level};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -92,6 +91,15 @@ impl FleetEvent {
             FleetEvent::NodeFail { cycle, .. }
             | FleetEvent::NodeRepair { cycle, .. }
             | FleetEvent::Disk { cycle, .. } => cycle,
+        }
+    }
+
+    /// The ring index of the node this event strikes.
+    fn node(&self) -> usize {
+        match *self {
+            FleetEvent::NodeFail { node, .. }
+            | FleetEvent::NodeRepair { node, .. }
+            | FleetEvent::Disk { node, .. } => node,
         }
     }
 }
@@ -284,6 +292,123 @@ struct FleetSession {
     limbo: bool,
 }
 
+/// The live fleet sessions, addressed by id and kept in admission order.
+///
+/// Ids are handed out in admission order, and every session holds the
+/// same number of cycles from its admission, so admission order is also
+/// release order: the sessions due are always at the front. Each id has
+/// a slot; an early release, a failover drop or a lost stream leaves a
+/// hole, which the front skips. A limbo session is not being served, so
+/// its hold expiring does not release it; it moves aside instead of
+/// pinning the front (under quorum loss its failover never comes). The
+/// slots thus span one hold's worth of admissions at most, and the
+/// sessions moved aside are the limbo ones.
+#[derive(Debug, Default)]
+struct Book {
+    /// Id of the front slot; the next id is `base + slots.len()`.
+    base: u64,
+    slots: VecDeque<Option<FleetSession>>,
+    /// Limbo sessions past their hold, in id order; every id is below
+    /// `base`.
+    expired: Vec<(u64, FleetSession)>,
+    /// Sessions in `slots` and `expired`.
+    live: usize,
+}
+
+impl Book {
+    /// Book a newly admitted session; returns its id.
+    fn insert(&mut self, session: FleetSession) -> u64 {
+        let last_end = self.slots.iter().rev().flatten().map(|s| s.end).next();
+        debug_assert!(
+            last_end <= Some(session.end),
+            "every session holds as long, so ends never decrease"
+        );
+        let id = self.base + self.slots.len() as u64;
+        self.slots.push_back(Some(session));
+        self.live += 1;
+        id
+    }
+
+    /// The slot of an id at or past the front (`None` below it).
+    fn slot(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?).ok()
+    }
+
+    /// The index in `expired` of an id below the front.
+    fn aside(&self, id: u64) -> Option<usize> {
+        self.expired.binary_search_by_key(&id, |e| e.0).ok()
+    }
+
+    fn get(&self, id: u64) -> Option<&FleetSession> {
+        match self.slot(id) {
+            Some(slot) => self.slots.get(slot)?.as_ref(),
+            None => Some(&self.expired[self.aside(id)?].1),
+        }
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut FleetSession> {
+        match self.slot(id) {
+            Some(slot) => self.slots.get_mut(slot)?.as_mut(),
+            None => {
+                let ix = self.aside(id)?;
+                Some(&mut self.expired[ix].1)
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<FleetSession> {
+        let session = match self.slot(id) {
+            Some(slot) => self.slots.get_mut(slot)?.take()?,
+            None => {
+                let ix = self.aside(id)?;
+                self.expired.remove(ix).1
+            }
+        };
+        self.live -= 1;
+        Some(session)
+    }
+
+    /// Every live session, in id order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &FleetSession)> {
+        let booked = (self.base..).zip(&self.slots);
+        let expired = self.expired.iter().map(|(id, s)| (*id, s));
+        expired.chain(booked.filter_map(|(id, s)| Some((id, s.as_ref()?))))
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut FleetSession> {
+        let expired = self.expired.iter_mut().map(|(_, s)| s);
+        expired.chain(self.slots.iter_mut().flatten())
+    }
+
+    /// Take the next session whose hold ended by `cycle` and that is
+    /// being served, in id order; limbo sessions met on the way move
+    /// aside for their failover to resolve.
+    fn pop_due(&mut self, cycle: u64) -> Option<FleetSession> {
+        loop {
+            if self.slots.front()?.is_some_and(|s| s.end > cycle) {
+                return None;
+            }
+            let id = self.base;
+            self.base += 1;
+            let Some(session) = self.slots.pop_front().flatten() else {
+                continue;
+            };
+            if session.limbo {
+                // lint:allow(hot-path-alloc): only a session stranded in limbo is moved aside
+                self.expired.push((id, session));
+                continue;
+            }
+            self.live -= 1;
+            return Some(session);
+        }
+    }
+
+    /// Live sessions, limbo ones included.
+    fn len(&self) -> usize {
+        self.live
+    }
+}
+
 /// Builder for a [`Fleet`]. All nodes share one geometry; the catalog
 /// is sharded over them by the [`PlacementMap`].
 pub struct FleetBuilder {
@@ -414,11 +539,9 @@ impl FleetBuilder {
             tracks: self.tracks,
             control: ControlPlane::new(n, self.control_seed),
             log_cursor: 0,
-            sessions: BTreeMap::new(),
-            releases: BinaryHeap::new(),
+            sessions: Book::default(),
             queue: Vec::new(),
             cycle: 0,
-            next_id: 0,
             eff_up: vec![true; n],
             metrics: FleetMetrics::default(),
             par: self.par,
@@ -436,13 +559,11 @@ pub struct Fleet {
     tracks: u64,
     control: ControlPlane,
     log_cursor: usize,
-    sessions: BTreeMap<u64, FleetSession>,
-    releases: BinaryHeap<Reverse<(u64, u64)>>,
+    sessions: Book,
     /// Scheduled events, sorted by cycle descending (pop from the
     /// back), stable for equal cycles.
     queue: Vec<FleetEvent>,
     cycle: u64,
-    next_id: u64,
     /// Per-node serving eligibility: process up AND committed catalog
     /// view in sync. This is the slice every route consults.
     eff_up: Vec<bool>,
@@ -489,14 +610,14 @@ impl Fleet {
     /// The node currently serving a live fleet stream (`None` once the
     /// stream ended, was dropped, or was lost).
     pub fn session_node(&self, id: FleetStreamId) -> Option<NodeId> {
-        self.sessions.get(&id.0).map(|s| NodeId(s.node))
+        self.sessions.get(id.0).map(|s| NodeId(s.node))
     }
 
     /// Sessions stuck between a node death and its `NodeDown` commit.
     /// Nonzero after the run ends means the control plane lost quorum
     /// and could never agree to move them.
     pub fn stalled_sessions(&self) -> usize {
-        self.sessions.values().filter(|s| s.limbo).count()
+        self.sessions.iter().filter(|(_, s)| s.limbo).count()
     }
 
     /// Route and admit one stream for `object`.
@@ -536,20 +657,13 @@ impl Fleet {
                 })
             }
         };
-        let id = self.next_id;
-        self.next_id += 1;
-        let end = self.cycle + self.hold;
-        self.sessions.insert(
-            id,
-            FleetSession {
-                node: target.0,
-                local,
-                obj_ix: ix,
-                end,
-                limbo: false,
-            },
-        );
-        self.releases.push(Reverse((end, id)));
+        let id = self.sessions.insert(FleetSession {
+            node: target.0,
+            local,
+            obj_ix: ix,
+            end: self.cycle + self.hold,
+            limbo: false,
+        });
         self.metrics.admitted += 1;
         let primary = self
             .placement
@@ -578,7 +692,7 @@ impl Fleet {
 
     /// Release a fleet stream early (viewer stops watching).
     pub fn release(&mut self, id: FleetStreamId) -> bool {
-        let Some(s) = self.sessions.remove(&id.0) else {
+        let Some(s) = self.sessions.remove(id.0) else {
             return false;
         };
         if !s.limbo {
@@ -589,8 +703,18 @@ impl Fleet {
     }
 
     /// Inject a fleet-level event: applied now if due, else queued for
-    /// its cycle (mirroring the single-server `inject` contract).
+    /// its cycle (mirroring the single-server `inject` contract). An
+    /// event naming a node outside the ring is [`FleetError::Config`],
+    /// and nothing is applied or queued.
     pub fn inject(&mut self, event: FleetEvent) -> Result<(), FleetError> {
+        let node = event.node();
+        if node >= self.nodes.len() {
+            // lint:allow(hot-path-alloc): only a refused event formats its error, off the per-cycle path
+            return Err(FleetError::Config(format!(
+                "no node {node} in a {}-node fleet",
+                self.nodes.len()
+            )));
+        }
         if event.cycle() <= self.cycle {
             return self.apply_event(event);
         }
@@ -800,26 +924,22 @@ impl Fleet {
             FleetEvent::NodeFail { node, .. } => self.fail_node_now(node),
             // lint:allow(hot-path-alloc): node repair is a rare event, off the per-cycle path
             FleetEvent::NodeRepair { node, .. } => self.repair_node_now(node),
-            FleetEvent::Disk { node, event, .. } => self.nodes[node]
-                .server
-                .inject(event)
-                .map(|_| ())
-                .map_err(|source| FleetError::Node { node, source }),
+            FleetEvent::Disk { node, event, .. } => {
+                self.nodes[node]
+                    .server
+                    .inject(event)
+                    .map_err(|source| FleetError::Node { node, source })?;
+            }
         }
+        Ok(())
     }
 
     /// A node process dies right now: stop routing to it, release its
     /// local streams into limbo, and ask the control plane to commit
     /// the failure (the failover itself waits for that decree).
-    fn fail_node_now(&mut self, node: usize) -> Result<(), FleetError> {
-        if node >= self.nodes.len() {
-            return Err(FleetError::Config(format!(
-                "no node {node} in a {}-node fleet",
-                self.nodes.len()
-            )));
-        }
+    fn fail_node_now(&mut self, node: usize) {
         if !self.nodes[node].up {
-            return Ok(());
+            return;
         }
         self.nodes[node].up = false;
         self.nodes[node].failed_at = self.cycle;
@@ -848,20 +968,13 @@ impl Fleet {
             live_streams = live,
             cycle = self.cycle,
         );
-        Ok(())
     }
 
     /// A node process returns. It serves primaries again only once the
     /// control plane commits its `NodeUp` decree (catalog re-sync).
-    fn repair_node_now(&mut self, node: usize) -> Result<(), FleetError> {
-        if node >= self.nodes.len() {
-            return Err(FleetError::Config(format!(
-                "no node {node} in a {}-node fleet",
-                self.nodes.len()
-            )));
-        }
+    fn repair_node_now(&mut self, node: usize) {
         if self.nodes[node].up {
-            return Ok(());
+            return;
         }
         self.nodes[node].up = true;
         self.control.set_replica_up(node, true);
@@ -873,7 +986,6 @@ impl Fleet {
             node = node as u64,
             cycle = self.cycle,
         );
-        Ok(())
     }
 
     /// Execute every decree committed since the last step. Returns the
@@ -923,20 +1035,23 @@ impl Fleet {
             .sessions
             .iter()
             .filter(|(_, s)| s.node == node && s.limbo)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         let mut lost = 0u64;
         let mut moved = 0u64;
         let mut dropped = 0u64;
         for id in affected {
-            let s = self.sessions[&id];
+            let s = *self
+                .sessions
+                .get(id)
+                .expect("session id came from the book");
             let object = self.placement.objects()[s.obj_ix];
             let hiccups = gap.min(s.end.saturating_sub(self.nodes[node].failed_at));
             self.metrics.failover_hiccup_cycles += hiccups;
             if s.end <= self.cycle {
                 // The viewer's hold expired while the decree was in
                 // flight; nothing left to move.
-                self.sessions.remove(&id);
+                self.sessions.remove(id);
                 self.metrics.released += 1;
                 continue;
             }
@@ -945,8 +1060,8 @@ impl Fleet {
                     Ok(local) => {
                         let entry = self
                             .sessions
-                            .get_mut(&id)
-                            .expect("session id came from the live map");
+                            .get_mut(id)
+                            .expect("session id came from the book");
                         entry.node = target.0;
                         entry.local = local;
                         entry.limbo = false;
@@ -964,7 +1079,7 @@ impl Fleet {
                     Err(_) => {
                         // Secondary full: the viewer is dropped, but the
                         // data survives — not a data loss.
-                        self.sessions.remove(&id);
+                        self.sessions.remove(id);
                         dropped += 1;
                         self.metrics.dropped_on_failover += 1;
                     }
@@ -975,7 +1090,7 @@ impl Fleet {
                     let remaining = s.end - self.cycle;
                     let tracks = (self.tracks * remaining / self.hold).max(1);
                     lost += tracks;
-                    self.sessions.remove(&id);
+                    self.sessions.remove(id);
                 }
             }
         }
@@ -1002,27 +1117,12 @@ impl Fleet {
         lost
     }
 
-    /// Release every session whose hold ended by the current cycle.
+    /// Release every served session whose hold ended by the current
+    /// cycle. A limbo viewer is frozen awaiting the failover decree; it
+    /// is resolved when the decree commits — or never, if quorum is
+    /// lost, which is what `stalled_sessions` reports.
     fn release_due(&mut self) {
-        while let Some(&Reverse((due, id))) = self.releases.peek() {
-            if due > self.cycle {
-                break;
-            }
-            self.releases.pop();
-            let Some(s) = self.sessions.get(&id) else {
-                continue; // already failed over and dropped, or released
-            };
-            if s.limbo {
-                // Not being served: the viewer is frozen awaiting the
-                // failover decree. Resolution happens when the decree
-                // commits — or never, if quorum is lost, which is what
-                // `stalled_sessions` reports.
-                continue;
-            }
-            let s = self
-                .sessions
-                .remove(&id)
-                .expect("session id was just found in the live map");
+        while let Some(s) = self.sessions.pop_due(self.cycle) {
             self.nodes[s.node].server.release(s.local);
             self.metrics.released += 1;
         }
@@ -1100,4 +1200,141 @@ pub fn fleet_mttds<R: Rng + ?Sized>(
         },
     };
     mc.run_par(rng, trials, par)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mms_sim::SplitMix64;
+
+    /// A session tagged with its admission index in `obj_ix`.
+    fn session(tag: usize, node: usize, end: u64) -> FleetSession {
+        FleetSession {
+            node,
+            local: StreamId(tag as u64),
+            obj_ix: tag,
+            end,
+            limbo: false,
+        }
+    }
+
+    #[test]
+    fn the_book_releases_in_admission_order_around_holes_and_limbo() {
+        let mut book = Book::default();
+        // Two admissions a cycle, each holding ten cycles.
+        for tag in 0..10 {
+            let id = book.insert(session(tag, tag % 3, 10 + tag as u64 / 2));
+            assert_eq!(id, tag as u64);
+        }
+        // An early release and a failover drop leave holes.
+        assert_eq!(book.remove(1).map(|s| s.obj_ix), Some(1));
+        assert_eq!(book.remove(6).map(|s| s.obj_ix), Some(6));
+        assert!(book.remove(6).is_none(), "a hole is released once");
+        // Node 2's sessions (2, 5, 8) stop delivering: limbo.
+        for s in book.values_mut().filter(|s| s.node == 2) {
+            s.limbo = true;
+        }
+        let mut released = Vec::new();
+        for cycle in 0..20 {
+            while let Some(s) = book.pop_due(cycle) {
+                released.push((cycle, s.obj_ix));
+            }
+        }
+        assert_eq!(released, [(10, 0), (11, 3), (12, 4), (13, 7), (14, 9)]);
+        // The limbo sessions left the slots but not the book.
+        assert!(book.slots.is_empty());
+        assert_eq!(book.base, 10);
+        let left: Vec<u64> = book.iter().map(|(id, _)| id).collect();
+        assert_eq!(left, [2, 5, 8]);
+        assert_eq!(book.len(), 3);
+        assert_eq!(book.get(5).map(|s| s.obj_ix), Some(5));
+        assert_eq!(book.remove(5).map(|s| s.obj_ix), Some(5));
+        assert!(book.get(5).is_none() && book.get(4).is_none());
+        // Ids go on from where admission left off.
+        assert_eq!(book.insert(session(10, 0, 30)), 10);
+        let ids: Vec<u64> = book.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, [2, 8, 10]);
+    }
+
+    /// A fleet with one title per node: admit `per_node` viewers of
+    /// each, then step once so they start.
+    fn loaded_fleet(nodes: usize, per_node: usize) -> Fleet {
+        let mut fleet = FleetBuilder::new(nodes)
+            .catalog(nodes, 40)
+            .build()
+            .expect("fixed geometry builds");
+        let titles = fleet.placement().objects().to_vec();
+        for &title in &titles {
+            for _ in 0..per_node {
+                fleet.admit(title).expect("an empty node admits");
+            }
+        }
+        fleet.step().expect("a healthy step");
+        fleet
+    }
+
+    #[test]
+    fn a_limbo_session_past_its_hold_is_released_once_by_its_failover() {
+        // Two of three nodes down: no quorum, so no failover decree.
+        let mut fleet = loaded_fleet(3, 4);
+        let (hold, admitted) = (fleet.hold, fleet.metrics.admitted);
+        fleet.fail_node_now(0);
+        fleet.fail_node_now(1);
+        fleet
+            .run(hold + 5)
+            .expect("no decree commits, so nothing is lost");
+        let m = fleet.metrics;
+        assert_eq!(m.failovers, 0);
+        assert_eq!(fleet.stalled_sessions(), 8);
+        assert_eq!(m.released, 4, "only node 2's sessions were served");
+        assert!(fleet.sessions.slots.is_empty(), "limbo pins no slot");
+        assert_eq!(fleet.sessions.expired.len(), 8);
+
+        // Node 1 returns: quorum, and both NodeDown decrees commit.
+        fleet.repair_node_now(1);
+        fleet
+            .run(200)
+            .expect("expired sessions are released, not lost");
+        let m = fleet.metrics;
+        assert_eq!(m.failovers, 2);
+        assert_eq!(fleet.stalled_sessions(), 0);
+        assert_eq!(fleet.sessions.len(), 0);
+        assert_eq!(m.released, admitted, "every session is released once");
+        assert_eq!(
+            m.tracks_lost + m.dropped_on_failover + m.re_routed_streams,
+            0
+        );
+        // Each waited from its node's death to the end of its hold.
+        assert_eq!(m.failover_hiccup_cycles, 8 * (hold - 1));
+    }
+
+    #[test]
+    fn the_book_stays_one_hold_long_while_quorum_is_lost() {
+        let mut fleet = loaded_fleet(3, 4);
+        fleet.fail_node_now(0);
+        fleet.fail_node_now(1);
+        let hold = fleet.hold;
+        let mut rng = SplitMix64::new(7);
+        // Admissions of the last `hold` cycles, a ring indexed by cycle;
+        // the loaded fleet's twelve came at cycle 0.
+        let mut recent = vec![0u64; hold as usize];
+        recent[0] = fleet.metrics.admitted;
+        for _ in 0..20_000 {
+            let cycle = fleet.cycle();
+            let report = fleet
+                .run_with_traffic(1, 1.0, 0.271, &mut rng)
+                .expect("no decree commits, so nothing is lost");
+            recent[(cycle % hold) as usize] = report.admitted;
+            let window: u64 = recent.iter().sum();
+            assert!(
+                fleet.sessions.slots.len() as u64 <= window,
+                "cycle {cycle}: {} slots for {window} admissions in one hold",
+                fleet.sessions.slots.len()
+            );
+            assert!(fleet.sessions.expired.len() <= fleet.stalled_sessions());
+        }
+        assert_eq!(fleet.sessions.expired.len(), 8);
+        assert_eq!(fleet.stalled_sessions(), 8);
+        assert_eq!(fleet.metrics.failovers, 0);
+    }
 }

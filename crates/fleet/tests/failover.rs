@@ -11,10 +11,10 @@ use mms_fleet::{
     fleet_mttds, fleet_mttf, Fleet, FleetBuilder, FleetCheck, FleetError, FleetEvent, NodeId,
     ShardedLoad,
 };
-use mms_server::disk::ReliabilityParams;
+use mms_server::disk::{DiskId, ReliabilityParams};
 use mms_server::telemetry::{HealthModel, Level, Recorder};
 use mms_server::{Args, Parallelism, RunConfig};
-use mms_sim::{SplitMix64, StepMode};
+use mms_sim::{FailureEvent, SplitMix64, StepMode};
 use proptest::prelude::*;
 
 /// The corpus-wide bound on a failover's decree-commit gap.
@@ -149,6 +149,27 @@ fn step_surfaces_data_loss_verdict() {
         "adjacent double fault with live streams loses data"
     );
     assert_eq!(fleet.metrics().tracks_lost, lost);
+}
+
+/// An event naming a node outside the ring is refused by `inject`, due
+/// or not, for all three kinds: nothing is applied or queued, and the
+/// fleet's cycle is unchanged.
+#[test]
+fn inject_refuses_a_node_outside_the_ring() {
+    let mut fleet = build_fleet(4, 8, 200, 3);
+    fleet.run(5).expect("healthy run");
+    for event in [
+        FleetEvent::fail_node(9, 9),
+        FleetEvent::fail_node(5, 4),
+        FleetEvent::repair_node(9, 4),
+        FleetEvent::disk(9, 9, FailureEvent::fail(9, DiskId(1))),
+    ] {
+        let err = fleet.inject(event).expect_err("no such node");
+        assert!(matches!(err, FleetError::Config(_)), "{event:?}: {err}");
+        assert_eq!(fleet.cycle(), 5, "{event:?}");
+    }
+    fleet.run(10).expect("nothing was queued");
+    assert_eq!(fleet.metrics().node_failures, 0);
 }
 
 /// Sharded million-session-style runs are bit-identical at 1, 2, and

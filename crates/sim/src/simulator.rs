@@ -33,18 +33,21 @@ pub enum DataMode {
 }
 
 /// How the [`Simulator`] run drivers advance simulated time.
+///
+/// The mode decides only whether quiescent windows are skipped. Whether
+/// a step itemises its plan is decided by its readers: with no oracle
+/// and no trace retention still filling, a healthy step in either mode
+/// plans only the streams at an edge of their lives and counts the rest
+/// ([`CyclePlan`]'s counted plans).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Execute every cycle with a full [`Simulator::step`], planning
-    /// every stream one by one: the reference the other mode is held to.
+    /// Execute every cycle with a full [`Simulator::step`]: the
+    /// reference the other mode is held to.
     #[default]
     CycleByCycle,
     /// Fast-forward provably quiescent stretches in closed form (see
     /// [`Simulator::advance_quiescent`]), stepping cycle by cycle
-    /// everywhere else — and let a healthy step plan only the streams at
-    /// an edge of their lives, counting the rest
-    /// ([`CyclePlan`]'s counted plans), unless the oracle or trace
-    /// retention reads the plan's records. Observably identical to
+    /// everywhere else. Observably identical to
     /// [`StepMode::CycleByCycle`]: metrics, per-disk statistics, hiccup
     /// counts, session statistics, and the caller's RNG stream all
     /// match bit for bit; only per-cycle telemetry is collapsed to
@@ -406,16 +409,12 @@ impl<S: SchemeScheduler> Simulator<S> {
 
         // 2. Plan and execute the cycle, refilling the reused plan. Only
         //    the oracle and trace retention read its records; without
-        //    them an event-horizon step lets a healthy cycle be counted.
-        //    The cycle-by-cycle mode stays the stream-by-stream reference.
+        //    them a healthy cycle is counted, whatever the step mode.
         let t_cyc = self.scheduler.config().t_cyc();
         {
             let _s = span!(Level::Debug, "plan", cycle = cycle);
-            self.plan.allow_counting(
-                self.step_mode == StepMode::EventHorizon
-                    && self.oracle.is_none()
-                    && self.trace.len() >= self.trace_limit,
-            );
+            self.plan
+                .allow_counting(self.oracle.is_none() && self.trace.len() >= self.trace_limit);
             self.scheduler.plan_cycle_into(cycle, &mut self.plan);
         }
         let mut report = CycleReport {

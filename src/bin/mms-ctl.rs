@@ -703,6 +703,17 @@ fn cmd_fleet(args: &mut Args) -> CmdResult {
         .control_seed(seed)
         .run_config(&cfg)
         .build()?;
+    // Every scripted event is checked before anything is printed.
+    for &(n, at) in &node_fails {
+        fleet
+            .inject(FleetEvent::fail_node(at, n as usize))
+            .map_err(|e| format!("--fail-node {n}@{at}: {e}"))?;
+    }
+    for &(n, at) in &node_repairs {
+        fleet
+            .inject(FleetEvent::repair_node(at, n as usize))
+            .map_err(|e| format!("--repair-node {n}@{at}: {e}"))?;
+    }
     println!(
         "fleet | {nodes} nodes x ({} disks, C = {group}, {}), {} movies x {tracks} tracks, \
          chained declustering + replicated control plane",
@@ -711,11 +722,9 @@ fn cmd_fleet(args: &mut Args) -> CmdResult {
         movies,
     );
     for &(n, at) in &node_fails {
-        fleet.inject(FleetEvent::fail_node(at, n as usize))?;
         println!("scheduled: node {n} fails at cycle {at}");
     }
     for &(n, at) in &node_repairs {
-        fleet.inject(FleetEvent::repair_node(at, n as usize))?;
         println!("scheduled: node {n} repaired at cycle {at}");
     }
 

@@ -225,7 +225,7 @@ fn a_bad_or_missing_subcommand_prints_the_usage_on_stderr_and_fails() {
 /// reads it: an error naming the argument, nothing printed, exit 1.
 #[test]
 fn an_out_of_range_value_is_an_error_naming_the_argument() {
-    let cases: [(&[&str], &str); 16] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["workload", "--abandon", "2"], "--abandon"),
         (&["workload", "--rate", "-1"], "--rate"),
         (&["workload", "--rate", "nan"], "--rate"),
@@ -253,6 +253,12 @@ fn an_out_of_range_value_is_an_error_naming_the_argument() {
         ),
         (&["fleet", "--node-mttf-h", "-1"], "--node-mttf-h"),
         (&["fleet", "--node-mttf-h", "nan"], "--node-mttf-h"),
+        // A node outside the ring was scheduled, simulated up to its
+        // cycle, and only then refused.
+        (
+            &["fleet", "--nodes", "4", "--fail-node", "9@10"],
+            "--fail-node 9@10",
+        ),
         // A zero-record flight recorder kept one record, silently.
         (
             &[

@@ -1,9 +1,12 @@
-//! Property-based equivalence of the event-horizon fast path: random
-//! admit/release/run/fail/repair scripts drive two copies of the same
-//! system — one stepping cycle by cycle, one in `StepMode::EventHorizon`
-//! — and every observable outcome must match exactly, for all six
-//! configurations (the four server schemes, plus the whole-group scheduler
-//! at `k′ = 2` and the unprotected baseline at the `Simulator` level).
+//! Property-based equivalence of the event-horizon fast path and of
+//! counted plans: random admit/release/run/fail/repair scripts drive three
+//! copies of the same system — the itemised reference, stepping cycle by
+//! cycle and retaining its whole trace so every plan has a reader; the
+//! same mode with no reader, whose healthy plans are counted; and
+//! `StepMode::EventHorizon` — and every observable must match exactly
+//! after every op, for all six configurations (the four server schemes,
+//! plus the whole-group scheduler at `k′ = 2` and the unprotected baseline
+//! at the `Simulator` level).
 //!
 //! `Op::Run(1)` is over-weighted so the horizon-1 case — a limit one
 //! cycle away — is exercised in nearly every script. A window may be any
@@ -20,6 +23,7 @@ use ft_media_server::sched::SteadyCycle;
 use ft_media_server::sched::{
     CycleConfig, GroupedScheduler, NonClusteredScheduler, SchemeScheduler, StreamId,
 };
+use ft_media_server::sim::StepMode::{CycleByCycle, EventHorizon};
 use ft_media_server::sim::{DataMode, FailureEvent, Metrics, ObjectDirectory, Simulator, StepMode};
 use ft_media_server::telemetry::{Level, Recorder, Value};
 use ft_media_server::{MultimediaServer, Scheme, ServerBuilder};
@@ -39,14 +43,26 @@ enum Op {
     Repair,
 }
 
+/// Ops in a script, and the most cycles one `Run` takes.
+const MAX_OPS: usize = 23;
+const MAX_RUN: u64 = 40;
+
+/// The copies every script drives: a step mode, and whether the copy
+/// retains its whole trace. The first is the itemised reference.
+const COPIES: [(StepMode, bool); 3] = [
+    (CycleByCycle, true),
+    (CycleByCycle, false),
+    (EventHorizon, false),
+];
+
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         // The vendored `prop_oneof!` is unweighted; repeated entries
         // skew the mix toward clock advances and one-cycle runs.
         prop_oneof![
-            (1u64..=40).prop_map(Op::Run),
-            (1u64..=40).prop_map(Op::Run),
-            (1u64..=40).prop_map(Op::Run),
+            (1u64..=MAX_RUN).prop_map(Op::Run),
+            (1u64..=MAX_RUN).prop_map(Op::Run),
+            (1u64..=MAX_RUN).prop_map(Op::Run),
             Just(Op::Run(1)),
             Just(Op::Run(1)),
             any::<u8>().prop_map(Op::Admit),
@@ -55,7 +71,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             any::<u8>().prop_map(Op::Fail),
             Just(Op::Repair),
         ],
-        1..24,
+        1..=MAX_OPS,
     )
 }
 
@@ -116,9 +132,9 @@ fn check_taken(mode: StepMode, open: bool, skipped: u64, what: &str) {
     }
 }
 
-/// Run a script against a server, recording each op's outcome so the
-/// two step modes can be compared decision by decision, not just on
-/// final metrics.
+/// Run a script against a server, recording each op's outcome and the
+/// observables after it, so the copies can be compared decision by
+/// decision, not just on final metrics.
 fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<String> {
     let recorder = Recorder::new(Level::Info);
     let _guard = recorder.install();
@@ -178,6 +194,7 @@ fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<St
                 }
             }
         }
+        trace.push(format!("{:?}", observe(server.metrics(), server.cycle())));
     }
     trace
 }
@@ -228,11 +245,28 @@ fn drive_sim<S: SchemeScheduler>(sim: &mut Simulator<S>, ops: &[Op], disks: u32)
                 }
             }
         }
+        trace.push(format!("{:?}", observe(sim.metrics(), sim.cycle())));
     }
     trace
 }
 
-fn build_server(scheme: Scheme, mode: StepMode) -> MultimediaServer {
+/// Retain every plan a script can step, so each one has a reader.
+fn retain_whole_trace<S: SchemeScheduler>(sim: &mut Simulator<S>, traced: bool) {
+    if traced {
+        sim.keep_trace(MAX_OPS * MAX_RUN as usize);
+    }
+}
+
+/// A copy retaining its trace kept a plan for every cycle, none counted:
+/// it is the itemised reference.
+fn assert_reference_itemised<S: SchemeScheduler>(sim: &Simulator<S>, traced: bool) {
+    if traced {
+        assert_eq!(sim.trace().len() as u64, sim.cycle(), "every plan retained");
+        assert!(sim.trace().iter().all(|plan| !plan.is_counted()));
+    }
+}
+
+fn build_server(scheme: Scheme, mode: StepMode, traced: bool) -> MultimediaServer {
     let disks = if scheme == Scheme::ImprovedBandwidth {
         8
     } else {
@@ -247,13 +281,20 @@ fn build_server(scheme: Scheme, mode: StepMode) -> MultimediaServer {
         .build()
         .expect("fixed geometry builds");
     server.set_step_mode(mode);
+    retain_whole_trace(server.simulator_mut(), traced);
     server
 }
 
 /// A `Simulator` over a clustered catalog for the configurations the
 /// server builder does not expose (grouped `k' | C−1`, the unprotected
 /// baseline at `k = k' = 1`).
-fn build_sim<S, F>(tracks: u64, k: usize, k_prime: usize, make: F, mode: StepMode) -> Simulator<S>
+fn build_sim<S, F>(
+    tracks: u64,
+    k: usize,
+    k_prime: usize,
+    make: F,
+    (mode, traced): (StepMode, bool),
+) -> Simulator<S>
 where
     S: SchemeScheduler,
     F: FnOnce(CycleConfig, Catalog<ClusteredLayout>) -> S,
@@ -283,29 +324,32 @@ where
         dir,
     );
     sim.set_step_mode(mode);
+    retain_whole_trace(&mut sim, traced);
     sim
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// SR, SG, NC, and IB: a random script drives a cycle-by-cycle and
-    /// an event-horizon server to bit-identical outcomes.
+    /// SR, SG, NC, and IB: a random script drives the itemised
+    /// reference, a counted copy and an event-horizon server to
+    /// bit-identical outcomes.
     #[test]
     fn random_scripts_are_mode_independent_for_server_schemes(ops in arb_ops()) {
         for scheme in Scheme::ALL {
             let disks = if scheme == Scheme::ImprovedBandwidth { 8 } else { 10 };
-            let mut slow = build_server(scheme, StepMode::CycleByCycle);
-            let mut fast = build_server(scheme, StepMode::EventHorizon);
-            let t_slow = drive_server(&mut slow, &ops, disks);
-            let t_fast = drive_server(&mut fast, &ops, disks);
-            prop_assert_eq!(&t_slow, &t_fast, "{:?}: op outcomes diverged", scheme);
-            prop_assert_eq!(
-                observe(slow.metrics(), slow.cycle()),
-                observe(fast.metrics(), fast.cycle()),
-                "{:?}: observables diverged",
-                scheme
-            );
+            let traces: Vec<Vec<String>> = COPIES
+                .iter()
+                .map(|&(mode, traced)| {
+                    let mut server = build_server(scheme, mode, traced);
+                    let trace = drive_server(&mut server, &ops, disks);
+                    assert_reference_itemised(server.simulator(), traced);
+                    trace
+                })
+                .collect();
+            for (copy, trace) in COPIES.iter().zip(&traces).skip(1) {
+                prop_assert_eq!(&traces[0], trace, "{:?} {:?}: diverged", scheme, copy);
+            }
         }
     }
 
@@ -314,28 +358,23 @@ proptest! {
     #[test]
     fn random_scripts_are_mode_independent_for_grouped_and_baseline(ops in arb_ops()) {
         let grouped = |cfg, cat| GroupedScheduler::new(cfg, cat);
-        let mut slow = build_sim(120, 4, 2, grouped, StepMode::CycleByCycle);
-        let mut fast = build_sim(120, 4, 2, grouped, StepMode::EventHorizon);
-        let t_slow = drive_sim(&mut slow, &ops, 10);
-        let t_fast = drive_sim(&mut fast, &ops, 10);
-        prop_assert_eq!(&t_slow, &t_fast, "grouped: op outcomes diverged");
-        prop_assert_eq!(
-            observe(slow.metrics(), slow.cycle()),
-            observe(fast.metrics(), fast.cycle()),
-            "grouped: observables diverged"
-        );
-
         let baseline = |cfg, cat| NonClusteredScheduler::unprotected(cfg, cat);
-        let mut slow = build_sim(120, 1, 1, baseline, StepMode::CycleByCycle);
-        let mut fast = build_sim(120, 1, 1, baseline, StepMode::EventHorizon);
-        let t_slow = drive_sim(&mut slow, &ops, 10);
-        let t_fast = drive_sim(&mut fast, &ops, 10);
-        prop_assert_eq!(&t_slow, &t_fast, "baseline: op outcomes diverged");
-        prop_assert_eq!(
-            observe(slow.metrics(), slow.cycle()),
-            observe(fast.metrics(), fast.cycle()),
-            "baseline: observables diverged"
-        );
+        let traces: Vec<[Vec<String>; 2]> = COPIES
+            .iter()
+            .map(|&copy| {
+                let mut sim = build_sim(120, 4, 2, grouped, copy);
+                let grouped_trace = drive_sim(&mut sim, &ops, 10);
+                assert_reference_itemised(&sim, copy.1);
+                let mut sim = build_sim(120, 1, 1, baseline, copy);
+                let baseline_trace = drive_sim(&mut sim, &ops, 10);
+                assert_reference_itemised(&sim, copy.1);
+                [grouped_trace, baseline_trace]
+            })
+            .collect();
+        for (copy, trace) in COPIES.iter().zip(&traces).skip(1) {
+            prop_assert_eq!(&traces[0][0], &trace[0], "grouped {:?}: diverged", copy);
+            prop_assert_eq!(&traces[0][1], &trace[1], "baseline {:?}: diverged", copy);
+        }
     }
 }
 
@@ -346,7 +385,7 @@ proptest! {
 #[test]
 fn a_window_opens_on_the_cycle_after_an_admission_and_after_a_release_drains() {
     for scheme in [Scheme::StaggeredGroup, Scheme::NonClustered] {
-        let mut server = build_server(scheme, StepMode::EventHorizon);
+        let mut server = build_server(scheme, EventHorizon, false);
         let recorder = Recorder::new(Level::Info);
         let _guard = recorder.install();
         let run = |server: &mut MultimediaServer, cycles: u64| {
