@@ -317,8 +317,7 @@ fn fleet_allocs(cycles: u64) -> Result<f64, FleetError> {
         .catalog(FLEET_NODES, FLEET_TRACKS)
         .step_mode(StepMode::CycleByCycle)
         .build()?;
-    let cfg = fleet.node(0).cycle_config();
-    let hold = FLEET_TRACKS.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+    let hold = fleet.node(0).cycle_config().session_cycles(FLEET_TRACKS);
     let titles = fleet.placement().objects().to_vec();
     let mut cycle = || -> Result<(), FleetError> {
         for &title in &titles {

@@ -77,8 +77,7 @@ fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
     // stepping (pinned by the equivalence suite), so the bench runs
     // with it on: arrival-free stretches between sessions fast-forward.
     server.set_step_mode(StepMode::EventHorizon);
-    let cfg = server.cycle_config();
-    let nominal = TRACKS.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+    let nominal = server.cycle_config().session_cycles(TRACKS);
     // Little's law: `load x capacity` concurrent sessions of mean hold
     // `nominal x (1 - ABANDON/2)` cycles need this many arrivals/cycle.
     let rate =

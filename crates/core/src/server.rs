@@ -8,7 +8,6 @@ use mms_layout::{CatalogError, MediaObject, ObjectId};
 use mms_sched::{CycleConfig, FailureReport, SchemeKind, SchemeScheduler, StreamId, StreamInfo};
 use mms_sim::{
     CycleReport, FailureEvent, Metrics, RebuildSource, SessionEngine, Simulator, StepMode,
-    WorkloadGen,
 };
 use rand::Rng;
 
@@ -117,16 +116,6 @@ impl MultimediaServer {
     /// Simulate `cycles` cycles.
     pub fn run(&mut self, cycles: u64) -> Result<(), ServerError> {
         Ok(self.sim.run(cycles)?)
-    }
-
-    /// Simulate with Poisson arrivals; returns rejected admissions.
-    pub fn run_with_workload<R: Rng + ?Sized>(
-        &mut self,
-        cycles: u64,
-        workload: &WorkloadGen,
-        rng: &mut R,
-    ) -> Result<u64, ServerError> {
-        Ok(self.sim.run_with_workload(cycles, workload, rng)?)
     }
 
     /// End a viewer's stream early (they stopped watching). Buffered
@@ -290,8 +279,8 @@ impl MultimediaServer {
             .find(|&id| self.purge_object(id).is_ok())
     }
 
-    /// How [`run`](Self::run), [`run_with_workload`](Self::run_with_workload),
-    /// and [`run_sessions`](Self::run_sessions) advance simulated time.
+    /// How [`run`](Self::run) and [`run_sessions`](Self::run_sessions)
+    /// advance simulated time.
     /// [`StepMode::EventHorizon`] fast-forwards provably quiescent
     /// stretches with observably identical results; see
     /// [`Simulator::advance_quiescent`].

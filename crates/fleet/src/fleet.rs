@@ -528,8 +528,7 @@ impl FleetBuilder {
 
         // All nodes share one geometry and every title one length, so
         // one node's cycle config prices every session's nominal hold.
-        let cfg = *nodes[0].server.cycle_config();
-        let hold = self.tracks.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+        let hold = nodes[0].server.cycle_config().session_cycles(self.tracks);
 
         let n = self.nodes;
         Ok(Fleet {

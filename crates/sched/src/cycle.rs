@@ -54,6 +54,14 @@ impl CycleConfig {
         self.k / self.k_prime
     }
 
+    /// Cycles a stream holds its slot to play `tracks` tracks: one read
+    /// cycle per group of `k`, spaced [`read_period`](Self::read_period)
+    /// cycles apart.
+    #[must_use]
+    pub fn session_cycles(&self, tracks: u64) -> u64 {
+        tracks.div_ceil(self.k as u64) * self.read_period() as u64
+    }
+
     /// Per-disk, per-cycle slot capacity: the number of track reads that
     /// fit in one cycle, `max r: τ_seek + r·τ_trk ≤ T_cyc`.
     #[must_use]
@@ -79,6 +87,8 @@ mod tests {
         // T_cyc = 4 * 0.05 / 0.1875 = 1.0667 s.
         assert!((cfg.t_cyc().as_secs() - 4.0 * 0.05 / 0.1875).abs() < 1e-12);
         assert_eq!(cfg.read_period(), 1);
+        // 10 tracks are three groups of 4, one read cycle each.
+        assert_eq!(cfg.session_cycles(10), 3);
         // slots = floor((1066.7 - 25) / 20) = 52.
         assert_eq!(cfg.slots_per_disk(), 52);
     }
@@ -92,6 +102,8 @@ mod tests {
             1,
         );
         assert_eq!(cfg.read_period(), 4);
+        // Three groups of 4, one every 4 cycles.
+        assert_eq!(cfg.session_cycles(10), 12);
         // T_cyc = 0.2667 s; slots = floor((266.7 - 25)/20) = 12.
         assert_eq!(cfg.slots_per_disk(), 12);
     }

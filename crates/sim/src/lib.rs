@@ -14,13 +14,12 @@
 //!   against the synthetic ground truth (reconstructed blocks are rebuilt
 //!   through `mms-parity`, exactly as a real server would), and
 //!   accumulates [`Metrics`].
-//! * [`WorkloadGen`] — Poisson stream arrivals over a Zipf-popularity
+//! * [`SessionEngine`] — the session lifecycle over a Zipf-popularity
 //!   catalog of MPEG-1/MPEG-2 movies (the movie-on-demand workload the
-//!   paper's introduction motivates).
-//! * [`SessionEngine`] — the heavy-traffic session lifecycle on top of
-//!   it: bursty (MMPP) arrival modulation, per-stream VBR holds, viewer
-//!   abandonment, and the Reject / Degrade / Queue admission policies,
-//!   with streaming (P²) admission-wait percentiles.
+//!   paper's introduction motivates): Poisson or bursty (MMPP)
+//!   arrivals, per-stream VBR holds, viewer abandonment, and the Reject
+//!   / Degrade / Queue admission policies, with streaming (P²)
+//!   admission-wait percentiles.
 //! * [`FailureSchedule`] — deterministic or stochastic disk-failure
 //!   injection, sharing `mms-disk`'s exponential processes.
 //! * [`RebuildManager`] — the third operating mode (rebuild): restore a
@@ -51,6 +50,5 @@ pub use rebuild::{Rebuild, RebuildManager, RebuildSource};
 pub use simulator::{DataMode, ObjectDirectory, SimError, Simulator, StepMode};
 pub use verify::BlockOracle;
 pub use workload::{
-    poisson, AdmissionPolicy, ArrivalProcess, SessionEngine, SessionStats, SplitMix64, WorkloadGen,
-    Zipf,
+    poisson, AdmissionPolicy, ArrivalProcess, SessionEngine, SessionStats, SplitMix64, Zipf,
 };

@@ -2,22 +2,18 @@
 //!
 //! The paper sizes systems for "6500 concurrent MPEG-2 users or 20,000
 //! MPEG-1 users" watching movies; this module generates that kind of
-//! movie-on-demand request stream for the simulator and benches, at two
-//! levels:
-//!
-//! * [`WorkloadGen`] — the original stateless arrival source: Poisson
-//!   arrivals per cycle over a Zipf(θ) catalog. Still the right tool
-//!   for open-loop soak tests.
-//! * [`SessionEngine`] — the full session lifecycle: Poisson or bursty
-//!   ([`ArrivalProcess::bursty`], a two-state MMPP) arrivals, per-stream
-//!   VBR quality drawn from a bitrate ladder, viewer abandonment, and
-//!   an explicit admission-control policy point
-//!   ([`AdmissionPolicy::Reject`] / [`Degrade`](AdmissionPolicy::Degrade)
-//!   / [`Queue`](AdmissionPolicy::Queue)). Sessions that end early are
-//!   returned to the scheduler via
-//!   [`SchemeScheduler::release`], so heavy-traffic runs churn streams
-//!   the way a real service does instead of letting every viewer watch
-//!   to the credits.
+//! movie-on-demand request stream for the simulator and benches with one
+//! engine, [`SessionEngine`]: Poisson or bursty
+//! ([`ArrivalProcess::bursty`], a two-state MMPP) arrivals over a Zipf(θ)
+//! catalog, per-stream VBR quality drawn from a bitrate ladder, viewer
+//! abandonment, and an explicit admission-control policy point
+//! ([`AdmissionPolicy::Reject`] / [`Degrade`](AdmissionPolicy::Degrade) /
+//! [`Queue`](AdmissionPolicy::Queue)). Each session holds its stream slot
+//! for a sampled time and is then returned to the scheduler via
+//! [`SchemeScheduler::release`], so heavy-traffic runs churn streams the
+//! way a real service does. Poisson arrivals under `Reject` with a
+//! one-rung ladder and no abandonment are the plain open-loop source:
+//! every viewer watches the whole title.
 //!
 //! Memory is O(active + queued sessions): pending releases live in a
 //! [`BinaryHeap`] keyed by due cycle, admission waits stream into
@@ -28,6 +24,7 @@
 //! or [`SplitMix64`] directly when a test must be pinned against RNG
 //! crate changes), so runs are bit-identical for a given seed.
 
+use crate::simulator::{admit_stream, release_stream};
 use mms_layout::ObjectId;
 use mms_sched::{SchemeScheduler, StreamId};
 use mms_telemetry::P2Quantile;
@@ -243,55 +240,6 @@ impl ArrivalProcess {
                 }
             }
         }
-    }
-}
-
-/// Poisson-arrival workload over a catalog of objects.
-///
-/// The stateless open-loop source: streams are admitted and watched to
-/// the end. For session lifecycles (VBR, abandonment, QoS policies) use
-/// [`SessionEngine`].
-#[derive(Debug, Clone)]
-pub struct WorkloadGen {
-    objects: Vec<ObjectId>,
-    zipf: Zipf,
-    /// Mean new-stream arrivals per cycle.
-    rate: f64,
-}
-
-impl WorkloadGen {
-    /// Build a generator: `rate` mean arrivals per cycle, Zipf(θ)
-    /// popularity over `objects` (ordered most- to least-popular).
-    ///
-    /// # Panics
-    /// Panics if `objects` is empty or `rate` is negative.
-    #[must_use]
-    pub fn new(objects: Vec<ObjectId>, theta: f64, rate: f64) -> Self {
-        assert!(!objects.is_empty(), "need at least one object");
-        assert!(rate >= 0.0, "rate must be non-negative");
-        let zipf = Zipf::new(objects.len(), theta);
-        WorkloadGen {
-            objects,
-            zipf,
-            rate,
-        }
-    }
-
-    /// Number of arrivals this cycle (exact Poisson at any rate — see
-    /// [`poisson`] for why the naive product method is not used).
-    pub fn arrivals<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        poisson(self.rate, rng) as usize
-    }
-
-    /// Pick an object by popularity.
-    pub fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> ObjectId {
-        self.objects[self.zipf.sample(rng)]
-    }
-
-    /// The catalog, most popular first.
-    #[must_use]
-    pub fn objects(&self) -> &[ObjectId] {
-        &self.objects
     }
 }
 
@@ -563,7 +511,7 @@ impl SessionEngine {
             }
         }
         // lint:allow(hot-path-alloc): admission allocates the stream's state once per session, not per cycle
-        match sched.admit(object, cycle) {
+        match admit_stream(sched, object, cycle) {
             Ok(id) => {
                 self.stats.admitted += 1;
                 if degrade {
@@ -579,7 +527,12 @@ impl SessionEngine {
 
     /// Advance one cycle: fire due releases, drain the wait queue into
     /// freed slots, then offer this cycle's arrivals. Call immediately
-    /// before the simulator plans `cycle`.
+    /// before the simulator plans `cycle`. Admissions and releases emit
+    /// the "admit" and "release" events of [`Simulator::admit`] and
+    /// [`Simulator::release`].
+    ///
+    /// [`Simulator::admit`]: crate::Simulator::admit
+    /// [`Simulator::release`]: crate::Simulator::release
     pub fn tick<S: SchemeScheduler, R: Rng + ?Sized>(
         &mut self,
         cycle: u64,
@@ -594,7 +547,7 @@ impl SessionEngine {
                 break;
             }
             self.releases.pop();
-            if sched.release(id) {
+            if release_stream(sched, id, cycle) {
                 self.stats.released_early += 1;
             }
         }
@@ -823,10 +776,10 @@ mod tests {
 
     #[test]
     fn poisson_mean_is_rate() {
-        let gen = WorkloadGen::new(vec![ObjectId(0)], 0.0, 2.5);
+        let mut process = ArrivalProcess::poisson(2.5);
         let mut rng = rng(4);
         let n = 20_000;
-        let total: usize = (0..n).map(|_| gen.arrivals(&mut rng)).sum();
+        let total: u64 = (0..n).map(|_| process.arrivals(&mut rng)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 2.5).abs() < 0.05, "{mean}");
     }
@@ -868,20 +821,10 @@ mod tests {
 
     #[test]
     fn zero_rate_never_arrives() {
-        let gen = WorkloadGen::new(vec![ObjectId(0)], 0.0, 0.0);
+        let mut process = ArrivalProcess::poisson(0.0);
         let mut rng = rng(7);
         for _ in 0..100 {
-            assert_eq!(gen.arrivals(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn pick_respects_catalog() {
-        let objs = vec![ObjectId(7), ObjectId(8), ObjectId(9)];
-        let gen = WorkloadGen::new(objs.clone(), 0.271, 1.0);
-        let mut rng = rng(8);
-        for _ in 0..100 {
-            assert!(objs.contains(&gen.pick(&mut rng)));
+            assert_eq!(process.arrivals(&mut rng), 0);
         }
     }
 

@@ -4,8 +4,8 @@
 use mms_disk::{DiskId, ReliabilityParams, Time};
 use mms_layout::{BlockAddr, ObjectId};
 use mms_sim::{
-    BlockOracle, FailureEvent, FailureSchedule, Rebuild, RebuildManager, RebuildSource,
-    WorkloadGen, Zipf,
+    ArrivalProcess, BlockOracle, FailureEvent, FailureSchedule, Rebuild, RebuildManager,
+    RebuildSource, Zipf,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,14 +103,14 @@ proptest! {
         }
     }
 
-    /// Workload arrivals have the Poisson mean and never panic for any
+    /// Poisson arrivals have the Poisson mean and never panic for any
     /// rate in a sane range.
     #[test]
     fn workload_arrival_mean(rate in 0.0f64..6.0, seed in any::<u64>()) {
-        let gen = WorkloadGen::new(vec![ObjectId(0)], 0.271, rate);
+        let mut process = ArrivalProcess::poisson(rate);
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 3000u32;
-        let total: usize = (0..n).map(|_| gen.arrivals(&mut rng)).sum();
+        let total: u64 = (0..n).map(|_| process.arrivals(&mut rng)).sum();
         let mean = total as f64 / f64::from(n);
         // SE = sqrt(rate / n); allow 6 sigma + epsilon.
         let tol = 6.0 * (rate / f64::from(n)).sqrt() + 0.02;

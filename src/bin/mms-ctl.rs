@@ -585,10 +585,7 @@ fn cmd_workload(args: &mut Args) -> CmdResult {
         ));
     }
     let mut server = builder.build()?;
-    // A session's nominal slot-hold time: one read cycle per group,
-    // spaced k/k' cycles apart.
-    let cyc = server.cycle_config();
-    let nominal = tracks.div_ceil(cyc.k as u64) * cyc.read_period() as u64;
+    let nominal = server.cycle_config().session_cycles(tracks);
     let catalog: Vec<(ObjectId, u64)> = server.objects().iter().map(|&o| (o, nominal)).collect();
     let mut engine = SessionEngine::new(catalog, theta, arrivals, policy).with_abandonment(abandon);
     if let Some(ladder) = ladder {

@@ -1,12 +1,17 @@
 //! Property-based equivalence of the event-horizon fast path and of
-//! counted plans: random admit/release/run/fail/repair scripts drive three
-//! copies of the same system — the itemised reference, stepping cycle by
+//! counted plans: random admit/release/run/sessions/fail/repair scripts
+//! drive three copies of the same system — the itemised reference, stepping cycle by
 //! cycle and retaining its whole trace so every plan has a reader; the
 //! same mode with no reader, whose healthy plans are counted; and
 //! `StepMode::EventHorizon` — and every observable must match exactly
 //! after every op, for all six configurations (the four server schemes,
 //! plus the whole-group scheduler at `k′ = 2` and the unprotected baseline
 //! at the `Simulator` level).
+//!
+//! `Op::Sessions` runs `run_sessions`, the arrival-driven loop, on a
+//! session engine each copy builds identically and seeds alike; its
+//! streams come and go among the script's own admissions, releases and
+//! faults, and the engine's counters must match too.
 //!
 //! `Op::Run(1)` is over-weighted so the horizon-1 case — a limit one
 //! cycle away — is exercised in nearly every script. A window may be any
@@ -24,7 +29,10 @@ use ft_media_server::sched::{
     CycleConfig, GroupedScheduler, NonClusteredScheduler, SchemeScheduler, StreamId,
 };
 use ft_media_server::sim::StepMode::{CycleByCycle, EventHorizon};
-use ft_media_server::sim::{DataMode, FailureEvent, Metrics, ObjectDirectory, Simulator, StepMode};
+use ft_media_server::sim::{
+    AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, Metrics, ObjectDirectory,
+    SessionEngine, Simulator, SplitMix64, StepMode,
+};
 use ft_media_server::telemetry::{Level, Recorder, Value};
 use ft_media_server::{MultimediaServer, Scheme, ServerBuilder};
 use proptest::prelude::*;
@@ -33,6 +41,8 @@ use proptest::prelude::*;
 enum Op {
     /// Advance the clock; `Run(1)` is a limit one cycle away.
     Run(u64),
+    /// Advance the clock under the copy's session engine.
+    Sessions(u64),
     /// Admit a viewer on the catalog object at this index (mod catalog).
     Admit(u8),
     /// Release the live stream at this index (mod live count).
@@ -46,6 +56,11 @@ enum Op {
 /// Ops in a script, and the most cycles one `Run` takes.
 const MAX_OPS: usize = 23;
 const MAX_RUN: u64 = 40;
+
+/// The server copies' catalog, most popular first: name and minutes.
+const MOVIES: [(&str, f64); 2] = [("short", 0.02), ("long", 0.2)];
+/// The length of the one title of the `Simulator`-level copies.
+const SIM_TRACKS: u64 = 120;
 
 /// The copies every script drives: a step mode, and whether the copy
 /// retains its whole trace. The first is the itemised reference.
@@ -63,6 +78,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             (1u64..=MAX_RUN).prop_map(Op::Run),
             (1u64..=MAX_RUN).prop_map(Op::Run),
             (1u64..=MAX_RUN).prop_map(Op::Run),
+            (1u64..=MAX_RUN).prop_map(Op::Sessions),
             Just(Op::Run(1)),
             Just(Op::Run(1)),
             any::<u8>().prop_map(Op::Admit),
@@ -96,6 +112,50 @@ fn observe(m: &Metrics, cycle: u64) -> (u64, Vec<u64>, u64, usize) {
         ],
         m.disk_busy.as_secs().to_bits(),
         m.buffer_peak,
+    )
+}
+
+/// A server copy's titles with their track counts, as the builder
+/// sized them.
+fn server_titles(server: &MultimediaServer) -> Vec<(ObjectId, u64)> {
+    let track_size = server.cycle_config().disk.track_size;
+    let sized = |(&id, (name, minutes))| {
+        let movie = MediaObject::movie(id, name, minutes, BandwidthClass::Mpeg1, track_size);
+        (id, movie.tracks)
+    };
+    server.objects().iter().zip(MOVIES).map(sized).collect()
+}
+
+/// The session engine every copy of a script runs: Poisson arrivals a
+/// quarter of a cycle apart over `titles` (`(object, tracks)`, most
+/// popular first), each held for its title's length on a three-rung
+/// ladder, a quarter of the viewers leaving early.
+fn engine(
+    config: &CycleConfig,
+    titles: &[(ObjectId, u64)],
+    seed: u64,
+) -> (SessionEngine, SplitMix64) {
+    let catalog = titles
+        .iter()
+        .map(|&(id, tracks)| (id, config.session_cycles(tracks)))
+        .collect();
+    let engine = SessionEngine::new(
+        catalog,
+        0.271,
+        ArrivalProcess::poisson(0.25),
+        AdmissionPolicy::Reject,
+    )
+    .with_vbr(vec![0.5, 1.0, 1.5])
+    .with_abandonment(0.25);
+    (engine, SplitMix64::new(seed))
+}
+
+/// The engine's counters, for the trace.
+fn session_counts(engine: &SessionEngine) -> String {
+    let s = engine.stats();
+    format!(
+        "sessions {} {} {} {}",
+        s.offered, s.admitted, s.rejected, s.released_early
     )
 }
 
@@ -135,7 +195,8 @@ fn check_taken(mode: StepMode, open: bool, skipped: u64, what: &str) {
 /// Run a script against a server, recording each op's outcome and the
 /// observables after it, so the copies can be compared decision by
 /// decision, not just on final metrics.
-fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<String> {
+fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32, seed: u64) -> Vec<String> {
+    let (mut engine, mut rng) = engine(server.cycle_config(), &server_titles(server), seed);
     let recorder = Recorder::new(Level::Info);
     let _guard = recorder.install();
     let mut live: Vec<StreamId> = Vec::new();
@@ -153,6 +214,16 @@ fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<St
                 let scheme = server.simulator().scheduler().scheme();
                 let what = format!("{scheme:?} run {n} at {}", server.cycle());
                 check_taken(server.step_mode(), open, take_skipped(&recorder), &what);
+                event_due = false;
+            }
+            Op::Sessions(n) => {
+                take_skipped(&recorder);
+                server
+                    .run_sessions(*n, &mut engine, &mut rng)
+                    .expect("run never fails without data loss");
+                let what = format!("sessions {n} at {}", server.cycle());
+                check_taken(server.step_mode(), false, take_skipped(&recorder), &what);
+                trace.push(session_counts(&engine));
                 event_due = false;
             }
             Op::Admit(i) => {
@@ -200,7 +271,14 @@ fn drive_server(server: &mut MultimediaServer, ops: &[Op], disks: u32) -> Vec<St
 }
 
 /// Same script driver for a bare `Simulator` (grouped / baseline).
-fn drive_sim<S: SchemeScheduler>(sim: &mut Simulator<S>, ops: &[Op], disks: u32) -> Vec<String> {
+fn drive_sim<S: SchemeScheduler>(
+    sim: &mut Simulator<S>,
+    ops: &[Op],
+    disks: u32,
+    seed: u64,
+) -> Vec<String> {
+    let titles = [(ObjectId(0), SIM_TRACKS)];
+    let (mut engine, mut rng) = engine(sim.scheduler().config(), &titles, seed);
     let recorder = Recorder::new(Level::Info);
     let _guard = recorder.install();
     let mut live: Vec<StreamId> = Vec::new();
@@ -214,6 +292,14 @@ fn drive_sim<S: SchemeScheduler>(sim: &mut Simulator<S>, ops: &[Op], disks: u32)
                 sim.run(*n).expect("run never fails without data loss");
                 let what = format!("run {n} at {}", sim.cycle());
                 check_taken(sim.step_mode(), open, take_skipped(&recorder), &what);
+            }
+            Op::Sessions(n) => {
+                take_skipped(&recorder);
+                sim.run_sessions(*n, &mut engine, &mut rng)
+                    .expect("run never fails without data loss");
+                let what = format!("sessions {n} at {}", sim.cycle());
+                check_taken(sim.step_mode(), false, take_skipped(&recorder), &what);
+                trace.push(session_counts(&engine));
             }
             Op::Admit(_) => match sim.admit(ObjectId(0)) {
                 Ok(id) => {
@@ -272,14 +358,14 @@ fn build_server(scheme: Scheme, mode: StepMode, traced: bool) -> MultimediaServe
     } else {
         10
     };
-    let mut server = ServerBuilder::new(scheme)
+    let mut builder = ServerBuilder::new(scheme)
         .disks(disks)
         .parity_group(5)
-        .data_mode(DataMode::MetadataOnly)
-        .movie("short", 0.02, BandwidthClass::Mpeg1)
-        .movie("long", 0.2, BandwidthClass::Mpeg1)
-        .build()
-        .expect("fixed geometry builds");
+        .data_mode(DataMode::MetadataOnly);
+    for (name, minutes) in MOVIES {
+        builder = builder.movie(name, minutes, BandwidthClass::Mpeg1);
+    }
+    let mut server = builder.build().expect("fixed geometry builds");
     server.set_step_mode(mode);
     retain_whole_trace(server.simulator_mut(), traced);
     server
@@ -335,14 +421,14 @@ proptest! {
     /// reference, a counted copy and an event-horizon server to
     /// bit-identical outcomes.
     #[test]
-    fn random_scripts_are_mode_independent_for_server_schemes(ops in arb_ops()) {
+    fn random_scripts_are_mode_independent_for_server_schemes(ops in arb_ops(), seed in any::<u64>()) {
         for scheme in Scheme::ALL {
             let disks = if scheme == Scheme::ImprovedBandwidth { 8 } else { 10 };
             let traces: Vec<Vec<String>> = COPIES
                 .iter()
                 .map(|&(mode, traced)| {
                     let mut server = build_server(scheme, mode, traced);
-                    let trace = drive_server(&mut server, &ops, disks);
+                    let trace = drive_server(&mut server, &ops, disks, seed);
                     assert_reference_itemised(server.simulator(), traced);
                     trace
                 })
@@ -356,17 +442,17 @@ proptest! {
     /// The grouped and unprotected-baseline schedulers, driven at the
     /// `Simulator` level, are mode-independent too.
     #[test]
-    fn random_scripts_are_mode_independent_for_grouped_and_baseline(ops in arb_ops()) {
+    fn random_scripts_are_mode_independent_for_grouped_and_baseline(ops in arb_ops(), seed in any::<u64>()) {
         let grouped = |cfg, cat| GroupedScheduler::new(cfg, cat);
         let baseline = |cfg, cat| NonClusteredScheduler::unprotected(cfg, cat);
         let traces: Vec<[Vec<String>; 2]> = COPIES
             .iter()
             .map(|&copy| {
-                let mut sim = build_sim(120, 4, 2, grouped, copy);
-                let grouped_trace = drive_sim(&mut sim, &ops, 10);
+                let mut sim = build_sim(SIM_TRACKS, 4, 2, grouped, copy);
+                let grouped_trace = drive_sim(&mut sim, &ops, 10, seed);
                 assert_reference_itemised(&sim, copy.1);
-                let mut sim = build_sim(120, 1, 1, baseline, copy);
-                let baseline_trace = drive_sim(&mut sim, &ops, 10);
+                let mut sim = build_sim(SIM_TRACKS, 1, 1, baseline, copy);
+                let baseline_trace = drive_sim(&mut sim, &ops, 10, seed);
                 assert_reference_itemised(&sim, copy.1);
                 [grouped_trace, baseline_trace]
             })

@@ -5,7 +5,9 @@
 use ft_media_server::disk::{ReliabilityParams, Time};
 use ft_media_server::layout::{BandwidthClass, MediaObject, ObjectId};
 use ft_media_server::sched::SchemeScheduler;
-use ft_media_server::sim::{DataMode, FailureSchedule, WorkloadGen};
+use ft_media_server::sim::{
+    AdmissionPolicy, ArrivalProcess, DataMode, FailureSchedule, SessionEngine,
+};
 use ft_media_server::{Scheme, ServerBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,11 +27,12 @@ fn stochastic_soak_across_all_schemes() {
             .disks(disks)
             .parity_group(5)
             .data_mode(DataMode::Verified { track_bytes: 48 });
-        for i in 0..4u64 {
+        let titles: Vec<(ObjectId, u64)> = (0..4u64).map(|i| (ObjectId(i), 40 + 12 * i)).collect();
+        for &(id, tracks) in &titles {
             builder = builder.object(MediaObject::new(
-                ObjectId(i),
-                format!("title{i}"),
-                40 + 12 * i,
+                id,
+                format!("title{}", id.0),
+                tracks,
                 BandwidthClass::Mpeg1,
             ));
         }
@@ -47,13 +50,19 @@ fn stochastic_soak_across_all_schemes() {
         let injected = schedule.remaining();
         server.simulator_mut().set_failures(schedule);
 
-        let workload = WorkloadGen::new(server.objects().to_vec(), 0.271, 0.15);
+        // Open-loop Poisson arrivals: each viewer watches a whole title,
+        // holding its slot for that title's own length.
+        let cfg = *server.cycle_config();
+        let catalog = titles
+            .iter()
+            .map(|&(id, tracks)| (id, cfg.session_cycles(tracks)))
+            .collect();
+        let arrivals = ArrivalProcess::poisson(0.15);
+        let mut engine = SessionEngine::new(catalog, 0.271, arrivals, AdmissionPolicy::Reject);
         let mut wrng = StdRng::seed_from_u64(7 + disks as u64);
         // Catastrophes (two overlapping failures) are possible under the
         // acceleration; the run must stay consistent regardless.
-        server
-            .run_with_workload(CYCLES, &workload, &mut wrng)
-            .unwrap();
+        server.run_sessions(CYCLES, &mut engine, &mut wrng).unwrap();
 
         let m = server.metrics().clone();
         assert!(injected > 0, "{scheme:?}: the soak needs failures");

@@ -27,10 +27,10 @@ simulate info  -  e80b45855f94a2b4 0c117098c1c26b76 674b6ad47a95df59 -
 simulate info  ff e80b45855f94a2b4 0c117098c1c26b76 674b6ad47a95df59 -
 simulate debug -  9801fc725d74cff7 456190991b824622 674b6ad47a95df59 dd61f11f1d598429
 simulate debug ff 9801fc725d74cff7 456190991b824622 674b6ad47a95df59 dd61f11f1d598429
-workload info  -  9d57e8d9320318ac a8ffc0a174024e7a 251247d765367396 -
-workload info  ff a8eeddfe9c854bb7 d8070e25c9d692d1 251247d765367396 -
-workload debug -  77738749fb7786d0 db1db65b8fb58d8a 251247d765367396 02241c6dba5a99d3
-workload debug ff 77738749fb7786d0 db1db65b8fb58d8a 251247d765367396 02241c6dba5a99d3
+workload info  -  7f6c63e37010a8ec e0374c8b4042c1dd 251247d765367396 -
+workload info  ff 0d74fba975ff45ab e00ad5cd07ec4cec 251247d765367396 -
+workload debug -  53ac43a5dea049d0 a6d0c0b9fb892e67 251247d765367396 47d44b8c10089ca9
+workload debug ff 53ac43a5dea049d0 a6d0c0b9fb892e67 251247d765367396 47d44b8c10089ca9
 scenario info  -  054a7fe9386c54f1 b5b19422741e7a96 7de17ec2218738cb -
 scenario info  ff 054a7fe9386c54f1 b5b19422741e7a96 7de17ec2218738cb -
 scenario debug -  a908e40a1d33a658 ab6898868158c540 7de17ec2218738cb 09abd917e73bca20

@@ -96,8 +96,7 @@ fn traced_workload_run(par: Parallelism) -> Vec<u8> {
                 .data_mode(DataMode::MetadataOnly)
                 .build()
                 .expect("server builds");
-            let cfg = server.cycle_config();
-            let nominal = 80u64.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+            let nominal = server.cycle_config().session_cycles(80);
             let mut engine = SessionEngine::new(
                 vec![(ObjectId(0), nominal)],
                 0.271,
