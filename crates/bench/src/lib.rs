@@ -35,7 +35,9 @@ use mms_server::{MultimediaServer, Scheme, ServerBuilder};
 /// A metadata-only server of `scheme` at the geometry the grids of this
 /// crate share — parity groups of five over ten disks (eight for
 /// Improved-bandwidth, whose clusters are `C−1` wide) — holding `movies`
-/// MPEG-1 objects of `tracks` tracks each.
+/// MPEG-1 objects of `tracks` tracks each. The disks are Table 1's, but
+/// a title longer than Table 1's 1,000 MB (`bench steady`'s steady
+/// cells) gets disks that each hold all of it.
 #[must_use]
 pub fn scheme_server(scheme: Scheme, movies: usize, tracks: u64) -> MultimediaServer {
     let disks = if scheme == Scheme::ImprovedBandwidth {
@@ -43,9 +45,20 @@ pub fn scheme_server(scheme: Scheme, movies: usize, tracks: u64) -> MultimediaSe
     } else {
         10
     };
+    let table1 = DiskParams::paper_table1();
+    let title = table1.track_size * tracks as f64;
+    let params = DiskParams {
+        capacity: if title > table1.capacity {
+            title
+        } else {
+            table1.capacity
+        },
+        ..table1
+    };
     let mut builder = ServerBuilder::new(scheme)
         .disks(disks)
         .parity_group(5)
+        .disk_params(params)
         .data_mode(DataMode::MetadataOnly);
     for m in 0..movies {
         builder = builder.object(MediaObject::new(
