@@ -12,9 +12,7 @@
 use crate::Args;
 use mms_exec::Parallelism;
 use mms_sim::StepMode;
-use mms_telemetry::{
-    dashboard, jsonl, perfetto, prom, FlightRecorder, HealthModel, Level, Recorder,
-};
+use mms_telemetry::{dashboard, flight, jsonl, perfetto, prom, HealthModel, Level, Recorder};
 use std::io::Write;
 
 /// The observability surface of one run (`--telemetry`, `--dash`,
@@ -29,7 +27,8 @@ pub struct TelemetryConfig {
     pub dash: bool,
     /// Flight-recorder dump path (`--flight-recorder PATH`).
     pub flight: Option<String>,
-    /// Flight-recorder ring capacity (`--flight-capacity`, default 4096).
+    /// Records the flight dump keeps, the newest (`--flight-capacity`,
+    /// default 4096).
     pub flight_capacity: usize,
     /// Prometheus text-format export path (`--prom-out PATH`).
     pub prom: Option<String>,
@@ -140,21 +139,13 @@ impl RunConfig {
 
         let snapshot = recorder.snapshot();
         if let Some(path) = &t.flight {
-            let mut flight = FlightRecorder::new(t.flight_capacity);
-            for event in &events {
-                flight.record(event.clone());
-            }
-            if !flight.triggered() {
-                flight.trigger("requested");
-            }
             let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-            flight.dump(&mut out)?;
+            let trigger = flight::dump(&mut out, &events, t.flight_capacity)?;
             out.flush()?;
             println!(
-                "\nflight recorder: kept {} of {} record(s), trigger '{}' -> {path}",
-                flight.len(),
-                flight.recorded(),
-                flight.trigger_reason().unwrap_or("none"),
+                "\nflight recorder: kept {} of {} record(s), trigger '{trigger}' -> {path}",
+                t.flight_capacity.min(events.len()),
+                events.len(),
             );
         }
         if let Some(path) = &t.prom {

@@ -113,9 +113,16 @@ impl MultimediaServer {
         Ok(self.sim.step()?)
     }
 
-    /// Simulate `cycles` cycles.
+    /// Simulate `cycles` cycles. Tertiary staging advances only through
+    /// [`step`](Self::step), so the run steps while the librarian has
+    /// queued work and hands the remaining cycles to the simulator.
     pub fn run(&mut self, cycles: u64) -> Result<(), ServerError> {
-        Ok(self.sim.run(cycles)?)
+        let mut left = cycles;
+        while left > 0 && !self.librarian.queue().is_empty() {
+            self.step()?;
+            left -= 1;
+        }
+        Ok(self.sim.run(left)?)
     }
 
     /// End a viewer's stream early (they stopped watching). Buffered

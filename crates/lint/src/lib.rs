@@ -21,9 +21,9 @@
 //!   ambient randomness in the deterministic crates' library code, nor
 //!   reached from it through a helper in another crate.
 //! * `hot-path-alloc` — every function a registered hot *root* (the
-//!   session loop, the fleet step, the flight recorder, the zero scan)
-//!   reaches, the roots included, must not contain `Vec::new`/`vec!`/
-//!   `.to_vec()`/`Box::new`/`format!`/`.collect()`/`.clone()`. The
+//!   session loop, the fleet step, the zero scan) reaches, the roots
+//!   included, must not contain `Vec::new`/`vec!`/`.to_vec()`/
+//!   `Box::new`/`format!`/`.collect()`/`.clone()`. The
 //!   registry holds only true roots; missing, interior and dead entries
 //!   are themselves findings.
 //! * `panic-policy` — `.unwrap()`/`.expect(…)`/`panic!` must state the

@@ -84,7 +84,7 @@ pub struct HotFn {
 ///
 /// Since `hot-path-alloc` walks the call graph, the registry lists
 /// only the **roots** of the hot paths — the entry points a driver
-/// calls per cycle (or per event) — not every function on them.
+/// calls per cycle (or per block) — not every function on them.
 /// `Simulator::step`, the schedulers' `plan_cycle_into`/`fast_forward`
 /// family, the XOR kernels, and the `BlockOracle` streaming paths are
 /// all reachable from these roots and covered transitively;
@@ -102,12 +102,6 @@ pub const HOT_FNS: &[HotFn] = &[
         impl_type: Some("Simulator"),
         name: "run_sessions",
         why: "session-driven simulation loop (reaches step, schedulers, verify)",
-    },
-    HotFn {
-        file: "crates/telemetry/src/flight.rs",
-        impl_type: Some("FlightRecorder"),
-        name: "record",
-        why: "per-event black-box append",
     },
     HotFn {
         file: "crates/fleet/src/fleet.rs",

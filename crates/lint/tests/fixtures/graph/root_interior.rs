@@ -1,9 +1,9 @@
 pub struct Simulator {
-    recorder: FlightRecorder,
+    words: [u64; 4],
 }
 
 impl Simulator {
-    pub fn run_sessions(&mut self) -> usize {
-        self.recorder.record(1)
+    pub fn run_sessions(&mut self) -> bool {
+        slice_is_zero(&self.words)
     }
 }

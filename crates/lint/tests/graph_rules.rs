@@ -226,16 +226,16 @@ fn a_root_another_root_reaches_is_a_finding() {
                 include_str!("fixtures/graph/root_interior.rs"),
             ),
             (
-                "crates/telemetry/src/flight.rs",
-                include_str!("fixtures/graph/root_interior_recorder.rs"),
+                "crates/parity/src/block.rs",
+                include_str!("fixtures/graph/root_interior_kernel.rs"),
             ),
         ],
     );
     let (code, stdout) = check(&root, "hot-path-alloc");
     assert_eq!(code, 1, "an interior root must fail:\n{stdout}");
-    let hit = finding_at(&stdout, "crates/telemetry/src/flight.rs:6");
+    let hit = finding_at(&stdout, "crates/parity/src/block.rs:1");
     assert!(
-        hit.contains("`FlightRecorder::record` is an interior node")
+        hit.contains("`slice_is_zero` is an interior node")
             && hit.contains("Simulator::run_sessions"),
         "{stdout}"
     );

@@ -31,6 +31,17 @@ impl fmt::Display for Value {
     }
 }
 
+impl Value {
+    /// The value as a `u64`, when it is one.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
 macro_rules! value_from {
     ($($t:ty => $variant:ident as $cast:ty),* $(,)?) => {
         $(impl From<$t> for Value {

@@ -1,15 +1,16 @@
-//! The flight recorder: a fixed-capacity black box of recent events.
+//! The flight dump: the newest events of a run, stamped with virtual
+//! time.
 //!
-//! Long scenario runs emit far more events than anyone wants to keep,
+//! Long scenario runs emit far more events than anyone wants to read,
 //! but the *last few thousand* records before a data loss or invariant
 //! violation are exactly the forensic record the paper's failure-window
-//! analysis needs (the degraded/rebuild interval of Figs. 6–9).
-//! [`FlightRecorder`] retains the newest `capacity` records in a
-//! pre-allocated ring, stamping each with a deterministic virtual time —
-//! the simulation cycle plus a per-cycle sequence number
-//! ([`VirtualClock`]) — and dumps a replayable JSONL snapshot when
-//! triggered by an `Error`-level record (data loss, check violation) or
-//! an explicit request.
+//! analysis needs (the degraded/rebuild interval of Figs. 6–9). A run's
+//! [`Recorder`](crate::Recorder) already holds every event, so the dump
+//! is a view of that record: [`dump`] writes its newest `capacity`
+//! events, each stamped with a deterministic virtual time — the
+//! simulation cycle plus a per-cycle sequence number — under a header
+//! naming the trigger, the first `Error`-level record (data loss, check
+//! violation) or else `"requested"`.
 //!
 //! Determinism: the stamp is a pure function of the event stream, and
 //! the workspace's parallel layer absorbs per-job event streams in job
@@ -19,31 +20,24 @@
 //! hand-rolled JSON subset the rest of the crate emits, no serde.
 
 use crate::event::{EventKind, EventRecord, Value};
-use crate::json;
-use crate::Level;
+use crate::{json, jsonl, Level};
 use std::fmt;
 use std::io::{self, Write};
 
 /// Deterministic virtual timestamps for an event stream: the current
 /// simulation cycle (read from `cycle` span opens) plus a sequence
 /// number counting records within that cycle in stream order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct VirtualClock {
     cycle: u64,
     seq: u32,
 }
 
 impl VirtualClock {
-    /// A clock at cycle 0, sequence 0.
-    #[must_use]
-    pub fn new() -> Self {
-        VirtualClock { cycle: 0, seq: 0 }
-    }
-
     /// Stamp one event: returns `(cycle, seq)`. A `cycle` span open
     /// carrying a `cycle` field advances the clock and resets the
     /// sequence, so the span-open record itself is `(new_cycle, 0)`.
-    pub fn stamp(&mut self, event: &EventRecord) -> (u64, u32) {
+    pub(crate) fn stamp(&mut self, event: &EventRecord) -> (u64, u32) {
         if event.kind == EventKind::SpanOpen && event.name == "cycle" {
             if let Some(Value::U64(c)) = event.field("cycle") {
                 self.cycle = *c;
@@ -56,222 +50,44 @@ impl VirtualClock {
     }
 }
 
-/// One retained record: the event plus its virtual timestamp.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StampedRecord {
-    /// Simulation cycle the record belongs to.
-    pub cycle: u64,
-    /// Order within the cycle.
-    pub seq: u32,
-    /// The event itself.
-    pub record: EventRecord,
-}
-
-/// A fixed-capacity ring buffer of the newest [`StampedRecord`]s.
+/// Write the flight dump of `events` as JSONL: one `flight` header line
+/// (`capacity`, `len` = the records kept, `recorded` = all of them, and
+/// the trigger), then the newest `capacity` records oldest first, each
+/// an event line stamped with its `cycle`/`seq`. The clock runs over the
+/// whole stream, so a kept record's stamp does not depend on `capacity`.
+/// [`FlightSnapshot::parse`] reads the dump back.
 ///
-/// Construction pre-allocates every slot; [`record`](FlightRecorder::record)
-/// is allocation-free (it moves the event into a slot and never resizes
-/// the ring), which is what lets the recorder ride along on the
-/// simulation's hot path. An `Error`-level record arms the trigger
-/// automatically; [`trigger`](FlightRecorder::trigger) arms it manually.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    ring: Vec<Option<StampedRecord>>,
-    /// Next slot to write.
-    head: usize,
-    /// Populated slots (saturates at capacity).
-    len: usize,
-    clock: VirtualClock,
-    /// Total records ever seen, including overwritten ones.
-    recorded: u64,
-    trigger: Option<&'static str>,
-}
-
-impl FlightRecorder {
-    /// A recorder retaining the newest `capacity` records.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "flight recorder capacity must be at least one record"
-        );
-        FlightRecorder {
-            ring: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            len: 0,
-            clock: VirtualClock::new(),
-            recorded: 0,
-            trigger: None,
-        }
-    }
-
-    /// Retain one event, stamping it with the virtual clock. The oldest
-    /// record is overwritten once the ring is full. An `Error`-level
-    /// event arms the trigger with the event's name (first one wins).
-    pub fn record(&mut self, event: EventRecord) {
-        let (cycle, seq) = self.clock.stamp(&event);
-        if self.trigger.is_none() && event.level == Level::Error {
-            self.trigger = Some(event.name);
-        }
-        self.recorded += 1;
-        self.ring[self.head] = Some(StampedRecord {
-            cycle,
-            seq,
-            record: event,
-        });
-        self.head = (self.head + 1) % self.ring.len();
-        if self.len < self.ring.len() {
-            self.len += 1;
-        }
-    }
-
-    /// Arm the trigger manually (e.g. from a CLI flag). An already-armed
-    /// trigger keeps its original reason.
-    pub fn trigger(&mut self, reason: &'static str) {
-        if self.trigger.is_none() {
-            self.trigger = Some(reason);
-        }
-    }
-
-    /// Why the recorder triggered, if it did.
-    #[must_use]
-    pub fn trigger_reason(&self) -> Option<&'static str> {
-        self.trigger
-    }
-
-    /// Whether the trigger is armed (a dump is warranted).
-    #[must_use]
-    pub fn triggered(&self) -> bool {
-        self.trigger.is_some()
-    }
-
-    /// The ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Currently retained records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total records ever fed, including those already overwritten.
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// The retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &StampedRecord> {
-        let cap = self.ring.len();
-        let start = (self.head + cap - self.len) % cap;
-        (0..self.len).filter_map(move |i| self.ring[(start + i) % cap].as_ref())
-    }
-
-    /// Write the snapshot as JSONL: one `flight` header line, then the
-    /// retained records oldest-first, each an event line extended with
-    /// its `cycle`/`seq` stamp. [`FlightSnapshot::parse`] reads it back.
-    pub fn dump<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        write!(
-            out,
-            "{{\"t\":\"flight\",\"capacity\":{},\"len\":{},\"recorded\":{},\"trigger\":",
-            self.ring.len(),
-            self.len,
-            self.recorded
-        )?;
-        match self.trigger {
-            Some(reason) => json::write_str(out, reason)?,
-            None => out.write_all(b"null")?,
-        }
-        out.write_all(b"}\n")?;
-        for rec in self.iter() {
-            write_stamped(out, rec)?;
-        }
-        Ok(())
-    }
-}
-
-fn write_stamped<W: Write>(out: &mut W, rec: &StampedRecord) -> io::Result<()> {
-    let e = &rec.record;
+/// Returns the trigger: the name of the first `Error`-level record, or
+/// `"requested"` when there is none.
+///
+/// # Errors
+/// Propagates I/O errors from `out`.
+pub fn dump<W: Write>(
+    out: &mut W,
+    events: &[EventRecord],
+    capacity: usize,
+) -> io::Result<&'static str> {
+    let len = capacity.min(events.len());
+    let trigger = events
+        .iter()
+        .find(|e| e.level == Level::Error)
+        .map_or("requested", |e| e.name);
     write!(
         out,
-        "{{\"t\":\"{}\",\"cycle\":{},\"seq\":{},\"level\":\"{}\",\"target\":",
-        e.kind.as_str(),
-        rec.cycle,
-        rec.seq,
-        e.level.as_str()
+        "{{\"t\":\"flight\",\"capacity\":{capacity},\"len\":{len},\"recorded\":{},\"trigger\":",
+        events.len()
     )?;
-    json::write_str(out, e.target)?;
-    out.write_all(b",\"name\":")?;
-    json::write_str(out, e.name)?;
-    if e.kind != EventKind::SpanClose {
-        out.write_all(b",\"fields\":{")?;
-        for (i, (k, v)) in e.fields.iter().enumerate() {
-            if i > 0 {
-                out.write_all(b",")?;
-            }
-            json::write_str(out, k)?;
-            out.write_all(b":")?;
-            match v {
-                Value::U64(x) => write!(out, "{x}")?,
-                Value::I64(x) => write!(out, "{x}")?,
-                Value::F64(x) => json::write_f64(out, *x)?,
-                Value::Bool(x) => write!(out, "{x}")?,
-                Value::Str(s) => json::write_str(out, s)?,
-            }
-        }
-        out.write_all(b"}")?;
-    }
-    out.write_all(b"}\n")
-}
-
-/// An owned field value parsed back from a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// String.
-    Str(String),
-}
-
-impl fmt::Display for OwnedValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OwnedValue::U64(v) => write!(f, "{v}"),
-            OwnedValue::I64(v) => write!(f, "{v}"),
-            OwnedValue::F64(v) => write!(f, "{v}"),
-            OwnedValue::Bool(v) => write!(f, "{v}"),
-            OwnedValue::Str(v) => write!(f, "{v}"),
+    json::write_str(out, trigger)?;
+    out.write_all(b"}\n")?;
+    let first_kept = events.len() - len;
+    let mut clock = VirtualClock::default();
+    for (i, event) in events.iter().enumerate() {
+        let stamp = clock.stamp(event);
+        if i >= first_kept {
+            jsonl::write_event(out, event, Some(stamp))?;
         }
     }
-}
-
-impl OwnedValue {
-    /// The value as a `u64`, when it is one.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            OwnedValue::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
+    Ok(trigger)
 }
 
 /// One record read back from a dump.
@@ -290,13 +106,13 @@ pub struct OwnedRecord {
     /// Event or span name.
     pub name: String,
     /// Named fields, in emission order.
-    pub fields: Vec<(String, OwnedValue)>,
+    pub fields: Vec<(String, Value)>,
 }
 
 impl OwnedRecord {
     /// Look up a field by name.
     #[must_use]
-    pub fn field(&self, name: &str) -> Option<&OwnedValue> {
+    pub fn field(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
@@ -304,28 +120,29 @@ impl OwnedRecord {
     /// `session` field equal to it).
     #[must_use]
     pub fn mentions_stream(&self, id: u64) -> bool {
-        self.field("stream").and_then(OwnedValue::as_u64) == Some(id)
-            || self.field("session").and_then(OwnedValue::as_u64) == Some(id)
+        self.field("stream").and_then(Value::as_u64) == Some(id)
+            || self.field("session").and_then(Value::as_u64) == Some(id)
     }
 }
 
 /// A parsed flight-recorder dump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightSnapshot {
-    /// Ring capacity at dump time.
+    /// The most records the dump could keep.
     pub capacity: usize,
-    /// Records retained in the dump.
+    /// Records kept in the dump.
     pub len: usize,
-    /// Total records the recorder ever saw.
+    /// Records the run recorded, kept or not.
     pub recorded: u64,
-    /// Trigger reason, when the dump was triggered.
+    /// The trigger: the first `Error`-level record's name, or
+    /// `requested`. `None` only for a header that says `null`.
     pub trigger: Option<String>,
-    /// The retained records, oldest first.
+    /// The kept records, oldest first.
     pub records: Vec<OwnedRecord>,
 }
 
 impl FlightSnapshot {
-    /// Parse a dump produced by [`FlightRecorder::dump`].
+    /// Parse a dump produced by [`dump`].
     ///
     /// # Errors
     /// Returns a [`ParseFlightError`] naming the offending line when the
@@ -358,7 +175,8 @@ impl FlightSnapshot {
             Some(Json::Null) | None => None,
             Some(_) => return Err(ParseFlightError::new(1, "`trigger` must be string or null")),
         };
-        let mut records = Vec::with_capacity(len);
+        // `len` is the file's word, not a bound: a dump may lie about it.
+        let mut records = Vec::new();
         for (ix, line) in lines {
             let lineno = ix + 1;
             if line.trim().is_empty() {
@@ -382,12 +200,14 @@ impl FlightSnapshot {
                 .ok_or_else(|| ParseFlightError::new(lineno, "record is missing `cycle`"))?;
             let seq = obj
                 .get_u64("seq")
-                .ok_or_else(|| ParseFlightError::new(lineno, "record is missing `seq`"))?
-                as u32;
+                .ok_or_else(|| ParseFlightError::new(lineno, "record is missing `seq`"))?;
+            let seq = u32::try_from(seq).map_err(|_| {
+                ParseFlightError::new(lineno, format!("`seq` {seq} is out of range"))
+            })?;
             let fields = match obj.get("fields") {
                 Some(Json::Obj(pairs)) => pairs
                     .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_owned_value()))
+                    .map(|(k, v)| (k.to_string(), v.to_value()))
                     .collect(),
                 None => Vec::new(),
                 Some(_) => return Err(ParseFlightError::new(lineno, "`fields` must be an object")),
@@ -464,15 +284,14 @@ impl Json {
         }
     }
 
-    fn to_owned_value(&self) -> OwnedValue {
+    fn to_value(&self) -> Value {
         match self {
-            Json::Str(s) => OwnedValue::Str(s.to_string()),
-            Json::U64(v) => OwnedValue::U64(*v),
-            Json::I64(v) => OwnedValue::I64(*v),
-            Json::F64(v) => OwnedValue::F64(*v),
-            Json::Bool(v) => OwnedValue::Bool(*v),
-            Json::Null => OwnedValue::Str(String::new()),
-            Json::Obj(_) => OwnedValue::Str(String::new()),
+            Json::Str(s) => Value::from(s.clone()),
+            Json::U64(v) => Value::U64(*v),
+            Json::I64(v) => Value::I64(*v),
+            Json::F64(v) => Value::F64(*v),
+            Json::Bool(v) => Value::Bool(*v),
+            Json::Null | Json::Obj(_) => Value::from(String::new()),
         }
     }
 }
@@ -672,18 +491,21 @@ impl Cursor<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid UTF-8 in number"))?;
-        if float {
-            text.parse::<f64>()
-                .map(Json::F64)
-                .map_err(|_| self.err("malformed number"))
+        // An integer past the 64-bit range is a float the writer printed
+        // without a fraction (`1e20` displays as 100000000000000000000).
+        let int = if float {
+            None
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Json::I64)
-                .map_err(|_| self.err("malformed number"))
+            text.parse::<i64>().ok().map(Json::I64)
         } else {
-            text.parse::<u64>()
-                .map(Json::U64)
-                .map_err(|_| self.err("malformed number"))
+            text.parse::<u64>().ok().map(Json::U64)
+        };
+        match int {
+            Some(v) => Ok(v),
+            None => text
+                .parse::<f64>()
+                .map(Json::F64)
+                .map_err(|_| self.err("malformed number")),
         }
     }
 }
@@ -691,7 +513,6 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
 
     fn event(level: Level, name: &'static str, fields: Vec<(&'static str, Value)>) -> EventRecord {
         EventRecord {
@@ -713,9 +534,18 @@ mod tests {
         }
     }
 
+    /// The dump of `events` at `capacity`, parsed back, and the trigger
+    /// `dump` returned.
+    fn snapshot(events: &[EventRecord], capacity: usize) -> (FlightSnapshot, &'static str) {
+        let mut out = Vec::new();
+        let trigger = dump(&mut out, events, capacity).unwrap();
+        let snap = FlightSnapshot::parse(&String::from_utf8(out).unwrap()).unwrap();
+        (snap, trigger)
+    }
+
     #[test]
     fn virtual_clock_follows_cycle_spans() {
-        let mut clock = VirtualClock::new();
+        let mut clock = VirtualClock::default();
         assert_eq!(clock.stamp(&event(Level::Info, "pre", vec![])), (0, 0));
         assert_eq!(clock.stamp(&cycle_open(7)), (7, 0));
         assert_eq!(clock.stamp(&event(Level::Info, "a", vec![])), (7, 1));
@@ -724,74 +554,76 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_keeping_newest() {
-        let mut fr = FlightRecorder::new(3);
-        for i in 0..5u64 {
-            fr.record(event(Level::Info, "n", vec![("i", Value::U64(i))]));
-        }
-        assert_eq!(fr.len(), 3);
-        assert_eq!(fr.recorded(), 5);
-        let kept: Vec<u64> = fr
+    fn dump_keeps_the_newest_records_stamped_as_in_the_whole_run() {
+        let mut events = vec![cycle_open(4)];
+        events.extend((0..5u64).map(|i| event(Level::Info, "n", vec![("i", Value::U64(i))])));
+        let (snap, _) = snapshot(&events, 3);
+        assert_eq!((snap.capacity, snap.len, snap.recorded), (3, 3, 6));
+        let kept: Vec<(u64, u32, Option<u64>)> = snap
+            .records
             .iter()
-            .filter_map(|r| match r.record.field("i") {
-                Some(Value::U64(v)) => Some(*v),
-                _ => None,
-            })
+            .map(|r| (r.cycle, r.seq, r.field("i").and_then(Value::as_u64)))
             .collect();
-        assert_eq!(kept, vec![2, 3, 4], "oldest records are overwritten");
+        assert_eq!(
+            kept,
+            vec![(4, 3, Some(2)), (4, 4, Some(3)), (4, 5, Some(4))],
+            "the oldest records are cut; the clock still ran over them"
+        );
+        let (whole, _) = snapshot(&events, 100);
+        assert_eq!((whole.capacity, whole.len), (100, 6));
+        assert_eq!(whole.records[3..], snap.records[..]);
     }
 
     #[test]
-    fn error_records_arm_the_trigger() {
-        let mut fr = FlightRecorder::new(4);
-        fr.record(event(Level::Warn, "hiccup", vec![]));
-        assert!(!fr.triggered());
-        fr.record(event(Level::Error, "data_loss", vec![]));
-        fr.record(event(Level::Error, "late_loss", vec![]));
-        assert_eq!(fr.trigger_reason(), Some("data_loss"), "first error wins");
+    fn the_first_error_is_the_trigger() {
+        let warn = event(Level::Warn, "hiccup", vec![]);
+        let (snap, trigger) = snapshot(std::slice::from_ref(&warn), 4);
+        assert_eq!(trigger, "requested", "no error: the dump was requested");
+        assert_eq!(snap.trigger.as_deref(), Some("requested"));
+        let events = [
+            warn.clone(),
+            event(Level::Error, "data_loss", vec![]),
+            event(Level::Error, "late_loss", vec![]),
+            warn,
+        ];
+        // The first error wins, even once it is cut from the tail.
+        for capacity in [4, 1] {
+            let (snap, trigger) = snapshot(&events, capacity);
+            assert_eq!(trigger, "data_loss", "capacity {capacity}");
+            assert_eq!(snap.trigger.as_deref(), Some("data_loss"));
+        }
     }
 
     #[test]
     fn dump_parse_round_trips() {
-        let mut fr = FlightRecorder::new(8);
-        fr.record(cycle_open(3));
-        fr.record(event(
-            Level::Warn,
-            "hiccup",
-            vec![
-                ("stream", Value::U64(5)),
-                ("reason", Value::from("failed-disk")),
-                ("ratio", Value::F64(0.5)),
-                ("late", Value::Bool(true)),
-                ("delta", Value::I64(-2)),
-            ],
-        ));
-        fr.record(event(
-            Level::Error,
-            "data_loss",
-            vec![("tracks", Value::U64(6))],
-        ));
-        let mut out = Vec::new();
-        fr.dump(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let snap = FlightSnapshot::parse(&text).unwrap();
+        let events = [
+            cycle_open(3),
+            event(
+                Level::Warn,
+                "hiccup",
+                vec![
+                    ("stream", Value::U64(5)),
+                    ("reason", Value::from("failed-disk")),
+                    ("ratio", Value::F64(0.5)),
+                    ("late", Value::Bool(true)),
+                    ("delta", Value::I64(-2)),
+                ],
+            ),
+            event(Level::Error, "data_loss", vec![("tracks", Value::U64(6))]),
+        ];
+        let (snap, _) = snapshot(&events, 8);
         assert_eq!(snap.capacity, 8);
         assert_eq!(snap.len, 3);
         assert_eq!(snap.recorded, 3);
         assert_eq!(snap.trigger.as_deref(), Some("data_loss"));
         assert_eq!(snap.records.len(), 3);
         let hic = &snap.records[1];
-        assert_eq!(hic.cycle, 3);
-        assert_eq!(hic.seq, 1);
+        assert_eq!((hic.cycle, hic.seq), (3, 1));
+        assert_eq!((hic.kind.as_str(), hic.level.as_str()), ("event", "warn"));
         assert_eq!(hic.name, "hiccup");
-        assert_eq!(hic.field("stream"), Some(&OwnedValue::U64(5)));
-        assert_eq!(
-            hic.field("reason"),
-            Some(&OwnedValue::Str("failed-disk".to_string()))
-        );
-        assert_eq!(hic.field("ratio"), Some(&OwnedValue::F64(0.5)));
-        assert_eq!(hic.field("late"), Some(&OwnedValue::Bool(true)));
-        assert_eq!(hic.field("delta"), Some(&OwnedValue::I64(-2)));
+        for (name, value) in &events[1].fields {
+            assert_eq!(hic.field(name), Some(value), "{name}");
+        }
         assert!(hic.mentions_stream(5));
         assert_eq!(snap.stream_records(5).count(), 1);
     }
@@ -815,19 +647,37 @@ mod tests {
     }
 
     #[test]
+    fn a_seq_past_u32_is_an_error_naming_its_line() {
+        let header = "{\"t\":\"flight\",\"capacity\":4,\"len\":1,\"recorded\":1,\"trigger\":null}";
+        let record = |seq: u64| {
+            format!(
+                "{header}\n{{\"t\":\"event\",\"cycle\":0,\"seq\":{seq},\"level\":\"info\",\
+                 \"target\":\"t\",\"name\":\"n\",\"fields\":{{}}}}"
+            )
+        };
+        let max = u64::from(u32::MAX);
+        let snap = FlightSnapshot::parse(&record(max)).expect("u32::MAX is a seq");
+        assert_eq!(snap.records[0].seq, u32::MAX);
+        let err = FlightSnapshot::parse(&record(max + 1)).expect_err("past u32::MAX");
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("`seq`"), "{err}");
+    }
+
+    #[test]
+    fn the_header_len_is_not_trusted_and_wide_integers_read_as_floats() {
+        let lied = "{\"t\":\"flight\",\"capacity\":1,\"len\":18446744073709551615,\
+                    \"recorded\":0,\"trigger\":null}";
+        let snap = FlightSnapshot::parse(lied).expect("a header's len is only its word");
+        assert!(snap.records.is_empty());
+        let big = event(Level::Info, "big", vec![("x", Value::F64(1e20))]);
+        let (snap, _) = snapshot(std::slice::from_ref(&big), 1);
+        assert_eq!(snap.records[0].field("x"), Some(&Value::F64(1e20)));
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
-        let mut fr = FlightRecorder::new(2);
-        fr.record(event(
-            Level::Info,
-            "odd",
-            vec![("s", Value::from(String::from("a\"b\\c\nd\te\u{1}")))],
-        ));
-        let mut out = Vec::new();
-        fr.dump(&mut out).unwrap();
-        let snap = FlightSnapshot::parse(&String::from_utf8(out).unwrap()).unwrap();
-        assert_eq!(
-            snap.records[0].field("s"),
-            Some(&OwnedValue::Str("a\"b\\c\nd\te\u{1}".to_string()))
-        );
+        let odd = Value::from(String::from("a\"b\\c\nd\te\u{1}"));
+        let (snap, _) = snapshot(&[event(Level::Info, "odd", vec![("s", odd.clone())])], 2);
+        assert_eq!(snap.records[0].field("s"), Some(&odd));
     }
 }

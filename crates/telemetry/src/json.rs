@@ -3,6 +3,7 @@
 //! `Display`, strings escape the JSON control set, and callers emit keys
 //! in a fixed order.
 
+use crate::event::Value;
 use std::io::{self, Write};
 
 /// Write `s` as a JSON string literal (with surrounding quotes).
@@ -38,6 +39,32 @@ pub fn write_f64<W: Write>(out: &mut W, v: f64) -> io::Result<()> {
     } else {
         out.write_all(b"\"-inf\"")
     }
+}
+
+/// Write a field value as JSON: integers and booleans bare, a float by
+/// [`write_f64`], a string by [`write_str`].
+fn write_value<W: Write>(out: &mut W, v: &Value) -> io::Result<()> {
+    match v {
+        Value::U64(v) => write!(out, "{v}"),
+        Value::I64(v) => write!(out, "{v}"),
+        Value::F64(v) => write_f64(out, *v),
+        Value::Bool(v) => write!(out, "{v}"),
+        Value::Str(s) => write_str(out, s),
+    }
+}
+
+/// Write named fields as one JSON object, `{"k":v,…}`, in their order.
+pub fn write_fields<W: Write>(out: &mut W, fields: &[(&'static str, Value)]) -> io::Result<()> {
+    out.write_all(b"{")?;
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        write_str(out, k)?;
+        out.write_all(b":")?;
+        write_value(out, v)?;
+    }
+    out.write_all(b"}")
 }
 
 #[cfg(test)]

@@ -11,6 +11,10 @@
 //! {"t":"span_close","level":"debug","target":"mms_sim::simulator","name":"cycle"}
 //! ```
 //!
+//! A flight dump's lines are the same lines stamped with their virtual
+//! time, `"cycle"` and `"seq"` after the kind tag (see
+//! [`flight::dump`](crate::flight::dump)).
+//!
 //! Metric lines (from a [`Registry`], key-ordered and therefore
 //! deterministic):
 //!
@@ -21,20 +25,10 @@
 //! {"t":"quantile","name":"workload.wait_cycles","labels":{"scheme":"SR"},"count":40,"sum":91.5,"p50":1.5,"p95":6,"p99":9}
 //! ```
 
-use crate::event::{EventKind, EventRecord, Value};
+use crate::event::{EventKind, EventRecord};
 use crate::json;
 use crate::registry::{Histogram, LabelValue, Labels, MetricKey, Registry};
 use std::io::{self, Write};
-
-fn write_value<W: Write>(out: &mut W, v: &Value) -> io::Result<()> {
-    match v {
-        Value::U64(v) => write!(out, "{v}"),
-        Value::I64(v) => write!(out, "{v}"),
-        Value::F64(v) => json::write_f64(out, *v),
-        Value::Bool(v) => write!(out, "{v}"),
-        Value::Str(s) => json::write_str(out, s),
-    }
-}
 
 fn write_label_value<W: Write>(out: &mut W, v: &LabelValue) -> io::Result<()> {
     match v {
@@ -65,28 +59,25 @@ fn write_metric_head<W: Write>(out: &mut W, kind: &str, key: &MetricKey) -> io::
 }
 
 /// Write one event or span boundary as a JSONL line (with trailing
-/// newline).
-pub fn write_event<W: Write>(out: &mut W, event: &EventRecord) -> io::Result<()> {
-    write!(
-        out,
-        "{{\"t\":\"{}\",\"level\":\"{}\",\"target\":",
-        event.kind.as_str(),
-        event.level.as_str()
-    )?;
+/// newline). A `stamp`, the record's virtual `(cycle, seq)`, follows
+/// the kind tag as `"cycle"` and `"seq"`: the flight dump's lines carry
+/// it, the `--telemetry` export's do not.
+pub fn write_event<W: Write>(
+    out: &mut W,
+    event: &EventRecord,
+    stamp: Option<(u64, u32)>,
+) -> io::Result<()> {
+    write!(out, "{{\"t\":\"{}\"", event.kind.as_str())?;
+    if let Some((cycle, seq)) = stamp {
+        write!(out, ",\"cycle\":{cycle},\"seq\":{seq}")?;
+    }
+    write!(out, ",\"level\":\"{}\",\"target\":", event.level.as_str())?;
     json::write_str(out, event.target)?;
     out.write_all(b",\"name\":")?;
     json::write_str(out, event.name)?;
     if event.kind != EventKind::SpanClose {
-        out.write_all(b",\"fields\":{")?;
-        for (i, (k, v)) in event.fields.iter().enumerate() {
-            if i > 0 {
-                out.write_all(b",")?;
-            }
-            json::write_str(out, k)?;
-            out.write_all(b":")?;
-            write_value(out, v)?;
-        }
-        out.write_all(b"}")?;
+        out.write_all(b",\"fields\":")?;
+        json::write_fields(out, &event.fields)?;
     }
     out.write_all(b"}\n")
 }
@@ -159,7 +150,7 @@ pub fn write_all<W: Write>(
     metrics: &Registry,
 ) -> io::Result<()> {
     for event in events {
-        write_event(out, event)?;
+        write_event(out, event, None)?;
     }
     write_snapshot(out, metrics)
 }

@@ -19,9 +19,10 @@
 //!   reading a [`Registry`] (a recorder's copy is
 //!   [`Recorder::snapshot`]), plus Chrome/Perfetto trace JSON of the
 //!   event stream ([`perfetto`]).
-//! * **Forensics** — [`FlightRecorder`], a fixed-capacity black box of
-//!   the newest events with deterministic virtual-time stamps, dumped
-//!   as replayable JSONL on data loss or check violations.
+//! * **Forensics** — the [`flight`] dump, a view of a run's record: its
+//!   newest events with deterministic virtual-time stamps, written as
+//!   replayable JSONL and armed by the first data loss or check
+//!   violation, and read back by [`FlightSnapshot::parse`].
 //! * **Health** — [`HealthModel`], the `--slo` panel: a view of a run's
 //!   record (Σ `sim.cycles`, `sim.hiccups`, `sim.degraded_cluster_cycles`
 //!   and the `Error`-level records) with the stall-budget burn, the same
@@ -61,7 +62,7 @@
 
 pub mod dashboard;
 mod event;
-mod flight;
+pub mod flight;
 mod health;
 pub(crate) mod json;
 pub mod jsonl;
@@ -73,10 +74,7 @@ mod recorder;
 mod registry;
 
 pub use event::{EventKind, EventRecord, SpanGuard, Value};
-pub use flight::{
-    FlightRecorder, FlightSnapshot, OwnedRecord, OwnedValue, ParseFlightError, StampedRecord,
-    VirtualClock,
-};
+pub use flight::{FlightSnapshot, OwnedRecord, ParseFlightError};
 pub use health::HealthModel;
 pub use quantile::{P2Quantile, QuantileSet};
 pub use recorder::{

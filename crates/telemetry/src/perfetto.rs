@@ -5,13 +5,13 @@
 //! opens become `"B"` (begin) records, span closes `"E"` (end), and
 //! point events thread-scoped instants (`"i"`). Timestamps are virtual:
 //! one simulation cycle maps to one million ticks (a "second" on the
-//! trace timeline) plus the per-cycle sequence number from
-//! [`VirtualClock`], so the trace is a pure
-//! function of the event stream and byte-identical at any thread count.
+//! trace timeline) plus the per-cycle sequence number, the same stamp
+//! the flight dump writes, so the trace is a pure function of the event
+//! stream and byte-identical at any thread count.
 //!
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
-use crate::event::{EventKind, EventRecord, Value};
+use crate::event::{EventKind, EventRecord};
 use crate::flight::VirtualClock;
 use crate::json;
 use std::io::{self, Write};
@@ -19,32 +19,13 @@ use std::io::{self, Write};
 /// Virtual trace ticks per simulation cycle.
 const TICKS_PER_CYCLE: u64 = 1_000_000;
 
-fn write_args<W: Write>(out: &mut W, fields: &[(&'static str, Value)]) -> io::Result<()> {
-    out.write_all(b",\"args\":{")?;
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        json::write_str(out, k)?;
-        out.write_all(b":")?;
-        match v {
-            Value::U64(x) => write!(out, "{x}")?,
-            Value::I64(x) => write!(out, "{x}")?,
-            Value::F64(x) => json::write_f64(out, *x)?,
-            Value::Bool(x) => write!(out, "{x}")?,
-            Value::Str(s) => json::write_str(out, s)?,
-        }
-    }
-    out.write_all(b"}")
-}
-
 /// Write `events` as a Chrome `trace_event` JSON document.
 ///
 /// # Errors
 /// Propagates I/O errors from `out`.
 pub fn write_trace<W: Write>(out: &mut W, events: &[EventRecord]) -> io::Result<()> {
     out.write_all(b"{\"traceEvents\":[")?;
-    let mut clock = VirtualClock::new();
+    let mut clock = VirtualClock::default();
     let mut first = true;
     for event in events {
         let (cycle, seq) = clock.stamp(event);
@@ -61,8 +42,11 @@ pub fn write_trace<W: Write>(out: &mut W, events: &[EventRecord]) -> io::Result<
         json::write_str(out, event.target)?;
         match event.kind {
             EventKind::SpanOpen => {
-                write!(out, ",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":0")?;
-                write_args(out, &event.fields)?;
+                write!(
+                    out,
+                    ",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":"
+                )?;
+                json::write_fields(out, &event.fields)?;
             }
             EventKind::SpanClose => {
                 write!(out, ",\"ph\":\"E\",\"ts\":{ts},\"pid\":0,\"tid\":0")?;
@@ -70,9 +54,9 @@ pub fn write_trace<W: Write>(out: &mut W, events: &[EventRecord]) -> io::Result<
             EventKind::Event => {
                 write!(
                     out,
-                    ",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"s\":\"t\""
+                    ",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"s\":\"t\",\"args\":"
                 )?;
-                write_args(out, &event.fields)?;
+                json::write_fields(out, &event.fields)?;
             }
         }
         out.write_all(b"}")?;

@@ -117,7 +117,7 @@ fn drill(policy: TransitionPolicy) {
         .iter()
         .filter(|e| e.name == "mode_transition")
     {
-        jsonl::write_event(&mut jl, e).unwrap();
+        jsonl::write_event(&mut jl, e, None).unwrap();
     }
     print!("{}", String::from_utf8(jl).unwrap());
     print!("{}", dashboard::render(&recorder.snapshot()));

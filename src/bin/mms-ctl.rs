@@ -22,10 +22,9 @@
 //! `FleetBuilder::run_config`) and to the scenario engine's corpus
 //! runner, which `scenario` and `fleet <corpus|list|NAME>` share.
 //!
-//! The flight recorder arms itself on the first `error`-level record
-//! (data loss, check violations); `--flight-recorder` also dumps on a
-//! clean run with trigger `requested`. Replay a dump with `mms-ctl
-//! trace`.
+//! `--flight-recorder` dumps the run's newest events at exit, triggered
+//! by the first `error`-level record (data loss, check violations), or
+//! `requested` on a clean run. Replay a dump with `mms-ctl trace`.
 //!
 //! `--threads` is purely a performance knob: every command's output is
 //! bit-identical for any setting (see `mms_exec`); this holds with

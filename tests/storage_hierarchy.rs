@@ -45,6 +45,25 @@ fn staged_object_becomes_playable_and_verifies() {
 }
 
 #[test]
+fn run_stages_like_step() {
+    let mut s = ServerBuilder::new(Scheme::StreamingRaid)
+        .disks(10)
+        .parity_group(5)
+        .object(movie(0, 8))
+        .build()
+        .unwrap();
+    s.set_tape_rate(4);
+    s.request_from_tertiary(movie(1, 16)).unwrap();
+    // 16 tracks at 4/cycle: resident after 4 cycles, run or stepped.
+    s.run(4).unwrap();
+    assert!(s.is_resident(ObjectId(1)));
+    assert!(!s.staging().is_staging(ObjectId(1)));
+    assert_eq!(s.cycle(), 4);
+    s.run(3).unwrap();
+    assert_eq!(s.cycle(), 7, "the cycles left after staging still run");
+}
+
+#[test]
 fn duplicate_requests_are_rejected() {
     let mut s = ServerBuilder::new(Scheme::StreamingRaid)
         .object(movie(0, 8))
