@@ -13,7 +13,7 @@
 //!   and the one command-line parser `mms-ctl`, `repro` and `bench`
 //!   check their arguments with.
 //! * Re-exports of every substrate (`disk`, `parity`, `layout`,
-//!   `buffer`, `sched`, `reliability`, `analysis`, `sim`).
+//!   `sched`, `reliability`, `analysis`, `sim`).
 //!
 //! ## Quickstart
 //!
@@ -71,8 +71,6 @@ pub use mms_exec::Parallelism;
 
 /// The paper's analytical model ([`mms_analysis`]).
 pub use mms_analysis as analysis;
-/// Buffer-memory substrate ([`mms_buffer`]).
-pub use mms_buffer as buffer;
 /// Disk substrate ([`mms_disk`]).
 pub use mms_disk as disk;
 /// Data-layout substrate ([`mms_layout`]).

@@ -36,9 +36,8 @@ pub const RULE_NAMES: [&str; 6] = [
 /// reads, no iteration-order-random collections, no ambient randomness.
 /// (`mms-bench` measures wall time on purpose; `mms-lint` never runs
 /// inside a simulation.)
-pub const DETERMINISTIC_CRATES: [&str; 12] = [
+pub const DETERMINISTIC_CRATES: [&str; 11] = [
     "analysis",
-    "buffer",
     "core",
     "disk",
     "exec",

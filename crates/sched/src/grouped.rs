@@ -470,7 +470,7 @@ impl<L: Layout + Copy> SchemeScheduler for GroupedScheduler<L> {
         // Pass 1 — whole-group reads and their allocations. All of a
         // cycle's reads are in flight while the previous data is still
         // being transmitted, so allocations logically precede every free
-        // of the same cycle; the pool's high-water mark then measures the
+        // of the same cycle; the table's high-water mark then measures the
         // paper's start-of-cycle occupancy.
         for e in 0..walked {
             self.read_group(slot(&self.tally, e), cycle, plan, &pass);
@@ -698,9 +698,7 @@ impl<L: Layout + Copy> GroupedScheduler<L> {
         };
         let reads = plan.reads.push_group(read);
         self.streams.slot_mut(ix).state.incoming = fault;
-        self.streams
-            .alloc(ix, reads)
-            .expect("unbounded pool never refuses an allocation");
+        self.streams.alloc(ix, reads);
     }
 
     /// Pass 2 for the stream in slot `ix`: deliver the next `k′` tracks
@@ -797,7 +795,7 @@ impl<L: Layout + Copy> GroupedScheduler<L> {
     /// becomes a partial failure that needs *its* parity one cluster
     /// further. Then, if parity is prefetched, read it wherever a slot is
     /// still idle. Every read placed here is charged to its stream before
-    /// pass 2 frees anything, so the pool's peak reflects true
+    /// pass 2 frees anything, so the table's peak reflects true
     /// simultaneity.
     fn read_parity_on_demand(&mut self, cycle: u64, plan: &mut CyclePlan) {
         let layout = *self.catalog.layout();
@@ -890,9 +888,7 @@ impl<L: Layout + Copy> GroupedScheduler<L> {
             // Idle capacity (or the slot just freed): place the parity
             // read and charge its buffer.
             plan.reads.push(disk, group.parity_read());
-            self.streams
-                .alloc(slot, 1)
-                .expect("unbounded pool never refuses an allocation");
+            self.streams.alloc(slot, 1);
         }
         self.on_demand.queue = queue;
         self.on_demand.victim_from = victim_from;
@@ -915,9 +911,7 @@ impl<L: Layout + Copy> GroupedScheduler<L> {
                     continue;
                 }
                 plan.reads.push(disk, group.parity_read());
-                self.streams
-                    .alloc(slot, 1)
-                    .expect("unbounded pool never refuses an allocation");
+                self.streams.alloc(slot, 1);
                 // A prefetched parity rescues this cycle's mid-cycle loss
                 // (the read was part of the committed schedule): with it
                 // and the group's surviving members resident by end of

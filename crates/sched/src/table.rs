@@ -13,8 +13,8 @@
 //!
 //! The table also owns what the schedulers used to duplicate around
 //! their own maps: the stream header ([`Slot`]), the buffer charge of
-//! each stream (`held`, kept in step with the pool's aggregate gauge),
-//! the id counter and the cycle cursor.
+//! each stream (`held`, kept in step with the table's `in_use` total
+//! and its high-water mark), the id counter and the cycle cursor.
 //!
 //! Beside it sits the [`ClassTable`]: how many streams hold a seat in
 //! each admission class. It is what admission tests, and — because every
@@ -26,7 +26,6 @@
 use crate::plan::CyclePlan;
 use crate::streams::{StreamId, StreamInfo};
 use crate::traits::{AdmissionError, RetireError, SteadyCycle};
-use mms_buffer::{BufferError, BufferPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{Catalog, ClusterId, Geometry, Layout, ObjectId};
 use std::cell::Cell;
@@ -131,6 +130,18 @@ pub enum Released<S> {
     Retired(S),
 }
 
+/// A release [`StreamTable::free`] refused: the stream holds fewer
+/// tracks than it tried to free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Underflow {
+    /// The stream.
+    pub stream: StreamId,
+    /// Tracks it holds.
+    pub held: usize,
+    /// Tracks it tried to free.
+    pub freeing: usize,
+}
+
 /// Active streams in ascending id order, with their buffer charge.
 #[derive(Debug, Clone)]
 pub struct StreamTable<S> {
@@ -139,7 +150,11 @@ pub struct StreamTable<S> {
     live: usize,
     /// Cycles between one stream's consecutive group reads.
     read_period: u64,
-    buffers: BufferPool,
+    /// Buffer tracks charged across all streams: the sum of `held`,
+    /// plus what a counted cycle charges for its steady streams.
+    in_use: usize,
+    /// Peak of `in_use`: the scheme's measured buffer requirement.
+    high_water: usize,
     next_stream: u64,
     next_cycle: u64,
     /// Bounds of the stability window over the live streams, so
@@ -184,7 +199,8 @@ impl<S> StreamTable<S> {
             slots: Vec::new(),
             live: 0,
             read_period,
-            buffers: BufferPool::unbounded(),
+            in_use: 0,
+            high_water: 0,
             next_stream: 0,
             next_cycle: 0,
             window: Cell::new(Some(Window::OPEN)),
@@ -212,13 +228,31 @@ impl<S> StreamTable<S> {
     /// Buffer tracks charged across all streams.
     #[must_use]
     pub fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
+        self.in_use
     }
 
     /// Peak buffer tracks ever charged.
     #[must_use]
     pub fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.high_water
+    }
+
+    /// Add `tracks` to the total and raise the high-water mark.
+    fn charge(&mut self, tracks: usize) {
+        self.in_use += tracks;
+        self.high_water = self.high_water.max(self.in_use);
+    }
+
+    /// Take `tracks` off the total.
+    ///
+    /// # Panics
+    /// Panics if more is released than is charged: the per-stream
+    /// tally has drifted from the total.
+    fn discharge(&mut self, tracks: usize) {
+        self.in_use = self
+            .in_use
+            .checked_sub(tracks)
+            .expect("released more buffer tracks than are charged");
     }
 
     /// Admission prologue: look `object` up in the catalog.
@@ -310,25 +344,24 @@ impl<S> StreamTable<S> {
     }
 
     /// Charge `tracks` buffer tracks to the stream in slot `ix`.
-    pub fn alloc(&mut self, ix: usize, tracks: usize) -> Result<(), BufferError> {
-        self.buffers.charge(tracks)?;
+    pub fn alloc(&mut self, ix: usize, tracks: usize) {
+        self.charge(tracks);
         self.slots[ix].held += tracks;
-        Ok(())
     }
 
     /// Release `tracks` of what slot `ix` holds; refuses (and changes
     /// nothing) if it holds less — which includes every dead slot.
-    pub fn free(&mut self, ix: usize, tracks: usize) -> Result<(), BufferError> {
+    pub fn free(&mut self, ix: usize, tracks: usize) -> Result<(), Underflow> {
         let slot = &mut self.slots[ix];
         if tracks > slot.held {
-            return Err(BufferError::Underflow {
-                owner: OwnerId(slot.id.0),
+            return Err(Underflow {
+                stream: slot.id,
                 held: slot.held,
                 freeing: tracks,
             });
         }
         slot.held -= tracks;
-        self.buffers.release(tracks);
+        self.discharge(tracks);
         Ok(())
     }
 
@@ -341,8 +374,8 @@ impl<S> StreamTable<S> {
             return;
         }
         slot.live = false;
-        self.buffers.release(slot.held);
-        slot.held = 0;
+        let held = std::mem::take(&mut slot.held);
+        self.discharge(held);
         self.live -= 1;
     }
 
@@ -478,11 +511,9 @@ impl<S> StreamTable<S> {
         // is an occupancy a planned run passes through, so the
         // high-water mark cannot overshoot.
         if charged >= released {
-            self.buffers
-                .charge(charged - released)
-                .expect("unbounded pool never refuses an allocation");
+            self.charge(charged - released);
         } else {
-            self.buffers.release(released - charged);
+            self.discharge(released - charged);
         }
     }
 }
@@ -597,7 +628,7 @@ impl<S: Seated> StreamTable<S> {
 
     /// Open a counted fill of `plan`: the steady streams' reads and
     /// deliveries as [`tally`](Self::tally) counted them, and their
-    /// buffer charge — before any edge stream allocates, so the pool's
+    /// buffer charge — before any edge stream allocates, so the table's
     /// high-water mark is the one the itemised plan reaches.
     pub fn charge_steady(&mut self, tally: &Tally, k_prime: usize, plan: &mut CyclePlan) {
         plan.start_counting();
@@ -605,15 +636,13 @@ impl<S: Seated> StreamTable<S> {
             plan.reads.add_counted(disk, tracks);
         }
         plan.deliveries.add_counted(tally.streams * k_prime);
-        self.buffers
-            .charge(tally.tracks)
-            .expect("unbounded pool never refuses an allocation");
+        self.charge(tally.tracks);
     }
 
     /// Close a counted fill: release what the steady streams delivered,
     /// after every edge stream's free.
     pub fn release_steady(&mut self, tally: &Tally) {
-        self.buffers.release(tally.released);
+        self.discharge(tally.released);
     }
 }
 
@@ -864,8 +893,8 @@ mod tests {
         let mut t: StreamTable<()> = StreamTable::new(1);
         let ids: Vec<_> = (0..4).map(|i| t.admit(placement(i, 2), 0, ())).collect();
         t.begin_cycle(0);
-        t.alloc(1, 5).unwrap();
-        t.alloc(2, 3).unwrap();
+        t.alloc(1, 5);
+        t.alloc(2, 3);
         t.retire(1);
         // Dead, but still in place: slot 2 is still slot 2.
         assert_eq!(t.slots(), 4);
@@ -889,11 +918,11 @@ mod tests {
     fn free_refuses_more_than_the_slot_holds() {
         let mut t: StreamTable<()> = StreamTable::new(1);
         let id = t.admit(placement(0, 2), 0, ());
-        t.alloc(0, 2).unwrap();
+        t.alloc(0, 2);
         assert_eq!(
             t.free(0, 3),
-            Err(BufferError::Underflow {
-                owner: OwnerId(id.0),
+            Err(Underflow {
+                stream: id,
                 held: 2,
                 freeing: 3
             })
@@ -905,6 +934,15 @@ mod tests {
         assert!(t.free(0, 1).is_err());
         t.free(0, 0).unwrap();
         assert_eq!(t.buffer_in_use(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "released more buffer tracks than are charged")]
+    fn discharging_more_than_is_charged_panics() {
+        let mut t: StreamTable<()> = StreamTable::new(1);
+        t.admit(placement(0, 2), 0, ());
+        t.alloc(0, 2);
+        t.discharge(3);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn nc_parity_disk_failure_keeps_normal_mode() {
     }
     assert_eq!(delivered, 16);
     // No buffer server was consumed for a parity-only failure.
-    assert_eq!(s.servers().busy(), 0);
+    assert_eq!(s.servers().count(), 0);
 }
 
 #[test]

@@ -193,7 +193,7 @@ proptest! {
                             InCycle::Alloc(n) => {
                                 // Passes only charge live streams.
                                 if let Some(m) = model.get_mut(&id) {
-                                    table.alloc(ix, n as usize).unwrap();
+                                    table.alloc(ix, n as usize);
                                     m.held += n as usize;
                                 }
                             }

@@ -146,7 +146,9 @@ impl FlightSnapshot {
     ///
     /// # Errors
     /// Returns a [`ParseFlightError`] naming the offending line when the
-    /// text is not a well-formed dump.
+    /// text is not a well-formed dump, and one naming both counts when
+    /// the records are not as many as the header's `len` (a dump cut
+    /// short by a killed writer or a full disk).
     pub fn parse(text: &str) -> Result<FlightSnapshot, ParseFlightError> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines
@@ -175,7 +177,8 @@ impl FlightSnapshot {
             Some(Json::Null) | None => None,
             Some(_) => return Err(ParseFlightError::new(1, "`trigger` must be string or null")),
         };
-        // `len` is the file's word, not a bound: a dump may lie about it.
+        // `len` is the file's word, not a bound: a dump may lie about it,
+        // so it is checked against the records read, never allocated by.
         let mut records = Vec::new();
         for (ix, line) in lines {
             let lineno = ix + 1;
@@ -221,6 +224,13 @@ impl FlightSnapshot {
                 name,
                 fields,
             });
+        }
+        if records.len() != len {
+            let message = format!(
+                "header says {len} record(s), the dump holds {}",
+                records.len()
+            );
+            return Err(ParseFlightError::new(1, message));
         }
         Ok(FlightSnapshot {
             capacity,
@@ -667,8 +677,11 @@ mod tests {
     fn the_header_len_is_not_trusted_and_wide_integers_read_as_floats() {
         let lied = "{\"t\":\"flight\",\"capacity\":1,\"len\":18446744073709551615,\
                     \"recorded\":0,\"trigger\":null}";
-        let snap = FlightSnapshot::parse(lied).expect("a header's len is only its word");
-        assert!(snap.records.is_empty());
+        let err = FlightSnapshot::parse(lied).expect_err("a header's len is checked");
+        assert_eq!(
+            err.message,
+            "header says 18446744073709551615 record(s), the dump holds 0"
+        );
         let big = event(Level::Info, "big", vec![("x", Value::F64(1e20))]);
         let (snap, _) = snapshot(std::slice::from_ref(&big), 1);
         assert_eq!(snap.records[0].field("x"), Some(&Value::F64(1e20)));

@@ -313,3 +313,38 @@ fn simulate_applies_a_fault_dated_inside_the_viewer_warm_up() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("cycle 2: disk 1 FAILED"), "{stdout}");
 }
+
+/// A flight dump cut at a line boundary (a killed writer, a full disk)
+/// used to parse: `trace` printed the header's record count over the
+/// records that survived and exited 0.
+#[test]
+fn a_cut_flight_dump_is_an_error_naming_both_counts() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_cut_flight_dump");
+    std::fs::create_dir_all(&dir).expect("a test directory");
+    let (whole, cut) = (dir.join("flight.jsonl"), dir.join("cut.jsonl"));
+    let path = |p: &std::path::Path| p.to_str().expect("a UTF-8 path").to_string();
+    let (_, stderr, ok) = ctl(&[
+        "scenario",
+        "double-fault-same-group",
+        "--flight-recorder",
+        &path(&whole),
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&whole).expect("the run wrote its dump");
+    let len = text
+        .split("\"len\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .expect("the header states its len");
+    let head: Vec<&str> = text.lines().take(10).collect();
+    std::fs::write(&cut, head.join("\n") + "\n").expect("write the cut dump");
+    let out = Command::new(env!("CARGO_BIN_EXE_mms-ctl"))
+        .args(["trace", &path(&cut)])
+        .output()
+        .expect("run mms-ctl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed before failing");
+    let counts = format!("header says {len} record(s), the dump holds 9");
+    assert!(stderr.contains(&counts), "{stderr}");
+}
