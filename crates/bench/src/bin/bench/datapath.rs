@@ -18,7 +18,10 @@
 //!   schemes at 4 and at 40 viewers; of a healthy session-churn run
 //!   under `DataMode::MetadataOnly` and `StepMode::EventHorizon`, where
 //!   two viewers arrive and two finish every cycle and each step fills a
-//!   counted plan; and of a healthy eight-node fleet under traffic,
+//!   counted plan; of the same churn on Streaming RAID and
+//!   Staggered-group with disk 1 down, where each step counts its steady
+//!   streams with the failure masked; and of a healthy eight-node fleet
+//!   under traffic,
 //!   stepped cycle by cycle, whose sessions go through the fleet's
 //!   session book.
 //!
@@ -45,7 +48,7 @@ use mms_server::parity::{
 };
 use mms_server::sim::{BlockOracle, DataMode, FailureEvent, StepMode};
 use mms_server::Args;
-use mms_server::{Scheme, ServerBuilder, ServerError};
+use mms_server::{MultimediaServer, Scheme, ServerBuilder, ServerError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -262,14 +265,21 @@ fn degraded_allocs(
 /// Clip lengths of the churn cells: ten groups, and a partial eleventh.
 const CHURN_CLIPS: [u64; 2] = [40, 42];
 
-/// Steady-state allocations per cycle of a healthy session-churn run:
-/// one viewer of each clip arrives every cycle, so once the first have
-/// played out streams start and finish every cycle, and every step of
-/// an event-horizon server with no oracle plans a counted cycle — the
+/// Steady-state allocations per cycle of a session-churn run: one viewer
+/// of each clip arrives every cycle, so once the first have played out
+/// streams start and finish every cycle, and every step of an
+/// event-horizon server with no oracle plans a counted cycle — the
 /// streams at an edge of their lives one by one, the rest by admission
 /// class. The warm-up outlasts the longest life, so what is measured is
-/// the churn's steady state.
-fn churn_allocs(scheme: Scheme, warmup: u64, cycles: u64) -> Result<f64, ServerError> {
+/// the churn's steady state. With `degraded`, disk 1 fails after the
+/// warm-up and a second warm-up lets every group read before the
+/// failure play out, so each measured step counts with it masked.
+fn churn_allocs(
+    scheme: Scheme,
+    degraded: bool,
+    warmup: u64,
+    cycles: u64,
+) -> Result<f64, ServerError> {
     let disks = match scheme {
         Scheme::ImprovedBandwidth => 2 * (GROUP_C - 1),
         _ => 2 * GROUP_C,
@@ -284,18 +294,24 @@ fn churn_allocs(scheme: Scheme, warmup: u64, cycles: u64) -> Result<f64, ServerE
         builder = builder.object(clip);
     }
     let mut server = builder.build()?;
-    let mut cycle = || -> Result<(), ServerError> {
+    let cycle = |server: &mut MultimediaServer| -> Result<(), ServerError> {
         for id in 0..CHURN_CLIPS.len() {
             server.admit(ObjectId(id as u64))?;
         }
         server.step().map(drop)
     };
     for _ in 0..warmup {
-        cycle()?;
+        cycle(&mut server)?;
+    }
+    if degraded {
+        server.inject(FailureEvent::fail(server.cycle(), DiskId(1)))?;
+        for _ in 0..warmup {
+            cycle(&mut server)?;
+        }
     }
     let allocs_before = allocations();
     for _ in 0..cycles {
-        cycle()?;
+        cycle(&mut server)?;
     }
     Ok((allocations() - allocs_before) as f64 / cycles as f64)
 }
@@ -338,8 +354,9 @@ fn fleet_allocs(cycles: u64) -> Result<f64, FleetError> {
 }
 
 /// [`degraded_allocs`] for every scheme at 4 and at 40 viewers, then
-/// [`churn_allocs`] for every scheme, then [`fleet_allocs`]. Also
-/// returns the most any run allocated per cycle, which must be 0.
+/// [`churn_allocs`] for every scheme healthy and for Streaming RAID and
+/// Staggered-group degraded, then [`fleet_allocs`]. Also returns the
+/// most any run allocated per cycle, which must be 0.
 fn simulator(quick: bool) -> Result<(Json, f64), Box<dyn std::error::Error>> {
     // Quick runs measure fewer cycles, not an earlier state: 64 cycles
     // carry every run past its transition and let each per-cycle list
@@ -364,17 +381,20 @@ fn simulator(quick: bool) -> Result<(Json, f64), Box<dyn std::error::Error>> {
             worst = worst.max(allocs_per_cycle);
         }
     }
-    for scheme in Scheme::ALL {
-        let allocs_per_cycle = churn_allocs(scheme, warmup, cycles)?;
+    let healthy = Scheme::ALL.map(|scheme| (scheme, false));
+    let degraded = [Scheme::StreamingRaid, Scheme::StaggeredGroup].map(|scheme| (scheme, true));
+    for (scheme, degraded) in healthy.into_iter().chain(degraded) {
+        let allocs_per_cycle = churn_allocs(scheme, degraded, warmup, cycles)?;
         let name = scheme.abbrev();
+        let health = if degraded { "degraded" } else { "healthy" };
         println!(
-            "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} counted {name} churn cycles, {} arrivals a cycle",
+            "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} counted {health} {name} churn cycles, {} arrivals a cycle",
             CHURN_CLIPS.len()
         );
         cells.push(Json::Row(vec![
             ("scheme".into(), Json::from(name.to_lowercase())),
             ("arrivals_per_cycle".into(), CHURN_CLIPS.len().into()),
-            ("degraded".into(), false.into()),
+            ("degraded".into(), degraded.into()),
             ("step_mode".into(), Json::from("event-horizon")),
             ("cycles".into(), cycles.into()),
             ("allocs_per_cycle".into(), Json::Fixed(allocs_per_cycle, 2)),

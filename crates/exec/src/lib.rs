@@ -170,7 +170,7 @@ where
 /// `(index, value)` pairs locally; results are slotted by index after
 /// the scope joins, so the output order is deterministic no matter how
 /// the indices were interleaved. A panic in any job propagates to the
-/// caller.
+/// caller with the job's own payload, at any thread count.
 ///
 /// If the calling thread has a telemetry collector installed, each job
 /// records into its own [`Recorder`] and the captured records are
@@ -236,7 +236,11 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            // A job's panic reaches the caller with its own payload.
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect()
     });
     let mut slots: Vec<Option<(T, Option<JobTelemetry>)>> = (0..n).map(|_| None).collect();
@@ -357,34 +361,26 @@ mod tests {
         assert_eq!(got, vec![0, 10, 20]);
     }
 
+    /// Whether every job of a batch ran on the calling thread.
+    fn ran_inline(par: Parallelism, n: usize, min_jobs: usize) -> bool {
+        let caller = std::thread::current().id();
+        par_map_indexed_min(par, n, min_jobs, |_| std::thread::current().id())
+            .iter()
+            .all(|&id| id == caller)
+    }
+
     #[test]
     fn small_batches_run_inline_without_the_pool() {
-        // A panic below the threshold surfaces directly ("boom"), not as
-        // the pool's "worker panicked" join failure — proving no worker
-        // thread was spawned for the tiny batch.
-        let result = std::panic::catch_unwind(|| {
-            par_map_indexed(Parallelism::threads(8), SMALL_BATCH_THRESHOLD - 1, |i| {
-                assert!(i != 5, "boom");
-                i
-            })
-        });
-        let msg = *result.unwrap_err().downcast::<&str>().unwrap();
-        assert!(msg.contains("boom"), "{msg}");
-        assert!(!msg.contains("worker panicked"), "{msg}");
+        assert!(ran_inline(
+            Parallelism::threads(8),
+            SMALL_BATCH_THRESHOLD - 1,
+            SMALL_BATCH_THRESHOLD
+        ));
     }
 
     #[test]
     fn min_jobs_override_engages_the_pool_for_tiny_batches() {
-        // Same panic probe with min_jobs = 0: the pool spawns, so the
-        // panic propagates as the join failure.
-        let result = std::panic::catch_unwind(|| {
-            par_map_indexed_min(Parallelism::threads(2), 8, 0, |i| {
-                assert!(i != 5, "boom");
-                i
-            })
-        });
-        let msg = *result.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("worker panicked"), "{msg}");
+        assert!(!ran_inline(Parallelism::threads(2), 8, 0));
     }
 
     #[test]
@@ -480,10 +476,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "job 7 failed")]
     fn job_panics_propagate() {
         let _ = par_map_indexed(Parallelism::threads(2), 64, |i| {
-            assert!(i != 50, "boom");
+            assert!(i != 7, "job {i} failed");
             i
         });
     }

@@ -39,6 +39,10 @@ struct Reached {
     counted_after_repair: usize,
     /// Streams that finished in a counted cycle.
     finished_counted: usize,
+    /// Counted cycles planned with a disk down.
+    counted_degraded: usize,
+    /// Blocks a counted cycle delivered rebuilt from parity.
+    counted_rebuilt: usize,
 }
 
 /// Both copies of one script's scheduler, and the plans they fill.
@@ -58,6 +62,7 @@ impl Pair {
         cycle: u64,
         allowed: bool,
         repaired: bool,
+        degraded: bool,
         reached: &mut Reached,
         what: &str,
     ) {
@@ -91,6 +96,8 @@ impl Pair {
             reached.into_counted += usize::from(!self.was_counted);
             reached.counted_after_repair += usize::from(repaired);
             reached.finished_counted += b.finished.len();
+            reached.counted_degraded += usize::from(degraded);
+            reached.counted_rebuilt += b.deliveries.reconstructed();
         } else {
             reached.out_of_counted += usize::from(self.was_counted);
         }
@@ -157,7 +164,8 @@ fn run_script(kind: Kind, seed: u64, reached: &mut Reached) {
                         allowed = !allowed;
                     }
                     let what = format!("{kind:?} {seed} @{cycle}");
-                    pair.plan(cycle, allowed, repaired, reached, &what);
+                    let degraded = !down.is_empty();
+                    pair.plan(cycle, allowed, repaired, degraded, reached, &what);
                     cycle += 1;
                     pair.assert_same(cycle, &admitted, &what);
                 }
@@ -220,7 +228,7 @@ fn run_script(kind: Kind, seed: u64, reached: &mut Reached) {
     // Drain, counting wherever the schedulers may.
     for _ in 0..64 {
         let what = format!("{kind:?} {seed} @{cycle} (drain)");
-        pair.plan(cycle, true, repaired, reached, &what);
+        pair.plan(cycle, true, repaired, !down.is_empty(), reached, &what);
         cycle += 1;
         pair.assert_same(cycle, &admitted, &what);
     }
@@ -244,6 +252,16 @@ fn counted_plans_agree_with_itemised_ones_on_every_script() {
             reached.into_counted > 50 && reached.out_of_counted > 50,
             "{kind:?}: {reached:?}"
         );
+        // Where parity is read with every group, a masked failure counts
+        // too, rebuilt blocks and all; NC, the unprotected baseline and
+        // Improved-bandwidth plan every cycle with a disk down one by one.
+        let parity_disk = matches!(kind, Kind::StreamingRaid | Kind::Staggered | Kind::Grouped);
+        let degraded = (reached.counted_degraded, reached.counted_rebuilt);
+        if parity_disk {
+            assert!(degraded.0 > 0 && degraded.1 > 0, "{kind:?}: {reached:?}");
+        } else {
+            assert_eq!(degraded, (0, 0), "{kind:?}: {reached:?}");
+        }
     }
 }
 
