@@ -400,7 +400,8 @@ impl<S: SchemeScheduler> Simulator<S> {
 
         // 2. Plan and execute the cycle, refilling the reused plan. Only
         //    the oracle and trace retention read its records; without
-        //    them a healthy cycle is counted, whatever the step mode.
+        //    them a cycle the scheduler can state is counted, whatever
+        //    the step mode.
         let t_cyc = self.scheduler.config().t_cyc();
         {
             let _s = span!(Level::Debug, "plan", cycle = cycle);
